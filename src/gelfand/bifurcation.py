@@ -21,11 +21,10 @@ from .radial_ode import (
     ProblemConfig,
     RadialProfile,
     ShootResult,
-    _weight_arrays,
     integrate_ivp,
     integrate_singular,
 )
-from .weights import make_ah, parse_weight, ratio_derivative_sign
+from .weights import make_ah, parse_weight, ratio_derivative_sign, weight_arrays
 
 BETA_TOL = 1e-8           # fold bracket width target
 FOLD_FLATNESS = 1e-8      # |dlambda/dbeta| <= FOLD_FLATNESS * max(1, lambda)
@@ -374,8 +373,8 @@ def check_separation(cfg: ProblemConfig, h: float, beta: float, gamma: float):
     cfg_ref = ProblemConfig(dim=cfg.dim, weight=ah_ref, rel_tol=cfg.rel_tol,
                             abs_tol=cfg.abs_tol, r_start=cfg.r_start, grid=cfg.grid)
     vh_gamma = integrate_ivp(cfg_ref, gamma, radii=grid).profile.values
-    log_a = np.log(_weight_values(cfg.weight, grid))
-    log_ah = np.log(_weight_values(ah_ref, grid))
+    log_a = np.log(weight_arrays(cfg.weight, grid)[0])
+    log_ah = np.log(weight_arrays(ah_ref, grid)[0])
     min_gap_weighted = float(np.min((vh_gamma + log_ah) - (v_beta + log_a)))
     return min_gap_v, min_gap_weighted, r_h
 
@@ -407,10 +406,6 @@ def check_lower_envelope(cfg: ProblemConfig, beta: float, gamma: float,
                          r_start=cfg.r_start, grid=cfg.grid)
     v0_beta = integrate_ivp(cfg0, beta, radii=grid).profile.values
     q = (hardy_constant() + eps0) / (2.0 * (cfg.dim - 2.0))
-    log_a = np.log(_weight_values(cfg.weight, grid))
+    log_a = np.log(weight_arrays(cfg.weight, grid)[0])
     gap = (v_gamma + log_a) - (v0_beta + np.log1p(q * grid * grid))
     return float(np.min(gap))
-
-
-def _weight_values(w, r: np.ndarray) -> np.ndarray:
-    return _weight_arrays(w, r)[0]

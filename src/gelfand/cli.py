@@ -3,9 +3,7 @@
 Every artifact embeds its run manifest (as a JSON comment block in CSV, an
 XML comment in SVG, a top-level key in JSON) and is written atomically.
 Outputs are byte-deterministic: no timestamps, no randomness, fixed float
-formatting. GELFAND_THREADS caps internal parallelism; the numerical core
-is sequential, which trivially satisfies any cap, and the value is
-recorded in the manifest for provenance.
+formatting.
 """
 
 from __future__ import annotations
@@ -96,15 +94,6 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _threads() -> int:
-    raw = os.environ.get("GELFAND_THREADS", "1")
-    try:
-        val = int(raw)
-    except ValueError:
-        val = 1
-    return max(1, val)
-
-
 def _manifest(command: str, dim, weight_spec, tolerances, beta_range, artifacts):
     return {
         "command": command,
@@ -113,7 +102,6 @@ def _manifest(command: str, dim, weight_spec, tolerances, beta_range, artifacts)
         "tolerances": list(tolerances) if tolerances is not None else None,
         "beta_range": list(beta_range) if beta_range is not None else None,
         "seed_free": True,
-        "threads": _threads(),
         "artifacts": list(artifacts),
     }
 

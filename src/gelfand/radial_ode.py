@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _stepper
-from .weights import Weight, weight_eval
+from .weights import Weight, weight_arrays
 
 BETA_MIN_GUARD = -50.0
 BETA_MAX_GUARD = 60.0
@@ -515,26 +515,6 @@ def cumulative_power_integral(x, g, pw: int) -> np.ndarray:
     return out
 
 
-def cumulative_integral(x, f) -> np.ndarray:
-    return cumulative_power_integral(x, f, 0)
-
-
-def _weight_arrays(w: Weight, r: np.ndarray):
-    p = np.ones_like(r)
-    dp = np.zeros_like(r)
-    if w.coeffs:
-        r2 = r * r
-        q = np.ones_like(r)
-        for i, c in enumerate(w.coeffs, start=1):
-            dp += (2 * i) * c * q * r
-            q = q * r2
-            p += c * q
-    if w.tilt != 0.0:
-        e = np.exp(w.tilt * r * r)
-        return p * e, (dp + 2.0 * w.tilt * r * p) * e
-    return p, dp
-
-
 def flux_residual(cfg: ProblemConfig, shoot: ShootResult) -> float:
     """Relative defect in -r^{N-1} v' = int_0^r s^{N-1} a e^v ds.
 
@@ -544,7 +524,7 @@ def flux_residual(cfg: ProblemConfig, shoot: ShootResult) -> float:
     r = shoot.profile.radii
     v = shoot.profile.values
     dv = shoot.profile.derivs
-    a, _ = _weight_arrays(cfg.weight, r)
+    a, _ = weight_arrays(cfg.weight, r)
     c2, _, _, _ = _series_coeffs(cfg, shoot.beta)
     a2 = 0.5 * cfg.weight.a2pp
     r0 = cfg.r_start
@@ -570,7 +550,7 @@ def pohozaev_residual(cfg: ProblemConfig, shoot: ShootResult, mu: float) -> floa
     r = shoot.profile.radii
     v = shoot.profile.values
     dv = shoot.profile.derivs
-    a, da = _weight_arrays(cfg.weight, r)
+    a, da = weight_arrays(cfg.weight, r)
     ev = np.exp(v)
     T = r ** N * (0.5 * dv * dv + a * (ev - 1.0)) + mu * r ** (N - 1) * v * dv
     boundary = float(T[-1] - T[0])

@@ -9,9 +9,8 @@ on the unit disk, because 2(N-2) = (N-2)^2/4 exactly at N = 10. Morse
 indices of radial potentials are counted two independent ways (Pruefer
 phase in log radius, finite-volume matrix inertia) and must agree exactly.
 
-Bessel J0 is implemented locally: zeros of J0 are the disk eigenvalues
-that calibrate every count, so the package keeps its own controlled
-evaluation (scipy/mpmath serve as test oracles only).
+Bessel J0, J1 and the zeros of J0, the disk eigenvalues that calibrate
+every count, come from scipy.special; mpmath is the test oracle for them.
 """
 
 from __future__ import annotations
@@ -22,186 +21,29 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
+from scipy.special import j0, j1, jn_zeros
 
 from . import _stepper
-from .radial_ode import (
-    ProblemConfig,
-    RadialProfile,
-    ShootResult,
-    _weight_arrays,
-    integrate_singular,
-)
-from .weights import Weight, weight_eval
+from .radial_ode import ProblemConfig, RadialProfile, ShootResult, integrate_singular
+from .weights import Weight, weight_arrays
 
 # ---------------------------------------------------------------------------
-# Bessel J0: power series below 8, compensated (double-double) series on
-# [8, 18), Hankel asymptotic with min-term truncation above.
-
-_DD_SPLIT = 134217729.0  # 2^27 + 1
-
-
-def _two_sum(a: float, b: float):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_prod(a: float, b: float):
-    p = a * b
-    ca = _DD_SPLIT * a
-    ah = ca - (ca - a)
-    al = a - ah
-    cb = _DD_SPLIT * b
-    bh = cb - (cb - b)
-    bl = b - bh
-    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, err
-
-
-def _dd_add(ah, al, bh, bl):
-    s, e = _two_sum(ah, bh)
-    e += al + bl
-    s, e = _two_sum(s, e)
-    return s, e
-
-
-def _dd_mul(ah, al, bh, bl):
-    p, e = _two_prod(ah, bh)
-    e += ah * bl + al * bh
-    p, e = _two_sum(p, e)
-    return p, e
-
-
-def _dd_div_scalar(ah, al, d):
-    q1 = ah / d
-    p, e = _two_prod(q1, d)
-    r = ((ah - p) - e) + al
-    q2 = r / d
-    return _two_sum(q1, q2)
-
-
-def _j0_series(x: float) -> float:
-    q = 0.25 * x * x
-    term = 1.0
-    acc = 1.0
-    k = 0
-    while True:
-        k += 1
-        term *= -q / (k * k)
-        acc += term
-        if abs(term) < 1e-17 * abs(acc) + 1e-300:
-            return acc
-
-
-def _j0_series_dd(x: float) -> float:
-    qh, ql = _two_prod(x, x)
-    qh, ql = 0.25 * qh, 0.25 * ql
-    th, tl = 1.0, 0.0
-    sh, sl = 1.0, 0.0
-    k = 0
-    while True:
-        k += 1
-        th, tl = _dd_mul(th, tl, -qh, -ql)
-        th, tl = _dd_div_scalar(th, tl, float(k * k))
-        sh, sl = _dd_add(sh, sl, th, tl)
-        if abs(th) < 1e-34 * abs(sh) + 1e-300:
-            return sh + sl
-
-
-def _j0_asymptotic(x: float) -> float:
-    # J0(x) ~ sqrt(2/(pi x)) [cos w * P(x) + sin w * Q(x)], w = x - pi/4,
-    # P = 1 - A2/x^2 + A4/x^4 - ..., Q = A1/x - A3/x^3 + ...,
-    # A_m = prod_{j<=m} (2j-1)^2 / (m! 8^m); truncated at the smallest term.
-    inv_x2 = 1.0 / (x * x)
-    a = 1.0
-    p = 1.0
-    q = 0.0
-    sign_p = -1.0
-    sign_q = 1.0
-    m = 0
-    prev = math.inf
-    while True:
-        m += 1
-        a *= (2 * m - 1) ** 2 / (8.0 * m)
-        term = a / x ** m
-        if term >= prev:
-            break
-        prev = term
-        if m % 2 == 1:
-            q += sign_q * term
-            sign_q = -sign_q
-        else:
-            p += sign_p * term
-            sign_p = -sign_p
-        if term < 1e-18:
-            break
-    w = x - 0.25 * math.pi
-    return math.sqrt(2.0 / (math.pi * x)) * (math.cos(w) * p + math.sin(w) * q)
+# Bessel J0 and its zeros, from scipy.special.
 
 
 def bessel_j0(x: float) -> float:
-    """J0(x) to absolute accuracy ~1e-13 over the range used here."""
-    x = abs(float(x))
-    if x < 8.0:
-        return _j0_series(x)
-    if x < 18.0:
-        return _j0_series_dd(x)
-    return _j0_asymptotic(x)
-
-
-# coefficients 1/(k!)^2 and 1/(k!(k+1)!) for the vectorized small-x series
-_J0_COEFFS = [1.0]
-_J1_COEFFS = [0.5]
-for _k in range(1, 41):
-    _J0_COEFFS.append(_J0_COEFFS[-1] / (_k * _k))
-    _J1_COEFFS.append(_J1_COEFFS[-1] / (_k * (_k + 1)))
-
-
-def _j0_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized power series, valid for |x| <= 8 (quadrature helper)."""
-    q = -0.25 * x * x
-    acc = np.full_like(q, _J0_COEFFS[40])
-    for k in range(39, -1, -1):
-        acc = acc * q + _J0_COEFFS[k]
-    return acc
-
-
-def _j0_deriv_array(x: np.ndarray) -> np.ndarray:
-    """J0'(x) = -J1(x), vectorized power series for |x| <= 8."""
-    q = -0.25 * x * x
-    acc = np.full_like(q, _J1_COEFFS[40])
-    for k in range(39, -1, -1):
-        acc = acc * q + _J1_COEFFS[k]
-    return -x * acc
+    """J0(x) as a Python float."""
+    return float(j0(x))
 
 
 @lru_cache(maxsize=None)
 def j0_zero(k: int) -> float:
-    """k-th positive zero of J0, k <= 64, by bracketing and bisection."""
+    """k-th positive zero of J0, k <= 64."""
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"zero index must be a positive integer, got {k!r}")
     if k > 64:
         raise ValueError(f"zero index {k} exceeds the supported range (64)")
-    b = (k - 0.25) * math.pi
-    guess = b + 1.0 / (8.0 * b) - 124.0 / (3.0 * (8.0 * b) ** 3)
-    lo, hi = guess - 0.4, guess + 0.4
-    flo, fhi = bessel_j0(lo), bessel_j0(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise RuntimeError(f"failed to bracket J0 zero #{k}")
-    while hi - lo > 4.0 * math.ulp(lo):
-        mid = 0.5 * (lo + hi)
-        fm = bessel_j0(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+    return float(jn_zeros(0, k)[k - 1])
 
 
 @lru_cache(maxsize=1)
@@ -214,6 +56,15 @@ def hardy_constant() -> float:
 
 # ---------------------------------------------------------------------------
 # Hardy quotients for the cutoff family xi_n = phi_n phi r^{(2-N)/2}.
+
+
+def _simpson(values: np.ndarray, a: float, b: float) -> float:
+    """Composite Simpson rule for samples on an odd-sized uniform grid of [a, b]."""
+    wts = np.ones(len(values))
+    wts[1:-1:2] = 4.0
+    wts[2:-1:2] = 2.0
+    h = (b - a) / (len(values) - 1)
+    return (h / 3.0) * float(wts @ values)
 
 
 def hardy_quotient_xi_n(dim: int, n: int) -> float:
@@ -237,38 +88,25 @@ def hardy_quotient_xi_n(dim: int, n: int) -> float:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     z = j0_zero(1)
 
-    def pieces(s: np.ndarray, cut: bool):
+    def panel(a: float, b: float, cut: bool):
+        s = np.linspace(a, b, 65537)
         r = np.exp(1.0 - s)
-        phi = _j0_array(z * r)
-        dphi_r = z * _j0_deriv_array(z * r) * r  # phi'(r) * r
+        zr = z * r
+        phi = j0(zr)
+        dphi_r = -z * j1(zr) * r  # phi'(r) * r
         if cut:
             gp_r = (n / s) * dphi_r + n * phi / (s * s)  # g'(r) * r
             g = (n / s) * phi
         else:
             gp_r = dphi_r
             g = phi
-        return gp_r * gp_r, (g * r) ** 2
-
-    def simpson(f_num, f_den, a: float, b: float, m: int):
-        s = np.linspace(a, b, 2 * m + 1)
-        wts = np.ones(2 * m + 1)
-        wts[1:-1:2] = 4.0
-        wts[2:-1:2] = 2.0
-        h = (b - a) / (2 * m)
-        return (h / 3.0) * float(wts @ f_num(s)), (h / 3.0) * float(wts @ f_den(s))
+        return _simpson(gp_r * gp_r, a, b), _simpson((g * r) ** 2, a, b)
 
     num = den = 0.0
     if n > 1:
-        a, b = simpson(lambda s: pieces(s, False)[0], lambda s: pieces(s, False)[1],
-                       1.0, float(n), 32768)
-        num += a
-        den += b
-    s_max = max(64.0, 60.0 * n)
-    a, b = simpson(lambda s: pieces(s, True)[0], lambda s: pieces(s, True)[1],
-                   float(n), s_max, 32768)
-    num += a
-    den += b
-    return num / den
+        num, den = panel(1.0, float(n), False)
+    a, b = panel(float(n), max(64.0, 60.0 * n), True)
+    return (num + a) / (den + b)
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +154,7 @@ def instability_witness_leq9(dim: int, h: float, eps: float, j: int) -> WitnessR
     c = np.cos(0.5 * eps * t)
     dxi = (0.5 * (2.0 - N)) * s + (0.5 * eps) * c  # (xi)' r^{N/2} in t variables
     integrand = dxi * dxi - 2.0 * (N - 2.0) * s * s - h * np.exp(2.0 * t) * s * s
-    wts = np.ones_like(t)
-    wts[1:-1:2] = 4.0
-    wts[2:-1:2] = 2.0
-    step = (t_hi - t_lo) / (len(t) - 1)
-    q = (step / 3.0) * float(wts @ integrand)
+    q = _simpson(integrand, t_lo, t_hi)
     return WitnessReport(
         dim=dim, h=h, eps=eps, j=j, q_value=q, delta=delta,
         support=(math.exp(t_lo), math.exp(t_hi)),
@@ -368,7 +202,7 @@ def explicit_uh(dim: int, h: float) -> RadialPotential:
 def potential_from_shoot(cfg: ProblemConfig, shoot: ShootResult) -> RadialPotential:
     """lambda a e^u = a e^v along a regular shooting profile."""
     r = shoot.profile.radii
-    a, da = _weight_arrays(cfg.weight, r)
+    a, da = weight_arrays(cfg.weight, r)
     ev = np.exp(shoot.profile.values)
     p = a * ev
     dp = (da + a * shoot.profile.derivs) * ev
@@ -384,7 +218,7 @@ def potential_from_singular(cfg: ProblemConfig, profile: RadialProfile) -> Radia
     w = V + 2 log r - log 2(N-2) alongside for accurate small-r evaluation."""
     N = cfg.dim
     r = profile.radii
-    a, da = _weight_arrays(cfg.weight, r)
+    a, da = weight_arrays(cfg.weight, r)
     eV = np.exp(profile.values)
     p = a * eV
     dp = (da + a * profile.derivs) * eV
@@ -442,7 +276,6 @@ def reduce_to_disk(pot: RadialPotential) -> DiskPotential:
             val, _ = prof.evaluate_array(np.atleast_1d(np.asarray(r, float)))
             return val if not np.isscalar(r) else float(val[0])
 
-        val0, _ = prof.evaluate_array(np.asarray([prof.radii[0]]))
         c = prof.derivs[0] / (2.0 * prof.radii[0])
         smooth0 = float(prof.values[0] - c * prof.radii[0] ** 2)
         return DiskPotential(pot.dim, inv_sq, smooth0, fn=fn, label="numeric regular")
@@ -456,7 +289,7 @@ def reduce_to_disk(pot: RadialPotential) -> DiskPotential:
         scalar = np.isscalar(r)
         rr = np.atleast_1d(np.asarray(r, dtype=float))
         w, _ = emden.evaluate_array(rr)
-        a, _ = _weight_arrays(weight, rr)
+        a, _ = weight_arrays(weight, rr)
         out = two_nm2 * np.expm1(w + np.log(a)) / (rr * rr)
         return float(out[0]) if scalar else out
 
@@ -536,7 +369,7 @@ def _prufer_theta_end(k2: DiskPotential, mu: float, r_in: float,
     return out[0][0]
 
 
-def _prufer_count(k2: DiskPotential, cap: int, r_in: float) -> int:
+def _prufer_count(k2: DiskPotential, r_in: float) -> int:
     theta = _prufer_theta_end(k2, 0.0, r_in)
     return int(math.floor(theta / math.pi))
 
@@ -622,7 +455,7 @@ def morse_index(k2: DiskPotential, cap: int = 16, n_fd: int = 4096) -> SpectralR
     if not isinstance(cap, int) or not 1 <= cap <= 32:
         raise ValueError(f"cap must be an integer in [1, 32], got {cap!r}")
     r_in = _prufer_inner_radius(k2, cap)
-    pc = _prufer_count(k2, cap, r_in)
+    pc = _prufer_count(k2, r_in)
     diag, off, _, _ = _fd_matrix(k2, n_fd, r_in)
     fc = _sturm_negative_count(diag, off)
 

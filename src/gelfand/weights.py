@@ -22,6 +22,8 @@ import math
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 _POSITIVITY_SAMPLES = 4096
 _RATIO_SAMPLES = 4096
 _RATIO_BAND = 1e-12
@@ -126,6 +128,23 @@ def weight_eval(w: Weight, r: float) -> tuple[float, float]:
     if a <= 0.0:
         raise ValueError(f"weight {w.spec!r} nonpositive at r={r}")
     return a, da
+
+
+def weight_arrays(w: Weight, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Return (a(r), a'(r)) on an array of radii, without the positivity check."""
+    p = np.ones_like(r)
+    dp = np.zeros_like(r)
+    if w.coeffs:
+        r2 = r * r
+        q = np.ones_like(r)
+        for i, c in enumerate(w.coeffs, start=1):
+            dp += (2 * i) * c * q * r
+            q = q * r2
+            p += c * q
+    if w.tilt != 0.0:
+        e = np.exp(w.tilt * r * r)
+        return p * e, (dp + 2.0 * w.tilt * r * p) * e
+    return p, dp
 
 
 def _check_positive(w: Weight) -> None:

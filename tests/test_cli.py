@@ -255,14 +255,6 @@ def test_classify_strict_undetermined_exits_three(monkeypatch, capsys):
     assert rc == 3
 
 
-def test_threads_recorded_from_env(capsys, monkeypatch):
-    monkeypatch.setenv("GELFAND_THREADS", "4")
-    assert run_main(["spectral", "witness", "--dim", "9", "--h", "0",
-                     "--eps", "1", "--j", "1"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["manifest"]["threads"] == 4
-
-
 def test_console_script_installed(tmp_path):
     """The ``gelfand`` console script declared in this checkout's
     pyproject.toml runs the N <= 9 instability witness.

@@ -271,13 +271,14 @@ def test_pohozaev_defect_affine_in_mu():
     # the signed defect D(mu) = boundary(mu) - integrals(mu) is affine in
     # mu by construction, so its second difference vanishes to round-off;
     # reconstructed here independently from the profile arrays
-    from gelfand.radial_ode import _weight_arrays, cumulative_power_integral
+    from gelfand.radial_ode import cumulative_power_integral
+    from gelfand.weights import weight_arrays
 
     cfg = ProblemConfig(dim=5, weight=CONST)
     sh = integrate_ivp(cfg, 3.0)
     N = cfg.dim
     r, v, dv = sh.profile.radii, sh.profile.values, sh.profile.derivs
-    a, da = _weight_arrays(cfg.weight, r)
+    a, da = weight_arrays(cfg.weight, r)
     ev = np.exp(v)
 
     def defect(mu):

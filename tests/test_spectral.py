@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -39,7 +42,8 @@ def test_j0_at_zero_and_small():
 
 def test_j0_against_mpmath_all_regimes():
     mpmath.mp.dps = 30
-    # spans the series / compensated-series / asymptotic regime boundaries
+    # points across [0, 120]; the clusters at x = 8 and x = 18 probe where a
+    # piecewise evaluator may hand over from a small-x to a large-x form
     xs = np.concatenate([
         np.linspace(0.0, 7.9, 41),
         np.linspace(7.9, 8.1, 11),
@@ -59,11 +63,24 @@ def test_j0_even():
 
 def test_j0_zeros_against_mpmath():
     mpmath.mp.dps = 30
-    for k in range(1, 21):
+    for k in range(1, 65):
         exact = float(mpmath.besseljzero(0, k))
         assert abs(j0_zero(k) - exact) <= 1e-12
-    with pytest.raises(ValueError):
-        j0_zero(0)
+    for bad in (0, 65, 1.0):
+        with pytest.raises(ValueError):
+            j0_zero(bad)
+
+
+def test_import_does_not_load_scipy_integrate():
+    # importing scipy.integrate costs about 0.3 s of start-up per process
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, gelfand; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_hardy_constant_value():
