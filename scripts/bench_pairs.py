@@ -1,0 +1,111 @@
+"""Compare benchmark runs of a parent and of a change, pair by pair.
+
+    python3 scripts/bench_pairs.py \
+        --parent P/perfbench/out/result-branch-seed601-trace0.json ... \
+        --change C/perfbench/out/result-branch-seed601-trace0.json ... \
+        --out BENCH_<n>.json
+
+Each input is a result file that ``perfbench/run.py --trace 0`` writes. A
+parent file and a change file form a pair when they share workload and
+seed; every file must have its partner. For each workload and each
+end-to-end metric of ``BENCHMARK.json`` the output holds, per side, the
+values in pair order, their median and quartiles, and how many pairs the
+change won, lost or tied in the metric's ``better`` direction. It also
+holds each side's count of failed tasks per workload, and the host and
+library versions of the first parent run. Quartiles are
+``statistics.quantiles(n=4, method="inclusive")``. The script reads JSON
+files only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _load(paths):
+    """{(workload, seed): result} for one side; a key may occur once."""
+    runs = {}
+    for path in paths:
+        with open(path) as fh:
+            res = json.load(fh)
+        if res.get("trace"):
+            raise ValueError(f"{path}: a traced run has no end-to-end metrics")
+        key = (res["workload"], res["environment"]["seed"])
+        if key in runs:
+            raise ValueError(f"{path}: a second run of {key[0]} seed {key[1]}")
+        runs[key] = res
+    return runs
+
+
+def _summary(values):
+    if len(values) > 1:
+        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    else:
+        q1 = med = q3 = values[0]
+    return {"values": values, "q1": q1, "median": med, "q3": q3, "iqr": q3 - q1}
+
+
+def compare(parent_paths, change_paths, benchmark):
+    """The comparison as a JSON-ready dict."""
+    parent, change = _load(parent_paths), _load(change_paths)
+    if parent.keys() != change.keys():
+        alone = sorted(parent.keys() ^ change.keys())
+        raise ValueError(f"runs without a partner (workload, seed): {alone}")
+    metrics = benchmark["end_to_end"]
+    out = {}
+    for workload in sorted({w for w, _ in parent}):
+        seeds = sorted(s for w, s in parent if w == workload)
+        pairs = [(parent[(workload, s)], change[(workload, s)]) for s in seeds]
+        entry = {
+            "seeds": seeds,
+            "failed": {"parent": sum(len(p["failures"]) for p, _ in pairs),
+                       "change": sum(len(c["failures"]) for _, c in pairs)},
+            "metrics": {},
+        }
+        for m in metrics:
+            name, lower = m["name"], m["better"] == "lower"
+            before = [p["metrics"][name] for p, _ in pairs]
+            after = [c["metrics"][name] for _, c in pairs]
+            won = sum((a < b) if lower else (a > b) for b, a in zip(before, after))
+            lost = sum((a > b) if lower else (a < b) for b, a in zip(before, after))
+            entry["metrics"][name] = {
+                "unit": m["unit"], "better": m["better"], "bound": m["bound"],
+                "parent": _summary(before), "change": _summary(after),
+                "won": won, "lost": lost, "tied": len(pairs) - won - lost,
+            }
+        out[workload] = entry
+    env = dict(next(iter(parent.values()))["environment"])
+    env.pop("seed", None)
+    return {"pairing": "workload and seed", "environment": env, "workloads": out}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", nargs="+", required=True, help="result files of the parent")
+    ap.add_argument("--change", nargs="+", required=True, help="result files of the change")
+    ap.add_argument("--out", required=True, help="where to write the comparison")
+    ap.add_argument("--benchmark", default=os.path.join(ROOT, "BENCHMARK.json"),
+                    help="benchmark declaration naming the end-to-end metrics")
+    args = ap.parse_args(argv)
+    with open(args.benchmark) as fh:
+        benchmark = json.load(fh)
+    result = compare(args.parent, args.change, benchmark)
+    with open(args.out, "w") as fh:
+        json.dump(result, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    for workload, entry in result["workloads"].items():
+        for name, m in entry["metrics"].items():
+            print(f"{workload:9s} {name:13s} {m['parent']['median']:12.6g} -> "
+                  f"{m['change']['median']:12.6g}  won {m['won']}/{len(entry['seeds'])}"
+                  f"  parent IQR {m['parent']['iqr']:.4g}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -24,11 +24,7 @@ from .weights import Weight, weight_arrays
 BETA_MIN_GUARD = -50.0
 BETA_MAX_GUARD = 60.0
 
-_EXP_CAP = 500.0  # guards trial stages of rejected steps, not real states
-
-
-def _exp(x: float) -> float:
-    return math.exp(x if x < _EXP_CAP else _EXP_CAP)
+_EXP_CAP = 500.0  # caps e^v: guards trial stages of rejected steps, not real states
 
 
 @dataclass(frozen=True)
@@ -164,7 +160,7 @@ class ShootResult:
     variation_profile: RadialProfile
 
 
-def _series_coeffs(cfg: ProblemConfig, beta: float, frozen: bool = False):
+def _series_coeffs(cfg: ProblemConfig, beta: float):
     """Taylor coefficients at r=0 for v, the first variation e, and the
     second variation w; all three share c2 = -e^beta/(2N)."""
     N = cfg.dim
@@ -172,12 +168,9 @@ def _series_coeffs(cfg: ProblemConfig, beta: float, frozen: bool = False):
     eb = math.exp(beta)
     c2 = -eb / (2.0 * N)
     den = 4.0 * (N + 2.0)
-    if frozen:
-        c4 = e4 = w4 = -eb * a2 / den
-    else:
-        c4 = -eb * (c2 + a2) / den
-        e4 = -eb * (a2 + 2.0 * c2) / den
-        w4 = -eb * (a2 + 4.0 * c2) / den
+    c4 = -eb * (c2 + a2) / den
+    e4 = -eb * (a2 + 2.0 * c2) / den
+    w4 = -eb * (a2 + 4.0 * c2) / den
     return c2, c4, e4, w4
 
 
@@ -220,52 +213,32 @@ def _check_beta(beta: float) -> None:
         raise ValueError(f"beta={beta} outside guard range [{BETA_MIN_GUARD}, {BETA_MAX_GUARD}]")
 
 
-def _rhs_ve(cfg: ProblemConfig, frozen: bool, beta: float):
+def _rhs_ve(cfg: ProblemConfig):
+    """y = (v, v', e, e')."""
     a_of = _weight_fn(cfg.weight)
     nm1 = float(cfg.dim - 1)
-    if frozen:
-        gb = math.exp(beta)
-
-        def fun(r, y):
-            g = a_of(r) * gb
-            c = nm1 / r
-            return [y[1], -c * y[1] - g, y[3], -c * y[3] - g]
-
-        return fun
+    exp, cap = math.exp, _EXP_CAP
 
     def fun(r, y):
-        g = a_of(r) * _exp(y[0])
+        v, dv, e, de = y
+        g = a_of(r) * exp(v if v < cap else cap)
         c = nm1 / r
-        return [y[1], -c * y[1] - g, y[3], -c * y[3] - g * y[2]]
+        return [dv, -c * dv - g, de, -c * de - g * e]
 
     return fun
 
 
-def _rhs_vew(cfg: ProblemConfig, frozen: bool, beta: float):
+def _rhs_vew(cfg: ProblemConfig):
+    """y = (v, v', e, e', w, w')."""
     a_of = _weight_fn(cfg.weight)
     nm1 = float(cfg.dim - 1)
-    if frozen:
-        gb = math.exp(beta)
-
-        def fun(r, y):
-            g = a_of(r) * gb
-            c = nm1 / r
-            return [y[1], -c * y[1] - g, y[3], -c * y[3] - g, y[5], -c * y[5] - g]
-
-        return fun
+    exp, cap = math.exp, _EXP_CAP
 
     def fun(r, y):
-        g = a_of(r) * _exp(y[0])
+        v, dv, e, de, w, dw = y
+        g = a_of(r) * exp(v if v < cap else cap)
         c = nm1 / r
-        e = y[2]
-        return [
-            y[1],
-            -c * y[1] - g,
-            y[3],
-            -c * y[3] - g * e,
-            y[5],
-            -c * y[5] - g * (e * e + y[4]),
-        ]
+        return [dv, -c * dv - g, de, -c * de - g * e, dw, -c * dw - g * (e * e + w)]
 
     return fun
 
@@ -281,14 +254,14 @@ def _init_radius(cfg: ProblemConfig, beta: float) -> float:
 
 
 def _run(cfg: ProblemConfig, beta: float, nodes, second: bool = False,
-         frozen: bool = False, collect: bool = False):
+         collect: bool = False):
     """Integrate from the matched start through `nodes` (all >= r_start).
 
     Returns states aligned with nodes, or (states, xs, ys) when collecting
     accepted steps; collected steps below r_start are dropped.
     """
     r0 = _init_radius(cfg, beta)
-    c2, c4, e4, w4 = _series_coeffs(cfg, beta, frozen=frozen)
+    c2, c4, e4, w4 = _series_coeffs(cfg, beta)
     r2 = r0 * r0
     y0 = [
         beta + c2 * r2 + c4 * r2 * r2,
@@ -298,9 +271,9 @@ def _run(cfg: ProblemConfig, beta: float, nodes, second: bool = False,
     ]
     if second:
         y0 += [c2 * r2 + w4 * r2 * r2, 2.0 * c2 * r0 + 4.0 * w4 * r2 * r0]
-        fun = _rhs_vew(cfg, frozen, beta)
+        fun = _rhs_vew(cfg)
     else:
-        fun = _rhs_ve(cfg, frozen, beta)
+        fun = _rhs_ve(cfg)
 
     prepend = None
     run_nodes = list(nodes)
@@ -308,6 +281,8 @@ def _run(cfg: ProblemConfig, beta: float, nodes, second: bool = False,
         # first node is the series start itself
         prepend = list(y0)
         run_nodes = run_nodes[1:]
+        if not run_nodes:
+            return ([prepend], [r0], [prepend]) if collect else [prepend]
     try:
         result = _stepper.solve(
             fun, r0, y0, run_nodes, cfg.rel_tol, cfg.abs_tol,
@@ -329,6 +304,19 @@ def _run(cfg: ProblemConfig, beta: float, nodes, second: bool = False,
     return result
 
 
+def _output_radii(cfg: ProblemConfig, radii):
+    """The output radii (default: the config's grid) as an array and as a
+    list of floats; they must start at r_start or beyond and never decrease."""
+    radii_arr = np.asarray(radii if radii is not None else default_grid(cfg))
+    if radii_arr.ndim != 1 or len(radii_arr) == 0:
+        raise ValueError("output radii must be a non-empty one-dimensional sequence")
+    if radii_arr[0] < cfg.r_start * (1.0 - 1e-12):
+        raise ValueError("output radii start below r_start")
+    if np.any(np.diff(radii_arr) < 0.0):
+        raise ValueError("output radii must not decrease")
+    return radii_arr, [float(x) for x in radii_arr]
+
+
 def integrate_ivp(cfg: ProblemConfig, beta: float, radii=None, trace: bool = False) -> ShootResult:
     """Shoot v and its first variation jointly out to r = 1.
 
@@ -342,10 +330,7 @@ def integrate_ivp(cfg: ProblemConfig, beta: float, radii=None, trace: bool = Fal
         radii_arr = np.asarray(xs)
         states = np.asarray(ys)
     else:
-        radii_arr = np.asarray(radii if radii is not None else default_grid(cfg))
-        nodes = [float(x) for x in radii_arr]
-        if nodes[0] < cfg.r_start * (1.0 - 1e-12):
-            raise ValueError("output radii start below r_start")
+        radii_arr, nodes = _output_radii(cfg, radii)
         states = np.asarray(_run(cfg, beta, nodes))
     v1 = float(states[-1, 0])
     e1 = float(states[-1, 2])
@@ -366,8 +351,7 @@ def integrate_ivp(cfg: ProblemConfig, beta: float, radii=None, trace: bool = Fal
 def integrate_second_variation(cfg: ProblemConfig, beta: float, radii=None) -> RadialProfile:
     """Second beta-derivative of v, integrated jointly with v and e."""
     _check_beta(beta)
-    radii_arr = np.asarray(radii if radii is not None else default_grid(cfg))
-    nodes = [float(x) for x in radii_arr]
+    radii_arr, nodes = _output_radii(cfg, radii)
     out = _run(cfg, beta, nodes, second=True)
     states = np.asarray(out)
     return RadialProfile(radii_arr, states[:, 4], states[:, 5])
@@ -385,21 +369,6 @@ def lambda_second_derivative(cfg: ProblemConfig, beta: float) -> float:
     """d^2 lambda / d beta^2 = lambda (w(1) + e(1)^2)."""
     lam, _, e1, w1 = second_variation_boundary(cfg, beta)
     return lam * (w1 + e1 * e1)
-
-
-def integrate_frozen(cfg: ProblemConfig, beta: float, radii=None):
-    """Coefficient-frozen harness: all three right-hand sides become
-    -a(r) e^beta, so v - beta, e - 1 and w solve identical problems.
-    Returns the (v, e, w) profiles for that degenerate system."""
-    _check_beta(beta)
-    radii_arr = np.asarray(radii if radii is not None else default_grid(cfg))
-    nodes = [float(x) for x in radii_arr]
-    states = np.asarray(_run(cfg, beta, nodes, second=True, frozen=True))
-    return (
-        RadialProfile(radii_arr, states[:, 0], states[:, 1]),
-        RadialProfile(radii_arr, states[:, 2], states[:, 3]),
-        RadialProfile(radii_arr, states[:, 4], states[:, 5]),
-    )
 
 
 def singular_series_coefficient(cfg: ProblemConfig) -> float:
@@ -422,16 +391,19 @@ def integrate_singular(cfg: ProblemConfig, radii=None):
     dV0 = -2.0 / r0 + 2.0 * d2 * r0
     a_of = _weight_fn(cfg.weight)
     nm1 = float(N - 1)
+    exp, cap = math.exp, _EXP_CAP
 
     def fun(r, y):
-        g = a_of(r) * _exp(y[0])
-        return [y[1], -nm1 / r * y[1] - g]
+        v, dv = y
+        g = a_of(r) * exp(v if v < cap else cap)
+        return [dv, -nm1 / r * dv - g]
 
-    radii_arr = np.asarray(radii if radii is not None else default_grid(cfg))
-    nodes = [float(x) for x in radii_arr]
+    radii_arr, nodes = _output_radii(cfg, radii)
     if abs(nodes[0] - r0) < 1e-15 * r0:
-        out = _stepper.solve(fun, r0, [V0, dV0], nodes[1:], cfg.rel_tol, cfg.abs_tol,
-                             first_step=0.2 * r0)
+        out = []
+        if len(nodes) > 1:
+            out = _stepper.solve(fun, r0, [V0, dV0], nodes[1:], cfg.rel_tol, cfg.abs_tol,
+                                 first_step=0.2 * r0)
         states = np.asarray([[V0, dV0]] + out)
     else:
         states = np.asarray(

@@ -1,0 +1,73 @@
+"""scripts/bench_pairs.py on synthetic benchmark result files."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCHMARK = {"end_to_end": [
+    {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.2},
+    {"name": "err_digits", "unit": "digits", "better": "higher", "bound": 0.2},
+]}
+
+
+def _result(path, seed, wall, digits, failures=()):
+    path.write_text(json.dumps({
+        "workload": "branch", "trace": 0, "environment": {"seed": seed, "nproc": 2},
+        "failures": list(failures), "metrics": {"wall_s": wall, "err_digits": digits},
+    }))
+    return str(path)
+
+
+def test_pairs_by_seed_and_summarises(tmp_path, bench_pairs):
+    (tmp_path / "p").mkdir()
+    (tmp_path / "c").mkdir()
+    parent = [_result(tmp_path / "p" / f"{s}.json", s, w, 13.0)
+              for s, w in ((1, 28.0), (2, 30.0), (3, 27.0), (4, 29.0))]
+    # the change's files come in another order; seed 4 is a loss
+    change = [_result(tmp_path / "c" / f"{s}.json", s, w, d, f)
+              for s, w, d, f in ((3, 20.0, 13.0, ()), (1, 19.0, 13.0, ()),
+                                 (4, 31.0, 12.5, ("x",)), (2, 21.0, 13.0, ()))]
+    bench = tmp_path / "BENCHMARK.json"
+    bench.write_text(json.dumps(BENCHMARK))
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", *parent, "--change", *change,
+                             "--out", str(out), "--benchmark", str(bench)]) == 0
+    written = json.loads(out.read_text())
+    assert written["environment"] == {"nproc": 2}
+    entry = written["workloads"]["branch"]
+    assert entry["seeds"] == [1, 2, 3, 4]
+    assert entry["failed"] == {"parent": 0, "change": 1}
+    wall = entry["metrics"]["wall_s"]
+    assert wall["parent"]["values"] == [28.0, 30.0, 27.0, 29.0]
+    assert wall["change"]["values"] == [19.0, 21.0, 20.0, 31.0]
+    assert (wall["won"], wall["lost"], wall["tied"]) == (3, 1, 0)
+    assert wall["parent"]["median"] == 28.5
+    assert wall["parent"]["q1"] == 27.75 and wall["parent"]["q3"] == 29.25
+    assert wall["parent"]["iqr"] == 1.5
+    digits = entry["metrics"]["err_digits"]
+    assert digits["better"] == "higher"
+    assert (digits["won"], digits["lost"], digits["tied"]) == (0, 1, 3)
+
+
+def test_unpaired_or_duplicate_runs_rejected(tmp_path, bench_pairs):
+    a = _result(tmp_path / "a.json", 1, 28.0, 13.0)
+    b = _result(tmp_path / "b.json", 2, 20.0, 13.0)
+    with pytest.raises(ValueError, match="partner"):
+        bench_pairs.compare([a], [b], BENCHMARK)
+    with pytest.raises(ValueError, match="second run"):
+        bench_pairs.compare([a, a], [a], BENCHMARK)

@@ -23,7 +23,6 @@ from gelfand import (
     residual_Uh,
 )
 from gelfand.radial_ode import (
-    integrate_frozen,
     series_start,
     singular_series_coefficient,
 )
@@ -158,6 +157,55 @@ def test_tolerance_convergence():
     assert abs(lam1 - lam2) < 10.0 * 1e-10 * abs(lam1)
 
 
+# ------------------------------------------------------------ output radii
+
+def test_one_node_grid_returns_the_start_state():
+    cfg = ProblemConfig(dim=5, weight=CONST)
+    v0, dv0, e0, de0 = series_start(cfg, 0.0)
+    sh = integrate_ivp(cfg, 0.0, radii=[cfg.r_start])
+    assert list(sh.profile.radii) == [cfg.r_start]
+    assert (sh.profile.values[0], sh.profile.derivs[0]) == (v0, dv0)
+    assert (sh.variation_profile.values[0], sh.variation_profile.derivs[0]) == (e0, de0)
+    assert sh.lam == math.exp(v0)
+    w = integrate_second_variation(cfg, 0.0, radii=[cfg.r_start])
+    assert len(w) == 1 and abs(w.values[0]) < 1e-8
+    lam_star, prof = integrate_singular(cfg, radii=[cfg.r_start])
+    assert len(prof) == 1
+    assert lam_star == math.exp(prof.values[0])
+    assert prof.values[0] == pytest.approx(-2.0 * math.log(cfg.r_start) + math.log(6.0),
+                                           rel=1e-12)
+    # at large beta the series starts below r_start: the one node is reached
+    # exactly as the first node of the full grid is
+    one = integrate_ivp(cfg, 20.0, radii=[cfg.r_start])
+    full = integrate_ivp(cfg, 20.0)
+    assert one.profile.values[0] == full.profile.values[0]
+    assert one.variation_profile.values[0] == full.variation_profile.values[0]
+
+
+def test_decreasing_or_misplaced_radii_rejected():
+    cfg = ProblemConfig(dim=3, weight=CONST)
+    for radii, msg in (([1e-4, 0.6, 0.5], "decrease"), ([5e-5, 1.0], "below r_start"),
+                       ([], "non-empty")):
+        with pytest.raises(ValueError, match=msg):
+            integrate_ivp(cfg, 0.0, radii=radii)
+        with pytest.raises(ValueError, match=msg):
+            integrate_second_variation(cfg, 0.0, radii=radii)
+        with pytest.raises(ValueError, match=msg):
+            integrate_singular(cfg, radii=radii)
+
+
+def test_repeated_radii_repeat_the_state():
+    cfg = ProblemConfig(dim=3, weight=CONST)
+    once, twice = [1e-4, 0.5, 1.0], [1e-4, 0.5, 0.5, 1.0]
+    pick = (0, 1, 1, 2)
+    a = integrate_ivp(cfg, 1.0, radii=once).profile.values
+    b = integrate_ivp(cfg, 1.0, radii=twice).profile.values
+    assert list(b) == [a[i] for i in pick]
+    a = integrate_singular(cfg, radii=once)[1].values
+    b = integrate_singular(cfg, radii=twice)[1].values
+    assert list(b) == [a[i] for i in pick]
+
+
 # --------------------------------------------------------- second variation
 
 def test_lambda_second_derivative_consistency():
@@ -180,18 +228,6 @@ def test_second_variation_profile_start():
     prof = integrate_second_variation(cfg, 2.0)
     assert abs(prof.values[0]) < 1e-6   # w(0) = 0
     assert abs(prof.derivs[0]) < 1e-2   # dw/dr(0) = 0
-
-
-def test_frozen_harness_collapses_all_three():
-    # with e^v frozen at e^beta, v - beta, e - 1 and w solve the same
-    # linear problem, so the three profiles coincide
-    cfg = ProblemConfig(dim=6, weight=CONST)
-    beta = 1.5
-    v, e, w = integrate_frozen(cfg, beta)
-    assert np.allclose(v.values - beta, e.values - 1.0, atol=1e-12)
-    assert np.allclose(v.values - beta, w.values, atol=1e-12)
-    assert np.allclose(v.derivs, e.derivs, atol=1e-12)
-    assert np.allclose(v.derivs, w.derivs, atol=1e-12)
 
 
 # --------------------------------------------------------- singular family
