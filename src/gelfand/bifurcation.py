@@ -12,7 +12,7 @@ can only ever certify finitely many oscillations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -370,8 +370,7 @@ def check_separation(cfg: ProblemConfig, h: float, beta: float, gamma: float):
     min_gap_v = float(np.min(v_gamma - v_beta))
 
     ah_ref = make_ah(H, cfg.dim)
-    cfg_ref = ProblemConfig(dim=cfg.dim, weight=ah_ref, rel_tol=cfg.rel_tol,
-                            abs_tol=cfg.abs_tol, r_start=cfg.r_start, grid=cfg.grid)
+    cfg_ref = replace(cfg, weight=ah_ref)
     vh_gamma = integrate_ivp(cfg_ref, gamma, radii=grid).profile.values
     log_a = np.log(weight_arrays(cfg.weight, grid)[0])
     log_ah = np.log(weight_arrays(ah_ref, grid)[0])
@@ -401,9 +400,7 @@ def check_lower_envelope(cfg: ProblemConfig, beta: float, gamma: float,
 
     grid = np.geomspace(cfg.r_start, 1.0, 4097)
     v_gamma = integrate_ivp(cfg, gamma, radii=grid).profile.values
-    cfg0 = ProblemConfig(dim=cfg.dim, weight=parse_weight("const"),
-                         rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                         r_start=cfg.r_start, grid=cfg.grid)
+    cfg0 = replace(cfg, weight=parse_weight("const"))
     v0_beta = integrate_ivp(cfg0, beta, radii=grid).profile.values
     q = (hardy_constant() + eps0) / (2.0 * (cfg.dim - 2.0))
     log_a = np.log(weight_arrays(cfg.weight, grid)[0])

@@ -39,7 +39,7 @@ from .spectral import (
     morse_index,
     reduce_to_disk,
 )
-from .weights import WeightParseError, make_ah, parse_weight, ratio_derivative_sign
+from .weights import make_ah, parse_weight, ratio_derivative_sign
 
 SINGULAR_TOL = 1e-12
 IDENTITY_TOL = 1e-6
@@ -94,24 +94,38 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _manifest(command: str, dim, weight_spec, tolerances, beta_range, artifacts):
+def _manifest(args, artifacts, tolerances=None) -> dict:
+    """The run manifest, read off the parsed flags.
+
+    Commands with the problem flags record their weight and tolerances;
+    the others record the a_h weight of their --h, if they have one.
+    """
+    if hasattr(args, "weight"):
+        weight_spec, tolerances = args.weight, (args.rtol, args.atol)
+    else:
+        weight_spec = f"ah:h={args.h}" if hasattr(args, "h") else None
     return {
-        "command": command,
-        "dimension": dim,
+        "command": " ".join(getattr(args, k) for k in ("command", "check", "what")
+                            if hasattr(args, k)),
+        "dimension": getattr(args, "dim", 10),  # the Hardy table is in dimension 10
         "weight_spec": weight_spec,
         "tolerances": list(tolerances) if tolerances is not None else None,
-        "beta_range": list(beta_range) if beta_range is not None else None,
+        "beta_range": [args.beta_min, args.beta_max] if hasattr(args, "beta_min") else None,
         "seed_free": True,
         "artifacts": list(artifacts),
     }
 
 
-def _emit_json(payload: dict, out: str | None) -> None:
-    text = _json(payload) + "\n"
-    if out:
-        _atomic_write(out, text)
+def _emit(args, fields: dict, ok: bool = True, tolerances=None) -> int:
+    """Write the manifest and `fields` as one JSON object to --out (default
+    stdout). Returns the exit code: 0 if ok, else 1."""
+    manifest = _manifest(args, [args.out] if args.out else [], tolerances)
+    text = _json({"manifest": manifest, **fields}) + "\n"
+    if args.out:
+        _atomic_write(args.out, text)
     else:
         sys.stdout.write(text)
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -221,28 +235,20 @@ def _add_problem_flags(p: argparse.ArgumentParser, need_range: bool) -> None:
         p.add_argument("--max-step", type=float, default=0.25)
 
 
-def _build_cfg(parser: argparse.ArgumentParser, args) -> ProblemConfig:
-    try:
-        weight = parse_weight(args.weight, dim=args.dim)
-        return ProblemConfig(dim=args.dim, weight=weight,
-                             rel_tol=args.rtol, abs_tol=args.atol)
-    except (WeightParseError, ValueError) as exc:
-        parser.error(str(exc))  # exits 2
+def _build_cfg(args) -> ProblemConfig:
+    weight = parse_weight(args.weight, dim=args.dim)
+    return ProblemConfig(dim=args.dim, weight=weight,
+                         rel_tol=args.rtol, abs_tol=args.atol)
 
 
 # ---------------------------------------------------------------------------
-# Commands.
+# Commands. Each returns its exit code; a ValueError is invalid input, which
+# main turns into a usage error (exit 2).
 
 
-def _cmd_trace(parser, args) -> int:
-    if args.beta_min >= args.beta_max:
-        parser.error(f"empty beta range [{args.beta_min}, {args.beta_max}]")
-    if not 0.0 < args.max_step <= 1.0:
-        parser.error(f"--max-step must lie in (0, 1], got {args.max_step}")
-    cfg = _build_cfg(parser, args)
-    artifacts = [args.out] + ([args.svg] if args.svg else [])
-    manifest = _manifest("trace", args.dim, args.weight, (args.rtol, args.atol),
-                         (args.beta_min, args.beta_max), artifacts)
+def _cmd_trace(args) -> int:
+    cfg = _build_cfg(args)
+    manifest = _manifest(args, [args.out] + ([args.svg] if args.svg else []))
     try:
         curve = trace_curve(cfg, args.beta_min, args.beta_max, args.max_step)
     except IntegrationError as exc:
@@ -257,15 +263,10 @@ def _cmd_trace(parser, args) -> int:
     return 0
 
 
-def _cmd_classify(parser, args) -> int:
-    if args.beta_min >= args.beta_max:
-        parser.error(f"empty beta range [{args.beta_min}, {args.beta_max}]")
-    cfg = _build_cfg(parser, args)
-    manifest = _manifest("classify", args.dim, args.weight, (args.rtol, args.atol),
-                         (args.beta_min, args.beta_max),
-                         [args.out] if args.out else [])
+def _cmd_classify(args) -> int:
+    cfg = _build_cfg(args)
     if args.beta_max < 30.0:
-        parser.error("classification needs the window to reach beta >= 30")
+        raise ValueError("classification needs the window to reach beta >= 30")
     try:
         curve = trace_curve(cfg, args.beta_min, args.beta_max, args.max_step)
     except IntegrationError as exc:
@@ -277,8 +278,7 @@ def _cmd_classify(parser, args) -> int:
     lam_star, _ = integrate_singular(cfg)
     report = classify(cfg, curve, lam_star)
     ratio = ratio_derivative_sign(cfg.weight, 10) if args.dim == 10 else None
-    payload = {
-        "manifest": manifest,
+    _emit(args, {
         "dimension": args.dim,
         "weight_spec": args.weight,
         "beta_range": [args.beta_min, args.beta_max],
@@ -292,21 +292,17 @@ def _cmd_classify(parser, args) -> int:
         "type": report.diagram_type,
         "extremal_bounded": report.extremal_bounded,
         "ratio_derivative_sign": ratio,
-    }
-    _emit_json(payload, args.out)
+    })
     if report.diagram_type == "Undetermined" and args.strict:
         sys.stderr.write("classification is Undetermined (strict mode)\n")
         return 3
     return 0
 
 
-def _cmd_verify_singular(parser, args) -> int:
-    try:
-        cfg = ProblemConfig(dim=args.dim, weight=make_ah(args.h, args.dim),
-                            rel_tol=1e-13, abs_tol=1e-13)
-        lam_exact = explicit_lambda_h(args.dim, args.h)
-    except ValueError as exc:
-        parser.error(str(exc))
+def _cmd_verify_singular(args) -> int:
+    cfg = ProblemConfig(dim=args.dim, weight=make_ah(args.h, args.dim),
+                        rel_tol=1e-13, abs_tol=1e-13)
+    lam_exact = explicit_lambda_h(args.dim, args.h)
     lam_star, profile = integrate_singular(cfg)
     rel_err = abs(lam_star - lam_exact) / lam_exact
     n = 2.0 * args.dim
@@ -314,9 +310,7 @@ def _cmd_verify_singular(parser, args) -> int:
              - args.h * profile.radii ** 2 / n)
     sup_gap = float(np.max(np.abs(profile.values - exact)))
     ok = rel_err <= SINGULAR_TOL and sup_gap <= SINGULAR_TOL
-    payload = {
-        "manifest": _manifest("verify singular", args.dim, f"ah:h={args.h}",
-                              (1e-13, 1e-13), None, [args.out] if args.out else []),
+    return _emit(args, {
         "dim": args.dim,
         "h": args.h,
         "lambda_star": lam_star,
@@ -325,66 +319,37 @@ def _cmd_verify_singular(parser, args) -> int:
         "sup_profile_gap": sup_gap,
         "tolerance": SINGULAR_TOL,
         "pass": ok,
-    }
-    _emit_json(payload, args.out)
-    return 0 if ok else 1
+    }, ok, tolerances=(cfg.rel_tol, cfg.abs_tol))
 
 
-def _cmd_verify_pohozaev(parser, args) -> int:
-    cfg = _build_cfg(parser, args)
+def _cmd_verify_identity(args) -> int:
+    """verify pohozaev and verify flux: one shoot, one identity residual."""
+    cfg = _build_cfg(args)
     shoot = integrate_ivp(cfg, args.beta)
-    res = pohozaev_residual(cfg, shoot, args.mu)
+    if args.check == "pohozaev":
+        res, mu = pohozaev_residual(cfg, shoot, args.mu), {"mu": args.mu}
+    else:
+        res, mu = flux_residual(cfg, shoot), {}
     ok = res <= IDENTITY_TOL
-    payload = {
-        "manifest": _manifest("verify pohozaev", args.dim, args.weight,
-                              (args.rtol, args.atol), None,
-                              [args.out] if args.out else []),
+    return _emit(args, {
         "dim": args.dim,
         "weight_spec": args.weight,
         "beta": args.beta,
-        "mu": args.mu,
+        **mu,
         "residual": res,
         "tolerance": IDENTITY_TOL,
         "pass": ok,
-    }
-    _emit_json(payload, args.out)
-    return 0 if ok else 1
+    }, ok)
 
 
-def _cmd_verify_flux(parser, args) -> int:
-    cfg = _build_cfg(parser, args)
-    shoot = integrate_ivp(cfg, args.beta)
-    res = flux_residual(cfg, shoot)
-    ok = res <= IDENTITY_TOL
-    payload = {
-        "manifest": _manifest("verify flux", args.dim, args.weight,
-                              (args.rtol, args.atol), None,
-                              [args.out] if args.out else []),
-        "dim": args.dim,
-        "weight_spec": args.weight,
-        "beta": args.beta,
-        "residual": res,
-        "tolerance": IDENTITY_TOL,
-        "pass": ok,
-    }
-    _emit_json(payload, args.out)
-    return 0 if ok else 1
-
-
-def _cmd_verify_separation(parser, args) -> int:
-    cfg = _build_cfg(parser, args)
+def _cmd_verify_separation(args) -> int:
+    cfg = _build_cfg(args)
     h = args.h if args.h is not None else cfg.weight.h
     if h is None:
-        parser.error("--h is required when the weight is not in the explicit family")
-    try:
-        gap_v, gap_w, r_h = check_separation(cfg, h, args.beta, args.gamma)
-    except ValueError as exc:
-        parser.error(str(exc))
+        raise ValueError("--h is required when the weight is not in the explicit family")
+    gap_v, gap_w, r_h = check_separation(cfg, h, args.beta, args.gamma)
     ok = gap_v > GAP_TOL and gap_w > GAP_TOL
-    payload = {
-        "manifest": _manifest("verify separation", args.dim, args.weight,
-                              (args.rtol, args.atol), None,
-                              [args.out] if args.out else []),
+    return _emit(args, {
         "dim": args.dim,
         "weight_spec": args.weight,
         "h": h,
@@ -395,22 +360,14 @@ def _cmd_verify_separation(parser, args) -> int:
         "r_h": r_h,
         "tolerance": GAP_TOL,
         "pass": ok,
-    }
-    _emit_json(payload, args.out)
-    return 0 if ok else 1
+    }, ok)
 
 
-def _cmd_verify_envelope(parser, args) -> int:
-    cfg = _build_cfg(parser, args)
-    try:
-        gap = check_lower_envelope(cfg, args.beta, args.gamma, args.eps0)
-    except ValueError as exc:
-        parser.error(str(exc))
+def _cmd_verify_envelope(args) -> int:
+    cfg = _build_cfg(args)
+    gap = check_lower_envelope(cfg, args.beta, args.gamma, args.eps0)
     ok = gap > GAP_TOL
-    payload = {
-        "manifest": _manifest("verify envelope", args.dim, args.weight,
-                              (args.rtol, args.atol), None,
-                              [args.out] if args.out else []),
+    return _emit(args, {
         "dim": args.dim,
         "weight_spec": args.weight,
         "beta": args.beta,
@@ -419,25 +376,17 @@ def _cmd_verify_envelope(parser, args) -> int:
         "gap": gap,
         "tolerance": GAP_TOL,
         "pass": ok,
-    }
-    _emit_json(payload, args.out)
-    return 0 if ok else 1
+    }, ok)
 
 
-def _cmd_spectral_morse(parser, args) -> int:
-    try:
-        pot = explicit_uh(args.dim, args.h)
-        k2 = reduce_to_disk(pot)
-    except ValueError as exc:
-        parser.error(str(exc))
+def _cmd_spectral_morse(args) -> int:
+    k2 = reduce_to_disk(explicit_uh(args.dim, args.h))
     try:
         rep = morse_index(k2, cap=args.cap)
     except MethodDisagreement as exc:
         sys.stderr.write(f"method disagreement: {exc}\n")
         return 1
-    payload = {
-        "manifest": _manifest("spectral morse", args.dim, f"ah:h={args.h}",
-                              None, None, [args.out] if args.out else []),
+    return _emit(args, {
         "dim": args.dim,
         "h": args.h,
         "cap": args.cap,
@@ -449,35 +398,21 @@ def _cmd_spectral_morse(parser, args) -> int:
         "method_gap": rep.method_gap,
         "stable": rep.stable,
         "evidence": rep.evidence,
-    }
-    _emit_json(payload, args.out)
-    return 0
+    })
 
 
-def _cmd_spectral_hardy(parser, args) -> int:
+def _cmd_spectral_hardy(args) -> int:
     if args.n < 1 or args.n > 64:
-        parser.error(f"--n must lie in [1, 64], got {args.n}")
+        raise ValueError(f"--n must lie in [1, 64], got {args.n}")
     H = hardy_constant()
     table = [{"n": n, "R": hardy_quotient_xi_n(10, n)} for n in range(1, args.n + 1)]
-    payload = {
-        "manifest": _manifest("spectral hardy", 10, None, None, None,
-                              [args.out] if args.out else []),
-        "hardy_constant": H,
-        "quotients": table,
-    }
-    _emit_json(payload, args.out)
-    return 0
+    return _emit(args, {"hardy_constant": H, "quotients": table})
 
 
-def _cmd_spectral_witness(parser, args) -> int:
-    try:
-        rep = instability_witness_leq9(args.dim, args.h, args.eps, args.j)
-    except ValueError as exc:
-        parser.error(str(exc))
+def _cmd_spectral_witness(args) -> int:
+    rep = instability_witness_leq9(args.dim, args.h, args.eps, args.j)
     ok = rep.q_value < 0.0
-    payload = {
-        "manifest": _manifest("spectral witness", args.dim, f"ah:h={args.h}",
-                              None, None, [args.out] if args.out else []),
+    return _emit(args, {
         "dim": args.dim,
         "h": args.h,
         "eps": args.eps,
@@ -486,9 +421,7 @@ def _cmd_spectral_witness(parser, args) -> int:
         "delta": rep.delta,
         "support": list(rep.support),
         "pass": ok,
-    }
-    _emit_json(payload, args.out)
-    return 0 if ok else 1
+    }, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +444,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cls = sub.add_parser("classify", help="classify the diagram (Type I/II/III)")
     _add_problem_flags(p_cls, need_range=True)
-    p_cls.add_argument("--format", choices=["json"], default="json")
     p_cls.add_argument("--out", default=None, help="output JSON path (default stdout)")
     p_cls.add_argument("--strict", action="store_true",
                        help="exit 3 when the result is Undetermined")
@@ -531,13 +463,13 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--beta", type=float, required=True)
     pv.add_argument("--mu", type=float, default=0.0)
     pv.add_argument("--out", default=None)
-    pv.set_defaults(func=_cmd_verify_pohozaev)
+    pv.set_defaults(func=_cmd_verify_identity)
 
     pv = vsub.add_parser("flux", help="radial flux identity residual")
     _add_problem_flags(pv, need_range=False)
     pv.add_argument("--beta", type=float, required=True)
     pv.add_argument("--out", default=None)
-    pv.set_defaults(func=_cmd_verify_flux)
+    pv.set_defaults(func=_cmd_verify_identity)
 
     pv = vsub.add_parser("separation", help="profile ordering gaps")
     _add_problem_flags(pv, need_range=False)
@@ -585,7 +517,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    return args.func(parser, args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # includes WeightParseError
+        parser.error(str(exc))  # exits 2
 
 
 if __name__ == "__main__":

@@ -14,31 +14,22 @@ expansion around the -2 log r profile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _stepper
-from .weights import Weight, weight_arrays
+from .weights import Weight, weight_arrays, weight_fn
 
 BETA_MIN_GUARD = -50.0
 BETA_MAX_GUARD = 60.0
 
 _EXP_CAP = 500.0  # caps e^v: guards trial stages of rejected steps, not real states
 
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Output grid: geometric from r_start, then uniform to R."""
-
-    ratio: float = 1.04
-    h_uniform: float = 1e-3
-
-    def __post_init__(self):
-        if not 1.0 < self.ratio <= 1.05:
-            raise ValueError(f"grid ratio {self.ratio} outside (1, 1.05]")
-        if not 0.0 < self.h_uniform <= 0.05:
-            raise ValueError(f"uniform spacing {self.h_uniform} outside (0, 0.05]")
+# default output grid: geometric from r_start with this ratio until the
+# spacing reaches the uniform spacing, then uniform out to R
+_GRID_RATIO = 1.04
+_GRID_H_UNIFORM = 1e-3
 
 
 @dataclass(frozen=True)
@@ -48,7 +39,6 @@ class ProblemConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     r_start: float = 1e-4
-    grid: GridSpec = field(default_factory=GridSpec)
 
     def __post_init__(self):
         if not 3 <= self.dim <= 12:
@@ -68,7 +58,7 @@ def default_grid(cfg: ProblemConfig, R: float = 1.0) -> np.ndarray:
     """Geometric-then-uniform output radii on [r_start, R]."""
     pts = [cfg.r_start]
     r = cfg.r_start
-    ratio, h_u = cfg.grid.ratio, cfg.grid.h_uniform
+    ratio, h_u = _GRID_RATIO, _GRID_H_UNIFORM
     while r * (ratio - 1.0) < h_u and r * ratio < R:
         r *= ratio
         pts.append(r)
@@ -102,24 +92,27 @@ class RadialProfile:
             raise ValueError("evaluation beyond the profile's outer radius")
         rr = np.minimum(r, self.R)
         x, f, d = self.radii, self.values, self.derivs
-        idx = np.clip(np.searchsorted(x, rr, side="right") - 1, 0, len(x) - 2)
-        x0, x1 = x[idx], x[idx + 1]
-        h = x1 - x0
-        t = (rr - x0) / h
-        t2 = t * t
-        t3 = t2 * t
-        val = (
-            (2.0 * t3 - 3.0 * t2 + 1.0) * f[idx]
-            + (t3 - 2.0 * t2 + t) * h * d[idx]
-            + (-2.0 * t3 + 3.0 * t2) * f[idx + 1]
-            + (t3 - t2) * h * d[idx + 1]
-        )
-        der = (
-            (6.0 * t2 - 6.0 * t) * f[idx] / h
-            + (3.0 * t2 - 4.0 * t + 1.0) * d[idx]
-            + (6.0 * t - 6.0 * t2) * f[idx + 1] / h
-            + (3.0 * t2 - 2.0 * t) * d[idx + 1]
-        )
+        if len(x) == 1:  # no interval to interpolate on: the node's own state
+            val, der = np.full_like(rr, f[0]), np.full_like(rr, d[0])
+        else:
+            idx = np.clip(np.searchsorted(x, rr, side="right") - 1, 0, len(x) - 2)
+            x0, x1 = x[idx], x[idx + 1]
+            h = x1 - x0
+            t = (rr - x0) / h
+            t2 = t * t
+            t3 = t2 * t
+            val = (
+                (2.0 * t3 - 3.0 * t2 + 1.0) * f[idx]
+                + (t3 - 2.0 * t2 + t) * h * d[idx]
+                + (-2.0 * t3 + 3.0 * t2) * f[idx + 1]
+                + (t3 - t2) * h * d[idx + 1]
+            )
+            der = (
+                (6.0 * t2 - 6.0 * t) * f[idx] / h
+                + (3.0 * t2 - 4.0 * t + 1.0) * d[idx]
+                + (6.0 * t - 6.0 * t2) * f[idx + 1] / h
+                + (3.0 * t2 - 2.0 * t) * d[idx + 1]
+            )
         below = rr < x[0]
         if np.any(below):
             # even quadratic through (x0, f0) with slope d0 there
@@ -127,10 +120,6 @@ class RadialProfile:
             val = np.where(below, f[0] + c * (rr * rr - x[0] * x[0]), val)
             der = np.where(below, 2.0 * c * rr, der)
         return val, der
-
-    def evaluate(self, r: float) -> tuple[float, float]:
-        val, der = self.evaluate_array(np.asarray([r]))
-        return float(val[0]), float(der[0])
 
 
 def profile_to_csv(profile: RadialProfile) -> str:
@@ -174,38 +163,19 @@ def _series_coeffs(cfg: ProblemConfig, beta: float):
     return c2, c4, e4, w4
 
 
-def series_start(cfg: ProblemConfig, beta: float):
-    """(v, v', e, e') at r_start from the matched expansion."""
-    c2, c4, e4, _ = _series_coeffs(cfg, beta)
-    r = cfg.r_start
+def series_start(cfg: ProblemConfig, beta: float, r: float, second: bool = False):
+    """[v, v', e, e'] at r from the matched expansion, then [w, w'] if second."""
+    c2, c4, e4, w4 = _series_coeffs(cfg, beta)
     r2 = r * r
-    v0 = beta + c2 * r2 + c4 * r2 * r2
-    dv0 = 2.0 * c2 * r + 4.0 * c4 * r2 * r
-    e0 = 1.0 + c2 * r2 + e4 * r2 * r2
-    de0 = 2.0 * c2 * r + 4.0 * e4 * r2 * r
-    return v0, dv0, e0, de0
-
-
-def _weight_fn(w: Weight):
-    coeffs, tilt = w.coeffs, w.tilt
-    if not coeffs and tilt == 0.0:
-        return lambda r: 1.0
-
-    def a_of(r):
-        p = 1.0
-        if coeffs:
-            r2 = r * r
-            q = r2
-            for c in coeffs:
-                p += c * q
-                q *= r2
-        if tilt != 0.0:
-            p *= math.exp(tilt * r * r)
-        if p <= 0.0:
-            raise ValueError(f"weight {w.spec!r} nonpositive at r={r}")
-        return p
-
-    return a_of
+    y0 = [
+        beta + c2 * r2 + c4 * r2 * r2,
+        2.0 * c2 * r + 4.0 * c4 * r2 * r,
+        1.0 + c2 * r2 + e4 * r2 * r2,
+        2.0 * c2 * r + 4.0 * e4 * r2 * r,
+    ]
+    if second:
+        y0 += [c2 * r2 + w4 * r2 * r2, 2.0 * c2 * r + 4.0 * w4 * r2 * r]
+    return y0
 
 
 def _check_beta(beta: float) -> None:
@@ -215,7 +185,7 @@ def _check_beta(beta: float) -> None:
 
 def _rhs_ve(cfg: ProblemConfig):
     """y = (v, v', e, e')."""
-    a_of = _weight_fn(cfg.weight)
+    a_of = weight_fn(cfg.weight)
     nm1 = float(cfg.dim - 1)
     exp, cap = math.exp, _EXP_CAP
 
@@ -230,7 +200,7 @@ def _rhs_ve(cfg: ProblemConfig):
 
 def _rhs_vew(cfg: ProblemConfig):
     """y = (v, v', e, e', w, w')."""
-    a_of = _weight_fn(cfg.weight)
+    a_of = weight_fn(cfg.weight)
     nm1 = float(cfg.dim - 1)
     exp, cap = math.exp, _EXP_CAP
 
@@ -253,6 +223,32 @@ def _init_radius(cfg: ProblemConfig, beta: float) -> float:
     return min(cfg.r_start, layer)
 
 
+def _integrate(cfg: ProblemConfig, fun, r0: float, y0, nodes, collect: bool = False):
+    """Integrate from the start state y0 at r0 through `nodes`.
+
+    A first node at r0 (to 1e-12 relative) is the start state itself. A
+    nonpositive weight, hit while extending beyond r = 1, ends in an
+    IntegrationError. Returns the states at the nodes, or (states, xs, ys)
+    with every accepted step when collecting.
+    """
+    head = []
+    if nodes[0] <= r0 * (1.0 + 1e-12):
+        head, nodes = [y0], nodes[1:]
+        if not nodes:
+            return (head, [r0], head) if collect else head
+    try:
+        result = _stepper.solve(
+            fun, r0, y0, nodes, cfg.rel_tol, cfg.abs_tol,
+            first_step=0.2 * r0, collect=collect,
+        )
+    except ValueError as exc:
+        raise _stepper.IntegrationError(str(exc), float("nan")) from exc
+    if collect:
+        states, xs, ys = result
+        return head + states, xs, ys
+    return head + result
+
+
 def _run(cfg: ProblemConfig, beta: float, nodes, second: bool = False,
          collect: bool = False):
     """Integrate from the matched start through `nodes` (all >= r_start).
@@ -261,51 +257,18 @@ def _run(cfg: ProblemConfig, beta: float, nodes, second: bool = False,
     accepted steps; collected steps below r_start are dropped.
     """
     r0 = _init_radius(cfg, beta)
-    c2, c4, e4, w4 = _series_coeffs(cfg, beta)
-    r2 = r0 * r0
-    y0 = [
-        beta + c2 * r2 + c4 * r2 * r2,
-        2.0 * c2 * r0 + 4.0 * c4 * r2 * r0,
-        1.0 + c2 * r2 + e4 * r2 * r2,
-        2.0 * c2 * r0 + 4.0 * e4 * r2 * r0,
-    ]
-    if second:
-        y0 += [c2 * r2 + w4 * r2 * r2, 2.0 * c2 * r0 + 4.0 * w4 * r2 * r0]
-        fun = _rhs_vew(cfg)
-    else:
-        fun = _rhs_ve(cfg)
-
-    prepend = None
-    run_nodes = list(nodes)
-    if run_nodes and run_nodes[0] <= r0 * (1.0 + 1e-12):
-        # first node is the series start itself
-        prepend = list(y0)
-        run_nodes = run_nodes[1:]
-        if not run_nodes:
-            return ([prepend], [r0], [prepend]) if collect else [prepend]
-    try:
-        result = _stepper.solve(
-            fun, r0, y0, run_nodes, cfg.rel_tol, cfg.abs_tol,
-            first_step=0.2 * r0, collect=collect,
-        )
-    except ValueError as exc:
-        # nonpositive weight hit while extending beyond r=1
-        raise _stepper.IntegrationError(str(exc), float("nan")) from exc
+    y0 = series_start(cfg, beta, r0, second)
+    fun = _rhs_vew(cfg) if second else _rhs_ve(cfg)
+    result = _integrate(cfg, fun, r0, y0, nodes, collect)
     if collect:
         states, xs, ys = result
         keep = [i for i, x in enumerate(xs) if x >= cfg.r_start * (1.0 - 1e-12)]
-        xs = [xs[i] for i in keep]
-        ys = [ys[i] for i in keep]
-        if prepend is not None:
-            states = [prepend] + states
-        return states, xs, ys
-    if prepend is not None:
-        result = [prepend] + result
+        return states, [xs[i] for i in keep], [ys[i] for i in keep]
     return result
 
 
 def _output_radii(cfg: ProblemConfig, radii):
-    """The output radii (default: the config's grid) as an array and as a
+    """The output radii (default: `default_grid`) as an array and as a
     list of floats; they must start at r_start or beyond and never decrease."""
     radii_arr = np.asarray(radii if radii is not None else default_grid(cfg))
     if radii_arr.ndim != 1 or len(radii_arr) == 0:
@@ -321,10 +284,12 @@ def integrate_ivp(cfg: ProblemConfig, beta: float, radii=None, trace: bool = Fal
     """Shoot v and its first variation jointly out to r = 1.
 
     With trace=True the profile is sampled at the integrator's accepted
-    steps (cheap, used by curve tracing); otherwise at `radii` (default:
-    the config's output grid).
+    steps (cheap, used by curve tracing) and `radii` must be None;
+    otherwise at `radii` (default: `default_grid`).
     """
     _check_beta(beta)
+    if trace and radii is not None:
+        raise ValueError("output radii cannot be combined with trace=True")
     if trace:
         _, xs, ys = _run(cfg, beta, [1.0], collect=True)
         radii_arr = np.asarray(xs)
@@ -389,7 +354,7 @@ def integrate_singular(cfg: ProblemConfig, radii=None):
     d2 = singular_series_coefficient(cfg)
     V0 = -2.0 * math.log(r0) + math.log(2.0 * (N - 2.0)) + d2 * r0 * r0
     dV0 = -2.0 / r0 + 2.0 * d2 * r0
-    a_of = _weight_fn(cfg.weight)
+    a_of = weight_fn(cfg.weight)
     nm1 = float(N - 1)
     exp, cap = math.exp, _EXP_CAP
 
@@ -399,17 +364,7 @@ def integrate_singular(cfg: ProblemConfig, radii=None):
         return [dv, -nm1 / r * dv - g]
 
     radii_arr, nodes = _output_radii(cfg, radii)
-    if abs(nodes[0] - r0) < 1e-15 * r0:
-        out = []
-        if len(nodes) > 1:
-            out = _stepper.solve(fun, r0, [V0, dV0], nodes[1:], cfg.rel_tol, cfg.abs_tol,
-                                 first_step=0.2 * r0)
-        states = np.asarray([[V0, dV0]] + out)
-    else:
-        states = np.asarray(
-            _stepper.solve(fun, r0, [V0, dV0], nodes, cfg.rel_tol, cfg.abs_tol,
-                           first_step=0.2 * r0)
-        )
+    states = np.asarray(_integrate(cfg, fun, r0, [V0, dV0], nodes))
     lam_star = math.exp(float(states[-1, 0]))
     return lam_star, RadialProfile(radii_arr, states[:, 0], states[:, 1])
 
@@ -591,10 +546,7 @@ def rescaled_profile(cfg: ProblemConfig, beta: float, r_max: float = 3.0) -> Rad
         coeffs=tuple(ci * c2 ** i for i, ci in enumerate(w.coeffs, start=1)),
         tilt=w.tilt * c2,
     )
-    cfg_hat = ProblemConfig(
-        dim=cfg.dim, weight=scaled, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-        r_start=cfg.r_start, grid=cfg.grid,
-    )
+    cfg_hat = replace(cfg, weight=scaled)
     radii = default_grid(cfg_hat, R=r_max)
     states = np.asarray(_run(cfg_hat, 0.0, [float(x) for x in radii]))
     return RadialProfile(radii, states[:, 0], states[:, 1], R=r_max)

@@ -183,12 +183,6 @@ class RadialPotential:
     weight: Weight | None = None
     emden: RadialProfile | None = None  # log-corrected form for singular potentials
 
-    def value(self, r: float) -> float:
-        if self.kind == "explicit_uh":
-            return 2.0 * (self.dim - 2.0) / (r * r) + self.h
-        val, _ = self.profile.evaluate(r)
-        return val
-
 
 def explicit_uh(dim: int, h: float) -> RadialPotential:
     if not 3 <= dim <= 12:

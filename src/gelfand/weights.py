@@ -106,28 +106,27 @@ def make_ah(h: float, dim: int) -> Weight:
     )
 
 
-def weight_eval(w: Weight, r: float) -> tuple[float, float]:
-    """Return (a(r), a'(r)). Raises if the weight is nonpositive at r."""
-    if r < 0.0:
-        raise ValueError(f"radius must be nonnegative, got {r}")
-    p = 1.0
-    dp = 0.0
-    if w.coeffs:
-        r2 = r * r
-        q = 1.0
-        for i, c in enumerate(w.coeffs, start=1):
-            dp += (2 * i) * c * q * r
-            q *= r2
-            p += c * q
-    if w.tilt == 0.0:
-        a, da = p, dp
-    else:
-        e = math.exp(w.tilt * r * r)
-        a = p * e
-        da = (dp + 2.0 * w.tilt * r * p) * e
-    if a <= 0.0:
-        raise ValueError(f"weight {w.spec!r} nonpositive at r={r}")
-    return a, da
+def weight_fn(w: Weight):
+    """Scalar a(r) for the shooting right-hand sides; raises where a(r) <= 0."""
+    coeffs, tilt = w.coeffs, w.tilt
+    if not coeffs and tilt == 0.0:
+        return lambda r: 1.0
+
+    def a_of(r):
+        p = 1.0
+        if coeffs:
+            r2 = r * r
+            q = r2
+            for c in coeffs:
+                p += c * q
+                q *= r2
+        if tilt != 0.0:
+            p *= math.exp(tilt * r * r)
+        if p <= 0.0:
+            raise ValueError(f"weight {w.spec!r} nonpositive at r={r}")
+        return p
+
+    return a_of
 
 
 def weight_arrays(w: Weight, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,9 +147,10 @@ def weight_arrays(w: Weight, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_positive(w: Weight) -> None:
+    a_of = weight_fn(w)
     try:
         for i in range(_POSITIVITY_SAMPLES + 1):
-            weight_eval(w, i / _POSITIVITY_SAMPLES)
+            a_of(i / _POSITIVITY_SAMPLES)
     except ValueError as exc:
         raise WeightParseError(str(exc)) from None
 
@@ -169,19 +169,13 @@ def ratio_derivative_sign(w: Weight, dim: int, reference: Weight | None = None) 
         from .spectral import hardy_constant
 
         reference = make_ah(hardy_constant(), dim)
-    any_pos = False
-    any_nonpos = False
-    for i in range(1, _RATIO_SAMPLES + 1):
-        r = i / _RATIO_SAMPLES
-        a, da = weight_eval(w, r)
-        b, db = weight_eval(reference, r)
-        d = da / a - db / b  # sign of (a/b)' = sign of (log(a/b))'
-        if d > _RATIO_BAND:
-            any_pos = True
-        else:
-            any_nonpos = True
-        if any_pos and any_nonpos:
-            return "Mixed"
-    if any_pos:
+    r = np.arange(1, _RATIO_SAMPLES + 1) / _RATIO_SAMPLES
+    a, da = weight_arrays(w, r)
+    b, db = weight_arrays(reference, r)
+    for wt, values in ((w, a), (reference, b)):
+        if np.any(values <= 0.0):
+            raise ValueError(f"weight {wt.spec!r} nonpositive on (0, 1]")
+    pos = da / a - db / b > _RATIO_BAND  # sign of (a/b)' = sign of (log(a/b))'
+    if pos.all():
         return "PositiveEverywhere"
-    return "NonPositiveEverywhere"
+    return "Mixed" if pos.any() else "NonPositiveEverywhere"

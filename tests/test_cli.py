@@ -214,6 +214,10 @@ def test_spectral_witness_exit_codes(capsys):
     ["spectral", "witness", "--dim", "10", "--h", "0", "--eps", "1", "--j", "1"],
     ["spectral", "hardy", "--n", "65"],
     ["verify", "singular", "--dim", "10", "--h", "-17"],
+    # beta outside the integrator's guard range
+    ["verify", "flux", "--dim", "5", "--beta", "100"],
+    ["verify", "pohozaev", "--dim", "5", "--beta=-70"],
+    ["trace", "--dim", "3", "--beta-min=-100", "--beta-max", "1", "--out", "x.csv"],
 ])
 def test_invalid_flags_exit_two(argv):
     with pytest.raises(SystemExit) as exc:

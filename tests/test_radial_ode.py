@@ -1,11 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gelfand import (
-    GridSpec,
     ProblemConfig,
     asymptotic_diagnostics,
     explicit_lambda_h,
@@ -45,8 +45,6 @@ def test_config_validation():
         ProblemConfig(dim=5, weight=CONST, r_start=2e-3)
     with pytest.raises(ValueError):
         ProblemConfig(dim=5, weight=make_ah(5.0, 10))  # dim mismatch
-    with pytest.raises(ValueError):
-        GridSpec(ratio=1.2)
 
 
 # ------------------------------------------------------------ series start
@@ -56,7 +54,7 @@ def test_series_coefficients_against_fixed_step_rk4():
     # start v''(0) = -e^beta / N, on v'' + (N-1)/r v' = -e^v (a = 1)
     N, beta = 10, 0.0
     cfg = ProblemConfig(dim=N, weight=CONST)
-    v0, dv0, e0, de0 = series_start(cfg, beta)
+    v0, dv0, e0, de0 = series_start(cfg, beta, cfg.r_start)
 
     r0, r1 = 1e-8, cfg.r_start
     c2 = -math.exp(beta) / (2 * N)
@@ -86,7 +84,7 @@ def test_series_coefficients_against_fixed_step_rk4():
 def test_series_start_tends_to_beta():
     cfg = ProblemConfig(dim=5, weight=CONST, r_start=1e-5)
     for beta in (-3.0, 0.0, 7.0):
-        v0, _, _, _ = series_start(cfg, beta)
+        v0, _, _, _ = series_start(cfg, beta, cfg.r_start)
         # leading correction is c2 r^2 = -e^beta r^2 / (2N)
         assert abs(v0 - beta) < 2.0 * math.exp(beta) * 1e-10 / (2 * 5) + 1e-12
 
@@ -161,10 +159,14 @@ def test_tolerance_convergence():
 
 def test_one_node_grid_returns_the_start_state():
     cfg = ProblemConfig(dim=5, weight=CONST)
-    v0, dv0, e0, de0 = series_start(cfg, 0.0)
+    v0, dv0, e0, de0 = series_start(cfg, 0.0, cfg.r_start)
     sh = integrate_ivp(cfg, 0.0, radii=[cfg.r_start])
     assert list(sh.profile.radii) == [cfg.r_start]
     assert (sh.profile.values[0], sh.profile.derivs[0]) == (v0, dv0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val, der = sh.profile.evaluate_array([cfg.r_start])
+    assert (val[0], der[0]) == (v0, dv0)
     assert (sh.variation_profile.values[0], sh.variation_profile.derivs[0]) == (e0, de0)
     assert sh.lam == math.exp(v0)
     w = integrate_second_variation(cfg, 0.0, radii=[cfg.r_start])
@@ -192,6 +194,9 @@ def test_decreasing_or_misplaced_radii_rejected():
             integrate_second_variation(cfg, 0.0, radii=radii)
         with pytest.raises(ValueError, match=msg):
             integrate_singular(cfg, radii=radii)
+    # trace=True samples at the accepted steps, so it takes no output radii
+    with pytest.raises(ValueError, match="trace=True"):
+        integrate_ivp(cfg, 0.0, radii=[1e-4, 1.0], trace=True)
 
 
 def test_repeated_radii_repeat_the_state():

@@ -5,15 +5,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gelfand import (
+    Weight,
     WeightParseError,
     hardy_constant,
     make_ah,
     parse_weight,
     ratio_derivative_sign,
-    weight_eval,
 )
+from gelfand.weights import weight_arrays, weight_fn
 
 H = hardy_constant()
+
+
+def eval_at(w, r):
+    """(a(r), a'(r)) at one radius, from the array evaluator."""
+    a, da = weight_arrays(w, np.array([r]))
+    return float(a[0]), float(da[0])
 
 
 # --------------------------------------------------------------- parsing
@@ -21,7 +28,7 @@ H = hardy_constant()
 def test_parse_const():
     w = parse_weight("const")
     assert w.coeffs == () and w.tilt == 0.0
-    assert weight_eval(w, 0.3) == (1.0, 0.0)
+    assert eval_at(w, 0.3) == (1.0, 0.0)
 
 
 def test_parse_ah_requires_dim():
@@ -33,7 +40,7 @@ def test_parse_ah_requires_dim():
 
 def test_parse_polyexp():
     w = parse_weight("polyexp:0.5,0.25;d=0.1")
-    a, da = weight_eval(w, 0.5)
+    a, da = eval_at(w, 0.5)
     r = 0.5
     poly = 1.0 + 0.5 * r**2 + 0.25 * r**4
     dpoly = 0.5 * 2 * r + 0.25 * 4 * r**3
@@ -53,7 +60,7 @@ def test_parse_rejects_garbage(bad):
 
 def test_parse_rejects_nonpositive_polyexp():
     # 1 - 3 r^2 goes negative inside (0,1]
-    with pytest.raises(WeightParseError):
+    with pytest.raises(WeightParseError, match="nonpositive at r="):
         parse_weight("polyexp:-3;d=0")
 
 
@@ -63,13 +70,13 @@ def test_make_ah_range_validation():
     with pytest.raises(ValueError):
         make_ah(0.0, 2)
     w = make_ah(-15.9, 10)
-    assert weight_eval(w, 1.0)[0] > 0.0
+    assert eval_at(w, 1.0)[0] > 0.0
 
 
 def test_normalization_at_origin():
     for spec in ("const", "ah:h=40", "polyexp:0.5;d=-0.3"):
         w = parse_weight(spec, dim=10)
-        assert weight_eval(w, 0.0) == (1.0, 0.0)
+        assert eval_at(w, 0.0) == (1.0, 0.0)
 
 
 # --------------------------------------------------- evaluation semantics
@@ -80,14 +87,14 @@ def test_ah_closed_form():
     w = make_ah(h, N)
     for r in (0.0, 0.25, 0.5, 1.0):
         exact = (1.0 + h * r * r / (2 * (N - 2))) * math.exp(h * r * r / (2 * N))
-        assert weight_eval(w, r)[0] == pytest.approx(exact, rel=1e-15)
+        assert eval_at(w, r)[0] == pytest.approx(exact, rel=1e-15)
 
 
 def test_ah_zero_bit_identical_to_const():
     w0 = make_ah(0.0, 10)
     wc = parse_weight("const")
     for r in np.linspace(0.0, 1.0, 257):
-        assert weight_eval(w0, float(r)) == weight_eval(wc, float(r))
+        assert eval_at(w0, float(r)) == eval_at(wc, float(r))
 
 
 @st.composite
@@ -108,9 +115,10 @@ def weights(draw):
 @given(weights(), st.floats(1e-3, 1.0 - 1e-5))
 @settings(max_examples=60, deadline=None)
 def test_derivative_matches_central_difference(w, r):
-    a, da = weight_eval(w, r)
+    a, da = eval_at(w, r)
+    assert weight_fn(w)(r) == pytest.approx(a, rel=1e-15)  # the scalar RHS evaluator agrees
     d = 1e-5
-    fd = (weight_eval(w, r + d)[0] - weight_eval(w, r - d)[0]) / (2 * d)
+    fd = (eval_at(w, r + d)[0] - eval_at(w, r - d)[0]) / (2 * d)
     assert abs(da - fd) <= 1e-6 * max(1.0, abs(da))
 
 
@@ -134,3 +142,7 @@ def test_ratio_sign_reference_family():
 def test_ratio_sign_requires_critical_dimension():
     with pytest.raises(ValueError):
         ratio_derivative_sign(make_ah(5.0, 9), 9)
+    # a weight built without the parse-time check: 1 - 3 r^2 goes negative
+    negative = Weight(spec="polyexp:-3;d=0", coeffs=(-3.0,), tilt=0.0)
+    with pytest.raises(ValueError, match="nonpositive"):
+        ratio_derivative_sign(negative, 10)
