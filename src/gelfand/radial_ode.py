@@ -14,6 +14,7 @@ expansion around the -2 log r profile.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -86,7 +87,11 @@ class RadialProfile:
         return len(self.radii)
 
     def evaluate_array(self, r):
-        """Hermite interpolation; quadratic even extension below the first node."""
+        """Hermite interpolation; quadratic even extension below the first node.
+
+        One node, or a zero-width interval (a repeated radius), gives the
+        node's own value and derivative.
+        """
         r = np.asarray(r, dtype=float)
         if np.any(r > self.R * (1.0 + 1e-12)):
             raise ValueError("evaluation beyond the profile's outer radius")
@@ -98,6 +103,11 @@ class RadialProfile:
             idx = np.clip(np.searchsorted(x, rr, side="right") - 1, 0, len(x) - 2)
             x0, x1 = x[idx], x[idx + 1]
             h = x1 - x0
+            # a repeated radius makes a zero-width interval where the index
+            # is clipped: divide by 1 there, then take the right node's state
+            flat = h == 0.0
+            if np.any(flat):
+                h = np.where(flat, 1.0, h)
             t = (rr - x0) / h
             t2 = t * t
             t3 = t2 * t
@@ -113,6 +123,9 @@ class RadialProfile:
                 + (6.0 * t - 6.0 * t2) * f[idx + 1] / h
                 + (3.0 * t2 - 2.0 * t) * d[idx + 1]
             )
+            if np.any(flat):
+                val = np.where(flat, f[idx + 1], val)
+                der = np.where(flat, d[idx + 1], der)
         below = rr < x[0]
         if np.any(below):
             # even quadratic through (x0, f0) with slope d0 there
@@ -120,6 +133,49 @@ class RadialProfile:
             val = np.where(below, f[0] + c * (rr * rr - x[0] * x[0]), val)
             der = np.where(below, 2.0 * c * rr, der)
         return val, der
+
+    def scalar_value(self):
+        """A closure r -> the value `evaluate_array` gives at the float r.
+
+        For the Pruefer right-hand side, which asks for one radius at a time:
+        the same rules (ValueError beyond R, even quadratic below the first
+        node, one-node and zero-width rules) and the value half of the
+        Hermite arithmetic in the same order, so every result is bit-identical
+        to evaluate_array's, on Python floats instead of one-element arrays.
+        """
+        x, f, d = self.radii.tolist(), self.values.tolist(), self.derivs.tolist()
+        R = self.R
+        r_max = R * (1.0 + 1e-12)
+        x_first, f_first = x[0], f[0]
+        c = d[0] / (2.0 * x_first)
+        x_first2 = x_first * x_first
+        last = len(x) - 2
+
+        def value(r):
+            if r > r_max:
+                raise ValueError("evaluation beyond the profile's outer radius")
+            if r > R:
+                r = R
+            if r < x_first:
+                return f_first + c * (r * r - x_first2)
+            if last < 0:
+                return f_first
+            i = min(bisect_right(x, r) - 1, last)
+            x0 = x[i]
+            h = x[i + 1] - x0
+            if h == 0.0:
+                return f[i + 1]
+            t = (r - x0) / h
+            t2 = t * t
+            t3 = t2 * t
+            return (
+                (2.0 * t3 - 3.0 * t2 + 1.0) * f[i]
+                + (t3 - 2.0 * t2 + t) * h * d[i]
+                + (-2.0 * t3 + 3.0 * t2) * f[i + 1]
+                + (t3 - t2) * h * d[i + 1]
+            )
+
+        return value
 
 
 def profile_to_csv(profile: RadialProfile) -> str:

@@ -227,20 +227,30 @@ def potential_from_singular(cfg: ProblemConfig, profile: RadialProfile) -> Radia
 
 
 class DiskPotential:
-    """K2(r) = inv_sq / r^2 + smooth(r) on (0, 1], smooth bounded at 0."""
+    """K2(r) = inv_sq / r^2 + smooth(r) on (0, 1], smooth bounded at 0.
 
-    def __init__(self, dim, inv_sq, smooth0, const=None, fn=None, label=""):
+    The smooth part is `const` when it is exactly constant. A numeric one
+    comes twice, with bit-identical values: `fn` on an array of radii (the
+    finite-volume matrix and the eigenvalue bracket of `morse_index`) and
+    `smooth_at` on one float radius (the Pruefer right-hand side, which
+    asks for one radius per stage).
+    """
+
+    def __init__(self, dim, inv_sq, smooth0, const=None, fn=None, label="", smooth_at=None):
+        if const is None and (fn is None or smooth_at is None):
+            raise ValueError("a non-constant smooth part needs both fn and smooth_at")
         self.dim = dim
         self.inv_sq = float(inv_sq)
         self.smooth0 = float(smooth0)
         self.const = const  # smooth part if it is exactly constant
         self._fn = fn
+        self.smooth_at = smooth_at
         self.label = label
 
     def smooth(self, r):
         if self.const is not None:
             return self.const if np.isscalar(r) else np.full_like(np.asarray(r, float), self.const)
-        return self._fn(r)
+        return self.smooth_at(r) if np.isscalar(r) else self._fn(r)
 
     def k2(self, r):
         r = np.asarray(r, dtype=float) if not np.isscalar(r) else r
@@ -253,7 +263,10 @@ def reduce_to_disk(pot: RadialPotential) -> DiskPotential:
     At N = 10 with a singular potential the two inverse-square terms cancel
     exactly; for numeric singular potentials the smooth remainder is
     evaluated through the log-corrected profile to preserve that
-    cancellation at small radii.
+    cancellation at small radii. A numeric potential gets its smooth part
+    as an array callable over `RadialProfile.evaluate_array` and as a
+    scalar one over `RadialProfile.scalar_value`; the Pruefer right-hand
+    side calls only the scalar one.
     """
     N = float(pot.dim)
     hardy_coeff = (N - 2.0) ** 2 / 4.0
@@ -267,32 +280,37 @@ def reduce_to_disk(pot: RadialPotential) -> DiskPotential:
         prof = pot.profile
 
         def fn(r):
-            val, _ = prof.evaluate_array(np.atleast_1d(np.asarray(r, float)))
-            return val if not np.isscalar(r) else float(val[0])
+            return prof.evaluate_array(r)[0]
 
         c = prof.derivs[0] / (2.0 * prof.radii[0])
         smooth0 = float(prof.values[0] - c * prof.radii[0] ** 2)
-        return DiskPotential(pot.dim, inv_sq, smooth0, fn=fn, label="numeric regular")
+        return DiskPotential(pot.dim, inv_sq, smooth0, fn=fn,
+                             smooth_at=prof.scalar_value(), label="numeric regular")
 
     # numeric singular: smooth(r) = [2(N-2) a e^w - 2(N-2)] / r^2
     emden = pot.emden
     weight = pot.weight
     two_nm2 = 2.0 * (N - 2.0)
+    w_at = emden.scalar_value()
 
     def fn(r):
-        scalar = np.isscalar(r)
-        rr = np.atleast_1d(np.asarray(r, dtype=float))
-        w, _ = emden.evaluate_array(rr)
-        a, _ = weight_arrays(weight, rr)
-        out = two_nm2 * np.expm1(w + np.log(a)) / (rr * rr)
-        return float(out[0]) if scalar else out
+        w, _ = emden.evaluate_array(r)
+        a, _ = weight_arrays(weight, r)
+        return two_nm2 * np.expm1(w + np.log(a)) / (r * r)
+
+    # weight_arrays, np.log and np.expm1 on the float keep smooth_at
+    # bit-identical to fn: math.exp/log/expm1 differ in the last bit
+    def smooth_at(r):
+        a, _ = weight_arrays(weight, r)
+        return float(two_nm2 * np.expm1(w_at(r) + np.log(a)) / (r * r))
 
     # limit at 0: w ~ d2 r^2 and log a ~ a2 r^2 give smooth0 = 2(N-2)(d2 + a2)
     r0 = emden.radii[0]
     d2_est = emden.derivs[0] / (2.0 * r0)
     a2 = 0.5 * weight.a2pp if weight is not None else 0.0
     smooth0 = two_nm2 * (d2_est + a2)
-    return DiskPotential(pot.dim, inv_sq, smooth0, fn=fn, label="numeric singular")
+    return DiskPotential(pot.dim, inv_sq, smooth0, fn=fn, smooth_at=smooth_at,
+                         label="numeric singular")
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +367,11 @@ def _prufer_theta_end(k2: DiskPotential, mu: float, r_in: float,
         theta0 = math.atan2(1.0 + c2 * r2_0, m + (m + 2.0) * c2 * r2_0)
 
     const = k2.const
-    fn = k2.smooth
+    smooth_at = k2.smooth_at
 
     def rhs(tau, y):
         r = math.exp(tau)
-        s = const if const is not None else fn(r)
+        s = const if const is not None else smooth_at(r)
         sin_t = math.sin(y[0])
         cos_t = math.cos(y[0])
         return [cos_t * cos_t + (q + r * r * (s + mu)) * sin_t * sin_t]
@@ -444,7 +462,10 @@ def morse_index(k2: DiskPotential, cap: int = 16, n_fd: int = 4096) -> SpectralR
 
     For potentials carried by interpolated numeric profiles the count is
     certified only up to the profile's own accuracy: treat it as a
-    discretization-level answer, exact for closed-form K2.
+    discretization-level answer, exact for closed-form K2. The Pruefer
+    right-hand side evaluates such a potential through its scalar
+    `smooth_at`; the finite-volume matrix and the eigenvalue bracket use
+    the array `smooth`, which gives the same values.
     """
     if not isinstance(cap, int) or not 1 <= cap <= 32:
         raise ValueError(f"cap must be an integer in [1, 32], got {cap!r}")

@@ -23,6 +23,7 @@ from gelfand import (
     residual_Uh,
 )
 from gelfand.radial_ode import (
+    RadialProfile,
     series_start,
     singular_series_coefficient,
 )
@@ -405,3 +406,60 @@ def test_evaluate_array_consistent_at_nodes():
     vals, ders = prof.evaluate_array(prof.radii)
     assert np.allclose(vals, prof.values, rtol=0, atol=1e-12)
     assert np.allclose(ders, prof.derivs, rtol=0, atol=1e-9)
+
+
+def test_zero_width_interval_takes_the_node_state():
+    # repeated radii give zero-width intervals: the repeated last radius is
+    # reached through the clipped index, the first through the even
+    # extension below it; an interior repeat is never an interval of its own
+    cfg = ProblemConfig(dim=3, weight=CONST)
+    once = integrate_ivp(cfg, 0.0, radii=[1e-4, 0.5, 1.0]).profile
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        last = integrate_ivp(cfg, 0.0, radii=[1e-4, 0.5, 1.0, 1.0]).profile
+        val, der = last.evaluate_array([1.0])
+        assert (val[0], der[0]) == (last.values[-1], last.derivs[-1])
+        assert last.scalar_value()(1.0) == last.values[-1]
+        for radii in ([1e-4, 0.5, 0.5, 1.0], [1e-4, 1e-4, 0.5, 1.0]):
+            prof = integrate_ivp(cfg, 0.0, radii=radii).profile
+            pts = [5e-5, 1e-4, 0.25, 0.5, 0.75, 1.0]
+            val, der = prof.evaluate_array(pts)
+            ref_val, ref_der = once.evaluate_array(pts)
+            assert list(val) == list(ref_val) and list(der) == list(ref_der)
+            value = prof.scalar_value()
+            assert [value(r) for r in pts] == list(ref_val)
+
+
+def _scalar_probe_points(prof):
+    x = prof.radii.tolist()
+    mids = [0.5 * (a + b) for a, b in zip(x, x[1:])]
+    below = [0.0, 1e-3 * x[0], 0.5 * x[0], x[0] * (1.0 - 1e-12)]
+    return x + mids + below + [prof.R, prof.R * (1.0 + 1e-12)]
+
+
+def test_scalar_value_equals_evaluate_array():
+    cfg3 = ProblemConfig(dim=3, weight=CONST)
+    cfg10 = ProblemConfig(dim=10, weight=make_ah(40.0, 10))
+    shoot = integrate_ivp(cfg10, 4.6)
+    profiles = [
+        integrate_ivp(cfg3, 1.0).profile,
+        shoot.profile,
+        shoot.variation_profile,
+        integrate_singular(cfg10)[1],
+        integrate_singular(cfg3)[1],
+        integrate_ivp(cfg3, 0.0, radii=[cfg3.r_start]).profile,
+        RadialProfile([0.5], [2.0], [-1.0], R=1.0),  # one node inside [0, R]
+    ]
+    for prof in profiles:
+        value = prof.scalar_value()
+        pts = _scalar_probe_points(prof)
+        arr, _ = prof.evaluate_array(pts)
+        got = [value(r) for r in pts]
+        assert got == arr.tolist()
+        assert got == [prof.evaluate_array([r])[0][0] for r in pts]
+        assert all(type(v) is float for v in got)
+        beyond = prof.R * (1.0 + 1e-11)
+        with pytest.raises(ValueError, match="outer radius"):
+            prof.evaluate_array([beyond])
+        with pytest.raises(ValueError, match="outer radius"):
+            value(beyond)

@@ -22,11 +22,13 @@ from gelfand import (
     make_ah,
     morse_index,
     parse_weight,
+    potential_from_shoot,
     potential_from_singular,
     reduce_to_disk,
     singular_stability,
     solution_stability,
 )
+from gelfand.radial_ode import RadialProfile
 from gelfand.spectral import DiskPotential, _fd_matrix
 
 H = hardy_constant()
@@ -178,6 +180,43 @@ def test_solution_stability_examples():
     cfg10 = ProblemConfig(dim=10, weight=CONST)
     rep = solution_stability(cfg10, integrate_ivp(cfg10, 20.0))
     assert rep.morse_index == 0 and rep.stable
+
+
+@pytest.mark.parametrize("spec", ["ah:h=5", "ah:h=40", "polyexp:0.7,-0.2;d=0.3"])
+def test_smooth_at_equals_array_smooth_part(spec):
+    # the Pruefer right-hand side calls smooth_at, the finite-volume matrix
+    # and the eigenvalue bracket the array callable: they must not differ
+    cfg = ProblemConfig(dim=10, weight=parse_weight(spec, dim=10))
+    _, prof = integrate_singular(cfg)
+    shoot = integrate_ivp(cfg, 4.6)
+    for k2 in (reduce_to_disk(potential_from_singular(cfg, prof)),
+               reduce_to_disk(potential_from_shoot(cfg, shoot))):
+        pts = np.concatenate([np.geomspace(1e-7, 1.0, 3001), prof.radii])
+        assert [k2.smooth_at(r) for r in pts.tolist()] == k2.smooth(pts).tolist()
+
+    with pytest.raises(ValueError, match="both fn and smooth_at"):
+        DiskPotential(dim=10, inv_sq=0.0, smooth0=0.0, fn=k2.smooth)
+
+
+def test_pruefer_rhs_does_not_evaluate_profile_arrays(monkeypatch):
+    # the Pruefer right-hand side runs hundreds of thousands of times per
+    # pass; only the finite-volume matrix and the eigenvalue bracket may
+    # call the array interpolant, once each per Morse index
+    cfg = ProblemConfig(dim=10, weight=make_ah(40.0, 10))
+    shoot = integrate_ivp(cfg, 4.6)
+    calls = []
+    evaluate_array = RadialProfile.evaluate_array
+
+    def counted(self, r):
+        calls.append(len(np.atleast_1d(r)))
+        return evaluate_array(self, r)
+
+    monkeypatch.setattr(RadialProfile, "evaluate_array", counted)
+    assert solution_stability(cfg, shoot).morse_index == 1
+    assert calls == [4096, 1025]
+    calls.clear()
+    assert singular_stability(cfg).morse_index == 2
+    assert calls == [4096, 1025]
 
 
 # ---------------------------------------------------------- Hardy floor etc
