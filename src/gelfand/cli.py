@@ -223,16 +223,27 @@ def _curve_svg(curve, manifest: dict) -> str:
 # Shared flag plumbing.
 
 
+def _real(text: str) -> float:
+    """argparse type of every float flag: a finite real."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"need a finite real, got {text!r}")
+    return x
+
+
 def _add_problem_flags(p: argparse.ArgumentParser, need_range: bool) -> None:
     p.add_argument("--dim", type=int, required=True, help="space dimension N (3..12)")
     p.add_argument("--weight", default="const",
                    help="weight spec: const | ah:h=H | polyexp:c1,..;d=D")
-    p.add_argument("--rtol", type=float, default=1e-10)
-    p.add_argument("--atol", type=float, default=1e-12)
+    p.add_argument("--rtol", type=_real, default=1e-10)
+    p.add_argument("--atol", type=_real, default=1e-12)
     if need_range:
-        p.add_argument("--beta-min", type=float, required=True)
-        p.add_argument("--beta-max", type=float, required=True)
-        p.add_argument("--max-step", type=float, default=0.25)
+        p.add_argument("--beta-min", type=_real, required=True)
+        p.add_argument("--beta-max", type=_real, required=True)
+        p.add_argument("--max-step", type=_real, default=0.25)
 
 
 def _build_cfg(args) -> ProblemConfig:
@@ -242,18 +253,14 @@ def _build_cfg(args) -> ProblemConfig:
 
 
 # ---------------------------------------------------------------------------
-# Commands. Each returns its exit code; a ValueError is invalid input, which
-# main turns into a usage error (exit 2).
+# Commands. Each returns its exit code; main turns a ValueError (invalid
+# input) into a usage error, exit 2, and an IntegrationError into exit 3.
 
 
 def _cmd_trace(args) -> int:
     cfg = _build_cfg(args)
     manifest = _manifest(args, [args.out] + ([args.svg] if args.svg else []))
-    try:
-        curve = trace_curve(cfg, args.beta_min, args.beta_max, args.max_step)
-    except IntegrationError as exc:
-        sys.stderr.write(f"trace failed: {exc}\n")
-        return 3
+    curve = trace_curve(cfg, args.beta_min, args.beta_max, args.max_step)
     if not curve.complete:
         sys.stderr.write(f"trace truncated: {curve.diagnostic}\n")
         return 3
@@ -267,11 +274,7 @@ def _cmd_classify(args) -> int:
     cfg = _build_cfg(args)
     if args.beta_max < 30.0:
         raise ValueError("classification needs the window to reach beta >= 30")
-    try:
-        curve = trace_curve(cfg, args.beta_min, args.beta_max, args.max_step)
-    except IntegrationError as exc:
-        sys.stderr.write(f"classification failed: {exc}\n")
-        return 3
+    curve = trace_curve(cfg, args.beta_min, args.beta_max, args.max_step)
     if not curve.complete:
         sys.stderr.write(f"classification failed: {curve.diagnostic}\n")
         return 3
@@ -454,37 +457,37 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pv = vsub.add_parser("singular", help="explicit singular family exactness")
     pv.add_argument("--dim", type=int, required=True)
-    pv.add_argument("--h", type=float, required=True)
+    pv.add_argument("--h", type=_real, required=True)
     pv.add_argument("--out", default=None)
     pv.set_defaults(func=_cmd_verify_singular)
 
     pv = vsub.add_parser("pohozaev", help="boundary-interior identity residual")
     _add_problem_flags(pv, need_range=False)
-    pv.add_argument("--beta", type=float, required=True)
-    pv.add_argument("--mu", type=float, default=0.0)
+    pv.add_argument("--beta", type=_real, required=True)
+    pv.add_argument("--mu", type=_real, default=0.0)
     pv.add_argument("--out", default=None)
     pv.set_defaults(func=_cmd_verify_identity)
 
     pv = vsub.add_parser("flux", help="radial flux identity residual")
     _add_problem_flags(pv, need_range=False)
-    pv.add_argument("--beta", type=float, required=True)
+    pv.add_argument("--beta", type=_real, required=True)
     pv.add_argument("--out", default=None)
     pv.set_defaults(func=_cmd_verify_identity)
 
     pv = vsub.add_parser("separation", help="profile ordering gaps")
     _add_problem_flags(pv, need_range=False)
-    pv.add_argument("--h", type=float, default=None,
+    pv.add_argument("--h", type=_real, default=None,
                     help="family parameter (defaults to the weight's own h)")
-    pv.add_argument("--beta", type=float, required=True)
-    pv.add_argument("--gamma", type=float, required=True)
+    pv.add_argument("--beta", type=_real, required=True)
+    pv.add_argument("--gamma", type=_real, required=True)
     pv.add_argument("--out", default=None)
     pv.set_defaults(func=_cmd_verify_separation)
 
     pv = vsub.add_parser("envelope", help="lower envelope bound gap")
     _add_problem_flags(pv, need_range=False)
-    pv.add_argument("--beta", type=float, required=True)
-    pv.add_argument("--gamma", type=float, required=True)
-    pv.add_argument("--eps0", type=float, default=0.0)
+    pv.add_argument("--beta", type=_real, required=True)
+    pv.add_argument("--gamma", type=_real, required=True)
+    pv.add_argument("--eps0", type=_real, default=0.0)
     pv.add_argument("--out", default=None)
     pv.set_defaults(func=_cmd_verify_envelope)
 
@@ -493,7 +496,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ps = ssub.add_parser("morse", help="Morse index of the explicit singular solution")
     ps.add_argument("--dim", type=int, required=True)
-    ps.add_argument("--h", type=float, required=True)
+    ps.add_argument("--h", type=_real, required=True)
     ps.add_argument("--cap", type=int, default=16)
     ps.add_argument("--out", default=None)
     ps.set_defaults(func=_cmd_spectral_morse)
@@ -505,8 +508,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ps = ssub.add_parser("witness", help="negative-energy witness for N <= 9")
     ps.add_argument("--dim", type=int, required=True)
-    ps.add_argument("--h", type=float, required=True)
-    ps.add_argument("--eps", type=float, required=True)
+    ps.add_argument("--h", type=_real, required=True)
+    ps.add_argument("--eps", type=_real, required=True)
     ps.add_argument("--j", type=int, required=True)
     ps.add_argument("--out", default=None)
     ps.set_defaults(func=_cmd_spectral_witness)
@@ -521,6 +524,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:  # includes WeightParseError
         parser.error(str(exc))  # exits 2
+    except IntegrationError as exc:
+        sys.stderr.write(f"integration failed: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -186,11 +186,24 @@ def profile_to_csv(profile: RadialProfile) -> str:
 
 
 def profile_from_csv(text: str) -> RadialProfile:
+    """Inverse of profile_to_csv: a header, then at least one row of three
+    finite reals, with radii that never decrease."""
     rows = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    if rows[0] != "r,v,dv_dr":
+    if not rows or rows[0] != "r,v,dv_dr":
         raise ValueError("unexpected profile CSV header")
-    cols = [tuple(float(tok) for tok in ln.split(",")) for ln in rows[1:]]
+    if len(rows) == 1:
+        raise ValueError("profile CSV has no rows")
+    cols = []
+    for ln in rows[1:]:
+        row = tuple(float(tok) for tok in ln.split(","))
+        if len(row) != 3:
+            raise ValueError(f"profile CSV row needs 3 fields, got {len(row)}: {ln!r}")
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"profile CSV row has a non-finite value: {ln!r}")
+        cols.append(row)
     r, v, d = zip(*cols)
+    if any(b < a for a, b in zip(r, r[1:])):
+        raise ValueError("profile CSV radii must not decrease")
     return RadialProfile(r, v, d)
 
 

@@ -25,7 +25,7 @@ from scipy.special import j0, j1, jn_zeros
 
 from . import _stepper
 from .radial_ode import ProblemConfig, RadialProfile, ShootResult, integrate_singular
-from .weights import Weight, weight_arrays
+from .weights import weight_arrays
 
 # ---------------------------------------------------------------------------
 # Bessel J0 and its zeros, from scipy.special.
@@ -170,9 +170,10 @@ class RadialPotential:
     """Potential lambda a e^u of a linearized radial operator.
 
     kind 'explicit_uh' evaluates 2(N-2)/r^2 + h exactly; kind 'numeric'
-    interpolates a sampled profile. singular_coefficient is the
-    coefficient of r^{-2} as r -> 0 (2(N-2) for singular solutions, 0 for
-    regular ones).
+    interpolates a sampled profile: a e^v itself for a regular solution,
+    and z = log(r^2 a e^V / 2(N-2)) for a singular one, whose a e^V is
+    2(N-2) e^z / r^2. singular_coefficient is the coefficient of r^{-2} as
+    r -> 0 (2(N-2) for singular solutions, 0 for regular ones).
     """
 
     kind: str
@@ -180,8 +181,6 @@ class RadialPotential:
     h: float | None = None
     profile: RadialProfile | None = None
     singular_coefficient: float = 0.0
-    weight: Weight | None = None
-    emden: RadialProfile | None = None  # log-corrected form for singular potentials
 
 
 def explicit_uh(dim: int, h: float) -> RadialPotential:
@@ -203,54 +202,52 @@ def potential_from_shoot(cfg: ProblemConfig, shoot: ShootResult) -> RadialPotent
     return RadialPotential(
         kind="numeric", dim=cfg.dim,
         profile=RadialProfile(r, p, dp, R=shoot.profile.R),
-        singular_coefficient=0.0, weight=cfg.weight,
+        singular_coefficient=0.0,
     )
 
 
 def potential_from_singular(cfg: ProblemConfig, profile: RadialProfile) -> RadialPotential:
-    """a e^{V} for a singular profile, keeping the log-corrected form
-    w = V + 2 log r - log 2(N-2) alongside for accurate small-r evaluation."""
+    """a e^V for a singular profile, sampled as z = V + log a + 2 log r -
+    log 2(N-2) with z' = V' + a'/a + 2/r: z is small where a e^V is large,
+    so 2(N-2) expm1(z) / r^2 keeps the smooth part accurate at small r."""
     N = cfg.dim
     r = profile.radii
     a, da = weight_arrays(cfg.weight, r)
-    eV = np.exp(profile.values)
-    p = a * eV
-    dp = (da + a * profile.derivs) * eV
-    wvals = profile.values + 2.0 * np.log(r) - math.log(2.0 * (N - 2.0))
-    wders = profile.derivs + 2.0 / r
+    z = profile.values + np.log(a) + 2.0 * np.log(r) - math.log(2.0 * (N - 2.0))
+    dz = profile.derivs + da / a + 2.0 / r
     return RadialPotential(
         kind="numeric", dim=cfg.dim,
-        profile=RadialProfile(r, p, dp, R=profile.R),
-        singular_coefficient=2.0 * (N - 2.0), weight=cfg.weight,
-        emden=RadialProfile(r, wvals, wders, R=profile.R),
+        profile=RadialProfile(r, z, dz, R=profile.R),
+        singular_coefficient=2.0 * (N - 2.0),
     )
 
 
 class DiskPotential:
     """K2(r) = inv_sq / r^2 + smooth(r) on (0, 1], smooth bounded at 0.
 
-    The smooth part is `const` when it is exactly constant. A numeric one
-    comes twice, with bit-identical values: `fn` on an array of radii (the
-    finite-volume matrix and the eigenvalue bracket of `morse_index`) and
-    `smooth_at` on one float radius (the Pruefer right-hand side, which
-    asks for one radius per stage).
+    The smooth part is `const` when it is exactly constant, and otherwise
+    `smooth_at`, a callable on one float radius. The Pruefer right-hand
+    side, the finite-volume matrix and the eigenvalue bracket of
+    `morse_index` all evaluate that one callable.
     """
 
-    def __init__(self, dim, inv_sq, smooth0, const=None, fn=None, label="", smooth_at=None):
-        if const is None and (fn is None or smooth_at is None):
-            raise ValueError("a non-constant smooth part needs both fn and smooth_at")
+    def __init__(self, dim, inv_sq, smooth0, const=None, label="", smooth_at=None):
+        if const is None and smooth_at is None:
+            raise ValueError("a smooth part needs either const or smooth_at")
         self.dim = dim
         self.inv_sq = float(inv_sq)
         self.smooth0 = float(smooth0)
         self.const = const  # smooth part if it is exactly constant
-        self._fn = fn
         self.smooth_at = smooth_at
         self.label = label
 
     def smooth(self, r):
+        if np.isscalar(r):
+            return self.const if self.const is not None else self.smooth_at(r)
+        r = np.asarray(r, dtype=float)
         if self.const is not None:
-            return self.const if np.isscalar(r) else np.full_like(np.asarray(r, float), self.const)
-        return self.smooth_at(r) if np.isscalar(r) else self._fn(r)
+            return np.full_like(r, self.const)
+        return np.array([self.smooth_at(x) for x in r.tolist()])
 
     def k2(self, r):
         r = np.asarray(r, dtype=float) if not np.isscalar(r) else r
@@ -261,12 +258,10 @@ def reduce_to_disk(pot: RadialPotential) -> DiskPotential:
     """K2(r) = pot(r) - (N-2)^2/(4 r^2) after the r^{(N-2)/2} substitution.
 
     At N = 10 with a singular potential the two inverse-square terms cancel
-    exactly; for numeric singular potentials the smooth remainder is
-    evaluated through the log-corrected profile to preserve that
-    cancellation at small radii. A numeric potential gets its smooth part
-    as an array callable over `RadialProfile.evaluate_array` and as a
-    scalar one over `RadialProfile.scalar_value`; the Pruefer right-hand
-    side calls only the scalar one.
+    exactly. A numeric potential's smooth part is one scalar callable over
+    `RadialProfile.scalar_value`: the interpolated a e^v for a regular
+    potential, and 2(N-2) expm1(z(r)) / r^2 for a singular one, which keeps
+    the cancellation exact at small radii.
     """
     N = float(pot.dim)
     hardy_coeff = (N - 2.0) ** 2 / 4.0
@@ -276,40 +271,24 @@ def reduce_to_disk(pot: RadialPotential) -> DiskPotential:
         return DiskPotential(pot.dim, inv_sq, pot.h, const=pot.h,
                              label=f"explicit_uh(N={pot.dim}, h={pot.h})")
 
+    prof = pot.profile
+    r0 = prof.radii[0]
     if pot.singular_coefficient == 0.0:
-        prof = pot.profile
-
-        def fn(r):
-            return prof.evaluate_array(r)[0]
-
-        c = prof.derivs[0] / (2.0 * prof.radii[0])
-        smooth0 = float(prof.values[0] - c * prof.radii[0] ** 2)
-        return DiskPotential(pot.dim, inv_sq, smooth0, fn=fn,
+        c = prof.derivs[0] / (2.0 * r0)
+        smooth0 = float(prof.values[0] - c * r0 ** 2)
+        return DiskPotential(pot.dim, inv_sq, smooth0,
                              smooth_at=prof.scalar_value(), label="numeric regular")
 
-    # numeric singular: smooth(r) = [2(N-2) a e^w - 2(N-2)] / r^2
-    emden = pot.emden
-    weight = pot.weight
+    # numeric singular: smooth(r) = 2(N-2) (e^z - 1) / r^2
     two_nm2 = 2.0 * (N - 2.0)
-    w_at = emden.scalar_value()
+    z_at = prof.scalar_value()
 
-    def fn(r):
-        w, _ = emden.evaluate_array(r)
-        a, _ = weight_arrays(weight, r)
-        return two_nm2 * np.expm1(w + np.log(a)) / (r * r)
-
-    # weight_arrays, np.log and np.expm1 on the float keep smooth_at
-    # bit-identical to fn: math.exp/log/expm1 differ in the last bit
     def smooth_at(r):
-        a, _ = weight_arrays(weight, r)
-        return float(two_nm2 * np.expm1(w_at(r) + np.log(a)) / (r * r))
+        return two_nm2 * math.expm1(z_at(r)) / (r * r)
 
-    # limit at 0: w ~ d2 r^2 and log a ~ a2 r^2 give smooth0 = 2(N-2)(d2 + a2)
-    r0 = emden.radii[0]
-    d2_est = emden.derivs[0] / (2.0 * r0)
-    a2 = 0.5 * weight.a2pp if weight is not None else 0.0
-    smooth0 = two_nm2 * (d2_est + a2)
-    return DiskPotential(pot.dim, inv_sq, smooth0, fn=fn, smooth_at=smooth_at,
+    # limit at 0: z ~ z2 r^2, so smooth0 = 2(N-2) z2 with z2 ~ z'(r0) / (2 r0)
+    smooth0 = two_nm2 * (prof.derivs[0] / (2.0 * r0))
+    return DiskPotential(pot.dim, inv_sq, smooth0, smooth_at=smooth_at,
                          label="numeric singular")
 
 
@@ -462,10 +441,9 @@ def morse_index(k2: DiskPotential, cap: int = 16, n_fd: int = 4096) -> SpectralR
 
     For potentials carried by interpolated numeric profiles the count is
     certified only up to the profile's own accuracy: treat it as a
-    discretization-level answer, exact for closed-form K2. The Pruefer
-    right-hand side evaluates such a potential through its scalar
-    `smooth_at`; the finite-volume matrix and the eigenvalue bracket use
-    the array `smooth`, which gives the same values.
+    discretization-level answer, exact for closed-form K2. Both routes
+    and the eigenvalue bracket evaluate such a potential through its one
+    scalar `smooth_at`.
     """
     if not isinstance(cap, int) or not 1 <= cap <= 32:
         raise ValueError(f"cap must be an integer in [1, 32], got {cap!r}")

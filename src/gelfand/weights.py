@@ -12,8 +12,9 @@ one-parameter comparison family
     a_h(r) = (1 + h r^2 / (2(N-2))) * exp(h r^2 / (2N)),
 
 which depends on the dimension, so parsing an `ah` spec requires `dim`.
-All weights satisfy a(0) = 1 and a'(0) = 0 by construction; positivity on
-[0, 1] is validated on a sample grid at parse time.
+All weights satisfy a(0) = 1 and a'(0) = 0 by construction; every real in
+a spec must be finite, and a(r) must be finite and positive on [0, 1]
+(validated on a sample grid at parse time).
 """
 
 from __future__ import annotations
@@ -82,8 +83,10 @@ def parse_weight(spec: str, dim: int | None = None) -> Weight:
             coeffs = tuple(float(c) for c in coeff_part.split(",")) if coeff_part else ()
         except ValueError:
             raise WeightParseError(f"bad real in weight spec: {spec!r}") from None
+        if not all(map(math.isfinite, (tilt, *coeffs))):
+            raise WeightParseError(f"non-finite real in weight spec: {spec!r}")
         w = Weight(spec=s, coeffs=coeffs, tilt=tilt)
-        _check_positive(w)
+        _check_admissible(w, _POSITIVITY_SAMPLES)
         return w
     raise WeightParseError(f"unknown weight spec: {spec!r}")
 
@@ -92,18 +95,24 @@ def make_ah(h: float, dim: int) -> Weight:
     """Build the comparison weight a_h with coefficients bound to `dim`."""
     if not 3 <= dim <= 12:
         raise ValueError(f"dimension {dim} out of range [3, 12]")
+    if not math.isfinite(h):
+        raise WeightParseError(f"a_h requires a finite h, got {h}")
     if h <= -2.0 * (dim - 2):
         raise ValueError(f"a_h requires h > -2(N-2) = {-2.0 * (dim - 2)}, got {h}")
     if h == 0.0:
         # a_0 is identically 1; keep it bit-identical to const
         return Weight(spec="ah:h=0", coeffs=(), tilt=0.0, h=0.0, dim=dim)
-    return Weight(
+    w = Weight(
         spec=f"ah:h={h!r}",
         coeffs=(h / (2.0 * (dim - 2)),),
         tilt=h / (2.0 * dim),
         h=h,
         dim=dim,
     )
+    # both factors of a_h are monotone in r with the sign of h, so a(r)
+    # is finite and positive on [0, 1] if it is at r = 0 and r = 1
+    _check_admissible(w, 1)
+    return w
 
 
 def weight_fn(w: Weight):
@@ -146,13 +155,19 @@ def weight_arrays(w: Weight, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, dp
 
 
-def _check_positive(w: Weight) -> None:
+def _check_admissible(w: Weight, samples: int) -> None:
+    """WeightParseError unless a(r) is finite and positive at r = i / samples."""
     a_of = weight_fn(w)
-    try:
-        for i in range(_POSITIVITY_SAMPLES + 1):
-            a_of(i / _POSITIVITY_SAMPLES)
-    except ValueError as exc:
-        raise WeightParseError(str(exc)) from None
+    for i in range(samples + 1):
+        r = i / samples
+        try:
+            finite = math.isfinite(a_of(r))
+        except OverflowError:
+            finite = False
+        except ValueError as exc:
+            raise WeightParseError(str(exc)) from None
+        if not finite:
+            raise WeightParseError(f"weight {w.spec!r} not finite at r={r}")
 
 
 def ratio_derivative_sign(w: Weight, dim: int, reference: Weight | None = None) -> str:

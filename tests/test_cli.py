@@ -218,6 +218,16 @@ def test_spectral_witness_exit_codes(capsys):
     ["verify", "flux", "--dim", "5", "--beta", "100"],
     ["verify", "pohozaev", "--dim", "5", "--beta=-70"],
     ["trace", "--dim", "3", "--beta-min=-100", "--beta-max", "1", "--out", "x.csv"],
+    # non-finite or overflowing reals, in flags and in weight specs
+    ["spectral", "witness", "--dim", "5", "--h", "nan", "--eps", "1", "--j", "1"],
+    ["verify", "pohozaev", "--dim", "5", "--beta", "1", "--mu", "nan"],
+    ["verify", "singular", "--dim", "5", "--h", "inf"],
+    ["verify", "flux", "--dim", "5", "--beta", "1e999"],
+    ["trace", "--dim", "3", "--beta-min", "0", "--beta-max", "1",
+     "--rtol", "-inf", "--out", "x.csv"],
+    ["verify", "flux", "--dim", "5", "--weight", "polyexp:1e999;d=0", "--beta", "1"],
+    ["verify", "flux", "--dim", "5", "--weight", "polyexp:;d=800", "--beta", "1"],
+    ["verify", "flux", "--dim", "5", "--weight", "ah:h=1e300", "--beta", "1"],
 ])
 def test_invalid_flags_exit_two(argv):
     with pytest.raises(SystemExit) as exc:
@@ -238,6 +248,19 @@ def test_trace_truncation_exits_three_without_artifact(tmp_path, monkeypatch):
                    "--beta-min", "0", "--beta-max", "2", "--out", str(out)])
     assert rc == 3
     assert not out.exists()
+
+
+def test_integration_error_exits_three_without_artifact(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "s.json"
+
+    def failing(cfg):
+        raise cli.IntegrationError("step size underflow", 0.5)
+
+    monkeypatch.setattr(cli, "integrate_singular", failing)
+    rc = run_main(["verify", "singular", "--dim", "10", "--h", "40", "--out", str(out)])
+    assert rc == 3
+    assert not out.exists()
+    assert capsys.readouterr().err == "integration failed: step size underflow\n"
 
 
 def test_classify_strict_undetermined_exits_three(monkeypatch, capsys):

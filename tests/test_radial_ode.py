@@ -398,6 +398,26 @@ def test_profile_csv_round_trip():
     assert np.array_equal(back.radii, prof.radii)
     assert np.array_equal(back.values, prof.values)
     assert np.array_equal(back.derivs, prof.derivs)
+    # a repeated radius is legal, as in integrate_ivp's output radii
+    back = profile_from_csv(profile_to_csv(RadialProfile([0.1, 0.5, 0.5, 1.0],
+                                                         [1, 2, 2, 3], [0, 1, 1, 1])))
+    assert back.radii.tolist() == [0.1, 0.5, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("text,match", [
+    ("", "header"),
+    ("r,v,dv_dr\n", "no rows"),
+    ("# comment only\n", "header"),
+    ("r,v,dv_dr\n0.1,1,0\n0.2,1,0,7\n", "3 fields"),
+    ("r,v,dv_dr\n0.1,1\n", "3 fields"),
+    ("r,v,dv_dr\n0.2,1,0\n0.1,1,0\n", "must not decrease"),
+    ("r,v,dv_dr\n0.1,x,0\n", "could not convert"),
+    ("r,v,dv_dr\nnan,1,0\n0.5,1,0\n", "non-finite"),
+    ("r,v,dv_dr\n0.5,1,0\n1,inf,0\n", "non-finite"),
+])
+def test_profile_from_csv_rejects_malformed_input(text, match):
+    with pytest.raises(ValueError, match=match):
+        profile_from_csv(text)
 
 
 def test_evaluate_array_consistent_at_nodes():

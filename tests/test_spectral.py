@@ -22,12 +22,12 @@ from gelfand import (
     make_ah,
     morse_index,
     parse_weight,
-    potential_from_shoot,
     potential_from_singular,
     reduce_to_disk,
     singular_stability,
     solution_stability,
 )
+from gelfand import spectral
 from gelfand.radial_ode import RadialProfile
 from gelfand.spectral import DiskPotential, _fd_matrix
 
@@ -153,15 +153,19 @@ def test_morse_low_dimension_caps():
     assert not rep.stable
 
 
-def test_numeric_singular_reduction_matches_family():
+@pytest.mark.parametrize("h", [5.0, 31.0, 40.0])
+def test_numeric_singular_reduction_matches_family(h):
     # the 16/r^2 cancellation amplifies V's integration error by 1/r^2,
     # so the reduction check wants a tight integrator tolerance
-    N, h = 10, 31.0
+    N = 10
     cfg = ProblemConfig(dim=N, weight=make_ah(h, N), rel_tol=1e-12, abs_tol=1e-13)
     _, prof = integrate_singular(cfg)
     k2 = reduce_to_disk(potential_from_singular(cfg, prof))
     grid = np.geomspace(1e-3, 1.0, 2049)
     assert float(np.max(np.abs(k2.k2(grid) - h))) <= 1e-5
+    # smooth0 = 2(N-2) z'(r0) / (2 r0) drops the r0^2 z4 term of the
+    # log-weight (about 1e-6 at h = 40 with r0 = 1e-4)
+    assert abs(k2.smooth0 - h) <= 2e-6
 
 
 def test_singular_stability_matches_explicit():
@@ -182,41 +186,39 @@ def test_solution_stability_examples():
     assert rep.morse_index == 0 and rep.stable
 
 
-@pytest.mark.parametrize("spec", ["ah:h=5", "ah:h=40", "polyexp:0.7,-0.2;d=0.3"])
-def test_smooth_at_equals_array_smooth_part(spec):
-    # the Pruefer right-hand side calls smooth_at, the finite-volume matrix
-    # and the eigenvalue bracket the array callable: they must not differ
-    cfg = ProblemConfig(dim=10, weight=parse_weight(spec, dim=10))
-    _, prof = integrate_singular(cfg)
-    shoot = integrate_ivp(cfg, 4.6)
-    for k2 in (reduce_to_disk(potential_from_singular(cfg, prof)),
-               reduce_to_disk(potential_from_shoot(cfg, shoot))):
-        pts = np.concatenate([np.geomspace(1e-7, 1.0, 3001), prof.radii])
-        assert [k2.smooth_at(r) for r in pts.tolist()] == k2.smooth(pts).tolist()
-
-    with pytest.raises(ValueError, match="both fn and smooth_at"):
-        DiskPotential(dim=10, inv_sq=0.0, smooth0=0.0, fn=k2.smooth)
+def test_disk_potential_needs_const_or_smooth_at():
+    with pytest.raises(ValueError, match="either const or smooth_at"):
+        DiskPotential(dim=10, inv_sq=0.0, smooth0=0.0)
 
 
 def test_pruefer_rhs_does_not_evaluate_profile_arrays(monkeypatch):
     # the Pruefer right-hand side runs hundreds of thousands of times per
-    # pass; only the finite-volume matrix and the eigenvalue bracket may
-    # call the array interpolant, once each per Morse index
+    # pass: no Morse index calls the array interpolant, and the weight is
+    # evaluated once per potential build, never per Pruefer stage
     cfg = ProblemConfig(dim=10, weight=make_ah(40.0, 10))
     shoot = integrate_ivp(cfg, 4.6)
-    calls = []
+    calls, weight_calls = [], []
     evaluate_array = RadialProfile.evaluate_array
+    weight_arrays = spectral.weight_arrays
 
     def counted(self, r):
         calls.append(len(np.atleast_1d(r)))
         return evaluate_array(self, r)
 
+    def counted_weight(w, r):
+        weight_calls.append(len(np.atleast_1d(r)))
+        return weight_arrays(w, r)
+
     monkeypatch.setattr(RadialProfile, "evaluate_array", counted)
+    monkeypatch.setattr(spectral, "weight_arrays", counted_weight)
     assert solution_stability(cfg, shoot).morse_index == 1
-    assert calls == [4096, 1025]
-    calls.clear()
+    assert calls == []
+    assert weight_calls == [len(shoot.profile)]
+    weight_calls.clear()
+    _, prof = integrate_singular(cfg)
     assert singular_stability(cfg).morse_index == 2
-    assert calls == [4096, 1025]
+    assert calls == []
+    assert weight_calls == [len(prof)]
 
 
 # ---------------------------------------------------------- Hardy floor etc

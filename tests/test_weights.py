@@ -52,6 +52,9 @@ def test_parse_polyexp():
 @pytest.mark.parametrize("bad", [
     "", "cnst", "ah:", "ah:h=", "ah:h=abc", "polyexp:1,2", "polyexp:;d=x",
     "polyexp:1;2;d=3", "gauss:1", "const extra",
+    # non-finite reals (1e999 reads as inf) and weights not finite on [0, 1]
+    "polyexp:1e999;d=0", "polyexp:;d=1e999", "ah:h=1e999",
+    "polyexp:;d=800", "polyexp:1e308,1e308;d=0", "ah:h=1e300",
 ])
 def test_parse_rejects_garbage(bad):
     with pytest.raises(WeightParseError):
@@ -71,6 +74,12 @@ def test_make_ah_range_validation():
         make_ah(0.0, 2)
     w = make_ah(-15.9, 10)
     assert eval_at(w, 1.0)[0] > 0.0
+    for h in (math.inf, -math.inf, math.nan):
+        with pytest.raises(WeightParseError, match="finite h"):
+            make_ah(h, 5)
+    with pytest.raises(WeightParseError, match="not finite at r=1.0"):
+        make_ah(1e300, 5)  # exp(h r^2 / 2N) overflows
+    assert math.isfinite(weight_fn(make_ah(700.0, 10))(1.0))
 
 
 def test_normalization_at_origin():
