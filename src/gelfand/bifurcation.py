@@ -2,11 +2,12 @@
 
 The radial solution branch is the analytic curve beta -> (lambda(beta),
 alpha(beta)) with alpha = beta - log lambda. Tracing marches beta with an
-adaptive step (capped by the caller), halving whenever lambda moves more
-than 1% or dlambda/dbeta flips sign; every sign flip is bracketed and the
-fold refined by bisection on the variational derivative. Classification
-into diagram types is a windowed decision rule, not a theorem: a window
-can only ever certify finitely many oscillations.
+adaptive step (capped by the caller), halving whenever log lambda leaves
+its tangent prediction by more than 0.01; a sign flip of dlambda/dbeta
+between samples is only bracketed, and the fold is refined afterwards by
+bisection on the variational derivative. Classification into diagram
+types is a windowed decision rule, not a theorem: a window can only ever
+certify finitely many oscillations.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import numpy as np
 
 from ._stepper import IntegrationError
 from .radial_ode import (
+    BETA_MAX_GUARD,
+    BETA_MIN_GUARD,
     ProblemConfig,
     RadialProfile,
     ShootResult,
@@ -96,14 +99,22 @@ def trace_curve(cfg: ProblemConfig, beta_min: float, beta_max: float,
                 max_step: float = 0.25) -> BifurcationCurve:
     """March the solution curve over [beta_min, beta_max].
 
-    Step control: halve on |delta lambda| > 1% of the current lambda or on
-    a sign flip of dlambda/dbeta, down to a floor of max_step / 2^12 (the
-    floor step is accepted as-is); regrow by 2 after two clean accepts.
-    Sign flips between accepted samples are refined by refine_fold. An
-    integrator failure truncates the curve and records a diagnostic.
+    Step control: halve while log lambda at the candidate misses the
+    tangent prediction log lambda + delta beta * e(1) of the last sample by
+    more than 0.01 (lambda by about 1%), down to a floor of max_step / 2^12
+    (the floor step is accepted as-is); regrow by 2 after two clean
+    accepts. Where lambda ~ 2N e^beta the tangent is almost exact and the
+    march takes max_step. A sign flip of dlambda/dbeta does not shrink the
+    step: it records a bracket, and refine_fold bisects it after the march.
+    An integrator failure truncates the curve and records a diagnostic.
     """
     if not beta_min < beta_max:
         raise ValueError(f"need beta_min < beta_max, got [{beta_min}, {beta_max}]")
+    if not (BETA_MIN_GUARD <= beta_min and beta_max <= BETA_MAX_GUARD):
+        raise ValueError(
+            f"beta window [{beta_min}, {beta_max}] outside guard range "
+            f"[{BETA_MIN_GUARD}, {BETA_MAX_GUARD}]"
+        )
     if not 0.0 < max_step <= 1.0:
         raise ValueError(f"max_step must lie in (0, 1], got {max_step}")
 
@@ -130,15 +141,15 @@ def trace_curve(cfg: ProblemConfig, beta_min: float, beta_max: float,
             complete = False
             diagnostic = f"integration failed at beta={target:.6g}: {exc}"
             break
-        s_cand = _deadband_sign(cand.dlambda_dbeta, cand.lam, cfg.rel_tol)
-        flip = anchor_sign != 0 and s_cand != 0 and s_cand != anchor_sign
-        jump = abs(cand.lam - prev.lam) > 0.01 * prev.lam
-        if (jump or flip) and step > floor:
+        # v1 = log lambda, and its slope in beta is e(1) = dlambda_dbeta / lam
+        miss = cand.v1 - prev.v1 - (cand.beta - prev.beta) * prev.dlambda_dbeta / prev.lam
+        if abs(miss) > 0.01 and step > floor:
             step = max(0.5 * step, floor)
             clean = 0
             continue
         samples.append(cand)
-        if flip:
+        s_cand = _deadband_sign(cand.dlambda_dbeta, cand.lam, cfg.rel_tol)
+        if anchor_sign != 0 and s_cand != 0 and s_cand != anchor_sign:
             brackets.append((anchor, cand))
         if s_cand != 0:
             anchor = cand

@@ -84,6 +84,27 @@ def test_trace_rejects_bad_window(cfg3):
         trace_curve(cfg3, 0.0, 1.0, 0.0)
 
 
+@pytest.fixture
+def shoots(monkeypatch):
+    """The betas of every shoot that trace_curve and refine_fold make."""
+    betas = []
+    real = bif.integrate_ivp
+
+    def counting(cfg, beta, **kw):
+        betas.append(beta)
+        return real(cfg, beta, **kw)
+
+    monkeypatch.setattr(bif, "integrate_ivp", counting)
+    return betas
+
+
+@pytest.mark.parametrize("window", [(-51.0, 0.0), (55.0, 61.0)])
+def test_trace_rejects_window_past_guards_before_shooting(cfg3, shoots, window):
+    with pytest.raises(ValueError, match=rf"beta window \[{window[0]}, {window[1]}\]"):
+        trace_curve(cfg3, *window, 0.25)
+    assert shoots == []
+
+
 def test_trace_truncates_on_integrator_failure(cfg3, monkeypatch):
     real = bif.integrate_ivp
 
@@ -98,6 +119,51 @@ def test_trace_truncates_on_integrator_failure(cfg3, monkeypatch):
     assert "beta" in curve.diagnostic
     assert len(curve.samples) >= 1
     assert curve.betas[-1] <= 1.0
+
+
+def test_consecutive_samples_meet_the_tangent_bound(curve3):
+    # log lambda misses its tangent by at most 0.01 per accepted step,
+    # unless the step is already at the floor and accepted as-is
+    floor = 0.25 / 2.0 ** bif.STEP_HALVINGS
+    for a, b in zip(curve3.samples, curve3.samples[1:]):
+        gap = b.beta - a.beta
+        assert gap <= 0.25
+        miss = b.v1 - a.v1 - gap * a.dlambda_dbeta / a.lam
+        assert abs(miss) <= 0.01 or gap == floor
+
+
+@pytest.mark.parametrize("dim, weight", [(3, "const"), (10, "ah:h=40")])
+def test_march_below_zero_takes_the_step_cap(shoots, dim, weight):
+    # lambda ~ 2N e^beta there, so the tangent rule accepts every 0.25
+    # step: 21 shoots, where a 1% rule on lambda itself needs 965
+    cfg = ProblemConfig(dim=dim, weight=parse_weight(weight, dim))
+    curve = trace_curve(cfg, -5.0, 0.0, 0.25)
+    assert curve.complete
+    assert len(shoots) <= 25
+
+
+# fold betas of trace_curve(cfg, -5, 40, 0.25) under the 1%-in-lambda step
+# rule that the tangent rule replaced; the folds must not move with the march
+REFERENCE_FOLDS = {
+    "curve3": [2.808021419, 7.250110619, 12.122506000, 16.837902822,
+               21.598269038, 26.344666056, 31.095299803, 35.844639070],
+    "curve10_h40": [3.419215657, 10.379403920],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_FOLDS))
+def test_folds_do_not_move_with_the_step_rule(request, name):
+    tps = request.getfixturevalue(name).turning_points
+    expected = REFERENCE_FOLDS[name]
+    assert [tp.kind for tp in tps] == ["Max", "Min"] * (len(expected) // 2)
+    assert [tp.beta for tp in tps] == pytest.approx(expected, abs=1e-7)
+
+
+def test_fold_below_zero_under_the_largest_steps():
+    cfg = ProblemConfig(dim=3, weight=make_ah(40.0, 3))
+    tps = trace_curve(cfg, -5.0, 0.0, 0.25).turning_points
+    assert [tp.kind for tp in tps] == ["Max"]
+    assert tps[0].beta == pytest.approx(-3.42490115, abs=1e-7)
 
 
 def test_emanation_sample():

@@ -228,6 +228,8 @@ def test_spectral_witness_exit_codes(capsys):
     ["verify", "flux", "--dim", "5", "--weight", "polyexp:1e999;d=0", "--beta", "1"],
     ["verify", "flux", "--dim", "5", "--weight", "polyexp:;d=800", "--beta", "1"],
     ["verify", "flux", "--dim", "5", "--weight", "ah:h=1e300", "--beta", "1"],
+    # a classify window past the guard range, rejected before any shoot
+    ["classify", "--dim", "3", "--beta-min", "30", "--beta-max", "61"],
 ])
 def test_invalid_flags_exit_two(argv):
     with pytest.raises(SystemExit) as exc:
