@@ -10,11 +10,14 @@ parent file and a change file form a pair when they share workload and
 seed; every file must have its partner. For each workload and each
 end-to-end metric of ``BENCHMARK.json`` the output holds, per side, the
 values in pair order, their median and quartiles, and how many pairs the
-change won, lost or tied in the metric's ``better`` direction. It also
+change won, lost or tied in the metric's ``better`` direction, and
+``gain``: the relative change of the median from parent to change, signed
+so that positive is better (null where the parent's median is 0). It also
 holds each side's count of failed tasks per workload, and the host and
 library versions of the first parent run. Quartiles are
 ``statistics.quantiles(n=4, method="inclusive")``. The script reads JSON
-files only.
+files only. Each printed line ends with the gain next to the metric's
+``bound``, and with ``REGRESSION`` where the loss exceeds the bound.
 """
 
 from __future__ import annotations
@@ -51,6 +54,14 @@ def _summary(values):
     return {"values": values, "q1": q1, "median": med, "q3": q3, "iqr": q3 - q1}
 
 
+def _gain(before, after, lower):
+    """Relative change from before to after, positive when it is better."""
+    if before == 0:
+        return None
+    change = (after - before) / abs(before)
+    return -change if lower else change
+
+
 def compare(parent_paths, change_paths, benchmark):
     """The comparison as a JSON-ready dict."""
     parent, change = _load(parent_paths), _load(change_paths)
@@ -74,10 +85,12 @@ def compare(parent_paths, change_paths, benchmark):
             after = [c["metrics"][name] for _, c in pairs]
             won = sum((a < b) if lower else (a > b) for b, a in zip(before, after))
             lost = sum((a > b) if lower else (a < b) for b, a in zip(before, after))
+            p_sum, c_sum = _summary(before), _summary(after)
             entry["metrics"][name] = {
                 "unit": m["unit"], "better": m["better"], "bound": m["bound"],
-                "parent": _summary(before), "change": _summary(after),
+                "parent": p_sum, "change": c_sum,
                 "won": won, "lost": lost, "tied": len(pairs) - won - lost,
+                "gain": _gain(p_sum["median"], c_sum["median"], lower),
             }
         out[workload] = entry
     env = dict(next(iter(parent.values()))["environment"])
@@ -101,9 +114,12 @@ def main(argv=None) -> int:
         fh.write("\n")
     for workload, entry in result["workloads"].items():
         for name, m in entry["metrics"].items():
+            gain = "n/a" if m["gain"] is None else f"{m['gain']:+.1%}"
+            flag = "  REGRESSION" if m["gain"] is not None and m["gain"] < -m["bound"] else ""
             print(f"{workload:9s} {name:13s} {m['parent']['median']:12.6g} -> "
                   f"{m['change']['median']:12.6g}  won {m['won']}/{len(entry['seeds'])}"
-                  f"  parent IQR {m['parent']['iqr']:.4g}")
+                  f"  parent IQR {m['parent']['iqr']:.4g}"
+                  f"  gain {gain} (bound {m['bound']:.0%}){flag}")
     return 0
 
 

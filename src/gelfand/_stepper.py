@@ -5,6 +5,17 @@ Kept deliberately plain and deterministic: floats, no events, output
 nodes are hit exactly by clamping the step. The embedded 4th order solution
 is used only for the error estimate (local extrapolation).
 
+The clamp does more than place outputs: a dense node list also caps the
+step size, and some results depend on that cap. The singular solution's
+lambda* is off by 1.0e-13 (N=3, const) and 1.0e-15 (N=10, a_h at h=40) on
+the default grid, but by 2.3e-12 and 1.9e-11 when shot straight to r = 1,
+at rtol 1e-10. The flux residual, evaluated on accepted steps instead of
+the default grid, rose from 4.2e-10 to as much as 1.7e-5 over the verify
+commands of the benchmark, because v' ~ 1e-6 near r_start. Consumers that
+need only values (zero numbers, separation and envelope gaps) shoot on
+accepted steps and interpolate (`radial_ode.quintic_values`); the
+identities and lambda* keep their node grids.
+
 The package integrates states of four sizes only: 1 (the Pruefer phase),
 2 (the singular solution), 4 (v and its first variation e) and 6 (v, e and
 the second variation w). ``solve`` dispatches on the size to one unrolled

@@ -26,6 +26,7 @@ from .radial_ode import (
     ShootResult,
     integrate_ivp,
     integrate_singular,
+    quintic_values,
 )
 from .weights import make_ah, parse_weight, ratio_derivative_sign, weight_arrays
 
@@ -158,9 +159,7 @@ def trace_curve(cfg: ProblemConfig, beta_min: float, beta_max: float,
         if clean >= 2:
             step = min(2.0 * step, max_step)
 
-    tps = []
-    for lo, hi in brackets:
-        tps.append(refine_fold(cfg, lo.beta, hi.beta))
+    tps = [refine_fold(cfg, lo, hi) for lo, hi in brackets]
     for a, b in zip(tps, tps[1:]):
         if a.kind == b.kind:
             raise RuntimeError(
@@ -175,23 +174,23 @@ def trace_curve(cfg: ProblemConfig, beta_min: float, beta_max: float,
     )
 
 
-def refine_fold(cfg: ProblemConfig, beta_lo: float, beta_hi: float) -> TurningPoint:
+def refine_fold(cfg: ProblemConfig, lo: ShootResult, hi: ShootResult) -> TurningPoint:
     """Bisect a sign change of dlambda/dbeta down to a 1e-8 beta bracket.
 
-    Uses the variational derivative lambda * e(1) directly, so there is no
-    finite-difference tolerance coupling. The returned point satisfies
+    lo and hi are the shoots at the bracket's ends, which the march already
+    holds, so only the midpoints are shot. Uses the variational derivative
+    lambda * e(1) directly, so there is no finite-difference tolerance
+    coupling. The returned point satisfies
     |dlambda/dbeta| <= 1e-8 * max(1, lambda).
     """
-    lo = integrate_ivp(cfg, beta_lo, trace=True)
-    hi = integrate_ivp(cfg, beta_hi, trace=True)
     if not (lo.dlambda_dbeta != 0.0 and
             lo.dlambda_dbeta * hi.dlambda_dbeta < 0.0):
         raise ValueError(
-            f"no derivative sign change on [{beta_lo}, {beta_hi}]: "
+            f"no derivative sign change on [{lo.beta}, {hi.beta}]: "
             f"{lo.dlambda_dbeta} vs {hi.dlambda_dbeta}"
         )
     kind = "Max" if lo.dlambda_dbeta > 0.0 else "Min"
-    a, b = beta_lo, beta_hi
+    a, b = lo.beta, hi.beta
     fa = lo.dlambda_dbeta
     mid = lo
     for _ in range(100):
@@ -279,19 +278,27 @@ def classify(cfg: ProblemConfig, curve: BifurcationCurve,
     )
 
 
+def _values(cfg: ProblemConfig, beta: float):
+    """r -> v(r, beta), read from one shoot on the integrator's accepted steps."""
+    profile = integrate_ivp(cfg, beta, trace=True).profile
+    return lambda r: quintic_values(cfg, profile, r)
+
+
 def zero_number(cfg: ProblemConfig, beta: float,
                 singular_profile: RadialProfile) -> int:
     """Strict sign changes of v(., beta) - V_* on [r_start, 1].
 
-    First pass compares the shot profile against the supplied singular
-    profile on an 8192-point geometric grid. Every candidate crossing is
-    then re-examined on an 8x locally refined grid with both solutions
-    re-integrated there, which rejects interpolation artifacts (a crossing
-    fabricated by Hermite evaluation of the singular profile disappears
-    when the true values are used).
+    v comes from one shoot on the accepted steps, read by quintic Hermite
+    (`quintic_values`). First pass compares it against the supplied
+    singular profile on an 8192-point geometric grid. Every candidate
+    crossing is then re-examined on an 8x locally refined grid with the
+    singular solution re-integrated there, which rejects interpolation
+    artifacts: the cubic Hermite of a singular profile can fabricate a
+    crossing that disappears when the true values are used.
     """
     base = np.geomspace(cfg.r_start, 1.0, 8192)
-    v = integrate_ivp(cfg, beta, radii=base).profile.values
+    v_of = _values(cfg, beta)
+    v = v_of(base)
     vs, _ = singular_profile.evaluate_array(base)
     d = v - vs
     cand = _strict_sign_changes_idx(d)
@@ -304,7 +311,7 @@ def zero_number(cfg: ProblemConfig, beta: float,
         hi = base[min(len(base) - 1, i + 2)]
         pieces.append(np.geomspace(lo, hi, 32))
     refined = np.unique(np.concatenate(pieces))
-    v2 = integrate_ivp(cfg, beta, radii=refined).profile.values
+    v2 = v_of(refined)
     _, sing2 = integrate_singular(cfg, radii=refined)
     d2 = v2 - sing2.values
     # crossings count only when the difference is resolved: the excursion
@@ -359,7 +366,9 @@ def check_separation(cfg: ProblemConfig, h: float, beta: float, gamma: float):
     [v_H(., gamma) + log a_H] - [v(., beta) + log a] there (a_H the
     borderline member of the explicit family). At dimension 10 the weight
     must be in the (a/a_h)' <= 0 class or the input is rejected; in other
-    dimensions the gaps are reported without a hypothesis guarantee.
+    dimensions the gaps are reported without a hypothesis guarantee. Each
+    of the three profiles comes from one shoot on the accepted steps, read
+    on a 4097-point geometric grid by quintic Hermite (`quintic_values`).
     """
     if gamma < beta:
         raise ValueError(f"need gamma >= beta, got beta={beta}, gamma={gamma}")
@@ -376,13 +385,13 @@ def check_separation(cfg: ProblemConfig, h: float, beta: float, gamma: float):
     r_h = min(1.0, math.sqrt(H / h)) if h > 0.0 else 1.0
     grid = np.geomspace(cfg.r_start, r_h, 4097)
 
-    v_beta = integrate_ivp(cfg, beta, radii=grid).profile.values
-    v_gamma = integrate_ivp(cfg, gamma, radii=grid).profile.values
+    v_beta = _values(cfg, beta)(grid)
+    v_gamma = _values(cfg, gamma)(grid)
     min_gap_v = float(np.min(v_gamma - v_beta))
 
     ah_ref = make_ah(H, cfg.dim)
     cfg_ref = replace(cfg, weight=ah_ref)
-    vh_gamma = integrate_ivp(cfg_ref, gamma, radii=grid).profile.values
+    vh_gamma = _values(cfg_ref, gamma)(grid)
     log_a = np.log(weight_arrays(cfg.weight, grid)[0])
     log_ah = np.log(weight_arrays(ah_ref, grid)[0])
     min_gap_weighted = float(np.min((vh_gamma + log_ah) - (v_beta + log_a)))
@@ -394,6 +403,8 @@ def check_lower_envelope(cfg: ProblemConfig, beta: float, gamma: float,
     """Minimum of [v(., gamma) + log a] - [v_0(., beta) + log(1 + q r^2)]
     over (r_start, 1), with q = (H + eps0) / (2(N-2)) and v_0 the unweighted
     shot profile. Positive when the increasing-ratio envelope bound holds.
+    Both profiles come from one shoot each on the accepted steps, read on a
+    4097-point geometric grid by quintic Hermite (`quintic_values`).
     """
     if cfg.dim != 10:
         raise ValueError("the lower envelope bound is specific to dimension 10")
@@ -410,9 +421,9 @@ def check_lower_envelope(cfg: ProblemConfig, beta: float, gamma: float,
     from .spectral import hardy_constant
 
     grid = np.geomspace(cfg.r_start, 1.0, 4097)
-    v_gamma = integrate_ivp(cfg, gamma, radii=grid).profile.values
+    v_gamma = _values(cfg, gamma)(grid)
     cfg0 = replace(cfg, weight=parse_weight("const"))
-    v0_beta = integrate_ivp(cfg0, beta, radii=grid).profile.values
+    v0_beta = _values(cfg0, beta)(grid)
     q = (hardy_constant() + eps0) / (2.0 * (cfg.dim - 2.0))
     log_a = np.log(weight_arrays(cfg.weight, grid)[0])
     gap = (v_gamma + log_a) - (v0_beta + np.log1p(q * grid * grid))

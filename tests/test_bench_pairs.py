@@ -33,7 +33,7 @@ def _result(path, seed, wall, digits, failures=()):
     return str(path)
 
 
-def test_pairs_by_seed_and_summarises(tmp_path, bench_pairs):
+def test_pairs_by_seed_and_summarises(tmp_path, bench_pairs, capsys):
     (tmp_path / "p").mkdir()
     (tmp_path / "c").mkdir()
     parent = [_result(tmp_path / "p" / f"{s}.json", s, w, 13.0)
@@ -62,6 +62,30 @@ def test_pairs_by_seed_and_summarises(tmp_path, bench_pairs):
     digits = entry["metrics"]["err_digits"]
     assert digits["better"] == "higher"
     assert (digits["won"], digits["lost"], digits["tied"]) == (0, 1, 3)
+    # the medians, 28.5 -> 20.5 and 13 -> 13, signed so that better is positive
+    assert wall["gain"] == pytest.approx(8.0 / 28.5)
+    assert digits["gain"] == 0.0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("gain +28.1% (bound 20%)")
+    assert lines[1].endswith("gain +0.0% (bound 20%)")
+
+
+def test_gain_is_signed_by_the_better_direction(bench_pairs):
+    assert bench_pairs._gain(10.0, 13.0, lower=True) == pytest.approx(-0.3)
+    assert bench_pairs._gain(10.0, 13.0, lower=False) == pytest.approx(0.3)
+    assert bench_pairs._gain(0.0, 1.0, lower=True) is None
+
+
+def test_a_loss_beyond_the_bound_is_flagged(tmp_path, bench_pairs, capsys):
+    parent = [_result(tmp_path / "p.json", 1, 10.0, 13.0)]
+    change = [_result(tmp_path / "c.json", 1, 12.5, 12.0)]
+    bench = tmp_path / "BENCHMARK.json"
+    bench.write_text(json.dumps(BENCHMARK))
+    bench_pairs.main(["--parent", *parent, "--change", *change,
+                      "--out", str(tmp_path / "BENCH.json"), "--benchmark", str(bench)])
+    wall, digits = capsys.readouterr().out.splitlines()
+    assert wall.endswith("gain -25.0% (bound 20%)  REGRESSION")
+    assert digits.endswith("gain -7.7% (bound 20%)")
 
 
 def test_unpaired_or_duplicate_runs_rejected(tmp_path, bench_pairs):

@@ -86,16 +86,16 @@ def test_trace_rejects_bad_window(cfg3):
 
 @pytest.fixture
 def shoots(monkeypatch):
-    """The betas of every shoot that trace_curve and refine_fold make."""
-    betas = []
+    """(cfg, beta, keyword arguments) of every shoot the bifurcation module makes."""
+    calls = []
     real = bif.integrate_ivp
 
     def counting(cfg, beta, **kw):
-        betas.append(beta)
+        calls.append((cfg, beta, kw))
         return real(cfg, beta, **kw)
 
     monkeypatch.setattr(bif, "integrate_ivp", counting)
-    return betas
+    return calls
 
 
 @pytest.mark.parametrize("window", [(-51.0, 0.0), (55.0, 61.0)])
@@ -157,6 +157,15 @@ def test_folds_do_not_move_with_the_step_rule(request, name):
     expected = REFERENCE_FOLDS[name]
     assert [tp.kind for tp in tps] == ["Max", "Min"] * (len(expected) // 2)
     assert [tp.beta for tp in tps] == pytest.approx(expected, abs=1e-7)
+
+
+def test_refine_fold_shoots_only_inside_its_bracket(cfg3, shoots):
+    # the march holds both ends of a bracket, so refinement never re-shoots them
+    lo, hi = (integrate_ivp(cfg3, b, trace=True) for b in (2.75, 3.0))
+    tp = bif.refine_fold(cfg3, lo, hi)
+    assert tp.kind == "Max"
+    assert tp.beta == pytest.approx(REFERENCE_FOLDS["curve3"][0], abs=1e-7)
+    assert shoots and all(2.75 < b < 3.0 for _, b, _ in shoots)
 
 
 def test_fold_below_zero_under_the_largest_steps():
@@ -247,13 +256,32 @@ def test_zero_number_low_beta_is_zero():
 def test_zero_number_grows_along_type_one_curve():
     cfg = ProblemConfig(dim=3, weight=CONST)
     _, sing = integrate_singular(cfg)
-    assert zero_number(cfg, 25.0, sing) >= zero_number(cfg, 10.0, sing) + 2
+    assert [zero_number(cfg, b, sing) for b in (10.0, 25.0, 40.0)] == [2, 4, 4]
 
 
 def test_zero_number_borderline_family_separated():
     cfg = ProblemConfig(dim=10, weight=make_ah(H, 10))
     _, sing = integrate_singular(cfg)
-    assert zero_number(cfg, 15.0, sing) == 0
+    assert [zero_number(cfg, b, sing) for b in (5.0, 15.0, 25.0)] == [0, 0, 0]
+
+
+def test_zero_number_nine_dimensions():
+    cfg = ProblemConfig(dim=9, weight=CONST)
+    _, sing = integrate_singular(cfg)
+    assert [zero_number(cfg, b, sing) for b in (10.0, 25.0)] == [1, 1]
+
+
+def _one_trace_shoot_each(shoots, expected):
+    """Each (cfg, beta) shot once, on the accepted steps, without output radii."""
+    assert [(cfg, beta) for cfg, beta, _ in shoots] == expected
+    assert all(kw == {"trace": True} for _, _, kw in shoots)
+
+
+def test_zero_number_shoots_once(shoots):
+    cfg = ProblemConfig(dim=3, weight=CONST)
+    _, sing = integrate_singular(cfg)
+    assert zero_number(cfg, 10.0, sing) == 2  # with candidates to re-examine
+    _one_trace_shoot_each(shoots, [(cfg, 10.0)])
 
 
 # -------------------------------------------------------------- separation
@@ -288,6 +316,13 @@ def test_separation_type_one_profiles_intersect():
     assert gap_v < 0.0
 
 
+def test_separation_shoots_each_profile_once(shoots):
+    cfg = ProblemConfig(dim=10, weight=make_ah(3.0, 10))
+    check_separation(cfg, 3.0, 2.0, 5.0)
+    cfg_ref = ProblemConfig(dim=10, weight=make_ah(H, 10))
+    _one_trace_shoot_each(shoots, [(cfg, 2.0), (cfg, 5.0), (cfg_ref, 5.0)])
+
+
 def test_separation_rejects_wrong_class():
     cfg = ProblemConfig(dim=10, weight=make_ah(40.0, 10))
     with pytest.raises(ValueError):
@@ -310,6 +345,13 @@ def test_envelope_continuous_in_gamma():
     g1 = check_lower_envelope(cfg, 1.0, 2.0, 0.0)
     g2 = check_lower_envelope(cfg, 1.0, 2.0 + 1e-4, 0.0)
     assert abs(g2 - g1) < 1e-2
+
+
+def test_envelope_shoots_each_profile_once(shoots):
+    cfg = ProblemConfig(dim=10, weight=make_ah(40.0, 10))
+    check_lower_envelope(cfg, 1.0, 2.0, 0.0)
+    cfg0 = ProblemConfig(dim=10, weight=CONST)
+    _one_trace_shoot_each(shoots, [(cfg, 2.0), (cfg0, 1.0)])
 
 
 def test_envelope_rejects_bad_inputs():

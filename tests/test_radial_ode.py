@@ -24,6 +24,7 @@ from gelfand import (
 )
 from gelfand.radial_ode import (
     RadialProfile,
+    quintic_values,
     series_start,
     singular_series_coefficient,
 )
@@ -198,6 +199,40 @@ def test_decreasing_or_misplaced_radii_rejected():
     # trace=True samples at the accepted steps, so it takes no output radii
     with pytest.raises(ValueError, match="trace=True"):
         integrate_ivp(cfg, 0.0, radii=[1e-4, 1.0], trace=True)
+
+
+@pytest.mark.parametrize("beta", [20.0, 40.0])
+def test_trace_profile_interpolates_at_r_start(beta):
+    # the series starts below r_start there; the profile keeps the last
+    # accepted step below it, so r_start is interpolated, not extrapolated
+    cfg = ProblemConfig(dim=3, weight=CONST)
+    sh = integrate_ivp(cfg, beta, trace=True)
+    assert sh.profile.radii[0] < cfg.r_start < sh.profile.radii[1]
+    ref = integrate_ivp(cfg, beta, radii=[cfg.r_start, 1.0]).profile.values[0]
+    v = quintic_values(cfg, sh.profile, [cfg.r_start])[0]
+    assert abs(v - ref) <= 1e-10 * max(1.0, abs(ref))
+
+
+QUINTIC_CASES = [(3, "const"), (7, "polyexp:0.7,-0.2;d=0.3"), (10, "ah:h=40"),
+                 (12, "ah:h=5.7832")]
+
+
+@pytest.mark.parametrize("dim, spec", QUINTIC_CASES)
+def test_quintic_values_match_the_clamped_shoot(dim, spec):
+    cfg = ProblemConfig(dim=dim, weight=parse_weight(spec, dim))
+    grid = np.geomspace(cfg.r_start, 1.0, 4097)
+    for beta in (-2.0, 10.0, 25.0, 40.0):
+        ref = integrate_ivp(cfg, beta, radii=grid).profile.values
+        v = quintic_values(cfg, integrate_ivp(cfg, beta, trace=True).profile, grid)
+        assert np.max(np.abs(v - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-10, beta
+
+
+def test_quintic_values_do_not_extrapolate():
+    cfg = ProblemConfig(dim=3, weight=CONST)
+    prof = integrate_ivp(cfg, 0.0, trace=True).profile
+    for r in (0.5 * prof.radii[0], 1.0 + 1e-9):
+        with pytest.raises(ValueError, match="outside"):
+            quintic_values(cfg, prof, [r])
 
 
 def test_repeated_radii_repeat_the_state():
