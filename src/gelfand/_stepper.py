@@ -13,8 +13,9 @@ at rtol 1e-10. The flux residual, evaluated on accepted steps instead of
 the default grid, rose from 4.2e-10 to as much as 1.7e-5 over the verify
 commands of the benchmark, because v' ~ 1e-6 near r_start. Consumers that
 need only values (zero numbers, separation and envelope gaps) shoot on
-accepted steps and interpolate (`radial_ode.quintic_values`); the
-identities and lambda* keep their node grids.
+accepted steps and interpolate (`radial_ode.quintic_values`); a zero
+number reads the singular profile it is given the same way and makes no
+singular shoot of its own. The identities and lambda* keep their node grids.
 
 The package integrates states of four sizes only: 1 (the Pruefer phase),
 2 (the singular solution), 4 (v and its first variation e) and 6 (v, e and

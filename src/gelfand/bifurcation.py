@@ -25,7 +25,6 @@ from .radial_ode import (
     RadialProfile,
     ShootResult,
     integrate_ivp,
-    integrate_singular,
     quintic_values,
 )
 from .weights import make_ah, parse_weight, ratio_derivative_sign, weight_arrays
@@ -67,10 +66,6 @@ class BifurcationCurve:
     @property
     def alphas(self) -> np.ndarray:
         return np.array([s.alpha for s in self.samples])
-
-    @property
-    def dlams(self) -> np.ndarray:
-        return np.array([s.dlambda_dbeta for s in self.samples])
 
 
 @dataclass(frozen=True)
@@ -286,75 +281,38 @@ def _values(cfg: ProblemConfig, beta: float):
 
 def zero_number(cfg: ProblemConfig, beta: float,
                 singular_profile: RadialProfile) -> int:
-    """Strict sign changes of v(., beta) - V_* on [r_start, 1].
+    """Resolved sign changes of v(., beta) - V_* on [r_start, 1], in one pass.
 
-    v comes from one shoot on the accepted steps, read by quintic Hermite
-    (`quintic_values`). First pass compares it against the supplied
-    singular profile on an 8192-point geometric grid. Every candidate
-    crossing is then re-examined on an 8x locally refined grid with the
-    singular solution re-integrated there, which rejects interpolation
-    artifacts: the cubic Hermite of a singular profile can fabricate a
-    crossing that disappears when the true values are used.
+    singular_profile must be a singular solution of the same ODE, such as
+    `integrate_singular(cfg)`'s, whose nodes cover [r_start, 1] (otherwise
+    ValueError). v, from one shoot on the accepted steps, and V_* are both
+    read by quintic Hermite (`quintic_values`) on an 8192-point geometric
+    grid. Its error on V_* lies far below the resolution floor, where the
+    cubic Hermite's could invent crossings.
     """
     base = np.geomspace(cfg.r_start, 1.0, 8192)
-    v_of = _values(cfg, beta)
-    v = v_of(base)
-    vs, _ = singular_profile.evaluate_array(base)
-    d = v - vs
-    cand = _strict_sign_changes_idx(d)
-    if not cand:
-        return 0
-
-    pieces = [base]
-    for i in cand:
-        lo = base[max(0, i - 1)]
-        hi = base[min(len(base) - 1, i + 2)]
-        pieces.append(np.geomspace(lo, hi, 32))
-    refined = np.unique(np.concatenate(pieces))
-    v2 = v_of(refined)
-    _, sing2 = integrate_singular(cfg, radii=refined)
-    d2 = v2 - sing2.values
+    v = _values(cfg, beta)(base)
+    vs = quintic_values(cfg, singular_profile, base)
     # crossings count only when the difference is resolved: the excursion
     # on each side must clear the solver-noise floor (profiles that agree
     # to working precision have no certifiable crossing there)
     floor = 100.0 * cfg.rel_tol * max(
-        1.0, float(np.max(np.abs(v2))), float(np.max(np.abs(sing2.values)))
+        1.0, float(np.max(np.abs(v))), float(np.max(np.abs(vs)))
     )
-    return _resolved_sign_changes(d2, floor)
-
-
-def _strict_sign_changes_idx(d: np.ndarray) -> list[int]:
-    s = np.sign(d)
-    nz = np.nonzero(s)[0]
-    if len(nz) < 2:
-        return []
-    flips = np.nonzero(s[nz[1:]] * s[nz[:-1]] < 0.0)[0]
-    return [int(nz[i]) for i in flips]
+    return _resolved_sign_changes(v - vs, floor)
 
 
 def _resolved_sign_changes(d: np.ndarray, floor: float) -> int:
     """Sign changes between maximal constant-sign blocks whose amplitude
     reaches `floor`; sub-floor blocks are noise and are dropped."""
-    s = np.sign(d)
-    nz = np.nonzero(s)[0]
-    if len(nz) < 2:
+    x = d[d != 0.0]
+    signs = np.sign(x)
+    starts = np.flatnonzero(np.diff(signs, prepend=np.nan) != 0.0)
+    if len(starts) == 0:
         return 0
-    block_signs: list[float] = []
-    block_amps: list[float] = []
-    cur_sign = s[nz[0]]
-    cur_amp = abs(d[nz[0]])
-    for i in nz[1:]:
-        if s[i] == cur_sign:
-            cur_amp = max(cur_amp, abs(d[i]))
-        else:
-            block_signs.append(cur_sign)
-            block_amps.append(cur_amp)
-            cur_sign = s[i]
-            cur_amp = abs(d[i])
-    block_signs.append(cur_sign)
-    block_amps.append(cur_amp)
-    resolved = [sg for sg, amp in zip(block_signs, block_amps) if amp >= floor]
-    return sum(1 for a, b in zip(resolved, resolved[1:]) if a != b)
+    amps = np.maximum.reduceat(np.abs(x), starts)
+    resolved = signs[starts][amps >= floor]
+    return int(np.count_nonzero(resolved[1:] != resolved[:-1]))
 
 
 def check_separation(cfg: ProblemConfig, h: float, beta: float, gamma: float):

@@ -95,7 +95,10 @@ class RadialProfile:
         """Hermite interpolation; quadratic even extension below the first node.
 
         One node, or a zero-width interval (a repeated radius), gives the
-        node's own value and derivative.
+        node's own value and derivative. No module of the package calls it:
+        value readers use `quintic_values` or `scalar_value`. It stays as the
+        array reference `scalar_value` is tested against, and because
+        `perfbench/tracing.py` patches it by name.
         """
         r = np.asarray(r, dtype=float)
         if np.any(r > self.R * (1.0 + 1e-12)):
@@ -391,19 +394,24 @@ def integrate_ivp(cfg: ProblemConfig, beta: float, radii=None, trace: bool = Fal
 
 
 def quintic_values(cfg: ProblemConfig, profile: RadialProfile, r) -> np.ndarray:
-    """v at the radii r, by quintic Hermite interpolation of a shot profile.
+    """v at the radii r, by quintic Hermite interpolation of a profile that
+    solves the ODE: a regular shoot or a singular solution, sampled on a node
+    grid or on the integrator's accepted steps.
 
     Each interval takes v, v' and v'' at both of its nodes, with v'' from
     the ODE, -(N-1)/r v' - a(r) e^v. On the accepted steps of a trace=True
     shoot this agrees with a shoot that lands on r to within 3e-11 relative
     to max(1, |v|) (N in {3, 7, 10, 12}, const, a_h and polyexp weights,
-    beta in [-2, 40]); `RadialProfile.evaluate_array`'s cubic Hermite on
-    the same steps is off by up to 1e-6.
-    The profile needs two or more strictly increasing radii; r must lie
-    between its first node and R, since nothing is extrapolated.
+    beta in [-2, 40]), and on `integrate_singular`'s default grid to within
+    3e-12; `RadialProfile.evaluate_array`'s cubic Hermite is off by up to
+    1e-6 on the accepted steps and 1e-8 on the singular grid.
+    The profile needs two or more strictly increasing radii, or ValueError;
+    r must lie between its first node and R, since nothing is extrapolated.
     """
     r = np.asarray(r, dtype=float)
     x, f, d = profile.radii, profile.values, profile.derivs
+    if len(x) < 2 or np.any(np.diff(x) <= 0.0):
+        raise ValueError("quintic interpolation needs two or more strictly increasing radii")
     if np.any(r < x[0]) or np.any(r > profile.R):
         raise ValueError("radii outside the profile's nodes")
     a, _ = weight_arrays(cfg.weight, x)

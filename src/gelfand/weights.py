@@ -49,10 +49,6 @@ class Weight:
         c1 = self.coeffs[0] if self.coeffs else 0.0
         object.__setattr__(self, "a2pp", 2.0 * (c1 + self.tilt))
 
-    @property
-    def is_const(self) -> bool:
-        return not self.coeffs and self.tilt == 0.0
-
 
 def parse_weight(spec: str, dim: int | None = None) -> Weight:
     """Parse a weight spec string. `dim` is required for the ah family."""

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import gelfand._stepper as _stepper
 import gelfand.bifurcation as bif
 from gelfand import (
     IntegrationError,
@@ -20,6 +21,7 @@ from gelfand import (
     zero_number,
 )
 from gelfand.bifurcation import TurningPoint
+from gelfand.radial_ode import RadialProfile
 
 H = hardy_constant()
 CONST = parse_weight("const")
@@ -277,11 +279,64 @@ def _one_trace_shoot_each(shoots, expected):
     assert all(kw == {"trace": True} for _, _, kw in shoots)
 
 
-def test_zero_number_shoots_once(shoots):
+def test_zero_number_shoots_once(shoots, monkeypatch):
     cfg = ProblemConfig(dim=3, weight=CONST)
     _, sing = integrate_singular(cfg)
-    assert zero_number(cfg, 10.0, sing) == 2  # with candidates to re-examine
+    state_sizes = []
+    real = _stepper.solve
+
+    def counting(fun, r0, y0, *args, **kw):
+        state_sizes.append(len(y0))
+        return real(fun, r0, y0, *args, **kw)
+
+    monkeypatch.setattr(_stepper, "solve", counting)
+    assert zero_number(cfg, 10.0, sing) == 2
     _one_trace_shoot_each(shoots, [(cfg, 10.0)])
+    assert state_sizes == [4]  # the (v, e) shoot; no singular (size 2) one
+
+
+def test_zero_number_does_not_extrapolate_the_singular_profile():
+    cfg = ProblemConfig(dim=3, weight=CONST)
+    _, sing = integrate_singular(cfg)
+    late = RadialProfile(sing.radii[5:], sing.values[5:], sing.derivs[5:])
+    with pytest.raises(ValueError, match="outside"):
+        zero_number(cfg, 10.0, late)
+
+
+@pytest.mark.parametrize("dim, spec, betas, expected", [
+    (4, "ah:h=40", (2.0, 5.0, 10.0, 20.0, 30.0, 40.0), [2, 2, 4, 6, 6, 2]),
+    (5, "polyexp:0.7,-0.2;d=0.3", (5.0, 10.0, 20.0, 30.0), [1, 3, 6, 3]),
+    (7, "const", (5.0, 10.0, 20.0), [1, 2, 3]),
+    (10, "ah:h=40", (5.0, 10.0), [1, 1]),
+])
+def test_zero_number_pinned(dim, spec, betas, expected):
+    cfg = ProblemConfig(dim=dim, weight=parse_weight(spec, dim))
+    _, sing = integrate_singular(cfg)
+    assert [zero_number(cfg, b, sing) for b in betas] == expected
+
+
+def _resolved_sign_changes_loop(d, floor):
+    """Reference: walk the nonzero entries, closing a block at each sign change."""
+    blocks = []  # [sign, amplitude]
+    for x in d:
+        if x == 0.0:
+            continue
+        if blocks and np.sign(x) == blocks[-1][0]:
+            blocks[-1][1] = max(blocks[-1][1], abs(x))
+        else:
+            blocks.append([np.sign(x), abs(x)])
+    resolved = [sg for sg, amp in blocks if amp >= floor]
+    return sum(1 for a, b in zip(resolved, resolved[1:]) if a != b)
+
+
+def test_resolved_sign_changes_equal_the_loop():
+    rng = np.random.default_rng(12)
+    for _ in range(2000):
+        n = int(rng.integers(0, 40))
+        d = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 1.0, size=n)
+        d[rng.random(n) < 0.2] = 0.0
+        floor = 10.0 ** rng.uniform(-3.0, 0.5)
+        assert bif._resolved_sign_changes(d, floor) == _resolved_sign_changes_loop(d, floor)
 
 
 # -------------------------------------------------------------- separation

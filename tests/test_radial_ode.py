@@ -227,6 +227,25 @@ def test_quintic_values_match_the_clamped_shoot(dim, spec):
         assert np.max(np.abs(v - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-10, beta
 
 
+@pytest.mark.parametrize("dim, spec", QUINTIC_CASES)
+def test_quintic_values_match_the_clamped_singular_shoot(dim, spec):
+    # V'' from the ODE is exact at the nodes of the singular profile too
+    cfg = ProblemConfig(dim=dim, weight=parse_weight(spec, dim))
+    grid = np.geomspace(cfg.r_start, 1.0, 8192)
+    ref = integrate_singular(cfg, radii=grid)[1].values
+    v = quintic_values(cfg, integrate_singular(cfg)[1], grid)
+    assert np.max(np.abs(v - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-10
+
+
+@pytest.mark.parametrize("radii", [[1e-4], [1e-4, 0.5, 1.0, 1.0]])
+def test_quintic_values_reject_degenerate_profiles(radii):
+    # one node, or a repeated last radius, leaves an interval of zero width
+    cfg = ProblemConfig(dim=3, weight=CONST)
+    prof = integrate_ivp(cfg, 1.0, radii=radii).profile
+    with pytest.raises(ValueError, match="strictly increasing"):
+        quintic_values(cfg, prof, [radii[-1]])
+
+
 def test_quintic_values_do_not_extrapolate():
     cfg = ProblemConfig(dim=3, weight=CONST)
     prof = integrate_ivp(cfg, 0.0, trace=True).profile

@@ -73,13 +73,15 @@ def test_j0_zeros_against_mpmath():
             j0_zero(bad)
 
 
-def test_import_does_not_load_scipy_integrate():
-    # importing scipy.integrate costs about 0.3 s of start-up per process
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.optimize"])
+def test_import_does_not_load_slow_scipy_submodules(module):
+    # importing scipy.integrate costs about 0.3 s of start-up per process,
+    # scipy.optimize about 0.16 s
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import sys, gelfand; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+            f"print(sorted(m for m in sys.modules if m.startswith({module!r})))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
