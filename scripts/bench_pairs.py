@@ -16,8 +16,10 @@ so that positive is better (null where the parent's median is 0). It also
 holds each side's count of failed tasks per workload, and the host and
 library versions of the first parent run. Quartiles are
 ``statistics.quantiles(n=4, method="inclusive")``. The script reads JSON
-files only. Each printed line ends with the gain next to the metric's
-``bound``, and with ``REGRESSION`` where the loss exceeds the bound.
+files only. Each printed metric line ends with the gain next to the
+metric's ``bound``, and with ``REGRESSION`` where the loss exceeds the
+bound. One more line per workload gives both sides' counts of failed tasks,
+flagged ``MORE FAILURES`` where the change has more than the parent.
 """
 
 from __future__ import annotations
@@ -120,6 +122,9 @@ def main(argv=None) -> int:
                   f"{m['change']['median']:12.6g}  won {m['won']}/{len(entry['seeds'])}"
                   f"  parent IQR {m['parent']['iqr']:.4g}"
                   f"  gain {gain} (bound {m['bound']:.0%}){flag}")
+        failed = entry["failed"]
+        flag = "  MORE FAILURES" if failed["change"] > failed["parent"] else ""
+        print(f"{workload:9s} failed tasks {failed['parent']} -> {failed['change']}{flag}")
     return 0
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -42,6 +43,8 @@ class ProblemConfig:
     r_start: float = 1e-4
 
     def __post_init__(self):
+        if not isinstance(self.dim, Integral):
+            raise ValueError(f"dimension must be an integer, got {self.dim!r}")
         if not 3 <= self.dim <= 12:
             raise ValueError(f"dimension {self.dim} outside [3, 12]")
         for name, tol in (("rel_tol", self.rel_tol), ("abs_tol", self.abs_tol)):
@@ -313,13 +316,10 @@ def _integrate(cfg: ProblemConfig, fun, r0: float, y0, nodes, collect: bool = Fa
         head, nodes = [y0], nodes[1:]
         if not nodes:
             return (head, [r0], head) if collect else head
-    try:
-        result = _stepper.solve(
-            fun, r0, y0, nodes, cfg.rel_tol, cfg.abs_tol,
-            first_step=0.2 * r0, collect=collect,
-        )
-    except ValueError as exc:
-        raise _stepper.IntegrationError(str(exc), float("nan")) from exc
+    result = _stepper.solve(
+        fun, r0, y0, nodes, cfg.rel_tol, cfg.abs_tol,
+        first_step=0.2 * r0, collect=collect,
+    )
     if collect:
         states, xs, ys = result
         return head + states, xs, ys
@@ -439,18 +439,11 @@ def integrate_second_variation(cfg: ProblemConfig, beta: float, radii=None) -> R
     return RadialProfile(radii_arr, states[:, 4], states[:, 5])
 
 
-def second_variation_boundary(cfg: ProblemConfig, beta: float):
-    """(lambda, v(1), e(1), w(1)) with w the second variation."""
-    _check_beta(beta)
-    out = _run(cfg, beta, [1.0], second=True)
-    v1, _, e1, _, w1, _ = out[0]
-    return math.exp(v1), v1, e1, w1
-
-
 def lambda_second_derivative(cfg: ProblemConfig, beta: float) -> float:
-    """d^2 lambda / d beta^2 = lambda (w(1) + e(1)^2)."""
-    lam, _, e1, w1 = second_variation_boundary(cfg, beta)
-    return lam * (w1 + e1 * e1)
+    """d^2 lambda / d beta^2 = lambda (w(1) + e(1)^2), w the second variation."""
+    _check_beta(beta)
+    v1, _, e1, _, w1, _ = _run(cfg, beta, [1.0], second=True)[0]
+    return math.exp(v1) * (w1 + e1 * e1)
 
 
 def singular_series_coefficient(cfg: ProblemConfig) -> float:

@@ -68,6 +68,7 @@ def test_pairs_by_seed_and_summarises(tmp_path, bench_pairs, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].endswith("gain +28.1% (bound 20%)")
     assert lines[1].endswith("gain +0.0% (bound 20%)")
+    assert lines[2] == "branch    failed tasks 0 -> 1  MORE FAILURES"
 
 
 def test_gain_is_signed_by_the_better_direction(bench_pairs):
@@ -83,9 +84,20 @@ def test_a_loss_beyond_the_bound_is_flagged(tmp_path, bench_pairs, capsys):
     bench.write_text(json.dumps(BENCHMARK))
     bench_pairs.main(["--parent", *parent, "--change", *change,
                       "--out", str(tmp_path / "BENCH.json"), "--benchmark", str(bench)])
-    wall, digits = capsys.readouterr().out.splitlines()
+    wall, digits, failed = capsys.readouterr().out.splitlines()
     assert wall.endswith("gain -25.0% (bound 20%)  REGRESSION")
     assert digits.endswith("gain -7.7% (bound 20%)")
+    assert failed == "branch    failed tasks 0 -> 0"
+
+
+def test_fewer_failures_are_not_flagged(tmp_path, bench_pairs, capsys):
+    parent = [_result(tmp_path / "p.json", 1, 10.0, 13.0, ("x", "y"))]
+    change = [_result(tmp_path / "c.json", 1, 10.0, 13.0, ("x",))]
+    bench = tmp_path / "BENCHMARK.json"
+    bench.write_text(json.dumps(BENCHMARK))
+    bench_pairs.main(["--parent", *parent, "--change", *change,
+                      "--out", str(tmp_path / "BENCH.json"), "--benchmark", str(bench)])
+    assert capsys.readouterr().out.splitlines()[-1] == "branch    failed tasks 2 -> 1"
 
 
 def test_unpaired_or_duplicate_runs_rejected(tmp_path, bench_pairs):

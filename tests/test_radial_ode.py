@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gelfand import (
+    IntegrationError,
     ProblemConfig,
     asymptotic_diagnostics,
     explicit_lambda_h,
@@ -47,6 +48,9 @@ def test_config_validation():
         ProblemConfig(dim=5, weight=CONST, r_start=2e-3)
     with pytest.raises(ValueError):
         ProblemConfig(dim=5, weight=make_ah(5.0, 10))  # dim mismatch
+    for dim in (3.5, 10.0):
+        with pytest.raises(ValueError, match="integer"):
+            ProblemConfig(dim=dim, weight=CONST)
 
 
 # ------------------------------------------------------------ series start
@@ -427,6 +431,15 @@ def test_rescaled_profile_rejects_negative_beta():
         asymptotic_diagnostics(cfg, sh.profile, beta=-1.0)
     with pytest.raises(ValueError):
         rescaled_profile(cfg, -1.0)
+
+
+def test_rescaled_profile_reports_where_the_weight_turns_nonpositive():
+    # the rescaled polyexp weight 1 - 0.9 r^2 vanishes at r = 1/sqrt(0.9);
+    # the shoot stops at its last accepted step before that radius
+    cfg = ProblemConfig(dim=3, weight=parse_weight("polyexp:-0.9;d=0"))
+    with pytest.raises(IntegrationError, match="nonpositive at r=") as exc:
+        rescaled_profile(cfg, 0.0, r_max=3.0)
+    assert 1.0 < exc.value.reached < 1.0 / math.sqrt(0.9)
 
 
 def test_rescaled_profile_converges_to_limit():

@@ -1,11 +1,13 @@
-"""The size-specialised DP5 kernels against the generic list-based loop.
+"""The DP5 driver and its size-specialised stage functions against the
+generic list-based loop.
 
 ``_reference_solve`` below is the generic Dormand-Prince 5(4) loop the
-kernels in ``gelfand._stepper`` were unrolled from, kept verbatim with its
-tableau and controller constants. Every kernel must reproduce it bit for
-bit: the same node states, the same accepted steps and the same sequence of
-right-hand-side calls, compared with ``==``. The right-hand sides are the
-package's own closures, captured from real calls through ``_stepper.solve``.
+stage functions in ``gelfand._stepper`` were unrolled from, kept verbatim
+with its tableau and controller constants. Every state size must reproduce
+it bit for bit: the same node states, the same accepted steps and the same
+sequence of right-hand-side calls, compared with ``==``. The right-hand
+sides are the package's own closures, captured from real calls through
+``_stepper.solve``.
 """
 
 from __future__ import annotations
@@ -292,12 +294,17 @@ def test_step_size_underflow(n):
     assert got.value.reached == expected.value.reached == 0.0
 
 
-def test_step_budget_exhausted(monkeypatch):
+@pytest.mark.parametrize("n", sorted(CASES))
+def test_step_budget_exhausted(monkeypatch, n):
+    fun, x0, y0, nodes, rtol, atol, first_step, _ = _capture(monkeypatch, CASES[n])[0]
     monkeypatch.setattr(_stepper, "_MAX_STEPS", 10)
-    cfg = ProblemConfig(dim=3, weight=CONST)
-    with pytest.raises(IntegrationError, match="step budget exhausted") as exc:
-        integrate_ivp(cfg, 5.0)
-    assert 0.0 < exc.value.reached < 1.0
+    monkeypatch.setitem(globals(), "_MAX_STEPS", 10)
+    with pytest.raises(IntegrationError, match="step budget exhausted") as got:
+        _stepper.solve(fun, x0, y0, nodes, rtol, atol, first_step)
+    with pytest.raises(IntegrationError, match="step budget exhausted") as expected:
+        _reference_solve(fun, x0, y0, nodes, rtol, atol, first_step)
+    assert got.value.reached == expected.value.reached
+    assert x0 < got.value.reached < nodes[-1]
 
 
 @pytest.mark.parametrize("n", [0, 3, 5])
