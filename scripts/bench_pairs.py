@@ -12,14 +12,19 @@ end-to-end metric of ``BENCHMARK.json`` the output holds, per side, the
 values in pair order, their median and quartiles, and how many pairs the
 change won, lost or tied in the metric's ``better`` direction, and
 ``gain``: the relative change of the median from parent to change, signed
-so that positive is better (null where the parent's median is 0). It also
+so that positive is better (null where the parent's median is 0), and
+``resolved``: false where the parent's interquartile range exceeds the
+metric's bound times the parent's median, so that the runs spread too
+widely to tell a change within the bound from none, unless every run of
+the change is better than every run of the parent. It also
 holds each side's count of failed tasks per workload, and the host and
 library versions of the first parent run. Quartiles are
 ``statistics.quantiles(n=4, method="inclusive")``. The script reads JSON
 files only. Each printed metric line ends with the gain next to the
-metric's ``bound``, and with ``REGRESSION`` where the loss exceeds the
-bound. One more line per workload gives both sides' counts of failed tasks,
-flagged ``MORE FAILURES`` where the change has more than the parent.
+metric's ``bound``, with ``REGRESSION`` where the loss exceeds the bound
+and with ``UNRESOLVED`` where the metric is not resolved. One more line per
+workload gives both sides' counts of failed tasks, flagged ``MORE
+FAILURES`` where the change has more than the parent.
 """
 
 from __future__ import annotations
@@ -64,6 +69,16 @@ def _gain(before, after, lower):
     return -change if lower else change
 
 
+def _resolved(p_sum, c_sum, bound, lower):
+    """Whether the parent's spread is within the bound, or every run of the
+    change beats every run of the parent."""
+    if p_sum["iqr"] <= bound * abs(p_sum["median"]):
+        return True
+    if lower:
+        return max(c_sum["values"]) < min(p_sum["values"])
+    return min(c_sum["values"]) > max(p_sum["values"])
+
+
 def compare(parent_paths, change_paths, benchmark):
     """The comparison as a JSON-ready dict."""
     parent, change = _load(parent_paths), _load(change_paths)
@@ -93,6 +108,7 @@ def compare(parent_paths, change_paths, benchmark):
                 "parent": p_sum, "change": c_sum,
                 "won": won, "lost": lost, "tied": len(pairs) - won - lost,
                 "gain": _gain(p_sum["median"], c_sum["median"], lower),
+                "resolved": _resolved(p_sum, c_sum, m["bound"], lower),
             }
         out[workload] = entry
     env = dict(next(iter(parent.values()))["environment"])
@@ -118,6 +134,7 @@ def main(argv=None) -> int:
         for name, m in entry["metrics"].items():
             gain = "n/a" if m["gain"] is None else f"{m['gain']:+.1%}"
             flag = "  REGRESSION" if m["gain"] is not None and m["gain"] < -m["bound"] else ""
+            flag += "" if m["resolved"] else "  UNRESOLVED"
             print(f"{workload:9s} {name:13s} {m['parent']['median']:12.6g} -> "
                   f"{m['change']['median']:12.6g}  won {m['won']}/{len(entry['seeds'])}"
                   f"  parent IQR {m['parent']['iqr']:.4g}"

@@ -19,17 +19,22 @@ singular shoot of its own. The identities and lambda* keep their node grids.
 
 The work is split in two. ``solve`` is the one driver: it owns the step
 controller (the node clamp, the step budget, the underflow check,
-accept/reject, the PI factor and the collection of accepted steps). One
-stage function per state size computes a single step attempt: the six new
-right-hand-side calls, the 5th order solution and the scaled error norm.
-The package integrates states of four sizes only: 1 (the Pruefer phase),
-2 (the singular solution), 4 (v and its first variation e) and 6 (v, e and
-the second variation w). Each stage function is unrolled into local
-scalars instead of lists and performs the floating-point operations of the
-generic list-based DP5 loop expression for expression and in the same
-order, so states, accepted steps and right-hand-side calls are
-bit-identical to it; ``tests/test_stepper.py`` keeps that generic loop as
-the reference and checks every size against it with ``==``.
+accept/reject, the PI factor and the collection of accepted steps). A
+stage function computes a single step attempt: the six new right-hand-side
+calls, the 5th order solution and the scaled error norm. The package
+integrates states of four sizes only: 1 (the Pruefer phase), 2 (the
+singular solution), 4 (v and its first variation e) and 6 (v, e and the
+second variation w). Every stage function performs the floating-point
+operations of the generic list-based DP5 loop expression for expression
+and in the same order, so states, accepted steps and right-hand-side calls
+are bit-identical to it; ``tests/test_stepper.py`` keeps that generic loop
+as the reference and checks every size against it with ``==``.
+
+Sizes 1, 2 and 4 carry the spectral, verify and branch workloads, so
+their stage functions are unrolled into local scalars: the list form takes
+about twice as long on them. Size 6 only confirms a fold's kind from
+lambda''(beta), which no workload, CLI command or script runs, so it takes
+the list form, ``_stage_list``, instead of an unrolled copy.
 """
 
 from __future__ import annotations
@@ -145,13 +150,15 @@ def solve(fun, x0, y0, nodes, rtol, atol, first_step=None, collect=False):
     return out
 
 
-# One stage function per state size: one step attempt of length h from
-# (x, y) with k1 = fun(x, y), returning (y_new, k7, err) with
-# k7 = fun(x_new, y_new). Each is the generic loop
+# Stage functions: one step attempt of length h from (x, y) with
+# k1 = fun(x, y), returning (y_new, k7, err) with k7 = fun(x_new, y_new).
+# Each is the generic loop
 #     k2 = fun(x + C2 h, [y[i] + h A21 k1[i] for i in range(n)]), ...
 #     err = sqrt(sum(((h (E . k)[i]) / (atol + rtol max(|y[i]|, |ynew[i]|)))^2) / n)
-# unrolled over i; the error sum drops the generic loop's leading 0.0 +,
-# which is exact because a square is never -0.0.
+# _stage_list runs it over zip of the state and the stages, with a .. g the
+# i-th components of k1 .. k7. _stage1/2/4 unroll it over i, and their error
+# sums drop the loop's leading 0.0 +, which is exact because a square is
+# never -0.0.
 def _stage1(fun, x, h, x_new, y, k1, rtol, atol):
     (y_0,) = y
     (k1_0,) = k1
@@ -268,78 +275,32 @@ def _stage4(fun, x, h, x_new, y, k1, rtol, atol):
     return y_new, k7, sqrt((e_0 * e_0 + e_1 * e_1 + e_2 * e_2 + e_3 * e_3) / 4)
 
 
-def _stage6(fun, x, h, x_new, y, k1, rtol, atol):
-    y_0, y_1, y_2, y_3, y_4, y_5 = y
-    k1_0, k1_1, k1_2, k1_3, k1_4, k1_5 = k1
-    k2_0, k2_1, k2_2, k2_3, k2_4, k2_5 = fun(x + _C2 * h, [
-        y_0 + h * _A21 * k1_0,
-        y_1 + h * _A21 * k1_1,
-        y_2 + h * _A21 * k1_2,
-        y_3 + h * _A21 * k1_3,
-        y_4 + h * _A21 * k1_4,
-        y_5 + h * _A21 * k1_5,
+def _stage_list(fun, x, h, x_new, y, k1, rtol, atol):
+    k2 = fun(x + _C2 * h, [y_i + h * _A21 * a for y_i, a in zip(y, k1)])
+    k3 = fun(x + _C3 * h, [y_i + h * (_A31 * a + _A32 * b) for y_i, a, b in zip(y, k1, k2)])
+    k4 = fun(x + _C4 * h, [
+        y_i + h * (_A41 * a + _A42 * b + _A43 * c) for y_i, a, b, c in zip(y, k1, k2, k3)
     ])
-    k3_0, k3_1, k3_2, k3_3, k3_4, k3_5 = fun(x + _C3 * h, [
-        y_0 + h * (_A31 * k1_0 + _A32 * k2_0),
-        y_1 + h * (_A31 * k1_1 + _A32 * k2_1),
-        y_2 + h * (_A31 * k1_2 + _A32 * k2_2),
-        y_3 + h * (_A31 * k1_3 + _A32 * k2_3),
-        y_4 + h * (_A31 * k1_4 + _A32 * k2_4),
-        y_5 + h * (_A31 * k1_5 + _A32 * k2_5),
+    k5 = fun(x + _C5 * h, [
+        y_i + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+        for y_i, a, b, c, d in zip(y, k1, k2, k3, k4)
     ])
-    k4_0, k4_1, k4_2, k4_3, k4_4, k4_5 = fun(x + _C4 * h, [
-        y_0 + h * (_A41 * k1_0 + _A42 * k2_0 + _A43 * k3_0),
-        y_1 + h * (_A41 * k1_1 + _A42 * k2_1 + _A43 * k3_1),
-        y_2 + h * (_A41 * k1_2 + _A42 * k2_2 + _A43 * k3_2),
-        y_3 + h * (_A41 * k1_3 + _A42 * k2_3 + _A43 * k3_3),
-        y_4 + h * (_A41 * k1_4 + _A42 * k2_4 + _A43 * k3_4),
-        y_5 + h * (_A41 * k1_5 + _A42 * k2_5 + _A43 * k3_5),
+    k6 = fun(x_new, [
+        y_i + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+        for y_i, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
     ])
-    k5_0, k5_1, k5_2, k5_3, k5_4, k5_5 = fun(x + _C5 * h, [
-        y_0 + h * (_A51 * k1_0 + _A52 * k2_0 + _A53 * k3_0 + _A54 * k4_0),
-        y_1 + h * (_A51 * k1_1 + _A52 * k2_1 + _A53 * k3_1 + _A54 * k4_1),
-        y_2 + h * (_A51 * k1_2 + _A52 * k2_2 + _A53 * k3_2 + _A54 * k4_2),
-        y_3 + h * (_A51 * k1_3 + _A52 * k2_3 + _A53 * k3_3 + _A54 * k4_3),
-        y_4 + h * (_A51 * k1_4 + _A52 * k2_4 + _A53 * k3_4 + _A54 * k4_4),
-        y_5 + h * (_A51 * k1_5 + _A52 * k2_5 + _A53 * k3_5 + _A54 * k4_5),
-    ])
-    k6_0, k6_1, k6_2, k6_3, k6_4, k6_5 = fun(x_new, [
-        y_0 + h * (_A61 * k1_0 + _A62 * k2_0 + _A63 * k3_0 + _A64 * k4_0 + _A65 * k5_0),
-        y_1 + h * (_A61 * k1_1 + _A62 * k2_1 + _A63 * k3_1 + _A64 * k4_1 + _A65 * k5_1),
-        y_2 + h * (_A61 * k1_2 + _A62 * k2_2 + _A63 * k3_2 + _A64 * k4_2 + _A65 * k5_2),
-        y_3 + h * (_A61 * k1_3 + _A62 * k2_3 + _A63 * k3_3 + _A64 * k4_3 + _A65 * k5_3),
-        y_4 + h * (_A61 * k1_4 + _A62 * k2_4 + _A63 * k3_4 + _A64 * k4_4 + _A65 * k5_4),
-        y_5 + h * (_A61 * k1_5 + _A62 * k2_5 + _A63 * k3_5 + _A64 * k4_5 + _A65 * k5_5),
-    ])
-    n_0 = y_0 + h * (_B1 * k1_0 + _B3 * k3_0 + _B4 * k4_0 + _B5 * k5_0 + _B6 * k6_0)
-    n_1 = y_1 + h * (_B1 * k1_1 + _B3 * k3_1 + _B4 * k4_1 + _B5 * k5_1 + _B6 * k6_1)
-    n_2 = y_2 + h * (_B1 * k1_2 + _B3 * k3_2 + _B4 * k4_2 + _B5 * k5_2 + _B6 * k6_2)
-    n_3 = y_3 + h * (_B1 * k1_3 + _B3 * k3_3 + _B4 * k4_3 + _B5 * k5_3 + _B6 * k6_3)
-    n_4 = y_4 + h * (_B1 * k1_4 + _B3 * k3_4 + _B4 * k4_4 + _B5 * k5_4 + _B6 * k6_4)
-    n_5 = y_5 + h * (_B1 * k1_5 + _B3 * k3_5 + _B4 * k4_5 + _B5 * k5_5 + _B6 * k6_5)
-    y_new = [n_0, n_1, n_2, n_3, n_4, n_5]
+    y_new = [
+        y_i + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
+        for y_i, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)
+    ]
     k7 = fun(x_new, y_new)
-    k7_0, k7_1, k7_2, k7_3, k7_4, k7_5 = k7
-    e_0 = h * (
-        _E1 * k1_0 + _E3 * k3_0 + _E4 * k4_0 + _E5 * k5_0 + _E6 * k6_0 + _E7 * k7_0
-    ) / (atol + rtol * max(abs(y_0), abs(n_0)))
-    e_1 = h * (
-        _E1 * k1_1 + _E3 * k3_1 + _E4 * k4_1 + _E5 * k5_1 + _E6 * k6_1 + _E7 * k7_1
-    ) / (atol + rtol * max(abs(y_1), abs(n_1)))
-    e_2 = h * (
-        _E1 * k1_2 + _E3 * k3_2 + _E4 * k4_2 + _E5 * k5_2 + _E6 * k6_2 + _E7 * k7_2
-    ) / (atol + rtol * max(abs(y_2), abs(n_2)))
-    e_3 = h * (
-        _E1 * k1_3 + _E3 * k3_3 + _E4 * k4_3 + _E5 * k5_3 + _E6 * k6_3 + _E7 * k7_3
-    ) / (atol + rtol * max(abs(y_3), abs(n_3)))
-    e_4 = h * (
-        _E1 * k1_4 + _E3 * k3_4 + _E4 * k4_4 + _E5 * k5_4 + _E6 * k6_4 + _E7 * k7_4
-    ) / (atol + rtol * max(abs(y_4), abs(n_4)))
-    e_5 = h * (
-        _E1 * k1_5 + _E3 * k3_5 + _E4 * k4_5 + _E5 * k5_5 + _E6 * k6_5 + _E7 * k7_5
-    ) / (atol + rtol * max(abs(y_5), abs(n_5)))
-    err = sqrt((e_0 * e_0 + e_1 * e_1 + e_2 * e_2 + e_3 * e_3 + e_4 * e_4 + e_5 * e_5) / 6)
-    return y_new, k7, err
+    err = 0.0
+    for y_i, n_i, a, c, d, e, f, g in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+        e_i = h * (
+            _E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g
+        ) / (atol + rtol * max(abs(y_i), abs(n_i)))
+        err += e_i * e_i
+    return y_new, k7, sqrt(err / len(y))
 
 
-_STAGES = {1: _stage1, 2: _stage2, 4: _stage4, 6: _stage6}
+_STAGES = {1: _stage1, 2: _stage2, 4: _stage4, 6: _stage_list}

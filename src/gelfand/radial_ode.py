@@ -21,7 +21,7 @@ from numbers import Integral
 import numpy as np
 
 from . import _stepper
-from .weights import Weight, weight_arrays, weight_fn
+from .weights import Weight, make_ah, weight_arrays, weight_fn
 
 BETA_MIN_GUARD = -50.0
 BETA_MAX_GUARD = 60.0
@@ -198,7 +198,7 @@ def profile_to_csv(profile: RadialProfile) -> str:
 
 def profile_from_csv(text: str) -> RadialProfile:
     """Inverse of profile_to_csv: a header, then at least one row of three
-    finite reals, with radii that never decrease."""
+    finite reals, with positive radii that never decrease."""
     rows = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
     if not rows or rows[0] != "r,v,dv_dr":
         raise ValueError("unexpected profile CSV header")
@@ -211,6 +211,8 @@ def profile_from_csv(text: str) -> RadialProfile:
             raise ValueError(f"profile CSV row needs 3 fields, got {len(row)}: {ln!r}")
         if not all(map(math.isfinite, row)):
             raise ValueError(f"profile CSV row has a non-finite value: {ln!r}")
+        if row[0] <= 0.0:
+            raise ValueError(f"profile CSV row has a radius <= 0: {ln!r}")
         cols.append(row)
     r, v, d = zip(*cols)
     if any(b < a for a, b in zip(r, r[1:])):
@@ -489,10 +491,9 @@ def residual_Uh(dim: int, h: float, radii) -> float:
     U_h = h/(2N) - 2 log r - h r^2/(2N) with weight a_h and
     lambda_h = 2(N-2) e^{-h/(2N)}; checks -Delta U_h = lambda_h a_h e^{U_h}.
     """
-    if not 3 <= dim <= 10:
+    weight = make_ah(h, dim)
+    if dim > 10:
         raise ValueError(f"dimension {dim} outside [3, 10]")
-    if h <= -2.0 * (dim - 2):
-        raise ValueError(f"h={h} must exceed -2(N-2) = {-2.0 * (dim - 2)}")
     r = np.asarray(radii, dtype=float)
     if np.any(r < 1e-4) or np.any(r > 1.0):
         raise ValueError("grid must lie within [1e-4, 1]")
@@ -502,7 +503,7 @@ def residual_Uh(dim: int, h: float, radii) -> float:
     Up = -2.0 / r - 2.0 * t * r
     Upp = 2.0 / (r * r) - 2.0 * t
     lhs = -(Upp + (N - 1.0) / r * Up)
-    a = (1.0 + h * r * r / (2.0 * (N - 2.0))) * np.exp(t * r * r)
+    a, _ = weight_arrays(weight, r)
     rhs = explicit_lambda_h(dim, h) * a * np.exp(U)
     return float(np.max(np.abs(lhs - rhs) / np.abs(rhs)))
 
@@ -609,14 +610,14 @@ class AsymptoticDiagnostics:
     rescaled: RadialProfile | None  # v-hat on the window [0, 3], regular shoots only
 
 
-def asymptotic_diagnostics(cfg: ProblemConfig, profile: RadialProfile, beta=None,
-                           lam=None) -> AsymptoticDiagnostics:
-    """Emden variable and the rescaled profile.
+def asymptotic_diagnostics(cfg: ProblemConfig, profile: RadialProfile,
+                           beta=None) -> AsymptoticDiagnostics:
+    """Emden variable of `profile` and, given its beta, the rescaled profile.
 
     w(t) = v + 2 log r - log 2(N-2) (independent of lambda in the shooting
-    normalization); singular solutions have w -> 0 as t -> infinity. For
-    regular shoots with beta >= 0 the rescaled profile
-    v-hat(rho) = v(rho e^{-beta/2}) - beta is sampled on rho in (0, 3],
+    normalization, so lambda is not an input); singular solutions have
+    w -> 0 as t -> infinity. For regular shoots with beta >= 0 the rescaled
+    profile v-hat(rho) = v(rho e^{-beta/2}) - beta is sampled on rho in (0, 3],
     using the series start below r_start and the weight's natural formula
     beyond r = 1 if the window requires it. beta=None means a singular
     profile (no rescaling); beta < 0 is an error (empty window).

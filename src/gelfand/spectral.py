@@ -25,7 +25,7 @@ from scipy.special import j0, j1, jn_zeros
 
 from . import _stepper
 from .radial_ode import ProblemConfig, RadialProfile, ShootResult, integrate_singular
-from .weights import weight_arrays
+from .weights import make_ah, weight_arrays
 
 # ---------------------------------------------------------------------------
 # Bessel J0 and its zeros, from scipy.special.
@@ -135,10 +135,12 @@ def instability_witness_leq9(dim: int, h: float, eps: float, j: int) -> WitnessR
     is evaluated by quadrature in t = log r. Requires
     delta = 2(N-2) - ((N-2)^2 + eps^2)/4 > 0, which fails for N >= 10.
     """
-    if not 3 <= dim <= 9:
-        raise ValueError(f"witness construction needs 3 <= N <= 9, got {dim}")
+    if not isinstance(dim, int) or not 3 <= dim <= 9:
+        raise ValueError(f"witness construction needs an integer 3 <= N <= 9, got {dim!r}")
     if not isinstance(j, int) or j < 1:
         raise ValueError(f"annulus index must be a positive integer, got {j!r}")
+    if not (math.isfinite(h) and math.isfinite(eps)):
+        raise ValueError(f"h and eps must be finite, got h={h}, eps={eps}")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     N = float(dim)
@@ -184,10 +186,7 @@ class RadialPotential:
 
 
 def explicit_uh(dim: int, h: float) -> RadialPotential:
-    if not 3 <= dim <= 12:
-        raise ValueError(f"dimension {dim} outside [3, 12]")
-    if h <= -2.0 * (dim - 2):
-        raise ValueError(f"h={h} must exceed -2(N-2) = {-2.0 * (dim - 2)}")
+    make_ah(h, dim)  # the same conditions on (dim, h) as the weight a_h
     return RadialPotential(kind="explicit_uh", dim=dim, h=h,
                            singular_coefficient=2.0 * (dim - 2.0))
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -89,6 +90,8 @@ def parse_weight(spec: str, dim: int | None = None) -> Weight:
 
 def make_ah(h: float, dim: int) -> Weight:
     """Build the comparison weight a_h with coefficients bound to `dim`."""
+    if not isinstance(dim, Integral):
+        raise ValueError(f"dimension must be an integer, got {dim!r}")
     if not 3 <= dim <= 12:
         raise ValueError(f"dimension {dim} out of range [3, 12]")
     if not math.isfinite(h):

@@ -100,6 +100,37 @@ def test_fewer_failures_are_not_flagged(tmp_path, bench_pairs, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "branch    failed tasks 2 -> 1"
 
 
+def test_a_spread_wider_than_the_bound_is_unresolved(tmp_path, bench_pairs, capsys):
+    # parent wall_s 10..40: IQR 15 > 0.2 * median 25; err_digits has no spread
+    bench = tmp_path / "BENCHMARK.json"
+    bench.write_text(json.dumps(BENCHMARK))
+    walls = {1: 10.0, 2: 20.0, 3: 30.0, 4: 40.0}
+    (tmp_path / "p").mkdir()
+    parent = [_result(tmp_path / "p" / f"{s}.json", s, w, 13.0) for s, w in walls.items()]
+    for side, change_walls, resolved in (("overlap", (11.0, 19.0, 21.0, 29.0), False),
+                                         ("beats", (5.0, 6.0, 7.0, 9.0), True)):
+        (tmp_path / side).mkdir()
+        change = [_result(tmp_path / side / f"{s}.json", s, w, 13.0)
+                  for s, w in zip(walls, change_walls)]
+        out = tmp_path / f"{side}.json"
+        bench_pairs.main(["--parent", *parent, "--change", *change,
+                          "--out", str(out), "--benchmark", str(bench)])
+        metrics = json.loads(out.read_text())["workloads"]["branch"]["metrics"]
+        assert metrics["wall_s"]["resolved"] is resolved
+        assert metrics["err_digits"]["resolved"] is True
+        wall, digits, _ = capsys.readouterr().out.splitlines()
+        assert wall.endswith("UNRESOLVED") is not resolved
+        assert not digits.endswith("UNRESOLVED")
+
+
+def test_resolved_reads_the_better_direction(bench_pairs):
+    wide = bench_pairs._summary([10.0, 20.0, 30.0, 40.0])
+    above = bench_pairs._summary([41.0, 50.0, 60.0, 70.0])
+    assert bench_pairs._resolved(wide, above, 0.2, lower=False)
+    assert not bench_pairs._resolved(wide, above, 0.2, lower=True)
+    assert bench_pairs._resolved(wide, above, 0.6, lower=True)
+
+
 def test_unpaired_or_duplicate_runs_rejected(tmp_path, bench_pairs):
     a = _result(tmp_path / "a.json", 1, 28.0, 13.0)
     b = _result(tmp_path / "b.json", 2, 20.0, 13.0)

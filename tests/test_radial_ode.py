@@ -338,6 +338,10 @@ def test_residual_uh_examples():
         residual_Uh(3, -2.0, grid)   # h must exceed -2(N-2)
     with pytest.raises(ValueError):
         residual_Uh(11, 0.0, grid)   # closed family certified for N <= 10
+    with pytest.raises(ValueError, match="integer"):
+        residual_Uh(3.5, 1.0, grid)
+    with pytest.raises(ValueError, match="finite h"):
+        residual_Uh(10, math.nan, grid)
 
 
 # ------------------------------------------------------- identity residuals
@@ -481,6 +485,8 @@ def test_profile_csv_round_trip():
     ("r,v,dv_dr\n0.1,x,0\n", "could not convert"),
     ("r,v,dv_dr\nnan,1,0\n0.5,1,0\n", "non-finite"),
     ("r,v,dv_dr\n0.5,1,0\n1,inf,0\n", "non-finite"),
+    ("r,v,dv_dr\n0,1,0\n1,2,3\n", "radius <= 0: '0,1,0'"),
+    ("r,v,dv_dr\n-1,1,0\n1,2,3\n", "radius <= 0: '-1,1,0'"),
 ])
 def test_profile_from_csv_rejects_malformed_input(text, match):
     with pytest.raises(ValueError, match=match):

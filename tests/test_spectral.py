@@ -321,7 +321,12 @@ def test_witness_additivity_over_disjoint_annuli():
 def test_witness_rejections():
     with pytest.raises(ValueError):
         instability_witness_leq9(10, 0.0, 1.0, 1)   # critical dim excluded
+    with pytest.raises(ValueError, match="integer"):
+        instability_witness_leq9(3.5, 0.0, 1.0, 1)
     with pytest.raises(ValueError):
         instability_witness_leq9(9, 0.0, 1.0, 0)    # j >= 1
     with pytest.raises(ValueError):
         instability_witness_leq9(9, 0.0, 3.0, 1)    # delta <= 0
+    for h, eps in ((math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            instability_witness_leq9(9, h, eps, 1)

@@ -1,13 +1,14 @@
-"""The DP5 driver and its size-specialised stage functions against the
-generic list-based loop.
+"""The DP5 driver and its stage functions against the generic list-based
+loop.
 
-``_reference_solve`` below is the generic Dormand-Prince 5(4) loop the
-stage functions in ``gelfand._stepper`` were unrolled from, kept verbatim
-with its tableau and controller constants. Every state size must reproduce
-it bit for bit: the same node states, the same accepted steps and the same
-sequence of right-hand-side calls, compared with ``==``. The right-hand
-sides are the package's own closures, captured from real calls through
-``_stepper.solve``.
+``_reference_solve`` below is the generic Dormand-Prince 5(4) loop that
+the stage functions in ``gelfand._stepper`` perform expression for
+expression (unrolled for sizes 1, 2 and 4, in list form for size 6), kept
+verbatim with its tableau and controller constants. Every state size must
+reproduce it bit for bit: the same node states, the same accepted steps
+and the same sequence of right-hand-side calls, compared with ``==``. The
+right-hand sides are the package's own closures, captured from real calls
+through ``_stepper.solve``.
 """
 
 from __future__ import annotations
@@ -278,6 +279,26 @@ def test_kernel_matches_reference_with_rejected_steps(monkeypatch, n):
     accepted = len(xs) - 1
     assert attempts > accepted
     assert calls == 1 + 6 * attempts
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_list_stage_matches_unrolled_stage(monkeypatch, n):
+    # the list form runs size 6 only; any size a new caller registers to it
+    # must get what an unrolled stage would give, rejected attempts included
+    fun, x0, y0, nodes, rtol, atol, _, _ = _capture(monkeypatch, CASES[n])[0]
+    k1 = fun(x0, list(y0))
+    h = nodes[-1] - x0  # the whole span: far too long
+    accepted = []
+    while not accepted or not accepted[-1]:
+        got = []
+        for stage in (_stepper._stage_list, _stepper._STAGES[n]):
+            logged, log = _logged(fun)
+            got.append((stage(logged, x0, h, x0 + h, list(y0), k1, rtol, atol), log))
+        assert got[0] == got[1]
+        assert len(got[0][1]) == 6
+        accepted.append(got[0][0][2] <= 1.0)
+        h /= 4.0
+    assert not accepted[0]
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 6])

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from gelfand import (
     Weight,
     WeightParseError,
+    explicit_uh,
     hardy_constant,
     make_ah,
     parse_weight,
@@ -80,6 +81,14 @@ def test_make_ah_range_validation():
     with pytest.raises(WeightParseError, match="not finite at r=1.0"):
         make_ah(1e300, 5)  # exp(h r^2 / 2N) overflows
     assert math.isfinite(weight_fn(make_ah(700.0, 10))(1.0))
+    # the explicit family takes its conditions on (dim, h) from make_ah
+    for dim, h in ((3.5, 1.0), (10.0, 1.0), (10, math.nan), (10, -16.0), (13, 0.0)):
+        with pytest.raises(ValueError):
+            make_ah(h, dim)
+        with pytest.raises(ValueError):
+            explicit_uh(dim, h)
+    with pytest.raises(ValueError, match="must be an integer"):
+        make_ah(1.0, 3.5)
 
 
 def test_normalization_at_origin():
