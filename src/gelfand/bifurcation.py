@@ -5,7 +5,7 @@ alpha(beta)) with alpha = beta - log lambda. Tracing marches beta with an
 adaptive step (capped by the caller), halving whenever log lambda leaves
 its tangent prediction by more than 0.01; a sign flip of dlambda/dbeta
 between samples is only bracketed, and the fold is refined afterwards by
-bisection on the variational derivative. Classification into diagram
+Brent's method on the variational derivative. Classification into diagram
 types is a windowed decision rule, not a theorem: a window can only ever
 certify finitely many oscillations.
 """
@@ -101,7 +101,8 @@ def trace_curve(cfg: ProblemConfig, beta_min: float, beta_max: float,
     (the floor step is accepted as-is); regrow by 2 after two clean
     accepts. Where lambda ~ 2N e^beta the tangent is almost exact and the
     march takes max_step. A sign flip of dlambda/dbeta does not shrink the
-    step: it records a bracket, and refine_fold bisects it after the march.
+    step: it records a bracket, and refine_fold narrows it by Brent's
+    method after the march.
     An integrator failure truncates the curve and records a diagnostic.
     """
     if not beta_min < beta_max:
@@ -170,13 +171,19 @@ def trace_curve(cfg: ProblemConfig, beta_min: float, beta_max: float,
 
 
 def refine_fold(cfg: ProblemConfig, lo: ShootResult, hi: ShootResult) -> TurningPoint:
-    """Bisect a sign change of dlambda/dbeta down to a 1e-8 beta bracket.
+    """Place the fold in a sign change of dlambda/dbeta by Brent's method.
 
     lo and hi are the shoots at the bracket's ends, which the march already
-    holds, so only the midpoints are shot. Uses the variational derivative
+    holds; every new shoot lies strictly inside the current bracket. Each
+    step is an inverse quadratic or secant step where that lands well
+    inside the bracket and shrinks it fast enough, and a bisection
+    otherwise (zeroin: R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4). Uses the variational derivative
     lambda * e(1) directly, so there is no finite-difference tolerance
-    coupling. The returned point satisfies
-    |dlambda/dbeta| <= 1e-8 * max(1, lambda).
+    coupling. The returned point is the better end of a bracket at most
+    BETA_TOL wide and satisfies |dlambda/dbeta| <= FOLD_FLATNESS *
+    max(1, lambda); RuntimeError when the iterations, or the floats inside
+    the bracket, run out first.
     """
     if not (lo.dlambda_dbeta != 0.0 and
             lo.dlambda_dbeta * hi.dlambda_dbeta < 0.0):
@@ -185,23 +192,51 @@ def refine_fold(cfg: ProblemConfig, lo: ShootResult, hi: ShootResult) -> Turning
             f"{lo.dlambda_dbeta} vs {hi.dlambda_dbeta}"
         )
     kind = "Max" if lo.dlambda_dbeta > 0.0 else "Min"
-    a, b = lo.beta, hi.beta
-    fa = lo.dlambda_dbeta
-    mid = lo
+    tol = 0.5 * BETA_TOL  # half-width of the final bracket, and the shortest step
+    # b is the best point so far, c the end across the sign change from it,
+    # a the previous b; d is the last step and e the one before it
+    a = c = lo
+    b = hi
+    d = e = hi.beta - lo.beta
     for _ in range(100):
-        m = 0.5 * (a + b)
-        mid = integrate_ivp(cfg, m, trace=True)
-        if mid.dlambda_dbeta == 0.0:
-            break
-        if fa * mid.dlambda_dbeta < 0.0:
-            b = m
+        if b.dlambda_dbeta * c.dlambda_dbeta > 0.0:
+            c = a
+            d = e = b.beta - a.beta
+        if abs(c.dlambda_dbeta) < abs(b.dlambda_dbeta):
+            a, b, c = b, c, b
+        fa, fb, fc = a.dlambda_dbeta, b.dlambda_dbeta, c.dlambda_dbeta
+        xm = 0.5 * (c.beta - b.beta)
+        if fb == 0.0 or (abs(xm) <= tol
+                         and abs(fb) <= FOLD_FLATNESS * max(1.0, b.lam)):
+            return TurningPoint(beta=b.beta, lam=b.lam, alpha=b.alpha, kind=kind)
+        if abs(xm) > tol and abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a is c:
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b.beta - a.beta) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * xm * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = xm
         else:
-            a = m
-            fa = mid.dlambda_dbeta
-        if (b - a <= BETA_TOL
-                and abs(mid.dlambda_dbeta) <= FOLD_FLATNESS * max(1.0, mid.lam)):
+            d = e = xm
+        if abs(d) < min(tol, abs(xm)):
+            d = math.copysign(tol, xm)
+        beta = b.beta + d
+        if not min(b.beta, c.beta) < beta < max(b.beta, c.beta):
             break
-    return TurningPoint(beta=mid.beta, lam=mid.lam, alpha=mid.alpha, kind=kind)
+        a, b = b, integrate_ivp(cfg, beta, trace=True)
+    raise RuntimeError(
+        f"fold refinement on [{lo.beta}, {hi.beta}] stopped at the bracket "
+        f"[{min(b.beta, c.beta)}, {max(b.beta, c.beta)}] with "
+        f"|dlambda/dbeta| = {abs(b.dlambda_dbeta):.3g} at beta={b.beta}"
+    )
 
 
 def classify(cfg: ProblemConfig, curve: BifurcationCurve,

@@ -349,10 +349,13 @@ def _run(cfg: ProblemConfig, beta: float, nodes, second: bool = False,
 
 def _output_radii(cfg: ProblemConfig, radii):
     """The output radii (default: `default_grid`) as an array and as a
-    list of floats; they must start at r_start or beyond and never decrease."""
+    list of floats; they must be finite, start at r_start or beyond and
+    never decrease."""
     radii_arr = np.asarray(radii if radii is not None else default_grid(cfg))
     if radii_arr.ndim != 1 or len(radii_arr) == 0:
         raise ValueError("output radii must be a non-empty one-dimensional sequence")
+    if not np.all(np.isfinite(radii_arr)):
+        raise ValueError("output radii must be finite")
     if radii_arr[0] < cfg.r_start * (1.0 - 1e-12):
         raise ValueError("output radii start below r_start")
     if np.any(np.diff(radii_arr) < 0.0):
@@ -495,8 +498,8 @@ def residual_Uh(dim: int, h: float, radii) -> float:
     if dim > 10:
         raise ValueError(f"dimension {dim} outside [3, 10]")
     r = np.asarray(radii, dtype=float)
-    if np.any(r < 1e-4) or np.any(r > 1.0):
-        raise ValueError("grid must lie within [1e-4, 1]")
+    if not np.all(np.isfinite(r)) or np.any(r < 1e-4) or np.any(r > 1.0):
+        raise ValueError("grid must be finite and lie within [1e-4, 1]")
     N = float(dim)
     t = h / (2.0 * N)
     U = t - 2.0 * np.log(r) - t * r * r

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -168,6 +169,53 @@ def test_refine_fold_shoots_only_inside_its_bracket(cfg3, shoots):
     assert tp.kind == "Max"
     assert tp.beta == pytest.approx(REFERENCE_FOLDS["curve3"][0], abs=1e-7)
     assert shoots and all(2.75 < b < 3.0 for _, b, _ in shoots)
+    assert len(shoots) <= 8
+
+
+def test_refine_fold_takes_few_shoots_on_the_march_brackets(curve3, cfg3, shoots):
+    # Brent's method needs 3-6 shoots per fold of curve3, where bisecting
+    # a bracket up to 0.25 wide down to BETA_TOL takes 25
+    samples = curve3.samples
+    for tp in curve3.turning_points:
+        i = next(i for i, s in enumerate(samples) if s.beta > tp.beta)
+        shoots.clear()
+        assert bif.refine_fold(cfg3, samples[i - 1], samples[i]) == tp
+        assert 0 < len(shoots) <= 8
+
+
+def _fake_shoots(monkeypatch, dlambda):
+    """Replace the module's shoots by beta -> dlambda(beta) at lambda = 1;
+    returns the fake and the list of betas it is called at."""
+    betas = []
+
+    def fake(cfg, beta, **kw):
+        betas.append(beta)
+        return SimpleNamespace(beta=beta, lam=1.0, alpha=beta,
+                               dlambda_dbeta=dlambda(beta))
+
+    monkeypatch.setattr(bif, "integrate_ivp", fake)
+    return fake, betas
+
+
+def test_refine_fold_converges_on_a_smooth_sign_change(monkeypatch):
+    fake, betas = _fake_shoots(monkeypatch, lambda b: (2.9 - b) * (1.0 + b * b))
+    lo, hi = fake(None, 2.75), fake(None, 3.0)
+    betas.clear()
+    tp = bif.refine_fold(None, lo, hi)
+    assert tp.kind == "Max"
+    assert abs(tp.beta - 2.9) <= bif.BETA_TOL
+    assert 0 < len(betas) <= 10 and all(2.75 < b < 3.0 for b in betas)
+
+
+def test_refine_fold_raises_when_no_flat_point_exists(monkeypatch):
+    # the derivative jumps sign without a zero: the bracket closes in on
+    # the jump, but no point in it is flat
+    fake, betas = _fake_shoots(monkeypatch, lambda b: 1.0 if b < 2.9 else -1.0)
+    lo, hi = fake(None, 2.75), fake(None, 3.0)
+    betas.clear()
+    with pytest.raises(RuntimeError, match=r"fold refinement on \[2.75, 3.0\]"):
+        bif.refine_fold(None, lo, hi)
+    assert betas and all(2.75 < b < 3.0 for b in betas)
 
 
 def test_fold_below_zero_under_the_largest_steps():

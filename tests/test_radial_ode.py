@@ -193,7 +193,8 @@ def test_one_node_grid_returns_the_start_state():
 def test_decreasing_or_misplaced_radii_rejected():
     cfg = ProblemConfig(dim=3, weight=CONST)
     for radii, msg in (([1e-4, 0.6, 0.5], "decrease"), ([5e-5, 1.0], "below r_start"),
-                       ([], "non-empty")):
+                       ([], "non-empty"), ([1e-4, math.nan, 1.0], "finite"),
+                       ([1e-4, 0.5, math.inf], "finite")):
         with pytest.raises(ValueError, match=msg):
             integrate_ivp(cfg, 0.0, radii=radii)
         with pytest.raises(ValueError, match=msg):
@@ -342,6 +343,8 @@ def test_residual_uh_examples():
         residual_Uh(3.5, 1.0, grid)
     with pytest.raises(ValueError, match="finite h"):
         residual_Uh(10, math.nan, grid)
+    with pytest.raises(ValueError, match="grid must be finite"):
+        residual_Uh(10, 0.0, [0.5, math.nan])
 
 
 # ------------------------------------------------------- identity residuals
