@@ -35,11 +35,16 @@ their stage functions are unrolled into local scalars: the list form takes
 about twice as long on them. Size 6 only confirms a fold's kind from
 lambda''(beta), which no workload, CLI command or script runs, so it takes
 the list form, ``_stage_list``, instead of an unrolled copy.
+
+``zeroin`` is the one root finder (R. P. Brent, Algorithms for Minimization
+without Derivatives, 1973, ch. 4): inverse quadratic or secant steps where
+they land well inside the bracket and shrink it fast, else bisection. It
+places folds (``refine_fold``) and Pruefer eigenvalues (``morse_index``).
 """
 
 from __future__ import annotations
 
-from math import sqrt
+from math import copysign, sqrt
 
 
 class IntegrationError(RuntimeError):
@@ -85,7 +90,6 @@ _MAX_FACTOR = 5.0
 _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
 _MAX_STEPS = 2_000_000
-
 
 
 def solve(fun, x0, y0, nodes, rtol, atol, first_step=None, collect=False):
@@ -148,6 +152,51 @@ def solve(fun, x0, y0, nodes, rtol, atol, first_step=None, collect=False):
     if collect:
         return out, xs, ys
     return out
+
+
+def zeroin(evaluate, lo, hi, tol, done, failure):
+    """Narrow the sign change of f between points (x, f(x), payload) lo and hi.
+
+    evaluate(x) returns the point at x, strictly inside the bracket; tol(x)
+    is the bracket half-width wanted around the best point x, and the
+    shortest step. Returns (best point, other end) once f = 0 there or the
+    bracket is within tol and done(best point). After 100 evaluations, or
+    when the floats in the bracket run out, raises RuntimeError with
+    failure.format(lo=, hi=, left=, right=, f=|f(best)|, x=best x)."""
+    # b is the best point so far, c the end across the sign change from it,
+    # a the previous b; d is the last step and e the one before it
+    a, b, c = lo, hi, lo
+    d = e = hi[0] - lo[0]
+    for _ in range(100):
+        if b[1] * c[1] > 0.0:
+            c = a
+            d = e = b[0] - a[0]
+        if abs(c[1]) < abs(b[1]):
+            a, b, c = b, c, b
+        (xa, fa, _), (xb, fb, _), (xc, fc, _) = a, b, c
+        tol_b = tol(xb)
+        xm = 0.5 * (xc - xb)
+        if fb == 0.0 or (abs(xm) <= tol_b and done(b)):
+            return b, c
+        interpolate = False
+        if abs(xm) > tol_b and abs(e) >= tol_b and abs(fa) > abs(fb):
+            s = fb / fa
+            if a is c:
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (xb - xa) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = abs(p), -q if p > 0.0 else q
+            interpolate = 2.0 * p < min(3.0 * xm * q - abs(tol_b * q), abs(e * q))
+        e, d = (d, p / q) if interpolate else (xm, xm)
+        if abs(d) < min(tol_b, abs(xm)):
+            d = copysign(tol_b, xm)
+        if not min(xb, xc) < xb + d < max(xb, xc):
+            break
+        a, b = b, evaluate(xb + d)
+    raise RuntimeError(failure.format(lo=lo[0], hi=hi[0], left=min(b[0], c[0]),
+                                      right=max(b[0], c[0]), f=abs(b[1]), x=b[0]))
 
 
 # Stage functions: one step attempt of length h from (x, y) with

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._stepper import IntegrationError
+from ._stepper import IntegrationError, zeroin
 from .radial_ode import (
     BETA_MAX_GUARD,
     BETA_MIN_GUARD,
@@ -173,15 +173,10 @@ def trace_curve(cfg: ProblemConfig, beta_min: float, beta_max: float,
 def refine_fold(cfg: ProblemConfig, lo: ShootResult, hi: ShootResult) -> TurningPoint:
     """Place the fold in a sign change of dlambda/dbeta by Brent's method.
 
-    lo and hi are the shoots at the bracket's ends, which the march already
-    holds; every new shoot lies strictly inside the current bracket. Each
-    step is an inverse quadratic or secant step where that lands well
-    inside the bracket and shrinks it fast enough, and a bisection
-    otherwise (zeroin: R. P. Brent, Algorithms for Minimization without
-    Derivatives, 1973, ch. 4). Uses the variational derivative
-    lambda * e(1) directly, so there is no finite-difference tolerance
-    coupling. The returned point is the better end of a bracket at most
-    BETA_TOL wide and satisfies |dlambda/dbeta| <= FOLD_FLATNESS *
+    lo and hi are the march's shoots at the bracket's ends. `_stepper.zeroin`
+    runs on (beta, dlambda/dbeta = lambda e(1), shoot) and shoots only
+    strictly inside the bracket. The returned point is the better end of a
+    bracket at most BETA_TOL wide, with |dlambda/dbeta| <= FOLD_FLATNESS *
     max(1, lambda); RuntimeError when the iterations, or the floats inside
     the bracket, run out first.
     """
@@ -192,51 +187,15 @@ def refine_fold(cfg: ProblemConfig, lo: ShootResult, hi: ShootResult) -> Turning
             f"{lo.dlambda_dbeta} vs {hi.dlambda_dbeta}"
         )
     kind = "Max" if lo.dlambda_dbeta > 0.0 else "Min"
-    tol = 0.5 * BETA_TOL  # half-width of the final bracket, and the shortest step
-    # b is the best point so far, c the end across the sign change from it,
-    # a the previous b; d is the last step and e the one before it
-    a = c = lo
-    b = hi
-    d = e = hi.beta - lo.beta
-    for _ in range(100):
-        if b.dlambda_dbeta * c.dlambda_dbeta > 0.0:
-            c = a
-            d = e = b.beta - a.beta
-        if abs(c.dlambda_dbeta) < abs(b.dlambda_dbeta):
-            a, b, c = b, c, b
-        fa, fb, fc = a.dlambda_dbeta, b.dlambda_dbeta, c.dlambda_dbeta
-        xm = 0.5 * (c.beta - b.beta)
-        if fb == 0.0 or (abs(xm) <= tol
-                         and abs(fb) <= FOLD_FLATNESS * max(1.0, b.lam)):
-            return TurningPoint(beta=b.beta, lam=b.lam, alpha=b.alpha, kind=kind)
-        if abs(xm) > tol and abs(e) >= tol and abs(fa) > abs(fb):
-            s = fb / fa
-            if a is c:
-                p, q = 2.0 * xm * s, 1.0 - s
-            else:
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * xm * q * (q - r) - (b.beta - a.beta) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * xm * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = xm
-        else:
-            d = e = xm
-        if abs(d) < min(tol, abs(xm)):
-            d = math.copysign(tol, xm)
-        beta = b.beta + d
-        if not min(b.beta, c.beta) < beta < max(b.beta, c.beta):
-            break
-        a, b = b, integrate_ivp(cfg, beta, trace=True)
-    raise RuntimeError(
-        f"fold refinement on [{lo.beta}, {hi.beta}] stopped at the bracket "
-        f"[{min(b.beta, c.beta)}, {max(b.beta, c.beta)}] with "
-        f"|dlambda/dbeta| = {abs(b.dlambda_dbeta):.3g} at beta={b.beta}"
-    )
+
+    def point(shoot):
+        return shoot.beta, shoot.dlambda_dbeta, shoot
+    fold = zeroin(
+        lambda beta: point(integrate_ivp(cfg, beta, trace=True)), point(lo), point(hi),
+        lambda beta: 0.5 * BETA_TOL, lambda p: abs(p[1]) <= FOLD_FLATNESS * max(1.0, p[2].lam),
+        "fold refinement on [{lo}, {hi}] stopped at the bracket [{left}, {right}] "
+        "with |dlambda/dbeta| = {f:.3g} at beta={x}")[0][2]
+    return TurningPoint(beta=fold.beta, lam=fold.lam, alpha=fold.alpha, kind=kind)
 
 
 def classify(cfg: ProblemConfig, curve: BifurcationCurve,

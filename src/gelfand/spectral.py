@@ -324,8 +324,7 @@ def _prufer_inner_radius(k2: DiskPotential, cap: int) -> float:
     return 1e-6
 
 
-def _prufer_theta_end(k2: DiskPotential, mu: float, r_in: float,
-                      rtol: float = 1e-10, atol: float = 1e-10) -> float:
+def _prufer_theta_end(k2: DiskPotential, mu: float, r_in: float) -> float:
     """Phase at r = 1 of the Pruefer angle in tau = log r.
 
     w = rho sin(theta), r w' = rho cos(theta);
@@ -354,37 +353,9 @@ def _prufer_theta_end(k2: DiskPotential, mu: float, r_in: float,
         cos_t = math.cos(y[0])
         return [cos_t * cos_t + (q + r * r * (s + mu)) * sin_t * sin_t]
 
-    out = _stepper.solve(rhs, tau0, [theta0], [0.0], rtol, atol,
+    out = _stepper.solve(rhs, tau0, [theta0], [0.0], 1e-10, 1e-10,
                          first_step=1e-3 * abs(tau0))
     return out[0][0]
-
-
-def _prufer_count(k2: DiskPotential, r_in: float) -> int:
-    theta = _prufer_theta_end(k2, 0.0, r_in)
-    return int(math.floor(theta / math.pi))
-
-
-def _prufer_eigenvalue(k2: DiskPotential, kth: int, r_in: float, lo: float) -> float:
-    """mu with theta(1; mu) = kth * pi, bisected; theta_end increases in mu."""
-    target = kth * math.pi
-    hi = 0.0
-    f_lo = _prufer_theta_end(k2, lo, r_in) - target
-    tries = 0
-    while f_lo > 0.0:
-        lo *= 2.0
-        f_lo = _prufer_theta_end(k2, lo, r_in) - target
-        tries += 1
-        if tries > 60:
-            raise RuntimeError("failed to bracket Pruefer eigenvalue from below")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _prufer_theta_end(k2, mid, r_in) - target > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-10 * max(1.0, abs(lo)):
-            break
-    return 0.5 * (lo + hi)
 
 
 def _fd_matrix(k2: DiskPotential, n: int, r_in: float):
@@ -431,12 +402,12 @@ def _sturm_negative_count(diag: np.ndarray, off: np.ndarray) -> int:
 def morse_index(k2: DiskPotential, cap: int = 16, n_fd: int = 4096) -> SpectralReport:
     """Count negative eigenvalues two independent ways; refuse to disagree.
 
-    Route 1: Pruefer phase integration in log radius (zeros of the
-    mu = 0 solution, eigenvalues by phase bisection). Route 2: inertia of
-    the finite-volume matrix (Sylvester), eigenvalues from LAPACK. Counts
-    must match exactly or MethodDisagreement is raised; eigenvalue values
-    are reported with their cross-method gap. Counts reaching `cap` are
-    reported as capped (the oscillatory N <= 9 tails have infinite index).
+    Route 1: Pruefer phase integration in log radius (zeros of the mu = 0
+    solution, eigenvalues by Brent's method on the phase). Route 2: inertia
+    of the finite-volume matrix (Sylvester), eigenvalues from LAPACK. Counts,
+    then numbers of eigenvalues, must match exactly or MethodDisagreement is
+    raised; eigenvalues are reported with their cross-method gap. Counts
+    reaching `cap` are capped (the N <= 9 tails have infinite index).
 
     For potentials carried by interpolated numeric profiles the count is
     certified only up to the profile's own accuracy: treat it as a
@@ -447,7 +418,8 @@ def morse_index(k2: DiskPotential, cap: int = 16, n_fd: int = 4096) -> SpectralR
     if not isinstance(cap, int) or not 1 <= cap <= 32:
         raise ValueError(f"cap must be an integer in [1, 32], got {cap!r}")
     r_in = _prufer_inner_radius(k2, cap)
-    pc = _prufer_count(k2, r_in)
+    theta0 = _prufer_theta_end(k2, 0.0, r_in)
+    pc = int(math.floor(theta0 / math.pi))
     diag, off, _, _ = _fd_matrix(k2, n_fd, r_in)
     fc = _sturm_negative_count(diag, off)
 
@@ -458,19 +430,39 @@ def morse_index(k2: DiskPotential, cap: int = 16, n_fd: int = 4096) -> SpectralR
             f"(cap {cap}, label {k2.label!r})"
         )
 
-    eigen: tuple[float, ...] = ()
-    fd_eigen: tuple[float, ...] = ()
-    gap = 0.0
+    eigen, fd_eigen, gap = [], (), 0.0
     if not capped and pc > 0:
-        # bracket comfortably below the smallest eigenvalue
+        # bracket comfortably below the smallest eigenvalue: theta_end(lo) <= pi
         smax = float(np.max(k2.smooth(np.linspace(1e-3, 1.0, 1025))))
         lo = min(-1.0, -smax - 1.0)
-        eigen = tuple(_prufer_eigenvalue(k2, k, r_in, lo) for k in range(1, pc + 1))
+        theta_lo = _prufer_theta_end(k2, lo, r_in)
+        for _ in range(61):
+            if theta_lo <= math.pi:
+                break
+            lo *= 2.0
+            theta_lo = _prufer_theta_end(k2, lo, r_in)
+        else:
+            raise RuntimeError("failed to bracket Pruefer eigenvalue from below")
+        # eigenvalue k: theta_end(mu) = k pi on [end of bracket k - 1 where
+        # theta_end <= (k - 1) pi, or lo; 0] (theta_end increases in mu)
+        below = (lo, theta_lo)
+        for k in range(1, pc + 1):
+            def point(mu, theta, target=k * math.pi):
+                return mu, theta - target, theta
+            b, c = _stepper.zeroin(
+                lambda mu: point(mu, _prufer_theta_end(k2, mu, r_in)), point(*below),
+                point(0.0, theta0), lambda mu: 0.5e-10 * max(1.0, abs(mu)), lambda p: True,
+                f"Pruefer eigenvalue {k} on [{{lo}}, {{hi}}] stopped at the bracket "
+                f"[{{left}}, {{right}}] with |theta_end - {k} pi| = {{f:.3g}} at mu={{x}}")
+            eigen.append(b[0])
+            below = (b[0], b[2]) if b[1] <= 0.0 else (c[0], c[2])
         vals = eigvalsh_tridiagonal(diag, off, select="v",
                                     select_range=(lo * 4.0 - 10.0, 0.0))
         fd_eigen = tuple(float(v) for v in vals if v < 0.0)
-        if len(fd_eigen) == len(eigen) and eigen:
-            gap = max(abs(a - b) for a, b in zip(eigen, fd_eigen))
+        if len(fd_eigen) != len(eigen):
+            raise MethodDisagreement(f"{len(eigen)} Pruefer eigenvalues != {len(fd_eigen)} "
+                                     f"finite-volume eigenvalues (label {k2.label!r})")
+        gap = max(abs(a - b) for a, b in zip(eigen, fd_eigen))
     evidence = (
         f"pruefer={pc}{'+' if capped else ''}, fd={fc}{'+' if capped else ''}, "
         f"r_in={r_in:.3e}, n_fd={n_fd}"
@@ -481,7 +473,7 @@ def morse_index(k2: DiskPotential, cap: int = 16, n_fd: int = 4096) -> SpectralR
         cap=cap,
         prufer_count=pc,
         fd_count=fc,
-        eigenvalues_below_zero=eigen,
+        eigenvalues_below_zero=tuple(eigen),
         fd_eigenvalues=fd_eigen,
         method_gap=gap,
         evidence=evidence,

@@ -162,6 +162,67 @@ def test_folds_do_not_move_with_the_step_rule(request, name):
     assert [tp.beta for tp in tps] == pytest.approx(expected, abs=1e-7)
 
 
+# The constant-weight branch from one Emden-Fowler trajectory, an oracle
+# that shares only the DP5 stepper and the root finder with the package.
+# For a = 1, v(r; beta) = beta + w(e^{beta/2} r) with w the beta = 0
+# solution on [0, inf). With s = log rho and z = w + 2s - log 2(N-2),
+#     z'' + (N-2) z' + 2(N-2) expm1(z) = 0,  lambda(beta) = 2(N-2) e^{z(beta/2)},
+# so the folds are the zeros of z', at beta = 2s.
+def _emden_folds(dim):
+    """[(beta, kind)] of every fold up to beta = 41: z' from s = -12 to
+    20.5 at rtol 1e-12 (atol 1e-300, purely relative), each zero of z'
+    placed by zeroin to 5e-10 in s, every evaluation a short re-shoot from
+    the accepted step before the sign change."""
+    n2, k = dim - 2.0, 2.0 * (dim - 2.0)
+
+    def fun(s, y):
+        return [y[1], -n2 * y[1] - k * math.expm1(y[0])]
+
+    s0 = -12.0
+    rho2 = math.exp(2.0 * s0)
+    # w = -rho^2/(2N) + rho^4/(8N(N+2)) + ..., and z' = rho w_rho + 2
+    w = -rho2 / (2 * dim) + rho2 * rho2 / (8 * dim * (dim + 2))
+    dz = 2.0 - rho2 / dim + rho2 * rho2 / (2 * dim * (dim + 2))
+    y0 = [w + 2.0 * s0 - math.log(k), dz]
+    _, xs, ys = _stepper.solve(fun, s0, y0, [20.5], 1e-12, 1e-300, collect=True)
+    folds = []
+    for x0, y, x1, y1 in zip(xs, ys, xs[1:], ys[1:]):
+        if y[1] * y1[1] < 0.0:
+            def point(s, x0=x0, y=y):
+                return s, _stepper.solve(fun, x0, y, [s], 1e-12, 1e-300)[0][1], None
+            b, _ = _stepper.zeroin(point, (x0, y[1], None), (x1, y1[1], None),
+                                   lambda s: 2.5e-10, lambda p: True, "no zero of z'")
+            folds.append((2.0 * b[0], "Max" if y[1] > 0.0 else "Min"))
+    return folds
+
+
+def _in_window(folds):
+    return [f for f in folds if -5.0 <= f[0] <= 40.0]
+
+
+# the oracle's seven N=9 const folds in [-5, 40], from Max at 8.0008 on;
+# trace_curve finds only the first two (test_classify_type_one_nine_dimensions)
+EMDEN_FOLDS_N9 = [8.000789448, 12.750328988, 17.499970660, 22.249612307,
+                  26.999253954, 31.748895601, 36.498537247]
+
+
+def test_emden_oracle_matches_the_traced_folds_in_three_dimensions():
+    folds = _in_window(_emden_folds(3))
+    assert [kind for _, kind in folds] == ["Max", "Min"] * 4
+    assert [beta for beta, _ in folds] == pytest.approx(REFERENCE_FOLDS["curve3"], abs=1e-7)
+
+
+def test_emden_oracle_has_no_fold_in_ten_dimensions():
+    # z' keeps its sign: at N = 10 the linearization has the double root -4
+    assert _emden_folds(10) == []
+
+
+def test_emden_oracle_has_seven_folds_in_nine_dimensions():
+    folds = _in_window(_emden_folds(9))
+    assert [kind for _, kind in folds] == ["Max", "Min", "Max", "Min", "Max", "Min", "Max"]
+    assert [beta for beta, _ in folds] == pytest.approx(EMDEN_FOLDS_N9, abs=1e-8)
+
+
 def test_refine_fold_shoots_only_inside_its_bracket(cfg3, shoots):
     # the march holds both ends of a bracket, so refinement never re-shoots them
     lo, hi = (integrate_ivp(cfg3, b, trace=True) for b in (2.75, 3.0))

@@ -29,7 +29,7 @@ from gelfand import (
 )
 from gelfand import spectral
 from gelfand.radial_ode import RadialProfile
-from gelfand.spectral import DiskPotential, _fd_matrix
+from gelfand.spectral import DiskPotential, MethodDisagreement, _fd_matrix
 
 H = hardy_constant()
 CONST = parse_weight("const")
@@ -137,6 +137,56 @@ def test_morse_explicit_family(h, expected):
 def test_morse_consistent_with_zero_oracle(h):
     rep = morse_index(reduce_to_disk(explicit_uh(10, h)))
     assert rep.morse_index == explicit_count(h)
+
+
+@pytest.mark.parametrize("h,budget", [(40.0, 26), (80.0, 38), (150.0, 50)])
+def test_morse_pruefer_solve_budget(monkeypatch, h, budget):
+    # Brent's method on the phase, with theta_end(0) from the count as the
+    # upper end of every bracket and one solve at the lower end: 19, 26 and
+    # 36 solves where bisection took 73, 110 and 146
+    solves = []
+    theta_end = spectral._prufer_theta_end
+
+    def counted(*args):
+        solves.append(args[1])
+        return theta_end(*args)
+
+    monkeypatch.setattr(spectral, "_prufer_theta_end", counted)
+    rep = morse_index(reduce_to_disk(explicit_uh(10, h)))
+    assert len(solves) <= budget
+    assert rep.morse_index == explicit_count(h)
+    for i, ev in enumerate(rep.eigenvalues_below_zero, start=1):
+        assert ev == pytest.approx(j0_zero(i) ** 2 - h, abs=1e-6)
+    assert rep.method_gap <= 1e-3
+
+
+def test_morse_eigenvalue_numbers_must_agree(monkeypatch):
+    # equal counts but a finite-volume route that returns one eigenvalue
+    # fewer: a gap over the shorter list would read as agreement
+    eigvals = spectral.eigvalsh_tridiagonal
+    monkeypatch.setattr(spectral, "eigvalsh_tridiagonal",
+                        lambda *args, **kw: eigvals(*args, **kw)[:-1])
+    with pytest.raises(MethodDisagreement, match="2 Pruefer eigenvalues != 1"):
+        morse_index(reduce_to_disk(explicit_uh(10, 40.0)))
+
+
+def test_morse_window_starts_at_the_doubled_lower_end(monkeypatch):
+    # a phase that is still above pi at the first lower end mu = -41 makes
+    # the bracket search double it twice, to -164; the finite-volume window
+    # must start from there, not from -41
+    windows = []
+    eigvals = spectral.eigvalsh_tridiagonal
+
+    def recorded(*args, **kw):
+        windows.append(kw["select_range"])
+        return eigvals(*args, **kw)
+
+    monkeypatch.setattr(spectral, "_prufer_theta_end",
+                        lambda k2, mu, r_in: math.pi * (2.5 + mu / 100.0))
+    monkeypatch.setattr(spectral, "eigvalsh_tridiagonal", recorded)
+    rep = morse_index(reduce_to_disk(explicit_uh(10, 40.0)))
+    assert windows == [(-164.0 * 4.0 - 10.0, 0.0)]
+    assert rep.eigenvalues_below_zero == pytest.approx((-150.0, -50.0), abs=1e-8)
 
 
 def test_morse_cap_validation():

@@ -8,7 +8,8 @@ verbatim with its tableau and controller constants. Every state size must
 reproduce it bit for bit: the same node states, the same accepted steps
 and the same sequence of right-hand-side calls, compared with ``==``. The
 right-hand sides are the package's own closures, captured from real calls
-through ``_stepper.solve``.
+through ``_stepper.solve``. The package's one root finder, ``zeroin``, is
+tested at the end on plain floats.
 """
 
 from __future__ import annotations
@@ -332,3 +333,55 @@ def test_step_budget_exhausted(monkeypatch, n):
 def test_unsupported_state_size(n):
     with pytest.raises(ValueError, match="size"):
         _stepper.solve(lambda x, y: list(y), 0.0, [1.0] * n, [1.0], 1e-10, 1e-12)
+
+
+# ------------------------------------------------------------------ zeroin
+
+def _cubic_points(f, xs):
+    """evaluate(x) for zeroin over f, recording every x it is called at."""
+    def evaluate(x):
+        xs.append(x)
+        return x, f(x), None
+    return evaluate
+
+
+def _wallis(x):
+    """Wallis's cubic x^3 - 2x - 5, whose one real root is 2.0945514815423265..."""
+    return x * x * x - 2.0 * x - 5.0
+
+
+WALLIS_ROOT = 2.0945514815423265
+
+
+def _strictly_inside_each_bracket(f, lo, hi, xs):
+    """True when every evaluation lies strictly inside the bracket that the
+    earlier ones (and lo < hi, with f(lo) < 0 < f(hi)) left."""
+    for x in xs:
+        if not lo < x < hi:
+            return False
+        lo, hi = (x, hi) if f(x) < 0.0 else (lo, x)
+    return True
+
+
+def test_zeroin_converges_on_a_cubic_inside_its_bracket():
+    xs, tol = [], 1e-12
+    b, c = _stepper.zeroin(_cubic_points(_wallis, xs), (2.0, _wallis(2.0), None),
+                           (3.0, _wallis(3.0), None), lambda x: tol, lambda p: True, "unused")
+    assert abs(b[0] - c[0]) <= 2.0 * tol
+    assert min(b[0], c[0]) <= WALLIS_ROOT <= max(b[0], c[0])
+    assert b[1] == _wallis(b[0]) and abs(b[1]) <= abs(c[1])
+    assert 0 < len(xs) <= 10
+    assert _strictly_inside_each_bracket(_wallis, 2.0, 3.0, xs)
+
+
+def test_zeroin_raises_when_its_stopping_test_cannot_be_met():
+    xs, tol = [], 1e-12
+    with pytest.raises(RuntimeError, match=r"zeroin on \[2.0, 3.0\] stopped at \[2\.0945") as got:
+        _stepper.zeroin(_cubic_points(_wallis, xs), (2.0, _wallis(2.0), None),
+                        (3.0, _wallis(3.0), None), lambda x: tol, lambda p: False,
+                        "zeroin on [{lo}, {hi}] stopped at [{left}, {right}], "
+                        "|f| = {f:.3g} at x={x}")
+    left, right = (float(v) for v in str(got.value).split("[")[2].split("]")[0].split(", "))
+    assert 0.0 < right - left <= 2.0 * tol
+    assert 0 < len(xs) < 100
+    assert _strictly_inside_each_bracket(_wallis, 2.0, 3.0, xs)
