@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import j1 as scipy_j1
 
@@ -195,6 +196,8 @@ def test_morse_cap_validation():
         morse_index(k2, cap=0)
     with pytest.raises(ValueError):
         morse_index(k2, cap=33)
+    with pytest.raises(ValueError, match="integer"):
+        morse_index(k2, cap=True)
 
 
 def test_morse_low_dimension_caps():
@@ -356,6 +359,34 @@ def test_witness_matches_independent_quadrature(dim, h, eps, j):
     w = instability_witness_leq9(dim, h, eps, j)
     q_num = _witness_quadrature(dim, h, eps, j)
     assert w.q_value == pytest.approx(q_num, rel=1e-8, abs=1e-10)
+
+
+@pytest.mark.parametrize("dim, h, eps, j", [
+    (3, -1.0, 0.5, 1), (5, 0.0, 1.0, 2), (7, 5.0, 2.0, 1), (9, 40.0, 1.0, 4), (9, 40.0, 2.0, 1),
+])
+def test_witness_closed_form_against_scipy_quad(dim, h, eps, j):
+    t_lo, t_hi = -2.0 * math.pi * (j + 1) / eps, -2.0 * math.pi * j / eps
+    p, m = 0.5 * (2.0 - dim), 0.5 * eps
+
+    def integrand(t):
+        s, c = math.sin(m * t), math.cos(m * t)
+        return (p * s + m * c) ** 2 - 2.0 * (dim - 2) * s * s - h * math.exp(2.0 * t) * s * s
+
+    q_quad, _ = quad(integrand, t_lo, t_hi, epsabs=0.0, epsrel=1e-13, limit=200)
+    q = instability_witness_leq9(dim, h, eps, j).q_value
+    assert abs(q - q_quad) <= 1e-12 * abs(q_quad)
+
+
+def test_integer_arguments_accept_numpy_integers_and_reject_bool():
+    assert j0_zero(np.int64(2)) == j0_zero(2)
+    with pytest.raises(ValueError, match="integer"):
+        j0_zero(True)
+    w = instability_witness_leq9(np.int64(5), 0.0, 1.0, np.int64(2))
+    assert w.q_value == instability_witness_leq9(5, 0.0, 1.0, 2).q_value
+    for dim, j in ((True, 1), (9, True)):
+        with pytest.raises(ValueError, match="integer"):
+            instability_witness_leq9(dim, 0.0, 1.0, j)
+    assert morse_index(reduce_to_disk(explicit_uh(10, 31.0)), cap=np.int64(4)).morse_index == 2
 
 
 def test_witness_additivity_over_disjoint_annuli():
