@@ -1,40 +1,43 @@
-"""Adaptive Dormand-Prince 5(4) integrator with PI step control.
+"""Adaptive Dormand-Prince 8(5,3) integrator (DOP853) with PI step control.
 
 Shared by the radial shooting routines and the Pruefer phase integration.
 Kept deliberately plain and deterministic: floats, no events, output
-nodes are hit exactly by clamping the step. The embedded 4th order solution
-is used only for the error estimate (local extrapolation).
+nodes are hit exactly by clamping the step. The method is Dormand and
+Prince's DOP853 (E. Hairer, S. P. Norsett and G. Wanner, Solving Ordinary
+Differential Equations I, 2nd ed., section II.10) with the coefficients of
+scipy's ``dop853_coefficients``: twelve new right-hand-side calls per step
+attempt, the last of them, at the new point, serving as the next step's
+first (FSAL). A step is accepted on Hairer's combined error estimate
+h e5 / sqrt((e5 + 0.01 e3) n), with e5 and e3 the squared scaled norms of
+the embedded 5th and 3rd order error vectors, as in scipy's DOP853. The
+dense output's three extra stages are never computed: value readers
+interpolate accepted steps by degree-7 Hermite with derivatives from the
+ODE (`radial_ode.hermite_values`).
 
-The clamp does more than place outputs: a dense node list also caps the
-step size, and some results depend on that cap. The singular solution's
-lambda* is off by 1.0e-13 (N=3, const) and 1.0e-15 (N=10, a_h at h=40) on
-the default grid, but by 2.3e-12 and 1.9e-11 when shot straight to r = 1,
-at rtol 1e-10. The flux residual, evaluated on accepted steps instead of
-the default grid, rose from 4.2e-10 to as much as 1.7e-5 over the verify
-commands of the benchmark, because v' ~ 1e-6 near r_start. Consumers that
-need only values (zero numbers, separation and envelope gaps) shoot on
-accepted steps and interpolate (`radial_ode.quintic_values`); a zero
-number reads the singular profile it is given the same way and makes no
-singular shoot of its own. The identities and lambda* keep their node grids.
+Output nodes still bound the step: on ``radial_ode.default_grid`` (561
+nodes) nearly every step ends on a node, for about 12 x 560 right-hand-side
+calls per shoot, where a shoot left to the error control alone takes 60 to
+200 steps. The grid is not needed for accuracy. At rtol 1e-10 the singular
+solution's lambda* is off by 2.9e-15 (N=3, const) and 3.1e-15 (N=10, a_h
+at h=40) on the default grid, and by 1.1e-13 and 7.4e-13 when shot
+straight to r = 1. The identities keep the grid because their quadrature
+reads its samples; consumers that need only values (zero numbers,
+separation and envelope gaps) shoot on accepted steps and interpolate.
 
 The work is split in two. ``solve`` is the one driver: it owns the step
 controller (the node clamp, the step budget, the underflow check,
 accept/reject, the PI factor and the collection of accepted steps). A
-stage function computes a single step attempt: the six new right-hand-side
-calls, the 5th order solution and the scaled error norm. The package
-integrates states of four sizes only: 1 (the Pruefer phase), 2 (the
-singular solution), 4 (v and its first variation e) and 6 (v, e and the
-second variation w). Every stage function performs the floating-point
-operations of the generic list-based DP5 loop expression for expression
-and in the same order, so states, accepted steps and right-hand-side calls
-are bit-identical to it; ``tests/test_stepper.py`` keeps that generic loop
-as the reference and checks every size against it with ``==``.
-
-Sizes 1, 2 and 4 carry the spectral, verify and branch workloads, so
-their stage functions are unrolled into local scalars: the list form takes
-about twice as long on them. Size 6 only confirms a fold's kind from
-lambda''(beta), which no workload, CLI command or script runs, so it takes
-the list form, ``_stage_list``, instead of an unrolled copy.
+stage function computes a single step attempt: the twelve new
+right-hand-side calls, the 8th order solution and the error estimate. The
+package integrates states of three sizes only: 1 (the Pruefer phase), 2
+(the singular solution) and 4 (v and its first variation e). Their stage
+functions are the generic list-based DOP853 loop unrolled into local
+scalars, generated from the tableau once at import (``_stage_function``);
+the list form takes about twice as long. Each performs the loop's
+floating-point operations expression for expression and in the same
+order, so states, accepted steps and right-hand-side calls are
+bit-identical to it; ``tests/test_stepper.py`` keeps that generic loop as
+the reference and checks every size against it with ``==``.
 
 ``zeroin`` is the one root finder (R. P. Brent, Algorithms for Minimization
 without Derivatives, 1973, ch. 4): inverse quadratic or secant steps where
@@ -60,42 +63,56 @@ class IntegrationError(RuntimeError):
         self.reached = reached
 
 
-# Butcher tableau, Dormand & Prince RK5(4)7M.
-_C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
-_A21 = 1.0 / 5.0
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
-_A61, _A62, _A63, _A64, _A65 = (
-    9017.0 / 3168.0,
-    -355.0 / 33.0,
-    46732.0 / 5247.0,
-    49.0 / 176.0,
-    -5103.0 / 18656.0,
-)
-_B1, _B3, _B4, _B5, _B6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
-# y5 - y4 error weights (b - bhat)
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71.0 / 57600.0,
-    -71.0 / 16695.0,
-    71.0 / 1920.0,
-    -17253.0 / 339200.0,
-    22.0 / 525.0,
-    -1.0 / 40.0,
-)
+# DOP853 tableau, 1-based as in Hairer, Norsett & Wanner: stage s runs at
+# x + _C[s] h on y + h sum_j _A[s][j] k_j (nonzero a_sj only), the step is
+# y + h sum_j _B[j] k_j, and _E5, _E3 weigh the stages into the embedded
+# 5th and 3rd order error estimates.
+_C = {2: 0.05260015195876773, 3: 0.0789002279381516, 4: 0.1183503419072274,
+      5: 0.2816496580927726, 6: 0.3333333333333333, 7: 0.25, 8: 0.3076923076923077,
+      9: 0.6512820512820513, 10: 0.6, 11: 0.8571428571428571, 12: 1.0}
+_A = {
+    2: {1: 0.05260015195876773},
+    3: {1: 0.0197250569845379, 2: 0.0591751709536137},
+    4: {1: 0.02958758547680685, 3: 0.08876275643042054},
+    5: {1: 0.2413651341592667, 3: -0.8845494793282861, 4: 0.924834003261792},
+    6: {1: 0.037037037037037035, 4: 0.17082860872947386, 5: 0.12546768756682242},
+    7: {1: 0.037109375, 4: 0.17025221101954405, 5: 0.06021653898045596, 6: -0.017578125},
+    8: {1: 0.03709200011850479, 4: 0.17038392571223998, 5: 0.10726203044637328,
+        6: -0.015319437748624402, 7: 0.008273789163814023},
+    9: {1: 0.6241109587160757, 4: -3.3608926294469414, 5: -0.868219346841726,
+        6: 27.59209969944671, 7: 20.154067550477894, 8: -43.48988418106996},
+    10: {1: 0.47766253643826434, 4: -2.4881146199716677, 5: -0.590290826836843,
+         6: 21.230051448181193, 7: 15.279233632882423, 8: -33.28821096898486,
+         9: -0.020331201708508627},
+    11: {1: -0.9371424300859873, 4: 5.186372428844064, 5: 1.0914373489967295,
+         6: -8.149787010746927, 7: -18.52006565999696, 8: 22.739487099350505,
+         9: 2.4936055526796523, 10: -3.0467644718982196},
+    12: {1: 2.273310147516538, 4: -10.53449546673725, 5: -2.0008720582248625,
+         6: -17.9589318631188, 7: 27.94888452941996, 8: -2.8589982771350235,
+         9: -8.87285693353063, 10: 12.360567175794303, 11: 0.6433927460157636},
+}
+_B = {1: 0.054293734116568765, 6: 4.450312892752409, 7: 1.8915178993145003,
+      8: -5.801203960010585, 9: 0.3111643669578199, 10: -0.1521609496625161,
+      11: 0.20136540080403034, 12: 0.04471061572777259}
+_E5 = {1: 0.01312004499419488, 6: -1.2251564463762044, 7: -0.4957589496572502,
+       8: 1.6643771824549864, 9: -0.35032884874997366, 10: 0.3341791187130175,
+       11: 0.08192320648511571, 12: -0.022355307863886294}
+_E3 = {1: -0.18980075407240762, 6: 4.450312892752409, 7: 1.8915178993145003,
+       8: -5.801203960010585, 9: -0.4226823213237919, 10: -0.1521609496625161,
+       11: 0.20136540080403034, 12: 0.02265179219836082}
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
-_PI_ALPHA = 0.7 / 5.0
-_PI_BETA = 0.4 / 5.0
+_PI_ALPHA = 0.7 / 8.0
+_PI_BETA = 0.4 / 8.0
 _MAX_STEPS = 2_000_000
 
 
 def solve(fun, x0, y0, nodes, rtol, atol, first_step=None, collect=False):
     """Integrate y' = fun(x, y) from x0 through each node in `nodes`.
 
-    y0 has 1, 2, 4 or 6 components; fun(x, y) takes the state as a list
+    y0 has 1, 2 or 4 components; fun(x, y) takes the state as a list
     and returns the derivative as a sequence of the same length. nodes must
     not decrease; a node at or below the point already reached (x0, or the
     node before it) repeats the current state.
@@ -108,7 +125,7 @@ def solve(fun, x0, y0, nodes, rtol, atol, first_step=None, collect=False):
     stage = _STAGES.get(len(y0))
     if stage is None:
         raise ValueError(
-            f"no DP5 stage function for a state of size {len(y0)}; sizes are 1, 2, 4, 6")
+            f"no DOP853 stage function for a state of size {len(y0)}; sizes are 1, 2, 4")
     x = x0
     y = list(y0)
     try:  # fun, called here and in the stage functions, is the only source of ValueError
@@ -129,11 +146,11 @@ def solve(fun, x0, y0, nodes, rtol, atol, first_step=None, collect=False):
                 x_new = x + h_try
                 if x_new == x:
                     raise IntegrationError("step size underflow", x)
-                y_new, k7, err = stage(fun, x, h_try, x_new, y, k1, rtol, atol)
+                y_new, k13, err = stage(fun, x, h_try, x_new, y, k1, rtol, atol)
                 nsteps += 1
                 if err <= 1.0:
                     x = x_new if not clamped else target
-                    y, k1 = y_new, k7
+                    y, k1 = y_new, k13
                     if collect:
                         xs.append(x)
                         ys.append(y)
@@ -199,157 +216,46 @@ def zeroin(evaluate, lo, hi, tol, done, failure):
                                       right=max(b[0], c[0]), f=abs(b[1]), x=b[0]))
 
 
-# Stage functions: one step attempt of length h from (x, y) with
-# k1 = fun(x, y), returning (y_new, k7, err) with k7 = fun(x_new, y_new).
-# Each is the generic loop
-#     k2 = fun(x + C2 h, [y[i] + h A21 k1[i] for i in range(n)]), ...
-#     err = sqrt(sum(((h (E . k)[i]) / (atol + rtol max(|y[i]|, |ynew[i]|)))^2) / n)
-# _stage_list runs it over zip of the state and the stages, with a .. g the
-# i-th components of k1 .. k7. _stage1/2/4 unroll it over i, and their error
-# sums drop the loop's leading 0.0 +, which is exact because a square is
-# never -0.0.
-def _stage1(fun, x, h, x_new, y, k1, rtol, atol):
-    (y_0,) = y
-    (k1_0,) = k1
-    (k2_0,) = fun(x + _C2 * h, [y_0 + h * _A21 * k1_0])
-    (k3_0,) = fun(x + _C3 * h, [y_0 + h * (_A31 * k1_0 + _A32 * k2_0)])
-    (k4_0,) = fun(x + _C4 * h, [
-        y_0 + h * (_A41 * k1_0 + _A42 * k2_0 + _A43 * k3_0),
-    ])
-    (k5_0,) = fun(x + _C5 * h, [
-        y_0 + h * (_A51 * k1_0 + _A52 * k2_0 + _A53 * k3_0 + _A54 * k4_0),
-    ])
-    (k6_0,) = fun(x_new, [
-        y_0 + h * (_A61 * k1_0 + _A62 * k2_0 + _A63 * k3_0 + _A64 * k4_0 + _A65 * k5_0),
-    ])
-    n_0 = y_0 + h * (_B1 * k1_0 + _B3 * k3_0 + _B4 * k4_0 + _B5 * k5_0 + _B6 * k6_0)
-    y_new = [n_0]
-    k7 = fun(x_new, y_new)
-    (k7_0,) = k7
-    e_0 = h * (
-        _E1 * k1_0 + _E3 * k3_0 + _E4 * k4_0 + _E5 * k5_0 + _E6 * k6_0 + _E7 * k7_0
-    ) / (atol + rtol * max(abs(y_0), abs(n_0)))
-    return y_new, k7, sqrt(e_0 * e_0)
+def _stage_function(n):
+    """The stage function for states of size n: one step attempt of length
+    h from (x, y) with k1 = fun(x, y), returning (y_new, k13, err) with
+    k13 = fun(x_new, y_new). It is the generic loop
+
+        k_s = fun(x + C_s h, [y[i] + h (A_s1 k_1[i] + ... ) for i in range(n)])
+        y_new[i] = y[i] + h (B_1 k_1[i] + ... ),  s_i = atol + rtol max(|y[i]|, |y_new[i]|)
+        e5 = sum_i ((E5_1 k_1[i] + ... ) / s_i)^2, e3 likewise with E3
+        err = h e5 / sqrt((e5 + 0.01 e3) n), or 0.0 where e5 = 0.0
+
+    with the sums over the nonzero coefficients from left to right, written
+    out over stages and components into local scalars with the tableau's
+    numbers as literals and compiled once. The error sums drop the loop's
+    leading 0.0 +, which is exact because a square is never -0.0.
+    """
+    def unpack(name):  # "k3_0, k3_1, " unpacks a sequence of any size, 1 too
+        return "".join(f"{name}_{i}, " for i in range(n))
+
+    def combo(coeffs, i):
+        return " + ".join(f"{c!r} * k{j}_{i}" for j, c in coeffs.items())
+
+    def step(coeffs):
+        return ", ".join(f"y_{i} + h * ({combo(coeffs, i)})" for i in range(n))
+
+    lines = ["def stage(fun, x, h, x_new, y, k1, rtol, atol):",
+             f"    {unpack('y')}= y", f"    {unpack('k1')}= k1"]
+    lines += [f"    {unpack(f'k{s}')}= fun(x + {_C[s]!r} * h, [{step(row)}])"
+              for s, row in _A.items()]
+    lines += [f"    y_new = [{step(_B)}]", f"    {unpack('n')}= y_new",
+              "    k13 = fun(x_new, y_new)"]
+    for i in range(n):
+        lines += [f"    s_{i} = atol + rtol * max(abs(y_{i}), abs(n_{i}))",
+                  f"    e5_{i} = ({combo(_E5, i)}) / s_{i}",
+                  f"    e3_{i} = ({combo(_E3, i)}) / s_{i}"]
+    for e in ("e5", "e3"):
+        lines.append(f"    {e} = " + " + ".join(f"{e}_{i} * {e}_{i}" for i in range(n)))
+    lines.append(f"    return y_new, k13, h * e5 / sqrt((e5 + 0.01 * e3) * {n}) if e5 else 0.0")
+    namespace = {"sqrt": sqrt}
+    exec(compile("\n".join(lines), f"<DOP853 stage, size {n}>", "exec"), namespace)
+    return namespace["stage"]
 
 
-def _stage2(fun, x, h, x_new, y, k1, rtol, atol):
-    y_0, y_1 = y
-    k1_0, k1_1 = k1
-    k2_0, k2_1 = fun(x + _C2 * h, [
-        y_0 + h * _A21 * k1_0,
-        y_1 + h * _A21 * k1_1,
-    ])
-    k3_0, k3_1 = fun(x + _C3 * h, [
-        y_0 + h * (_A31 * k1_0 + _A32 * k2_0),
-        y_1 + h * (_A31 * k1_1 + _A32 * k2_1),
-    ])
-    k4_0, k4_1 = fun(x + _C4 * h, [
-        y_0 + h * (_A41 * k1_0 + _A42 * k2_0 + _A43 * k3_0),
-        y_1 + h * (_A41 * k1_1 + _A42 * k2_1 + _A43 * k3_1),
-    ])
-    k5_0, k5_1 = fun(x + _C5 * h, [
-        y_0 + h * (_A51 * k1_0 + _A52 * k2_0 + _A53 * k3_0 + _A54 * k4_0),
-        y_1 + h * (_A51 * k1_1 + _A52 * k2_1 + _A53 * k3_1 + _A54 * k4_1),
-    ])
-    k6_0, k6_1 = fun(x_new, [
-        y_0 + h * (_A61 * k1_0 + _A62 * k2_0 + _A63 * k3_0 + _A64 * k4_0 + _A65 * k5_0),
-        y_1 + h * (_A61 * k1_1 + _A62 * k2_1 + _A63 * k3_1 + _A64 * k4_1 + _A65 * k5_1),
-    ])
-    n_0 = y_0 + h * (_B1 * k1_0 + _B3 * k3_0 + _B4 * k4_0 + _B5 * k5_0 + _B6 * k6_0)
-    n_1 = y_1 + h * (_B1 * k1_1 + _B3 * k3_1 + _B4 * k4_1 + _B5 * k5_1 + _B6 * k6_1)
-    y_new = [n_0, n_1]
-    k7 = fun(x_new, y_new)
-    k7_0, k7_1 = k7
-    e_0 = h * (
-        _E1 * k1_0 + _E3 * k3_0 + _E4 * k4_0 + _E5 * k5_0 + _E6 * k6_0 + _E7 * k7_0
-    ) / (atol + rtol * max(abs(y_0), abs(n_0)))
-    e_1 = h * (
-        _E1 * k1_1 + _E3 * k3_1 + _E4 * k4_1 + _E5 * k5_1 + _E6 * k6_1 + _E7 * k7_1
-    ) / (atol + rtol * max(abs(y_1), abs(n_1)))
-    return y_new, k7, sqrt((e_0 * e_0 + e_1 * e_1) / 2)
-
-
-def _stage4(fun, x, h, x_new, y, k1, rtol, atol):
-    y_0, y_1, y_2, y_3 = y
-    k1_0, k1_1, k1_2, k1_3 = k1
-    k2_0, k2_1, k2_2, k2_3 = fun(x + _C2 * h, [
-        y_0 + h * _A21 * k1_0,
-        y_1 + h * _A21 * k1_1,
-        y_2 + h * _A21 * k1_2,
-        y_3 + h * _A21 * k1_3,
-    ])
-    k3_0, k3_1, k3_2, k3_3 = fun(x + _C3 * h, [
-        y_0 + h * (_A31 * k1_0 + _A32 * k2_0),
-        y_1 + h * (_A31 * k1_1 + _A32 * k2_1),
-        y_2 + h * (_A31 * k1_2 + _A32 * k2_2),
-        y_3 + h * (_A31 * k1_3 + _A32 * k2_3),
-    ])
-    k4_0, k4_1, k4_2, k4_3 = fun(x + _C4 * h, [
-        y_0 + h * (_A41 * k1_0 + _A42 * k2_0 + _A43 * k3_0),
-        y_1 + h * (_A41 * k1_1 + _A42 * k2_1 + _A43 * k3_1),
-        y_2 + h * (_A41 * k1_2 + _A42 * k2_2 + _A43 * k3_2),
-        y_3 + h * (_A41 * k1_3 + _A42 * k2_3 + _A43 * k3_3),
-    ])
-    k5_0, k5_1, k5_2, k5_3 = fun(x + _C5 * h, [
-        y_0 + h * (_A51 * k1_0 + _A52 * k2_0 + _A53 * k3_0 + _A54 * k4_0),
-        y_1 + h * (_A51 * k1_1 + _A52 * k2_1 + _A53 * k3_1 + _A54 * k4_1),
-        y_2 + h * (_A51 * k1_2 + _A52 * k2_2 + _A53 * k3_2 + _A54 * k4_2),
-        y_3 + h * (_A51 * k1_3 + _A52 * k2_3 + _A53 * k3_3 + _A54 * k4_3),
-    ])
-    k6_0, k6_1, k6_2, k6_3 = fun(x_new, [
-        y_0 + h * (_A61 * k1_0 + _A62 * k2_0 + _A63 * k3_0 + _A64 * k4_0 + _A65 * k5_0),
-        y_1 + h * (_A61 * k1_1 + _A62 * k2_1 + _A63 * k3_1 + _A64 * k4_1 + _A65 * k5_1),
-        y_2 + h * (_A61 * k1_2 + _A62 * k2_2 + _A63 * k3_2 + _A64 * k4_2 + _A65 * k5_2),
-        y_3 + h * (_A61 * k1_3 + _A62 * k2_3 + _A63 * k3_3 + _A64 * k4_3 + _A65 * k5_3),
-    ])
-    n_0 = y_0 + h * (_B1 * k1_0 + _B3 * k3_0 + _B4 * k4_0 + _B5 * k5_0 + _B6 * k6_0)
-    n_1 = y_1 + h * (_B1 * k1_1 + _B3 * k3_1 + _B4 * k4_1 + _B5 * k5_1 + _B6 * k6_1)
-    n_2 = y_2 + h * (_B1 * k1_2 + _B3 * k3_2 + _B4 * k4_2 + _B5 * k5_2 + _B6 * k6_2)
-    n_3 = y_3 + h * (_B1 * k1_3 + _B3 * k3_3 + _B4 * k4_3 + _B5 * k5_3 + _B6 * k6_3)
-    y_new = [n_0, n_1, n_2, n_3]
-    k7 = fun(x_new, y_new)
-    k7_0, k7_1, k7_2, k7_3 = k7
-    e_0 = h * (
-        _E1 * k1_0 + _E3 * k3_0 + _E4 * k4_0 + _E5 * k5_0 + _E6 * k6_0 + _E7 * k7_0
-    ) / (atol + rtol * max(abs(y_0), abs(n_0)))
-    e_1 = h * (
-        _E1 * k1_1 + _E3 * k3_1 + _E4 * k4_1 + _E5 * k5_1 + _E6 * k6_1 + _E7 * k7_1
-    ) / (atol + rtol * max(abs(y_1), abs(n_1)))
-    e_2 = h * (
-        _E1 * k1_2 + _E3 * k3_2 + _E4 * k4_2 + _E5 * k5_2 + _E6 * k6_2 + _E7 * k7_2
-    ) / (atol + rtol * max(abs(y_2), abs(n_2)))
-    e_3 = h * (
-        _E1 * k1_3 + _E3 * k3_3 + _E4 * k4_3 + _E5 * k5_3 + _E6 * k6_3 + _E7 * k7_3
-    ) / (atol + rtol * max(abs(y_3), abs(n_3)))
-    return y_new, k7, sqrt((e_0 * e_0 + e_1 * e_1 + e_2 * e_2 + e_3 * e_3) / 4)
-
-
-def _stage_list(fun, x, h, x_new, y, k1, rtol, atol):
-    k2 = fun(x + _C2 * h, [y_i + h * _A21 * a for y_i, a in zip(y, k1)])
-    k3 = fun(x + _C3 * h, [y_i + h * (_A31 * a + _A32 * b) for y_i, a, b in zip(y, k1, k2)])
-    k4 = fun(x + _C4 * h, [
-        y_i + h * (_A41 * a + _A42 * b + _A43 * c) for y_i, a, b, c in zip(y, k1, k2, k3)
-    ])
-    k5 = fun(x + _C5 * h, [
-        y_i + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
-        for y_i, a, b, c, d in zip(y, k1, k2, k3, k4)
-    ])
-    k6 = fun(x_new, [
-        y_i + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-        for y_i, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
-    ])
-    y_new = [
-        y_i + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
-        for y_i, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)
-    ]
-    k7 = fun(x_new, y_new)
-    err = 0.0
-    for y_i, n_i, a, c, d, e, f, g in zip(y, y_new, k1, k3, k4, k5, k6, k7):
-        e_i = h * (
-            _E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g
-        ) / (atol + rtol * max(abs(y_i), abs(n_i)))
-        err += e_i * e_i
-    return y_new, k7, sqrt(err / len(y))
-
-
-_STAGES = {1: _stage1, 2: _stage2, 4: _stage4, 6: _stage_list}
+_STAGES = {n: _stage_function(n) for n in (1, 2, 4)}

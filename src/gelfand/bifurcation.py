@@ -24,8 +24,8 @@ from .radial_ode import (
     ProblemConfig,
     RadialProfile,
     ShootResult,
+    hermite_values,
     integrate_ivp,
-    quintic_values,
 )
 from .weights import make_ah, parse_weight, ratio_derivative_sign, weight_arrays
 
@@ -270,7 +270,7 @@ def classify(cfg: ProblemConfig, curve: BifurcationCurve,
 def _values(cfg: ProblemConfig, beta: float):
     """r -> v(r, beta), read from one shoot on the integrator's accepted steps."""
     profile = integrate_ivp(cfg, beta, trace=True).profile
-    return lambda r: quintic_values(cfg, profile, r)
+    return lambda r: hermite_values(cfg, profile, r)
 
 
 def zero_number(cfg: ProblemConfig, beta: float,
@@ -280,13 +280,13 @@ def zero_number(cfg: ProblemConfig, beta: float,
     singular_profile must be a singular solution of the same ODE, such as
     `integrate_singular(cfg)`'s, whose nodes cover [r_start, 1] (otherwise
     ValueError). v, from one shoot on the accepted steps, and V_* are both
-    read by quintic Hermite (`quintic_values`) on an 8192-point geometric
+    read by degree-7 Hermite (`hermite_values`) on an 8192-point geometric
     grid. Its error on V_* lies far below the resolution floor, where the
     cubic Hermite's could invent crossings.
     """
     base = np.geomspace(cfg.r_start, 1.0, 8192)
     v = _values(cfg, beta)(base)
-    vs = quintic_values(cfg, singular_profile, base)
+    vs = hermite_values(cfg, singular_profile, base)
     # crossings count only when the difference is resolved: the excursion
     # on each side must clear the solver-noise floor (profiles that agree
     # to working precision have no certifiable crossing there)
@@ -320,7 +320,7 @@ def check_separation(cfg: ProblemConfig, h: float, beta: float, gamma: float):
     must be in the (a/a_h)' <= 0 class or the input is rejected; in other
     dimensions the gaps are reported without a hypothesis guarantee. Each
     of the three profiles comes from one shoot on the accepted steps, read
-    on a 4097-point geometric grid by quintic Hermite (`quintic_values`).
+    on a 4097-point geometric grid by degree-7 Hermite (`hermite_values`).
     """
     if gamma < beta:
         raise ValueError(f"need gamma >= beta, got beta={beta}, gamma={gamma}")
@@ -356,7 +356,7 @@ def check_lower_envelope(cfg: ProblemConfig, beta: float, gamma: float,
     over (r_start, 1), with q = (H + eps0) / (2(N-2)) and v_0 the unweighted
     shot profile. Positive when the increasing-ratio envelope bound holds.
     Both profiles come from one shoot each on the accepted steps, read on a
-    4097-point geometric grid by quintic Hermite (`quintic_values`).
+    4097-point geometric grid by degree-7 Hermite (`hermite_values`).
     """
     if cfg.dim != 10:
         raise ValueError("the lower envelope bound is specific to dimension 10")

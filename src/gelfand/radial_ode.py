@@ -5,8 +5,8 @@ Everything here works in the shooting normalization
     v'' + (N-1)/r v' = -a(r) e^v,   v(0) = beta, v'(0) = 0,
 
 for which lambda(beta) = e^{v(1)} and u = v - log lambda solves the
-boundary-value problem. First and second beta-derivatives of v are
-integrated jointly with v. Integration starts at r_start from a matched
+boundary-value problem. The first beta-derivative of v is integrated
+jointly with v. Integration starts at r_start from a matched
 Taylor expansion; the singular solution starts from its own matched
 expansion around the -2 log r profile.
 """
@@ -30,8 +30,18 @@ _EXP_CAP = 500.0  # caps e^v: guards trial stages of rejected steps, not real st
 
 # default output grid: geometric from r_start with this ratio until the
 # spacing reaches the uniform spacing, then uniform out to R
-_GRID_RATIO = 1.04
-_GRID_H_UNIFORM = 1e-3
+_GRID_RATIO = 1.08
+_GRID_H_UNIFORM = 2e-3
+
+# 9-point Gauss-Legendre nodes and weights on [-1, 1], numpy's leggauss(9)
+# as literals: leggauss would start numpy's LAPACK, 0.8 MiB, for 18 numbers
+_GAUSS9 = (
+    (-0.9681602395076261, -0.8360311073266358, -0.6133714327005904, -0.3242534234038089, 0.0,
+     0.3242534234038089, 0.6133714327005904, 0.8360311073266358, 0.9681602395076261),
+    (0.08127438836157416, 0.18064816069485737, 0.2606106964029356, 0.3123470770400029,
+     0.33023935500125984, 0.3123470770400029, 0.2606106964029356, 0.18064816069485737,
+     0.08127438836157416),
+)
 
 
 @dataclass(frozen=True)
@@ -59,11 +69,14 @@ class ProblemConfig:
 
 
 def default_grid(cfg: ProblemConfig, R: float = 1.0) -> np.ndarray:
-    """Geometric-then-uniform output radii on [r_start, R].
+    """Geometric-then-uniform output radii on [r_start, R]: ratio 1.08 from
+    r_start until the spacing reaches 2e-3, then uniform (561 radii from
+    r_start = 1e-4 to 1).
 
-    Shoots land on every radius, so the grid also caps the step size
-    (0.04 r near r_start, 1e-3 further out). lambda* and the flux and
-    Pohozaev residuals depend on that cap: see `_stepper`'s docstring.
+    Shoots land on every radius, which bounds the step, but accuracy no
+    longer rests on that: lambda* shot straight to r = 1 is within 7.4e-13
+    as well (`_stepper`'s docstring). The spacing serves the flux and
+    Pohozaev quadratures, which read the samples.
     """
     pts = [cfg.r_start]
     r = cfg.r_start
@@ -99,7 +112,7 @@ class RadialProfile:
 
         One node, or a zero-width interval (a repeated radius), gives the
         node's own value and derivative. No module of the package calls it:
-        value readers use `quintic_values` or `scalar_value`. It stays as the
+        value readers use `hermite_values` or `scalar_value`. It stays as the
         array reference `scalar_value` is tested against, and because
         `perfbench/tracing.py` patches it by name.
         """
@@ -232,8 +245,8 @@ class ShootResult:
 
 
 def _series_coeffs(cfg: ProblemConfig, beta: float):
-    """Taylor coefficients at r=0 for v, the first variation e, and the
-    second variation w; all three share c2 = -e^beta/(2N)."""
+    """Taylor coefficients at r=0 for v and the first variation e; both
+    share c2 = -e^beta/(2N)."""
     N = cfg.dim
     a2 = 0.5 * cfg.weight.a2pp  # a(r) = 1 + a2 r^2 + ...
     eb = math.exp(beta)
@@ -241,23 +254,19 @@ def _series_coeffs(cfg: ProblemConfig, beta: float):
     den = 4.0 * (N + 2.0)
     c4 = -eb * (c2 + a2) / den
     e4 = -eb * (a2 + 2.0 * c2) / den
-    w4 = -eb * (a2 + 4.0 * c2) / den
-    return c2, c4, e4, w4
+    return c2, c4, e4
 
 
-def series_start(cfg: ProblemConfig, beta: float, r: float, second: bool = False):
-    """[v, v', e, e'] at r from the matched expansion, then [w, w'] if second."""
-    c2, c4, e4, w4 = _series_coeffs(cfg, beta)
+def series_start(cfg: ProblemConfig, beta: float, r: float):
+    """[v, v', e, e'] at r from the matched expansion."""
+    c2, c4, e4 = _series_coeffs(cfg, beta)
     r2 = r * r
-    y0 = [
+    return [
         beta + c2 * r2 + c4 * r2 * r2,
         2.0 * c2 * r + 4.0 * c4 * r2 * r,
         1.0 + c2 * r2 + e4 * r2 * r2,
         2.0 * c2 * r + 4.0 * e4 * r2 * r,
     ]
-    if second:
-        y0 += [c2 * r2 + w4 * r2 * r2, 2.0 * c2 * r + 4.0 * w4 * r2 * r]
-    return y0
 
 
 def _check_beta(beta: float) -> None:
@@ -276,21 +285,6 @@ def _rhs_ve(cfg: ProblemConfig):
         g = a_of(r) * exp(v if v < cap else cap)
         c = nm1 / r
         return [dv, -c * dv - g, de, -c * de - g * e]
-
-    return fun
-
-
-def _rhs_vew(cfg: ProblemConfig):
-    """y = (v, v', e, e', w, w')."""
-    a_of = weight_fn(cfg.weight)
-    nm1 = float(cfg.dim - 1)
-    exp, cap = math.exp, _EXP_CAP
-
-    def fun(r, y):
-        v, dv, e, de, w, dw = y
-        g = a_of(r) * exp(v if v < cap else cap)
-        c = nm1 / r
-        return [dv, -c * dv - g, de, -c * de - g * e, dw, -c * dw - g * (e * e + w)]
 
     return fun
 
@@ -328,8 +322,7 @@ def _integrate(cfg: ProblemConfig, fun, r0: float, y0, nodes, collect: bool = Fa
     return head + result
 
 
-def _run(cfg: ProblemConfig, beta: float, nodes, second: bool = False,
-         collect: bool = False):
+def _run(cfg: ProblemConfig, beta: float, nodes, collect: bool = False):
     """Integrate from the matched start through `nodes` (all >= r_start).
 
     Returns states aligned with nodes, or (states, xs, ys) when collecting
@@ -337,9 +330,7 @@ def _run(cfg: ProblemConfig, beta: float, nodes, second: bool = False,
     r_start, so every radius in [r_start, 1] lies between two of them.
     """
     r0 = _init_radius(cfg, beta)
-    y0 = series_start(cfg, beta, r0, second)
-    fun = _rhs_vew(cfg) if second else _rhs_ve(cfg)
-    result = _integrate(cfg, fun, r0, y0, nodes, collect)
+    result = _integrate(cfg, _rhs_ve(cfg), r0, series_start(cfg, beta, r0), nodes, collect)
     if collect:
         states, xs, ys = result
         first = bisect_right(xs, cfg.r_start) - 1  # xs[0] = r0 <= r_start
@@ -368,7 +359,7 @@ def integrate_ivp(cfg: ProblemConfig, beta: float, radii=None, trace: bool = Fal
 
     With trace=True the profile is sampled at the integrator's accepted
     steps, from the last one at or below r_start on, and `radii` must be
-    None: the cheap path, for curve tracing and for `quintic_values`.
+    None: the cheap path, for curve tracing and for `hermite_values`.
     Otherwise it is sampled at `radii` (default: `default_grid`), which the
     integrator lands on exactly.
     """
@@ -398,57 +389,46 @@ def integrate_ivp(cfg: ProblemConfig, beta: float, radii=None, trace: bool = Fal
     )
 
 
-def quintic_values(cfg: ProblemConfig, profile: RadialProfile, r) -> np.ndarray:
-    """v at the radii r, by quintic Hermite interpolation of a profile that
+def hermite_values(cfg: ProblemConfig, profile: RadialProfile, r) -> np.ndarray:
+    """v at the radii r, by degree-7 Hermite interpolation of a profile that
     solves the ODE: a regular shoot or a singular solution, sampled on a node
     grid or on the integrator's accepted steps.
 
-    Each interval takes v, v' and v'' at both of its nodes, with v'' from
-    the ODE, -(N-1)/r v' - a(r) e^v. On the accepted steps of a trace=True
-    shoot this agrees with a shoot that lands on r to within 3e-11 relative
-    to max(1, |v|) (N in {3, 7, 10, 12}, const, a_h and polyexp weights,
-    beta in [-2, 40]), and on `integrate_singular`'s default grid to within
-    3e-12; `RadialProfile.evaluate_array`'s cubic Hermite is off by up to
-    1e-6 on the accepted steps and 1e-8 on the singular grid.
+    Each interval takes v, v', v'' and v''' at both of its nodes, the last
+    two from the ODE: v'' = -(N-1)/r v' - a e^v and
+    v''' = (N-1)/r^2 v' - (N-1)/r v'' - (a' + a v') e^v.
+    On the accepted steps of a trace=True shoot this agrees with a shoot
+    that lands on r to within 1.1e-12 relative to max(1, |v|) (N in {3, 7,
+    10, 12}, const, a_h and polyexp weights, beta in [-2, 40]), and on
+    `integrate_singular`'s default grid to within 1.6e-13, where the quintic
+    Hermite without v''' is off by up to 8.9e-10 on the accepted steps.
     The profile needs two or more strictly increasing radii, or ValueError;
     r must lie between its first node and R, since nothing is extrapolated.
     """
     r = np.asarray(r, dtype=float)
     x, f, d = profile.radii, profile.values, profile.derivs
     if len(x) < 2 or np.any(np.diff(x) <= 0.0):
-        raise ValueError("quintic interpolation needs two or more strictly increasing radii")
+        raise ValueError("Hermite interpolation needs two or more strictly increasing radii")
     if np.any(r < x[0]) or np.any(r > profile.R):
         raise ValueError("radii outside the profile's nodes")
-    a, _ = weight_arrays(cfg.weight, x)
-    dd = -(cfg.dim - 1.0) / x * d - a * np.exp(f)
+    a, da = weight_arrays(cfg.weight, x)
+    c, g = (cfg.dim - 1.0) / x, np.exp(f)
+    dd = -c * d - a * g
+    ddd = c / x * d - c * dd - (da + a * d) * g
     i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, len(x) - 2)
     j = i + 1
     h = x[j] - x[i]
     t = (r - x[i]) / h
     s = 1.0 - t
-    h2 = 0.5 * h * h
+    h2, h3 = 0.5 * h * h, h * h * h / 6.0
     return (
-        s ** 3 * ((1.0 + 3.0 * t + 6.0 * t * t) * f[i]
-                  + t * (1.0 + 3.0 * t) * h * d[i] + t * t * h2 * dd[i])
-        + t ** 3 * ((1.0 + 3.0 * s + 6.0 * s * s) * f[j]
-                    - s * (1.0 + 3.0 * s) * h * d[j] + s * s * h2 * dd[j])
+        s ** 4 * ((1.0 + t * (4.0 + t * (10.0 + 20.0 * t))) * f[i]
+                  + t * (1.0 + t * (4.0 + 10.0 * t)) * h * d[i]
+                  + t * t * (1.0 + 4.0 * t) * h2 * dd[i] + t ** 3 * h3 * ddd[i])
+        + t ** 4 * ((1.0 + s * (4.0 + s * (10.0 + 20.0 * s))) * f[j]
+                    - s * (1.0 + s * (4.0 + 10.0 * s)) * h * d[j]
+                    + s * s * (1.0 + 4.0 * s) * h2 * dd[j] - s ** 3 * h3 * ddd[j])
     )
-
-
-def integrate_second_variation(cfg: ProblemConfig, beta: float, radii=None) -> RadialProfile:
-    """Second beta-derivative of v, integrated jointly with v and e."""
-    _check_beta(beta)
-    radii_arr, nodes = _output_radii(cfg, radii)
-    out = _run(cfg, beta, nodes, second=True)
-    states = np.asarray(out)
-    return RadialProfile(radii_arr, states[:, 4], states[:, 5])
-
-
-def lambda_second_derivative(cfg: ProblemConfig, beta: float) -> float:
-    """d^2 lambda / d beta^2 = lambda (w(1) + e(1)^2), w the second variation."""
-    _check_beta(beta)
-    v1, _, e1, _, w1, _ = _run(cfg, beta, [1.0], second=True)[0]
-    return math.exp(v1) * (w1 + e1 * e1)
 
 
 def singular_series_coefficient(cfg: ProblemConfig) -> float:
@@ -511,48 +491,35 @@ def residual_Uh(dim: int, h: float, radii) -> float:
     return float(np.max(np.abs(lhs - rhs) / np.abs(rhs)))
 
 
-def _power_quad_segment(xa, ga, xb, gb, xc, gc, p, q, pw: int):
-    """Integral over [p, q] of s^pw * (quadratic through the three g samples).
-
-    Fitting only the smooth factor g and integrating the s^pw measure
-    exactly keeps the scheme accurate on geometric grids near 0, where the
-    full integrand varies like s^pw across a single cell.
-    """
-    f1 = (gb - ga) / (xb - xa)
-    f2 = ((gc - gb) / (xc - xb) - f1) / (xc - xa)
-    # monomial form A + B s + C s^2
-    A = ga - f1 * xa + f2 * xa * xb
-    B = f1 - f2 * (xa + xb)
-    C = f2
-    m0 = (q ** (pw + 1) - p ** (pw + 1)) / (pw + 1)
-    m1 = (q ** (pw + 2) - p ** (pw + 2)) / (pw + 2)
-    m2 = (q ** (pw + 3) - p ** (pw + 3)) / (pw + 3)
-    return A * m0 + B * m1 + C * m2
-
-
 def cumulative_power_integral(x, g, pw: int) -> np.ndarray:
     """Cumulative integral of s^pw g(s) from x[0], g sampled at x.
 
-    Local quadratic fits of g, averaged left/right stencils in the
-    interior; the power weight is integrated exactly."""
+    On each segment g is the quintic through the 6 nearest samples (the
+    segment's ends and two on each side, shifted inward at the ends of x),
+    in barycentric form l(s) sum_k w_k g_k / (s - x_k) over differences of
+    nodes. s^pw times it, of degree pw + 5 <= 17, is integrated exactly by
+    9-point Gauss-Legendre. Fitting only the smooth factor g keeps the rule
+    accurate on geometric grids near 0, where the full integrand varies
+    like s^pw across a single cell."""
     x = np.asarray(x, dtype=float)
     g = np.asarray(g, dtype=float)
     n = len(x)
-    if n < 3:
-        raise ValueError("need at least 3 samples")
-    dI = np.empty(n - 1)
-    # stencil (i, i+1, i+2) integrated on [x_i, x_{i+1}]
-    right = _power_quad_segment(x[:-2], g[:-2], x[1:-1], g[1:-1], x[2:], g[2:],
-                                x[:-2], x[1:-1], pw)
-    # stencil (i-1, i, i+1) integrated on [x_i, x_{i+1}]
-    left = _power_quad_segment(x[:-2], g[:-2], x[1:-1], g[1:-1], x[2:], g[2:],
-                               x[1:-1], x[2:], pw)
-    dI[0] = right[0]
-    dI[-1] = left[-1]
-    dI[1:-1] = 0.5 * (left[:-1] + right[1:])
+    if n < 6:
+        raise ValueError("need at least 6 samples")
+    stencil = np.clip(np.arange(n - 1) - 2, 0, n - 6)[:, None] + np.arange(6)
+    xs = x[stencil]
+    diff = xs[:, :, None] - xs[:, None, :]
+    diff[:, range(6), range(6)] = 1.0
+    weighted = g[stencil] / diff.prod(axis=2)  # w_k g_k, w_k = 1 / prod_{m != k} (x_k - x_m)
+    mid, half = 0.5 * (x[1:] + x[:-1]), 0.5 * (x[1:] - x[:-1])
+    dI = np.zeros(n - 1)
+    for node, weight in zip(*_GAUSS9):
+        s = mid + half * node
+        d = s[:, None] - xs
+        dI += weight * s ** pw * d.prod(axis=1) * (weighted / d).sum(axis=1)
     out = np.empty(n)
     out[0] = 0.0
-    np.cumsum(dI, out=out[1:])
+    np.cumsum(half * dI, out=out[1:])
     return out
 
 
@@ -566,7 +533,7 @@ def flux_residual(cfg: ProblemConfig, shoot: ShootResult) -> float:
     v = shoot.profile.values
     dv = shoot.profile.derivs
     a, _ = weight_arrays(cfg.weight, r)
-    c2, _, _, _ = _series_coeffs(cfg, shoot.beta)
+    c2, _, _ = _series_coeffs(cfg, shoot.beta)
     a2 = 0.5 * cfg.weight.a2pp
     r0 = cfg.r_start
     eb = math.exp(shoot.beta)

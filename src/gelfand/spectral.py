@@ -97,12 +97,14 @@ def hardy_quotient_xi_n(dim: int, n: int) -> float:
     is 1.0 in double precision: the rest of the numerator is exactly
     int_{max(n, 24)}^inf n^2/s^4 ds = n^2 / (3 max(n, 24)^3), and the rest of
     the denominator (below e^{-46}) is dropped. R_n agrees with mpmath.quad
-    at 30 digits to 1.1e-15 relative for n = 1..64.
+    at 30 digits to 1.1e-15 relative for n = 1..64. n is capped at 2^53,
+    the last integer a float holds exactly; R_n is H to rounding long
+    before it (5.783185962946786 at 2^53, H = 5.783185962946783).
     """
     if not _is_int(dim) or dim < 3:
         raise ValueError(f"dimension must be an integer >= 3, got {dim!r}")
-    if not _is_int(n) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    if not _is_int(n) or not 1 <= n <= 2 ** 53:
+        raise ValueError(f"n must be an integer in [1, 2**53], got {n!r}")
     s, w, r, phi, dphi_r = _hardy_nodes()
     phi_n = np.minimum(n / s, 1.0)
     gp_r = phi_n * dphi_r + np.where(s > n, n / (s * s), 0.0) * phi  # g'(r) r

@@ -15,7 +15,6 @@ from gelfand import (
     hardy_constant,
     integrate_ivp,
     integrate_singular,
-    lambda_second_derivative,
     make_ah,
     parse_weight,
     trace_curve,
@@ -63,9 +62,12 @@ def test_turning_point_kinds_alternate(curve3):
 
 
 def test_second_derivative_sign_matches_kind(curve3, cfg3):
-    # Max folds are maxima of lambda(beta): lambda'' < 0 there
+    # Max folds are maxima of lambda(beta): lambda'' < 0 there, here as the
+    # central difference of the first variation's d lambda / d beta
+    d = 1e-3
     for tp in curve3.turning_points[:4]:
-        lpp = lambda_second_derivative(cfg3, tp.beta)
+        lpp = (integrate_ivp(cfg3, tp.beta + d).dlambda_dbeta
+               - integrate_ivp(cfg3, tp.beta - d).dlambda_dbeta) / (2.0 * d)
         assert (lpp < 0.0) == (tp.kind == "Max")
 
 
@@ -163,7 +165,7 @@ def test_folds_do_not_move_with_the_step_rule(request, name):
 
 
 # The constant-weight branch from one Emden-Fowler trajectory, an oracle
-# that shares only the DP5 stepper and the root finder with the package.
+# that shares only the DOP853 stepper and the root finder with the package.
 # For a = 1, v(r; beta) = beta + w(e^{beta/2} r) with w the beta = 0
 # solution on [0, inf). With s = log rho and z = w + 2s - log 2(N-2),
 #     z'' + (N-2) z' + 2(N-2) expm1(z) = 0,  lambda(beta) = 2(N-2) e^{z(beta/2)},

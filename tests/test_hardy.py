@@ -87,5 +87,13 @@ def test_quotient_validation():
             hardy_quotient_xi_n(*bad)
 
 
+def test_quotient_rejects_n_beyond_its_cap():
+    # the tail n^2 / (3 n^3) overflowed a float for n = 10**200
+    assert hardy_quotient_xi_n(10, 2 ** 53) == pytest.approx(hardy_constant(), rel=1e-15)
+    for n in (2 ** 53 + 1, 10 ** 200):
+        with pytest.raises(ValueError, match=r"\[1, 2\*\*53\]"):
+            hardy_quotient_xi_n(10, n)
+
+
 def test_quotient_accepts_numpy_integers():
     assert hardy_quotient_xi_n(np.int64(10), np.int64(3)) == hardy_quotient_xi_n(10, 3)

@@ -9,12 +9,11 @@ from gelfand import (
     IntegrationError,
     ProblemConfig,
     asymptotic_diagnostics,
+    default_grid,
     explicit_lambda_h,
     flux_residual,
     integrate_ivp,
-    integrate_second_variation,
     integrate_singular,
-    lambda_second_derivative,
     make_ah,
     parse_weight,
     pohozaev_residual,
@@ -25,7 +24,7 @@ from gelfand import (
 )
 from gelfand.radial_ode import (
     RadialProfile,
-    quintic_values,
+    hermite_values,
     series_start,
     singular_series_coefficient,
 )
@@ -175,8 +174,6 @@ def test_one_node_grid_returns_the_start_state():
     assert (val[0], der[0]) == (v0, dv0)
     assert (sh.variation_profile.values[0], sh.variation_profile.derivs[0]) == (e0, de0)
     assert sh.lam == math.exp(v0)
-    w = integrate_second_variation(cfg, 0.0, radii=[cfg.r_start])
-    assert len(w) == 1 and abs(w.values[0]) < 1e-8
     lam_star, prof = integrate_singular(cfg, radii=[cfg.r_start])
     assert len(prof) == 1
     assert lam_star == math.exp(prof.values[0])
@@ -198,8 +195,6 @@ def test_decreasing_or_misplaced_radii_rejected():
         with pytest.raises(ValueError, match=msg):
             integrate_ivp(cfg, 0.0, radii=radii)
         with pytest.raises(ValueError, match=msg):
-            integrate_second_variation(cfg, 0.0, radii=radii)
-        with pytest.raises(ValueError, match=msg):
             integrate_singular(cfg, radii=radii)
     # trace=True samples at the accepted steps, so it takes no output radii
     with pytest.raises(ValueError, match="trace=True"):
@@ -214,31 +209,31 @@ def test_trace_profile_interpolates_at_r_start(beta):
     sh = integrate_ivp(cfg, beta, trace=True)
     assert sh.profile.radii[0] < cfg.r_start < sh.profile.radii[1]
     ref = integrate_ivp(cfg, beta, radii=[cfg.r_start, 1.0]).profile.values[0]
-    v = quintic_values(cfg, sh.profile, [cfg.r_start])[0]
+    v = hermite_values(cfg, sh.profile, [cfg.r_start])[0]
     assert abs(v - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
-QUINTIC_CASES = [(3, "const"), (7, "polyexp:0.7,-0.2;d=0.3"), (10, "ah:h=40"),
+HERMITE_CASES = [(3, "const"), (7, "polyexp:0.7,-0.2;d=0.3"), (10, "ah:h=40"),
                  (12, "ah:h=5.7832")]
 
 
-@pytest.mark.parametrize("dim, spec", QUINTIC_CASES)
+@pytest.mark.parametrize("dim, spec", HERMITE_CASES)
 def test_quintic_values_match_the_clamped_shoot(dim, spec):
     cfg = ProblemConfig(dim=dim, weight=parse_weight(spec, dim))
     grid = np.geomspace(cfg.r_start, 1.0, 4097)
     for beta in (-2.0, 10.0, 25.0, 40.0):
         ref = integrate_ivp(cfg, beta, radii=grid).profile.values
-        v = quintic_values(cfg, integrate_ivp(cfg, beta, trace=True).profile, grid)
+        v = hermite_values(cfg, integrate_ivp(cfg, beta, trace=True).profile, grid)
         assert np.max(np.abs(v - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-10, beta
 
 
-@pytest.mark.parametrize("dim, spec", QUINTIC_CASES)
+@pytest.mark.parametrize("dim, spec", HERMITE_CASES)
 def test_quintic_values_match_the_clamped_singular_shoot(dim, spec):
-    # V'' from the ODE is exact at the nodes of the singular profile too
+    # V'' and V''' from the ODE are exact at the nodes of the singular profile too
     cfg = ProblemConfig(dim=dim, weight=parse_weight(spec, dim))
     grid = np.geomspace(cfg.r_start, 1.0, 8192)
     ref = integrate_singular(cfg, radii=grid)[1].values
-    v = quintic_values(cfg, integrate_singular(cfg)[1], grid)
+    v = hermite_values(cfg, integrate_singular(cfg)[1], grid)
     assert np.max(np.abs(v - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-10
 
 
@@ -248,7 +243,7 @@ def test_quintic_values_reject_degenerate_profiles(radii):
     cfg = ProblemConfig(dim=3, weight=CONST)
     prof = integrate_ivp(cfg, 1.0, radii=radii).profile
     with pytest.raises(ValueError, match="strictly increasing"):
-        quintic_values(cfg, prof, [radii[-1]])
+        hermite_values(cfg, prof, [radii[-1]])
 
 
 def test_quintic_values_do_not_extrapolate():
@@ -256,7 +251,7 @@ def test_quintic_values_do_not_extrapolate():
     prof = integrate_ivp(cfg, 0.0, trace=True).profile
     for r in (0.5 * prof.radii[0], 1.0 + 1e-9):
         with pytest.raises(ValueError, match="outside"):
-            quintic_values(cfg, prof, [r])
+            hermite_values(cfg, prof, [r])
 
 
 def test_repeated_radii_repeat_the_state():
@@ -269,30 +264,6 @@ def test_repeated_radii_repeat_the_state():
     a = integrate_singular(cfg, radii=once)[1].values
     b = integrate_singular(cfg, radii=twice)[1].values
     assert list(b) == [a[i] for i in pick]
-
-
-# --------------------------------------------------------- second variation
-
-def test_lambda_second_derivative_consistency():
-    cfg = ProblemConfig(dim=4, weight=CONST)
-    beta, d = 3.0, 1e-3
-    lpp = lambda_second_derivative(cfg, beta)
-    lam = lambda b: integrate_ivp(cfg, b).lam
-    fd = (lam(beta + d) - 2 * lam(beta) + lam(beta - d)) / (d * d)
-    assert lpp == pytest.approx(fd, rel=1e-3)
-
-
-def test_second_derivative_negative_at_first_fold():
-    # first fold of the three-dimensional constant-weight curve
-    cfg = ProblemConfig(dim=3, weight=CONST)
-    assert lambda_second_derivative(cfg, 2.808021) < 0.0
-
-
-def test_second_variation_profile_start():
-    cfg = ProblemConfig(dim=5, weight=CONST)
-    prof = integrate_second_variation(cfg, 2.0)
-    assert abs(prof.values[0]) < 1e-6   # w(0) = 0
-    assert abs(prof.derivs[0]) < 1e-2   # dw/dr(0) = 0
 
 
 # --------------------------------------------------------- singular family
@@ -372,6 +343,23 @@ def test_pohozaev_residual_examples():
     sh = integrate_ivp(cfg, 3.0)
     for mu in (0.0, 1.0, 2.0):
         assert pohozaev_residual(cfg, sh, mu) <= 1e-6
+
+
+def test_identity_quadrature_is_exact_for_power_times_quintic():
+    from gelfand.radial_ode import _GAUSS9, cumulative_power_integral
+
+    assert np.array_equal(_GAUSS9, np.polynomial.legendre.leggauss(9))
+    # s^pw times a quintic, integrated exactly on a geometric-then-uniform grid
+    cfg = ProblemConfig(dim=12, weight=CONST)
+    x = default_grid(cfg)
+    quintic = np.polynomial.Polynomial([0.3, -1.0, 2.0, 0.5, -0.7, 1.1])
+    for pw in (0, 2, 11, 12):
+        exact = (quintic * np.polynomial.Polynomial([0.0] * pw + [1.0])).integ()
+        got = cumulative_power_integral(x, quintic(x), pw)
+        ref = exact(x) - exact(x[0])
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), pw
+    with pytest.raises(ValueError, match="6 samples"):
+        cumulative_power_integral(x[:5], quintic(x[:5]), 2)
 
 
 def test_pohozaev_defect_affine_in_mu():
