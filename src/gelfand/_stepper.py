@@ -14,14 +14,17 @@ dense output's three extra stages are never computed: value readers
 interpolate accepted steps by degree-7 Hermite with derivatives from the
 ODE (`radial_ode.hermite_values`).
 
-Output nodes still bound the step: on ``radial_ode.default_grid`` (561
-nodes) nearly every step ends on a node, for about 12 x 560 right-hand-side
-calls per shoot, where a shoot left to the error control alone takes 60 to
-200 steps. The grid is not needed for accuracy. At rtol 1e-10 the singular
-solution's lambda* is off by 2.9e-15 (N=3, const) and 3.1e-15 (N=10, a_h
+Output nodes bound the step: a step that would pass a node is clamped to
+end on it. Regular grid shoots (``radial_ode.integrate_ivp`` with radii)
+give the driver only a sparse subset of their radii as nodes, about 55 of
+``radial_ode.default_grid``'s 561, no farther apart than min(0.04, 0.26 r),
+and fill the other radii from the accepted steps by degree-7 Hermite: 3 025
+right-hand-side calls for N=10, a_h at h=40, beta=3, where landing on all
+561 took 8 581.
+The singular solution still lands on every radius of its grid: at rtol
+1e-10 its lambda* is off by 2.9e-15 (N=3, const) and 3.1e-15 (N=10, a_h
 at h=40) on the default grid, and by 1.1e-13 and 7.4e-13 when shot
-straight to r = 1. The identities keep the grid because their quadrature
-reads its samples; consumers that need only values (zero numbers,
+straight to r = 1. Consumers that need only values (zero numbers,
 separation and envelope gaps) shoot on accepted steps and interpolate.
 
 The work is split in two. ``solve`` is the one driver: it owns the step

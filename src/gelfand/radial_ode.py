@@ -33,6 +33,11 @@ _EXP_CAP = 500.0  # caps e^v: guards trial stages of rejected steps, not real st
 _GRID_RATIO = 1.08
 _GRID_H_UNIFORM = 2e-3
 
+# a grid shoot lands on anchor radii no farther apart than min(0.04, 0.26 r),
+# r the left one, and fills the radii between them from its accepted steps
+_ANCHOR_GAP = 0.04
+_ANCHOR_REL = 0.26
+
 # 9-point Gauss-Legendre nodes and weights on [-1, 1], numpy's leggauss(9)
 # as literals: leggauss would start numpy's LAPACK, 0.8 MiB, for 18 numbers
 _GAUSS9 = (
@@ -73,10 +78,11 @@ def default_grid(cfg: ProblemConfig, R: float = 1.0) -> np.ndarray:
     r_start until the spacing reaches 2e-3, then uniform (561 radii from
     r_start = 1e-4 to 1).
 
-    Shoots land on every radius, which bounds the step, but accuracy no
-    longer rests on that: lambda* shot straight to r = 1 is within 7.4e-13
-    as well (`_stepper`'s docstring). The spacing serves the flux and
-    Pohozaev quadratures, which read the samples.
+    The spacing serves the flux and Pohozaev quadratures, which read the
+    samples. A regular shoot lands on about every third radius of the
+    geometric head and every twentieth of the uniform part
+    (`_anchor_radii`) and fills the rest (`integrate_ivp`);
+    `integrate_singular` and `rescaled_profile` land on every radius.
     """
     pts = [cfg.r_start]
     r = cfg.r_start
@@ -111,10 +117,11 @@ class RadialProfile:
         """Hermite interpolation; quadratic even extension below the first node.
 
         One node, or a zero-width interval (a repeated radius), gives the
-        node's own value and derivative. No module of the package calls it:
-        value readers use `hermite_values` or `scalar_value`. It stays as the
-        array reference `scalar_value` is tested against, and because
-        `perfbench/tracing.py` patches it by name.
+        node's own value and derivative. Its value half is the array form of
+        `scalar_value`, bit-identical to it: the finite-volume matrix and the
+        eigenvalue bracket of `spectral.morse_index` read numeric potentials
+        through it (`spectral.reduce_to_disk`). Shoots are read by
+        `hermite_values` instead.
         """
         r = np.asarray(r, dtype=float)
         if np.any(r > self.R * (1.0 + 1e-12)):
@@ -354,14 +361,93 @@ def _output_radii(cfg: ProblemConfig, radii):
     return radii_arr, [float(x) for x in radii_arr]
 
 
+def _anchor_radii(nodes):
+    """The strictly increasing radii of `nodes` a grid shoot lands on: the
+    first and the last, and between them greedily the farthest radius within
+    min(_ANCHOR_GAP, _ANCHOR_REL r) of the anchor r before it, or the next
+    radius where none is."""
+    a = nodes[0]
+    anchors, gap = [a], min(_ANCHOR_GAP, _ANCHOR_REL * a)
+    for prev, r in zip(nodes, nodes[1:]):
+        if r - a > gap:
+            if prev > a:
+                a = prev
+                anchors.append(a)
+                gap = min(_ANCHOR_GAP, _ANCHOR_REL * a)
+            if r - a > gap:
+                a = r
+                anchors.append(a)
+                gap = min(_ANCHOR_GAP, _ANCHOR_REL * a)
+    if anchors[-1] < nodes[-1]:
+        anchors.append(nodes[-1])
+    return anchors
+
+
+def _jets(cfg: ProblemConfig, x: np.ndarray, y: np.ndarray):
+    """The first three r-derivatives of the states y = rows of (v, v', e, e')
+    at the radii x, from the ODE and its derivatives: three arrays shaped
+    like y, rows (v', v'', e', e''), (v'', v''', e'', e''') and
+    (v''', v'''', e''', e'''')."""
+    v, dv, e, de = y.T
+    a, da, dda = weight_arrays(cfg.weight, x)
+    c, g = (cfg.dim - 1.0) / x, np.exp(v)
+    v2 = -c * dv - a * g
+    v3 = c / x * dv - c * v2 - (da + a * dv) * g
+    v4 = (c / x * (2.0 * v2 - 2.0 * dv / x) - c * v3
+          - (dda + 2.0 * da * dv + a * (v2 + dv * dv)) * g)
+    e2 = -c * de - a * g * e
+    e3 = c / x * de - c * e2 - (da * e + a * (de + dv * e)) * g
+    e4 = (c / x * (2.0 * e2 - 2.0 * de / x) - c * e3
+          - (dda * e + 2.0 * da * (de + dv * e)
+             + a * (e2 + 2.0 * dv * de + (v2 + dv * dv) * e)) * g)
+    stack = np.column_stack
+    return stack((dv, v2, de, e2)), stack((v2, v3, e2, e3)), stack((v3, v4, e3, e4))
+
+
+def _grid_states(cfg: ProblemConfig, beta: float, radii: np.ndarray, nodes) -> np.ndarray:
+    """States (v, v', e, e') at `radii` (as floats, `nodes`) from one shoot
+    that lands on `_anchor_radii` only. A radius that is an anchor or an
+    accepted step keeps the integrator's state; the rest are filled by
+    degree-7 Hermite on the accepted step around them, v and e from their
+    first three derivatives, v' and e' from the next three, all from the ODE."""
+    anchors = _anchor_radii(nodes)
+    landed, xs, ys = _run(cfg, beta, anchors, collect=True)
+    k = np.minimum(np.searchsorted(anchors, radii), len(anchors) - 1)
+    states = np.asarray(landed)[k]
+    rest = np.flatnonzero(np.asarray(anchors)[k] != radii)
+    if rest.size == 0:
+        return states
+    x, y = np.asarray(xs), np.asarray(ys)
+    r = radii[rest]
+    i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, len(x) - 2)
+    on_step = x[i] == r
+    states[rest[on_step]] = y[i[on_step]]
+    rest, r, i = rest[~on_step], r[~on_step], i[~on_step]
+    j = i + 1
+    d1, d2, d3 = _jets(cfg, x, y)
+    h = (x[j] - x[i])[:, None]
+    states[rest] = _hermite7((r[:, None] - x[i][:, None]) / h, h,
+                             (y[i], d1[i], d2[i], d3[i]), (y[j], d1[j], d2[j], d3[j]))
+    return states
+
+
 def integrate_ivp(cfg: ProblemConfig, beta: float, radii=None, trace: bool = False) -> ShootResult:
     """Shoot v and its first variation jointly out to r = 1.
 
     With trace=True the profile is sampled at the integrator's accepted
     steps, from the last one at or below r_start on, and `radii` must be
     None: the cheap path, for curve tracing and for `hermite_values`.
-    Otherwise it is sampled at `radii` (default: `default_grid`), which the
-    integrator lands on exactly.
+    Otherwise it is sampled at `radii` (default: `default_grid`). The
+    integrator lands only on a sparse subset of them, `_anchor_radii`, and
+    the others are filled from its accepted steps by degree-7 Hermite
+    (`_grid_states`). On `default_grid` the filled states agree with a shoot
+    that lands on every radius to within 3.3e-13 (v), 4.6e-12 (v'),
+    1.4e-12 (e) and 1.8e-11 (e') relative to max(1, |.|), over N in
+    {3, 5, 7, 9, 10, 12}, const, a_h and polyexp weights and beta in
+    [-2, 40]. The anchors keep them there: without them the steps grow to
+    0.035 near r = 0.8, where v' is then off by 9e-11, and the ODE's third
+    and fourth derivatives lose digits to the (N-1)/r cancellation below
+    r = 2e-4.
     """
     _check_beta(beta)
     if trace and radii is not None:
@@ -372,7 +458,7 @@ def integrate_ivp(cfg: ProblemConfig, beta: float, radii=None, trace: bool = Fal
         states = np.asarray(ys)
     else:
         radii_arr, nodes = _output_radii(cfg, radii)
-        states = np.asarray(_run(cfg, beta, nodes))
+        states = _grid_states(cfg, beta, radii_arr, nodes)
     v1 = float(states[-1, 0])
     e1 = float(states[-1, 2])
     lam = math.exp(v1)
@@ -411,23 +497,32 @@ def hermite_values(cfg: ProblemConfig, profile: RadialProfile, r) -> np.ndarray:
         raise ValueError("Hermite interpolation needs two or more strictly increasing radii")
     if np.any(r < x[0]) or np.any(r > profile.R):
         raise ValueError("radii outside the profile's nodes")
-    a, da = weight_arrays(cfg.weight, x)
+    a, da, _ = weight_arrays(cfg.weight, x)
     c, g = (cfg.dim - 1.0) / x, np.exp(f)
     dd = -c * d - a * g
     ddd = c / x * d - c * dd - (da + a * d) * g
     i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, len(x) - 2)
     j = i + 1
     h = x[j] - x[i]
-    t = (r - x[i]) / h
+    return _hermite7((r - x[i]) / h, h, (f[i], d[i], dd[i], ddd[i]),
+                     (f[j], d[j], dd[j], ddd[j]))
+
+
+def _hermite7(t, h, left, right):
+    """The degree-7 Hermite interpolant at t = (r - x0) / h on [x0, x0 + h]
+    from (f, f', f'', f''') at both ends, `left` at x0 and `right` at x0 + h.
+    Arrays broadcast, so one call can fill several functions, one a column."""
+    f0, d0, dd0, ddd0 = left
+    f1, d1, dd1, ddd1 = right
     s = 1.0 - t
     h2, h3 = 0.5 * h * h, h * h * h / 6.0
     return (
-        s ** 4 * ((1.0 + t * (4.0 + t * (10.0 + 20.0 * t))) * f[i]
-                  + t * (1.0 + t * (4.0 + 10.0 * t)) * h * d[i]
-                  + t * t * (1.0 + 4.0 * t) * h2 * dd[i] + t ** 3 * h3 * ddd[i])
-        + t ** 4 * ((1.0 + s * (4.0 + s * (10.0 + 20.0 * s))) * f[j]
-                    - s * (1.0 + s * (4.0 + 10.0 * s)) * h * d[j]
-                    + s * s * (1.0 + 4.0 * s) * h2 * dd[j] - s ** 3 * h3 * ddd[j])
+        s ** 4 * ((1.0 + t * (4.0 + t * (10.0 + 20.0 * t))) * f0
+                  + t * (1.0 + t * (4.0 + 10.0 * t)) * h * d0
+                  + t * t * (1.0 + 4.0 * t) * h2 * dd0 + t ** 3 * h3 * ddd0)
+        + t ** 4 * ((1.0 + s * (4.0 + s * (10.0 + 20.0 * s))) * f1
+                    - s * (1.0 + s * (4.0 + 10.0 * s)) * h * d1
+                    + s * s * (1.0 + 4.0 * s) * h2 * dd1 - s ** 3 * h3 * ddd1)
     )
 
 
@@ -486,7 +581,7 @@ def residual_Uh(dim: int, h: float, radii) -> float:
     Up = -2.0 / r - 2.0 * t * r
     Upp = 2.0 / (r * r) - 2.0 * t
     lhs = -(Upp + (N - 1.0) / r * Up)
-    a, _ = weight_arrays(weight, r)
+    a = weight_arrays(weight, r)[0]
     rhs = explicit_lambda_h(dim, h) * a * np.exp(U)
     return float(np.max(np.abs(lhs - rhs) / np.abs(rhs)))
 
@@ -532,7 +627,7 @@ def flux_residual(cfg: ProblemConfig, shoot: ShootResult) -> float:
     r = shoot.profile.radii
     v = shoot.profile.values
     dv = shoot.profile.derivs
-    a, _ = weight_arrays(cfg.weight, r)
+    a = weight_arrays(cfg.weight, r)[0]
     c2, _, _ = _series_coeffs(cfg, shoot.beta)
     a2 = 0.5 * cfg.weight.a2pp
     r0 = cfg.r_start
@@ -558,7 +653,7 @@ def pohozaev_residual(cfg: ProblemConfig, shoot: ShootResult, mu: float) -> floa
     r = shoot.profile.radii
     v = shoot.profile.values
     dv = shoot.profile.derivs
-    a, da = weight_arrays(cfg.weight, r)
+    a, da, _ = weight_arrays(cfg.weight, r)
     ev = np.exp(v)
     T = r ** N * (0.5 * dv * dv + a * (ev - 1.0)) + mu * r ** (N - 1) * v * dv
     boundary = float(T[-1] - T[0])

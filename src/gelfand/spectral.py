@@ -194,7 +194,7 @@ def explicit_uh(dim: int, h: float) -> RadialPotential:
 def potential_from_shoot(cfg: ProblemConfig, shoot: ShootResult) -> RadialPotential:
     """lambda a e^u = a e^v along a regular shooting profile."""
     r = shoot.profile.radii
-    a, da = weight_arrays(cfg.weight, r)
+    a, da, _ = weight_arrays(cfg.weight, r)
     ev = np.exp(shoot.profile.values)
     p = a * ev
     dp = (da + a * shoot.profile.derivs) * ev
@@ -211,7 +211,7 @@ def potential_from_singular(cfg: ProblemConfig, profile: RadialProfile) -> Radia
     so 2(N-2) expm1(z) / r^2 keeps the smooth part accurate at small r."""
     N = cfg.dim
     r = profile.radii
-    a, da = weight_arrays(cfg.weight, r)
+    a, da, _ = weight_arrays(cfg.weight, r)
     z = profile.values + np.log(a) + 2.0 * np.log(r) - math.log(2.0 * (N - 2.0))
     dz = profile.derivs + da / a + 2.0 / r
     return RadialPotential(
@@ -225,12 +225,15 @@ class DiskPotential:
     """K2(r) = inv_sq / r^2 + smooth(r) on (0, 1], smooth bounded at 0.
 
     The smooth part is `const` when it is exactly constant, and otherwise
-    `smooth_at`, a callable on one float radius. The Pruefer right-hand
-    side, the finite-volume matrix and the eigenvalue bracket of
-    `morse_index` all evaluate that one callable.
+    `smooth_at`, a callable on one float radius, which the Pruefer
+    right-hand side evaluates. `smooth_array`, if given, is the same
+    function on an array of radii, for the finite-volume matrix and the
+    eigenvalue bracket of `morse_index`; without it they call `smooth_at`
+    once per radius.
     """
 
-    def __init__(self, dim, inv_sq, smooth0, const=None, label="", smooth_at=None):
+    def __init__(self, dim, inv_sq, smooth0, const=None, label="", smooth_at=None,
+                 smooth_array=None):
         if const is None and smooth_at is None:
             raise ValueError("a smooth part needs either const or smooth_at")
         self.dim = dim
@@ -238,6 +241,7 @@ class DiskPotential:
         self.smooth0 = float(smooth0)
         self.const = const  # smooth part if it is exactly constant
         self.smooth_at = smooth_at
+        self.smooth_array = smooth_array
         self.label = label
 
     def smooth(self, r):
@@ -246,6 +250,8 @@ class DiskPotential:
         r = np.asarray(r, dtype=float)
         if self.const is not None:
             return np.full_like(r, self.const)
+        if self.smooth_array is not None:
+            return self.smooth_array(r)
         return np.array([self.smooth_at(x) for x in r.tolist()])
 
     def k2(self, r):
@@ -257,10 +263,12 @@ def reduce_to_disk(pot: RadialPotential) -> DiskPotential:
     """K2(r) = pot(r) - (N-2)^2/(4 r^2) after the r^{(N-2)/2} substitution.
 
     At N = 10 with a singular potential the two inverse-square terms cancel
-    exactly. A numeric potential's smooth part is one scalar callable over
-    `RadialProfile.scalar_value`: the interpolated a e^v for a regular
-    potential, and 2(N-2) expm1(z(r)) / r^2 for a singular one, which keeps
-    the cancellation exact at small radii.
+    exactly. A numeric potential's smooth part is the interpolated a e^v for
+    a regular potential, and 2(N-2) expm1(z(r)) / r^2 for a singular one,
+    which keeps the cancellation exact at small radii. It is read by
+    `RadialProfile.scalar_value` one radius at a time and by the value half
+    of `RadialProfile.evaluate_array` on arrays: bit-identical for a regular
+    potential, and within rounding of numpy's expm1 for a singular one.
     """
     N = float(pot.dim)
     hardy_coeff = (N - 2.0) ** 2 / 4.0
@@ -275,8 +283,9 @@ def reduce_to_disk(pot: RadialPotential) -> DiskPotential:
     if pot.singular_coefficient == 0.0:
         c = prof.derivs[0] / (2.0 * r0)
         smooth0 = float(prof.values[0] - c * r0 ** 2)
-        return DiskPotential(pot.dim, inv_sq, smooth0,
-                             smooth_at=prof.scalar_value(), label="numeric regular")
+        return DiskPotential(pot.dim, inv_sq, smooth0, smooth_at=prof.scalar_value(),
+                             smooth_array=lambda r: prof.evaluate_array(r)[0],
+                             label="numeric regular")
 
     # numeric singular: smooth(r) = 2(N-2) (e^z - 1) / r^2
     two_nm2 = 2.0 * (N - 2.0)
@@ -285,10 +294,13 @@ def reduce_to_disk(pot: RadialPotential) -> DiskPotential:
     def smooth_at(r):
         return two_nm2 * math.expm1(z_at(r)) / (r * r)
 
+    def smooth_array(r):
+        return two_nm2 * np.expm1(prof.evaluate_array(r)[0]) / (r * r)
+
     # limit at 0: z ~ z2 r^2, so smooth0 = 2(N-2) z2 with z2 ~ z'(r0) / (2 r0)
     smooth0 = two_nm2 * (prof.derivs[0] / (2.0 * r0))
     return DiskPotential(pot.dim, inv_sq, smooth0, smooth_at=smooth_at,
-                         label="numeric singular")
+                         smooth_array=smooth_array, label="numeric singular")
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +423,9 @@ def morse_index(k2: DiskPotential, cap: int = 16, n_fd: int = 4096) -> SpectralR
 
     For potentials carried by interpolated numeric profiles the count is
     certified only up to the profile's own accuracy: treat it as a
-    discretization-level answer, exact for closed-form K2. Both routes
-    and the eigenvalue bracket evaluate such a potential through its one
-    scalar `smooth_at`.
+    discretization-level answer, exact for closed-form K2. The Pruefer
+    route evaluates such a potential through its scalar `smooth_at`, the
+    finite-volume matrix and the eigenvalue bracket through `smooth_array`.
     """
     if not _is_int(cap) or not 1 <= cap <= 32:
         raise ValueError(f"cap must be an integer in [1, 32], got {cap!r}")

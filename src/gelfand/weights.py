@@ -137,21 +137,27 @@ def weight_fn(w: Weight):
     return a_of
 
 
-def weight_arrays(w: Weight, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (a(r), a'(r)) on an array of radii, without the positivity check."""
+def weight_arrays(w: Weight, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Return (a(r), a'(r), a''(r)) on an array of radii, without the
+    positivity check."""
     p = np.ones_like(r)
     dp = np.zeros_like(r)
+    ddp = np.zeros_like(r)
     if w.coeffs:
         r2 = r * r
         q = np.ones_like(r)
         for i, c in enumerate(w.coeffs, start=1):
+            ddp += (2 * i) * (2 * i - 1) * c * q
             dp += (2 * i) * c * q * r
             q = q * r2
             p += c * q
     if w.tilt != 0.0:
+        # a = p E with E = exp(d r^2): E' = 2 d r E, E'' = (2 d + 4 d^2 r^2) E
         e = np.exp(w.tilt * r * r)
-        return p * e, (dp + 2.0 * w.tilt * r * p) * e
-    return p, dp
+        tr = 2.0 * w.tilt * r
+        return (p * e, (dp + tr * p) * e,
+                (ddp + 2.0 * tr * dp + (2.0 * w.tilt + tr * tr) * p) * e)
+    return p, dp, ddp
 
 
 def _check_admissible(w: Weight, samples: int) -> None:
@@ -184,8 +190,8 @@ def ratio_derivative_sign(w: Weight, dim: int, reference: Weight | None = None) 
 
         reference = make_ah(hardy_constant(), dim)
     r = np.arange(1, _RATIO_SAMPLES + 1) / _RATIO_SAMPLES
-    a, da = weight_arrays(w, r)
-    b, db = weight_arrays(reference, r)
+    a, da, _ = weight_arrays(w, r)
+    b, db, _ = weight_arrays(reference, r)
     for wt, values in ((w, a), (reference, b)):
         if np.any(values <= 0.0):
             raise ValueError(f"weight {wt.spec!r} nonpositive on (0, 1]")

@@ -22,8 +22,10 @@ from gelfand import (
     rescaled_profile,
     residual_Uh,
 )
+from gelfand import radial_ode
 from gelfand.radial_ode import (
     RadialProfile,
+    _run,
     hermite_values,
     series_start,
     singular_series_coefficient,
@@ -208,7 +210,7 @@ def test_trace_profile_interpolates_at_r_start(beta):
     cfg = ProblemConfig(dim=3, weight=CONST)
     sh = integrate_ivp(cfg, beta, trace=True)
     assert sh.profile.radii[0] < cfg.r_start < sh.profile.radii[1]
-    ref = integrate_ivp(cfg, beta, radii=[cfg.r_start, 1.0]).profile.values[0]
+    ref = _run(cfg, beta, [cfg.r_start, 1.0])[0][0]
     v = hermite_values(cfg, sh.profile, [cfg.r_start])[0]
     assert abs(v - ref) <= 1e-10 * max(1.0, abs(ref))
 
@@ -222,7 +224,7 @@ def test_quintic_values_match_the_clamped_shoot(dim, spec):
     cfg = ProblemConfig(dim=dim, weight=parse_weight(spec, dim))
     grid = np.geomspace(cfg.r_start, 1.0, 4097)
     for beta in (-2.0, 10.0, 25.0, 40.0):
-        ref = integrate_ivp(cfg, beta, radii=grid).profile.values
+        ref = np.asarray(_run(cfg, beta, grid.tolist()))[:, 0]
         v = hermite_values(cfg, integrate_ivp(cfg, beta, trace=True).profile, grid)
         assert np.max(np.abs(v - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-10, beta
 
@@ -252,6 +254,61 @@ def test_quintic_values_do_not_extrapolate():
     for r in (0.5 * prof.radii[0], 1.0 + 1e-9):
         with pytest.raises(ValueError, match="outside"):
             hermite_values(cfg, prof, [r])
+
+
+FILL_CASES = [(dim, spec) for dim in (3, 10, 12)
+              for spec in ("const", "ah:h=40", "polyexp:0.7,-0.2;d=0.3")]
+
+
+@pytest.mark.parametrize("dim, spec", FILL_CASES)
+def test_grid_fill_matches_landing_on_every_radius(dim, spec):
+    # a grid shoot lands on sparse anchors and fills the other radii by
+    # degree-7 Hermite; compare (v, v', e, e') with a shoot landing on all
+    cfg = ProblemConfig(dim=dim, weight=parse_weight(spec, dim))
+    grid = default_grid(cfg)
+    bounds = np.array([5e-12, 5e-11, 2e-11, 2e-10])
+    for beta in (-2.0, 3.0, 40.0):
+        ref = np.asarray(_run(cfg, beta, grid.tolist()))
+        sh = integrate_ivp(cfg, beta)
+        assert np.array_equal(sh.profile.radii, grid)
+        got = np.column_stack([sh.profile.values, sh.profile.derivs,
+                               sh.variation_profile.values, sh.variation_profile.derivs])
+        err = np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref)), axis=0)
+        assert np.all(err <= bounds), (beta, err)
+
+
+def test_grid_shoot_rhs_calls_are_bounded(monkeypatch):
+    # landing on every one of default_grid's 561 radii took 8 581 calls here
+    rhs_ve, calls = radial_ode._rhs_ve, []
+
+    def counting(cfg):
+        fun = rhs_ve(cfg)
+
+        def counted(r, y):
+            calls.append(r)
+            return fun(r, y)
+
+        return counted
+
+    monkeypatch.setattr(radial_ode, "_rhs_ve", counting)
+    integrate_ivp(ProblemConfig(dim=10, weight=make_ah(40.0, 10)), 3.0)
+    assert 0 < len(calls) <= 3500
+
+
+@pytest.mark.parametrize("radii", [[1e-4], [1e-4, 1.0], [1e-4, 0.5, 1.0, 1.0]])
+@pytest.mark.parametrize("beta", [0.0, 20.0])
+def test_degenerate_grids_are_landed(radii, beta):
+    # every radius here is an anchor: the states are the integrator's own,
+    # and no interval is interpolated
+    cfg = ProblemConfig(dim=5, weight=CONST)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sh = integrate_ivp(cfg, beta, radii=radii)
+    ref = np.asarray(_run(cfg, beta, radii))
+    assert sh.profile.values.tolist() == ref[:, 0].tolist()
+    assert sh.profile.derivs.tolist() == ref[:, 1].tolist()
+    assert sh.variation_profile.values.tolist() == ref[:, 2].tolist()
+    assert sh.variation_profile.derivs.tolist() == ref[:, 3].tolist()
 
 
 def test_repeated_radii_repeat_the_state():
@@ -373,7 +430,7 @@ def test_pohozaev_defect_affine_in_mu():
     sh = integrate_ivp(cfg, 3.0)
     N = cfg.dim
     r, v, dv = sh.profile.radii, sh.profile.values, sh.profile.derivs
-    a, da = weight_arrays(cfg.weight, r)
+    a, da, _ = weight_arrays(cfg.weight, r)
     ev = np.exp(v)
 
     def defect(mu):

@@ -23,6 +23,7 @@ from gelfand import (
     make_ah,
     morse_index,
     parse_weight,
+    potential_from_shoot,
     potential_from_singular,
     reduce_to_disk,
     singular_stability,
@@ -248,8 +249,10 @@ def test_disk_potential_needs_const_or_smooth_at():
 
 def test_pruefer_rhs_does_not_evaluate_profile_arrays(monkeypatch):
     # the Pruefer right-hand side runs hundreds of thousands of times per
-    # pass: no Morse index calls the array interpolant, and the weight is
-    # evaluated once per potential build, never per Pruefer stage
+    # pass: it never calls the array interpolant, which only the
+    # finite-volume matrix (4096 centres) and the eigenvalue bracket (1025
+    # radii) call, once each; the weight is evaluated once per potential
+    # build, never per Pruefer stage
     cfg = ProblemConfig(dim=10, weight=make_ah(40.0, 10))
     shoot = integrate_ivp(cfg, 4.6)
     calls, weight_calls = [], []
@@ -267,13 +270,32 @@ def test_pruefer_rhs_does_not_evaluate_profile_arrays(monkeypatch):
     monkeypatch.setattr(RadialProfile, "evaluate_array", counted)
     monkeypatch.setattr(spectral, "weight_arrays", counted_weight)
     assert solution_stability(cfg, shoot).morse_index == 1
-    assert calls == []
+    assert calls == [4096, 1025]
     assert weight_calls == [len(shoot.profile)]
     weight_calls.clear()
     _, prof = integrate_singular(cfg)
+    calls.clear()
     assert singular_stability(cfg).morse_index == 2
-    assert calls == []
+    assert calls == [4096, 1025]
     assert weight_calls == [len(prof)]
+
+
+def test_fd_smooth_part_matches_the_scalar_reader():
+    # the finite-volume matrix reads a numeric potential through its array
+    # form: bit-identical to smooth_at for a regular potential, and within
+    # a few ulps for a singular one, where numpy's expm1 may round
+    # differently from math.expm1
+    cfg = ProblemConfig(dim=10, weight=make_ah(40.0, 10))
+    regular = reduce_to_disk(potential_from_shoot(cfg, integrate_ivp(cfg, 1.6)))
+    diag, off, centers, _ = _fd_matrix(regular, 4096, 1e-6)
+    scalar = DiskPotential(regular.dim, regular.inv_sq, regular.smooth0,
+                           smooth_at=regular.smooth_at)
+    ref_diag, ref_off, _, _ = _fd_matrix(scalar, 4096, 1e-6)
+    assert np.array_equal(diag, ref_diag) and np.array_equal(off, ref_off)
+    singular = reduce_to_disk(potential_from_singular(cfg, integrate_singular(cfg)[1]))
+    got = singular.smooth(centers)
+    ref = np.array([singular.smooth_at(r) for r in centers.tolist()])
+    assert np.all(np.abs(got - ref) <= 4.0 * np.finfo(float).eps * np.abs(ref))
 
 
 # ---------------------------------------------------------- Hardy floor etc

@@ -20,7 +20,7 @@ H = hardy_constant()
 
 def eval_at(w, r):
     """(a(r), a'(r)) at one radius, from the array evaluator."""
-    a, da = weight_arrays(w, np.array([r]))
+    a, da, _ = weight_arrays(w, np.array([r]))
     return float(a[0]), float(da[0])
 
 
@@ -48,6 +48,30 @@ def test_parse_polyexp():
     exact = poly * math.exp(0.1 * r * r)
     assert a == pytest.approx(exact, rel=1e-15)
     assert da == pytest.approx((dpoly + poly * 0.2 * r) * math.exp(0.1 * r * r), rel=1e-14)
+
+
+@pytest.mark.parametrize("spec, dim, c1, c2, d", [
+    ("const", None, 0.0, 0.0, 0.0),
+    ("ah:h=40", 10, 40.0 / 16.0, 0.0, 40.0 / 20.0),
+    ("ah:h=-3", 5, -3.0 / 6.0, 0.0, -3.0 / 10.0),
+    ("polyexp:0.5,0.25;d=0.1", None, 0.5, 0.25, 0.1),
+    ("polyexp:0.7,-0.2;d=0.3", None, 0.7, -0.2, 0.3),
+])
+def test_weight_arrays_second_derivative(spec, dim, c1, c2, d):
+    # a = (1 + c1 r^2 + c2 r^4) e^{d r^2} expands to
+    # a'' = [2(c1 + d) + (12 c2 + 10 d c1 + 4 d^2) r^2
+    #        + (18 d c2 + 4 d^2 c1) r^4 + 4 d^2 c2 r^6] e^{d r^2}
+    w = parse_weight(spec, dim=dim)
+    r = np.linspace(0.0, 1.0, 101)
+    a, _, dda = weight_arrays(w, r)
+    r2 = r * r
+    exact = (2.0 * (c1 + d) + (12.0 * c2 + 10.0 * d * c1 + 4.0 * d * d) * r2
+             + (18.0 * d * c2 + 4.0 * d * d * c1) * r2 * r2
+             + 4.0 * d * d * c2 * r2 ** 3) * np.exp(d * r2)
+    assert np.allclose(dda, exact, rtol=1e-13, atol=1e-13)
+    assert dda[0] == pytest.approx(w.a2pp, rel=1e-15, abs=1e-15)
+    if spec == "const":
+        assert not dda.any() and (a == 1.0).all()
 
 
 @pytest.mark.parametrize("bad", [
