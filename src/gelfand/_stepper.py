@@ -15,17 +15,19 @@ interpolate accepted steps by degree-7 Hermite with derivatives from the
 ODE (`radial_ode.hermite_values`).
 
 Output nodes bound the step: a step that would pass a node is clamped to
-end on it. Regular grid shoots (``radial_ode.integrate_ivp`` with radii)
-give the driver only a sparse subset of their radii as nodes, about 55 of
-``radial_ode.default_grid``'s 561, no farther apart than min(0.04, 0.26 r),
-and fill the other radii from the accepted steps by degree-7 Hermite: 3 025
-right-hand-side calls for N=10, a_h at h=40, beta=3, where landing on all
-561 took 8 581.
-The singular solution still lands on every radius of its grid: at rtol
-1e-10 its lambda* is off by 2.9e-15 (N=3, const) and 3.1e-15 (N=10, a_h
-at h=40) on the default grid, and by 1.1e-13 and 7.4e-13 when shot
-straight to r = 1. Consumers that need only values (zero numbers,
-separation and envelope gaps) shoot on accepted steps and interpolate.
+end on it. Grid shoots (``radial_ode.integrate_ivp`` with radii,
+``integrate_singular`` and ``rescaled_profile``) give ``solve`` only a
+sparse subset of their radii as nodes and fill the other radii from the
+accepted steps by degree-7 Hermite (``radial_ode._grid_states``). A
+regular shoot takes about 55 of ``radial_ode.default_grid``'s 561, no
+farther apart than min(0.04, 0.26 r): 3 025 right-hand-side calls for
+N=10, a_h at h=40, beta=3, where landing on all 561 took 8 581. The
+singular solution takes 123, no farther apart than min(0.04, 0.1 r): 3 997
+calls for N=10, a_h at h=40, where landing on all 561 took 9 001, with
+lambda* within 7.3e-15 of its closed form. Shot straight to r = 1 its
+lambda* is off by 1.1e-13 (N=3, const) and 7.4e-13 (N=10, a_h at h=40).
+Consumers that need only values (zero numbers, separation and envelope
+gaps) shoot on accepted steps and interpolate.
 
 The work is split in two. ``solve`` is the one driver: it owns the step
 controller (the node clamp, the step budget, the underflow check,

@@ -9,6 +9,7 @@ formatting.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -431,7 +432,10 @@ def _cmd_spectral_witness(args) -> int:
 # Parser assembly.
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves it
+    unchanged, so every in-process `main` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="gelfand",
         description="Radial Gelfand problem: bifurcation diagrams, singular "

@@ -34,9 +34,11 @@ _GRID_RATIO = 1.08
 _GRID_H_UNIFORM = 2e-3
 
 # a grid shoot lands on anchor radii no farther apart than min(0.04, 0.26 r),
-# r the left one, and fills the radii between them from its accepted steps
+# r the left one, and fills the radii between them from its accepted steps;
+# the singular solution's anchors are no farther apart than min(0.04, 0.1 r)
 _ANCHOR_GAP = 0.04
 _ANCHOR_REL = 0.26
+_SINGULAR_ANCHOR_REL = 0.1
 
 # 9-point Gauss-Legendre nodes and weights on [-1, 1], numpy's leggauss(9)
 # as literals: leggauss would start numpy's LAPACK, 0.8 MiB, for 18 numbers
@@ -79,10 +81,11 @@ def default_grid(cfg: ProblemConfig, R: float = 1.0) -> np.ndarray:
     r_start = 1e-4 to 1).
 
     The spacing serves the flux and Pohozaev quadratures, which read the
-    samples. A regular shoot lands on about every third radius of the
-    geometric head and every twentieth of the uniform part
-    (`_anchor_radii`) and fills the rest (`integrate_ivp`);
-    `integrate_singular` and `rescaled_profile` land on every radius.
+    samples. No shoot lands on every radius: a regular shoot lands on about
+    every third radius of the geometric head and every twentieth of the
+    uniform part (`_anchor_radii`, 55 of the 561), the singular solution on
+    123 of them, and both fill the rest from their accepted steps
+    (`_grid_states`).
     """
     pts = [cfg.r_start]
     r = cfg.r_start
@@ -296,6 +299,20 @@ def _rhs_ve(cfg: ProblemConfig):
     return fun
 
 
+def _rhs_v(cfg: ProblemConfig):
+    """y = (v, v'): the singular solution carries no variation."""
+    a_of = weight_fn(cfg.weight)
+    nm1 = float(cfg.dim - 1)
+    exp, cap = math.exp, _EXP_CAP
+
+    def fun(r, y):
+        v, dv = y
+        g = a_of(r) * exp(v if v < cap else cap)
+        return [dv, -nm1 / r * dv - g]
+
+    return fun
+
+
 def _init_radius(cfg: ProblemConfig, beta: float) -> float:
     """Where the matched series is trustworthy: e^beta r^2/(2N) must be small.
 
@@ -306,43 +323,37 @@ def _init_radius(cfg: ProblemConfig, beta: float) -> float:
     return min(cfg.r_start, layer)
 
 
-def _integrate(cfg: ProblemConfig, fun, r0: float, y0, nodes, collect: bool = False):
+def _integrate(cfg: ProblemConfig, fun, r0: float, y0, nodes):
     """Integrate from the start state y0 at r0 through `nodes`.
 
     A first node at r0 (to 1e-12 relative) is the start state itself. A
     nonpositive weight, hit while extending beyond r = 1, ends in an
-    IntegrationError. Returns the states at the nodes, or (states, xs, ys)
-    with every accepted step when collecting.
+    IntegrationError. Returns (states at the nodes, xs, ys) with every
+    accepted step.
     """
     head = []
     if nodes[0] <= r0 * (1.0 + 1e-12):
         head, nodes = [y0], nodes[1:]
         if not nodes:
-            return (head, [r0], head) if collect else head
-    result = _stepper.solve(
+            return head, [r0], head
+    states, xs, ys = _stepper.solve(
         fun, r0, y0, nodes, cfg.rel_tol, cfg.abs_tol,
-        first_step=0.2 * r0, collect=collect,
+        first_step=0.2 * r0, collect=True,
     )
-    if collect:
-        states, xs, ys = result
-        return head + states, xs, ys
-    return head + result
+    return head + states, xs, ys
 
 
-def _run(cfg: ProblemConfig, beta: float, nodes, collect: bool = False):
+def _run(cfg: ProblemConfig, beta: float, nodes):
     """Integrate from the matched start through `nodes` (all >= r_start).
 
-    Returns states aligned with nodes, or (states, xs, ys) when collecting
-    accepted steps. Collected steps start at the last one at or below
-    r_start, so every radius in [r_start, 1] lies between two of them.
+    Returns (states at the nodes, xs, ys) with the accepted steps from the
+    last one at or below r_start on, so every radius in [r_start, 1] lies
+    between two of them.
     """
     r0 = _init_radius(cfg, beta)
-    result = _integrate(cfg, _rhs_ve(cfg), r0, series_start(cfg, beta, r0), nodes, collect)
-    if collect:
-        states, xs, ys = result
-        first = bisect_right(xs, cfg.r_start) - 1  # xs[0] = r0 <= r_start
-        return states, xs[first:], ys[first:]
-    return result
+    states, xs, ys = _integrate(cfg, _rhs_ve(cfg), r0, series_start(cfg, beta, r0), nodes)
+    first = bisect_right(xs, cfg.r_start) - 1  # xs[0] = r0 <= r_start
+    return states, xs[first:], ys[first:]
 
 
 def _output_radii(cfg: ProblemConfig, radii):
@@ -361,57 +372,62 @@ def _output_radii(cfg: ProblemConfig, radii):
     return radii_arr, [float(x) for x in radii_arr]
 
 
-def _anchor_radii(nodes):
+def _anchor_radii(nodes, rel: float):
     """The strictly increasing radii of `nodes` a grid shoot lands on: the
     first and the last, and between them greedily the farthest radius within
-    min(_ANCHOR_GAP, _ANCHOR_REL r) of the anchor r before it, or the next
-    radius where none is."""
+    min(_ANCHOR_GAP, rel r) of the anchor r before it, or the next radius
+    where none is."""
     a = nodes[0]
-    anchors, gap = [a], min(_ANCHOR_GAP, _ANCHOR_REL * a)
+    anchors, gap = [a], min(_ANCHOR_GAP, rel * a)
     for prev, r in zip(nodes, nodes[1:]):
         if r - a > gap:
             if prev > a:
                 a = prev
                 anchors.append(a)
-                gap = min(_ANCHOR_GAP, _ANCHOR_REL * a)
+                gap = min(_ANCHOR_GAP, rel * a)
             if r - a > gap:
                 a = r
                 anchors.append(a)
-                gap = min(_ANCHOR_GAP, _ANCHOR_REL * a)
+                gap = min(_ANCHOR_GAP, rel * a)
     if anchors[-1] < nodes[-1]:
         anchors.append(nodes[-1])
     return anchors
 
 
 def _jets(cfg: ProblemConfig, x: np.ndarray, y: np.ndarray):
-    """The first three r-derivatives of the states y = rows of (v, v', e, e')
-    at the radii x, from the ODE and its derivatives: three arrays shaped
-    like y, rows (v', v'', e', e''), (v'', v''', e'', e''') and
-    (v''', v'''', e''', e'''')."""
-    v, dv, e, de = y.T
+    """The first three r-derivatives of the states y at the radii x, rows of
+    (v, v') or of (v, v', e, e'), from the ODE and its derivatives: three
+    arrays shaped like y: each column's first, second and third derivative."""
+    v, dv = y[:, 0], y[:, 1]
     a, da, dda = weight_arrays(cfg.weight, x)
     c, g = (cfg.dim - 1.0) / x, np.exp(v)
     v2 = -c * dv - a * g
     v3 = c / x * dv - c * v2 - (da + a * dv) * g
     v4 = (c / x * (2.0 * v2 - 2.0 * dv / x) - c * v3
           - (dda + 2.0 * da * dv + a * (v2 + dv * dv)) * g)
-    e2 = -c * de - a * g * e
-    e3 = c / x * de - c * e2 - (da * e + a * (de + dv * e)) * g
-    e4 = (c / x * (2.0 * e2 - 2.0 * de / x) - c * e3
-          - (dda * e + 2.0 * da * (de + dv * e)
-             + a * (e2 + 2.0 * dv * de + (v2 + dv * dv) * e)) * g)
-    stack = np.column_stack
-    return stack((dv, v2, de, e2)), stack((v2, v3, e2, e3)), stack((v3, v4, e3, e4))
+    jets = [(dv, v2), (v2, v3), (v3, v4)]
+    if y.shape[1] == 4:
+        e, de = y[:, 2], y[:, 3]
+        e2 = -c * de - a * g * e
+        e3 = c / x * de - c * e2 - (da * e + a * (de + dv * e)) * g
+        e4 = (c / x * (2.0 * e2 - 2.0 * de / x) - c * e3
+              - (dda * e + 2.0 * da * (de + dv * e)
+                 + a * (e2 + 2.0 * dv * de + (v2 + dv * dv) * e)) * g)
+        jets = [(dv, v2, de, e2), (v2, v3, e2, e3), (v3, v4, e3, e4)]
+    return tuple(np.column_stack(jet) for jet in jets)
 
 
-def _grid_states(cfg: ProblemConfig, beta: float, radii: np.ndarray, nodes) -> np.ndarray:
-    """States (v, v', e, e') at `radii` (as floats, `nodes`) from one shoot
-    that lands on `_anchor_radii` only. A radius that is an anchor or an
-    accepted step keeps the integrator's state; the rest are filled by
-    degree-7 Hermite on the accepted step around them, v and e from their
-    first three derivatives, v' and e' from the next three, all from the ODE."""
-    anchors = _anchor_radii(nodes)
-    landed, xs, ys = _run(cfg, beta, anchors, collect=True)
+def _grid_states(cfg: ProblemConfig, radii: np.ndarray, nodes, shoot,
+                 rel: float = _ANCHOR_REL) -> np.ndarray:
+    """States (v, v') or (v, v', e, e') at `radii` (as floats, `nodes`)
+    from one shoot that lands on `_anchor_radii(nodes, rel)` only:
+    shoot(anchors) returns (states at the anchors, xs, ys) with the accepted
+    steps. A radius that is an anchor or an accepted step keeps the
+    integrator's state; the rest are filled by degree-7 Hermite on the
+    accepted step around them, each value from its first three derivatives,
+    each first derivative from the next three, all from the ODE (`_jets`)."""
+    anchors = _anchor_radii(nodes, rel)
+    landed, xs, ys = shoot(anchors)
     k = np.minimum(np.searchsorted(anchors, radii), len(anchors) - 1)
     states = np.asarray(landed)[k]
     rest = np.flatnonzero(np.asarray(anchors)[k] != radii)
@@ -440,7 +456,8 @@ def integrate_ivp(cfg: ProblemConfig, beta: float, radii=None, trace: bool = Fal
     Otherwise it is sampled at `radii` (default: `default_grid`). The
     integrator lands only on a sparse subset of them, `_anchor_radii`, and
     the others are filled from its accepted steps by degree-7 Hermite
-    (`_grid_states`). On `default_grid` the filled states agree with a shoot
+    (`_grid_states`, as for `integrate_singular` and `rescaled_profile`).
+    On `default_grid` the filled states agree with a shoot
     that lands on every radius to within 3.3e-13 (v), 4.6e-12 (v'),
     1.4e-12 (e) and 1.8e-11 (e') relative to max(1, |.|), over N in
     {3, 5, 7, 9, 10, 12}, const, a_h and polyexp weights and beta in
@@ -453,12 +470,12 @@ def integrate_ivp(cfg: ProblemConfig, beta: float, radii=None, trace: bool = Fal
     if trace and radii is not None:
         raise ValueError("output radii cannot be combined with trace=True")
     if trace:
-        _, xs, ys = _run(cfg, beta, [1.0], collect=True)
+        _, xs, ys = _run(cfg, beta, [1.0])
         radii_arr = np.asarray(xs)
         states = np.asarray(ys)
     else:
         radii_arr, nodes = _output_radii(cfg, radii)
-        states = _grid_states(cfg, beta, radii_arr, nodes)
+        states = _grid_states(cfg, radii_arr, nodes, lambda anchors: _run(cfg, beta, anchors))
     v1 = float(states[-1, 0])
     e1 = float(states[-1, 2])
     lam = math.exp(v1)
@@ -486,8 +503,10 @@ def hermite_values(cfg: ProblemConfig, profile: RadialProfile, r) -> np.ndarray:
     On the accepted steps of a trace=True shoot this agrees with a shoot
     that lands on r to within 1.1e-12 relative to max(1, |v|) (N in {3, 7,
     10, 12}, const, a_h and polyexp weights, beta in [-2, 40]), and on
-    `integrate_singular`'s default grid to within 1.6e-13, where the quintic
-    Hermite without v''' is off by up to 8.9e-10 on the accepted steps.
+    `integrate_singular`'s filled default grid to within 1.6e-13 of a
+    singular shoot that lands on each of 8192 geometric radii, where the
+    quintic Hermite without v''' is off by up to 8.9e-10 on the accepted
+    steps.
     The profile needs two or more strictly increasing radii, or ValueError;
     r must lie between its first node and R, since nothing is extrapolated.
     """
@@ -536,25 +555,34 @@ def integrate_singular(cfg: ProblemConfig, radii=None):
     """Integrate the singular radial solution outward from its matched start.
 
     Returns (lambda_star, profile). Forward integration is stable here:
-    perturbations of the -2 log r branch decay like r^{-s} with
-    Re s > 0 reversed, i.e. both linearized modes decay as r grows.
+    near r = 0 a perturbation of the -2 log r branch behaves like r^mu,
+    where mu solves mu^2 + (N-2) mu + 2(N-2) = 0, and Re mu < 0 for every
+    N >= 3, so both linearized modes decay as r grows.
+
+    Like a regular grid shoot (`integrate_ivp`), the integrator lands only
+    on `_anchor_radii` of `radii` (default: `default_grid`) and the other
+    radii are filled from its accepted steps by degree-7 Hermite
+    (`_grid_states`), with anchors no farther apart than min(0.04, 0.1 r):
+    123 of `default_grid`'s 561, 3 997 right-hand-side calls at N=10, a_h
+    at h=40, where landing on every radius took 9 001. Over N in 3..12,
+    const, a_h (h = -1, 5, 40) and polyexp weights, at rtol 1e-10 and
+    1e-13, the filled (V, V') agree with a shoot that lands on every radius
+    to within 8.4e-14 and 3.9e-13 relative to max(1, |.|), and lambda* of
+    a_h (a_0 = const in every N, a_h at N <= 10) agrees with its closed
+    form 2(N-2) e^{-h/(2N)} to within 7.3e-15 relative (1.3e-14 landing
+    on every radius). The wider regular gap, min(0.04, 0.26 r), would put
+    V' off by 1.2e-10 in the head.
     """
     N = cfg.dim
     r0 = cfg.r_start
     d2 = singular_series_coefficient(cfg)
     V0 = -2.0 * math.log(r0) + math.log(2.0 * (N - 2.0)) + d2 * r0 * r0
     dV0 = -2.0 / r0 + 2.0 * d2 * r0
-    a_of = weight_fn(cfg.weight)
-    nm1 = float(N - 1)
-    exp, cap = math.exp, _EXP_CAP
-
-    def fun(r, y):
-        v, dv = y
-        g = a_of(r) * exp(v if v < cap else cap)
-        return [dv, -nm1 / r * dv - g]
-
+    fun, y0 = _rhs_v(cfg), [V0, dV0]
     radii_arr, nodes = _output_radii(cfg, radii)
-    states = np.asarray(_integrate(cfg, fun, r0, [V0, dV0], nodes))
+    states = _grid_states(cfg, radii_arr, nodes,
+                          lambda anchors: _integrate(cfg, fun, r0, y0, anchors),
+                          _SINGULAR_ANCHOR_REL)
     lam_star = math.exp(float(states[-1, 0]))
     return lam_star, RadialProfile(radii_arr, states[:, 0], states[:, 1])
 
@@ -711,7 +739,12 @@ def rescaled_profile(cfg: ProblemConfig, beta: float, r_max: float = 3.0) -> Rad
     directly. That stays accurate uniformly in beta, including when the
     rescaling window maps below r_start or beyond r = 1 of the original
     problem; beyond r = 1 the weight's natural formula is used, guarded
-    for positivity.
+    for positivity. It is sampled on `default_grid` out to r_max (1561
+    radii for r_max = 3); the shoot lands on 105 anchors of them and fills
+    the rest as `integrate_ivp` does, within 2.1e-13 (v-hat) and 2.1e-12
+    (its derivative) of a shoot that lands on every radius, relative to
+    max(1, |.|), over N in {3, 5, 7, 9, 10, 12}, const, a_h and polyexp
+    weights and beta in [0, 40].
     """
     if beta < 0.0:
         raise ValueError("rescaling window is empty for beta < 0")
@@ -724,5 +757,6 @@ def rescaled_profile(cfg: ProblemConfig, beta: float, r_max: float = 3.0) -> Rad
     )
     cfg_hat = replace(cfg, weight=scaled)
     radii = default_grid(cfg_hat, R=r_max)
-    states = np.asarray(_run(cfg_hat, 0.0, [float(x) for x in radii]))
+    states = _grid_states(cfg_hat, radii, radii.tolist(),
+                          lambda anchors: _run(cfg_hat, 0.0, anchors))
     return RadialProfile(radii, states[:, 0], states[:, 1], R=r_max)

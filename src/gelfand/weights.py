@@ -161,18 +161,30 @@ def weight_arrays(w: Weight, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def _check_admissible(w: Weight, samples: int) -> None:
-    """WeightParseError unless a(r) is finite and positive at r = i / samples."""
+    """WeightParseError unless a(r) is finite and positive at r = i / samples.
+
+    All samples are screened at once on arrays; the scalar `weight_fn`, run
+    at each flagged radius in turn, decides and words the error. The screen
+    flags every radius the scalar can reject: its polynomial is the same
+    arithmetic, and only the exponential, which never changes the sign,
+    may differ in the last bit, so a margin at both ends of the float range
+    covers it.
+    """
+    r = np.arange(samples + 1) / samples
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        a = weight_arrays(w, r)[0]
+        flagged = np.flatnonzero(~((a > 1e-300) & (a < 1e300)))
     a_of = weight_fn(w)
-    for i in range(samples + 1):
-        r = i / samples
+    for i in flagged.tolist():
+        r_i = i / samples
         try:
-            finite = math.isfinite(a_of(r))
+            finite = math.isfinite(a_of(r_i))
         except OverflowError:
             finite = False
         except ValueError as exc:
             raise WeightParseError(str(exc)) from None
         if not finite:
-            raise WeightParseError(f"weight {w.spec!r} not finite at r={r}")
+            raise WeightParseError(f"weight {w.spec!r} not finite at r={r_i}")
 
 
 def ratio_derivative_sign(w: Weight, dim: int, reference: Weight | None = None) -> str:

@@ -133,6 +133,16 @@ def test_verify_singular_passes(capsys):
     assert payload["sup_profile_gap"] <= 1e-12
 
 
+@pytest.mark.parametrize("dim", range(3, 11))
+def test_verify_singular_meets_the_closed_form_to_rounding(dim, capsys):
+    # the filled singular profile against U_h, far inside SINGULAR_TOL
+    for h in (-1.0, 0.0, 5.0, 40.0):
+        assert run_main(["verify", "singular", "--dim", str(dim), "--h", repr(h)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["relative_error"] <= 1e-14, h
+        assert payload["sup_profile_gap"] <= 5e-14, h
+
+
 def test_verify_pohozaev_and_flux_pass(capsys):
     # the identity tolerance is 1e-6; a grid shoot holds both residuals far
     # below it, so an inaccurate fill of the grid fails here
@@ -238,6 +248,41 @@ def test_invalid_flags_exit_two(argv):
     with pytest.raises(SystemExit) as exc:
         run_main(argv)
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    calls = []
+    add_flags = cli._add_problem_flags
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:])
+        return add_flags(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_add_problem_flags", counting)
+    cli._build_parser.cache_clear()
+    try:
+        for _ in range(5):
+            assert run_main(["spectral", "hardy", "--n", "2"]) == 0
+        assert len(calls) == 6  # one build: six subcommands take the problem flags
+        # a malformed command after a good one is still a usage error
+        with pytest.raises(SystemExit) as exc:
+            run_main(["verify", "singular", "--dim", "10"])
+        assert exc.value.code == 2
+        assert run_main(["spectral", "hardy", "--n", "2"]) == 0
+        assert len(calls) == 6
+    finally:
+        cli._build_parser.cache_clear()
+    capsys.readouterr()
+
+
+def test_in_process_reruns_write_identical_bytes(tmp_path):
+    out = tmp_path / "singular.json"
+    argv = ["verify", "singular", "--dim", "10", "--h", "40.0", "--out", str(out)]
+    written = []
+    for _ in range(2):
+        assert run_main(argv) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
 
 
 def test_trace_truncation_exits_three_without_artifact(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from gelfand import (
     IntegrationError,
     ProblemConfig,
+    Weight,
     asymptotic_diagnostics,
     default_grid,
     explicit_lambda_h,
@@ -22,7 +24,7 @@ from gelfand import (
     rescaled_profile,
     residual_Uh,
 )
-from gelfand import radial_ode
+from gelfand import _stepper, radial_ode
 from gelfand.radial_ode import (
     RadialProfile,
     _run,
@@ -210,7 +212,7 @@ def test_trace_profile_interpolates_at_r_start(beta):
     cfg = ProblemConfig(dim=3, weight=CONST)
     sh = integrate_ivp(cfg, beta, trace=True)
     assert sh.profile.radii[0] < cfg.r_start < sh.profile.radii[1]
-    ref = _run(cfg, beta, [cfg.r_start, 1.0])[0][0]
+    ref = _run(cfg, beta, [cfg.r_start, 1.0])[0][0][0]  # v of the first node state
     v = hermite_values(cfg, sh.profile, [cfg.r_start])[0]
     assert abs(v - ref) <= 1e-10 * max(1.0, abs(ref))
 
@@ -224,7 +226,7 @@ def test_quintic_values_match_the_clamped_shoot(dim, spec):
     cfg = ProblemConfig(dim=dim, weight=parse_weight(spec, dim))
     grid = np.geomspace(cfg.r_start, 1.0, 4097)
     for beta in (-2.0, 10.0, 25.0, 40.0):
-        ref = np.asarray(_run(cfg, beta, grid.tolist()))[:, 0]
+        ref = np.asarray(_run(cfg, beta, grid.tolist())[0])[:, 0]
         v = hermite_values(cfg, integrate_ivp(cfg, beta, trace=True).profile, grid)
         assert np.max(np.abs(v - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-10, beta
 
@@ -268,7 +270,7 @@ def test_grid_fill_matches_landing_on_every_radius(dim, spec):
     grid = default_grid(cfg)
     bounds = np.array([5e-12, 5e-11, 2e-11, 2e-10])
     for beta in (-2.0, 3.0, 40.0):
-        ref = np.asarray(_run(cfg, beta, grid.tolist()))
+        ref = np.asarray(_run(cfg, beta, grid.tolist())[0])
         sh = integrate_ivp(cfg, beta)
         assert np.array_equal(sh.profile.radii, grid)
         got = np.column_stack([sh.profile.values, sh.profile.derivs,
@@ -295,6 +297,88 @@ def test_grid_shoot_rhs_calls_are_bounded(monkeypatch):
     assert 0 < len(calls) <= 3500
 
 
+def _landed(cfg, fun, y0, nodes):
+    """States on every one of `nodes`, the first of them r_start, from one
+    shoot that lands on each: the reference for the filled grids."""
+    r0 = cfg.r_start
+    assert nodes[0] == r0
+    return np.asarray([y0] + _stepper.solve(fun, r0, y0, nodes[1:], cfg.rel_tol,
+                                            cfg.abs_tol, first_step=0.2 * r0))
+
+
+def _landed_singular(cfg, nodes):
+    N, r0 = cfg.dim, cfg.r_start
+    d2 = singular_series_coefficient(cfg)
+    y0 = [-2.0 * math.log(r0) + math.log(2.0 * (N - 2.0)) + d2 * r0 * r0,
+          -2.0 / r0 + 2.0 * d2 * r0]
+    return _landed(cfg, radial_ode._rhs_v(cfg), y0, nodes)
+
+
+SINGULAR_SPECS = ("const", "ah:h=-1", "ah:h=5", "ah:h=40", "polyexp:0.7;d=-0.2")
+
+
+@pytest.mark.parametrize("dim", range(3, 13))
+def test_singular_fill_matches_landing_on_every_radius(dim):
+    # the singular shoot lands on anchors no farther apart than
+    # min(0.04, 0.1 r) and fills the other radii of default_grid
+    for spec in SINGULAR_SPECS:
+        for rtol in (1e-10, 1e-13):
+            cfg = ProblemConfig(dim=dim, weight=parse_weight(spec, dim), rel_tol=rtol)
+            grid = default_grid(cfg)
+            ref = _landed_singular(cfg, grid.tolist())
+            lam_star, prof = integrate_singular(cfg)
+            assert np.array_equal(prof.radii, grid)
+            got = np.column_stack([prof.values, prof.derivs])
+            err = np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref)), axis=0)
+            assert err[0] <= 1e-12 and err[1] <= 5e-12, (spec, rtol, err)
+            # lambda* of a_h (a_0 = const in every dimension) in closed form
+            h = 0.0 if spec == "const" else cfg.weight.h
+            if h is not None and (h == 0.0 or dim <= 10):
+                exact = explicit_lambda_h(dim, h)
+                assert abs(lam_star - exact) <= 1.1e-14 * exact, (spec, rtol)
+
+
+def test_singular_shoot_rhs_calls_are_bounded(monkeypatch):
+    # landing on every one of default_grid's 561 radii took 9 001 calls here
+    rhs_v, calls = radial_ode._rhs_v, []
+
+    def counting(cfg):
+        fun = rhs_v(cfg)
+
+        def counted(r, y):
+            calls.append(r)
+            return fun(r, y)
+
+        return counted
+
+    monkeypatch.setattr(radial_ode, "_rhs_v", counting)
+    integrate_singular(ProblemConfig(dim=10, weight=make_ah(40.0, 10)))
+    assert 0 < len(calls) <= 4500
+
+
+def _rescaled_config(cfg, beta):
+    """The rescaled problem: weight a(c r) with c = e^{-beta/2}."""
+    w, c2 = cfg.weight, math.exp(-beta)
+    coeffs = tuple(ci * c2 ** i for i, ci in enumerate(w.coeffs, start=1))
+    return replace(cfg, weight=Weight(spec=f"{w.spec}@rescaled", coeffs=coeffs,
+                                      tilt=w.tilt * c2))
+
+
+@pytest.mark.parametrize("dim", [3, 10, 12])
+def test_rescaled_fill_matches_landing_on_every_radius(dim):
+    for spec in ("const", "ah:h=40", "polyexp:1.5;d=-0.8"):
+        cfg = ProblemConfig(dim=dim, weight=parse_weight(spec, dim))
+        for beta in (0.0, 5.0, 40.0):
+            hat = rescaled_profile(cfg, beta)
+            cfg_hat = _rescaled_config(cfg, beta)
+            assert np.array_equal(hat.radii, default_grid(cfg_hat, R=3.0))
+            y0 = series_start(cfg_hat, 0.0, cfg_hat.r_start)
+            ref = _landed(cfg_hat, radial_ode._rhs_ve(cfg_hat), y0, hat.radii.tolist())
+            got = np.column_stack([hat.values, hat.derivs])
+            err = np.max(np.abs(got - ref[:, :2]) / np.maximum(1.0, np.abs(ref[:, :2])), axis=0)
+            assert err[0] <= 1e-12 and err[1] <= 1e-11, (spec, beta, err)
+
+
 @pytest.mark.parametrize("radii", [[1e-4], [1e-4, 1.0], [1e-4, 0.5, 1.0, 1.0]])
 @pytest.mark.parametrize("beta", [0.0, 20.0])
 def test_degenerate_grids_are_landed(radii, beta):
@@ -304,7 +388,7 @@ def test_degenerate_grids_are_landed(radii, beta):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sh = integrate_ivp(cfg, beta, radii=radii)
-    ref = np.asarray(_run(cfg, beta, radii))
+    ref = np.asarray(_run(cfg, beta, radii)[0])
     assert sh.profile.values.tolist() == ref[:, 0].tolist()
     assert sh.profile.derivs.tolist() == ref[:, 1].tolist()
     assert sh.variation_profile.values.tolist() == ref[:, 2].tolist()

@@ -92,6 +92,52 @@ def test_parse_rejects_nonpositive_polyexp():
         parse_weight("polyexp:-3;d=0")
 
 
+def _scalar_screen(w, samples=4096):
+    """The admissibility check one radius at a time with the scalar weight:
+    the reference for the array screen."""
+    a_of = weight_fn(w)
+    for i in range(samples + 1):
+        r = i / samples
+        try:
+            finite = math.isfinite(a_of(r))
+        except OverflowError:
+            finite = False
+        except ValueError as exc:
+            return str(exc)
+        if not finite:
+            return f"weight {w.spec!r} not finite at r={r}"
+    return None
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("polyexp:-2;d=0", "weight 'polyexp:-2;d=0' nonpositive at r=0.707275390625"),
+    ("polyexp:;d=800", "weight 'polyexp:;d=800' not finite at r=0.942138671875"),
+    ("polyexp:;d=-800", "weight 'polyexp:;d=-800' nonpositive at r=0.96533203125"),
+    ("polyexp:-0.5,-0.6;d=1", "weight 'polyexp:-0.5,-0.6;d=1' nonpositive at r=0.9697265625"),
+    ("polyexp:1e308,1e308;d=0", "weight 'polyexp:1e308,1e308;d=0' not finite at r=0.965087890625"),
+])
+def test_admissibility_names_the_first_failing_radius(spec, message):
+    with pytest.raises(WeightParseError) as exc:
+        parse_weight(spec)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("coeffs, tilt", [
+    ((), -745.1), ((), -745.2), ((), 709.78), ((), 709.79), ((-1.0,), 0.0),
+    ((-1.0000001,), 0.0), ((-1e308,), 700.0), ((0.7,), -0.2), ((1e300, -1e300), 0.0),
+])
+def test_admissibility_screen_agrees_with_the_scalar_loop(coeffs, tilt):
+    # edges of the float range, where numpy's and math's exp may round apart
+    spec = f"polyexp:{','.join(map(repr, coeffs))};d={tilt!r}"
+    expected = _scalar_screen(Weight(spec=spec, coeffs=coeffs, tilt=tilt))
+    if expected is None:
+        assert parse_weight(spec).spec == spec
+    else:
+        with pytest.raises(WeightParseError) as exc:
+            parse_weight(spec)
+        assert str(exc.value) == expected
+
+
 def test_make_ah_range_validation():
     with pytest.raises(ValueError):
         make_ah(-16.0, 10)  # h must exceed -2(N-2)
