@@ -516,10 +516,8 @@ def hermite_values(cfg: ProblemConfig, profile: RadialProfile, r) -> np.ndarray:
         raise ValueError("Hermite interpolation needs two or more strictly increasing radii")
     if np.any(r < x[0]) or np.any(r > profile.R):
         raise ValueError("radii outside the profile's nodes")
-    a, da, _ = weight_arrays(cfg.weight, x)
-    c, g = (cfg.dim - 1.0) / x, np.exp(f)
-    dd = -c * d - a * g
-    ddd = c / x * d - c * dd - (da + a * d) * g
+    _, d2, d3 = _jets(cfg, x, np.column_stack((f, d)))
+    dd, ddd = d2[:, 0], d3[:, 0]
     i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, len(x) - 2)
     j = i + 1
     h = x[j] - x[i]
@@ -731,6 +729,18 @@ def asymptotic_diagnostics(cfg: ProblemConfig, profile: RadialProfile,
     return AsymptoticDiagnostics(emden=emden, rescaled=rescaled)
 
 
+def _rescaled_config(cfg: ProblemConfig, beta: float) -> ProblemConfig:
+    """The rescaled problem of `rescaled_profile`: weight a(c r), c = e^{-beta/2}."""
+    w = cfg.weight
+    c2 = math.exp(-beta)  # (e^{-beta/2})^2; only even powers of c appear
+    scaled = Weight(
+        spec=f"{w.spec}@rescaled",
+        coeffs=tuple(ci * c2 ** i for i, ci in enumerate(w.coeffs, start=1)),
+        tilt=w.tilt * c2,
+    )
+    return replace(cfg, weight=scaled)
+
+
 def rescaled_profile(cfg: ProblemConfig, beta: float, r_max: float = 3.0) -> RadialProfile:
     """v-hat(rho) = v(rho e^{-beta/2}) - beta on [r_start, r_max].
 
@@ -748,14 +758,7 @@ def rescaled_profile(cfg: ProblemConfig, beta: float, r_max: float = 3.0) -> Rad
     """
     if beta < 0.0:
         raise ValueError("rescaling window is empty for beta < 0")
-    w = cfg.weight
-    c2 = math.exp(-beta)  # (e^{-beta/2})^2; only even powers of c appear
-    scaled = Weight(
-        spec=f"{w.spec}@rescaled",
-        coeffs=tuple(ci * c2 ** i for i, ci in enumerate(w.coeffs, start=1)),
-        tilt=w.tilt * c2,
-    )
-    cfg_hat = replace(cfg, weight=scaled)
+    cfg_hat = _rescaled_config(cfg, beta)
     radii = default_grid(cfg_hat, R=r_max)
     states = _grid_states(cfg_hat, radii, radii.tolist(),
                           lambda anchors: _run(cfg_hat, 0.0, anchors))

@@ -166,14 +166,16 @@ def _check_admissible(w: Weight, samples: int) -> None:
     All samples are screened at once on arrays; the scalar `weight_fn`, run
     at each flagged radius in turn, decides and words the error. The screen
     flags every radius the scalar can reject: its polynomial is the same
-    arithmetic, and only the exponential, which never changes the sign,
-    may differ in the last bit, so a margin at both ends of the float range
-    covers it.
+    arithmetic, and where |d r^2| <= 708, so that exp(d r^2) is a normal
+    float, numpy's and math's exponentials may differ only in the last bit,
+    which a margin at both ends of the float range covers. Beyond that,
+    where the exponential is subnormal or near overflow, the scalar decides.
     """
     r = np.arange(samples + 1) / samples
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         a = weight_arrays(w, r)[0]
-        flagged = np.flatnonzero(~((a > 1e-300) & (a < 1e300)))
+        ok = (a > 1e-300) & (a < 1e300) & (np.abs(w.tilt * r * r) <= 708.0)
+        flagged = np.flatnonzero(~ok)
     a_of = weight_fn(w)
     for i in flagged.tolist():
         r_i = i / samples

@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from gelfand import (
     IntegrationError,
     ProblemConfig,
-    Weight,
     asymptotic_diagnostics,
     default_grid,
     explicit_lambda_h,
@@ -236,7 +234,7 @@ def test_quintic_values_match_the_clamped_singular_shoot(dim, spec):
     # V'' and V''' from the ODE are exact at the nodes of the singular profile too
     cfg = ProblemConfig(dim=dim, weight=parse_weight(spec, dim))
     grid = np.geomspace(cfg.r_start, 1.0, 8192)
-    ref = integrate_singular(cfg, radii=grid)[1].values
+    ref = _landed_singular(cfg, grid.tolist())[:, 0]
     v = hermite_values(cfg, integrate_singular(cfg)[1], grid)
     assert np.max(np.abs(v - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-10
 
@@ -356,21 +354,13 @@ def test_singular_shoot_rhs_calls_are_bounded(monkeypatch):
     assert 0 < len(calls) <= 4500
 
 
-def _rescaled_config(cfg, beta):
-    """The rescaled problem: weight a(c r) with c = e^{-beta/2}."""
-    w, c2 = cfg.weight, math.exp(-beta)
-    coeffs = tuple(ci * c2 ** i for i, ci in enumerate(w.coeffs, start=1))
-    return replace(cfg, weight=Weight(spec=f"{w.spec}@rescaled", coeffs=coeffs,
-                                      tilt=w.tilt * c2))
-
-
 @pytest.mark.parametrize("dim", [3, 10, 12])
 def test_rescaled_fill_matches_landing_on_every_radius(dim):
     for spec in ("const", "ah:h=40", "polyexp:1.5;d=-0.8"):
         cfg = ProblemConfig(dim=dim, weight=parse_weight(spec, dim))
         for beta in (0.0, 5.0, 40.0):
             hat = rescaled_profile(cfg, beta)
-            cfg_hat = _rescaled_config(cfg, beta)
+            cfg_hat = radial_ode._rescaled_config(cfg, beta)
             assert np.array_equal(hat.radii, default_grid(cfg_hat, R=3.0))
             y0 = series_start(cfg_hat, 0.0, cfg_hat.r_start)
             ref = _landed(cfg_hat, radial_ode._rhs_ve(cfg_hat), y0, hat.radii.tolist())

@@ -125,6 +125,7 @@ def test_admissibility_names_the_first_failing_radius(spec, message):
 @pytest.mark.parametrize("coeffs, tilt", [
     ((), -745.1), ((), -745.2), ((), 709.78), ((), 709.79), ((-1.0,), 0.0),
     ((-1.0000001,), 0.0), ((-1e308,), 700.0), ((0.7,), -0.2), ((1e300, -1e300), 0.0),
+    ((1e300,), -745.13), ((1e300,), -745.2), ((1e-300,), 709.0),
 ])
 def test_admissibility_screen_agrees_with_the_scalar_loop(coeffs, tilt):
     # edges of the float range, where numpy's and math's exp may round apart
