@@ -280,9 +280,9 @@ def zero_number(cfg: ProblemConfig, beta: float,
     singular_profile must be a singular solution of the same ODE, such as
     `integrate_singular(cfg)`'s, whose nodes cover [r_start, 1] (otherwise
     ValueError). v, from one shoot on the accepted steps, and V_* are both
-    read by degree-7 Hermite (`hermite_values`) on an 8192-point geometric
-    grid. Its error on V_* lies far below the resolution floor, where the
-    cubic Hermite's could invent crossings.
+    read by `hermite_values` on an 8192-point geometric grid. Its error on
+    V_* lies far below the resolution floor, where the cubic Hermite's could
+    invent crossings.
     """
     base = np.geomspace(cfg.r_start, 1.0, 8192)
     v = _values(cfg, beta)(base)
@@ -316,11 +316,14 @@ def check_separation(cfg: ProblemConfig, h: float, beta: float, gamma: float):
     bounds the comparison window, min_gap_v = min of v(., gamma) - v(., beta)
     on (r_start, r_h), and min_gap_weighted = min of
     [v_H(., gamma) + log a_H] - [v(., beta) + log a] there (a_H the
-    borderline member of the explicit family). At dimension 10 the weight
-    must be in the (a/a_h)' <= 0 class or the input is rejected; in other
-    dimensions the gaps are reported without a hypothesis guarantee. Each
-    of the three profiles comes from one shoot on the accepted steps, read
-    on a 4097-point geometric grid by degree-7 Hermite (`hermite_values`).
+    borderline member of the explicit family). Each of the three profiles
+    comes from one shoot on the accepted steps, read on a 4097-point
+    geometric grid by `hermite_values`.
+
+    Hypotheses: gamma >= beta, and at dimension 10 a weight in the
+    (a/a_h)' <= 0 class. Both are enforced: either failure raises
+    ValueError (CLI exit 2). In other dimensions the gaps are reported
+    without a hypothesis guarantee, and h is not checked against H.
     """
     if gamma < beta:
         raise ValueError(f"need gamma >= beta, got beta={beta}, gamma={gamma}")
@@ -356,7 +359,16 @@ def check_lower_envelope(cfg: ProblemConfig, beta: float, gamma: float,
     over (r_start, 1), with q = (H + eps0) / (2(N-2)) and v_0 the unweighted
     shot profile. Positive when the increasing-ratio envelope bound holds.
     Both profiles come from one shoot each on the accepted steps, read on a
-    4097-point geometric grid by degree-7 Hermite (`hermite_values`).
+    4097-point geometric grid by `hermite_values`.
+
+    Hypotheses: dimension 10, 0 < beta < gamma, a weight in the
+    (a/a_H)' > 0 class and eps0 in [0, 1] are enforced (ValueError, CLI
+    exit 2). Not enforced: for a_h the bound also needs eps0 < h - H. At
+    h = 5.7832 (h - H = 1.40e-5), beta = 12 and gamma = 14 the gap is
+    +5.11e-7 at eps0 = (h - H)/2 and -4.56e-7 at 2(h - H), so such inputs
+    report a failed bound (exit 1) instead of a rejected input. Rejecting
+    them waits for a change to the benchmark, whose verify workload draws
+    eps0 from [0, 1]: rejecting them now would fail its envelope tasks.
     """
     if cfg.dim != 10:
         raise ValueError("the lower envelope bound is specific to dimension 10")

@@ -40,6 +40,11 @@ _ANCHOR_GAP = 0.04
 _ANCHOR_REL = 0.26
 _SINGULAR_ANCHOR_REL = 0.1
 
+# a trace shoot integrates in r through the boundary layer, up to
+# rho = e^{beta/2} r = _SWITCH_RHO, and in s = log r from there to r = 1,
+# where v follows the singular profile -2 log r + log 2(N-2), linear in s
+_SWITCH_RHO = 1.0
+
 # 9-point Gauss-Legendre nodes and weights on [-1, 1], numpy's leggauss(9)
 # as literals: leggauss would start numpy's LAPACK, 0.8 MiB, for 18 numbers
 _GAUSS9 = (
@@ -299,6 +304,22 @@ def _rhs_ve(cfg: ProblemConfig):
     return fun
 
 
+def _rhs_ve_log(cfg: ProblemConfig):
+    """y = (v, r v', e, r e') as functions of s = log r:
+    v_ss = -(N-2) v_s - r^2 a e^v, and e likewise."""
+    a_of = weight_fn(cfg.weight)
+    nm2 = float(cfg.dim - 2)
+    exp, cap = math.exp, _EXP_CAP
+
+    def fun(s, y):
+        v, dv, e, de = y
+        r = exp(s)
+        g = r * r * a_of(r) * exp(v if v < cap else cap)
+        return [dv, -nm2 * dv - g, de, -nm2 * de - g * e]
+
+    return fun
+
+
 def _rhs_v(cfg: ProblemConfig):
     """y = (v, v'): the singular solution carries no variation."""
     a_of = weight_fn(cfg.weight)
@@ -354,6 +375,33 @@ def _run(cfg: ProblemConfig, beta: float, nodes):
     states, xs, ys = _integrate(cfg, _rhs_ve(cfg), r0, series_start(cfg, beta, r0), nodes)
     first = bisect_right(xs, cfg.r_start) - 1  # xs[0] = r0 <= r_start
     return states, xs[first:], ys[first:]
+
+
+def _trace_steps(cfg: ProblemConfig, beta: float):
+    """The accepted steps (xs, ys) of a trace shoot, rows (v, v', e, e'),
+    from the last one at or below r_start on and ending at r = 1.0 exactly.
+
+    Up to r_sw = _SWITCH_RHO e^{-beta/2}, past the boundary layer (the
+    series starts at rho = 0.05 sqrt(2N) < 1), the shoot steps in r; from
+    there it steps in s = log r, where the r steps would have to stay near
+    0.04 r along the nearly linear -2 log r profile. Where r_sw >= 1
+    (beta <= 0) it steps in r all the way, as `_run` does.
+    """
+    s_sw = math.log(_SWITCH_RHO) - 0.5 * beta
+    if s_sw >= 0.0:
+        return _run(cfg, beta, [1.0])[1:]
+    r_sw = math.exp(s_sw)
+    r0 = _init_radius(cfg, beta)
+    _, xs, ys = _integrate(cfg, _rhs_ve(cfg), r0, series_start(cfg, beta, r0), [r_sw])
+    v, dv, e, de = ys[-1]
+    _, ss, ws = _stepper.solve(_rhs_ve_log(cfg), s_sw, [v, r_sw * dv, e, r_sw * de],
+                               [0.0], cfg.rel_tol, cfg.abs_tol, collect=True)
+    for s, (v, dv, e, de) in zip(ss[1:], ws[1:]):
+        r = math.exp(s)
+        xs.append(r)
+        ys.append([v, dv / r, e, de / r])
+    first = bisect_right(xs, cfg.r_start) - 1
+    return xs[first:], ys[first:]
 
 
 def _output_radii(cfg: ProblemConfig, radii):
@@ -452,7 +500,15 @@ def integrate_ivp(cfg: ProblemConfig, beta: float, radii=None, trace: bool = Fal
 
     With trace=True the profile is sampled at the integrator's accepted
     steps, from the last one at or below r_start on, and `radii` must be
-    None: the cheap path, for curve tracing and for `hermite_values`.
+    None: the cheap path, for curve tracing and for `hermite_values`. It
+    steps in r through the boundary layer, up to r = e^{-beta/2} (rho = 1
+    in `rescaled_profile`'s variable), and in s = log r from there to r = 1
+    (`_trace_steps`); at beta <= 0 it steps in r throughout. At N=10, a_h
+    at h=40, beta=40 that takes 2 666 right-hand-side calls, where stepping
+    in r alone took 5 941. Over N in {3, 6, 9, 10, 12}, const, a_h and
+    polyexp weights and beta in {-5, 0.5, 2, 10, 25, 40}, v(1) and e(1)
+    stay within 8.2e-12 and 9.9e-13 of a shoot in r alone at rtol 1e-13
+    (2.4e-12 and 1.3e-12 for a trace shoot in r alone).
     Otherwise it is sampled at `radii` (default: `default_grid`). The
     integrator lands only on a sparse subset of them, `_anchor_radii`, and
     the others are filled from its accepted steps by degree-7 Hermite
@@ -470,7 +526,7 @@ def integrate_ivp(cfg: ProblemConfig, beta: float, radii=None, trace: bool = Fal
     if trace and radii is not None:
         raise ValueError("output radii cannot be combined with trace=True")
     if trace:
-        _, xs, ys = _run(cfg, beta, [1.0])
+        xs, ys = _trace_steps(cfg, beta)
         radii_arr = np.asarray(xs)
         states = np.asarray(ys)
     else:
@@ -493,20 +549,24 @@ def integrate_ivp(cfg: ProblemConfig, beta: float, radii=None, trace: bool = Fal
 
 
 def hermite_values(cfg: ProblemConfig, profile: RadialProfile, r) -> np.ndarray:
-    """v at the radii r, by degree-7 Hermite interpolation of a profile that
-    solves the ODE: a regular shoot or a singular solution, sampled on a node
-    grid or on the integrator's accepted steps.
+    """v at the radii r, by degree-9 Hermite interpolation in s = log r of a
+    profile that solves the ODE: a regular shoot or a singular solution,
+    sampled on a node grid or on the integrator's accepted steps.
 
-    Each interval takes v, v', v'' and v''' at both of its nodes, the last
-    two from the ODE: v'' = -(N-1)/r v' - a e^v and
-    v''' = (N-1)/r^2 v' - (N-1)/r v'' - (a' + a v') e^v.
+    Each interval takes v and its first four s-derivatives at both of its
+    nodes, from v' and the ODE's v'', v''' and v'''' (`_jets`) by the chain
+    rule: v_s = r v', v_ss = r v' + r^2 v'', v_sss = r v' + 3 r^2 v'' +
+    r^3 v''' and v_ssss = r v' + 7 r^2 v'' + 6 r^3 v''' + r^4 v''''.
+    Past the boundary layer a trace shoot steps in log r (`_trace_steps`),
+    by up to 0.27 near r = 0.9 at N=3 with a polyexp weight, where degree-7
+    Hermite is off by up to 9.5e-9 in r and 1.3e-10 in log r.
     On the accepted steps of a trace=True shoot this agrees with a shoot
-    that lands on r to within 1.1e-12 relative to max(1, |v|) (N in {3, 7,
-    10, 12}, const, a_h and polyexp weights, beta in [-2, 40]), and on
-    `integrate_singular`'s filled default grid to within 1.6e-13 of a
-    singular shoot that lands on each of 8192 geometric radii, where the
-    quintic Hermite without v''' is off by up to 8.9e-10 on the accepted
-    steps.
+    that lands on r to within 1.8e-11 relative to max(1, |v|) (N in {3, 7,
+    10, 12}, const, a_h at h = 40 and 5.7832 and polyexp weights, beta in
+    [-2, 40]), which is the two shoots' own difference at the nodes; and on
+    `integrate_singular`'s filled default grid to within 1.3e-13 of a
+    singular shoot that lands on each of 8192 geometric radii (N in 3..12,
+    six weights).
     The profile needs two or more strictly increasing radii, or ValueError;
     r must lie between its first node and R, since nothing is extrapolated.
     """
@@ -516,13 +576,18 @@ def hermite_values(cfg: ProblemConfig, profile: RadialProfile, r) -> np.ndarray:
         raise ValueError("Hermite interpolation needs two or more strictly increasing radii")
     if np.any(r < x[0]) or np.any(r > profile.R):
         raise ValueError("radii outside the profile's nodes")
-    _, d2, d3 = _jets(cfg, x, np.column_stack((f, d)))
-    dd, ddd = d2[:, 0], d3[:, 0]
+    _, (v2, _), (v3, v4) = (jet.T for jet in _jets(cfg, x, np.column_stack((f, d))))
+    # v and its first four s-derivatives, s = log r, by the chain rule
+    x2 = x * x
+    d1 = x * d
+    jets = (f, d1, d1 + x2 * v2, d1 + x2 * (3.0 * v2 + x * v3),
+            d1 + x2 * (7.0 * v2 + x * (6.0 * v3 + x * v4)))
+    s = np.log(x)
     i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, len(x) - 2)
     j = i + 1
-    h = x[j] - x[i]
-    return _hermite7((r - x[i]) / h, h, (f[i], d[i], dd[i], ddd[i]),
-                     (f[j], d[j], dd[j], ddd[j]))
+    h = s[j] - s[i]
+    return _hermite9((np.log(r) - s[i]) / h, h, [jet[i] for jet in jets],
+                     [jet[j] for jet in jets])
 
 
 def _hermite7(t, h, left, right):
@@ -540,6 +605,25 @@ def _hermite7(t, h, left, right):
         + t ** 4 * ((1.0 + s * (4.0 + s * (10.0 + 20.0 * s))) * f1
                     - s * (1.0 + s * (4.0 + 10.0 * s)) * h * d1
                     + s * s * (1.0 + 4.0 * s) * h2 * dd1 - s ** 3 * h3 * ddd1)
+    )
+
+
+def _hermite9(t, h, left, right):
+    """The degree-9 Hermite interpolant at t = (s - s0) / h on [s0, s0 + h]
+    from the first five jets (f, ..., f'''') at both ends, as `_hermite7`."""
+    f0, d0, dd0, ddd0, dddd0 = left
+    f1, d1, dd1, ddd1, dddd1 = right
+    s = 1.0 - t
+    h2, h3, h4 = 0.5 * h * h, h * h * h / 6.0, h ** 4 / 24.0
+    return (
+        s ** 5 * ((1.0 + t * (5.0 + t * (15.0 + t * (35.0 + 70.0 * t)))) * f0
+                  + t * (1.0 + t * (5.0 + t * (15.0 + 35.0 * t))) * h * d0
+                  + t * t * (1.0 + t * (5.0 + 15.0 * t)) * h2 * dd0
+                  + t ** 3 * (1.0 + 5.0 * t) * h3 * ddd0 + t ** 4 * h4 * dddd0)
+        + t ** 5 * ((1.0 + s * (5.0 + s * (15.0 + s * (35.0 + 70.0 * s)))) * f1
+                    - s * (1.0 + s * (5.0 + s * (15.0 + 35.0 * s))) * h * d1
+                    + s * s * (1.0 + s * (5.0 + 15.0 * s)) * h2 * dd1
+                    - s ** 3 * (1.0 + 5.0 * s) * h3 * ddd1 + s ** 4 * h4 * dddd1)
     )
 
 
@@ -648,6 +732,16 @@ def flux_residual(cfg: ProblemConfig, shoot: ShootResult) -> float:
     """Relative defect in -r^{N-1} v' = int_0^r s^{N-1} a e^v ds.
 
     The piece of the integral below r_start comes from the series start.
+
+    Hypothesis: the identity holds for every regular solution (v'(0) = 0),
+    since (r^{N-1} v')' = -r^{N-1} a e^v; the shoot is regular by
+    construction. The check itself also assumes that two series terms carry
+    the integral over [0, r_start] (e^beta r_start^2 << 1) and that the
+    grid resolves the boundary layer near r = e^{-beta/2}. Neither is
+    enforced. With a_5 the residual is 2.0e-7 at beta = 10 (N = 3), 1.8e-6
+    at beta = 12 (N = 3) and 0.23 at beta = 20 (N = 3; 4.6e-6 with r_start
+    = 1e-6), so `verify flux` reports a failed identity from about beta = 12
+    on.
     """
     N = cfg.dim
     r = shoot.profile.radii
@@ -674,6 +768,11 @@ def pohozaev_residual(cfg: ProblemConfig, shoot: ShootResult, mu: float) -> floa
 
     holds pointwise for solutions of the shooting ODE; both sides are
     integrated over the profile's support and compared.
+
+    Hypothesis: a solution of the ODE on [r_start, 1] with a in C^1 there,
+    nothing at r = 0, since the boundary term is taken at r_start. Every
+    admissible weight and every shoot satisfies it, so the residual measures
+    only the integrator and the quadrature; nothing needs enforcing.
     """
     N = cfg.dim
     r = shoot.profile.radii

@@ -215,15 +215,64 @@ def test_trace_profile_interpolates_at_r_start(beta):
     assert abs(v - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
-HERMITE_CASES = [(3, "const"), (7, "polyexp:0.7,-0.2;d=0.3"), (10, "ah:h=40"),
-                 (12, "ah:h=5.7832")]
+SWITCH_CASES = [(dim, spec) for dim in (3, 6, 9, 10, 12)
+                for spec in ("const", "ah:h=40", "polyexp:0.7,-0.2;d=0.3")]
+
+
+@pytest.mark.parametrize("dim, spec", SWITCH_CASES)
+def test_switched_trace_shoot_matches_a_tight_shoot_in_r(dim, spec):
+    # past rho = e^{beta/2} r = 1 a trace shoot steps in log r; its v(1) and
+    # e(1) against a shoot in r alone at rtol 1e-13 from the same series
+    # start (worst measured: 8.2e-12 for v, N=3 a_h h=40 beta=40, where the
+    # shoot in r alone is off by 3.5e-13; 9.9e-13 for e)
+    cfg = ProblemConfig(dim=dim, weight=parse_weight(spec, dim))
+    for beta in (-5.0, 0.5, 2.0, 10.0, 25.0, 40.0):
+        r0 = radial_ode._init_radius(cfg, beta)
+        ref = _stepper.solve(radial_ode._rhs_ve(cfg), r0, series_start(cfg, beta, r0), [1.0],
+                             1e-13, 1e-13, first_step=0.2 * r0)[0]
+        sh = integrate_ivp(cfg, beta, trace=True)
+        assert sh.profile.radii[-1] == 1.0
+        assert abs(sh.v1 - ref[0]) <= 1e-11, beta
+        assert abs(sh.variation_profile.values[-1] - ref[2]) <= 1e-11, beta
+
+
+@pytest.mark.parametrize("dim, spec", [(3, "const"), (10, "ah:h=40")])
+def test_trace_shoot_switches_to_log_r_only_for_positive_beta(dim, spec, monkeypatch):
+    # for beta <= 0 the switch radius e^{-beta/2} is not below 1: one solve
+    # in r, the same accepted steps as a shoot in r to 1; beyond, two solves
+    cfg = ProblemConfig(dim=dim, weight=parse_weight(spec, dim))
+    sizes, real = [], _stepper.solve
+
+    def counting(fun, x0, y0, *args, **kw):
+        sizes.append(len(y0))
+        return real(fun, x0, y0, *args, **kw)
+
+    monkeypatch.setattr(_stepper, "solve", counting)
+    for beta in (-5.0, -0.5, 0.0):
+        _, xs, ys = _run(cfg, beta, [1.0])
+        sizes.clear()
+        sh = integrate_ivp(cfg, beta, trace=True)
+        assert sizes == [4]
+        assert np.array_equal(sh.profile.radii, xs)
+        states = np.column_stack([sh.profile.values, sh.profile.derivs,
+                                  sh.variation_profile.values, sh.variation_profile.derivs])
+        assert np.array_equal(states, np.asarray(ys))
+    sizes.clear()
+    integrate_ivp(cfg, 0.5, trace=True)
+    assert sizes == [4, 4]
+
+
+HERMITE_CASES = [(3, "const"), (3, "polyexp:0.7,-0.2;d=0.3"), (7, "polyexp:0.7,-0.2;d=0.3"),
+                 (10, "ah:h=40"), (12, "ah:h=5.7832")]
 
 
 @pytest.mark.parametrize("dim, spec", HERMITE_CASES)
 def test_quintic_values_match_the_clamped_shoot(dim, spec):
     cfg = ProblemConfig(dim=dim, weight=parse_weight(spec, dim))
     grid = np.geomspace(cfg.r_start, 1.0, 4097)
-    for beta in (-2.0, 10.0, 25.0, 40.0):
+    # N=3 polyexp at beta=37 takes log r steps of 0.27 near r = 0.9, where
+    # a degree-7 Hermite in log r is off by 1.3e-10
+    for beta in (-2.0, 10.0, 25.0, 37.0, 40.0):
         ref = np.asarray(_run(cfg, beta, grid.tolist())[0])[:, 0]
         v = hermite_values(cfg, integrate_ivp(cfg, beta, trace=True).profile, grid)
         assert np.max(np.abs(v - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-10, beta
