@@ -40,16 +40,27 @@ The work is split in two. ``solve`` is the one driver: it owns the step
 controller (the node clamp, the step budget, the underflow check,
 accept/reject, the PI factor and the collection of accepted steps). A
 stage function computes a single step attempt: the twelve new
-right-hand-side calls, the 8th order solution and the error estimate. The
-package integrates states of three sizes only: 1 (the Pruefer phase), 2
-(the singular solution) and 4 (v and its first variation e). Their stage
-functions are the generic list-based DOP853 loop unrolled into local
-scalars, generated from the tableau once at import (``_stage_function``);
-the list form takes about twice as long. Each performs the loop's
-floating-point operations expression for expression and in the same
-order, so states, accepted steps and right-hand-side calls are
-bit-identical to it; ``tests/test_stepper.py`` keeps that generic loop as
-the reference and checks every size against it with ``==``.
+right-hand-side evaluations, the 8th order solution and the error
+estimate. The package integrates states of three sizes only: 1 (the
+Pruefer phase), 2 (the singular solution) and 4 (v and its first
+variation e). The generic stage functions, one per size, are the
+list-based DOP853 loop unrolled into local scalars, generated from the
+tableau once at import (``_stage_function``); the list form takes about
+twice as long. They call the right-hand side twelve times per attempt.
+The radial right-hand sides of ``radial_ode`` are written once, as source
+lines (`Rhs`), and ``compile_rhs`` builds from those lines both the plain
+callable and a fused stage: the unrolled stage with the lines inlined at
+each of its twelve abscissae, so that an attempt calls no Python function,
+only builtins (``math.exp`` and the error estimate's abs, max and sqrt).
+``solve`` runs a callable on its own fused stage
+(``fun.stage``) when it has one, and any other callable (the Pruefer
+phase, a test's oracle, a counting wrapper) on the generic stage of its
+size. Every stage performs the loop's floating-point operations
+expression for expression and in the same order, and a fused stage those
+of the right-hand side too, so states, accepted steps and right-hand-side
+values are bit-identical to the loop's; ``tests/test_stepper.py`` keeps
+that loop as the reference and checks every size and every fused stage
+against it with ``==``.
 
 ``zeroin`` is the one root finder (R. P. Brent, Algorithms for Minimization
 without Derivatives, 1973, ch. 4): inverse quadratic or secant steps where
@@ -60,6 +71,7 @@ places folds (``refine_fold``) and Pruefer eigenvalues (``morse_index``).
 from __future__ import annotations
 
 from math import copysign, sqrt
+from typing import NamedTuple
 
 
 class IntegrationError(RuntimeError):
@@ -125,7 +137,11 @@ def solve(fun, x0, y0, nodes, rtol, atol, first_step=None, collect=False):
     """Integrate y' = fun(x, y) from x0 through each node in `nodes`.
 
     y0 has 1, 2 or 4 components; fun(x, y) takes the state as a list
-    and returns the derivative as a sequence of the same length. nodes must
+    and returns the derivative as a sequence of the same length. A callable
+    made by `compile_rhs` (the radial right-hand sides) is called once, for
+    the first step's k1, and every attempt runs on its fused stage; any
+    other callable runs on the generic stage of its size, twelve calls per
+    attempt, with bit-identical results. nodes must
     not decrease; a node at or below the point already reached (x0, or the
     node before it) repeats the current state.
     Returns the list of states at the nodes; with collect=True returns
@@ -134,13 +150,17 @@ def solve(fun, x0, y0, nodes, rtol, atol, first_step=None, collect=False):
     underflow, on an exhausted step budget and when fun raises ValueError,
     each with the last accepted point as `reached`.
     """
-    stage = _STAGES.get(len(y0))
-    if stage is None:
-        raise ValueError(
-            f"no DOP853 stage function for a state of size {len(y0)}; sizes are 1, 2, 4")
+    stage = getattr(fun, "stage", None)
+    if stage is not None:
+        head = fun.stage_args
+    else:
+        stage, head = _STAGES.get(len(y0)), fun
+        if stage is None:
+            raise ValueError(
+                f"no DOP853 stage function for a state of size {len(y0)}; sizes are 1, 2, 4")
     x = x0
     y = list(y0)
-    try:  # fun, called here and in the stage functions, is the only source of ValueError
+    try:  # fun (here, and called or inlined in the stage) is the only source of ValueError
         k1 = fun(x0, y)
         span = nodes[-1] - x0
         h = min(1e-2 * span if first_step is None else first_step, span)
@@ -158,7 +178,7 @@ def solve(fun, x0, y0, nodes, rtol, atol, first_step=None, collect=False):
                 x_new = x + h_try
                 if x_new == x:
                     raise IntegrationError("step size underflow", x)
-                y_new, k13, err = stage(fun, x, h_try, x_new, y, k1, rtol, atol)
+                y_new, k13, err = stage(head, x, h_try, x_new, y, k1, rtol, atol)
                 nsteps += 1
                 if err <= 1.0:
                     x = x_new if not clamped else target
@@ -228,7 +248,56 @@ def zeroin(evaluate, lo, hi, tol, done, failure):
                                       right=max(b[0], c[0]), f=abs(b[1]), x=b[0]))
 
 
-def _stage_function(n):
+class Rhs(NamedTuple):
+    """A right-hand side y' = f(x, y) as source lines, for `compile_rhs`.
+
+    `x` names the independent variable and `state` the components of y.
+    `body` holds statements over them and over the names in `params`, which
+    are bound per problem; `out` holds the derivative's components as
+    expressions over all of these. The lines must not assign the stage
+    function's own names: x, h, x_new, y, y_new, k13, e5, e3, args, rtol,
+    atol and names ending in an underscore and a digit.
+    """
+
+    x: str
+    state: tuple[str, ...]
+    params: tuple[str, ...]
+    body: tuple[str, ...]
+    out: tuple[str, ...]
+
+
+def compile_rhs(rhs: Rhs, namespace: dict, name: str):
+    """A factory make(*args) for the right-hand side `rhs`, its `params`
+    bound to args and its globals read from `namespace`.
+
+    make returns the plain callable fun(x, y), which returns a list, with
+    two attributes: fun.stage, the DOP853 stage function with `rhs.body`
+    inlined at each of its twelve abscissae in place of the call to fun,
+    and fun.stage_args, the args it takes in place of fun. ``solve`` runs
+    fun on fun.stage. Both are compiled here, once for every `rhs`; make
+    only binds the arguments.
+    """
+    ns = dict(namespace)
+    ns["stage"] = _stage_function(len(rhs.state), rhs, ns, name)
+    params = _unpack(rhs.params)
+    lines = [f"def make({params}):",
+             f"    def fun({rhs.x}, y):",
+             f"        {_unpack(rhs.state)}= y",
+             *(f"        {line}" for line in rhs.body),
+             f"        return [{', '.join(rhs.out)}]",
+             "    fun.stage = stage",
+             f"    fun.stage_args = ({params})",
+             "    return fun"]
+    exec(compile("\n".join(lines), f"<{name} right-hand side>", "exec"), ns)
+    return ns["make"]
+
+
+def _unpack(names):
+    """"a, b, ": unpacks a sequence of any size, 1 too."""
+    return "".join(f"{name}, " for name in names)
+
+
+def _stage_function(n, rhs=None, namespace=None, name=None):
     """The stage function for states of size n: one step attempt of length
     h from (x, y) with k1 = fun(x, y), returning (y_new, k13, err) with
     k13 = fun(x_new, y_new). It is the generic loop
@@ -240,24 +309,48 @@ def _stage_function(n):
 
     with the sums over the nonzero coefficients from left to right, written
     out over stages and components into local scalars with the tableau's
-    numbers as literals and compiled once. The error sums drop the loop's
+    numbers as literals and compiled. The error sums drop the loop's
     leading 0.0 +, which is exact because a square is never -0.0.
+
+    Without `rhs` it is stage(fun, x, h, x_new, y, k1, rtol, atol) and calls
+    fun. With an `Rhs` it is stage(args, x, h, x_new, y, k1, rtol, atol),
+    args the values of rhs.params, and each call is replaced by rhs's lines:
+    the abscissa and the trial state are assigned to rhs.x and rhs.state,
+    the body runs, and k_s takes rhs.out; its globals come from `namespace`.
+    Each line is the callable's own, so every result is bit-identical.
     """
-    def unpack(name):  # "k3_0, k3_1, " unpacks a sequence of any size, 1 too
-        return "".join(f"{name}_{i}, " for i in range(n))
+    def names(base):
+        return [f"{base}_{i}" for i in range(n)]
 
     def combo(coeffs, i):
         return " + ".join(f"{c!r} * k{j}_{i}" for j, c in coeffs.items())
 
     def step(coeffs):
-        return ", ".join(f"y_{i} + h * ({combo(coeffs, i)})" for i in range(n))
+        return [f"y_{i} + h * ({combo(coeffs, i)})" for i in range(n)]
 
-    lines = ["def stage(fun, x, h, x_new, y, k1, rtol, atol):",
-             f"    {unpack('y')}= y", f"    {unpack('k1')}= k1"]
-    lines += [f"    {unpack(f'k{s}')}= fun(x + {_C[s]!r} * h, [{step(row)}])"
-              for s, row in _A.items()]
-    lines += [f"    y_new = [{step(_B)}]", f"    {unpack('n')}= y_new",
-              "    k13 = fun(x_new, y_new)"]
+    def inlined(at, state):  # the body of rhs at the point (at, state)
+        return [f"{rhs.x} = {at}", *(f"{v} = {e}" for v, e in zip(rhs.state, state)),
+                *rhs.body]
+
+    if rhs is None:
+        lines = ["def stage(fun, x, h, x_new, y, k1, rtol, atol):"]
+    else:
+        lines = ["def stage(args, x, h, x_new, y, k1, rtol, atol):",
+                 f"    {_unpack(rhs.params)}= args"]
+    lines += [f"    {_unpack(names('y'))}= y", f"    {_unpack(names('k1'))}= k1"]
+    for s, row in _A.items():
+        at = f"x + {_C[s]!r} * h"
+        if rhs is None:
+            lines.append(f"    {_unpack(names(f'k{s}'))}= fun({at}, [{', '.join(step(row))}])")
+        else:
+            lines += [f"    {line}" for line in inlined(at, step(row))]
+            lines += [f"    k{s}_{i} = {e}" for i, e in enumerate(rhs.out)]
+    lines += [f"    y_new = [{', '.join(step(_B))}]", f"    {_unpack(names('n'))}= y_new"]
+    if rhs is None:
+        lines.append("    k13 = fun(x_new, y_new)")
+    else:
+        lines += [f"    {line}" for line in inlined("x_new", names("n"))]
+        lines.append(f"    k13 = [{', '.join(rhs.out)}]")
     for i in range(n):
         lines += [f"    s_{i} = atol + rtol * max(abs(y_{i}), abs(n_{i}))",
                   f"    e5_{i} = ({combo(_E5, i)}) / s_{i}",
@@ -265,8 +358,9 @@ def _stage_function(n):
     for e in ("e5", "e3"):
         lines.append(f"    {e} = " + " + ".join(f"{e}_{i} * {e}_{i}" for i in range(n)))
     lines.append(f"    return y_new, k13, h * e5 / sqrt((e5 + 0.01 * e3) * {n}) if e5 else 0.0")
-    namespace = {"sqrt": sqrt}
-    exec(compile("\n".join(lines), f"<DOP853 stage, size {n}>", "exec"), namespace)
+    namespace = {**(namespace or {}), "sqrt": sqrt}
+    label = f"size {n}" if rhs is None else name
+    exec(compile("\n".join(lines), f"<DOP853 stage, {label}>", "exec"), namespace)
     return namespace["stage"]
 
 

@@ -13,6 +13,7 @@ expansion around the -2 log r profile.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
@@ -21,7 +22,7 @@ from numbers import Integral
 import numpy as np
 
 from . import _stepper
-from .weights import Weight, make_ah, weight_arrays, weight_fn
+from .weights import Weight, make_ah, weight_args, weight_arrays, weight_source
 
 BETA_MIN_GUARD = -50.0
 BETA_MAX_GUARD = 60.0
@@ -289,49 +290,58 @@ def _check_beta(beta: float) -> None:
         raise ValueError(f"beta={beta} outside guard range [{BETA_MIN_GUARD}, {BETA_MAX_GUARD}]")
 
 
+# The radial right-hand sides as source lines: (independent variable,
+# state, its parameter N - 1 or N - 2, lines before and after those of
+# weights.weight_source, which set a = a(r), and the derivative).
+# `_compiled_rhs` builds from them the callable and the DOP853 stage that
+# inlines them.
+_RHS = {
+    # y = (v, v', e, e')
+    "ve": ("r", ("v", "dv", "e", "de"), "nm1", (),
+           ("g = a * exp(v if v < cap else cap)", "c = nm1 / r"),
+           ("dv", "-c * dv - g", "de", "-c * de - g * e")),
+    # y = (v, r v', e, r e') as functions of s = log r:
+    # v_ss = -(N-2) v_s - r^2 a e^v, and e likewise
+    "ve_log": ("s", ("v", "dv", "e", "de"), "nm2", ("r = exp(s)",),
+               ("g = r * r * a * exp(v if v < cap else cap)",),
+               ("dv", "-nm2 * dv - g", "de", "-nm2 * de - g * e")),
+    # y = (v, v'): the singular solution carries no variation
+    "v": ("r", ("v", "dv"), "nm1", (),
+          ("g = a * exp(v if v < cap else cap)",),
+          ("dv", "-nm1 / r * dv - g")),
+}
+
+
+@functools.cache
+def _compiled_rhs(kind: str, k: int, tilted: bool):
+    """make(N - 1 or N - 2, *weight_args(w)) -> fun for the right-hand
+    side `kind` with a weight of k coefficients, tilted or not: compiled on
+    first use, once per shape, so that no config and no shoot compiles."""
+    x, state, nm, head, tail, out = _RHS[kind]
+    params, weight = weight_source(k, tilted)
+    rhs = _stepper.Rhs(x, state, (nm, *params), (*head, *weight, *tail), out)
+    return _stepper.compile_rhs(rhs, {"exp": math.exp, "cap": _EXP_CAP},
+                                f"{kind}, {k} coefficients{', tilted' if tilted else ''}")
+
+
+def _rhs(kind: str, cfg: ProblemConfig, nm: float):
+    w = cfg.weight
+    return _compiled_rhs(kind, len(w.coeffs), w.tilt != 0.0)(nm, *weight_args(w))
+
+
 def _rhs_ve(cfg: ProblemConfig):
     """y = (v, v', e, e')."""
-    a_of = weight_fn(cfg.weight)
-    nm1 = float(cfg.dim - 1)
-    exp, cap = math.exp, _EXP_CAP
-
-    def fun(r, y):
-        v, dv, e, de = y
-        g = a_of(r) * exp(v if v < cap else cap)
-        c = nm1 / r
-        return [dv, -c * dv - g, de, -c * de - g * e]
-
-    return fun
+    return _rhs("ve", cfg, float(cfg.dim - 1))
 
 
 def _rhs_ve_log(cfg: ProblemConfig):
-    """y = (v, r v', e, r e') as functions of s = log r:
-    v_ss = -(N-2) v_s - r^2 a e^v, and e likewise."""
-    a_of = weight_fn(cfg.weight)
-    nm2 = float(cfg.dim - 2)
-    exp, cap = math.exp, _EXP_CAP
-
-    def fun(s, y):
-        v, dv, e, de = y
-        r = exp(s)
-        g = r * r * a_of(r) * exp(v if v < cap else cap)
-        return [dv, -nm2 * dv - g, de, -nm2 * de - g * e]
-
-    return fun
+    """y = (v, r v', e, r e') as functions of s = log r."""
+    return _rhs("ve_log", cfg, float(cfg.dim - 2))
 
 
 def _rhs_v(cfg: ProblemConfig):
-    """y = (v, v'): the singular solution carries no variation."""
-    a_of = weight_fn(cfg.weight)
-    nm1 = float(cfg.dim - 1)
-    exp, cap = math.exp, _EXP_CAP
-
-    def fun(r, y):
-        v, dv = y
-        g = a_of(r) * exp(v if v < cap else cap)
-        return [dv, -nm1 / r * dv - g]
-
-    return fun
+    """y = (v, v'): the singular solution."""
+    return _rhs("v", cfg, float(cfg.dim - 1))
 
 
 def _init_radius(cfg: ProblemConfig, beta: float) -> float:

@@ -19,6 +19,7 @@ a spec must be finite, and a(r) must be finite and positive on [0, 1]
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -114,27 +115,49 @@ def make_ah(h: float, dim: int) -> Weight:
     return w
 
 
+def weight_source(k: int, tilted: bool) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """(params, lines) for the weights with k coefficients, tilted or not:
+    source lines that set a = a(r) from r, reading the params c1, ..., ck,
+    d and spec, which `weight_args` gives a weight's values for.
+
+    The one scalar form of a(r) = (1 + c1 r^2 + ... + ck r^{2k}) e^{d r^2}:
+    `weight_fn` compiles it, and the shooting right-hand sides
+    (``radial_ode``) inline it. The sum runs from the left, with r^{2i} as
+    the product r^{2i-2} r^2. Except for the constant weight, a nonpositive
+    a(r) raises ValueError ``weight '<spec>' nonpositive at r=<r>``.
+    """
+    params = (*(f"c{i}" for i in range(1, k + 1)), "d", "spec")
+    if not k and not tilted:
+        return params, ("a = 1.0",)
+    lines = ["r2 = r * r"] if k else []
+    lines += [f"r{2 * i} = r{2 * i - 2} * r2" for i in range(2, k + 1)]
+    poly = "1.0" + "".join(f" + c{i} * r{2 * i}" for i in range(1, k + 1))
+    lines += [f"a = ({poly}) * exp(d * r * r)" if tilted else f"a = {poly}",
+              "if a <= 0.0:",
+              "    raise ValueError(f\"weight {spec!r} nonpositive at r={r}\")"]
+    return params, tuple(lines)
+
+
+def weight_args(w: Weight) -> tuple:
+    """The values of `weight_source`'s params for the weight w."""
+    return (*w.coeffs, w.tilt, w.spec)
+
+
+@functools.cache
+def _weight_factory(k: int, tilted: bool):
+    """make(*weight_args(w)) -> a_of for the weights of one shape."""
+    params, lines = weight_source(k, tilted)
+    source = [f"def make({', '.join(params)}):", "    def a_of(r):",
+              *(f"        {line}" for line in lines), "        return a", "    return a_of"]
+    namespace = {"exp": math.exp}
+    exec(compile("\n".join(source), f"<weight, {k} coefficients>", "exec"), namespace)
+    return namespace["make"]
+
+
 def weight_fn(w: Weight):
-    """Scalar a(r) for the shooting right-hand sides; raises where a(r) <= 0."""
-    coeffs, tilt = w.coeffs, w.tilt
-    if not coeffs and tilt == 0.0:
-        return lambda r: 1.0
-
-    def a_of(r):
-        p = 1.0
-        if coeffs:
-            r2 = r * r
-            q = r2
-            for c in coeffs:
-                p += c * q
-                q *= r2
-        if tilt != 0.0:
-            p *= math.exp(tilt * r * r)
-        if p <= 0.0:
-            raise ValueError(f"weight {w.spec!r} nonpositive at r={r}")
-        return p
-
-    return a_of
+    """Scalar a(r), compiled from `weight_source` once per shape (number of
+    coefficients, tilt or none); raises ValueError where a(r) <= 0."""
+    return _weight_factory(len(w.coeffs), w.tilt != 0.0)(*weight_args(w))
 
 
 def weight_arrays(w: Weight, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

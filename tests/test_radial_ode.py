@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from gelfand import (
     IntegrationError,
     ProblemConfig,
+    Weight,
     asymptotic_diagnostics,
     default_grid,
     explicit_lambda_h,
@@ -22,7 +24,7 @@ from gelfand import (
     rescaled_profile,
     residual_Uh,
 )
-from gelfand import _stepper, radial_ode
+from gelfand import _stepper, radial_ode, weights
 from gelfand.radial_ode import (
     RadialProfile,
     _run,
@@ -615,6 +617,113 @@ def test_rescaled_profile_reports_where_the_weight_turns_nonpositive():
     with pytest.raises(IntegrationError, match="nonpositive at r=") as exc:
         rescaled_profile(cfg, 0.0, r_max=3.0)
     assert 1.0 < exc.value.reached < 1.0 / math.sqrt(0.9)
+
+
+def _solve_results(monkeypatch, run, fused):
+    """(what run() returns or raises, the result of every _stepper.solve
+    call it makes). Each solve runs on its right-hand side's fused stage,
+    or with fused=False on the generic stage, reached by handing solve a
+    plain callable in place of the right-hand side."""
+    real, results = _stepper.solve, []
+
+    def recording(fun, *args, **kwargs):
+        assert fun.stage is not None  # the package's shoots have fused stages
+        results.append(real(fun if fused else lambda x, y: fun(x, y), *args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(_stepper, "solve", recording)
+    try:
+        out = run()
+    except IntegrationError as exc:
+        out = (str(exc), exc.reached)
+    finally:
+        monkeypatch.setattr(_stepper, "solve", real)
+    return out, results
+
+
+def _arrays(*profiles):
+    return [(p.radii.tolist(), p.values.tolist(), p.derivs.tolist()) for p in profiles]
+
+
+def _regular(cfg, beta, **kwargs):
+    sh = integrate_ivp(cfg, beta, **kwargs)
+    return sh.v1, sh.dlambda_dbeta, _arrays(sh.profile, sh.variation_profile)
+
+
+def _singular(cfg):
+    lam_star, profile = integrate_singular(cfg)
+    return lam_star, _arrays(profile)
+
+
+FUSED_SHOOTS = {
+    "trace -5": lambda cfg: _regular(cfg, -5.0, trace=True),
+    "trace 10": lambda cfg: _regular(cfg, 10.0, trace=True),
+    "trace 40": lambda cfg: _regular(cfg, 40.0, trace=True),
+    "default grid": lambda cfg: _regular(cfg, 3.0),
+    "singular": _singular,
+    "rescaled 20": lambda cfg: _arrays(rescaled_profile(cfg, 20.0)),
+}
+
+
+@pytest.mark.parametrize("dim, spec", [(3, "const"), (10, "ah:h=40"),
+                                       (7, "polyexp:0.7,-0.2;d=0.3")])
+@pytest.mark.parametrize("shoot", sorted(FUSED_SHOOTS))
+def test_fused_shoots_are_bit_identical_to_generic_ones(monkeypatch, dim, spec, shoot):
+    # the same node states, accepted steps and states at them, and results
+    cfg = ProblemConfig(dim=dim, weight=parse_weight(spec, dim))
+    run = lambda: FUSED_SHOOTS[shoot](cfg)  # noqa: E731
+    fused, fused_solves = _solve_results(monkeypatch, run, True)
+    generic, generic_solves = _solve_results(monkeypatch, run, False)
+    assert fused_solves and fused_solves == generic_solves
+    assert fused == generic
+
+
+def test_fused_stage_raises_the_callables_error(monkeypatch):
+    # the rescaled weight 1 - 0.9 r^2 turns nonpositive inside a fused
+    # stage: the same IntegrationError, wording and reached point as on the
+    # generic stage
+    cfg = ProblemConfig(dim=3, weight=parse_weight("polyexp:-0.9;d=0"))
+    run = lambda: rescaled_profile(cfg, 0.0, r_max=3.0)  # noqa: E731
+    (fused, reached), _ = _solve_results(monkeypatch, run, True)
+    assert (fused, reached) == _solve_results(monkeypatch, run, False)[0]
+    assert fused.startswith("weight 'polyexp:-0.9;d=0@rescaled' nonpositive at r=")
+    assert 1.0 < reached < 1.0 / math.sqrt(0.9) < float(fused.rpartition("=")[2])
+    # one attempt alone: 1 - 3 r^2 is positive at r = 0.5 and not at 0.7
+    weight = Weight(spec="polyexp:-3;d=0", coeffs=(-3.0,), tilt=0.0)
+    for make, y0 in ((radial_ode._rhs_ve, [1.0, -0.5, 1.0, -0.5]),
+                     (radial_ode._rhs_v, [1.0, -0.5])):
+        fun = make(ProblemConfig(dim=5, weight=weight))
+        args = (0.5, 0.2, 0.7, y0, fun(0.5, y0), 1e-10, 1e-12)
+        with pytest.raises(ValueError) as generic:
+            _stepper._STAGES[len(y0)](fun, *args)
+        with pytest.raises(ValueError) as fused:
+            fun.stage(fun.stage_args, *args)
+        assert str(fused.value) == str(generic.value)
+        assert str(fused.value).startswith("weight 'polyexp:-3;d=0' nonpositive at r=0.")
+
+
+def test_right_hand_sides_compile_once_per_kind_and_weight_shape():
+    # verify draws a new polyexp weight for each command: 20 of them, of
+    # one shape (one coefficient, tilted), a_h of the same shape and const
+    # compile three right-hand sides (ve, ve_log, v) per shape and one
+    # scalar weight (for the parse-time check), no more
+    rng = random.Random(5)
+    radial_ode._compiled_rhs.cache_clear()
+    weights._weight_factory.cache_clear()
+    sizes = []
+    for _ in range(20):
+        spec = f"polyexp:{rng.uniform(-0.5, 0.5)!r};d={rng.uniform(-0.5, 0.5)!r}"
+        cfg = ProblemConfig(dim=rng.randint(3, 12), weight=parse_weight(spec))
+        integrate_ivp(cfg, 2.0, trace=True)
+        integrate_singular(cfg)
+        sizes.append(radial_ode._compiled_rhs.cache_info().currsize)
+    assert sizes == [3] * 20
+    assert weights._weight_factory.cache_info().currsize == 1
+    for cfg in (ProblemConfig(dim=10, weight=make_ah(40.0, 10)),
+                ProblemConfig(dim=3, weight=CONST)):
+        integrate_ivp(cfg, 2.0, trace=True)
+        integrate_singular(cfg)
+    assert radial_ode._compiled_rhs.cache_info().currsize == 6
 
 
 def test_rescaled_profile_converges_to_limit():

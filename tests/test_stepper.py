@@ -10,9 +10,11 @@ constants, so it shares no number with the package; a separate test checks
 that the package's tableau is scipy's. Every state size must reproduce the
 loop bit for bit: the same node states, the same accepted steps and the
 same sequence of right-hand-side calls, compared with ``==``. The
-right-hand sides are the package's own closures, captured from real calls
-through ``_stepper.solve``. The package's one root finder, ``zeroin``, is
-tested at the end on plain floats.
+right-hand sides are the package's own, captured from real calls through
+``_stepper.solve`` and wrapped so that they run on the generic stage. The
+fused stages, which inline a radial right-hand side's lines in place of
+the calls, must give the list-form attempt's results too. The package's
+one root finder, ``zeroin``, is tested at the end on plain floats.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from gelfand import (
     parse_weight,
     reduce_to_disk,
 )
-from gelfand import _stepper
+from gelfand import _stepper, radial_ode
 from gelfand.spectral import _prufer_inner_radius, _prufer_theta_end
 
 
@@ -279,6 +281,55 @@ def test_list_stage_matches_unrolled_stage(monkeypatch, n):
         accepted.append(got[0][0][2] <= 1.0)
         h /= 4.0
     assert not accepted[0]
+
+
+# every shape of weight the compiled right-hand sides distinguish: no
+# coefficient untilted and tilted, one, two and three coefficients
+FUSED_WEIGHTS = ("const", "ah:h=40", "polyexp:0.7,-0.2;d=0.3", "polyexp:;d=-0.4",
+                 "polyexp:0.5,0.25,-0.1;d=0")
+# (right-hand side factory, dimension, abscissa of the attempt): ve_log
+# runs in s = log r
+FUSED_KINDS = {"ve": (radial_ode._rhs_ve, 10, 0.3), "ve_log": (radial_ode._rhs_ve_log, 7, -1.5),
+               "v": (radial_ode._rhs_v, 10, 0.3)}
+# trial states: a real one, v above the cap on e^v, and one holding nan
+FUSED_STATES = ([2.5, -1.5, 1.0, -0.4], [radial_ode._EXP_CAP + 30.0, -1.5, 1.0, -0.4],
+                [math.nan, -1.5, 1.0, -0.4])
+
+
+@pytest.mark.parametrize("spec", FUSED_WEIGHTS)
+@pytest.mark.parametrize("kind", sorted(FUSED_KINDS))
+def test_fused_stage_matches_list_stage(kind, spec):
+    # one step attempt of a compiled right-hand side's own stage, with its
+    # lines inlined, against the list-form attempt and the size's unrolled
+    # stage, both calling the plain callable: the same (y_new, k13, err)
+    make, dim, x0 = FUSED_KINDS[kind]
+    fun = make(ProblemConfig(dim=dim, weight=parse_weight(spec, dim)))
+    for state in FUSED_STATES:
+        y0 = state[:2] if kind == "v" else state
+        k1 = fun(x0, y0)
+        for h in (0.5, 1e-2, 1e-4):
+            args = (x0, h, x0 + h, list(y0), k1, 1e-10, 1e-12)
+            expected = repr(_reference_stage(fun, *args))
+            assert repr(_stepper._STAGES[len(y0)](fun, *args)) == expected
+            assert repr(fun.stage(fun.stage_args, *args)) == expected, (state, h)
+
+
+def test_solve_runs_a_callable_with_a_fused_stage_on_it():
+    # fun itself is called once, for the first k1; every attempt runs on
+    # fun.stage. A callable without one runs on the generic stage: twelve
+    # calls per attempt, with the same result
+    cfg = ProblemConfig(dim=10, weight=AH40)
+    fun = radial_ode._rhs_ve(cfg)
+    y0 = radial_ode.series_start(cfg, 5.0, 1e-4)
+    fused, fused_log = _logged(fun)
+    fused.stage, fused.stage_args = fun.stage, fun.stage_args
+    generic, generic_log = _logged(fun)
+    got = [_stepper.solve(f, 1e-4, y0, [0.5, 1.0], 1e-10, 1e-12, collect=True)
+           for f in (fused, generic)]
+    assert got[0] == got[1]
+    assert len(fused_log) == 1
+    attempts, rest = divmod(len(generic_log) - 1, STAGES_PER_ATTEMPT)
+    assert rest == 0 and attempts >= len(got[1][1]) - 1 > 0
 
 
 @pytest.mark.parametrize("n", sorted(CASES))

@@ -115,6 +115,10 @@ def _scalar_screen(w, samples=4096):
     ("polyexp:;d=-800", "weight 'polyexp:;d=-800' nonpositive at r=0.96533203125"),
     ("polyexp:-0.5,-0.6;d=1", "weight 'polyexp:-0.5,-0.6;d=1' nonpositive at r=0.9697265625"),
     ("polyexp:1e308,1e308;d=0", "weight 'polyexp:1e308,1e308;d=0' not finite at r=0.965087890625"),
+    ("polyexp:-1.5,0.2,0.1;d=-0.3",
+     "weight 'polyexp:-1.5,0.2,0.1;d=-0.3' nonpositive at r=0.8828125"),
+    ("polyexp:0.3,0.2,-2.5;d=0",
+     "weight 'polyexp:0.3,0.2,-2.5;d=0' nonpositive at r=0.906005859375"),
 ])
 def test_admissibility_names_the_first_failing_radius(spec, message):
     with pytest.raises(WeightParseError) as exc:
@@ -137,6 +141,46 @@ def test_admissibility_screen_agrees_with_the_scalar_loop(coeffs, tilt):
         with pytest.raises(WeightParseError) as exc:
             parse_weight(spec)
         assert str(exc.value) == expected
+
+
+def _loop_weight(w):
+    """a(r) as a loop over the coefficients, with weight_fn's positivity
+    check and wording: the reference for the compiled scalar weight."""
+    def a_of(r):
+        p = 1.0
+        if w.coeffs:
+            r2 = r * r
+            q = r2
+            for c in w.coeffs:
+                p += c * q
+                q *= r2
+        if w.tilt != 0.0:
+            p *= math.exp(w.tilt * r * r)
+        if p <= 0.0:
+            raise ValueError(f"weight {w.spec!r} nonpositive at r={r}")
+        return p
+
+    return a_of
+
+
+def _outcome(a_of, r):
+    try:
+        return repr(a_of(r))
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@given(st.lists(st.floats(-3.0, 3.0), max_size=4), st.sampled_from([0.0, 0.3, -1.0, 750.0]),
+       st.lists(st.floats(0.0, 2.0), min_size=1, max_size=20))
+@settings(max_examples=80, deadline=None)
+def test_weight_fn_is_bit_identical_to_the_loop(coeffs, tilt, radii):
+    # the compiled weight_fn, one per shape, against the loop it replaces:
+    # the same float, or the same error with the same words
+    w = Weight(spec=f"polyexp:{','.join(map(repr, coeffs))};d={tilt!r}",
+               coeffs=tuple(coeffs), tilt=tilt)
+    a_of, ref = weight_fn(w), _loop_weight(w)
+    for r in radii:
+        assert _outcome(a_of, r) == _outcome(ref, r)
 
 
 def test_make_ah_range_validation():
