@@ -45,8 +45,9 @@ estimate. The package integrates states of three sizes only: 1 (the
 Pruefer phase), 2 (the singular solution) and 4 (v and its first
 variation e). The generic stage functions, one per size, are the
 list-based DOP853 loop unrolled into local scalars, generated from the
-tableau once at import (``_stage_function``); the list form takes about
-twice as long. They call the right-hand side twelve times per attempt.
+tableau (``_stage_function``) when a state of that size first needs one
+(``_generic_stage``); the list form takes about twice as long. They call
+the right-hand side twelve times per attempt.
 The radial right-hand sides of ``radial_ode`` are written once, as source
 lines (`Rhs`), and ``compile_rhs`` builds from those lines both the plain
 callable and a fused stage: the unrolled stage with the lines inlined at
@@ -70,6 +71,7 @@ places folds (``refine_fold``) and Pruefer eigenvalues (``morse_index``).
 
 from __future__ import annotations
 
+from functools import cache
 from math import copysign, sqrt
 from typing import NamedTuple
 
@@ -154,10 +156,7 @@ def solve(fun, x0, y0, nodes, rtol, atol, first_step=None, collect=False):
     if stage is not None:
         head = fun.stage_args
     else:
-        stage, head = _STAGES.get(len(y0)), fun
-        if stage is None:
-            raise ValueError(
-                f"no DOP853 stage function for a state of size {len(y0)}; sizes are 1, 2, 4")
+        stage, head = _generic_stage(len(y0)), fun
     x = x0
     y = list(y0)
     try:  # fun (here, and called or inlined in the stage) is the only source of ValueError
@@ -364,4 +363,10 @@ def _stage_function(n, rhs=None, namespace=None, name=None):
     return namespace["stage"]
 
 
-_STAGES = {n: _stage_function(n) for n in (1, 2, 4)}
+@cache
+def _generic_stage(n):
+    """The generic stage function for states of size n, compiled on first
+    use: an untraced radial shoot runs on its fused stage and needs none."""
+    if n not in (1, 2, 4):
+        raise ValueError(f"no DOP853 stage function for a state of size {n}; sizes are 1, 2, 4")
+    return _stage_function(n)

@@ -11,6 +11,12 @@ phase in log radius, finite-volume matrix inertia) and must agree exactly.
 
 Bessel J0, J1 and the zeros of J0, the disk eigenvalues that calibrate
 every count, come from scipy.special; mpmath is the test oracle for them.
+scipy is imported inside the functions that call it: `bessel_j0`,
+`j0_zero`, the Hardy quotients and, for Morse indices above 0,
+`eigvalsh_tridiagonal`. The package, and every command that needs neither
+a Bessel function nor a finite-volume eigenvalue, never loads it. The
+Hardy constant is j01^2 from the literal `_J01`, the double that
+scipy.special.jn_zeros returns for j01.
 """
 
 from __future__ import annotations
@@ -22,8 +28,6 @@ from numbers import Integral
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import eigvalsh_tridiagonal
-from scipy.special import j0, j1, jn_zeros
 
 from . import _stepper
 from .radial_ode import ProblemConfig, RadialProfile, ShootResult, integrate_singular
@@ -38,9 +42,13 @@ def _is_int(k) -> bool:
 # ---------------------------------------------------------------------------
 # Bessel J0 and its zeros, from scipy.special.
 
+_J01 = 2.4048255576957724  # first positive zero of J0: float(jn_zeros(0, 1)[0])
+
 
 def bessel_j0(x: float) -> float:
     """J0(x) as a Python float."""
+    from scipy.special import j0
+
     return float(j0(x))
 
 
@@ -51,15 +59,16 @@ def j0_zero(k: int) -> float:
         raise ValueError(f"zero index must be a positive integer, got {k!r}")
     if k > 64:
         raise ValueError(f"zero index {k} exceeds the supported range (64)")
+    from scipy.special import jn_zeros
+
     return float(jn_zeros(0, k)[k - 1])
 
 
-@lru_cache(maxsize=1)
 def hardy_constant() -> float:
     """Optimal constant H in the dimension-10 improved Hardy inequality
-    on the unit ball: H = j_{0,1}^2."""
-    z = j0_zero(1)
-    return z * z
+    on the unit ball: H = j_{0,1}^2 = 5.783185962946783, from the literal
+    `_J01` (equal to j0_zero(1)), so that it needs no scipy."""
+    return _J01 * _J01
 
 
 # ---------------------------------------------------------------------------
@@ -72,10 +81,12 @@ _HARDY_FLAT_S = 24  # for s = 1 - log r >= 24, j01 r < 2.5e-10 and J0(j01 r) rou
 def _hardy_nodes():
     """Order-24 Gauss-Legendre nodes s and weights on the unit panels of
     [1, 24], with r = e^{1 - s}, phi = J0(z r) and phi'(r) r, z = j01."""
+    from scipy.special import j0, j1
+
     x, w = leggauss(24)
     left = np.arange(1.0, _HARDY_FLAT_S)[:, None]
     s = (left + 0.5 * (x + 1.0)).ravel()
-    r, z = np.exp(1.0 - s), j0_zero(1)
+    r, z = np.exp(1.0 - s), _J01
     return s, np.tile(0.5 * w, len(left)), r, j0(z * r), -z * j1(z * r) * r
 
 
@@ -305,6 +316,13 @@ def reduce_to_disk(pot: RadialPotential) -> DiskPotential:
 
 # ---------------------------------------------------------------------------
 # Morse index of -(1/r)(r w')' - K2(r) w on the disk, w(1) = 0, regular at 0.
+
+
+def eigvalsh_tridiagonal(d, e, **kw):
+    """scipy.linalg.eigvalsh_tridiagonal, imported on first use."""
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    return eigvalsh_tridiagonal(d, e, **kw)
 
 
 class MethodDisagreement(RuntimeError):

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.special import j1 as scipy_j1
+from scipy.special import j1 as scipy_j1, jn_zeros
 
 from gelfand import (
     ProblemConfig,
@@ -75,23 +76,69 @@ def test_j0_zeros_against_mpmath():
             j0_zero(bad)
 
 
-@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.optimize"])
-def test_import_does_not_load_slow_scipy_submodules(module):
-    # importing scipy.integrate costs about 0.3 s of start-up per process,
-    # scipy.optimize about 0.16 s
+# A fresh process that imports the package and runs the Hardy constant and
+# CLI verify commands, none of which needs a Bessel function or a
+# finite-volume eigenvalue, then a Morse index above 0, which does.
+_SCIPY_PROCESS = """
+import contextlib, io, json, sys
+import gelfand, gelfand.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+gelfand.hardy_constant()
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [gelfand.cli.main(argv) for argv in (
+        ["verify", "flux", "--dim", "5", "--weight", "const", "--beta", "3"],
+        ["verify", "singular", "--dim", "10", "--h", "40"],
+        ["verify", "separation", "--dim", "10", "--weight", "ah:h=5.7831859629467084",
+         "--beta", "2", "--gamma", "5"],
+    )]
+radial = scipy_modules()
+with contextlib.redirect_stdout(io.StringIO()) as morse:
+    codes.append(gelfand.cli.main(["spectral", "morse", "--dim", "10", "--h", "40"]))
+print(json.dumps({"codes": codes, "radial": radial, "spectral": scipy_modules(),
+                  "morse_index": json.loads(morse.getvalue())["morse_index"]}))
+"""
+
+
+@pytest.fixture(scope="module")
+def scipy_process():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import sys, gelfand; "
-            f"print(sorted(m for m in sys.modules if m.startswith({module!r})))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROCESS], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    report = json.loads(out)
+    assert report["codes"] == [0, 0, 0, 0]
+    return report
+
+
+@pytest.mark.parametrize("module", ["scipy", "scipy.integrate", "scipy.optimize"])
+def test_import_does_not_load_slow_scipy_submodules(module, scipy_process):
+    # scipy loads only where a Bessel function or a finite-volume eigenvalue
+    # is computed: importing it costs about 0.29 s of start-up per process,
+    # scipy.integrate about 0.3 s more and scipy.optimize about 0.16 s
+    loaded = [m for m in scipy_process["radial"] if m == module or m.startswith(module + ".")]
+    assert loaded == []
+
+
+def test_morse_index_above_zero_loads_scipy_linalg(scipy_process):
+    assert scipy_process["morse_index"] == 2
+    assert "scipy.linalg" in scipy_process["spectral"]
 
 
 def test_hardy_constant_value():
     assert H == j0_zero(1) ** 2
     assert abs(H - 5.7832) <= 1e-3
+
+
+def test_hardy_literal_is_scipys_zero():
+    assert spectral._J01 == float(jn_zeros(0, 1)[0])
+    mpmath.mp.dps = 30
+    exact = mpmath.besseljzero(0, 1)
+    assert abs(mpmath.mpf(spectral._J01) - exact) <= math.ulp(spectral._J01)
+    assert hardy_constant() == 5.783185962946783
 
 
 def test_disk_eigenfunction_rayleigh_quotient():

@@ -273,7 +273,7 @@ def test_list_stage_matches_unrolled_stage(monkeypatch, n):
     accepted = []
     while not accepted or not accepted[-1]:
         got = []
-        for stage in (_reference_stage, _stepper._STAGES[n]):
+        for stage in (_reference_stage, _stepper._generic_stage(n)):
             logged, log = _logged(fun)
             got.append((stage(logged, x0, h, x0 + h, list(y0), k1, rtol, atol), log))
         assert repr(got[0]) == repr(got[1])
@@ -310,7 +310,7 @@ def test_fused_stage_matches_list_stage(kind, spec):
         for h in (0.5, 1e-2, 1e-4):
             args = (x0, h, x0 + h, list(y0), k1, 1e-10, 1e-12)
             expected = repr(_reference_stage(fun, *args))
-            assert repr(_stepper._STAGES[len(y0)](fun, *args)) == expected
+            assert repr(_stepper._generic_stage(len(y0))(fun, *args)) == expected
             assert repr(fun.stage(fun.stage_args, *args)) == expected, (state, h)
 
 
