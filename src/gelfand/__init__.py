@@ -29,8 +29,6 @@ from .radial_ode import (
     integrate_ivp,
     integrate_singular,
     pohozaev_residual,
-    profile_from_csv,
-    profile_to_csv,
     rescaled_profile,
     residual_Uh,
 )
@@ -99,8 +97,6 @@ __all__ = [
     "pohozaev_residual",
     "potential_from_shoot",
     "potential_from_singular",
-    "profile_from_csv",
-    "profile_to_csv",
     "ratio_derivative_sign",
     "reduce_to_disk",
     "refine_fold",

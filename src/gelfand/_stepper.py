@@ -11,9 +11,11 @@ first (FSAL). A step is accepted on Hairer's combined error estimate
 h e5 / sqrt((e5 + 0.01 e3) n), with e5 and e3 the squared scaled norms of
 the embedded 5th and 3rd order error vectors, as in scipy's DOP853. The
 dense output's three extra stages are never computed: value readers
-interpolate accepted steps by Hermite with derivatives from the ODE,
-degree 7 for grid fills and degree 9 in log r for
-``radial_ode.hermite_values``.
+interpolate by Hermite with derivatives from the ODE. Grid fills
+(``radial_ode._grid_states``) read accepted steps by degree 7,
+``radial_ode.hermite_values`` reads profiles by degree 9 in log r, and
+the numeric potentials of ``spectral`` read their nodes by degree 7
+(``radial_ode.RadialProfile.from_jets``).
 
 Output nodes bound the step: a step that would pass a node is clamped to
 end on it. Grid shoots (``radial_ode.integrate_ivp`` with radii,

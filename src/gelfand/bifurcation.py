@@ -281,8 +281,7 @@ def zero_number(cfg: ProblemConfig, beta: float,
     `integrate_singular(cfg)`'s, whose nodes cover [r_start, 1] (otherwise
     ValueError). v, from one shoot on the accepted steps, and V_* are both
     read by `hermite_values` on an 8192-point geometric grid. Its error on
-    V_* lies far below the resolution floor, where the cubic Hermite's could
-    invent crossings.
+    V_* lies far below the resolution floor, so it cannot invent crossings.
     """
     base = np.geomspace(cfg.r_start, 1.0, 8192)
     v = _values(cfg, beta)(base)

@@ -56,6 +56,13 @@ _GAUSS9 = (
      0.08127438836157416),
 )
 
+# t^4..t^7 coefficients of a degree-7 Hermite segment on t in [0, 1] from
+# the defects of its value and first three derivatives at t = 1, each k-th
+# derivative divided by k!: the inverse of those conditions' matrix
+# [[1, 1, 1, 1], [4, 5, 6, 7], [6, 10, 15, 21], [4, 10, 20, 35]]
+_HERMITE7_RIGHT = np.array([[35.0, -15.0, 5.0, -1.0], [-84.0, 39.0, -14.0, 3.0],
+                            [70.0, -34.0, 13.0, -3.0], [-20.0, 10.0, -4.0, 1.0]])
+
 
 @dataclass(frozen=True)
 class ProblemConfig:
@@ -109,9 +116,13 @@ def default_grid(cfg: ProblemConfig, R: float = 1.0) -> np.ndarray:
 
 
 class RadialProfile:
-    """Sampled radial function with derivatives; cubic Hermite between nodes."""
+    """Sampled radial function: radii, values, first derivatives, outer
+    radius R. Shoots return plain containers, read by `hermite_values`; a
+    numeric potential (`spectral.RadialPotential`) is built by `from_jets`,
+    whose degree-7 Hermite coefficients `evaluate_array` and `scalar_value`
+    read."""
 
-    __slots__ = ("radii", "values", "derivs", "R")
+    __slots__ = ("radii", "values", "derivs", "R", "coeffs")
 
     def __init__(self, radii, values, derivs, R=None):
         self.radii = np.asarray(radii, dtype=float)
@@ -122,72 +133,63 @@ class RadialProfile:
     def __len__(self):
         return len(self.radii)
 
-    def evaluate_array(self, r):
-        """Hermite interpolation; quadratic even extension below the first node.
-
-        One node, or a zero-width interval (a repeated radius), gives the
-        node's own value and derivative. Its value half is the array form of
-        `scalar_value`, bit-identical to it: the finite-volume matrix and the
-        eigenvalue bracket of `spectral.morse_index` read numeric potentials
-        through it (`spectral.reduce_to_disk`). Shoots are read by
-        `hermite_values` instead.
+    @classmethod
+    def from_jets(cls, radii, jets):
+        """The profile of f from arrays: jets = (f, f', f'', f''') at the
+        `radii`, which never decrease; a repeated radius is dropped, and
+        fewer than two distinct radii raise ValueError. Each segment keeps,
+        in u = r - x_i, the power-basis coefficients of the degree-7 Hermite
+        interpolant of f, f', f'' and f''' at its ends: the Taylor ones at
+        x_i, and four that `_HERMITE7_RIGHT` fits to x_{i+1}, in t = u / h.
         """
+        keep = np.concatenate(([True], np.diff(radii) > 0.0))
+        if np.count_nonzero(keep) < 2:
+            raise ValueError("a potential needs two or more distinct radii")
+        x, f, d1, d2, d3 = (arr[keep] for arr in (radii, *jets))
+        h = np.diff(x)
+        h2, h3 = 0.5 * h * h, h * h * h / 6.0
+        t0, t1, t2, t3 = f[:-1], h * d1[:-1], h2 * d2[:-1], h3 * d3[:-1]
+        high = _HERMITE7_RIGHT @ np.array((
+            f[1:] - (t0 + t1 + t2 + t3), h * d1[1:] - (t1 + 2.0 * t2 + 3.0 * t3),
+            h2 * d2[1:] - (t2 + 3.0 * t3), h3 * d3[1:] - t3))
+        prof = cls(x, f, d1)
+        prof.coeffs = np.column_stack((f[:-1], d1[:-1], 0.5 * d2[:-1], d3[:-1] / 6.0,
+                                       *(high / h ** np.arange(4.0, 8.0)[:, None])))
+        return prof
+
+    def evaluate_array(self, r):
+        """The interpolant of `from_jets` at the radii r, by Horner; the
+        even quadratic through the first node's value and slope below it;
+        ValueError beyond R (to 1e-12 relative). The finite-volume matrix
+        and the eigenvalue bracket of `spectral.morse_index` call it."""
         r = np.asarray(r, dtype=float)
         if np.any(r > self.R * (1.0 + 1e-12)):
             raise ValueError("evaluation beyond the profile's outer radius")
         rr = np.minimum(r, self.R)
-        x, f, d = self.radii, self.values, self.derivs
-        if len(x) == 1:  # no interval to interpolate on: the node's own state
-            val, der = np.full_like(rr, f[0]), np.full_like(rr, d[0])
-        else:
-            idx = np.clip(np.searchsorted(x, rr, side="right") - 1, 0, len(x) - 2)
-            x0, x1 = x[idx], x[idx + 1]
-            h = x1 - x0
-            # a repeated radius makes a zero-width interval where the index
-            # is clipped: divide by 1 there, then take the right node's state
-            flat = h == 0.0
-            if np.any(flat):
-                h = np.where(flat, 1.0, h)
-            t = (rr - x0) / h
-            t2 = t * t
-            t3 = t2 * t
-            val = (
-                (2.0 * t3 - 3.0 * t2 + 1.0) * f[idx]
-                + (t3 - 2.0 * t2 + t) * h * d[idx]
-                + (-2.0 * t3 + 3.0 * t2) * f[idx + 1]
-                + (t3 - t2) * h * d[idx + 1]
-            )
-            der = (
-                (6.0 * t2 - 6.0 * t) * f[idx] / h
-                + (3.0 * t2 - 4.0 * t + 1.0) * d[idx]
-                + (6.0 * t - 6.0 * t2) * f[idx + 1] / h
-                + (3.0 * t2 - 2.0 * t) * d[idx + 1]
-            )
-            if np.any(flat):
-                val = np.where(flat, f[idx + 1], val)
-                der = np.where(flat, d[idx + 1], der)
+        x = self.radii
+        i = np.clip(np.searchsorted(x, rr, side="right") - 1, 0, len(x) - 2)
+        u = rr - x[i]
+        c = self.coeffs[i]
+        val = c[:, 7]
+        for k in range(6, -1, -1):
+            val = val * u + c[:, k]
         below = rr < x[0]
         if np.any(below):
             # even quadratic through (x0, f0) with slope d0 there
-            c = d[0] / (2.0 * x[0])
-            val = np.where(below, f[0] + c * (rr * rr - x[0] * x[0]), val)
-            der = np.where(below, 2.0 * c * rr, der)
-        return val, der
+            q = self.derivs[0] / (2.0 * x[0])
+            val = np.where(below, self.values[0] + q * (rr * rr - x[0] * x[0]), val)
+        return val
 
     def scalar_value(self):
-        """A closure r -> the value `evaluate_array` gives at the float r.
-
-        For the Pruefer right-hand side, which asks for one radius at a time:
-        the same rules (ValueError beyond R, even quadratic below the first
-        node, one-node and zero-width rules) and the value half of the
-        Hermite arithmetic in the same order, so every result is bit-identical
-        to evaluate_array's, on Python floats instead of one-element arrays.
-        """
-        x, f, d = self.radii.tolist(), self.values.tolist(), self.derivs.tolist()
+        """A closure r -> the value `evaluate_array` gives at the float r,
+        for the Pruefer right-hand side, which asks for one radius at a
+        time: the same operations on the same coefficients, so bit-identical
+        to evaluate_array, and a Python float on every branch."""
+        x, rows = self.radii.tolist(), self.coeffs.tolist()
         R = self.R
         r_max = R * (1.0 + 1e-12)
-        x_first, f_first = x[0], f[0]
-        c = d[0] / (2.0 * x_first)
+        x_first, f_first = x[0], float(self.values[0])
+        q = float(self.derivs[0]) / (2.0 * x_first)
         x_first2 = x_first * x_first
         last = len(x) - 2
 
@@ -197,56 +199,13 @@ class RadialProfile:
             if r > R:
                 r = R
             if r < x_first:
-                return f_first + c * (r * r - x_first2)
-            if last < 0:
-                return f_first
+                return f_first + q * (r * r - x_first2)
             i = min(bisect_right(x, r) - 1, last)
-            x0 = x[i]
-            h = x[i + 1] - x0
-            if h == 0.0:
-                return f[i + 1]
-            t = (r - x0) / h
-            t2 = t * t
-            t3 = t2 * t
-            return (
-                (2.0 * t3 - 3.0 * t2 + 1.0) * f[i]
-                + (t3 - 2.0 * t2 + t) * h * d[i]
-                + (-2.0 * t3 + 3.0 * t2) * f[i + 1]
-                + (t3 - t2) * h * d[i + 1]
-            )
+            c0, c1, c2, c3, c4, c5, c6, c7 = rows[i]
+            u = r - x[i]
+            return ((((((c7 * u + c6) * u + c5) * u + c4) * u + c3) * u + c2) * u + c1) * u + c0
 
         return value
-
-
-def profile_to_csv(profile: RadialProfile) -> str:
-    lines = ["r,v,dv_dr"]
-    for r, v, d in zip(profile.radii, profile.values, profile.derivs):
-        lines.append(f"{r:.17G},{v:.17G},{d:.17G}")
-    return "\n".join(lines) + "\n"
-
-
-def profile_from_csv(text: str) -> RadialProfile:
-    """Inverse of profile_to_csv: a header, then at least one row of three
-    finite reals, with positive radii that never decrease."""
-    rows = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    if not rows or rows[0] != "r,v,dv_dr":
-        raise ValueError("unexpected profile CSV header")
-    if len(rows) == 1:
-        raise ValueError("profile CSV has no rows")
-    cols = []
-    for ln in rows[1:]:
-        row = tuple(float(tok) for tok in ln.split(","))
-        if len(row) != 3:
-            raise ValueError(f"profile CSV row needs 3 fields, got {len(row)}: {ln!r}")
-        if not all(map(math.isfinite, row)):
-            raise ValueError(f"profile CSV row has a non-finite value: {ln!r}")
-        if row[0] <= 0.0:
-            raise ValueError(f"profile CSV row has a radius <= 0: {ln!r}")
-        cols.append(row)
-    r, v, d = zip(*cols)
-    if any(b < a for a, b in zip(r, r[1:])):
-        raise ValueError("profile CSV radii must not decrease")
-    return RadialProfile(r, v, d)
 
 
 @dataclass(frozen=True)
@@ -457,7 +416,7 @@ def _jets(cfg: ProblemConfig, x: np.ndarray, y: np.ndarray):
     (v, v') or of (v, v', e, e'), from the ODE and its derivatives: three
     arrays shaped like y: each column's first, second and third derivative."""
     v, dv = y[:, 0], y[:, 1]
-    a, da, dda = weight_arrays(cfg.weight, x)
+    a, da, dda, _ = weight_arrays(cfg.weight, x)
     c, g = (cfg.dim - 1.0) / x, np.exp(v)
     v2 = -c * dv - a * g
     v3 = c / x * dv - c * v2 - (da + a * dv) * g
@@ -788,7 +747,7 @@ def pohozaev_residual(cfg: ProblemConfig, shoot: ShootResult, mu: float) -> floa
     r = shoot.profile.radii
     v = shoot.profile.values
     dv = shoot.profile.derivs
-    a, da, _ = weight_arrays(cfg.weight, r)
+    a, da, _, _ = weight_arrays(cfg.weight, r)
     ev = np.exp(v)
     T = r ** N * (0.5 * dv * dv + a * (ev - 1.0)) + mu * r ** (N - 1) * v * dv
     boundary = float(T[-1] - T[0])

@@ -160,27 +160,33 @@ def weight_fn(w: Weight):
     return _weight_factory(len(w.coeffs), w.tilt != 0.0)(*weight_args(w))
 
 
-def weight_arrays(w: Weight, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (a(r), a'(r), a''(r)) on an array of radii, without the
-    positivity check."""
+def weight_arrays(w: Weight, r: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Return (a(r), a'(r), a''(r), a'''(r)) on an array of radii, without
+    the positivity check."""
     p = np.ones_like(r)
     dp = np.zeros_like(r)
     ddp = np.zeros_like(r)
+    dddp = np.zeros_like(r)
     if w.coeffs:
         r2 = r * r
-        q = np.ones_like(r)
+        q = np.ones_like(r)   # r^{2i-2}
+        q3 = np.zeros_like(r)  # r^{2i-3}; 0 at i = 1, whose r^2 has no third derivative
         for i, c in enumerate(w.coeffs, start=1):
+            dddp += (2 * i) * (2 * i - 1) * (2 * i - 2) * c * q3
             ddp += (2 * i) * (2 * i - 1) * c * q
             dp += (2 * i) * c * q * r
+            q3 = q * r
             q = q * r2
             p += c * q
     if w.tilt != 0.0:
-        # a = p E with E = exp(d r^2): E' = 2 d r E, E'' = (2 d + 4 d^2 r^2) E
+        # a = p E with E = exp(d r^2): E' = 2 d r E, E'' = (2 d + 4 d^2 r^2) E,
+        # E''' = 2 d r (6 d + 4 d^2 r^2) E
         e = np.exp(w.tilt * r * r)
         tr = 2.0 * w.tilt * r
-        return (p * e, (dp + tr * p) * e,
-                (ddp + 2.0 * tr * dp + (2.0 * w.tilt + tr * tr) * p) * e)
-    return p, dp, ddp
+        e2 = 2.0 * w.tilt + tr * tr
+        return (p * e, (dp + tr * p) * e, (ddp + 2.0 * tr * dp + e2 * p) * e,
+                (dddp + 3.0 * (tr * ddp + e2 * dp) + tr * (6.0 * w.tilt + tr * tr) * p) * e)
+    return p, dp, ddp, dddp
 
 
 def _check_admissible(w: Weight, samples: int) -> None:
@@ -227,8 +233,8 @@ def ratio_derivative_sign(w: Weight, dim: int, reference: Weight | None = None) 
 
         reference = make_ah(hardy_constant(), dim)
     r = np.arange(1, _RATIO_SAMPLES + 1) / _RATIO_SAMPLES
-    a, da, _ = weight_arrays(w, r)
-    b, db, _ = weight_arrays(reference, r)
+    a, da, _, _ = weight_arrays(w, r)
+    b, db, _, _ = weight_arrays(reference, r)
     for wt, values in ((w, a), (reference, b)):
         if np.any(values <= 0.0):
             raise ValueError(f"weight {wt.spec!r} nonpositive on (0, 1]")

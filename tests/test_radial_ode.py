@@ -19,14 +19,13 @@ from gelfand import (
     make_ah,
     parse_weight,
     pohozaev_residual,
-    profile_from_csv,
-    profile_to_csv,
+    potential_from_shoot,
+    potential_from_singular,
     rescaled_profile,
     residual_Uh,
 )
 from gelfand import _stepper, radial_ode, weights
 from gelfand.radial_ode import (
-    RadialProfile,
     _run,
     hermite_values,
     series_start,
@@ -172,10 +171,6 @@ def test_one_node_grid_returns_the_start_state():
     sh = integrate_ivp(cfg, 0.0, radii=[cfg.r_start])
     assert list(sh.profile.radii) == [cfg.r_start]
     assert (sh.profile.values[0], sh.profile.derivs[0]) == (v0, dv0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        val, der = sh.profile.evaluate_array([cfg.r_start])
-    assert (val[0], der[0]) == (v0, dv0)
     assert (sh.variation_profile.values[0], sh.variation_profile.derivs[0]) == (e0, de0)
     assert sh.lam == math.exp(v0)
     lam_star, prof = integrate_singular(cfg, radii=[cfg.r_start])
@@ -555,7 +550,7 @@ def test_pohozaev_defect_affine_in_mu():
     sh = integrate_ivp(cfg, 3.0)
     N = cfg.dim
     r, v, dv = sh.profile.radii, sh.profile.values, sh.profile.derivs
-    a, da, _ = weight_arrays(cfg.weight, r)
+    a, da, _, _ = weight_arrays(cfg.weight, r)
     ev = np.exp(v)
 
     def defect(mu):
@@ -738,69 +733,36 @@ def test_rescaled_profile_converges_to_limit():
     assert sups[1] < sups[0]
 
 
-# ---------------------------------------------------------- serialization
-
-def test_profile_csv_round_trip():
-    cfg = ProblemConfig(dim=4, weight=CONST)
-    prof = integrate_ivp(cfg, 1.0).profile
-    text = profile_to_csv(prof)
-    assert text.splitlines()[0] == "r,v,dv_dr"
-    back = profile_from_csv(text)
-    assert np.array_equal(back.radii, prof.radii)
-    assert np.array_equal(back.values, prof.values)
-    assert np.array_equal(back.derivs, prof.derivs)
-    # a repeated radius is legal, as in integrate_ivp's output radii
-    back = profile_from_csv(profile_to_csv(RadialProfile([0.1, 0.5, 0.5, 1.0],
-                                                         [1, 2, 2, 3], [0, 1, 1, 1])))
-    assert back.radii.tolist() == [0.1, 0.5, 0.5, 1.0]
-
-
-@pytest.mark.parametrize("text,match", [
-    ("", "header"),
-    ("r,v,dv_dr\n", "no rows"),
-    ("# comment only\n", "header"),
-    ("r,v,dv_dr\n0.1,1,0\n0.2,1,0,7\n", "3 fields"),
-    ("r,v,dv_dr\n0.1,1\n", "3 fields"),
-    ("r,v,dv_dr\n0.2,1,0\n0.1,1,0\n", "must not decrease"),
-    ("r,v,dv_dr\n0.1,x,0\n", "could not convert"),
-    ("r,v,dv_dr\nnan,1,0\n0.5,1,0\n", "non-finite"),
-    ("r,v,dv_dr\n0.5,1,0\n1,inf,0\n", "non-finite"),
-    ("r,v,dv_dr\n0,1,0\n1,2,3\n", "radius <= 0: '0,1,0'"),
-    ("r,v,dv_dr\n-1,1,0\n1,2,3\n", "radius <= 0: '-1,1,0'"),
-])
-def test_profile_from_csv_rejects_malformed_input(text, match):
-    with pytest.raises(ValueError, match=match):
-        profile_from_csv(text)
-
+# ------------------------------------------------------- potential reader
 
 def test_evaluate_array_consistent_at_nodes():
     cfg = ProblemConfig(dim=6, weight=CONST)
-    prof = integrate_ivp(cfg, 2.0).profile
-    vals, ders = prof.evaluate_array(prof.radii)
-    assert np.allclose(vals, prof.values, rtol=0, atol=1e-12)
-    assert np.allclose(ders, prof.derivs, rtol=0, atol=1e-9)
+    prof = potential_from_shoot(cfg, integrate_ivp(cfg, 2.0)).profile
+    vals = prof.evaluate_array(prof.radii)
+    assert np.array_equal(vals[:-1], prof.values[:-1])
+    assert vals[-1] == pytest.approx(prof.values[-1], rel=1e-14)
 
 
-def test_zero_width_interval_takes_the_node_state():
-    # repeated radii give zero-width intervals: the repeated last radius is
-    # reached through the clipped index, the first through the even
-    # extension below it; an interior repeat is never an interval of its own
+def test_potential_drops_repeated_radii():
+    # integrate_ivp allows repeated output radii; the potential built from
+    # such a shoot reads exactly as the one without the repeats, and fewer
+    # than two distinct radii leave nothing to interpolate
     cfg = ProblemConfig(dim=3, weight=CONST)
-    once = integrate_ivp(cfg, 0.0, radii=[1e-4, 0.5, 1.0]).profile
+    once = potential_from_shoot(cfg, integrate_ivp(cfg, 0.0, radii=[1e-4, 0.5, 1.0])).profile
+    pts = [5e-5, 1e-4, 0.25, 0.5, 0.75, 1.0]
+    ref = once.evaluate_array(pts)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        last = integrate_ivp(cfg, 0.0, radii=[1e-4, 0.5, 1.0, 1.0]).profile
-        val, der = last.evaluate_array([1.0])
-        assert (val[0], der[0]) == (last.values[-1], last.derivs[-1])
-        assert last.scalar_value()(1.0) == last.values[-1]
-        for radii in ([1e-4, 0.5, 0.5, 1.0], [1e-4, 1e-4, 0.5, 1.0]):
-            prof = integrate_ivp(cfg, 0.0, radii=radii).profile
-            pts = [5e-5, 1e-4, 0.25, 0.5, 0.75, 1.0]
-            val, der = prof.evaluate_array(pts)
-            ref_val, ref_der = once.evaluate_array(pts)
-            assert list(val) == list(ref_val) and list(der) == list(ref_der)
+        for radii in ([1e-4, 0.5, 0.5, 1.0], [1e-4, 1e-4, 0.5, 1.0], [1e-4, 0.5, 1.0, 1.0]):
+            prof = potential_from_shoot(cfg, integrate_ivp(cfg, 0.0, radii=radii)).profile
+            assert prof.radii.tolist() == [1e-4, 0.5, 1.0]
+            assert np.array_equal(prof.coeffs, once.coeffs)
+            assert list(prof.evaluate_array(pts)) == list(ref)
             value = prof.scalar_value()
-            assert [value(r) for r in pts] == list(ref_val)
+            assert [value(r) for r in pts] == list(ref)
+    for radii in ([cfg.r_start], [cfg.r_start, cfg.r_start]):
+        with pytest.raises(ValueError, match="two or more distinct radii"):
+            potential_from_shoot(cfg, integrate_ivp(cfg, 0.0, radii=radii))
 
 
 def _scalar_probe_points(prof):
@@ -815,21 +777,19 @@ def test_scalar_value_equals_evaluate_array():
     cfg10 = ProblemConfig(dim=10, weight=make_ah(40.0, 10))
     shoot = integrate_ivp(cfg10, 4.6)
     profiles = [
-        integrate_ivp(cfg3, 1.0).profile,
-        shoot.profile,
-        shoot.variation_profile,
-        integrate_singular(cfg10)[1],
-        integrate_singular(cfg3)[1],
-        integrate_ivp(cfg3, 0.0, radii=[cfg3.r_start]).profile,
-        RadialProfile([0.5], [2.0], [-1.0], R=1.0),  # one node inside [0, R]
+        potential_from_shoot(cfg3, integrate_ivp(cfg3, 1.0)).profile,
+        potential_from_shoot(cfg10, shoot).profile,
+        potential_from_shoot(cfg10, integrate_ivp(cfg10, 4.6, trace=True)).profile,
+        potential_from_singular(cfg10, integrate_singular(cfg10)[1]).profile,
+        potential_from_singular(cfg3, integrate_singular(cfg3)[1]).profile,
     ]
     for prof in profiles:
         value = prof.scalar_value()
         pts = _scalar_probe_points(prof)
-        arr, _ = prof.evaluate_array(pts)
+        arr = prof.evaluate_array(pts)
         got = [value(r) for r in pts]
         assert got == arr.tolist()
-        assert got == [prof.evaluate_array([r])[0][0] for r in pts]
+        assert got == [prof.evaluate_array([r])[0] for r in pts]
         assert all(type(v) is float for v in got)
         beyond = prof.R * (1.0 + 1e-11)
         with pytest.raises(ValueError, match="outer radius"):

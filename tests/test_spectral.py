@@ -31,8 +31,9 @@ from gelfand import (
     solution_stability,
 )
 from gelfand import spectral
-from gelfand.radial_ode import RadialProfile
+from gelfand.radial_ode import RadialProfile, _run
 from gelfand.spectral import DiskPotential, MethodDisagreement, _fd_matrix
+from gelfand.weights import weight_arrays
 
 H = hardy_constant()
 CONST = parse_weight("const")
@@ -343,6 +344,46 @@ def test_fd_smooth_part_matches_the_scalar_reader():
     got = singular.smooth(centers)
     ref = np.array([singular.smooth_at(r) for r in centers.tolist()])
     assert np.all(np.abs(got - ref) <= 4.0 * np.finfo(float).eps * np.abs(ref))
+
+
+@pytest.mark.parametrize("dim, spec, beta", [
+    (10, "ah:h=40", 1.6),
+    (10, "ah:h=40", 3.0),
+    (3, "const", 5.0),
+    (7, "polyexp:0.7,-0.2;d=0.3", 8.0),
+])
+def test_potential_reader_matches_a_landed_shoot(dim, spec, beta):
+    # a e^v read from the default grid against a e^v of a shoot landed on
+    # each of 20 001 geometric radii: the degree-7 reader stays within
+    # 1.2e-13 relative; a cubic Hermite on the same nodes is 7.5e-12 to
+    # 2.5e-8 off
+    cfg = ProblemConfig(dim=dim, weight=parse_weight(spec, dim=dim))
+    prof = potential_from_shoot(cfg, integrate_ivp(cfg, beta)).profile
+    r = np.geomspace(cfg.r_start, 1.0, 20001)
+    states, _, _ = _run(cfg, beta, r.tolist())
+    ref = weight_arrays(cfg.weight, r)[0] * np.exp(np.asarray(states)[:, 0])
+    assert np.max(np.abs(prof.evaluate_array(r) - ref) / ref) <= 1e-12
+
+
+def test_numeric_singular_eigenvalues_match_bessel_zeros():
+    # at N=10 the singular potential of a_h reduces to K2 = h exactly, so
+    # mu_k = j0k^2 - h: mu_1 is 3.2e-11 off relative to j01^2 (a cubic
+    # Hermite reader of z puts it 2.3e-10 off)
+    h = 40.0
+    rep = singular_stability(ProblemConfig(dim=10, weight=make_ah(h, 10)))
+    assert rep.morse_index == 2
+    for k, mu in enumerate(rep.eigenvalues_below_zero, start=1):
+        assert abs(mu + h - j0_zero(k) ** 2) <= 1e-10 * j0_zero(k) ** 2
+
+
+@pytest.mark.parametrize("c", [2e4, 4e4, 8e4])
+def test_pruefer_steps_over_a_narrow_feature(c):
+    # a standing defect, pinned: the adaptive Pruefer solve steps over a
+    # bump 5e-4 wide that the finite-volume matrix resolves, so the counts
+    # differ and morse_index refuses to answer rather than report either
+    k2 = DiskPotential(10, 0.0, 0.0, smooth_at=lambda r: c if 0.5007 < r < 0.5012 else 0.0)
+    with pytest.raises(MethodDisagreement, match="Pruefer count 0 != finite-volume count 1"):
+        morse_index(k2)
 
 
 # ---------------------------------------------------------- Hardy floor etc

@@ -20,7 +20,7 @@ H = hardy_constant()
 
 def eval_at(w, r):
     """(a(r), a'(r)) at one radius, from the array evaluator."""
-    a, da, _ = weight_arrays(w, np.array([r]))
+    a, da, _, _ = weight_arrays(w, np.array([r]))
     return float(a[0]), float(da[0])
 
 
@@ -63,7 +63,7 @@ def test_weight_arrays_second_derivative(spec, dim, c1, c2, d):
     #        + (18 d c2 + 4 d^2 c1) r^4 + 4 d^2 c2 r^6] e^{d r^2}
     w = parse_weight(spec, dim=dim)
     r = np.linspace(0.0, 1.0, 101)
-    a, _, dda = weight_arrays(w, r)
+    a, _, dda, _ = weight_arrays(w, r)
     r2 = r * r
     exact = (2.0 * (c1 + d) + (12.0 * c2 + 10.0 * d * c1 + 4.0 * d * d) * r2
              + (18.0 * d * c2 + 4.0 * d * d * c1) * r2 * r2
@@ -72,6 +72,23 @@ def test_weight_arrays_second_derivative(spec, dim, c1, c2, d):
     assert dda[0] == pytest.approx(w.a2pp, rel=1e-15, abs=1e-15)
     if spec == "const":
         assert not dda.any() and (a == 1.0).all()
+
+
+@pytest.mark.parametrize("spec, dim", [
+    ("const", None), ("ah:h=40", 10), ("ah:h=-1", 10), ("polyexp:0.7,-0.2;d=0.3", None),
+])
+def test_weight_arrays_third_derivative(spec, dim):
+    # a''' against a central difference of a'', whose error is
+    # (step^2 / 6) a^(5) plus rounding
+    w = parse_weight(spec, dim=dim)
+    r = np.linspace(0.0, 1.0, 101)
+    step = 1e-5
+    ddda = weight_arrays(w, r)[3]
+    diff = (weight_arrays(w, r + step)[2] - weight_arrays(w, r - step)[2]) / (2.0 * step)
+    assert np.allclose(ddda, diff, rtol=1e-8, atol=1e-8)
+    assert ddda[0] == 0.0
+    if spec == "const":
+        assert not ddda.any()
 
 
 @pytest.mark.parametrize("bad", [
