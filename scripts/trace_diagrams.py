@@ -9,6 +9,7 @@ one-line summary per case. Every artifact is byte-reproducible.
 """
 
 import argparse
+import json
 import os
 import sys
 import time
@@ -36,14 +37,11 @@ def run(outdir: str) -> int:
         rc = cli_main(["trace", *flags, "--out", csv, "--svg", svg])
         rc = max(rc, cli_main(["classify", *flags, "--out", js]))
         dt = time.perf_counter() - t0
-        # pull the headline numbers back out of the JSON we just wrote
-        import re
-        text = open(js).read()
-        typ = re.search(r'"type": "(\w+)"', text).group(1)
-        lam = re.search(r'"lambda_star": ([^,\n]+)', text).group(1)
-        folds = text.count('"kind"')
-        print(f"{name}: Type {typ}, lambda_* = {float(lam):.6f}, "
-              f"{folds} folds resolved, rc={rc}, {dt:.1f}s")
+        # the headline numbers of the classification just written
+        with open(js, encoding="utf-8") as fh:
+            report = json.load(fh)
+        print(f"{name}: Type {report['type']}, lambda_* = {report['lambda_star']:.6f}, "
+              f"{len(report['turning_points'])} folds resolved, rc={rc}, {dt:.1f}s")
         worst = max(worst, rc)
     return worst
 

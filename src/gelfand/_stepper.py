@@ -11,8 +11,9 @@ first (FSAL). A step is accepted on Hairer's combined error estimate
 h e5 / sqrt((e5 + 0.01 e3) n), with e5 and e3 the squared scaled norms of
 the embedded 5th and 3rd order error vectors, as in scipy's DOP853. The
 dense output's three extra stages are never computed: value readers
-interpolate by Hermite with derivatives from the ODE. Grid fills
-(``radial_ode._grid_states``) read accepted steps by degree 7,
+interpolate by Hermite with derivatives from the ODE, all from one
+builder of two-point Hermite coefficients (``radial_ode._hermite_coeffs``).
+Grid fills (``radial_ode._grid_states``) read accepted steps by degree 7,
 ``radial_ode.hermite_values`` reads profiles by degree 9 in log r, and
 the numeric potentials of ``spectral`` read their nodes by degree 7
 (``radial_ode.RadialProfile.from_jets``).

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import os
 import sys
@@ -66,8 +67,7 @@ def _json(obj, indent: int = 0) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
@@ -164,7 +164,7 @@ def _curve_svg(curve, manifest: dict) -> str:
 
     parts = ['<?xml version="1.0" encoding="UTF-8"?>']
     parts.append("<!--")
-    parts.append(_json(manifest))
+    parts.append(_json(manifest).replace("--", "-\\u002d"))  # XML comments forbid "--"
     parts.append("-->")
     parts.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '

@@ -56,12 +56,57 @@ _GAUSS9 = (
      0.08127438836157416),
 )
 
-# t^4..t^7 coefficients of a degree-7 Hermite segment on t in [0, 1] from
-# the defects of its value and first three derivatives at t = 1, each k-th
-# derivative divided by k!: the inverse of those conditions' matrix
-# [[1, 1, 1, 1], [4, 5, 6, 7], [6, 10, 15, 21], [4, 10, 20, 35]]
-_HERMITE7_RIGHT = np.array([[35.0, -15.0, 5.0, -1.0], [-84.0, 39.0, -14.0, 3.0],
-                            [70.0, -34.0, 13.0, -3.0], [-20.0, 10.0, -4.0, 1.0]])
+# t^m..t^{2m-1} coefficients of a degree-(2m-1) Hermite segment on t in
+# [0, 1] from the defects of its value and first m-1 derivatives at t = 1,
+# each k-th derivative divided by k!: the inverse of those conditions'
+# matrix C(m + j, k), k, j = 0..m-1 (m = 4: [[1, 1, 1, 1], [4, 5, 6, 7],
+# [6, 10, 15, 21], [4, 10, 20, 35]])
+_HERMITE_RIGHT = {
+    4: np.array([[35.0, -15.0, 5.0, -1.0], [-84.0, 39.0, -14.0, 3.0],
+                 [70.0, -34.0, 13.0, -3.0], [-20.0, 10.0, -4.0, 1.0]]),
+    5: np.array([[126.0, -56.0, 21.0, -6.0, 1.0], [-420.0, 196.0, -77.0, 23.0, -4.0],
+                 [540.0, -260.0, 106.0, -33.0, 6.0], [-315.0, 155.0, -65.0, 21.0, -4.0],
+                 [70.0, -35.0, 15.0, -5.0, 1.0]]),
+}
+
+
+def _hermite_coeffs(h, left, right):
+    """The power-basis coefficients, in t = (r - x0) / h, of the
+    degree-(2m-1) Hermite interpolant on [x0, x0 + h] of the m jets (f, f',
+    f'', ...) `left` at x0 and `right` at x0 + h, m in {4, 5}: the Taylor
+    ones at x0, then m that `_HERMITE_RIGHT[m]` fits to x0 + h. Arrays
+    broadcast, so one call can serve several functions, one a column."""
+    m = len(left)
+    scale = [1.0]  # h^k / k!
+    for k in range(1, m):
+        scale.append(scale[-1] * h / k)
+    low = [s * f for s, f in zip(scale, left)]
+    # what the Taylor part misses at x0 + h, k-th derivatives times h^k / k!
+    defect = np.array([s * f - sum((math.comb(n, k) * low[n] for n in range(k + 1, m)), low[k])
+                       for k, (s, f) in enumerate(zip(scale, right))])
+    high = _HERMITE_RIGHT[m] @ defect.reshape(m, -1)  # one product for every column
+    return low + list(high.reshape(defect.shape))
+
+
+def _horner(coeffs, t):
+    """sum_k coeffs[k] t^k by Horner's rule."""
+    val = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        val = val * t + c
+    return val
+
+
+def _hermite_read(x, jets, r):
+    """The Hermite interpolant at r of the jets (f, f', ...) at the
+    increasing nodes x, each segment [x_i, x_{i+1}] its own, by
+    `_hermite_coeffs`; the columns of 2-D jets broadcast."""
+    i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, len(x) - 2)
+    h = np.diff(x)
+    t = (r - x[i]) / h[i]
+    if jets[0].ndim == 2:
+        h, t = h[:, None], t[:, None]
+    coeffs = _hermite_coeffs(h, [f[:-1] for f in jets], [f[1:] for f in jets])
+    return _horner([c[i] for c in coeffs], t)
 
 
 @dataclass(frozen=True)
@@ -120,7 +165,8 @@ class RadialProfile:
     radius R. Shoots return plain containers, read by `hermite_values`; a
     numeric potential (`spectral.RadialPotential`) is built by `from_jets`,
     whose degree-7 Hermite coefficients `evaluate_array` and `scalar_value`
-    read."""
+    read. Those coefficients, the grid fills and `hermite_values` all come
+    from one builder, `_hermite_coeffs`."""
 
     __slots__ = ("radii", "values", "derivs", "R", "coeffs")
 
@@ -137,24 +183,19 @@ class RadialProfile:
     def from_jets(cls, radii, jets):
         """The profile of f from arrays: jets = (f, f', f'', f''') at the
         `radii`, which never decrease; a repeated radius is dropped, and
-        fewer than two distinct radii raise ValueError. Each segment keeps,
-        in u = r - x_i, the power-basis coefficients of the degree-7 Hermite
-        interpolant of f, f', f'' and f''' at its ends: the Taylor ones at
-        x_i, and four that `_HERMITE7_RIGHT` fits to x_{i+1}, in t = u / h.
+        fewer than two distinct radii raise ValueError. Each segment keeps
+        the power-basis coefficients of the degree-7 Hermite interpolant of
+        f, f', f'' and f''' at its ends (`_hermite_coeffs`), scaled from
+        t = u / h to u = r - x_i.
         """
         keep = np.concatenate(([True], np.diff(radii) > 0.0))
         if np.count_nonzero(keep) < 2:
             raise ValueError("a potential needs two or more distinct radii")
-        x, f, d1, d2, d3 = (arr[keep] for arr in (radii, *jets))
+        x, *jets = (arr[keep] for arr in (radii, *jets))
         h = np.diff(x)
-        h2, h3 = 0.5 * h * h, h * h * h / 6.0
-        t0, t1, t2, t3 = f[:-1], h * d1[:-1], h2 * d2[:-1], h3 * d3[:-1]
-        high = _HERMITE7_RIGHT @ np.array((
-            f[1:] - (t0 + t1 + t2 + t3), h * d1[1:] - (t1 + 2.0 * t2 + 3.0 * t3),
-            h2 * d2[1:] - (t2 + 3.0 * t3), h3 * d3[1:] - t3))
-        prof = cls(x, f, d1)
-        prof.coeffs = np.column_stack((f[:-1], d1[:-1], 0.5 * d2[:-1], d3[:-1] / 6.0,
-                                       *(high / h ** np.arange(4.0, 8.0)[:, None])))
+        coeffs = _hermite_coeffs(h, [f[:-1] for f in jets], [f[1:] for f in jets])
+        prof = cls(x, jets[0], jets[1])
+        prof.coeffs = np.column_stack([c / h ** k for k, c in enumerate(coeffs)])
         return prof
 
     def evaluate_array(self, r):
@@ -168,11 +209,7 @@ class RadialProfile:
         rr = np.minimum(r, self.R)
         x = self.radii
         i = np.clip(np.searchsorted(x, rr, side="right") - 1, 0, len(x) - 2)
-        u = rr - x[i]
-        c = self.coeffs[i]
-        val = c[:, 7]
-        for k in range(6, -1, -1):
-            val = val * u + c[:, k]
+        val = _horner(self.coeffs[i].T, rr - x[i])
         below = rr < x[0]
         if np.any(below):
             # even quadratic through (x0, f0) with slope d0 there
@@ -411,12 +448,13 @@ def _anchor_radii(nodes, rel: float):
     return anchors
 
 
-def _jets(cfg: ProblemConfig, x: np.ndarray, y: np.ndarray):
+def _jets(cfg: ProblemConfig, x: np.ndarray, y: np.ndarray, weight):
     """The first three r-derivatives of the states y at the radii x, rows of
-    (v, v') or of (v, v', e, e'), from the ODE and its derivatives: three
-    arrays shaped like y: each column's first, second and third derivative."""
+    (v, v') or of (v, v', e, e'), from the ODE and its derivatives, given
+    the weight's arrays at x (`weight_arrays`): three arrays shaped like y:
+    each column's first, second and third derivative."""
     v, dv = y[:, 0], y[:, 1]
-    a, da, dda, _ = weight_arrays(cfg.weight, x)
+    a, da, dda, _ = weight
     c, g = (cfg.dim - 1.0) / x, np.exp(v)
     v2 = -c * dv - a * g
     v3 = c / x * dv - c * v2 - (da + a * dv) * g
@@ -439,28 +477,21 @@ def _grid_states(cfg: ProblemConfig, radii: np.ndarray, nodes, shoot,
     """States (v, v') or (v, v', e, e') at `radii` (as floats, `nodes`)
     from one shoot that lands on `_anchor_radii(nodes, rel)` only:
     shoot(anchors) returns (states at the anchors, xs, ys) with the accepted
-    steps. A radius that is an anchor or an accepted step keeps the
-    integrator's state; the rest are filled by degree-7 Hermite on the
-    accepted step around them, each value from its first three derivatives,
-    each first derivative from the next three, all from the ODE (`_jets`)."""
+    steps. A radius that is an anchor keeps the integrator's state; the
+    rest are filled by the shared degree-7 Hermite reader (`_hermite_read`)
+    on the accepted step around them, each value from its first three
+    derivatives, each first derivative from the next three, all from the
+    ODE (`_jets`); a radius on an accepted step reads that step's state
+    exactly."""
     anchors = _anchor_radii(nodes, rel)
     landed, xs, ys = shoot(anchors)
     k = np.minimum(np.searchsorted(anchors, radii), len(anchors) - 1)
     states = np.asarray(landed)[k]
     rest = np.flatnonzero(np.asarray(anchors)[k] != radii)
-    if rest.size == 0:
-        return states
-    x, y = np.asarray(xs), np.asarray(ys)
-    r = radii[rest]
-    i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, len(x) - 2)
-    on_step = x[i] == r
-    states[rest[on_step]] = y[i[on_step]]
-    rest, r, i = rest[~on_step], r[~on_step], i[~on_step]
-    j = i + 1
-    d1, d2, d3 = _jets(cfg, x, y)
-    h = (x[j] - x[i])[:, None]
-    states[rest] = _hermite7((r[:, None] - x[i][:, None]) / h, h,
-                             (y[i], d1[i], d2[i], d3[i]), (y[j], d1[j], d2[j], d3[j]))
+    if rest.size:
+        x, y = np.asarray(xs), np.asarray(ys)
+        jets = (y, *_jets(cfg, x, y, weight_arrays(cfg.weight, x)))
+        states[rest] = _hermite_read(x, jets, radii[rest])
     return states
 
 
@@ -522,8 +553,9 @@ def hermite_values(cfg: ProblemConfig, profile: RadialProfile, r) -> np.ndarray:
     profile that solves the ODE: a regular shoot or a singular solution,
     sampled on a node grid or on the integrator's accepted steps.
 
-    Each interval takes v and its first four s-derivatives at both of its
-    nodes, from v' and the ODE's v'', v''' and v'''' (`_jets`) by the chain
+    The shared reader (`_hermite_read`, `_hermite_coeffs` with m = 5)
+    takes on each interval v and its first four s-derivatives at both of
+    its nodes, from v' and the ODE's v'', v''' and v'''' (`_jets`) by the chain
     rule: v_s = r v', v_ss = r v' + r^2 v'', v_sss = r v' + 3 r^2 v'' +
     r^3 v''' and v_ssss = r v' + 7 r^2 v'' + 6 r^3 v''' + r^4 v''''.
     Past the boundary layer a trace shoot steps in log r (`_trace_steps`),
@@ -545,55 +577,14 @@ def hermite_values(cfg: ProblemConfig, profile: RadialProfile, r) -> np.ndarray:
         raise ValueError("Hermite interpolation needs two or more strictly increasing radii")
     if np.any(r < x[0]) or np.any(r > profile.R):
         raise ValueError("radii outside the profile's nodes")
-    _, (v2, _), (v3, v4) = (jet.T for jet in _jets(cfg, x, np.column_stack((f, d))))
+    y = np.column_stack((f, d))
+    _, (v2, _), (v3, v4) = (jet.T for jet in _jets(cfg, x, y, weight_arrays(cfg.weight, x)))
     # v and its first four s-derivatives, s = log r, by the chain rule
     x2 = x * x
     d1 = x * d
     jets = (f, d1, d1 + x2 * v2, d1 + x2 * (3.0 * v2 + x * v3),
             d1 + x2 * (7.0 * v2 + x * (6.0 * v3 + x * v4)))
-    s = np.log(x)
-    i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, len(x) - 2)
-    j = i + 1
-    h = s[j] - s[i]
-    return _hermite9((np.log(r) - s[i]) / h, h, [jet[i] for jet in jets],
-                     [jet[j] for jet in jets])
-
-
-def _hermite7(t, h, left, right):
-    """The degree-7 Hermite interpolant at t = (r - x0) / h on [x0, x0 + h]
-    from (f, f', f'', f''') at both ends, `left` at x0 and `right` at x0 + h.
-    Arrays broadcast, so one call can fill several functions, one a column."""
-    f0, d0, dd0, ddd0 = left
-    f1, d1, dd1, ddd1 = right
-    s = 1.0 - t
-    h2, h3 = 0.5 * h * h, h * h * h / 6.0
-    return (
-        s ** 4 * ((1.0 + t * (4.0 + t * (10.0 + 20.0 * t))) * f0
-                  + t * (1.0 + t * (4.0 + 10.0 * t)) * h * d0
-                  + t * t * (1.0 + 4.0 * t) * h2 * dd0 + t ** 3 * h3 * ddd0)
-        + t ** 4 * ((1.0 + s * (4.0 + s * (10.0 + 20.0 * s))) * f1
-                    - s * (1.0 + s * (4.0 + 10.0 * s)) * h * d1
-                    + s * s * (1.0 + 4.0 * s) * h2 * dd1 - s ** 3 * h3 * ddd1)
-    )
-
-
-def _hermite9(t, h, left, right):
-    """The degree-9 Hermite interpolant at t = (s - s0) / h on [s0, s0 + h]
-    from the first five jets (f, ..., f'''') at both ends, as `_hermite7`."""
-    f0, d0, dd0, ddd0, dddd0 = left
-    f1, d1, dd1, ddd1, dddd1 = right
-    s = 1.0 - t
-    h2, h3, h4 = 0.5 * h * h, h * h * h / 6.0, h ** 4 / 24.0
-    return (
-        s ** 5 * ((1.0 + t * (5.0 + t * (15.0 + t * (35.0 + 70.0 * t)))) * f0
-                  + t * (1.0 + t * (5.0 + t * (15.0 + 35.0 * t))) * h * d0
-                  + t * t * (1.0 + t * (5.0 + 15.0 * t)) * h2 * dd0
-                  + t ** 3 * (1.0 + 5.0 * t) * h3 * ddd0 + t ** 4 * h4 * dddd0)
-        + t ** 5 * ((1.0 + s * (5.0 + s * (15.0 + s * (35.0 + 70.0 * s)))) * f1
-                    - s * (1.0 + s * (5.0 + s * (15.0 + 35.0 * s))) * h * d1
-                    + s * s * (1.0 + s * (5.0 + 15.0 * s)) * h2 * dd1
-                    - s ** 3 * (1.0 + 5.0 * s) * h3 * ddd1 + s ** 4 * h4 * dddd1)
-    )
+    return _hermite_read(np.log(x), jets, np.log(r))
 
 
 def singular_series_coefficient(cfg: ProblemConfig) -> float:

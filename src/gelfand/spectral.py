@@ -211,8 +211,8 @@ def potential_from_shoot(cfg: ProblemConfig, shoot: ShootResult) -> RadialPotent
     """lambda a e^u = a e^v along a regular shooting profile, with its first
     three derivatives by Leibniz's rule from those of a and of e^v."""
     r, v, dv = shoot.profile.radii, shoot.profile.values, shoot.profile.derivs
-    (_, v2), (_, v3), _ = (jet.T for jet in _jets(cfg, r, np.column_stack((v, dv))))
-    a, da, dda, ddda = weight_arrays(cfg.weight, r)
+    weight = a, da, dda, ddda = weight_arrays(cfg.weight, r)
+    (_, v2), (_, v3), _ = (jet.T for jet in _jets(cfg, r, np.column_stack((v, dv)), weight))
     ev = np.exp(v)
     w2 = v2 + dv * dv  # (e^v)'' / e^v
     w3 = v3 + dv * (3.0 * v2 + dv * dv)  # (e^v)''' / e^v
@@ -232,8 +232,8 @@ def potential_from_singular(cfg: ProblemConfig, profile: RadialProfile) -> Radia
     keeps the smooth part accurate at small r."""
     N = cfg.dim
     r, V, dV = profile.radii, profile.values, profile.derivs
-    (_, V2), (_, V3), _ = (jet.T for jet in _jets(cfg, r, np.column_stack((V, dV))))
-    a, da, dda, ddda = weight_arrays(cfg.weight, r)
+    weight = a, da, dda, ddda = weight_arrays(cfg.weight, r)
+    (_, V2), (_, V3), _ = (jet.T for jet in _jets(cfg, r, np.column_stack((V, dV)), weight))
     la1, la2, la3 = da / a, dda / a, ddda / a
     jets = (V + np.log(a) + 2.0 * np.log(r) - math.log(2.0 * (N - 2.0)),
             dV + la1 + 2.0 / r,

@@ -123,6 +123,35 @@ def test_trace_flags_turning_points(tmp_path):
     assert "turning" in svg.read_text() or "circle" in svg.read_text()
 
 
+def test_svg_manifest_comment_survives_double_dashes(tmp_path):
+    # XML forbids "--" inside a comment, and the manifest comment holds the
+    # artifact paths: each "--" is written as "-\u002d", JSON's escape for "-"
+    out, svg = tmp_path / "curve--v2.csv", tmp_path / "plot--v2.svg"
+    assert run_main(["trace", "--dim", "3", "--weight", "const",
+                     "--beta-min", "-3", "--beta-max", "-2",
+                     "--out", str(out), "--svg", str(svg)]) == 0
+    ET.parse(svg)
+    text = svg.read_text()
+    comment = text[text.index("<!--") + 4:text.index("-->")]
+    assert "--" not in comment
+    manifest = json.loads(comment)
+    assert manifest["artifacts"] == [str(out), str(svg)]
+    assert manifest == parse_curve_csv(out.read_text())[0]
+
+
+def test_manifest_strings_escape_control_characters(capsys, tmp_path):
+    # parse_weight strips whitespace, so a spec with a trailing newline or
+    # tab is accepted: the JSON on stdout and the CSV manifest block must
+    # still parse, and give the spec back as it was typed
+    assert run_main(["verify", "flux", "--dim", "3", "--weight", "const\n",
+                     "--beta", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["manifest"]["weight_spec"] == "const\n"
+    out = tmp_path / "c.csv"
+    assert run_main(["trace", "--dim", "3", "--weight", "const\t\n",
+                     "--beta-min", "-3", "--beta-max", "-2", "--out", str(out)]) == 0
+    assert parse_curve_csv(out.read_text())[0]["weight_spec"] == "const\t\n"
+
+
 # ---------------------------------------------------------------- verify
 
 def test_verify_singular_passes(capsys):

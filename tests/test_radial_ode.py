@@ -26,6 +26,7 @@ from gelfand import (
 )
 from gelfand import _stepper, radial_ode, weights
 from gelfand.radial_ode import (
+    _HERMITE_RIGHT,
     _run,
     hermite_values,
     series_start,
@@ -300,6 +301,36 @@ def test_quintic_values_do_not_extrapolate():
     for r in (0.5 * prof.radii[0], 1.0 + 1e-9):
         with pytest.raises(ValueError, match="outside"):
             hermite_values(cfg, prof, [r])
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_hermite_right_inverts_the_conditions_at_the_right_end(m):
+    conditions = np.array([[math.comb(m + j, k) for j in range(m)] for k in range(m)])
+    assert np.array_equal(_HERMITE_RIGHT[m] @ conditions, np.eye(m))
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_hermite_coeffs_reproduce_polynomials_from_their_jets(m):
+    # a polynomial of degree 2m - 1 is its own Hermite interpolant: the
+    # builder returns its coefficients in t = (r - x0) / h, on 200 random
+    # segments at once and, with 2-D jets, one function a column
+    rng = np.random.default_rng(m)
+    ref = rng.standard_normal((2 * m, 200))
+    h = rng.uniform(0.01, 2.0, 200)
+    polys = [np.polynomial.Polynomial(c) for c in ref.T]
+    # the k-th r-derivative is the k-th t-derivative over h^k
+    left, right = ([np.array([p.deriv(k)(t) for p in polys]) / h ** k for k in range(m)]
+                   for t in (0.0, 1.0))
+    cols = radial_ode._hermite_coeffs(h[:, None], [np.column_stack((f, 2.0 * f)) for f in left],
+                                      [np.column_stack((f, 2.0 * f)) for f in right])
+    # to rounding: eps times the condition number of the fit at x0 + h
+    # (m = 4: 1.7e-13 of a 2.1e-12 bound, m = 5: 2.2e-12 of 4.0e-11)
+    conditions = np.array([[math.comb(m + j, k) for j in range(m)] for k in range(m)])
+    cond = np.linalg.norm(_HERMITE_RIGHT[m], np.inf) * np.linalg.norm(conditions, np.inf)
+    scale = np.max(np.abs(ref), axis=0)
+    for got in (np.array(radial_ode._hermite_coeffs(h, left, right)),
+                np.array(cols)[:, :, 0], 0.5 * np.array(cols)[:, :, 1]):
+        assert np.max(np.abs(got - ref) / scale) <= cond * np.finfo(float).eps
 
 
 FILL_CASES = [(dim, spec) for dim in (3, 10, 12)
