@@ -14,9 +14,10 @@ dense output's three extra stages are never computed: value readers
 interpolate by Hermite with derivatives from the ODE, all from one
 builder of two-point Hermite coefficients (``radial_ode._hermite_coeffs``).
 Grid fills (``radial_ode._grid_states``) read accepted steps by degree 7,
-``radial_ode.hermite_values`` reads profiles by degree 9 in log r, and
-the numeric potentials of ``spectral`` read their nodes by degree 7
-(``radial_ode.RadialProfile.from_jets``).
+``radial_ode.hermite_values`` reads profiles by degree 9 in log r, the
+numeric potentials of ``spectral`` read their nodes by degree 7
+(``radial_ode.RadialProfile.from_jets``), and so do the flux and Pohozaev
+checks at their Gauss-Legendre nodes (``radial_ode._gauss_cells``).
 
 Output nodes bound the step: a step that would pass a node is clamped to
 end on it. Grid shoots (``radial_ode.integrate_ivp`` with radii,

@@ -162,11 +162,12 @@ def default_grid(cfg: ProblemConfig, R: float = 1.0) -> np.ndarray:
 
 class RadialProfile:
     """Sampled radial function: radii, values, first derivatives, outer
-    radius R. Shoots return plain containers, read by `hermite_values`; a
-    numeric potential (`spectral.RadialPotential`) is built by `from_jets`,
-    whose degree-7 Hermite coefficients `evaluate_array` and `scalar_value`
-    read. Those coefficients, the grid fills and `hermite_values` all come
-    from one builder, `_hermite_coeffs`."""
+    radius R. Shoots return plain containers, read by `hermite_values` and
+    the flux and Pohozaev checks (`_gauss_cells`); a numeric potential
+    (`spectral.RadialPotential`) is built by `from_jets`, whose degree-7
+    Hermite coefficients `evaluate_array` and `scalar_value` read. Those
+    coefficients, the grid fills, `hermite_values` and the identity checks
+    all come from one builder, `_hermite_coeffs`."""
 
     __slots__ = ("radii", "values", "derivs", "R", "coeffs")
 
@@ -175,6 +176,7 @@ class RadialProfile:
         self.values = np.asarray(values, dtype=float)
         self.derivs = np.asarray(derivs, dtype=float)
         self.R = float(R if R is not None else self.radii[-1])
+        self.coeffs = None
 
     def __len__(self):
         return len(self.radii)
@@ -198,18 +200,26 @@ class RadialProfile:
         prof.coeffs = np.column_stack([c / h ** k for k, c in enumerate(coeffs)])
         return prof
 
+    def _segments(self):
+        if self.coeffs is None:
+            raise ValueError("this profile holds samples only: build a reader with "
+                             "RadialProfile.from_jets, or read a shoot with hermite_values")
+        return self.coeffs
+
     def evaluate_array(self, r):
         """The interpolant of `from_jets` at the radii r, by Horner; the
         even quadratic through the first node's value and slope below it;
-        ValueError beyond R (to 1e-12 relative). The finite-volume matrix
-        and the eigenvalue bracket of `spectral.morse_index` call it."""
+        ValueError beyond R (to 1e-12 relative), or on a profile that
+        `from_jets` did not build. The finite-volume matrix and the
+        eigenvalue bracket of `spectral.morse_index` call it."""
+        coeffs = self._segments()
         r = np.asarray(r, dtype=float)
         if np.any(r > self.R * (1.0 + 1e-12)):
             raise ValueError("evaluation beyond the profile's outer radius")
         rr = np.minimum(r, self.R)
         x = self.radii
         i = np.clip(np.searchsorted(x, rr, side="right") - 1, 0, len(x) - 2)
-        val = _horner(self.coeffs[i].T, rr - x[i])
+        val = _horner(coeffs[i].T, rr - x[i])
         below = rr < x[0]
         if np.any(below):
             # even quadratic through (x0, f0) with slope d0 there
@@ -222,7 +232,7 @@ class RadialProfile:
         for the Pruefer right-hand side, which asks for one radius at a
         time: the same operations on the same coefficients, so bit-identical
         to evaluate_array, and a Python float on every branch."""
-        x, rows = self.radii.tolist(), self.coeffs.tolist()
+        x, rows = self.radii.tolist(), self._segments().tolist()
         R = self.R
         r_max = R * (1.0 + 1e-12)
         x_first, f_first = x[0], float(self.values[0])
@@ -656,65 +666,57 @@ def residual_Uh(dim: int, h: float, radii) -> float:
     return float(np.max(np.abs(lhs - rhs) / np.abs(rhs)))
 
 
-def cumulative_power_integral(x, g, pw: int) -> np.ndarray:
-    """Cumulative integral of s^pw g(s) from x[0], g sampled at x.
-
-    On each segment g is the quintic through the 6 nearest samples (the
-    segment's ends and two on each side, shifted inward at the ends of x),
-    in barycentric form l(s) sum_k w_k g_k / (s - x_k) over differences of
-    nodes. s^pw times it, of degree pw + 5 <= 17, is integrated exactly by
-    9-point Gauss-Legendre. Fitting only the smooth factor g keeps the rule
-    accurate on geometric grids near 0, where the full integrand varies
-    like s^pw across a single cell."""
+def _gauss_cells(cfg: ProblemConfig, x, y):
+    """9-point Gauss-Legendre on each interval of the non-decreasing radii
+    x at which a solution's states y, rows (v, v', ...), are sampled: the
+    nodes r, v and v' there and the weights w, each shaped (9, intervals),
+    so that sum(w f(r)) integrates f over each interval. v and v' are read
+    by the degree-7 Hermite of the grid fills (`_hermite_coeffs`), each
+    from its first three derivatives at the ends (`_jets`); a repeated
+    radius is an interval of width 0, which weighs nothing."""
     x = np.asarray(x, dtype=float)
-    g = np.asarray(g, dtype=float)
-    n = len(x)
-    if n < 6:
-        raise ValueError("need at least 6 samples")
-    stencil = np.clip(np.arange(n - 1) - 2, 0, n - 6)[:, None] + np.arange(6)
-    xs = x[stencil]
-    diff = xs[:, :, None] - xs[:, None, :]
-    diff[:, range(6), range(6)] = 1.0
-    weighted = g[stencil] / diff.prod(axis=2)  # w_k g_k, w_k = 1 / prod_{m != k} (x_k - x_m)
-    mid, half = 0.5 * (x[1:] + x[:-1]), 0.5 * (x[1:] - x[:-1])
-    dI = np.zeros(n - 1)
-    for node, weight in zip(*_GAUSS9):
-        s = mid + half * node
-        d = s[:, None] - xs
-        dI += weight * s ** pw * d.prod(axis=1) * (weighted / d).sum(axis=1)
-    out = np.empty(n)
-    out[0] = 0.0
-    np.cumsum(half * dI, out=out[1:])
-    return out
+    y = np.asarray(y, dtype=float)[:, :2]
+    jets = [f.T for f in (y, *_jets(cfg, x, y, weight_arrays(cfg.weight, x)))]
+    h = np.diff(x)
+    # rows (v, v'), the interval axis innermost: Horner runs on contiguous rows
+    c = np.array(_hermite_coeffs(h, [f[:, :-1] for f in jets], [f[:, 1:] for f in jets]))
+    node, weight = (np.array(g)[:, None] for g in _GAUSS9)
+    t = 0.5 * (node + 1.0)
+    v, dv = _horner(c[:, :, None, :], t)
+    return x[:-1] + h * t, v, dv, 0.5 * h * weight
 
 
 def flux_residual(cfg: ProblemConfig, shoot: ShootResult) -> float:
     """Relative defect in -r^{N-1} v' = int_0^r s^{N-1} a e^v ds.
 
-    The piece of the integral below r_start comes from the series start.
+    The integral starts at the shoot's own start r0 = `_init_radius`, where
+    two series terms close it (e^beta r0^2 <= 0.005 N), and goes on over
+    the accepted steps of a shoot from r0 to the profile's first radius,
+    where r0 lies below it, and over the profile's intervals, all by
+    `_gauss_cells`.
 
     Hypothesis: the identity holds for every regular solution (v'(0) = 0),
     since (r^{N-1} v')' = -r^{N-1} a e^v; the shoot is regular by
-    construction. The check itself also assumes that two series terms carry
-    the integral over [0, r_start] (e^beta r_start^2 << 1) and that the
-    grid resolves the boundary layer near r = e^{-beta/2}. Neither is
-    enforced. With a_5 the residual is 2.0e-7 at beta = 10 (N = 3), 1.8e-6
-    at beta = 12 (N = 3) and 0.23 at beta = 20 (N = 3; 4.6e-6 with r_start
-    = 1e-6), so `verify flux` reports a failed identity from about beta = 12
-    on.
+    construction.
     """
     N = cfg.dim
-    r = shoot.profile.radii
-    v = shoot.profile.values
-    dv = shoot.profile.derivs
-    a = weight_arrays(cfg.weight, r)[0]
-    c2, _, _ = _series_coeffs(cfg, shoot.beta)
+    beta, prof = shoot.beta, shoot.profile
+    r0 = _init_radius(cfg, beta)
+    c2, _, _ = _series_coeffs(cfg, beta)
     a2 = 0.5 * cfg.weight.a2pp
-    r0 = cfg.r_start
-    eb = math.exp(shoot.beta)
-    closure = eb * (r0 ** N / N + (a2 + c2) * r0 ** (N + 2) / (N + 2))
-    F = closure + cumulative_power_integral(r, a * np.exp(v), N - 1)
-    L = -(r ** (N - 1)) * dv
+    closure = math.exp(beta) * (r0 ** N / N + (a2 + c2) * r0 ** (N + 2) / (N + 2))
+
+    def cells(x, y):
+        s, v, _, w = _gauss_cells(cfg, x, y)
+        return np.sum(w * s ** (N - 1) * weight_arrays(cfg.weight, s)[0] * np.exp(v), axis=0)
+
+    r = prof.radii
+    if r[0] > r0 * (1.0 + 1e-12):
+        _, xs, ys = _integrate(cfg, _rhs_ve(cfg), r0, series_start(cfg, beta, r0), [float(r[0])])
+        closure += float(np.sum(cells(xs, ys)))
+    inner = cells(r, np.column_stack((prof.values, prof.derivs)))
+    F = np.cumsum(np.concatenate(([closure], inner)))
+    L = -(r ** (N - 1)) * prof.derivs
     denom = np.maximum(np.abs(L), np.abs(F))
     return float(np.max(np.abs(L - F) / denom))
 
@@ -727,7 +729,7 @@ def pohozaev_residual(cfg: ProblemConfig, shoot: ShootResult, mu: float) -> floa
         + r^{N-1} [ N a (e^v - 1) - mu a v e^v + (mu + 1 - N/2) v'^2 ]
 
     holds pointwise for solutions of the shooting ODE; both sides are
-    integrated over the profile's support and compared.
+    integrated over the profile's support (`_gauss_cells`) and compared.
 
     Hypothesis: a solution of the ODE on [r_start, 1] with a in C^1 there,
     nothing at r = 0, since the boundary term is taken at r_start. Every
@@ -735,21 +737,17 @@ def pohozaev_residual(cfg: ProblemConfig, shoot: ShootResult, mu: float) -> floa
     only the integrator and the quadrature; nothing needs enforcing.
     """
     N = cfg.dim
-    r = shoot.profile.radii
-    v = shoot.profile.values
-    dv = shoot.profile.derivs
+    prof = shoot.profile
+    r, v, dv = prof.radii[[0, -1]], prof.values[[0, -1]], prof.derivs[[0, -1]]
+    a = weight_arrays(cfg.weight, r)[0]
+    T = r ** N * (0.5 * dv * dv + a * (np.exp(v) - 1.0)) + mu * r ** (N - 1) * v * dv
+    boundary = float(T[1] - T[0])
+    r, v, dv, w = _gauss_cells(cfg, prof.radii, np.column_stack((prof.values, prof.derivs)))
     a, da, _, _ = weight_arrays(cfg.weight, r)
     ev = np.exp(v)
-    T = r ** N * (0.5 * dv * dv + a * (ev - 1.0)) + mu * r ** (N - 1) * v * dv
-    boundary = float(T[-1] - T[0])
-    IA = float(cumulative_power_integral(r, da * (ev - 1.0), N)[-1])
-    IB = float(
-        cumulative_power_integral(
-            r,
-            N * a * (ev - 1.0) - mu * a * v * ev + (mu + 1.0 - 0.5 * N) * dv * dv,
-            N - 1,
-        )[-1]
-    )
+    IA = float(np.sum(w * r ** N * da * (ev - 1.0)))
+    IB = float(np.sum(w * r ** (N - 1) * (N * a * (ev - 1.0) - mu * a * v * ev
+                                          + (mu + 1.0 - 0.5 * N) * dv * dv)))
     scale = max(abs(boundary), abs(IA), abs(IB), 1e-300)
     return abs(boundary - IA - IB) / scale
 

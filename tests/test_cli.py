@@ -185,6 +185,14 @@ def test_verify_pohozaev_and_flux_pass(capsys):
     assert payload["pass"] is True and payload["residual"] <= 1e-11
 
 
+def test_verify_flux_passes_past_the_boundary_layer(capsys):
+    # beta = 20 puts the layer near r = e^{-10}, below r_start = 1e-4
+    assert run_main(["verify", "flux", "--dim", "3", "--weight", "ah:h=5",
+                     "--beta", "20"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["pass"] is True and payload["residual"] <= cli.IDENTITY_TOL
+
+
 def test_verify_separation_pass_and_fail(capsys):
     assert run_main(["verify", "separation", "--dim", "10",
                      "--weight", "ah:h=5.7831859629467084",

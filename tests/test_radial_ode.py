@@ -536,16 +536,6 @@ def test_flux_residual_examples():
     assert flux_residual(cfg3, integrate_ivp(cfg3, -20.0)) <= 1e-6
 
 
-def test_flux_closed_form_on_exact_singular_solution():
-    # a = 1, V = -2 log r: both sides of the flux identity equal 2 r^{N-2}
-    N = 7
-    r = np.linspace(1e-4, 1.0, 4001)
-    lhs = -(r ** (N - 1)) * (-2.0 / r)
-    # integrand lambda_* a e^{V}/lambda_* = 2(N-2) r^{N-3}
-    rhs = 2.0 * (N - 2) * r ** (N - 2) / (N - 2)
-    assert np.max(np.abs(lhs - rhs)) < 1e-10
-
-
 def test_pohozaev_residual_examples():
     cfg = ProblemConfig(dim=5, weight=CONST)
     sh = integrate_ivp(cfg, 3.0)
@@ -553,43 +543,50 @@ def test_pohozaev_residual_examples():
         assert pohozaev_residual(cfg, sh, mu) <= 1e-6
 
 
-def test_identity_quadrature_is_exact_for_power_times_quintic():
-    from gelfand.radial_ode import _GAUSS9, cumulative_power_integral
+def _exact_singular_shoot(dim, h):
+    # V = log 2(N-2) - 2 log r - h r^2/(2N) solves V'' + (N-1)/r V' = -a_h e^V
+    cfg = ProblemConfig(dim=dim, weight=make_ah(h, dim))
+    r = default_grid(cfg)
+    V = math.log(2.0 * (dim - 2)) - 2.0 * np.log(r) - h * r * r / (2.0 * dim)
+    dV = -2.0 / r - h * r / dim
+    prof = radial_ode.RadialProfile(r, V, dV)
+    lam = math.exp(float(V[-1]))
+    return cfg, radial_ode.ShootResult(beta=math.inf, lam=lam, alpha=math.inf, v1=float(V[-1]),
+                                       dlambda_dbeta=0.0, profile=prof, variation_profile=prof)
 
-    assert np.array_equal(_GAUSS9, np.polynomial.legendre.leggauss(9))
-    # s^pw times a quintic, integrated exactly on a geometric-then-uniform grid
-    cfg = ProblemConfig(dim=12, weight=CONST)
-    x = default_grid(cfg)
-    quintic = np.polynomial.Polynomial([0.3, -1.0, 2.0, 0.5, -0.7, 1.1])
-    for pw in (0, 2, 11, 12):
-        exact = (quintic * np.polynomial.Polynomial([0.0] * pw + [1.0])).integ()
-        got = cumulative_power_integral(x, quintic(x), pw)
-        ref = exact(x) - exact(x[0])
-        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), pw
-    with pytest.raises(ValueError, match="6 samples"):
-        cumulative_power_integral(x[:5], quintic(x[:5]), 2)
+
+@pytest.mark.parametrize("dim", [3, 10, 12])
+@pytest.mark.parametrize("h", [0.0, 40.0])
+def test_pohozaev_residual_vanishes_on_the_exact_singular_solution(dim, h):
+    # no integrator: the profile is exact, so only the Gauss cells and their
+    # Hermite reads (from the ODE's jets) stand between the sides
+    assert np.array_equal(radial_ode._GAUSS9, np.polynomial.legendre.leggauss(9))
+    cfg, sh = _exact_singular_shoot(dim, h)
+    for mu in (0.0, 1.0):
+        assert pohozaev_residual(cfg, sh, mu) <= 1e-13, mu
 
 
 def test_pohozaev_defect_affine_in_mu():
     # the signed defect D(mu) = boundary(mu) - integrals(mu) is affine in
     # mu by construction, so its second difference vanishes to round-off;
-    # reconstructed here independently from the profile arrays
-    from gelfand.radial_ode import cumulative_power_integral
+    # reconstructed here independently from the profile and its Gauss cells
     from gelfand.weights import weight_arrays
 
     cfg = ProblemConfig(dim=5, weight=CONST)
     sh = integrate_ivp(cfg, 3.0)
     N = cfg.dim
     r, v, dv = sh.profile.radii, sh.profile.values, sh.profile.derivs
-    a, da, _, _ = weight_arrays(cfg.weight, r)
+    a = weight_arrays(cfg.weight, r)[0]
     ev = np.exp(v)
+    s, vs, dvs, w = radial_ode._gauss_cells(cfg, r, np.column_stack((v, dv)))
+    as_, das = weight_arrays(cfg.weight, s)[:2]
+    evs = np.exp(vs)
 
     def defect(mu):
         T = r**N * (0.5 * dv * dv + a * (ev - 1.0)) + mu * r ** (N - 1) * v * dv
-        IA = float(cumulative_power_integral(r, da * (ev - 1.0), N)[-1])
-        IB = float(cumulative_power_integral(
-            r, N * a * (ev - 1.0) - mu * a * v * ev + (mu + 1.0 - 0.5 * N) * dv * dv,
-            N - 1)[-1])
+        IA = float(np.sum(w * s**N * das * (evs - 1.0)))
+        IB = float(np.sum(w * s ** (N - 1) * (N * as_ * (evs - 1.0) - mu * as_ * vs * evs
+                                               + (mu + 1.0 - 0.5 * N) * dvs * dvs)))
         return float(T[-1] - T[0]) - IA - IB, max(abs(float(T[-1] - T[0])), abs(IB))
 
     d0, s0 = defect(0.0)
@@ -598,14 +595,55 @@ def test_pohozaev_defect_affine_in_mu():
     assert abs(d2 - 2.0 * d1 + d0) <= 1e-11 * max(s0, s1, s2)
 
 
-@given(st.integers(3, 10), st.floats(-2.0, 6.0))
-@settings(max_examples=10, deadline=None)
-def test_identity_residuals_random(dim, beta):
-    cfg = ProblemConfig(dim=dim, weight=make_ah(4.0, dim))
+@pytest.mark.parametrize("dim, spec", [(3, "ah:h=5"), (10, "ah:h=5"), (6, "const")])
+@pytest.mark.parametrize("beta", [12.0, 16.0, 20.0, 30.0, 40.0])
+def test_identity_residuals_hold_past_the_boundary_layer(dim, spec, beta):
+    # the boundary layer near r = e^{-beta/2} nears r_start = 1e-4 and, from
+    # beta ~ 14 on, lies below it, where the shoot starts deeper (_init_radius)
+    from gelfand.cli import IDENTITY_TOL
+
+    cfg = ProblemConfig(dim=dim, weight=parse_weight(spec, dim))
     sh = integrate_ivp(cfg, beta)
-    assert flux_residual(cfg, sh) <= 1e-6
-    assert pohozaev_residual(cfg, sh, 0.0) <= 1e-6
-    assert pohozaev_residual(cfg, sh, 1.0) <= 1e-6
+    assert flux_residual(cfg, sh) <= IDENTITY_TOL
+    for mu in (0.0, 1.0):
+        assert pohozaev_residual(cfg, sh, mu) <= IDENTITY_TOL
+
+
+def test_identity_residuals_on_a_grid_with_a_repeated_radius():
+    # output radii may repeat; the repeat is an empty cell, not a zero
+    # division (RuntimeWarnings are errors in this suite)
+    cfg = ProblemConfig(dim=3, weight=CONST)
+    grid = default_grid(cfg)
+    grid = np.insert(grid, 100, grid[100])
+    sh = integrate_ivp(cfg, 3.0, radii=grid)
+    assert flux_residual(cfg, sh) <= 1e-12
+    for mu in (0.0, 1.0):
+        assert pohozaev_residual(cfg, sh, mu) <= 1e-12
+
+
+def _weight_draw(dim, kind, h, c1, d):
+    if kind == "const":
+        return CONST
+    if kind == "ah":
+        return make_ah(h, dim)
+    return parse_weight(f"polyexp:{c1!r};d={d!r}")
+
+
+@given(st.integers(3, 12), st.sampled_from(["const", "ah", "polyexp"]),
+       st.floats(-1.0, 40.0), st.floats(0.0, 1.5), st.floats(-0.5, 0.5),
+       st.floats(radial_ode.BETA_MIN_GUARD, radial_ode.BETA_MAX_GUARD))
+@settings(max_examples=60, deadline=None)
+def test_identity_residuals_random(dim, kind, h, c1, d, beta):
+    # the whole guard range; the worst case seen is 7.0e-7, the flux
+    # residual at N=12, a_40, beta <= -20, where v' ~ e^beta lies far below
+    # abs_tol and only the anchor spacing bounds its error
+    from gelfand.cli import IDENTITY_TOL
+
+    cfg = ProblemConfig(dim=dim, weight=_weight_draw(dim, kind, h, c1, d))
+    sh = integrate_ivp(cfg, beta)
+    assert flux_residual(cfg, sh) <= IDENTITY_TOL
+    assert pohozaev_residual(cfg, sh, 0.0) <= IDENTITY_TOL
+    assert pohozaev_residual(cfg, sh, 1.0) <= IDENTITY_TOL
 
 
 # ------------------------------------------------------------- asymptotics
@@ -772,6 +810,18 @@ def test_evaluate_array_consistent_at_nodes():
     vals = prof.evaluate_array(prof.radii)
     assert np.array_equal(vals[:-1], prof.values[:-1])
     assert vals[-1] == pytest.approx(prof.values[-1], rel=1e-14)
+
+
+def test_sample_profiles_refuse_the_potential_readers():
+    # shoots, singular and rescaled profiles carry samples only; their
+    # readers are hermite_values, and a potential is built by from_jets
+    cfg = ProblemConfig(dim=3, weight=CONST)
+    for prof in (integrate_ivp(cfg, 1.0).profile, integrate_ivp(cfg, 1.0, trace=True).profile,
+                 integrate_singular(cfg)[1], rescaled_profile(cfg, 1.0)):
+        with pytest.raises(ValueError, match="from_jets.*hermite_values"):
+            prof.evaluate_array([0.5])
+        with pytest.raises(ValueError, match="from_jets.*hermite_values"):
+            prof.scalar_value()
 
 
 def test_potential_drops_repeated_radii():
