@@ -5,26 +5,35 @@
         --change C/perfbench/out/result-branch-seed601-trace0.json ... \
         --out BENCH_<n>.json
 
-Each input is a result file that ``perfbench/run.py --trace 0`` writes. A
-parent file and a change file form a pair when they share workload and
-seed; every file must have its partner. For each workload and each
-end-to-end metric of ``BENCHMARK.json`` the output holds, per side, the
-values in pair order, their median and quartiles, and how many pairs the
-change won, lost or tied in the metric's ``better`` direction, and
-``gain``: the relative change of the median from parent to change, signed
-so that positive is better (null where the parent's median is 0), and
-``resolved``: false where the parent's interquartile range exceeds the
-metric's bound times the parent's median, so that the runs spread too
-widely to tell a change within the bound from none, unless every run of
-the change is better than every run of the parent. It also
-holds each side's count of failed tasks per workload, and the host and
-library versions of the first parent run. Quartiles are
-``statistics.quantiles(n=4, method="inclusive")``. The script reads JSON
-files only. Each printed metric line ends with the gain next to the
-metric's ``bound``, with ``REGRESSION`` where the loss exceeds the bound
-and with ``UNRESOLVED`` where the metric is not resolved. One more line per
+Each input is a result file that ``perfbench/run.py`` writes, untraced
+(``--trace 0``) or traced (``--trace 1``). A parent file and a change file
+form a pair when they share workload, seed and tracing; every file must
+have its partner.
+
+For each workload of the untraced pairs and each end-to-end metric of
+``BENCHMARK.json`` the output holds, per side, the values in pair order,
+their median and quartiles, and how many pairs the change won, lost or
+tied in the metric's ``better`` direction, and ``gain``: the relative
+change of the median from parent to change, signed so that positive is
+better (null where the parent's median is 0), and ``resolved``: false
+where the parent's interquartile range exceeds the metric's bound times
+the parent's median, so that the runs spread too widely to tell a change
+within the bound from none, unless every run of the change is better than
+every run of the parent. It also holds each side's count of failed tasks
+per workload, and the host and library versions of the first parent run.
+Quartiles are ``statistics.quantiles(n=4, method="inclusive")``. Each
+printed metric line ends with the gain next to the metric's ``bound``,
+with ``REGRESSION`` where the loss exceeds the bound and with
+``UNRESOLVED`` where the metric is not resolved. One more line per
 workload gives both sides' counts of failed tasks, flagged ``MORE
 FAILURES`` where the change has more than the parent.
+
+The traced pairs go under ``layers``: for each workload its seeds and,
+for each ``per_layer`` metric of ``BENCHMARK.json``, its unit, its
+``better`` direction and each side's values in seed order, so that a
+change's gain can be traced to the layer it came from. One printed line
+per workload and metric gives both medians and their relative change.
+The script reads JSON files only.
 """
 
 from __future__ import annotations
@@ -39,16 +48,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _load(paths):
-    """{(workload, seed): result} for one side; a key may occur once."""
+    """{(workload, seed, traced): result} for one side; a key may occur once."""
     runs = {}
     for path in paths:
         with open(path) as fh:
             res = json.load(fh)
-        if res.get("trace"):
-            raise ValueError(f"{path}: a traced run has no end-to-end metrics")
-        key = (res["workload"], res["environment"]["seed"])
+        key = (res["workload"], res["environment"]["seed"], bool(res.get("trace")))
         if key in runs:
-            raise ValueError(f"{path}: a second run of {key[0]} seed {key[1]}")
+            kind = "traced run" if key[2] else "run"
+            raise ValueError(f"{path}: a second {kind} of {key[0]} seed {key[1]}")
         runs[key] = res
     return runs
 
@@ -79,17 +87,31 @@ def _resolved(p_sum, c_sum, bound, lower):
     return min(c_sum["values"]) > max(p_sum["values"])
 
 
+def _layers(parent, change, benchmark):
+    """{workload: seeds and per-layer values of each side} of the traced pairs."""
+    out = {}
+    for workload in sorted({w for w, _, traced in parent if traced}):
+        seeds = sorted(s for w, s, traced in parent if traced and w == workload)
+        pairs = [(parent[(workload, s, True)], change[(workload, s, True)]) for s in seeds]
+        out[workload] = {"seeds": seeds, "metrics": {
+            m["name"]: {"unit": m["unit"], "better": m["better"],
+                        "parent": [p["metrics"][m["name"]] for p, _ in pairs],
+                        "change": [c["metrics"][m["name"]] for _, c in pairs]}
+            for m in benchmark["per_layer"]}}
+    return out
+
+
 def compare(parent_paths, change_paths, benchmark):
     """The comparison as a JSON-ready dict."""
     parent, change = _load(parent_paths), _load(change_paths)
     if parent.keys() != change.keys():
         alone = sorted(parent.keys() ^ change.keys())
-        raise ValueError(f"runs without a partner (workload, seed): {alone}")
+        raise ValueError(f"runs without a partner (workload, seed, traced): {alone}")
     metrics = benchmark["end_to_end"]
     out = {}
-    for workload in sorted({w for w, _ in parent}):
-        seeds = sorted(s for w, s in parent if w == workload)
-        pairs = [(parent[(workload, s)], change[(workload, s)]) for s in seeds]
+    for workload in sorted({w for w, _, traced in parent if not traced}):
+        seeds = sorted(s for w, s, traced in parent if not traced and w == workload)
+        pairs = [(parent[(workload, s, False)], change[(workload, s, False)]) for s in seeds]
         entry = {
             "seeds": seeds,
             "failed": {"parent": sum(len(p["failures"]) for p, _ in pairs),
@@ -113,7 +135,11 @@ def compare(parent_paths, change_paths, benchmark):
         out[workload] = entry
     env = dict(next(iter(parent.values()))["environment"])
     env.pop("seed", None)
-    return {"pairing": "workload and seed", "environment": env, "workloads": out}
+    result = {"pairing": "workload and seed", "environment": env, "workloads": out}
+    layers = _layers(parent, change, benchmark)
+    if layers:
+        result["layers"] = layers
+    return result
 
 
 def main(argv=None) -> int:
@@ -142,6 +168,11 @@ def main(argv=None) -> int:
         failed = entry["failed"]
         flag = "  MORE FAILURES" if failed["change"] > failed["parent"] else ""
         print(f"{workload:9s} failed tasks {failed['parent']} -> {failed['change']}{flag}")
+    for workload, entry in result.get("layers", {}).items():
+        for name, m in entry["metrics"].items():
+            before, after = statistics.median(m["parent"]), statistics.median(m["change"])
+            change = "n/a" if before == 0 else f"{(after - before) / abs(before):+.1%}"
+            print(f"{workload:9s} {name:34s} {before:12.6g} -> {after:12.6g}  ({change})")
     return 0
 
 

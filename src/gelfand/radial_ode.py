@@ -6,9 +6,10 @@ Everything here works in the shooting normalization
 
 for which lambda(beta) = e^{v(1)} and u = v - log lambda solves the
 boundary-value problem. The first beta-derivative of v is integrated
-jointly with v. Integration starts at r_start from a matched
-Taylor expansion; the singular solution starts from its own matched
-expansion around the -2 log r profile.
+jointly with v. A regular shoot takes its states from the Taylor series
+at r = 0 (`_Series`) as far as that series is exact to rounding, and
+integrates from there; the singular solution starts at r_start from its
+own matched expansion around the -2 log r profile.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from numbers import Integral
+from operator import mul
 
 import numpy as np
 
@@ -34,12 +36,22 @@ _EXP_CAP = 500.0  # caps e^v: guards trial stages of rejected steps, not real st
 _GRID_RATIO = 1.08
 _GRID_H_UNIFORM = 2e-3
 
-# a grid shoot lands on anchor radii no farther apart than min(0.04, 0.26 r),
-# r the left one, and fills the radii between them from its accepted steps;
-# the singular solution's anchors are no farther apart than min(0.04, 0.1 r)
-_ANCHOR_GAP = 0.04
-_ANCHOR_REL = 0.26
-_SINGULAR_ANCHOR_REL = 0.1
+# a regular grid shoot lands on anchor radii no farther apart than
+# min(0.02, 0.26 r), r the left one, and fills the radii between them from
+# its accepted steps; the singular solution's anchors are no farther apart
+# than min(0.04, 0.1 r). Each pair is (gap, rel).
+_ANCHORS = (0.02, 0.26)
+_SINGULAR_ANCHORS = (0.04, 0.1)
+
+# a regular shoot starts from its Taylor series at r = 0 (`_Series`): of
+# this order in e^beta r^2, out to where its last terms fall below this
+# size; a trace shoot's profile holds series states from r_start up to the
+# series' radius at this ratio, and the integration from there takes a
+# first step of this fraction of the radius
+_SERIES_ORDER = 24
+_SERIES_EPS = 2.0 ** -52
+_SERIES_RATIO = 1.15
+_SERIES_FIRST_STEP = 0.02
 
 # a trace shoot integrates in r through the boundary layer, up to
 # rho = e^{beta/2} r = _SWITCH_RHO, and in s = log r from there to r = 1,
@@ -139,11 +151,12 @@ def default_grid(cfg: ProblemConfig, R: float = 1.0) -> np.ndarray:
     r_start = 1e-4 to 1).
 
     The spacing serves the flux and Pohozaev quadratures, which read the
-    samples. No shoot lands on every radius: a regular shoot lands on about
-    every third radius of the geometric head and every twentieth of the
-    uniform part (`_anchor_radii`, 55 of the 561), the singular solution on
-    123 of them, and both fill the rest from their accepted steps
-    (`_grid_states`).
+    samples. No shoot lands on every radius: a regular shoot takes the
+    radii up to its series' radius from the series and lands on about every
+    third radius of the geometric head and every tenth of the uniform part
+    beyond (`_anchor_radii`, 77 of the 561 over the whole grid), the
+    singular solution on 123 of them, and both fill the rest from their
+    accepted steps (`_grid_states`).
     """
     pts = [cfg.r_start]
     r = cfg.r_start
@@ -266,29 +279,101 @@ class ShootResult:
     variation_profile: RadialProfile
 
 
-def _series_coeffs(cfg: ProblemConfig, beta: float):
-    """Taylor coefficients at r=0 for v and the first variation e; both
-    share c2 = -e^beta/(2N)."""
-    N = cfg.dim
-    a2 = 0.5 * cfg.weight.a2pp  # a(r) = 1 + a2 r^2 + ...
-    eb = math.exp(beta)
-    c2 = -eb / (2.0 * N)
-    den = 4.0 * (N + 2.0)
-    c4 = -eb * (c2 + a2) / den
-    e4 = -eb * (a2 + 2.0 * c2) / den
-    return c2, c4, e4
+@functools.lru_cache(maxsize=64)
+def _weight_series(w: Weight) -> tuple[float, ...]:
+    """alpha_0..alpha_{K-1} of a(r) = sum_j alpha_j r^{2j}, K =
+    _SERIES_ORDER: the polynomial times the series of exp(d r^2)."""
+    tilt = [1.0]
+    for j in range(1, _SERIES_ORDER):
+        tilt.append(tilt[-1] * w.tilt / j)
+    poly = (1.0, *w.coeffs)
+    return tuple(sum(map(mul, poly[:j + 1], tilt[j::-1])) for j in range(_SERIES_ORDER))
+
+
+class _Series:
+    """The Taylor series at r = 0 of a regular shoot's v and e = dv/dbeta,
+    to order K = _SERIES_ORDER in tau = sigma r^2, sigma = e^{max(beta, 0)},
+
+        v = beta + sum_k b_k tau^k,   e = 1 + sum_k g_k tau^k,
+
+    and its radius r0: the largest r <= 1 at which the last two terms of v
+    and e are at most _SERIES_EPS = 2^-52, and those of r v' and r e' at
+    most 2^-52 times their first terms. With const, rho0 = e^{beta/2} r0 is
+    1.34 at N=3 and 2.13 at N=10 for beta >= 0, and r0 = 1 for beta <= 0;
+    a steep weight lowers it (a_40: 0.31 at N=3, 0.58 at N=10, beta = 0).
+
+    w = v - beta solves (r^{N-1} w')' = -r^{N-1} e^beta a e^w. With the
+    weight's series a = sum_j alpha_j r^{2j}, read as alpha_j / sigma^j in
+    tau, E = e^w and F = a E as series in tau:
+    2k(2k+N-2) b_k = -s F_{k-1} with s = e^beta / sigma, E_k = (1/k)
+    sum_j j b_j E_{k-j} (the exp series), and e solves the linearized
+    equation: 2k(2k+N-2) g_k = -s (F G)_{k-1}, G = e. Splitting e^beta
+    between sigma and s keeps every term finite over the guard range: in
+    r alone the factor e^{k beta} of tau^k overflows from beta ~ 30, and in
+    e^beta r^2 alone alpha_j e^{-j beta} from beta ~ -31 down.
+
+    The order: at 16, a_40's series at N=12 gives r0 = 0.50 for beta <~ -20,
+    and beyond it a shoot's v' (about e^beta, far below abs_tol) is 0.6 %
+    off at r = 1; at 24, r0 = 0.99 and v'(1) is exact to rounding.
+    """
+
+    __slots__ = ("beta", "sigma", "terms", "r0", "start")
+
+    def __init__(self, cfg: ProblemConfig, beta: float):
+        K, N = _SERIES_ORDER, cfg.dim
+        self.beta = beta
+        self.sigma = math.exp(max(beta, 0.0))
+        s = math.exp(min(beta, 0.0))
+        alpha, q = [], 1.0
+        for a in _weight_series(cfg.weight):  # alpha_j / sigma^j, underflowing to 0
+            alpha.append(a * q)
+            q /= self.sigma
+        E, F, G, kb = [1.0], [], [1.0], []  # kb: k b_k
+        for k in range(1, K + 1):
+            F.append(sum(map(mul, alpha, reversed(E))))  # map stops at the shorter
+            c = -s / (2.0 * k * (2.0 * k + N - 2.0))
+            kb.append(k * c * F[-1])
+            G.append(c * sum(map(mul, F, reversed(G))))
+            E.append(sum(map(mul, kb, reversed(E))) / k)
+        # rows k = 1..K: the tau^k terms of v, r v' / 2, e and r e' / 2
+        rows = [(kb_k / k, kb_k, g, k * g) for k, kb_k, g in zip(range(1, K + 1), kb, G[1:])]
+        self.terms = np.array(rows)
+        # v and e are near beta and 1, and r v' and r e' are held to their
+        # first terms: the last two terms of each, at most _SERIES_EPS
+        eps = [_SERIES_EPS, _SERIES_EPS * abs(kb[0]), _SERIES_EPS, _SERIES_EPS * abs(G[1])]
+        tau0 = min(((e / abs(t)) ** (1.0 / (k - c % 2))
+                    for k in (K - 1, K) for c, (e, t) in enumerate(zip(eps, rows[k - 1])) if t),
+                   default=math.inf)
+        self.r0 = min(1.0, math.sqrt(tau0 / self.sigma))
+        self.start = self.states([self.r0])[0].tolist()
+
+    def states(self, r) -> np.ndarray:
+        """Rows (v, v', e, e') at the radii r, at most r0: the powers of tau
+        by repeated products, summed with the terms row by row (einsum, not
+        a BLAS product), so that a radius reads the same whichever radii
+        come with it."""
+        r = np.asarray(r, dtype=float)
+        tau = self.sigma * r * r
+        powers = np.cumprod(np.repeat(tau[:, None], _SERIES_ORDER, axis=1), axis=1)
+        s = np.einsum("nk,kc->nc", powers, self.terms)
+        s[:, 0] += self.beta
+        s[:, 1] *= 2.0 / r
+        s[:, 2] += 1.0
+        s[:, 3] *= 2.0 / r
+        return s
+
+
+@functools.lru_cache(maxsize=8)
+def _series(cfg: ProblemConfig, beta: float) -> _Series:
+    """The series of the regular shoot at beta, kept for the flux check
+    and the grid fills of the shoot just made."""
+    return _Series(cfg, beta)
 
 
 def series_start(cfg: ProblemConfig, beta: float, r: float):
-    """[v, v', e, e'] at r from the matched expansion."""
-    c2, c4, e4 = _series_coeffs(cfg, beta)
-    r2 = r * r
-    return [
-        beta + c2 * r2 + c4 * r2 * r2,
-        2.0 * c2 * r + 4.0 * c4 * r2 * r,
-        1.0 + c2 * r2 + e4 * r2 * r2,
-        2.0 * c2 * r + 4.0 * e4 * r2 * r,
-    ]
+    """[v, v', e, e'] at r from the Taylor series, exact to rounding for r
+    up to its radius r0 (`_Series`)."""
+    return _series(cfg, beta).states([r])[0].tolist()
 
 
 def _check_beta(beta: float) -> None:
@@ -350,18 +435,9 @@ def _rhs_v(cfg: ProblemConfig):
     return _rhs("v", cfg, float(cfg.dim - 1))
 
 
-def _init_radius(cfg: ProblemConfig, beta: float) -> float:
-    """Where the matched series is trustworthy: e^beta r^2/(2N) must be small.
-
-    For large beta the boundary layer sits below r_start, so integration
-    starts deeper; output radii are unaffected.
-    """
-    layer = 0.05 * math.sqrt(2.0 * cfg.dim) * math.exp(-0.5 * beta)
-    return min(cfg.r_start, layer)
-
-
-def _integrate(cfg: ProblemConfig, fun, r0: float, y0, nodes):
-    """Integrate from the start state y0 at r0 through `nodes`.
+def _integrate(cfg: ProblemConfig, fun, r0: float, y0, nodes, first: float = 0.2):
+    """Integrate from the start state y0 at r0 through `nodes`, with a
+    first step of `first` r0.
 
     A first node at r0 (to 1e-12 relative) is the start state itself. A
     nonpositive weight, hit while extending beyond r = 1, ends in an
@@ -375,49 +451,68 @@ def _integrate(cfg: ProblemConfig, fun, r0: float, y0, nodes):
             return head, [r0], head
     states, xs, ys = _stepper.solve(
         fun, r0, y0, nodes, cfg.rel_tol, cfg.abs_tol,
-        first_step=0.2 * r0, collect=True,
+        first_step=first * r0, collect=True,
     )
     return head + states, xs, ys
 
 
 def _run(cfg: ProblemConfig, beta: float, nodes):
-    """Integrate from the matched start through `nodes` (all >= r_start).
-
-    Returns (states at the nodes, xs, ys) with the accepted steps from the
-    last one at or below r_start on, so every radius in [r_start, 1] lies
-    between two of them.
+    """States at `nodes` (not decreasing): the series' (`_Series`) at the
+    nodes up to its radius r0, and beyond r0 those of one shoot from the
+    series' state there that lands on each node. Returns (states at the
+    nodes, xs, ys) with that shoot's accepted steps from r0 on, which are
+    empty where the series covers every node: then no `solve` call is made.
     """
-    r0 = _init_radius(cfg, beta)
-    states, xs, ys = _integrate(cfg, _rhs_ve(cfg), r0, series_start(cfg, beta, r0), nodes)
-    first = bisect_right(xs, cfg.r_start) - 1  # xs[0] = r0 <= r_start
-    return states, xs[first:], ys[first:]
+    series = _series(cfg, beta)
+    k = bisect_right(nodes, series.r0)
+    head = series.states(nodes[:k]).tolist() if k else []
+    if k == len(nodes):
+        return head, [], []
+    states, xs, ys = _integrate(cfg, _rhs_ve(cfg), series.r0, series.start, nodes[k:],
+                                _SERIES_FIRST_STEP)
+    return head + states, xs, ys
 
 
 def _trace_steps(cfg: ProblemConfig, beta: float):
-    """The accepted steps (xs, ys) of a trace shoot, rows (v, v', e, e'),
-    from the last one at or below r_start on and ending at r = 1.0 exactly.
+    """The radii and states of a trace shoot, rows (v, v', e, e'), ending at
+    r = 1.0 exactly: from r_start up to the series' radius r0 (`_Series`)
+    the series' states at a ratio of at most _SERIES_RATIO, and from r0 on
+    the integrator's accepted steps; where r0 lies below r_start, the
+    accepted steps from the last one at or below r_start on.
 
-    Up to r_sw = _SWITCH_RHO e^{-beta/2}, past the boundary layer (the
-    series starts at rho = 0.05 sqrt(2N) < 1), the shoot steps in r; from
-    there it steps in s = log r, where the r steps would have to stay near
-    0.04 r along the nearly linear -2 log r profile. Where r_sw >= 1
-    (beta <= 0) it steps in r all the way, as `_run` does.
+    Up to r_sw = _SWITCH_RHO e^{-beta/2}, past the boundary layer, the shoot
+    steps in r; from there (or from r0, where that lies beyond r_sw) it
+    steps in s = log r, where the r steps would have to stay near 0.04 r
+    along the nearly linear -2 log r profile. Where r_sw >= 1 (beta <= 0)
+    it steps in r all the way, and where r0 = 1 it makes no `solve` call.
     """
+    series = _series(cfg, beta)
+    r0 = series.r0
+    n = math.ceil(math.log(r0 / cfg.r_start) / math.log(_SERIES_RATIO))
+    head = np.geomspace(cfg.r_start, r0, n + 1) if n > 0 else np.array([r0])
+    head_states = series.states(head)
+    if r0 == 1.0:
+        return head, head_states
+    xs, ys = [r0], [series.start]
     s_sw = math.log(_SWITCH_RHO) - 0.5 * beta
-    if s_sw >= 0.0:
-        return _run(cfg, beta, [1.0])[1:]
-    r_sw = math.exp(s_sw)
-    r0 = _init_radius(cfg, beta)
-    _, xs, ys = _integrate(cfg, _rhs_ve(cfg), r0, series_start(cfg, beta, r0), [r_sw])
-    v, dv, e, de = ys[-1]
-    _, ss, ws = _stepper.solve(_rhs_ve_log(cfg), s_sw, [v, r_sw * dv, e, r_sw * de],
-                               [0.0], cfg.rel_tol, cfg.abs_tol, collect=True)
-    for s, (v, dv, e, de) in zip(ss[1:], ws[1:]):
-        r = math.exp(s)
-        xs.append(r)
-        ys.append([v, dv / r, e, de / r])
-    first = bisect_right(xs, cfg.r_start) - 1
-    return xs[first:], ys[first:]
+    s0 = math.log(r0)
+    if s0 < s_sw:
+        _, xs, ys = _integrate(cfg, _rhs_ve(cfg), r0, series.start, [min(1.0, math.exp(s_sw))],
+                               _SERIES_FIRST_STEP)
+        s0 = s_sw
+    if s0 < 0.0:
+        r = xs[-1]
+        v, dv, e, de = ys[-1]
+        _, ss, ws = _stepper.solve(_rhs_ve_log(cfg), s0, [v, r * dv, e, r * de],
+                                   [0.0], cfg.rel_tol, cfg.abs_tol, collect=True)
+        for s, (v, dv, e, de) in zip(ss[1:], ws[1:]):
+            r = math.exp(s)
+            xs.append(r)
+            ys.append([v, dv / r, e, de / r])
+    radii = np.concatenate((head[:-1], xs))
+    states = np.concatenate((head_states[:-1], ys))
+    first = bisect_right(radii, cfg.r_start) - 1
+    return radii[first:], states[first:]
 
 
 def _output_radii(cfg: ProblemConfig, radii):
@@ -436,23 +531,24 @@ def _output_radii(cfg: ProblemConfig, radii):
     return radii_arr, [float(x) for x in radii_arr]
 
 
-def _anchor_radii(nodes, rel: float):
+def _anchor_radii(nodes, spacing):
     """The strictly increasing radii of `nodes` a grid shoot lands on: the
     first and the last, and between them greedily the farthest radius within
-    min(_ANCHOR_GAP, rel r) of the anchor r before it, or the next radius
-    where none is."""
+    min(gap, rel r) of the anchor r before it, (gap, rel) = spacing, or the
+    next radius where none is."""
+    top, rel = spacing
     a = nodes[0]
-    anchors, gap = [a], min(_ANCHOR_GAP, rel * a)
+    anchors, gap = [a], min(top, rel * a)
     for prev, r in zip(nodes, nodes[1:]):
         if r - a > gap:
             if prev > a:
                 a = prev
                 anchors.append(a)
-                gap = min(_ANCHOR_GAP, rel * a)
+                gap = min(top, rel * a)
             if r - a > gap:
                 a = r
                 anchors.append(a)
-                gap = min(_ANCHOR_GAP, rel * a)
+                gap = min(top, rel * a)
     if anchors[-1] < nodes[-1]:
         anchors.append(nodes[-1])
     return anchors
@@ -483,9 +579,10 @@ def _jets(cfg: ProblemConfig, x: np.ndarray, y: np.ndarray, weight):
 
 
 def _grid_states(cfg: ProblemConfig, radii: np.ndarray, nodes, shoot,
-                 rel: float = _ANCHOR_REL) -> np.ndarray:
-    """States (v, v') or (v, v', e, e') at `radii` (as floats, `nodes`)
-    from one shoot that lands on `_anchor_radii(nodes, rel)` only:
+                 spacing=_ANCHORS, series: _Series | None = None) -> np.ndarray:
+    """States (v, v') or (v, v', e, e') at `radii` (as floats, `nodes`):
+    with a `series`, those at radii up to its radius r0 from the series;
+    the others from one shoot that lands on `_anchor_radii` of them only:
     shoot(anchors) returns (states at the anchors, xs, ys) with the accepted
     steps. A radius that is an anchor keeps the integrator's state; the
     rest are filled by the shared degree-7 Hermite reader (`_hermite_read`)
@@ -493,7 +590,12 @@ def _grid_states(cfg: ProblemConfig, radii: np.ndarray, nodes, shoot,
     derivatives, each first derivative from the next three, all from the
     ODE (`_jets`); a radius on an accepted step reads that step's state
     exactly."""
-    anchors = _anchor_radii(nodes, rel)
+    below = 0 if series is None else bisect_right(nodes, series.r0)
+    head = series.states(radii[:below]) if below else None
+    if below == len(nodes):
+        return head
+    radii = radii[below:]
+    anchors = _anchor_radii(nodes[below:], spacing)
     landed, xs, ys = shoot(anchors)
     k = np.minimum(np.searchsorted(anchors, radii), len(anchors) - 1)
     states = np.asarray(landed)[k]
@@ -502,46 +604,47 @@ def _grid_states(cfg: ProblemConfig, radii: np.ndarray, nodes, shoot,
         x, y = np.asarray(xs), np.asarray(ys)
         jets = (y, *_jets(cfg, x, y, weight_arrays(cfg.weight, x)))
         states[rest] = _hermite_read(x, jets, radii[rest])
-    return states
+    return states if head is None else np.concatenate((head, states))
 
 
 def integrate_ivp(cfg: ProblemConfig, beta: float, radii=None, trace: bool = False) -> ShootResult:
     """Shoot v and its first variation jointly out to r = 1.
 
     With trace=True the profile is sampled at the integrator's accepted
-    steps, from the last one at or below r_start on, and `radii` must be
-    None: the cheap path, for curve tracing and for `hermite_values`. It
-    steps in r through the boundary layer, up to r = e^{-beta/2} (rho = 1
-    in `rescaled_profile`'s variable), and in s = log r from there to r = 1
+    steps, and `radii` must be None: the cheap path, for curve tracing and
+    for `hermite_values`. Up to the radius r0 of its Taylor series
+    (`_Series`) the profile holds the series' states from r_start on, at a
+    ratio of at most 1.15; beyond, it steps in r through the boundary
+    layer, up to r = e^{-beta/2} (rho = 1 in `rescaled_profile`'s variable),
+    and in s = log r from there, or from r0 where that lies beyond, to r = 1
     (`_trace_steps`); at beta <= 0 it steps in r throughout. At N=10, a_h
-    at h=40, beta=40 that takes 2 666 right-hand-side calls, where stepping
-    in r alone took 5 941. Over N in {3, 6, 9, 10, 12}, const, a_h and
+    at h=40, beta=40 that takes 1 945 right-hand-side calls, where stepping
+    in r alone took 5 257. Over N in {3, 6, 9, 10, 12}, const, a_h and
     polyexp weights and beta in {-5, 0.5, 2, 10, 25, 40}, v(1) and e(1)
-    stay within 8.2e-12 and 9.9e-13 of a shoot in r alone at rtol 1e-13
-    (2.4e-12 and 1.3e-12 for a trace shoot in r alone).
+    stay within 8.0e-12 and 9.5e-13 of a shoot in r alone at rtol 1e-13
+    (1.1e-12 and 1.2e-12 for a trace shoot in r alone).
     Otherwise it is sampled at `radii` (default: `default_grid`). The
-    integrator lands only on a sparse subset of them, `_anchor_radii`, and
-    the others are filled from its accepted steps by degree-7 Hermite
-    (`_grid_states`, as for `integrate_singular` and `rescaled_profile`).
-    On `default_grid` the filled states agree with a shoot
-    that lands on every radius to within 3.3e-13 (v), 4.6e-12 (v'),
-    1.4e-12 (e) and 1.8e-11 (e') relative to max(1, |.|), over N in
-    {3, 5, 7, 9, 10, 12}, const, a_h and polyexp weights and beta in
-    [-2, 40]. The anchors keep them there: without them the steps grow to
-    0.035 near r = 0.8, where v' is then off by 9e-11, and the ODE's third
-    and fourth derivatives lose digits to the (N-1)/r cancellation below
-    r = 2e-4.
+    radii up to r0 take the series' states; beyond r0 the integrator lands
+    only on a sparse subset of them, `_anchor_radii`, and the others are
+    filled from its accepted steps by degree-7 Hermite (`_grid_states`, as
+    for `integrate_singular` and `rescaled_profile`). On `default_grid`
+    the filled states agree with a shoot that lands on every radius to
+    within 5.3e-14 (v), 1.5e-12 (v'), 3.1e-13 (e) and 5.9e-11 (e')
+    relative to max(1, |.|), over N in {3, 5, 7, 9, 10, 12}, const, a_h
+    and polyexp weights and beta in [-2, 40]. The anchors, no farther
+    apart than min(0.02, 0.26 r), keep them there: at N=3, a_h at h=40,
+    beta=-2 the steps grow to the gap, and with a gap of 0.04 v' was then
+    off by 1.8e-10.
     """
     _check_beta(beta)
     if trace and radii is not None:
         raise ValueError("output radii cannot be combined with trace=True")
     if trace:
-        xs, ys = _trace_steps(cfg, beta)
-        radii_arr = np.asarray(xs)
-        states = np.asarray(ys)
+        radii_arr, states = _trace_steps(cfg, beta)
     else:
         radii_arr, nodes = _output_radii(cfg, radii)
-        states = _grid_states(cfg, radii_arr, nodes, lambda anchors: _run(cfg, beta, anchors))
+        states = _grid_states(cfg, radii_arr, nodes, lambda anchors: _run(cfg, beta, anchors),
+                              series=_series(cfg, beta))
     v1 = float(states[-1, 0])
     e1 = float(states[-1, 2])
     lam = math.exp(v1)
@@ -571,10 +674,11 @@ def hermite_values(cfg: ProblemConfig, profile: RadialProfile, r) -> np.ndarray:
     Past the boundary layer a trace shoot steps in log r (`_trace_steps`),
     by up to 0.27 near r = 0.9 at N=3 with a polyexp weight, where degree-7
     Hermite is off by up to 9.5e-9 in r and 1.3e-10 in log r.
-    On the accepted steps of a trace=True shoot this agrees with a shoot
-    that lands on r to within 1.8e-11 relative to max(1, |v|) (N in {3, 7,
-    10, 12}, const, a_h at h = 40 and 5.7832 and polyexp weights, beta in
-    [-2, 40]), which is the two shoots' own difference at the nodes; and on
+    On a trace=True shoot this agrees with a shoot that lands on r to
+    within 8.0e-12 relative to max(1, |v|) (N in {3, 7, 10, 12}, const, a_h
+    at h = 40 and 5.7832 and polyexp weights, beta in [-2, 40]), which is
+    the two shoots' own difference at the nodes, and with the series on
+    the series nodes of its head to within 6.2e-13; and on
     `integrate_singular`'s filled default grid to within 1.3e-13 of a
     singular shoot that lands on each of 8192 geometric radii (N in 3..12,
     six weights).
@@ -622,8 +726,8 @@ def integrate_singular(cfg: ProblemConfig, radii=None):
     to within 8.4e-14 and 3.9e-13 relative to max(1, |.|), and lambda* of
     a_h (a_0 = const in every N, a_h at N <= 10) agrees with its closed
     form 2(N-2) e^{-h/(2N)} to within 7.3e-15 relative (1.3e-14 landing
-    on every radius). The wider regular gap, min(0.04, 0.26 r), would put
-    V' off by 1.2e-10 in the head.
+    on every radius). Anchors no farther apart than min(0.04, 0.26 r)
+    would put V' off by 1.2e-10 in the head.
     """
     N = cfg.dim
     r0 = cfg.r_start
@@ -634,7 +738,7 @@ def integrate_singular(cfg: ProblemConfig, radii=None):
     radii_arr, nodes = _output_radii(cfg, radii)
     states = _grid_states(cfg, radii_arr, nodes,
                           lambda anchors: _integrate(cfg, fun, r0, y0, anchors),
-                          _SINGULAR_ANCHOR_REL)
+                          _SINGULAR_ANCHORS)
     lam_star = math.exp(float(states[-1, 0]))
     return lam_star, RadialProfile(radii_arr, states[:, 0], states[:, 1])
 
@@ -689,32 +793,25 @@ def _gauss_cells(cfg: ProblemConfig, x, y):
 def flux_residual(cfg: ProblemConfig, shoot: ShootResult) -> float:
     """Relative defect in -r^{N-1} v' = int_0^r s^{N-1} a e^v ds.
 
-    The integral starts at the shoot's own start r0 = `_init_radius`, where
-    two series terms close it (e^beta r0^2 <= 0.005 N), and goes on over
-    the accepted steps of a shoot from r0 to the profile's first radius,
-    where r0 lies below it, and over the profile's intervals, all by
-    `_gauss_cells`.
+    The integral over [0, x0], x0 the profile's first radius, is closed by
+    the identity itself: -x0^{N-1} v'(x0) with v' from the shoot's Taylor
+    series (`_Series`), which is exact there when x0 lies within its radius
+    r0, and else (beta >~ 19 at N=3 with r_start = 1e-4) with the profile's
+    own v'(x0), so that the check then starts at x0. The integral goes on
+    over the profile's intervals by `_gauss_cells`.
 
     Hypothesis: the identity holds for every regular solution (v'(0) = 0),
     since (r^{N-1} v')' = -r^{N-1} a e^v; the shoot is regular by
     construction.
     """
     N = cfg.dim
-    beta, prof = shoot.beta, shoot.profile
-    r0 = _init_radius(cfg, beta)
-    c2, _, _ = _series_coeffs(cfg, beta)
-    a2 = 0.5 * cfg.weight.a2pp
-    closure = math.exp(beta) * (r0 ** N / N + (a2 + c2) * r0 ** (N + 2) / (N + 2))
-
-    def cells(x, y):
-        s, v, _, w = _gauss_cells(cfg, x, y)
-        return np.sum(w * s ** (N - 1) * weight_arrays(cfg.weight, s)[0] * np.exp(v), axis=0)
-
+    prof = shoot.profile
     r = prof.radii
-    if r[0] > r0 * (1.0 + 1e-12):
-        _, xs, ys = _integrate(cfg, _rhs_ve(cfg), r0, series_start(cfg, beta, r0), [float(r[0])])
-        closure += float(np.sum(cells(xs, ys)))
-    inner = cells(r, np.column_stack((prof.values, prof.derivs)))
+    series = _series(cfg, shoot.beta)
+    dv0 = series.states(r[:1])[0, 1] if r[0] <= series.r0 else prof.derivs[0]
+    closure = -r[0] ** (N - 1) * dv0
+    s, v, _, w = _gauss_cells(cfg, r, np.column_stack((prof.values, prof.derivs)))
+    inner = np.sum(w * s ** (N - 1) * weight_arrays(cfg.weight, s)[0] * np.exp(v), axis=0)
     F = np.cumsum(np.concatenate(([closure], inner)))
     L = -(r ** (N - 1)) * prof.derivs
     denom = np.maximum(np.abs(L), np.abs(F))
@@ -807,16 +904,17 @@ def rescaled_profile(cfg: ProblemConfig, beta: float, r_max: float = 3.0) -> Rad
     rescaling window maps below r_start or beyond r = 1 of the original
     problem; beyond r = 1 the weight's natural formula is used, guarded
     for positivity. It is sampled on `default_grid` out to r_max (1561
-    radii for r_max = 3); the shoot lands on 105 anchors of them and fills
-    the rest as `integrate_ivp` does, within 2.1e-13 (v-hat) and 2.1e-12
-    (its derivative) of a shoot that lands on every radius, relative to
-    max(1, |.|), over N in {3, 5, 7, 9, 10, 12}, const, a_h and polyexp
-    weights and beta in [0, 40].
+    radii for r_max = 3). It takes those up to its series' radius from the
+    series, lands on anchors among the rest (177 over the whole grid) and
+    fills the others as `integrate_ivp` does, within 1.6e-14 (v-hat) and
+    7.6e-14 (its derivative) of a shoot that lands on every radius,
+    relative to max(1, |.|), over N in {3, 5, 7, 9, 10, 12}, const, a_h and
+    polyexp weights and beta in [0, 40].
     """
     if beta < 0.0:
         raise ValueError("rescaling window is empty for beta < 0")
     cfg_hat = _rescaled_config(cfg, beta)
     radii = default_grid(cfg_hat, R=r_max)
     states = _grid_states(cfg_hat, radii, radii.tolist(),
-                          lambda anchors: _run(cfg_hat, 0.0, anchors))
+                          lambda anchors: _run(cfg_hat, 0.0, anchors), series=_series(cfg_hat, 0.0))
     return RadialProfile(radii, states[:, 0], states[:, 1], R=r_max)

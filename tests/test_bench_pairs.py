@@ -22,6 +22,9 @@ def bench_pairs():
 BENCHMARK = {"end_to_end": [
     {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.2},
     {"name": "err_digits", "unit": "digits", "better": "higher", "bound": 0.2},
+], "per_layer": [
+    {"name": "stepper.rhs_evals", "unit": "count", "better": "lower"},
+    {"name": "bifurcation.accept_ratio", "unit": "ratio", "better": "higher"},
 ]}
 
 
@@ -69,6 +72,52 @@ def test_pairs_by_seed_and_summarises(tmp_path, bench_pairs, capsys):
     assert lines[0].endswith("gain +28.1% (bound 20%)")
     assert lines[1].endswith("gain +0.0% (bound 20%)")
     assert lines[2] == "branch    failed tasks 0 -> 1  MORE FAILURES"
+
+
+def _traced(path, seed, rhs_evals, ratio):
+    path.write_text(json.dumps({
+        "workload": "branch", "trace": 1, "environment": {"seed": seed, "nproc": 2},
+        "failures": [], "metrics": {"stepper.rhs_evals": rhs_evals, "trace.overhead_ratio": 3.0,
+                                    "bifurcation.accept_ratio": ratio},
+    }))
+    return str(path)
+
+
+def test_traced_runs_pair_under_layers(tmp_path, bench_pairs, capsys):
+    # a traced and an untraced run of one seed are two pairs; the traced
+    # one gives each per-layer metric of the benchmark, side by side
+    for side in ("p", "c"):
+        (tmp_path / side).mkdir()
+    parent = [_result(tmp_path / "p" / "13.json", 13, 1.4, 14.7),
+              _traced(tmp_path / "p" / "13t.json", 13, 965538, 0.9),
+              _traced(tmp_path / "p" / "14t.json", 14, 965000, 0.8)]
+    change = [_traced(tmp_path / "c" / "14t.json", 14, 600000, 0.8),
+              _result(tmp_path / "c" / "13.json", 13, 1.0, 14.7),
+              _traced(tmp_path / "c" / "13t.json", 13, 610000, 0.9)]
+    bench = tmp_path / "BENCHMARK.json"
+    bench.write_text(json.dumps(BENCHMARK))
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", *parent, "--change", *change,
+                             "--out", str(out), "--benchmark", str(bench)]) == 0
+    written = json.loads(out.read_text())
+    assert written["workloads"]["branch"]["seeds"] == [13]
+    layers = written["layers"]["branch"]
+    assert layers["seeds"] == [13, 14]
+    assert set(layers["metrics"]) == {"stepper.rhs_evals", "bifurcation.accept_ratio"}
+    assert layers["metrics"]["stepper.rhs_evals"] == {
+        "unit": "count", "better": "lower", "parent": [965538, 965000], "change": [610000, 600000]}
+    assert layers["metrics"]["bifurcation.accept_ratio"]["better"] == "higher"
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].startswith("branch    stepper.rhs_evals")
+    assert lines[-2].endswith("965269 ->       605000  (-37.3%)")
+    assert lines[-1].endswith("(+0.0%)")
+    # untraced runs alone give no layers; a traced run needs a traced partner
+    only = bench_pairs.compare(parent[:1], change[1:2], BENCHMARK)
+    assert "layers" not in only
+    with pytest.raises(ValueError, match="partner"):
+        bench_pairs.compare(parent[:2], change[1:2], BENCHMARK)
+    with pytest.raises(ValueError, match="second traced run"):
+        bench_pairs.compare(parent[1:2] * 2, change[2:], BENCHMARK)
 
 
 def test_gain_is_signed_by_the_better_direction(bench_pairs):

@@ -403,9 +403,9 @@ def test_zero_number_shoots_once(shoots, monkeypatch):
     monkeypatch.setattr(_stepper, "solve", counting)
     assert zero_number(cfg, 10.0, sing) == 2
     _one_trace_shoot_each(shoots, [(cfg, 10.0)])
-    # the two phases, in r and in log r, of the one (v, e) shoot; no
-    # singular (size 2) one
-    assert state_sizes == [4, 4]
+    # the one (v, e) shoot, in log r only, since its series reaches past
+    # rho = e^{beta/2} r = 1; no singular (size 2) one
+    assert state_sizes == [4]
 
 
 def test_zero_number_does_not_extrapolate_the_singular_profile():

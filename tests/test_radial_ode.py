@@ -1,6 +1,7 @@
 import math
 import random
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -221,23 +222,115 @@ SWITCH_CASES = [(dim, spec) for dim in (3, 6, 9, 10, 12)
 def test_switched_trace_shoot_matches_a_tight_shoot_in_r(dim, spec):
     # past rho = e^{beta/2} r = 1 a trace shoot steps in log r; its v(1) and
     # e(1) against a shoot in r alone at rtol 1e-13 from the same series
-    # start (worst measured: 8.2e-12 for v, N=3 a_h h=40 beta=40, where the
-    # shoot in r alone is off by 3.5e-13; 9.9e-13 for e)
+    # start
     cfg = ProblemConfig(dim=dim, weight=parse_weight(spec, dim))
+    tight = replace(cfg, rel_tol=1e-13, abs_tol=1e-13)
     for beta in (-5.0, 0.5, 2.0, 10.0, 25.0, 40.0):
-        r0 = radial_ode._init_radius(cfg, beta)
-        ref = _stepper.solve(radial_ode._rhs_ve(cfg), r0, series_start(cfg, beta, r0), [1.0],
-                             1e-13, 1e-13, first_step=0.2 * r0)[0]
+        ref = _run(tight, beta, [1.0])[0][0]
         sh = integrate_ivp(cfg, beta, trace=True)
         assert sh.profile.radii[-1] == 1.0
         assert abs(sh.v1 - ref[0]) <= 1e-11, beta
         assert abs(sh.variation_profile.values[-1] - ref[2]) <= 1e-11, beta
 
 
-@pytest.mark.parametrize("dim, spec", [(3, "const"), (10, "ah:h=40")])
+def _two_term_start(cfg, beta, r):
+    """[v, v', e, e'] at r from the first two terms of the series at r = 0,
+    exact up to terms of about (e^beta r^2 / 2N)^3."""
+    N = cfg.dim
+    a2 = 0.5 * cfg.weight.a2pp  # a(r) = 1 + a2 r^2 + ...
+    eb = math.exp(beta)
+    c2 = -eb / (2.0 * N)
+    c4 = -eb * (c2 + a2) / (4.0 * (N + 2.0))
+    e4 = -eb * (a2 + 2.0 * c2) / (4.0 * (N + 2.0))
+    r2 = r * r
+    return [beta + c2 * r2 + c4 * r2 * r2, 2.0 * c2 * r + 4.0 * c4 * r2 * r,
+            1.0 + c2 * r2 + e4 * r2 * r2, 2.0 * c2 * r + 4.0 * e4 * r2 * r]
+
+
+def _deep_shoot(cfg, beta, r_end):
+    """(v, v', e, e') at r_end from the two-term series at rho = e^{beta+/2} r
+    = 1e-3, beta+ = max(beta, 0), where its dropped terms are about 1e-18,
+    shot at rtol 1e-13 and abs_tol 1e-14 in r up to rho = 1 and from there
+    in log r: the reference for the start rule."""
+    r_layer = math.exp(-0.5 * max(beta, 0.0))
+    r0 = 1e-3 * r_layer
+    y = _two_term_start(cfg, beta, r0)
+    r_sw = min(r_end, r_layer)
+    y = _stepper.solve(radial_ode._rhs_ve(cfg), r0, y, [r_sw], 1e-13, 1e-14,
+                       first_step=0.2 * r0)[0]
+    if r_sw < r_end:
+        v, dv, e, de = y
+        v, dv, e, de = _stepper.solve(radial_ode._rhs_ve_log(cfg), math.log(r_sw),
+                                      [v, r_sw * dv, e, r_sw * de], [math.log(r_end)],
+                                      1e-13, 1e-14)[0]
+        y = [v, dv / r_end, e, de / r_end]
+    return y
+
+
+@pytest.mark.parametrize("beta", [14.0, 20.0, 30.0])
+def test_trace_shoot_matches_a_deep_start(beta):
+    # a start from the two-term series at rho = 0.05 sqrt(2N) drops a term
+    # of about (rho^2 / 2N)^3, which puts e(1) 1.9e-8 to 3.3e-8 relative off
+    # this reference for beta in [14, 40] at N=3, and v(1) 1.5e-10 at beta =
+    # 14; the shoot from the series is within 5.2e-11 and 2.1e-13
+    cfg = ProblemConfig(dim=3, weight=CONST)
+    ref = _deep_shoot(cfg, beta, 1.0)
+    sh = integrate_ivp(cfg, beta, trace=True)
+    assert abs(sh.variation_profile.values[-1] - ref[2]) <= 1e-10 * abs(ref[2])
+    assert abs(sh.v1 - ref[0]) <= 1e-12
+
+
+def test_slope_at_very_negative_beta_is_the_weights_integral():
+    # at beta = -40 |v'| ~ e^beta lies far below abs_tol, so no error test
+    # sees it: integrated from r_start, a trace shoot's v'(1) is 5.4 % off.
+    # The series reaches r = 0.99 and gives it. -r^{N-1} v'(1) = e^beta
+    # int_0^1 s^{N-1} a e^{v - beta} ds, and e^{v - beta} = 1 + O(e^beta)
+    import mpmath
+
+    N, h, beta = 12, 40.0, -40.0
+    cfg = ProblemConfig(dim=N, weight=make_ah(h, N))
+    c1, d = h / (2.0 * (N - 2)), h / (2.0 * N)
+    with mpmath.workdps(30):
+        ref = -mpmath.exp(beta) * mpmath.quad(
+            lambda s: s ** (N - 1) * (1 + c1 * s * s) * mpmath.exp(d * s * s), [0, 1])
+    for sh in (integrate_ivp(cfg, beta, trace=True), integrate_ivp(cfg, beta)):
+        assert abs(sh.profile.derivs[-1] / float(ref) - 1.0) <= 1e-12
+    for b in (-40.0, -20.0):
+        assert flux_residual(cfg, integrate_ivp(cfg, b)) <= 1e-12, b
+
+
+@given(st.integers(3, 12), st.sampled_from(["const", "ah", "polyexp"]),
+       st.floats(-1.0, 40.0), st.floats(0.0, 1.5), st.floats(-0.5, 0.5),
+       st.floats(radial_ode.BETA_MIN_GUARD, radial_ode.BETA_MAX_GUARD))
+@settings(max_examples=25, deadline=None)
+def test_series_start_rule(dim, kind, h, c1, d, beta):
+    # every term finite (in r alone the factor e^{k beta} of tau^k overflows
+    # from beta ~ 30 on, and in e^beta r^2 alone the weight's alpha_j
+    # e^{-j beta} from beta ~ -31 down); the radius within [0, 1], which the
+    # weight's parse-time positivity screen covers; and the start state that
+    # of the deep start
+    cfg = ProblemConfig(dim=dim, weight=_weight_draw(dim, kind, h, c1, d))
+    series = radial_ode._series(cfg, beta)
+    assert np.all(np.isfinite(series.terms))
+    assert 0.0 < series.r0 <= 1.0
+    ref = _deep_shoot(cfg, beta, series.r0)
+    for i in (0, 2):  # v and e
+        assert abs(series.start[i] - ref[i]) <= 1e-13 * max(1.0, abs(ref[i])), i
+
+
+# (beta, solve calls) of a trace shoot: none where the series reaches r = 1;
+# in r from r0 to r = 1 (beta <= 0), or to rho = e^{beta/2} r = 1 and then
+# in log r; in log r only where rho0 = e^{beta/2} r0 lies beyond 1 (1.34 at
+# N=3, const; 1.87 at N=10, a_40 and beta = 3)
+SWITCH_SOLVES = {(3, "const"): [(-5.0, 0), (1.0, 1)],
+                 (10, "ah:h=40"): [(-1.0, 1), (0.5, 2), (3.0, 1)]}
+
+
+@pytest.mark.parametrize("dim, spec", sorted(SWITCH_SOLVES))
 def test_trace_shoot_switches_to_log_r_only_for_positive_beta(dim, spec, monkeypatch):
-    # for beta <= 0 the switch radius e^{-beta/2} is not below 1: one solve
-    # in r, the same accepted steps as a shoot in r to 1; beyond, two solves
+    # a trace shoot's profile holds the series' own states from r_start up
+    # to its radius r0, at a ratio of at most 1.15, and the accepted steps
+    # of one solve in r up to rho = 1 and one in log r beyond
     cfg = ProblemConfig(dim=dim, weight=parse_weight(spec, dim))
     sizes, real = [], _stepper.solve
 
@@ -246,18 +339,25 @@ def test_trace_shoot_switches_to_log_r_only_for_positive_beta(dim, spec, monkeyp
         return real(fun, x0, y0, *args, **kw)
 
     monkeypatch.setattr(_stepper, "solve", counting)
-    for beta in (-5.0, -0.5, 0.0):
-        _, xs, ys = _run(cfg, beta, [1.0])
+    for beta, solves in SWITCH_SOLVES[dim, spec]:
         sizes.clear()
         sh = integrate_ivp(cfg, beta, trace=True)
-        assert sizes == [4]
-        assert np.array_equal(sh.profile.radii, xs)
+        assert sizes == [4] * solves, beta
+        series = radial_ode._series(cfg, beta)
+        radii = sh.profile.radii
         states = np.column_stack([sh.profile.values, sh.profile.derivs,
                                   sh.variation_profile.values, sh.variation_profile.derivs])
-        assert np.array_equal(states, np.asarray(ys))
-    sizes.clear()
-    integrate_ivp(cfg, 0.5, trace=True)
-    assert sizes == [4, 4]
+        head = radii <= series.r0
+        assert radii[0] == cfg.r_start and radii[head][-1] == series.r0
+        assert np.all(radii[head][1:] <= 1.15 * (1.0 + 1e-12) * radii[head][:-1])
+        assert np.array_equal(states[head], series.states(radii[head]))
+        if beta <= 0.0 and solves:
+            # one solve in r to r = 1: the steps of a shoot in r from r0
+            sizes.clear()
+            _, xs, ys = _run(cfg, beta, [1.0])
+            assert sizes == [4]
+            assert np.array_equal(radii[~head], xs[1:])
+            assert np.array_equal(states[~head], ys[1:])
 
 
 HERMITE_CASES = [(3, "const"), (3, "polyexp:0.7,-0.2;d=0.3"), (7, "polyexp:0.7,-0.2;d=0.3"),
@@ -599,7 +699,8 @@ def test_pohozaev_defect_affine_in_mu():
 @pytest.mark.parametrize("beta", [12.0, 16.0, 20.0, 30.0, 40.0])
 def test_identity_residuals_hold_past_the_boundary_layer(dim, spec, beta):
     # the boundary layer near r = e^{-beta/2} nears r_start = 1e-4 and, from
-    # beta ~ 14 on, lies below it, where the shoot starts deeper (_init_radius)
+    # beta ~ 18 on, lies below it; the series' radius r0 then does too (from
+    # beta ~ 19 at N=3, const), and the flux check closes at r_start
     from gelfand.cli import IDENTITY_TOL
 
     cfg = ProblemConfig(dim=dim, weight=parse_weight(spec, dim))
@@ -634,9 +735,9 @@ def _weight_draw(dim, kind, h, c1, d):
        st.floats(radial_ode.BETA_MIN_GUARD, radial_ode.BETA_MAX_GUARD))
 @settings(max_examples=60, deadline=None)
 def test_identity_residuals_random(dim, kind, h, c1, d, beta):
-    # the whole guard range; the worst case seen is 7.0e-7, the flux
-    # residual at N=12, a_40, beta <= -20, where v' ~ e^beta lies far below
-    # abs_tol and only the anchor spacing bounds its error
+    # the whole guard range; the worst seen over 400 draws is 1.7e-12 (flux)
+    # and 1.1e-13 (Pohozaev). At beta <~ -20 the series reaches r = 1 or
+    # near it, so v' ~ e^beta, far below abs_tol, is the series' own
     from gelfand.cli import IDENTITY_TOL
 
     cfg = ProblemConfig(dim=dim, weight=_weight_draw(dim, kind, h, c1, d))
@@ -720,7 +821,7 @@ def _singular(cfg):
 
 
 FUSED_SHOOTS = {
-    "trace -5": lambda cfg: _regular(cfg, -5.0, trace=True),
+    "trace 1": lambda cfg: _regular(cfg, 1.0, trace=True),
     "trace 10": lambda cfg: _regular(cfg, 10.0, trace=True),
     "trace 40": lambda cfg: _regular(cfg, 40.0, trace=True),
     "default grid": lambda cfg: _regular(cfg, 3.0),
@@ -770,7 +871,9 @@ def test_right_hand_sides_compile_once_per_kind_and_weight_shape():
     # verify draws a new polyexp weight for each command: 20 of them, of
     # one shape (one coefficient, tilted), a_h of the same shape and const
     # compile three right-hand sides (ve, ve_log, v) per shape and one
-    # scalar weight (for the parse-time check), no more
+    # scalar weight (for the parse-time check), no more. A trace shoot
+    # whose series reaches rho = e^{beta/2} r = 1 steps in log r only, so a
+    # grid shoot, which steps in r, is made too
     rng = random.Random(5)
     radial_ode._compiled_rhs.cache_clear()
     weights._weight_factory.cache_clear()
@@ -778,14 +881,16 @@ def test_right_hand_sides_compile_once_per_kind_and_weight_shape():
     for _ in range(20):
         spec = f"polyexp:{rng.uniform(-0.5, 0.5)!r};d={rng.uniform(-0.5, 0.5)!r}"
         cfg = ProblemConfig(dim=rng.randint(3, 12), weight=parse_weight(spec))
-        integrate_ivp(cfg, 2.0, trace=True)
+        integrate_ivp(cfg, 5.0, trace=True)
+        integrate_ivp(cfg, 5.0)
         integrate_singular(cfg)
         sizes.append(radial_ode._compiled_rhs.cache_info().currsize)
     assert sizes == [3] * 20
     assert weights._weight_factory.cache_info().currsize == 1
     for cfg in (ProblemConfig(dim=10, weight=make_ah(40.0, 10)),
                 ProblemConfig(dim=3, weight=CONST)):
-        integrate_ivp(cfg, 2.0, trace=True)
+        integrate_ivp(cfg, 5.0, trace=True)
+        integrate_ivp(cfg, 5.0)
         integrate_singular(cfg)
     assert radial_ode._compiled_rhs.cache_info().currsize == 6
 
