@@ -22,19 +22,20 @@ checks at their Gauss-Legendre nodes (``radial_ode._gauss_cells``).
 Output nodes bound the step: a step that would pass a node is clamped to
 end on it. A regular shoot starts where its Taylor series at r = 0 stops
 being exact to rounding (``radial_ode._Series``) and takes its states below
-that radius r0 from the series, so ``solve`` never crawls up from r_start.
-Grid shoots (``radial_ode.integrate_ivp`` with radii,
-``integrate_singular`` and ``rescaled_profile``) give ``solve`` only a
-sparse subset of their radii as nodes and fill the other radii from the
-accepted steps by degree-7 Hermite (``radial_ode._grid_states``). A
-regular shoot takes nodes no farther apart than min(0.02, 0.26 r) beyond
-r0: 853 right-hand-side calls for N=10, a_h at h=40, beta=3 (31 nodes
-beyond r0 = 0.42), where landing on each of ``radial_ode.default_grid``'s
-radii beyond r0 took 3 517. The singular solution takes 123 of the 561,
-no farther apart than min(0.04, 0.1 r): 3 997 calls for N=10, a_h at
-h=40, where landing on all 561 took 9 001, with lambda* within 7.3e-15 of
-its closed form. Shot straight to r = 1 its lambda* is off by 1.1e-13
-(N=3, const) and 7.4e-13 (N=10, a_h at h=40).
+that radius r0 from the series, and so does the singular solution, from
+its series in the Emden variable (``radial_ode._SingularSeries``), so
+``solve`` never crawls up from r_start. Grid shoots
+(``radial_ode.integrate_ivp`` with radii, ``integrate_singular`` and
+``rescaled_profile``) give ``solve`` only a sparse subset of their radii
+beyond r0 as nodes, no farther apart than min(0.02, 0.26 r), and fill
+the other radii from the accepted steps by degree-7 Hermite
+(``radial_ode._grid_states``): 853 right-hand-side calls for N=10, a_h at
+h=40, beta=3 (31 nodes beyond r0 = 0.42), where landing on each of
+``radial_ode.default_grid``'s radii beyond r0 took 3 517. The singular
+series of const and every a_h reaches r = 1, so their singular solution
+makes no ``solve`` call at all (it took 3 997 calls from r_start for
+N=10, a_h at h=40); polyexp:1.5;d=0.5 at N=10 stops at r0 = 0.70 and
+takes 373 calls on 16 nodes.
 Consumers that need only values (zero numbers, separation and envelope
 gaps) shoot on accepted steps (``integrate_ivp`` with ``trace=True``, as
 curve tracing does) and interpolate. Those shoots make up to two ``solve``
@@ -42,9 +43,10 @@ calls at beta > 0: one in r through the boundary layer, up to
 r = e^{-beta/2}, where r0 lies below it, and one in s = log r on to r = 1
 (``radial_ode._trace_steps``), where the steps in r would have to stay
 near 0.04 r along the nearly linear -2 log r profile. On the traced
-branch benchmark (seed 13) that is 528 244 right-hand-side calls, where
+branch benchmark (seed 13) that is 509 975 right-hand-side calls, where
 the two-term series start at r0 = min(r_start, 0.05 sqrt(2N) e^{-beta/2})
-made 965 538 and stepping in r alone from there 1 654 105.
+made 965 538 and stepping in r alone from there 1 654 105, both counting
+the singular solution's former start at r_start (about 18 000 calls).
 
 The work is split in two. ``solve`` is the one driver: it owns the step
 controller (the node clamp, the step budget, the underflow check,

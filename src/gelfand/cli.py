@@ -304,14 +304,17 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify_singular(args) -> int:
-    """verify singular: the integrated singular solution of a_h against the
-    explicit pair U_h, lambda_h.
+    """verify singular: the singular solution of a_h against the explicit
+    pair U_h, lambda_h.
 
+    For a_h the singular series in the Emden variable reaches r = 1, so
+    this checks the series' recurrence, with the weight's polynomial and
+    tilt, against U_h: W = -h r^2 / (2N) (`radial_ode._SingularSeries`).
     Hypothesis: h > -2(N-2), so that a_h is positive on [0, 1]; then U_h
     solves the equation exactly in every N >= 3, and it is the singular
-    solution the matched start selects, since perturbations of the -2 log r
-    branch grow like r^mu, Re mu < 0, towards r = 0. make_ah enforces the
-    bound on h (exit 2); nothing else needs enforcing.
+    solution, the one bounded in W at r = 0, since perturbations of the
+    -2 log r branch grow like r^mu, Re mu < 0, towards r = 0. make_ah
+    enforces the bound on h (exit 2); nothing else needs enforcing.
     """
     cfg = ProblemConfig(dim=args.dim, weight=make_ah(args.h, args.dim),
                         rel_tol=1e-13, abs_tol=1e-13)

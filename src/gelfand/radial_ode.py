@@ -6,10 +6,11 @@ Everything here works in the shooting normalization
 
 for which lambda(beta) = e^{v(1)} and u = v - log lambda solves the
 boundary-value problem. The first beta-derivative of v is integrated
-jointly with v. A regular shoot takes its states from the Taylor series
+jointly with v. A regular shoot takes its states from its Taylor series
 at r = 0 (`_Series`) as far as that series is exact to rounding, and
-integrates from there; the singular solution starts at r_start from its
-own matched expansion around the -2 log r profile.
+integrates from there; so does the singular solution, from its Taylor
+series in the Emden variable W = V + 2 log r - log 2(N-2)
+(`_SingularSeries`), which for const and every a_h reaches r = 1.
 """
 
 from __future__ import annotations
@@ -36,12 +37,10 @@ _EXP_CAP = 500.0  # caps e^v: guards trial stages of rejected steps, not real st
 _GRID_RATIO = 1.08
 _GRID_H_UNIFORM = 2e-3
 
-# a regular grid shoot lands on anchor radii no farther apart than
-# min(0.02, 0.26 r), r the left one, and fills the radii between them from
-# its accepted steps; the singular solution's anchors are no farther apart
-# than min(0.04, 0.1 r). Each pair is (gap, rel).
+# a grid shoot lands on anchor radii no farther apart than min(0.02, 0.26 r),
+# r the left one, and fills the radii between them from its accepted steps:
+# (gap, rel)
 _ANCHORS = (0.02, 0.26)
-_SINGULAR_ANCHORS = (0.04, 0.1)
 
 # a regular shoot starts from its Taylor series at r = 0 (`_Series`): of
 # this order in e^beta r^2, out to where its last terms fall below this
@@ -151,12 +150,12 @@ def default_grid(cfg: ProblemConfig, R: float = 1.0) -> np.ndarray:
     r_start = 1e-4 to 1).
 
     The spacing serves the flux and Pohozaev quadratures, which read the
-    samples. No shoot lands on every radius: a regular shoot takes the
-    radii up to its series' radius from the series and lands on about every
-    third radius of the geometric head and every tenth of the uniform part
-    beyond (`_anchor_radii`, 77 of the 561 over the whole grid), the
-    singular solution on 123 of them, and both fill the rest from their
-    accepted steps (`_grid_states`).
+    samples. No shoot lands on every radius: a regular shoot and the
+    singular solution take the radii up to their series' radius from the
+    series (for the singular solution of const and a_h, all 561), land on
+    about every third radius of the geometric head and every tenth of the
+    uniform part beyond (`_anchor_radii`, 77 of the 561 over the whole
+    grid), and fill the rest from their accepted steps (`_grid_states`).
     """
     pts = [cfg.r_start]
     r = cfg.r_start
@@ -290,6 +289,57 @@ def _weight_series(w: Weight) -> tuple[float, ...]:
     return tuple(sum(map(mul, poly[:j + 1], tilt[j::-1])) for j in range(_SERIES_ORDER))
 
 
+def _exp_step(kw, E) -> float:
+    """The next term E_k, k = len(E), of the series E = e^w from E_0..E_{k-1}
+    and kw = (1 w_1, 2 w_2, ...): (1/k) sum_j j w_j E_{k-j}, over the j that
+    kw holds; with k - 1 of them, the part of E_k without w_k."""
+    return sum(map(mul, kw, reversed(E))) / len(E)
+
+
+def _series_radius(rows, eps, shift) -> float:
+    """The largest tau at which the last two of the `rows` of tau^k terms,
+    k = 1..K, are each at most eps[c] tau^shift[c] in every column c, or inf
+    where all of them are 0."""
+    K = len(rows)
+    return min(((e / abs(t)) ** (1.0 / (k - sh))
+                for k in (K - 1, K) for e, sh, t in zip(eps, shift, rows[k - 1]) if t),
+               default=math.inf)
+
+
+def _power_sums(tau, terms) -> np.ndarray:
+    """sum_k terms[k - 1] tau^k for each tau: the powers by repeated
+    products, summed with the terms row by row (einsum, not a BLAS
+    product), so that a radius reads the same whichever radii come with
+    it."""
+    powers = np.cumprod(np.repeat(tau[:, None], len(terms), axis=1), axis=1)
+    return np.einsum("nk,kc->nc", powers, terms)
+
+
+def _regular_terms(N: int, alpha, s: float):
+    """The rows k = 1..K of `_Series`' tau^k terms of v, r v' / 2, e and
+    r e' / 2, and its tau0, from the scaled weight series alpha and s."""
+    E, F, G, kb = [1.0], [], [1.0], []  # kb: k b_k
+    for k in range(1, _SERIES_ORDER + 1):
+        F.append(sum(map(mul, alpha, reversed(E))))  # map stops at the shorter
+        c = -s / (2.0 * k * (2.0 * k + N - 2.0))
+        kb.append(k * c * F[-1])
+        G.append(c * sum(map(mul, F, reversed(G))))
+        E.append(_exp_step(kb, E))
+    rows = [(kb_k / k, kb_k, g, k * g) for k, kb_k, g in zip(range(1, _SERIES_ORDER + 1), kb, G[1:])]
+    # v and e are near beta and 1, and r v' and r e' are held to their
+    # first terms: the last two terms of each, at most _SERIES_EPS
+    eps = (_SERIES_EPS, _SERIES_EPS * abs(kb[0]), _SERIES_EPS, _SERIES_EPS * abs(G[1]))
+    return np.array(rows), _series_radius(rows, eps, (0, 1, 0, 1))
+
+
+@functools.cache
+def _flat_terms(N: int):
+    """`_regular_terms` of the constant weight (and a_0) at beta >= 0, once
+    per dimension: there alpha_j / sigma^j = 0 for j >= 1 and s = 1, so
+    they are the same for every such beta."""
+    return _regular_terms(N, _weight_series(Weight(spec="const", coeffs=(), tilt=0.0)), 1.0)
+
+
 class _Series:
     """The Taylor series at r = 0 of a regular shoot's v and e = dv/dbeta,
     to order K = _SERIES_ORDER in tau = sigma r^2, sigma = e^{max(beta, 0)},
@@ -310,7 +360,9 @@ class _Series:
     equation: 2k(2k+N-2) g_k = -s (F G)_{k-1}, G = e. Splitting e^beta
     between sigma and s keeps every term finite over the guard range: in
     r alone the factor e^{k beta} of tau^k overflows from beta ~ 30, and in
-    e^beta r^2 alone alpha_j e^{-j beta} from beta ~ -31 down.
+    e^beta r^2 alone alpha_j e^{-j beta} from beta ~ -31 down. With const
+    (and a_0) at beta >= 0 the terms and tau0 do not depend on beta
+    (`_flat_terms`): a shoot then costs 16 us of series, not 84.
 
     The order: at 16, a_40's series at N=12 gives r0 = 0.50 for beta <~ -20,
     and beyond it a shoot's v' (about e^beta, far below abs_tol) is 0.6 %
@@ -320,42 +372,24 @@ class _Series:
     __slots__ = ("beta", "sigma", "terms", "r0", "start")
 
     def __init__(self, cfg: ProblemConfig, beta: float):
-        K, N = _SERIES_ORDER, cfg.dim
         self.beta = beta
         self.sigma = math.exp(max(beta, 0.0))
-        s = math.exp(min(beta, 0.0))
-        alpha, q = [], 1.0
-        for a in _weight_series(cfg.weight):  # alpha_j / sigma^j, underflowing to 0
-            alpha.append(a * q)
-            q /= self.sigma
-        E, F, G, kb = [1.0], [], [1.0], []  # kb: k b_k
-        for k in range(1, K + 1):
-            F.append(sum(map(mul, alpha, reversed(E))))  # map stops at the shorter
-            c = -s / (2.0 * k * (2.0 * k + N - 2.0))
-            kb.append(k * c * F[-1])
-            G.append(c * sum(map(mul, F, reversed(G))))
-            E.append(sum(map(mul, kb, reversed(E))) / k)
-        # rows k = 1..K: the tau^k terms of v, r v' / 2, e and r e' / 2
-        rows = [(kb_k / k, kb_k, g, k * g) for k, kb_k, g in zip(range(1, K + 1), kb, G[1:])]
-        self.terms = np.array(rows)
-        # v and e are near beta and 1, and r v' and r e' are held to their
-        # first terms: the last two terms of each, at most _SERIES_EPS
-        eps = [_SERIES_EPS, _SERIES_EPS * abs(kb[0]), _SERIES_EPS, _SERIES_EPS * abs(G[1])]
-        tau0 = min(((e / abs(t)) ** (1.0 / (k - c % 2))
-                    for k in (K - 1, K) for c, (e, t) in enumerate(zip(eps, rows[k - 1])) if t),
-                   default=math.inf)
+        w = cfg.weight
+        if beta >= 0.0 and not w.coeffs and not w.tilt:
+            self.terms, tau0 = _flat_terms(cfg.dim)
+        else:
+            alpha, q = [], 1.0
+            for a in _weight_series(w):  # alpha_j / sigma^j, underflowing to 0
+                alpha.append(a * q)
+                q /= self.sigma
+            self.terms, tau0 = _regular_terms(cfg.dim, alpha, math.exp(min(beta, 0.0)))
         self.r0 = min(1.0, math.sqrt(tau0 / self.sigma))
         self.start = self.states([self.r0])[0].tolist()
 
     def states(self, r) -> np.ndarray:
-        """Rows (v, v', e, e') at the radii r, at most r0: the powers of tau
-        by repeated products, summed with the terms row by row (einsum, not
-        a BLAS product), so that a radius reads the same whichever radii
-        come with it."""
+        """Rows (v, v', e, e') at the radii r, at most r0 (`_power_sums`)."""
         r = np.asarray(r, dtype=float)
-        tau = self.sigma * r * r
-        powers = np.cumprod(np.repeat(tau[:, None], _SERIES_ORDER, axis=1), axis=1)
-        s = np.einsum("nk,kc->nc", powers, self.terms)
+        s = _power_sums(self.sigma * r * r, self.terms)
         s[:, 0] += self.beta
         s[:, 1] *= 2.0 / r
         s[:, 2] += 1.0
@@ -374,6 +408,75 @@ def series_start(cfg: ProblemConfig, beta: float, r: float):
     """[v, v', e, e'] at r from the Taylor series, exact to rounding for r
     up to its radius r0 (`_Series`)."""
     return _series(cfg, beta).states([r])[0].tolist()
+
+
+class _SingularSeries:
+    """The Taylor series at r = 0 of the singular solution in the Emden
+    variable W = V + 2 log r - log 2(N-2), to order K = _SERIES_ORDER in
+    tau = r^2: W = sum_k c_k tau^k, W(0) = 0.
+
+    In s = log r, W_ss + (N-2) W_s + 2(N-2)(a e^W - 1) = 0. The weight
+    a = p(tau) e^{d tau}, p its polynomial, gives a e^W = p E with E = e^y,
+    y = W + d tau, by the exp series (`_exp_step`), and the tau^k terms
+
+        [4k^2 + 2k(N-2) + 2(N-2)] c_k = -2(N-2) R_k,
+
+    R_k the part of (p E)_k without c_k; c_1 = -(N-2) a''(0) / (4(N-1)) is
+    `singular_series_coefficient`. The tilt goes into the exponent, where
+    it cancels W exactly for a_h: y = 0, W = -h tau / (2N), every c_k from
+    k = 2 on is 0 and r0 = 1. With a's own series (`_weight_series`) the
+    products alpha_j E_{k-j} cancel only to rounding of their size, which
+    left c_k up to 3e-13 for a_40 at N=3.
+
+    Any other solution near the -2 log r branch leaves it like r^mu,
+    mu^2 + (N-2) mu + 2(N-2) = 0, Re mu < 0, so its W is unbounded at r = 0:
+    the bounded series is the singular solution. Its radius r0 is the
+    largest r <= 1 at which the last two terms of W and of r W' are at most
+    _SERIES_EPS = 2^-52 and 2^-51, next to the -2 log r + log 2(N-2) of V
+    and the -2 of r V'. const and every a_h reach r0 = 1; polyexp weights
+    stop earlier (polyexp:1.5;d=0.5: 1 at N=3, 0.70 at N=10).
+    """
+
+    __slots__ = ("terms", "log2nm2", "r0", "start")
+
+    def __init__(self, cfg: ProblemConfig):
+        N, w = cfg.dim, cfg.weight
+        poly = (1.0, *w.coeffs)
+        E, ky, cs = [1.0], [], []  # ky: k y_k
+        for k in range(1, _SERIES_ORDER + 1):
+            low = _exp_step(ky, E)  # E_k without y_k
+            tilt = w.tilt if k == 1 else 0.0
+            c = (-2.0 * (N - 2.0) * (sum(map(mul, poly[1:k + 1], reversed(E))) + low + tilt)
+                 / (4.0 * k * k + 2.0 * (k + 1) * (N - 2.0)))
+            cs.append(c)
+            ky.append(k * (c + tilt))
+            E.append(low + c + tilt)
+        # rows k = 1..K: the tau^k terms of W, r W', r^2 W'' and r^3 W'''
+        rows = [(c, 2 * k * c, 2 * k * (2 * k - 1) * c, 4 * k * (2 * k - 1) * (k - 1) * c)
+                for k, c in enumerate(cs, start=1)]
+        self.terms = np.array(rows)
+        tau0 = _series_radius(rows, (_SERIES_EPS, 2.0 * _SERIES_EPS), (0, 0))
+        self.log2nm2 = math.log(2.0 * (N - 2.0))
+        self.r0 = min(1.0, math.sqrt(tau0))
+        self.start = self.states([self.r0])[0].tolist()
+
+    def emden(self, r) -> np.ndarray:
+        """Rows (W, r W', r^2 W'', r^3 W''') at the radii r, at most r0."""
+        r = np.asarray(r, dtype=float)
+        return _power_sums(r * r, self.terms)
+
+    def states(self, r) -> np.ndarray:
+        """Rows (V, V') at the radii r, at most r0."""
+        r = np.asarray(r, dtype=float)
+        w = self.emden(r)
+        return np.column_stack((w[:, 0] - 2.0 * np.log(r) + self.log2nm2, (w[:, 1] - 2.0) / r))
+
+
+@functools.lru_cache(maxsize=8)
+def _singular_series(cfg: ProblemConfig) -> _SingularSeries:
+    """The singular series of cfg, kept for `integrate_singular` and the
+    potential of the profile it gave."""
+    return _SingularSeries(cfg)
 
 
 def _check_beta(beta: float) -> None:
@@ -531,12 +634,12 @@ def _output_radii(cfg: ProblemConfig, radii):
     return radii_arr, [float(x) for x in radii_arr]
 
 
-def _anchor_radii(nodes, spacing):
+def _anchor_radii(nodes):
     """The strictly increasing radii of `nodes` a grid shoot lands on: the
     first and the last, and between them greedily the farthest radius within
-    min(gap, rel r) of the anchor r before it, (gap, rel) = spacing, or the
+    min(gap, rel r) of the anchor r before it, (gap, rel) = _ANCHORS, or the
     next radius where none is."""
-    top, rel = spacing
+    top, rel = _ANCHORS
     a = nodes[0]
     anchors, gap = [a], min(top, rel * a)
     for prev, r in zip(nodes, nodes[1:]):
@@ -579,10 +682,11 @@ def _jets(cfg: ProblemConfig, x: np.ndarray, y: np.ndarray, weight):
 
 
 def _grid_states(cfg: ProblemConfig, radii: np.ndarray, nodes, shoot,
-                 spacing=_ANCHORS, series: _Series | None = None) -> np.ndarray:
+                 series: _Series | _SingularSeries) -> np.ndarray:
     """States (v, v') or (v, v', e, e') at `radii` (as floats, `nodes`):
-    with a `series`, those at radii up to its radius r0 from the series;
-    the others from one shoot that lands on `_anchor_radii` of them only:
+    those at radii up to the radius r0 of the solution's Taylor `series`
+    from the series, and the others from one shoot that lands on
+    `_anchor_radii` of them only:
     shoot(anchors) returns (states at the anchors, xs, ys) with the accepted
     steps. A radius that is an anchor keeps the integrator's state; the
     rest are filled by the shared degree-7 Hermite reader (`_hermite_read`)
@@ -590,12 +694,12 @@ def _grid_states(cfg: ProblemConfig, radii: np.ndarray, nodes, shoot,
     derivatives, each first derivative from the next three, all from the
     ODE (`_jets`); a radius on an accepted step reads that step's state
     exactly."""
-    below = 0 if series is None else bisect_right(nodes, series.r0)
-    head = series.states(radii[:below]) if below else None
+    below = bisect_right(nodes, series.r0)
+    head = series.states(radii[:below])
     if below == len(nodes):
         return head
     radii = radii[below:]
-    anchors = _anchor_radii(nodes[below:], spacing)
+    anchors = _anchor_radii(nodes[below:])
     landed, xs, ys = shoot(anchors)
     k = np.minimum(np.searchsorted(anchors, radii), len(anchors) - 1)
     states = np.asarray(landed)[k]
@@ -604,7 +708,7 @@ def _grid_states(cfg: ProblemConfig, radii: np.ndarray, nodes, shoot,
         x, y = np.asarray(xs), np.asarray(ys)
         jets = (y, *_jets(cfg, x, y, weight_arrays(cfg.weight, x)))
         states[rest] = _hermite_read(x, jets, radii[rest])
-    return states if head is None else np.concatenate((head, states))
+    return np.concatenate((head, states)) if below else states
 
 
 def integrate_ivp(cfg: ProblemConfig, beta: float, radii=None, trace: bool = False) -> ShootResult:
@@ -644,7 +748,7 @@ def integrate_ivp(cfg: ProblemConfig, beta: float, radii=None, trace: bool = Fal
     else:
         radii_arr, nodes = _output_radii(cfg, radii)
         states = _grid_states(cfg, radii_arr, nodes, lambda anchors: _run(cfg, beta, anchors),
-                              series=_series(cfg, beta))
+                              _series(cfg, beta))
     v1 = float(states[-1, 0])
     e1 = float(states[-1, 2])
     lam = math.exp(v1)
@@ -679,9 +783,9 @@ def hermite_values(cfg: ProblemConfig, profile: RadialProfile, r) -> np.ndarray:
     at h = 40 and 5.7832 and polyexp weights, beta in [-2, 40]), which is
     the two shoots' own difference at the nodes, and with the series on
     the series nodes of its head to within 6.2e-13; and on
-    `integrate_singular`'s filled default grid to within 1.3e-13 of a
-    singular shoot that lands on each of 8192 geometric radii (N in 3..12,
-    six weights).
+    `integrate_singular`'s default grid to within 4.1e-14 of a singular
+    shoot at rtol/atol 1e-13 that lands on each of 8192 geometric radii (N
+    in 3..12, six weights).
     The profile needs two or more strictly increasing radii, or ValueError;
     r must lie between its first node and R, since nothing is extrapolated.
     """
@@ -702,43 +806,44 @@ def hermite_values(cfg: ProblemConfig, profile: RadialProfile, r) -> np.ndarray:
 
 
 def singular_series_coefficient(cfg: ProblemConfig) -> float:
-    """d2 in V = -2 log r + log 2(N-2) + d2 r^2 + ..."""
-    N = cfg.dim
-    return -(N - 2.0) * cfg.weight.a2pp / (4.0 * (N - 1.0))
+    """d2 in V = -2 log r + log 2(N-2) + d2 r^2 + ...: the singular series'
+    c_1 = -(N-2) a''(0) / (4(N-1)) (`_SingularSeries`)."""
+    return float(_singular_series(cfg).terms[0, 0])
 
 
 def integrate_singular(cfg: ProblemConfig, radii=None):
-    """Integrate the singular radial solution outward from its matched start.
+    """The singular radial solution V at `radii` (default: `default_grid`).
 
-    Returns (lambda_star, profile). Forward integration is stable here:
-    near r = 0 a perturbation of the -2 log r branch behaves like r^mu,
-    where mu solves mu^2 + (N-2) mu + 2(N-2) = 0, and Re mu < 0 for every
-    N >= 3, so both linearized modes decay as r grows.
+    Returns (lambda_star, profile). The radii up to the radius r0 of its
+    Taylor series in the Emden variable (`_SingularSeries`) take the
+    series' states; where r0 = 1 no `solve` call is made. Beyond r0 the
+    integrator goes on from the series' state at r0, forward integration
+    being stable: a perturbation of the -2 log r branch behaves like r^mu,
+    mu^2 + (N-2) mu + 2(N-2) = 0, and Re mu < 0 for every N >= 3, so both
+    linearized modes decay as r grows. Like a regular grid shoot
+    (`integrate_ivp`), it lands on `_anchor_radii` of the radii beyond r0
+    only and fills the others from its accepted steps by degree-7 Hermite
+    (`_grid_states`).
 
-    Like a regular grid shoot (`integrate_ivp`), the integrator lands only
-    on `_anchor_radii` of `radii` (default: `default_grid`) and the other
-    radii are filled from its accepted steps by degree-7 Hermite
-    (`_grid_states`), with anchors no farther apart than min(0.04, 0.1 r):
-    123 of `default_grid`'s 561, 3 997 right-hand-side calls at N=10, a_h
-    at h=40, where landing on every radius took 9 001. Over N in 3..12,
-    const, a_h (h = -1, 5, 40) and polyexp weights, at rtol 1e-10 and
-    1e-13, the filled (V, V') agree with a shoot that lands on every radius
-    to within 8.4e-14 and 3.9e-13 relative to max(1, |.|), and lambda* of
-    a_h (a_0 = const in every N, a_h at N <= 10) agrees with its closed
-    form 2(N-2) e^{-h/(2N)} to within 7.3e-15 relative (1.3e-14 landing
-    on every radius). Anchors no farther apart than min(0.04, 0.26 r)
-    would put V' off by 1.2e-10 in the head.
+    For const and every a_h the series reaches r = 1, so the profile is the
+    series' own: at N=10, a_h at h=40 one call takes 0.3 ms (0.07 ms of
+    them the recurrence, built once per config), where the start at r_start
+    from a two-term expansion took 3.6 ms and 3 997 right-hand-side calls.
+    There V is within 3.6e-15 of U_h and lambda* within 5e-16 of its closed
+    form 2(N-2) e^{-h/(2N)} over N in 3..12 and h in {-1, 0, 5.7832, 40}.
+    polyexp:1.5;d=0.5 at N=10 stops at r0 = 0.70 and takes 373 calls on 16
+    anchors. Over N in 3..12 and nine const, a_h and polyexp weights, at
+    rtol 1e-10 and 1e-13, (V, V') agree with a shoot from r_start at
+    rtol/atol 1e-13 that lands on every radius to within 5.2e-15 and
+    1.6e-14 relative to max(1, |.|).
     """
-    N = cfg.dim
-    r0 = cfg.r_start
-    d2 = singular_series_coefficient(cfg)
-    V0 = -2.0 * math.log(r0) + math.log(2.0 * (N - 2.0)) + d2 * r0 * r0
-    dV0 = -2.0 / r0 + 2.0 * d2 * r0
-    fun, y0 = _rhs_v(cfg), [V0, dV0]
+    series = _singular_series(cfg)
+    fun = _rhs_v(cfg)
     radii_arr, nodes = _output_radii(cfg, radii)
     states = _grid_states(cfg, radii_arr, nodes,
-                          lambda anchors: _integrate(cfg, fun, r0, y0, anchors),
-                          _SINGULAR_ANCHORS)
+                          lambda anchors: _integrate(cfg, fun, series.r0, series.start, anchors,
+                                                     _SERIES_FIRST_STEP),
+                          series)
     lam_star = math.exp(float(states[-1, 0]))
     return lam_star, RadialProfile(radii_arr, states[:, 0], states[:, 1])
 
@@ -916,5 +1021,5 @@ def rescaled_profile(cfg: ProblemConfig, beta: float, r_max: float = 3.0) -> Rad
     cfg_hat = _rescaled_config(cfg, beta)
     radii = default_grid(cfg_hat, R=r_max)
     states = _grid_states(cfg_hat, radii, radii.tolist(),
-                          lambda anchors: _run(cfg_hat, 0.0, anchors), series=_series(cfg_hat, 0.0))
+                          lambda anchors: _run(cfg_hat, 0.0, anchors), _series(cfg_hat, 0.0))
     return RadialProfile(radii, states[:, 0], states[:, 1], R=r_max)

@@ -32,8 +32,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import _stepper
-from .radial_ode import ProblemConfig, RadialProfile, ShootResult, _jets, integrate_singular
-from .weights import make_ah, weight_arrays
+from .radial_ode import (ProblemConfig, RadialProfile, ShootResult, _jets, _singular_series,
+                         integrate_singular)
+from .weights import log_weight, make_ah, weight_arrays
 
 
 def _is_int(k) -> bool:
@@ -226,19 +227,26 @@ def potential_from_shoot(cfg: ProblemConfig, shoot: ShootResult) -> RadialPotent
 
 
 def potential_from_singular(cfg: ProblemConfig, profile: RadialProfile) -> RadialPotential:
-    """a e^V for a singular profile, sampled as z = V + log a + 2 log r -
-    log 2(N-2) with z' = V' + a'/a + 2/r and the next two derivatives
-    likewise: z is small where a e^V is large, so 2(N-2) expm1(z) / r^2
-    keeps the smooth part accurate at small r."""
+    """a e^V for a singular profile, sampled as z = W + log a, with W = V +
+    2 log r - log 2(N-2) the Emden variable, z' = W' + a'/a and the next two
+    derivatives likewise: z is small where a e^V is large, so 2(N-2)
+    expm1(z) / r^2 keeps the smooth part accurate at small r. Up to the
+    radius r0 of the singular series (`radial_ode._SingularSeries`), W and
+    its derivatives are the series' own, with no cancellation against the
+    -2 log r of V; beyond r0 they come from V, V' and the ODE (`_jets`).
+    log a is `log_weight`'s, accurate near r = 0 too."""
     N = cfg.dim
     r, V, dV = profile.radii, profile.values, profile.derivs
     weight = a, da, dda, ddda = weight_arrays(cfg.weight, r)
     (_, V2), (_, V3), _ = (jet.T for jet in _jets(cfg, r, np.column_stack((V, dV)), weight))
+    W = np.array([V + 2.0 * np.log(r) - math.log(2.0 * (N - 2.0)), dV + 2.0 / r,
+                  V2 - 2.0 / (r * r), V3 + 4.0 / (r * r * r)])
+    series = _singular_series(cfg)
+    k = np.searchsorted(r, series.r0, side="right")
+    W[:, :k] = (series.emden(r[:k]) / r[:k, None] ** np.arange(4)).T
     la1, la2, la3 = da / a, dda / a, ddda / a
-    jets = (V + np.log(a) + 2.0 * np.log(r) - math.log(2.0 * (N - 2.0)),
-            dV + la1 + 2.0 / r,
-            V2 + la2 - la1 * la1 - 2.0 / (r * r),
-            V3 + la3 - la1 * (3.0 * la2 - 2.0 * la1 * la1) + 4.0 / (r * r * r))
+    jets = (W[0] + log_weight(cfg.weight, r), W[1] + la1, W[2] + la2 - la1 * la1,
+            W[3] + la3 - la1 * (3.0 * la2 - 2.0 * la1 * la1))
     return RadialPotential(
         kind="numeric", dim=cfg.dim,
         profile=RadialProfile.from_jets(r, jets),

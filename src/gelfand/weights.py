@@ -189,6 +189,17 @@ def weight_arrays(w: Weight, r: np.ndarray) -> tuple[np.ndarray, ...]:
     return p, dp, ddp, dddp
 
 
+def log_weight(w: Weight, r: np.ndarray) -> np.ndarray:
+    """log a(r) on an array of radii: log1p of the polynomial's terms beyond
+    its 1, plus d r^2, so that it keeps its relative accuracy near r = 0,
+    where log a is about a''(0) r^2 / 2."""
+    r2 = r * r
+    q = np.zeros_like(r)
+    for c in reversed(w.coeffs):
+        q = (q + c) * r2
+    return np.log1p(q) + w.tilt * r2
+
+
 def _check_admissible(w: Weight, samples: int) -> None:
     """WeightParseError unless a(r) is finite and positive at r = i / samples.
 

@@ -318,6 +318,25 @@ def test_series_start_rule(dim, kind, h, c1, d, beta):
         assert abs(series.start[i] - ref[i]) <= 1e-13 * max(1.0, abs(ref[i])), i
 
 
+@pytest.mark.parametrize("dim", [3, 10])
+def test_flat_series_terms_are_built_once(dim):
+    # const and a_0 at beta >= 0: alpha_j / sigma^j = 0 for j >= 1 and s = 1,
+    # so the terms and tau0 built once per dimension are bit for bit those
+    # the recurrence builds at each beta
+    for w in (CONST, make_ah(0.0, dim)):
+        cfg = ProblemConfig(dim=dim, weight=w)
+        for beta in (0.0, 0.7, 12.0, 40.0, 60.0):
+            series = radial_ode._Series(cfg, beta)
+            assert series.terms is radial_ode._flat_terms(dim)[0]
+            alpha, q = [], 1.0
+            for a in radial_ode._weight_series(w):
+                alpha.append(a * q)
+                q /= series.sigma
+            terms, tau0 = radial_ode._regular_terms(dim, alpha, 1.0)
+            assert np.array_equal(series.terms, terms)
+            assert series.r0 == min(1.0, math.sqrt(tau0 / series.sigma))
+
+
 # (beta, solve calls) of a trace shoot: none where the series reaches r = 1;
 # in r from r0 to r = 1 (beta <= 0), or to rho = e^{beta/2} r = 1 and then
 # in log r; in log r only where rho0 = e^{beta/2} r0 lies beyond 1 (1.34 at
@@ -482,20 +501,28 @@ def _landed(cfg, fun, y0, nodes):
 
 
 def _landed_singular(cfg, nodes):
+    """The singular solution on every one of `nodes`, the first of them
+    r_start, from the two-term matched start there, shot at rtol/atol 1e-13
+    (at rtol 1e-10 its own V' is 7.9e-12 off at N=10, const)."""
     N, r0 = cfg.dim, cfg.r_start
     d2 = singular_series_coefficient(cfg)
     y0 = [-2.0 * math.log(r0) + math.log(2.0 * (N - 2.0)) + d2 * r0 * r0,
           -2.0 / r0 + 2.0 * d2 * r0]
-    return _landed(cfg, radial_ode._rhs_v(cfg), y0, nodes)
+    tight = replace(cfg, rel_tol=1e-13, abs_tol=1e-13)
+    return _landed(tight, radial_ode._rhs_v(cfg), y0, nodes)
 
 
-SINGULAR_SPECS = ("const", "ah:h=-1", "ah:h=5", "ah:h=40", "polyexp:0.7;d=-0.2")
+# the singular series of const and a_h reaches r = 1; the polyexp ones stop
+# at r0 = 0.85 to 1 and 0.68 to 1
+SINGULAR_SPECS = ("const", "ah:h=-1", "ah:h=5", "ah:h=40", "polyexp:0.7;d=-0.2",
+                  "polyexp:1.5;d=0.5")
 
 
 @pytest.mark.parametrize("dim", range(3, 13))
 def test_singular_fill_matches_landing_on_every_radius(dim):
-    # the singular shoot lands on anchors no farther apart than
-    # min(0.04, 0.1 r) and fills the other radii of default_grid
+    # the singular solution takes the radii of default_grid up to its
+    # series' radius r0 from the series, lands on anchors beyond, no farther
+    # apart than min(0.02, 0.26 r), and fills the other radii
     for spec in SINGULAR_SPECS:
         for rtol in (1e-10, 1e-13):
             cfg = ProblemConfig(dim=dim, weight=parse_weight(spec, dim), rel_tol=rtol)
@@ -514,7 +541,8 @@ def test_singular_fill_matches_landing_on_every_radius(dim):
 
 
 def test_singular_shoot_rhs_calls_are_bounded(monkeypatch):
-    # landing on every one of default_grid's 561 radii took 9 001 calls here
+    # the series stops at r0 = 0.70 here; landing on each of default_grid's
+    # 150 radii beyond r0 takes 1 801 calls, and on all 561 from r_start 9 013
     rhs_v, calls = radial_ode._rhs_v, []
 
     def counting(cfg):
@@ -527,7 +555,7 @@ def test_singular_shoot_rhs_calls_are_bounded(monkeypatch):
         return counted
 
     monkeypatch.setattr(radial_ode, "_rhs_v", counting)
-    integrate_singular(ProblemConfig(dim=10, weight=make_ah(40.0, 10)))
+    integrate_singular(ProblemConfig(dim=10, weight=parse_weight("polyexp:1.5;d=0.5")))
     assert 0 < len(calls) <= 4500
 
 
@@ -580,19 +608,58 @@ def test_singular_constant_weight_exact():
     for N in (3, 6, 10):
         cfg = ProblemConfig(dim=N, weight=CONST)
         lam_star, prof = integrate_singular(cfg)
-        assert lam_star == pytest.approx(2.0 * (N - 2), rel=1e-10)
+        assert lam_star == pytest.approx(2.0 * (N - 2), rel=1e-14)
         exact = -2.0 * np.log(prof.radii) + math.log(2.0 * (N - 2))
-        assert np.max(np.abs(prof.values - exact)) < 1e-9
+        assert np.max(np.abs(prof.values - exact)) < 1e-14
 
 
 def test_singular_explicit_family_closed_form():
     N, h = 10, 40.0
     cfg = ProblemConfig(dim=N, weight=make_ah(h, N))
     lam_star, prof = integrate_singular(cfg)
-    assert lam_star == pytest.approx(explicit_lambda_h(N, h), rel=1e-6)
+    assert lam_star == pytest.approx(explicit_lambda_h(N, h), rel=1e-13)
     exact = (-2.0 * np.log(prof.radii) + math.log(2.0 * (N - 2))
              - h * prof.radii**2 / (2 * N))
-    assert np.max(np.abs(prof.values - exact)) < 1e-6
+    assert np.max(np.abs(prof.values - exact)) < 1e-13
+
+
+@pytest.mark.parametrize("dim", range(3, 13))
+def test_singular_series_is_the_explicit_family(dim, monkeypatch):
+    # a_h e^W = (1 + h tau / (2(N-2))) e^{W + h tau / (2N)}: the series puts
+    # the tilt in the exponent, where it cancels W = -h tau / (2N) to 0, so
+    # it is exact, reaches r = 1, and no solve call is made
+    solves = []
+    real = _stepper.solve
+    monkeypatch.setattr(_stepper, "solve", lambda *a, **k: solves.append(a) or real(*a, **k))
+    for h in (-1.0, 0.0, 5.7832, 40.0):
+        cfg = ProblemConfig(dim=dim, weight=make_ah(h, dim))
+        lam_star, prof = integrate_singular(cfg)
+        r = prof.radii
+        exact = math.log(2.0 * (dim - 2.0)) - 2.0 * np.log(r) - h * r * r / (2.0 * dim)
+        assert np.max(np.abs(prof.values - exact)) <= 1e-14, h
+        assert radial_ode._singular_series(cfg).r0 == 1.0
+    assert not solves
+
+
+@given(st.integers(3, 12), st.floats(0.0, 1.5), st.floats(-0.3, 0.3), st.floats(-1.0, 1.0))
+@settings(max_examples=25, deadline=None)
+def test_singular_series_matches_a_shoot_from_r_start(dim, c1, c2, d):
+    # the series' start state at r0 and the profile on default_grid against
+    # a shoot from the two-term start at r_start at rtol/atol 1e-13 that
+    # lands on every radius (150 draws: r0 in [0.59, 1], worst 3.5e-15 at
+    # the start and 1.7e-14 on the profile, relative to max(1, |.|))
+    cfg = ProblemConfig(dim=dim, weight=parse_weight(f"polyexp:{c1!r},{c2!r};d={d!r}"),
+                        rel_tol=1e-13, abs_tol=1e-13)
+    series = radial_ode._singular_series(cfg)
+    grid = default_grid(cfg)
+    nodes = sorted({*grid.tolist(), series.r0})
+    ref = _landed_singular(cfg, nodes)
+    start = ref[nodes.index(series.r0)]
+    assert np.all(np.abs(np.array(series.start) - start) <= 1e-13 * np.maximum(1.0, np.abs(start)))
+    ref = ref[np.searchsorted(nodes, grid)]
+    prof = integrate_singular(cfg)[1]
+    got = np.column_stack([prof.values, prof.derivs])
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
 
 def test_singular_series_coefficient_matches_family():
@@ -816,6 +883,11 @@ def _regular(cfg, beta, **kwargs):
 
 
 def _singular(cfg):
+    # the singular series of const and a_h reaches r = 1, where no solve
+    # call is made to compare: such a case shoots polyexp:1;d=-1 in its
+    # dimension, whose series stops at r0 = 0.66 to 0.82
+    if radial_ode._singular_series(cfg).r0 == 1.0:
+        cfg = ProblemConfig(dim=cfg.dim, weight=parse_weight("polyexp:1;d=-1"))
     lam_star, profile = integrate_singular(cfg)
     return lam_star, _arrays(profile)
 

@@ -257,10 +257,25 @@ def test_morse_low_dimension_caps():
     assert not rep.stable
 
 
+@pytest.mark.parametrize("dim", [3, 10])
+@pytest.mark.parametrize("h", [5.7832, 8.0, 40.0])
+def test_singular_potential_reads_z_from_the_series(dim, h):
+    # z = W + log a is log1p(h r^2 / (2(N-2))) for a_h. Read from the
+    # singular series it is within 4.5e-16 relative on default_grid; rebuilt
+    # as V + log a + 2 log r - log 2(N-2), about 18 near r_start, it was up
+    # to 3.1e-4 off
+    cfg = ProblemConfig(dim=dim, weight=make_ah(h, dim))
+    prof = potential_from_singular(cfg, integrate_singular(cfg)[1]).profile
+    r = prof.radii
+    exact = np.log1p(h * r * r / (2.0 * (dim - 2.0)))
+    assert np.max(np.abs(prof.values - exact) / exact) <= 1e-14
+
+
 @pytest.mark.parametrize("h", [5.0, 31.0, 40.0])
 def test_numeric_singular_reduction_matches_family(h):
-    # the 16/r^2 cancellation amplifies V's integration error by 1/r^2,
-    # so the reduction check wants a tight integrator tolerance
+    # z from the singular series puts K2 within 2.5e-14 of h at any
+    # tolerance; rebuilt from V, the 16/r^2 cancellation amplified V's
+    # integration error by 1/r^2 (5.5e-8 at rtol 1e-12, 7.6e-7 at 1e-10)
     N = 10
     cfg = ProblemConfig(dim=N, weight=make_ah(h, N), rel_tol=1e-12, abs_tol=1e-13)
     _, prof = integrate_singular(cfg)
@@ -367,8 +382,8 @@ def test_potential_reader_matches_a_landed_shoot(dim, spec, beta):
 
 def test_numeric_singular_eigenvalues_match_bessel_zeros():
     # at N=10 the singular potential of a_h reduces to K2 = h exactly, so
-    # mu_k = j0k^2 - h: mu_1 is 3.2e-11 off relative to j01^2 (a cubic
-    # Hermite reader of z puts it 2.3e-10 off)
+    # mu_k = j0k^2 - h: mu_1 is 8.2e-12 off relative to j01^2 (3.2e-11 with
+    # z rebuilt from V, and 2.3e-10 with a cubic Hermite reader of z)
     h = 40.0
     rep = singular_stability(ProblemConfig(dim=10, weight=make_ah(h, 10)))
     assert rep.morse_index == 2
