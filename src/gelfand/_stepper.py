@@ -38,15 +38,21 @@ N=10, a_h at h=40); polyexp:1.5;d=0.5 at N=10 stops at r0 = 0.70 and
 takes 373 calls on 16 nodes.
 Consumers that need only values (zero numbers, separation and envelope
 gaps) shoot on accepted steps (``integrate_ivp`` with ``trace=True``, as
-curve tracing does) and interpolate. Those shoots make up to two ``solve``
-calls at beta > 0: one in r through the boundary layer, up to
-r = e^{-beta/2}, where r0 lies below it, and one in s = log r on to r = 1
-(``radial_ode._trace_steps``), where the steps in r would have to stay
-near 0.04 r along the nearly linear -2 log r profile. On the traced
-branch benchmark (seed 13) that is 509 975 right-hand-side calls, where
-the two-term series start at r0 = min(r_start, 0.05 sqrt(2N) e^{-beta/2})
-made 965 538 and stepping in r alone from there 1 654 105, both counting
-the singular solution's former start at r_start (about 18 000 calls).
+curve tracing does) and interpolate. With a weight, those shoots make up
+to two ``solve`` calls at beta > 0: one in r through the boundary layer,
+up to r = e^{-beta/2}, where r0 lies below it, and one in s = log r on to
+r = 1 (``radial_ode._trace_steps``), where the steps in r would have to
+stay near 0.04 r along the nearly linear -2 log r profile. With const
+(and a_0) they make one: their steps beyond r0 are those of one
+Emden-Fowler trajectory per dimension and tolerances
+(``radial_ode._emden_trajectory``, built once), and the call lands on
+r = 1 from the last of them, as a rule in 13 right-hand-side calls. On
+the traced branch benchmark (seed 13) that is 236 687 right-hand-side
+calls, where
+shooting each constant-weight beta on its own made 509 975, the two-term
+series start at r0 = min(r_start, 0.05 sqrt(2N) e^{-beta/2}) 965 538 and
+stepping in r alone from there 1 654 105, the last two counting the
+singular solution's former start at r_start (about 18 000 calls).
 
 The work is split in two. ``solve`` is the one driver: it owns the step
 controller (the node clamp, the step budget, the underflow check,
@@ -54,12 +60,12 @@ accept/reject, the PI factor and the collection of accepted steps). A
 stage function computes a single step attempt: the twelve new
 right-hand-side evaluations, the 8th order solution and the error
 estimate. The package integrates states of three sizes only: 1 (the
-Pruefer phase), 2 (the singular solution) and 4 (v and its first
-variation e). The generic stage functions, one per size, are the
-list-based DOP853 loop unrolled into local scalars, generated from the
-tableau (``_stage_function``) when a state of that size first needs one
-(``_generic_stage``); the list form takes about twice as long. They call
-the right-hand side twelve times per attempt.
+Pruefer phase), 2 (the singular solution and the Emden trajectory) and 4
+(v and its first variation e). The generic stage functions, one per
+size, are the list-based DOP853 loop unrolled into local scalars,
+generated from the tableau (``_stage_function``) when a state of that
+size first needs one (``_generic_stage``); the list form takes about
+twice as long. They call the right-hand side twelve times per attempt.
 The radial right-hand sides of ``radial_ode`` are written once, as source
 lines (`Rhs`), and ``compile_rhs`` builds from those lines both the plain
 callable and a fused stage: the unrolled stage with the lines inlined at

@@ -10,7 +10,9 @@ jointly with v. A regular shoot takes its states from its Taylor series
 at r = 0 (`_Series`) as far as that series is exact to rounding, and
 integrates from there; so does the singular solution, from its Taylor
 series in the Emden variable W = V + 2 log r - log 2(N-2)
-(`_SingularSeries`), which for const and every a_h reaches r = 1.
+(`_SingularSeries`), which for const and every a_h reaches r = 1. A
+constant-weight trace shoot reads its steps beyond the series off one
+Emden-Fowler trajectory per dimension (`_emden_trajectory`).
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ _SERIES_EPS = 2.0 ** -52
 _SERIES_RATIO = 1.15
 _SERIES_FIRST_STEP = 0.02
 
-# a trace shoot integrates in r through the boundary layer, up to
+# a weighted trace shoot integrates in r through the boundary layer, up to
 # rho = e^{beta/2} r = _SWITCH_RHO, and in s = log r from there to r = 1,
 # where v follows the singular profile -2 log r + log 2(N-2), linear in s
 _SWITCH_RHO = 1.0
@@ -340,6 +342,61 @@ def _flat_terms(N: int):
     return _regular_terms(N, _weight_series(Weight(spec="const", coeffs=(), tilt=0.0)), 1.0)
 
 
+@functools.lru_cache(maxsize=8)
+def _emden_trajectory(N: int, rel_tol: float, abs_tol: float):
+    """The constant weight's whole branch as one trajectory, once per
+    dimension and tolerances: (fun, t, zs), fun its right-hand side, t the
+    accepted steps in t = log rho from rho0 = sqrt(tau0), the flat series'
+    radius (`_flat_terms`), to BETA_MAX_GUARD / 2, and zs the states there,
+    rows (z, z_t).
+
+    With a = 1 the equation is scale-invariant: v(r; beta) = beta + w(rho),
+    rho = e^{beta/2} r, w the beta = 0 solution. In z = w + 2 log rho -
+    log 2(N-2) it is autonomous (Joseph and Lundgren, ARMA 49, 1973),
+
+        z_tt = -(N-2) z_t - 2(N-2) expm1(z),
+
+    and it starts from the flat series' state at rho0. A shoot at beta
+    reads it up to t = beta/2 (`_emden_steps`). z tends to 0 where v runs
+    up to beta, so the same tolerances hold it tighter than a shoot at beta.
+    """
+    terms, tau0 = _flat_terms(N)
+    w, half_rw = _power_sums(np.array([tau0]), terms)[0, :2].tolist()
+    t0 = 0.5 * math.log(tau0)
+    fun = _compiled_rhs("emden", 0, False)(N - 2.0)
+    y0 = [w + 2.0 * t0 - math.log(2.0 * (N - 2.0)), 2.0 + 2.0 * half_rw]
+    _, t, zs = _stepper.solve(fun, t0, y0, [0.5 * BETA_MAX_GUARD], rel_tol, abs_tol,
+                              first_step=_SERIES_FIRST_STEP, collect=True)
+    t, zs = np.array(t), np.array(zs)
+    t.flags.writeable = zs.flags.writeable = False  # every shoot reads these
+    return fun, t, zs
+
+
+def _emden_steps(cfg: ProblemConfig, beta: float):
+    """The radii and states, rows (v, v', e, e'), of a constant-weight trace
+    shoot beyond its series' radius r0 = rho0 e^{-beta/2}, read off
+    `_emden_trajectory`: its accepted steps in (t0, beta/2) at r = e^{t -
+    beta/2}, then r = 1.0 by one clamped solve from the last of them, its
+    first step the whole remaining span. With s = log r,
+
+        v = z - 2 s + log 2(N-2),  r v' = z_t - 2,  e = z_t / 2,  r e' = z_tt / 2.
+    """
+    N = cfg.dim
+    fun, t, zs = _emden_trajectory(N, cfg.rel_tol, cfg.abs_tol)
+    t1 = 0.5 * beta
+    k = max(int(np.searchsorted(t, t1)), 1)  # t[:k] < t1
+    t_last = float(t[k - 1])
+    end = _stepper.solve(fun, t_last, zs[k - 1].tolist(), [t1], cfg.rel_tol, cfg.abs_tol,
+                         first_step=t1 - t_last)[0]
+    s = np.append(t[1:k] - t1, 0.0)
+    z, dz = np.vstack((zs[1:k], end)).T
+    r = np.exp(s)
+    ddz = -(N - 2.0) * (dz + 2.0 * np.expm1(z))
+    states = np.column_stack((z - 2.0 * s + math.log(2.0 * (N - 2.0)), (dz - 2.0) / r,
+                              0.5 * dz, 0.5 * ddz / r))
+    return r, states
+
+
 class _Series:
     """The Taylor series at r = 0 of a regular shoot's v and e = dv/dbeta,
     to order K = _SERIES_ORDER in tau = sigma r^2, sigma = e^{max(beta, 0)},
@@ -362,20 +419,23 @@ class _Series:
     r alone the factor e^{k beta} of tau^k overflows from beta ~ 30, and in
     e^beta r^2 alone alpha_j e^{-j beta} from beta ~ -31 down. With const
     (and a_0) at beta >= 0 the terms and tau0 do not depend on beta
-    (`_flat_terms`): a shoot then costs 16 us of series, not 84.
+    (`_flat_terms`): a shoot then costs 16 us of series, not 84. `flat`
+    marks those shoots; beyond r0 a trace shoot among them reads the Emden
+    trajectory (`_emden_steps`).
 
     The order: at 16, a_40's series at N=12 gives r0 = 0.50 for beta <~ -20,
     and beyond it a shoot's v' (about e^beta, far below abs_tol) is 0.6 %
     off at r = 1; at 24, r0 = 0.99 and v'(1) is exact to rounding.
     """
 
-    __slots__ = ("beta", "sigma", "terms", "r0", "start")
+    __slots__ = ("beta", "sigma", "flat", "terms", "r0", "start")
 
     def __init__(self, cfg: ProblemConfig, beta: float):
         self.beta = beta
         self.sigma = math.exp(max(beta, 0.0))
         w = cfg.weight
-        if beta >= 0.0 and not w.coeffs and not w.tilt:
+        self.flat = beta >= 0.0 and not w.coeffs and not w.tilt
+        if self.flat:
             self.terms, tau0 = _flat_terms(cfg.dim)
         else:
             alpha, q = [], 1.0
@@ -503,6 +563,11 @@ _RHS = {
     "v": ("r", ("v", "dv"), "nm1", (),
           ("g = a * exp(v if v < cap else cap)",),
           ("dv", "-nm1 / r * dv - g")),
+    # y = (z, z_t) as functions of t = log rho, the constant weight's
+    # Emden-Fowler form (`_emden_trajectory`); it reads no weight:
+    # z_tt = -(N-2) z_t - 2(N-2) expm1(z)
+    "emden": ("t", ("z", "dz"), "nm2", (), (),
+              ("dz", "-nm2 * (dz + 2.0 * expm1(z if z < cap else cap))")),
 }
 
 
@@ -510,12 +575,17 @@ _RHS = {
 def _compiled_rhs(kind: str, k: int, tilted: bool):
     """make(N - 1 or N - 2, *weight_args(w)) -> fun for the right-hand
     side `kind` with a weight of k coefficients, tilted or not: compiled on
-    first use, once per shape, so that no config and no shoot compiles."""
+    first use, once per shape, so that no config and no shoot compiles.
+    The "emden" kind reads no weight: make(N - 2), with k = 0 untilted."""
     x, state, nm, head, tail, out = _RHS[kind]
-    params, weight = weight_source(k, tilted)
+    if kind == "emden":
+        params, weight, name = (), (), kind
+    else:
+        params, weight = weight_source(k, tilted)
+        name = f"{kind}, {k} coefficients{', tilted' if tilted else ''}"
     rhs = _stepper.Rhs(x, state, (nm, *params), (*head, *weight, *tail), out)
-    return _stepper.compile_rhs(rhs, {"exp": math.exp, "cap": _EXP_CAP},
-                                f"{kind}, {k} coefficients{', tilted' if tilted else ''}")
+    return _stepper.compile_rhs(rhs, {"exp": math.exp, "expm1": math.expm1, "cap": _EXP_CAP},
+                                name)
 
 
 def _rhs(kind: str, cfg: ProblemConfig, nm: float):
@@ -581,13 +651,17 @@ def _trace_steps(cfg: ProblemConfig, beta: float):
     r = 1.0 exactly: from r_start up to the series' radius r0 (`_Series`)
     the series' states at a ratio of at most _SERIES_RATIO, and from r0 on
     the integrator's accepted steps; where r0 lies below r_start, the
-    accepted steps from the last one at or below r_start on.
+    accepted steps from the last one at or below r_start on. Where r0 = 1
+    it makes no `solve` call.
 
-    Up to r_sw = _SWITCH_RHO e^{-beta/2}, past the boundary layer, the shoot
-    steps in r; from there (or from r0, where that lies beyond r_sw) it
-    steps in s = log r, where the r steps would have to stay near 0.04 r
-    along the nearly linear -2 log r profile. Where r_sw >= 1 (beta <= 0)
-    it steps in r all the way, and where r0 = 1 it makes no `solve` call.
+    With const (and a_0) at beta > 0 the steps beyond r0 are those of the
+    one Emden-Fowler trajectory of the dimension (`_emden_steps`), and the
+    shoot's own `solve` call only lands on r = 1. Any other weight, and
+    const at beta <= 0, steps in r up to r_sw = _SWITCH_RHO e^{-beta/2},
+    past the boundary layer, and from there (or from r0, where that lies
+    beyond r_sw) in s = log r, where the r steps would have to stay near
+    0.04 r along the nearly linear -2 log r profile. Where r_sw >= 1 (beta
+    <= 0) it steps in r all the way.
     """
     series = _series(cfg, beta)
     r0 = series.r0
@@ -596,24 +670,28 @@ def _trace_steps(cfg: ProblemConfig, beta: float):
     head_states = series.states(head)
     if r0 == 1.0:
         return head, head_states
-    xs, ys = [r0], [series.start]
-    s_sw = math.log(_SWITCH_RHO) - 0.5 * beta
-    s0 = math.log(r0)
-    if s0 < s_sw:
-        _, xs, ys = _integrate(cfg, _rhs_ve(cfg), r0, series.start, [min(1.0, math.exp(s_sw))],
-                               _SERIES_FIRST_STEP)
-        s0 = s_sw
-    if s0 < 0.0:
-        r = xs[-1]
-        v, dv, e, de = ys[-1]
-        _, ss, ws = _stepper.solve(_rhs_ve_log(cfg), s0, [v, r * dv, e, r * de],
-                                   [0.0], cfg.rel_tol, cfg.abs_tol, collect=True)
-        for s, (v, dv, e, de) in zip(ss[1:], ws[1:]):
-            r = math.exp(s)
-            xs.append(r)
-            ys.append([v, dv / r, e, de / r])
-    radii = np.concatenate((head[:-1], xs))
-    states = np.concatenate((head_states[:-1], ys))
+    if series.flat:
+        xs, ys = _emden_steps(cfg, beta)
+        radii, states = np.concatenate((head, xs)), np.concatenate((head_states, ys))
+    else:
+        xs, ys = [r0], [series.start]
+        s_sw = math.log(_SWITCH_RHO) - 0.5 * beta
+        s0 = math.log(r0)
+        if s0 < s_sw:
+            _, xs, ys = _integrate(cfg, _rhs_ve(cfg), r0, series.start,
+                                   [min(1.0, math.exp(s_sw))], _SERIES_FIRST_STEP)
+            s0 = s_sw
+        if s0 < 0.0:
+            r = xs[-1]
+            v, dv, e, de = ys[-1]
+            _, ss, ws = _stepper.solve(_rhs_ve_log(cfg), s0, [v, r * dv, e, r * de],
+                                       [0.0], cfg.rel_tol, cfg.abs_tol, collect=True)
+            for s, (v, dv, e, de) in zip(ss[1:], ws[1:]):
+                r = math.exp(s)
+                xs.append(r)
+                ys.append([v, dv / r, e, de / r])
+        radii = np.concatenate((head[:-1], xs))
+        states = np.concatenate((head_states[:-1], ys))
     first = bisect_right(radii, cfg.r_start) - 1
     return radii[first:], states[first:]
 
@@ -723,10 +801,17 @@ def integrate_ivp(cfg: ProblemConfig, beta: float, radii=None, trace: bool = Fal
     and in s = log r from there, or from r0 where that lies beyond, to r = 1
     (`_trace_steps`); at beta <= 0 it steps in r throughout. At N=10, a_h
     at h=40, beta=40 that takes 1 945 right-hand-side calls, where stepping
-    in r alone took 5 257. Over N in {3, 6, 9, 10, 12}, const, a_h and
-    polyexp weights and beta in {-5, 0.5, 2, 10, 25, 40}, v(1) and e(1)
-    stay within 8.0e-12 and 9.5e-13 of a shoot in r alone at rtol 1e-13
-    (1.1e-12 and 1.2e-12 for a trace shoot in r alone).
+    in r alone took 5 257. With const (and a_0) at beta > 0 the steps
+    beyond r0 are read off one Emden-Fowler trajectory per dimension and
+    tolerances (`_emden_trajectory`, 1 093 to 1 561 calls once, N in
+    3..12), and the shoot makes one short solve onto r = 1: 13 calls at
+    N=3, beta=40, where shooting it on its own took 1 189. Over N in
+    {3, 6, 9, 10, 12}, const, a_h and polyexp weights and beta in {-5, 0.5,
+    0.7, 2, 10, 25, 40}, v(1) and e(1) stay within 8.0e-12 and 1.2e-12 of
+    a shoot in r alone at rtol 1e-13. With const, over beta in [-1, 60] by
+    0.5 at the same N, they stay within 3.8e-13 and 2.9e-13 of a shoot at
+    rtol 1e-13, where shooting each beta on its own was up to 9.7e-12 and
+    6.8e-13 off.
     Otherwise it is sampled at `radii` (default: `default_grid`). The
     radii up to r0 take the series' states; beyond r0 the integrator lands
     only on a sparse subset of them, `_anchor_radii`, and the others are
@@ -779,10 +864,13 @@ def hermite_values(cfg: ProblemConfig, profile: RadialProfile, r) -> np.ndarray:
     by up to 0.27 near r = 0.9 at N=3 with a polyexp weight, where degree-7
     Hermite is off by up to 9.5e-9 in r and 1.3e-10 in log r.
     On a trace=True shoot this agrees with a shoot that lands on r to
-    within 8.0e-12 relative to max(1, |v|) (N in {3, 7, 10, 12}, const, a_h
-    at h = 40 and 5.7832 and polyexp weights, beta in [-2, 40]), which is
-    the two shoots' own difference at the nodes, and with the series on
-    the series nodes of its head to within 6.2e-13; and on
+    within 1.8e-11 relative to max(1, |v|) (N in {3, 7, 10, 12}, const, a_h
+    at h = 40 and 5.7832 and polyexp weights, 15 beta in [-2, 40], 300
+    geometric radii each), which is the two shoots' own difference at the
+    nodes (N=3, a_40, beta=40); on the const profiles read off the Emden
+    trajectory to within 2.8e-13 (6.8e-11 at N=12, beta=31 when each beta
+    was shot on its own); with the series between the nodes of its head
+    to within 2.2e-13; and on
     `integrate_singular`'s default grid to within 4.1e-14 of a singular
     shoot at rtol/atol 1e-13 that lands on each of 8192 geometric radii (N
     in 3..12, six weights).
@@ -970,14 +1058,24 @@ def asymptotic_diagnostics(cfg: ProblemConfig, profile: RadialProfile,
     profile v-hat(rho) = v(rho e^{-beta/2}) - beta is sampled on rho in (0, 3],
     using the series start below r_start and the weight's natural formula
     beyond r = 1 if the window requires it. beta=None means a singular
-    profile (no rescaling); beta < 0 is an error (empty window).
+    profile (no rescaling); beta < 0 is an error (empty window). There, up
+    to the radius r0 of the singular series (`_SingularSeries`), w and
+    dw/dt = -r W' are the series' own, since V + 2 log r would cancel two
+    terms of about 18 at r_start; for a_h they are then within 1.8e-15
+    relative of -h r^2/(2N) and h r^2/N, where the subtraction was 3.1e-7
+    off. Beyond r0 they are formed from V and V'.
     """
     N = cfg.dim
     r = profile.radii
     t = -np.log(r)[::-1]
-    w = (profile.values + 2.0 * np.log(r) - math.log(2.0 * (N - 2.0)))[::-1]
-    dwdt = -(r * profile.derivs + 2.0)[::-1]
-    emden = RadialProfile(t, w, dwdt, R=float(t[-1]))
+    w = profile.values + 2.0 * np.log(r) - math.log(2.0 * (N - 2.0))
+    dwdt = -(r * profile.derivs + 2.0)
+    if beta is None:
+        series = _singular_series(cfg)
+        k = bisect_right(r, series.r0)
+        W = series.emden(r[:k])
+        w[:k], dwdt[:k] = W[:, 0], -W[:, 1]
+    emden = RadialProfile(t, w[::-1], dwdt[::-1], R=float(t[-1]))
 
     if beta is None:
         return AsymptoticDiagnostics(emden=emden, rescaled=None)

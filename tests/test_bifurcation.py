@@ -6,6 +6,7 @@ import pytest
 
 import gelfand._stepper as _stepper
 import gelfand.bifurcation as bif
+import gelfand.radial_ode as radial_ode
 from gelfand import (
     IntegrationError,
     ProblemConfig,
@@ -164,12 +165,18 @@ def test_folds_do_not_move_with_the_step_rule(request, name):
     assert [tp.beta for tp in tps] == pytest.approx(expected, abs=1e-7)
 
 
-# The constant-weight branch from one Emden-Fowler trajectory, an oracle
-# that shares only the DOP853 stepper and the root finder with the package.
+# The constant-weight branch from one Emden-Fowler trajectory, an oracle.
 # For a = 1, v(r; beta) = beta + w(e^{beta/2} r) with w the beta = 0
 # solution on [0, inf). With s = log rho and z = w + 2s - log 2(N-2),
 #     z'' + (N-2) z' + 2(N-2) expm1(z) = 0,  lambda(beta) = 2(N-2) e^{z(beta/2)},
-# so the folds are the zeros of z', at beta = 2s.
+# so the folds are the zeros of z', at beta = 2s. The package's constant-
+# weight trace shoots read this same equation off one trajectory
+# (radial_ode._emden_trajectory), and the oracle shares with them the
+# equation, the DOP853 stepper and the root finder only: it starts at
+# s = -12 from two terms of w's series, not at the package's series radius,
+# holds z and z' to a purely relative tolerance, not to the shoot's rel_tol
+# and abs_tol, runs its own right-hand side on the generic stage, and
+# places each fold as a zero of z', not by refine_fold on lambda(beta).
 def _emden_folds(dim):
     """[(beta, kind)] of every fold up to beta = 41: z' from s = -12 to
     20.5 at rtol 1e-12 (atol 1e-300, purely relative), each zero of z'
@@ -223,6 +230,43 @@ def test_emden_oracle_has_seven_folds_in_nine_dimensions():
     folds = _in_window(_emden_folds(9))
     assert [kind for _, kind in folds] == ["Max", "Min", "Max", "Min", "Max", "Min", "Max"]
     assert [beta for beta, _ in folds] == pytest.approx(EMDEN_FOLDS_N9, abs=1e-8)
+
+
+@pytest.mark.parametrize("dim, count", [(3, 8), (6, 5), (9, 2)])
+def test_traced_const_folds_match_the_emden_oracle(curve3, dim, count):
+    # the folds trace_curve resolves on [-5, 40] are the oracle's first
+    # ones, kind for kind, each within 2e-8 (worst 1.1e-9 at N=3, 1.7e-8
+    # at N=6, 1.1e-8 at N=9); at N = 6 and 9 the later, flatter folds fall
+    # inside the tracer's deadband (test_classify_type_one_nine_dimensions)
+    if dim == 3:
+        curve = curve3
+    else:
+        curve = trace_curve(ProblemConfig(dim=dim, weight=CONST), -5.0, 40.0, 0.25)
+    tps = curve.turning_points
+    oracle = _in_window(_emden_folds(dim))[:count]
+    assert len(tps) == count
+    assert [tp.kind for tp in tps] == [kind for _, kind in oracle]
+    assert [tp.beta for tp in tps] == pytest.approx([beta for beta, _ in oracle], abs=2e-8)
+
+
+def test_const_trace_rhs_calls_are_bounded(monkeypatch):
+    # the constant weight's shoots read one Emden trajectory, built here in
+    # 1 561 calls, and land on r = 1 by one short solve each: 4 213 calls in
+    # all, where shooting each beta on its own took 136 140
+    radial_ode._emden_trajectory.cache_clear()
+    real, calls = _stepper.solve, []
+
+    def counting(fun, *args, **kw):
+        def counted(x, y):
+            calls.append(x)
+            return fun(x, y)
+
+        return real(counted, *args, **kw)
+
+    monkeypatch.setattr(_stepper, "solve", counting)
+    curve = trace_curve(ProblemConfig(dim=3, weight=CONST), -5.0, 40.0, 0.25)
+    assert len(curve.turning_points) == 8
+    assert 0 < len(calls) <= 6000
 
 
 def test_refine_fold_shoots_only_inside_its_bracket(cfg3, shoots):
@@ -393,19 +437,21 @@ def _one_trace_shoot_each(shoots, expected):
 def test_zero_number_shoots_once(shoots, monkeypatch):
     cfg = ProblemConfig(dim=3, weight=CONST)
     _, sing = integrate_singular(cfg)
-    state_sizes = []
+    radial_ode._emden_trajectory(3, cfg.rel_tol, cfg.abs_tol)  # built once per dimension
+    solves = []
     real = _stepper.solve
 
-    def counting(fun, r0, y0, *args, **kw):
-        state_sizes.append(len(y0))
-        return real(fun, r0, y0, *args, **kw)
+    def counting(fun, x0, y0, nodes, *args, **kw):
+        solves.append((len(y0), list(nodes)))
+        return real(fun, x0, y0, nodes, *args, **kw)
 
     monkeypatch.setattr(_stepper, "solve", counting)
     assert zero_number(cfg, 10.0, sing) == 2
     _one_trace_shoot_each(shoots, [(cfg, 10.0)])
-    # the one (v, e) shoot, in log r only, since its series reaches past
-    # rho = e^{beta/2} r = 1; no singular (size 2) one
-    assert state_sizes == [4]
+    # the one trace shoot reads the Emden trajectory and lands on r = 1,
+    # t = beta/2 = 5, by one solve of (z, z_t); no singular solve, which
+    # would land on radii
+    assert solves == [(2, [5.0])]
 
 
 def test_zero_number_does_not_extrapolate_the_singular_profile():

@@ -220,12 +220,17 @@ SWITCH_CASES = [(dim, spec) for dim in (3, 6, 9, 10, 12)
 
 @pytest.mark.parametrize("dim, spec", SWITCH_CASES)
 def test_switched_trace_shoot_matches_a_tight_shoot_in_r(dim, spec):
-    # past rho = e^{beta/2} r = 1 a trace shoot steps in log r; its v(1) and
-    # e(1) against a shoot in r alone at rtol 1e-13 from the same series
-    # start
+    # past rho = e^{beta/2} r = 1 a trace shoot steps in log r, and with
+    # const it reads the Emden trajectory; its v(1) and e(1) against a shoot
+    # in r alone at rtol 1e-13 from the same series start. At N=3, beta =
+    # 0.7 puts r = 1 just past rho0 = 1.34, and 60, the guard's end, is the
+    # trajectory's last step. A weighted shoot at 60 holds v, near 60 past
+    # the layer, only to 60 rtol: at N=3 its v(1) is 1.6e-11 off with
+    # polyexp, past this bound, and 9.7e-12 with a_40
     cfg = ProblemConfig(dim=dim, weight=parse_weight(spec, dim))
     tight = replace(cfg, rel_tol=1e-13, abs_tol=1e-13)
-    for beta in (-5.0, 0.5, 2.0, 10.0, 25.0, 40.0):
+    betas = (-5.0, 0.5, 0.7, 2.0, 10.0, 25.0, 40.0) + ((60.0,) if spec == "const" else ())
+    for beta in betas:
         ref = _run(tight, beta, [1.0])[0][0]
         sh = integrate_ivp(cfg, beta, trace=True)
         assert sh.profile.radii[-1] == 1.0
@@ -337,12 +342,45 @@ def test_flat_series_terms_are_built_once(dim):
             assert series.r0 == min(1.0, math.sqrt(tau0 / series.sigma))
 
 
-# (beta, solve calls) of a trace shoot: none where the series reaches r = 1;
-# in r from r0 to r = 1 (beta <= 0), or to rho = e^{beta/2} r = 1 and then
-# in log r; in log r only where rho0 = e^{beta/2} r0 lies beyond 1 (1.34 at
-# N=3, const; 1.87 at N=10, a_40 and beta = 3)
-SWITCH_SOLVES = {(3, "const"): [(-5.0, 0), (1.0, 1)],
-                 (10, "ah:h=40"): [(-1.0, 1), (0.5, 2), (3.0, 1)]}
+@pytest.mark.parametrize("dim", [3, 10])
+def test_emden_trajectory_is_built_once(dim):
+    # const and a_0 trace shoots whose series stops short of r = 1 read one
+    # trajectory per (dim, rel_tol, abs_tol), which starts from the flat
+    # series' state at rho0 = sqrt(tau0) (r0 = rho0 e^{-beta/2}); each takes
+    # the trajectory's accepted steps below t = beta/2 as they are, at r =
+    # e^{t - beta/2}, and lands on r = 1
+    radial_ode._emden_trajectory.cache_clear()
+    for w in (CONST, make_ah(0.0, dim)):
+        cfg = ProblemConfig(dim=dim, weight=w)
+        for beta in (3.0, 12.0, 40.0, 60.0):
+            series = radial_ode._series(cfg, beta)
+            assert series.flat and series.r0 < 1.0
+            sh = integrate_ivp(cfg, beta, trace=True)
+            _, t, zs = radial_ode._emden_trajectory(dim, cfg.rel_tol, cfg.abs_tol)
+            # its start is the series' state at r0, where e = z_t / 2
+            assert t[0] == pytest.approx(math.log(series.r0) + 0.5 * beta, abs=1e-14)
+            assert zs[0, 1] == pytest.approx(2.0 * series.start[2], abs=1e-14)
+            # the steps below r_start are dropped but the last of them
+            k = np.searchsorted(t, 0.5 * beta)
+            steps = np.exp(t[1:k] - 0.5 * beta)
+            n = min(k - 1, len(sh.profile.radii) - 1)
+            assert sh.profile.radii[-1] == 1.0
+            assert np.array_equal(sh.profile.radii[-n - 1:-1], steps[-n:])
+            assert np.array_equal(sh.variation_profile.values[-n - 1:-1], 0.5 * zs[k - n:k, 1])
+    info = radial_ode._emden_trajectory.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    # other tolerances, another trajectory
+    integrate_ivp(ProblemConfig(dim=dim, weight=CONST, rel_tol=1e-12), 5.0, trace=True)
+    assert radial_ode._emden_trajectory.cache_info().currsize == 2
+
+
+# (beta, state sizes of its solve calls) of a trace shoot: none where the
+# series reaches r = 1; in r from r0 to r = 1 (beta <= 0), or to rho =
+# e^{beta/2} r = 1 and then in log r; in log r only where rho0 = e^{beta/2}
+# r0 lies beyond 1 (1.87 at N=10, a_40 and beta = 3). With const (rho0 =
+# 1.34 at N=3) it makes one solve of (z, z_t) off the Emden trajectory
+SWITCH_SOLVES = {(3, "const"): [(-5.0, []), (1.0, [2])],
+                 (10, "ah:h=40"): [(-1.0, [4]), (0.5, [4, 4]), (3.0, [4])]}
 
 
 @pytest.mark.parametrize("dim, spec", sorted(SWITCH_SOLVES))
@@ -351,6 +389,7 @@ def test_trace_shoot_switches_to_log_r_only_for_positive_beta(dim, spec, monkeyp
     # to its radius r0, at a ratio of at most 1.15, and the accepted steps
     # of one solve in r up to rho = 1 and one in log r beyond
     cfg = ProblemConfig(dim=dim, weight=parse_weight(spec, dim))
+    radial_ode._emden_trajectory(dim, cfg.rel_tol, cfg.abs_tol)  # built once per dimension
     sizes, real = [], _stepper.solve
 
     def counting(fun, x0, y0, *args, **kw):
@@ -361,7 +400,7 @@ def test_trace_shoot_switches_to_log_r_only_for_positive_beta(dim, spec, monkeyp
     for beta, solves in SWITCH_SOLVES[dim, spec]:
         sizes.clear()
         sh = integrate_ivp(cfg, beta, trace=True)
-        assert sizes == [4] * solves, beta
+        assert sizes == solves, beta
         series = radial_ode._series(cfg, beta)
         radii = sh.profile.radii
         states = np.column_stack([sh.profile.values, sh.profile.derivs,
@@ -817,11 +856,25 @@ def test_identity_residuals_random(dim, kind, h, c1, d, beta):
 # ------------------------------------------------------------- asymptotics
 
 def test_emden_variable_exact_singular():
+    # const's singular series is W = 0, and the Emden variable is read from
+    # it, not rebuilt as V + 2 log r - log 2(N-2)
     cfg = ProblemConfig(dim=5, weight=CONST)
     _, prof = integrate_singular(cfg)
     diag = asymptotic_diagnostics(cfg, prof)
-    assert np.max(np.abs(diag.emden.values)) < 1e-9
+    assert np.all(diag.emden.values == 0.0) and np.all(diag.emden.derivs == 0.0)
     assert diag.rescaled is None
+
+
+@pytest.mark.parametrize("dim, h", [(10, 5.7832), (10, 40.0), (3, 40.0)])
+def test_emden_variable_of_the_explicit_family(dim, h):
+    # W = -h r^2/(2N) and dw/dt = -r W' = h r^2/N, t = -log r: within
+    # 1.8e-15 relative; rebuilt from V by subtraction they were up to 3.1e-7
+    # and 2.4e-8 off
+    cfg = ProblemConfig(dim=dim, weight=make_ah(h, dim))
+    diag = asymptotic_diagnostics(cfg, integrate_singular(cfg)[1])
+    r2 = np.exp(-2.0 * diag.emden.radii)
+    for got, ref in ((diag.emden.values, -h * r2 / (2 * dim)), (diag.emden.derivs, h * r2 / dim)):
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
 
 
 def test_emden_variable_decays_for_family():
@@ -908,7 +961,13 @@ FUSED_SHOOTS = {
 def test_fused_shoots_are_bit_identical_to_generic_ones(monkeypatch, dim, spec, shoot):
     # the same node states, accepted steps and states at them, and results
     cfg = ProblemConfig(dim=dim, weight=parse_weight(spec, dim))
-    run = lambda: FUSED_SHOOTS[shoot](cfg)  # noqa: E731
+
+    def run():
+        # a constant-weight trace shoot builds its Emden trajectory anew, on
+        # the stage under test, before it reads it
+        radial_ode._emden_trajectory.cache_clear()
+        return FUSED_SHOOTS[shoot](cfg)
+
     fused, fused_solves = _solve_results(monkeypatch, run, True)
     generic, generic_solves = _solve_results(monkeypatch, run, False)
     assert fused_solves and fused_solves == generic_solves
@@ -941,13 +1000,15 @@ def test_fused_stage_raises_the_callables_error(monkeypatch):
 
 def test_right_hand_sides_compile_once_per_kind_and_weight_shape():
     # verify draws a new polyexp weight for each command: 20 of them, of
-    # one shape (one coefficient, tilted), a_h of the same shape and const
-    # compile three right-hand sides (ve, ve_log, v) per shape and one
-    # scalar weight (for the parse-time check), no more. A trace shoot
-    # whose series reaches rho = e^{beta/2} r = 1 steps in log r only, so a
-    # grid shoot, which steps in r, is made too
+    # one shape (one coefficient, tilted), and a_h of the same shape compile
+    # three right-hand sides (ve, ve_log, v) and one scalar weight (for the
+    # parse-time check), no more. A trace shoot whose series reaches rho =
+    # e^{beta/2} r = 1 steps in log r only, so a grid shoot, which steps in
+    # r, is made too. const compiles ve, v and the Emden kind, which its
+    # trace shoots read in place of ve_log, once for every dimension
     rng = random.Random(5)
     radial_ode._compiled_rhs.cache_clear()
+    radial_ode._emden_trajectory.cache_clear()
     weights._weight_factory.cache_clear()
     sizes = []
     for _ in range(20):
@@ -959,12 +1020,14 @@ def test_right_hand_sides_compile_once_per_kind_and_weight_shape():
         sizes.append(radial_ode._compiled_rhs.cache_info().currsize)
     assert sizes == [3] * 20
     assert weights._weight_factory.cache_info().currsize == 1
-    for cfg in (ProblemConfig(dim=10, weight=make_ah(40.0, 10)),
-                ProblemConfig(dim=3, weight=CONST)):
+    for cfg, compiled in ((ProblemConfig(dim=10, weight=make_ah(40.0, 10)), 3),
+                          (ProblemConfig(dim=3, weight=CONST), 6),
+                          (ProblemConfig(dim=10, weight=CONST), 6)):
         integrate_ivp(cfg, 5.0, trace=True)
         integrate_ivp(cfg, 5.0)
         integrate_singular(cfg)
-    assert radial_ode._compiled_rhs.cache_info().currsize == 6
+        assert radial_ode._compiled_rhs.cache_info().currsize == compiled
+    assert radial_ode._emden_trajectory.cache_info().currsize == 2
 
 
 def test_rescaled_profile_converges_to_limit():
