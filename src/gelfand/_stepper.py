@@ -42,24 +42,27 @@ curve tracing does) and interpolate. With a weight, those shoots make up
 to two ``solve`` calls at beta > 0: one in r through the boundary layer,
 up to r = e^{-beta/2}, where r0 lies below it, and one in s = log r on to
 r = 1 (``radial_ode._trace_steps``), where the steps in r would have to
-stay near 0.04 r along the nearly linear -2 log r profile. With const
-(and a_0) they make one: their steps beyond r0 are those of one
-Emden-Fowler trajectory per dimension and tolerances
-(``radial_ode._emden_trajectory``, built once), and the call lands on
-r = 1 from the last of them, as a rule in 13 right-hand-side calls. On
-the traced branch benchmark (seed 13) that is 236 687 right-hand-side
-calls, where
-shooting each constant-weight beta on its own made 509 975, the two-term
-series start at r0 = min(r_start, 0.05 sqrt(2N) e^{-beta/2}) 965 538 and
-stepping in r alone from there 1 654 105, the last two counting the
-singular solution's former start at r_start (about 18 000 calls).
+stay near 0.04 r along the nearly linear -2 log r profile. In a march
+(``bifurcation.trace_curve``) that log-r phase runs in a lane of
+``solve_lanes`` instead (below). With const (and a_0) they make one
+call: their steps beyond r0 are those of one Emden-Fowler trajectory per
+dimension and tolerances (``radial_ode._emden_trajectory``, built once),
+and the call lands on r = 1 from the last of them, as a rule in 13
+right-hand-side calls. On the traced branch benchmark (seed 13) ``solve``
+makes 20 610 right-hand-side calls. Before the log-r phases of the
+N=10, a_h at h=40 march moved to lanes, where they take 17 904 step
+attempts, it made 236 687; shooting each constant-weight beta on its own
+made 509 975, the two-term series start at r0 = min(r_start, 0.05
+sqrt(2N) e^{-beta/2}) 965 538 and stepping in r alone from there
+1 654 105, the last two counting the singular solution's former start at
+r_start (about 18 000 calls).
 
-The work is split in two. ``solve`` is the one driver: it owns the step
-controller (the node clamp, the step budget, the underflow check,
-accept/reject, the PI factor and the collection of accepted steps). A
-stage function computes a single step attempt: the twelve new
-right-hand-side evaluations, the 8th order solution and the error
-estimate. The package integrates states of three sizes only: 1 (the
+The work is split in two. A driver owns the step controller (the node
+clamp, the step budget, the underflow check, accept/reject, the PI factor
+and the collection of accepted steps), and a stage function computes a
+single step attempt: the twelve new right-hand-side evaluations, the 8th
+order solution and the error estimate. ``solve`` drives one problem on
+floats. The package integrates states of three sizes only: 1 (the
 Pruefer phase), 2 (the singular solution and the Emden trajectory) and 4
 (v and its first variation e). The generic stage functions, one per
 size, are the list-based DOP853 loop unrolled into local scalars,
@@ -81,6 +84,30 @@ values are bit-identical to the loop's; ``tests/test_stepper.py`` keeps
 that loop as the reference and checks every size and every fused stage
 against it with ``==``.
 
+``solve_lanes`` drives a batch of problems of one right-hand side, one
+lane each, on numpy arrays: every lane keeps its own step size, PI
+history and accept/reject decision under ``solve``'s controller and
+constants, and one iteration makes one attempt in every running lane.
+Its stage (``fun.lanes()``, ``_lane_functions``) is compiled, on first
+use, from the same `Rhs` lines, rewritten for arrays, with numpy's ufuncs
+in place of math's functions. An iteration costs about as much as 35
+scalar attempts whatever the number of lanes, so lanes pay only in bulk.
+They serve one caller: the log-r phases of a march's weighted shoots at
+beta > 0 (``radial_ode.trace_lanes``), shot together for every candidate
+ahead of the march. At N=10, a_h at h=40 on [-5, 40] by 0.25 that is 160
+lanes, 17 904 attempts in 162 iterations, and the 160 scalar solves take
+about three times as long (2.8 to 3.4 times over the three marches named
+below). Everything else stays on ``solve``: series heads,
+the r phase through the boundary layer, the const Emden reads, fold
+refinement, zero numbers and every other single shoot, grid shoots, the
+singular solution and the Pruefer phase. Lanes are not bit-identical to
+``solve``, numpy's exp and power rounding apart from Python's: over the
+march lanes of N=10 and N=3 a_h at h=40 and N=9
+polyexp:0.7,-0.2;d=0.3 the end states agree within 3.2e-14 relative, and
+all but 2 of the 479 lanes take ``solve``'s numbers of accepted and
+rejected steps (``tests/test_lanes.py``). A lane's steps do not depend on
+the batch it runs in: every operation is element-wise.
+
 ``zeroin`` is the one root finder (R. P. Brent, Algorithms for Minimization
 without Derivatives, 1973, ch. 4): inverse quadratic or secant steps where
 they land well inside the bracket and shrink it fast, else bisection. It
@@ -89,9 +116,13 @@ places folds (``refine_fold``) and Pruefer eigenvalues (``morse_index``).
 
 from __future__ import annotations
 
+import ast
+import math
 from functools import cache
 from math import copysign, sqrt
 from typing import NamedTuple
+
+import numpy as np
 
 
 class IntegrationError(RuntimeError):
@@ -220,6 +251,123 @@ def solve(fun, x0, y0, nodes, rtol, atol, first_step=None, collect=False):
     return out
 
 
+class Lane(NamedTuple):
+    """One lane of `solve_lanes`: its accepted step points xs, x0 first,
+    the states there, one row each, and its number of step attempts."""
+
+    xs: np.ndarray
+    ys: np.ndarray
+    attempts: int
+
+
+class _LaneFailure(Exception):
+    """A lane right-hand side raised for the lanes where `mask` holds;
+    `errors` holds their exceptions, in lane order."""
+
+    def __init__(self, mask, errors):
+        super().__init__(errors)
+        self.mask = mask
+        self.errors = errors
+
+
+def solve_lanes(fun, x0, y0, x1, rtol, atol):
+    """Integrate y' = fun(x, y) in lanes, lane i from x0[i] to x1[i] > x0[i].
+
+    fun is a callable made by `compile_rhs`; y0 holds the start states, one
+    column per lane (shape (n, lanes)). Every lane runs `solve`'s controller
+    on its own: its own step size, starting at 1e-2 of its span, its own PI
+    history and accept/reject decision, the clamp onto x1[i], the step
+    budget and the underflow check, with `solve`'s tableau and constants.
+    One iteration makes one step attempt in every running lane, on numpy
+    arrays, by the lane stage of fun (`_lane_functions`). Element-wise
+    operations only, so a lane's steps do not depend on the other lanes in
+    the batch. They differ from `solve`'s in the last bits, numpy's exp and
+    power rounding apart from Python's.
+
+    Returns one entry per lane: its `Lane`, or the IntegrationError that
+    ended it (step size underflow, step budget exhausted, or the ValueError
+    of fun in that lane), with its last accepted point as `reached`. A
+    failed lane ends alone; the others go on.
+    """
+    lane_rhs, stage = fun.lanes()
+    args = fun.stage_args
+    x0 = np.array(x0, dtype=float)
+    x1 = np.array(x1, dtype=float)
+    y0 = np.array(y0, dtype=float)
+    if not np.all(x0 < x1):
+        raise ValueError("every lane must end beyond its start")
+    out: list = [None] * len(x0)
+    ids = np.arange(len(x0))  # the lane of each running column
+    x, target, y, k1 = x0, x1, y0, None
+    span = x1 - x0
+    h = np.minimum(1e-2 * span, span)
+    err_prev = np.ones_like(x0)
+    attempts = np.zeros(len(x0), dtype=int)
+    taken = []  # per iteration: (lanes, points, states) of the accepted steps
+
+    def drop(keep):  # go on with the running lanes where keep holds
+        nonlocal ids, x, target, y, k1, h, err_prev
+        ids, x, target, y, h, err_prev = (ids[keep], x[keep], target[keep], y[:, keep],
+                                          h[keep], err_prev[keep])
+        if k1 is not None:
+            k1 = k1[:, keep]
+
+    def fail(mask, errors):  # end the lanes where mask holds, one error each
+        for lane, reached, error in zip(ids[mask], x[mask], errors):
+            out[lane] = IntegrationError(str(error), float(reached))
+            if isinstance(error, Exception):
+                out[lane].__cause__ = error
+        drop(~mask)
+
+    with np.errstate(all="ignore"):  # overflow in a trial stage only rejects the step
+        while k1 is None and len(ids):
+            try:
+                k1 = lane_rhs(args, x, y)
+            except _LaneFailure as exc:
+                fail(exc.mask, exc.errors)
+        while len(ids):
+            over = attempts[ids] > _MAX_STEPS
+            gap = target - x
+            clamped = h >= gap
+            h_try = np.where(clamped, gap, h)
+            x_new = x + h_try
+            ended = over | (x_new == x)
+            if ended.any():
+                fail(ended, ["step budget exhausted" if o else "step size underflow"
+                             for o in over[ended]])
+                continue
+            try:
+                y_new, k13, err = stage(args, x, h_try, x_new, y, k1, rtol, atol)
+            except _LaneFailure as exc:  # the other lanes retry the attempt
+                fail(exc.mask, exc.errors)
+                continue
+            attempts[ids] += 1
+            ok = err <= 1.0
+            grow = err ** (-_PI_ALPHA)
+            fac = np.minimum(_MAX_FACTOR,
+                             np.maximum(_MIN_FACTOR, _SAFETY * grow * err_prev ** _PI_BETA))
+            h = np.where(ok, np.where(clamped, np.maximum(h, h_try * fac), h_try * fac),
+                         h_try * np.fmax(_MIN_FACTOR, _SAFETY * grow))
+            err_prev = np.where(ok, np.maximum(err, 1e-10), err_prev)
+            x = np.where(ok, np.where(clamped, target, x_new), x)
+            y = np.where(ok, y_new, y)
+            k1 = np.where(ok, k13, k1)
+            taken.append((ids[ok], x[ok], y[:, ok]))
+            done = x >= target
+            if done.any():
+                drop(~done)
+    if taken:  # every lane that did not fail took an accepted step
+        lanes, xs, ys = (np.concatenate(part, axis=-1) for part in zip(*taken))
+        order = np.argsort(lanes, kind="stable")
+        ends = np.cumsum(np.bincount(lanes, minlength=len(x0)))[:-1]
+        xs, ys = np.split(xs[order], ends), np.split(ys[:, order].T, ends)
+        for lane, entry in enumerate(out):
+            if entry is None:
+                out[lane] = Lane(np.concatenate(([x0[lane]], xs[lane])),
+                                 np.vstack((y0[:, lane], ys[lane])), int(attempts[lane]))
+    return out
+
+
 def zeroin(evaluate, lo, hi, tol, done, failure):
     """Narrow the sign change of f between points (x, f(x), payload) lo and hi.
 
@@ -273,7 +421,10 @@ class Rhs(NamedTuple):
     are bound per problem; `out` holds the derivative's components as
     expressions over all of these. The lines must not assign the stage
     function's own names: x, h, x_new, y, y_new, k13, e5, e3, args, rtol,
-    atol and names ending in an underscore and a digit.
+    atol and names ending in an underscore and a digit, nor the names the
+    lane stage reads (`_lane_functions`). For lanes, an if statement may
+    only guard a raise, and its test and every component of `out` must
+    depend on the state or on x.
     """
 
     x: str
@@ -288,14 +439,17 @@ def compile_rhs(rhs: Rhs, namespace: dict, name: str):
     bound to args and its globals read from `namespace`.
 
     make returns the plain callable fun(x, y), which returns a list, with
-    two attributes: fun.stage, the DOP853 stage function with `rhs.body`
+    three attributes: fun.stage, the DOP853 stage function with `rhs.body`
     inlined at each of its twelve abscissae in place of the call to fun,
-    and fun.stage_args, the args it takes in place of fun. ``solve`` runs
-    fun on fun.stage. Both are compiled here, once for every `rhs`; make
-    only binds the arguments.
+    fun.stage_args, the args it takes in place of fun, and fun.lanes(),
+    which returns the lane right-hand side and stage of `solve_lanes`
+    (`_lane_functions`). ``solve`` runs fun on fun.stage. The stage is
+    compiled here, once for every `rhs`, and the lane functions on the
+    first call of fun.lanes; make only binds the arguments.
     """
     ns = dict(namespace)
     ns["stage"] = _stage_function(len(rhs.state), rhs, ns, name)
+    ns["lanes"] = cache(lambda: _lane_functions(rhs, namespace, name))
     params = _unpack(rhs.params)
     lines = [f"def make({params}):",
              f"    def fun({rhs.x}, y):",
@@ -304,9 +458,16 @@ def compile_rhs(rhs: Rhs, namespace: dict, name: str):
              f"        return [{', '.join(rhs.out)}]",
              "    fun.stage = stage",
              f"    fun.stage_args = ({params})",
+             "    fun.lanes = lanes",
              "    return fun"]
     exec(compile("\n".join(lines), f"<{name} right-hand side>", "exec"), ns)
     return ns["make"]
+
+
+def _combo(coeffs, suffix=""):
+    """The sum of the stages k1, k2, ... weighed by the tableau's nonzero
+    `coeffs`, from left to right: "c1 * k1{suffix} + c3 * k3{suffix} + ..."."""
+    return " + ".join(f"{c!r} * k{j}{suffix}" for j, c in coeffs.items())
 
 
 def _unpack(names):
@@ -339,11 +500,8 @@ def _stage_function(n, rhs=None, namespace=None, name=None):
     def names(base):
         return [f"{base}_{i}" for i in range(n)]
 
-    def combo(coeffs, i):
-        return " + ".join(f"{c!r} * k{j}_{i}" for j, c in coeffs.items())
-
     def step(coeffs):
-        return [f"y_{i} + h * ({combo(coeffs, i)})" for i in range(n)]
+        return [f"y_{i} + h * ({_combo(coeffs, f'_{i}')})" for i in range(n)]
 
     def inlined(at, state):  # the body of rhs at the point (at, state)
         return [f"{rhs.x} = {at}", *(f"{v} = {e}" for v, e in zip(rhs.state, state)),
@@ -370,8 +528,8 @@ def _stage_function(n, rhs=None, namespace=None, name=None):
         lines.append(f"    k13 = [{', '.join(rhs.out)}]")
     for i in range(n):
         lines += [f"    s_{i} = atol + rtol * max(abs(y_{i}), abs(n_{i}))",
-                  f"    e5_{i} = ({combo(_E5, i)}) / s_{i}",
-                  f"    e3_{i} = ({combo(_E3, i)}) / s_{i}"]
+                  f"    e5_{i} = ({_combo(_E5, f'_{i}')}) / s_{i}",
+                  f"    e3_{i} = ({_combo(_E3, f'_{i}')}) / s_{i}"]
     for e in ("e5", "e3"):
         lines.append(f"    {e} = " + " + ".join(f"{e}_{i} * {e}_{i}" for i in range(n)))
     lines.append(f"    return y_new, k13, h * e5 / sqrt((e5 + 0.01 * e3) * {n}) if e5 else 0.0")
@@ -388,3 +546,84 @@ def _generic_stage(n):
     if n not in (1, 2, 4):
         raise ValueError(f"no DOP853 stage function for a state of size {n}; sizes are 1, 2, 4")
     return _stage_function(n)
+
+
+# numpy's ufuncs in place of the math functions that right-hand sides read
+_UFUNCS = {math.exp: np.exp, math.expm1: np.expm1}
+
+
+def _lane_body(rhs: Rhs):
+    """rhs.body for lanes, where its names hold arrays: `a if c else b`
+    becomes where(c, a, b), and `if c: raise E(...)` raises _LaneFailure
+    for the lanes where c holds, each with the E(...) of its own values."""
+    tree = ast.parse("\n".join(rhs.body))
+    lanes = {rhs.x, *rhs.state, *(target.id for node in ast.walk(tree)
+                                   if isinstance(node, ast.Assign)
+                                   for target in node.targets if isinstance(target, ast.Name))}
+
+    class OneLane(ast.NodeTransformer):
+        def visit_Name(self, node):  # the lane i_0's value
+            if node.id not in lanes:
+                return node
+            return ast.Subscript(node, ast.Name("i_0", ast.Load()), ast.Load())
+
+    class Lanes(ast.NodeTransformer):
+        def visit_IfExp(self, node):
+            self.generic_visit(node)
+            return ast.Call(ast.Name("where", ast.Load()), [node.test, node.body, node.orelse], [])
+
+        def visit_If(self, node):
+            if node.orelse or len(node.body) != 1 or not isinstance(node.body[0], ast.Raise):
+                raise ValueError("in lanes, an if statement may only guard a raise")
+            self.generic_visit(node)
+            error = ast.unparse(OneLane().visit(node.body[0].exc))
+            return ast.parse(f"fail_0 = {ast.unparse(node.test)}\n"
+                             "if fail_0.any():\n"
+                             "    raise LaneFailure(fail_0,"
+                             f" [{error} for i_0 in flatnonzero(fail_0)])").body
+
+    return ast.unparse(ast.fix_missing_locations(Lanes().visit(tree))).splitlines()
+
+
+def _lane_functions(rhs: Rhs, namespace: dict, name: str):
+    """(rhs, stage) of the right-hand side `rhs` for `solve_lanes`.
+
+    rhs(args, x, y) evaluates it in every lane, x an array and y one row
+    per state component, and returns the rows of the derivative;
+    stage(args, x, h, x_new, y, k1, rtol, atol) is one DOP853 step attempt
+    in every lane, returning (y_new, k13, err) with err an array. Both run
+    `rhs`'s own lines, rewritten for arrays by `_lane_body`, with numpy's
+    ufuncs in place of math's functions (`_UFUNCS`); the stage forms the
+    sums and products of `_stage_function` in the same order, on all the
+    components of a stage at once. Besides the names of `namespace`, they
+    read where, array, maximum, sqrt, flatnonzero and LaneFailure.
+    """
+    n = len(rhs.state)
+    lines = ["def rhs(args, x_0, y_0):",
+             f"    {_unpack(rhs.params)}= args",
+             f"    {rhs.x} = x_0",
+             f"    {_unpack(rhs.state)}= y_0",
+             *(f"    {line}" for line in _lane_body(rhs)),
+             f"    return array([{', '.join(rhs.out)}])",
+             "",
+             "def stage(args, x, h, x_new, y, k1, rtol, atol):"]
+    lines += [f"    k{s} = rhs(args, x + {_C[s]!r} * h, y + h * ({_combo(row)}))"
+              for s, row in _A.items()]
+    lines += [f"    y_new = y + h * ({_combo(_B)})",
+              "    k13 = rhs(args, x_new, y_new)",
+              "    s_0 = atol + rtol * maximum(abs(y), abs(y_new))",
+              f"    e5 = ({_combo(_E5)}) / s_0",
+              f"    e3 = ({_combo(_E3)}) / s_0",
+              "    e5 = e5 * e5",
+              "    e3 = e3 * e3",
+              "    e5 = " + " + ".join(f"e5[{i}]" for i in range(n)),
+              "    e3 = " + " + ".join(f"e3[{i}]" for i in range(n)),
+              f"    err = h * e5 / sqrt((e5 + 0.01 * e3) * {n})",
+              "    err[e5 == 0.0] = 0.0",
+              "    return y_new, k13, err"]
+    ns = {name_: _UFUNCS.get(value, value) if callable(value) else value
+          for name_, value in namespace.items()}
+    ns.update(where=np.where, array=np.array, maximum=np.maximum, sqrt=np.sqrt,
+              flatnonzero=np.flatnonzero, LaneFailure=_LaneFailure)
+    exec(compile("\n".join(lines), f"<DOP853 lanes, {name}>", "exec"), ns)
+    return ns["rhs"], ns["stage"]

@@ -19,13 +19,17 @@ import numpy as np
 
 from ._stepper import IntegrationError, zeroin
 from .radial_ode import (
+    _LANE_BATCH,
     BETA_MAX_GUARD,
     BETA_MIN_GUARD,
     ProblemConfig,
     RadialProfile,
     ShootResult,
+    clear_trace_lanes,
     hermite_values,
+    in_lanes,
     integrate_ivp,
+    trace_lanes,
 )
 from .weights import make_ah, parse_weight, ratio_derivative_sign, weight_arrays
 
@@ -104,6 +108,21 @@ def trace_curve(cfg: ProblemConfig, beta_min: float, beta_max: float,
     step: it records a bracket, and refine_fold narrows it by Brent's
     method after the march.
     An integrator failure truncates the curve and records a diagnostic.
+
+    The march speculates. At a weighted candidate beta > 0 (`in_lanes`)
+    that no batch holds, it lists the candidates the step rule takes from
+    there if it accepts every one (`_candidates`, at most 256) and shoots
+    their log-r phases as one batch of lanes (`trace_lanes`); each sample
+    still comes from one integrate_ivp(cfg, beta, trace=True) call, which
+    reads its shoot from the batch, and the acceptance logic above runs on
+    them unchanged. A rejected candidate halves the step onto betas that
+    no batch holds, and the march speculates again from there. A lane that
+    failed fails the integrate_ivp call of its beta. The batch is emptied
+    when the march ends, before the folds are refined; refine_fold and
+    every march shoot at beta <= 0 or with const (or a_0) run on
+    `_stepper.solve`. At N=10, a_h at h=40 on [-5, 40] by 0.25 the march
+    shoots one batch of 160 lanes. The samples' betas and the folds' kinds
+    are those of the all-scalar march, the folds within 1e-13.
     """
     if not beta_min < beta_max:
         raise ValueError(f"need beta_min < beta_max, got [{beta_min}, {beta_max}]")
@@ -129,31 +148,40 @@ def trace_curve(cfg: ProblemConfig, beta_min: float, beta_max: float,
     # the band right at the fold
     anchor = first
     anchor_sign = _deadband_sign(first.dlambda_dbeta, first.lam, cfg.rel_tol)
-    while samples[-1].beta < beta_max - 1e-12:
-        prev = samples[-1]
-        target = min(prev.beta + step, beta_max)
-        try:
-            cand = integrate_ivp(cfg, target, trace=True)
-        except IntegrationError as exc:
-            complete = False
-            diagnostic = f"integration failed at beta={target:.6g}: {exc}"
-            break
-        # v1 = log lambda, and its slope in beta is e(1) = dlambda_dbeta / lam
-        miss = cand.v1 - prev.v1 - (cand.beta - prev.beta) * prev.dlambda_dbeta / prev.lam
-        if abs(miss) > 0.01 and step > floor:
-            step = max(0.5 * step, floor)
-            clean = 0
-            continue
-        samples.append(cand)
-        s_cand = _deadband_sign(cand.dlambda_dbeta, cand.lam, cfg.rel_tol)
-        if anchor_sign != 0 and s_cand != 0 and s_cand != anchor_sign:
-            brackets.append((anchor, cand))
-        if s_cand != 0:
-            anchor = cand
-            anchor_sign = s_cand
-        clean += 1
-        if clean >= 2:
-            step = min(2.0 * step, max_step)
+    speculated: set[float] = set()
+    try:
+        while samples[-1].beta < beta_max - 1e-12:
+            prev = samples[-1]
+            target = min(prev.beta + step, beta_max)
+            if target not in speculated and in_lanes(cfg, target):
+                # shoot the log-r phases of the candidates ahead as one batch
+                path = _candidates(prev.beta, step, clean, beta_max, max_step)
+                trace_lanes(cfg, path)
+                speculated = set(path)
+            try:
+                cand = integrate_ivp(cfg, target, trace=True)
+            except IntegrationError as exc:
+                complete = False
+                diagnostic = f"integration failed at beta={target:.6g}: {exc}"
+                break
+            # v1 = log lambda, and its slope in beta is e(1) = dlambda_dbeta / lam
+            miss = cand.v1 - prev.v1 - (cand.beta - prev.beta) * prev.dlambda_dbeta / prev.lam
+            if abs(miss) > 0.01 and step > floor:
+                step = max(0.5 * step, floor)
+                clean = 0
+                continue
+            samples.append(cand)
+            s_cand = _deadband_sign(cand.dlambda_dbeta, cand.lam, cfg.rel_tol)
+            if anchor_sign != 0 and s_cand != 0 and s_cand != anchor_sign:
+                brackets.append((anchor, cand))
+            if s_cand != 0:
+                anchor = cand
+                anchor_sign = s_cand
+            clean += 1
+            if clean >= 2:
+                step = min(2.0 * step, max_step)
+    finally:
+        clear_trace_lanes()
 
     tps = [refine_fold(cfg, lo, hi) for lo, hi in brackets]
     for a, b in zip(tps, tps[1:]):
@@ -168,6 +196,21 @@ def trace_curve(cfg: ProblemConfig, beta_min: float, beta_max: float,
         complete=complete,
         diagnostic=diagnostic,
     )
+
+
+def _candidates(beta: float, step: float, clean: int, beta_max: float,
+                max_step: float) -> list[float]:
+    """The betas `trace_curve` shoots next from the sample at beta, with
+    its step and count of clean accepts, if it accepts every one: at most
+    `radial_ode._LANE_BATCH` of them."""
+    path = []
+    while beta < beta_max - 1e-12 and len(path) < _LANE_BATCH:
+        beta = min(beta + step, beta_max)
+        path.append(beta)
+        clean += 1
+        if clean >= 2:
+            step = min(2.0 * step, max_step)
+    return path
 
 
 def refine_fold(cfg: ProblemConfig, lo: ShootResult, hi: ShootResult) -> TurningPoint:

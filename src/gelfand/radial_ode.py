@@ -646,6 +646,111 @@ def _run(cfg: ProblemConfig, beta: float, nodes):
     return head + states, xs, ys
 
 
+def _trace_head(cfg: ProblemConfig, beta: float):
+    """A trace shoot up to its log-r phase (`_trace_steps`): its radii and
+    states, rows (v, v', e, e'), and that phase's start (s0, [v, r v', e,
+    r e']) at s0 = log r, or None where the radii already end at r = 1."""
+    series = _series(cfg, beta)
+    r0 = series.r0
+    n = math.ceil(math.log(r0 / cfg.r_start) / math.log(_SERIES_RATIO))
+    head = np.geomspace(cfg.r_start, r0, n + 1) if n > 0 else np.array([r0])
+    head_states = series.states(head)
+    if r0 == 1.0:
+        return head, head_states, None
+    if series.flat:
+        xs, ys = _emden_steps(cfg, beta)
+        return np.concatenate((head, xs)), np.concatenate((head_states, ys)), None
+    xs, ys = [r0], [series.start]
+    s_sw = math.log(_SWITCH_RHO) - 0.5 * beta
+    s0 = math.log(r0)
+    if s0 < s_sw:
+        _, xs, ys = _integrate(cfg, _rhs_ve(cfg), r0, series.start,
+                               [min(1.0, math.exp(s_sw))], _SERIES_FIRST_STEP)
+        s0 = s_sw
+    radii, states = np.concatenate((head[:-1], xs)), np.concatenate((head_states[:-1], ys))
+    if s0 >= 0.0:
+        return radii, states, None
+    r = xs[-1]
+    v, dv, e, de = ys[-1]
+    return radii, states, (s0, [v, r * dv, e, r * de])
+
+
+def _trace_join(cfg: ProblemConfig, radii, states, r=(), ws=()):
+    """The trace shoot of `_trace_head`'s radii and states, followed by its
+    log-r phase's steps at the radii r, rows ws = (v, r v', e, r e'), from
+    the last accepted step at or below r_start on."""
+    if len(r):
+        ws = np.asarray(ws)
+        radii = np.concatenate((radii, r))
+        states = np.concatenate((states, np.column_stack(
+            (ws[:, 0], ws[:, 1] / r, ws[:, 2], ws[:, 3] / r))))
+    first = bisect_right(radii, cfg.r_start) - 1
+    return radii[first:], states[first:]
+
+
+# A march's weighted trace shoots at beta > 0 take their log-r phases from
+# lane batches (`trace_lanes`): (cfg, beta) -> the shoot's `_trace_steps`,
+# or the IntegrationError that ended its lane. trace_curve fills it, at most
+# _LANE_BATCH shoots a batch and _LANE_KEEP in all, and empties it when its
+# march ends.
+_LANE_STEPS: dict = {}
+_LANE_BATCH = 256
+_LANE_KEEP = 2 * _LANE_BATCH
+
+
+def in_lanes(cfg: ProblemConfig, beta: float) -> bool:
+    """Whether a march shoot at beta takes its log-r phase from the lane
+    batch: weighted (not const or a_0) at beta > 0."""
+    w = cfg.weight
+    return beta > 0.0 and bool(w.coeffs or w.tilt)
+
+
+def trace_lanes(cfg: ProblemConfig, betas) -> None:
+    """Shoot the trace shoots at `betas` (1 to _LANE_BATCH of them) that
+    `in_lanes` names, their log-r phases as one batch of lanes
+    (`_stepper.solve_lanes`), for `integrate_ivp(cfg, beta, trace=True)` to
+    read (`_trace_steps`). betas must increase. Shoots of earlier batches
+    at betas[0] or beyond are kept and not shot again, up to _LANE_KEEP
+    shoots in all, the oldest dropped first: after a rejected candidate the
+    march's grid shifts by half a step and back, so that the next batches
+    meet the betas of the last ones. A shoot whose head (series and r
+    phase) fails is left to integrate_ivp, which fails the same way."""
+    if not 0 < len(betas) <= _LANE_BATCH:
+        raise ValueError(f"a lane batch takes 1 to {_LANE_BATCH} trace shoots, not {len(betas)}")
+    for key in [key for key in _LANE_STEPS if key[0] != cfg or key[1] < betas[0]]:
+        del _LANE_STEPS[key]
+    heads = {}
+    for beta in betas:
+        if (cfg, beta) in _LANE_STEPS or not in_lanes(cfg, beta):
+            continue
+        try:
+            radii, states, log = _trace_head(cfg, beta)
+        except _stepper.IntegrationError:
+            continue
+        if log is None:
+            _LANE_STEPS[cfg, beta] = _trace_join(cfg, radii, states)
+        else:
+            heads[beta] = radii, states, log
+    if not heads:
+        return
+    s0, y0 = zip(*(log for _, _, log in heads.values()))
+    lanes = _stepper.solve_lanes(_rhs_ve_log(cfg), s0, np.transpose(y0), np.zeros(len(s0)),
+                                 cfg.rel_tol, cfg.abs_tol)
+    for (beta, (radii, states, _)), lane in zip(heads.items(), lanes):
+        if isinstance(lane, _stepper.IntegrationError):
+            _LANE_STEPS[cfg, beta] = lane
+        else:
+            _LANE_STEPS[cfg, beta] = _trace_join(cfg, radii, states, np.exp(lane.xs[1:]),
+                                                 lane.ys[1:])
+    for key in list(_LANE_STEPS)[:-_LANE_KEEP]:
+        del _LANE_STEPS[key]
+
+
+def clear_trace_lanes() -> None:
+    """Drop every shoot of the lane batch (`trace_lanes`)."""
+    _LANE_STEPS.clear()
+
+
 def _trace_steps(cfg: ProblemConfig, beta: float):
     """The radii and states of a trace shoot, rows (v, v', e, e'), ending at
     r = 1.0 exactly: from r_start up to the series' radius r0 (`_Series`)
@@ -662,38 +767,25 @@ def _trace_steps(cfg: ProblemConfig, beta: float):
     beyond r_sw) in s = log r, where the r steps would have to stay near
     0.04 r along the nearly linear -2 log r profile. Where r_sw >= 1 (beta
     <= 0) it steps in r all the way.
+
+    During a march (`bifurcation.trace_curve`) a weighted shoot at beta > 0
+    is read from the lane batch (`trace_lanes`), which took its log-r phase
+    in a lane of `_stepper.solve_lanes` and the rest as here; its lane's
+    IntegrationError is raised here. Every other shoot runs as above, on
+    `solve`.
     """
-    series = _series(cfg, beta)
-    r0 = series.r0
-    n = math.ceil(math.log(r0 / cfg.r_start) / math.log(_SERIES_RATIO))
-    head = np.geomspace(cfg.r_start, r0, n + 1) if n > 0 else np.array([r0])
-    head_states = series.states(head)
-    if r0 == 1.0:
-        return head, head_states
-    if series.flat:
-        xs, ys = _emden_steps(cfg, beta)
-        radii, states = np.concatenate((head, xs)), np.concatenate((head_states, ys))
-    else:
-        xs, ys = [r0], [series.start]
-        s_sw = math.log(_SWITCH_RHO) - 0.5 * beta
-        s0 = math.log(r0)
-        if s0 < s_sw:
-            _, xs, ys = _integrate(cfg, _rhs_ve(cfg), r0, series.start,
-                                   [min(1.0, math.exp(s_sw))], _SERIES_FIRST_STEP)
-            s0 = s_sw
-        if s0 < 0.0:
-            r = xs[-1]
-            v, dv, e, de = ys[-1]
-            _, ss, ws = _stepper.solve(_rhs_ve_log(cfg), s0, [v, r * dv, e, r * de],
-                                       [0.0], cfg.rel_tol, cfg.abs_tol, collect=True)
-            for s, (v, dv, e, de) in zip(ss[1:], ws[1:]):
-                r = math.exp(s)
-                xs.append(r)
-                ys.append([v, dv / r, e, de / r])
-        radii = np.concatenate((head[:-1], xs))
-        states = np.concatenate((head_states[:-1], ys))
-    first = bisect_right(radii, cfg.r_start) - 1
-    return radii[first:], states[first:]
+    steps = _LANE_STEPS.get((cfg, beta))
+    if steps is not None:
+        if isinstance(steps, _stepper.IntegrationError):
+            raise steps
+        return steps
+    radii, states, log = _trace_head(cfg, beta)
+    if log is None:
+        return _trace_join(cfg, radii, states)
+    s0, y0 = log
+    _, ss, ws = _stepper.solve(_rhs_ve_log(cfg), s0, y0, [0.0], cfg.rel_tol, cfg.abs_tol,
+                               collect=True)
+    return _trace_join(cfg, radii, states, np.array([math.exp(s) for s in ss[1:]]), ws[1:])
 
 
 def _output_radii(cfg: ProblemConfig, radii):
@@ -811,7 +903,13 @@ def integrate_ivp(cfg: ProblemConfig, beta: float, radii=None, trace: bool = Fal
     a shoot in r alone at rtol 1e-13. With const, over beta in [-1, 60] by
     0.5 at the same N, they stay within 3.8e-13 and 2.9e-13 of a shoot at
     rtol 1e-13, where shooting each beta on its own was up to 9.7e-12 and
-    6.8e-13 off.
+    6.8e-13 off. Inside a march (`bifurcation.trace_curve`) a weighted
+    shoot at beta > 0 reads its steps from the march's lane batch
+    (`trace_lanes`), whose log-r phases ran in lanes of
+    `_stepper.solve_lanes`: its v(1) and e(1) are within 3.2e-14 relative
+    of this scalar shoot's (N=10 and N=3 a_h at h=40, N=9
+    polyexp:0.7,-0.2;d=0.3, every march beta > 0), not equal to them.
+    Outside a march every shoot runs on `_stepper.solve`.
     Otherwise it is sampled at `radii` (default: `default_grid`). The
     radii up to r0 take the series' states; beyond r0 the integrator lands
     only on a sparse subset of them, `_anchor_radii`, and the others are

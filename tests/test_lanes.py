@@ -1,0 +1,312 @@
+"""The lane driver ``_stepper.solve_lanes`` and the speculative march that
+uses it.
+
+A march over a weighted curve shoots the log-r phases of its candidates at
+beta > 0 as one batch of lanes (``radial_ode.trace_lanes``) and replays its
+acceptance logic on them. Lanes are not bit-identical to ``solve``
+(numpy's exp rounds apart from math.exp), so they are held to ``solve``'s
+step counts and to 1e-13 in the end states, and a lane must not depend on
+the batch it runs in. The march must sample the betas of the all-scalar
+march exactly, which is the march as it was before lanes: every shoot
+outside a lane batch runs the scalar path unchanged, bit for bit.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+import gelfand.bifurcation as bif
+from gelfand import IntegrationError, ProblemConfig, integrate_ivp, parse_weight, trace_curve
+from gelfand import _stepper, radial_ode
+from gelfand.weights import Weight
+
+# (dimension, weight) of the marches whose log-r phases run in lanes, and
+# how many of their lanes may take other step counts than `solve`: where a
+# step's error estimate is rounding noise (err ~ 1e-12, on the first steps
+# of a short span or in the flat tail at large beta), the PI factor reads
+# that noise, so exp's last bit can move the next step. Over the march's
+# 159 lanes at N=9 two do, by one accepted step and one or two attempts.
+LANE_CASES = {(10, "ah:h=40"): 0, (3, "ah:h=40"): 0, (9, "polyexp:0.7,-0.2;d=0.3"): 2}
+
+
+def _cfg(dim, spec):
+    return ProblemConfig(dim=dim, weight=parse_weight(spec, dim))
+
+
+def _counted(fun):
+    """fun on its own fused stage, with a count of the step attempts."""
+    attempts = []
+
+    def counted(x, y):
+        return fun(x, y)
+
+    def stage(*args):
+        attempts.append(None)
+        return fun.stage(*args)
+
+    counted.stage, counted.stage_args = stage, fun.stage_args
+    return counted, attempts
+
+
+def _scalar_march(monkeypatch, *args):
+    """trace_curve(*args) with every shoot on `solve`: no lane batch."""
+    with monkeypatch.context() as m:
+        m.setattr(bif, "trace_lanes", lambda cfg, betas: None)
+        return trace_curve(*args)
+
+
+@pytest.fixture(scope="module")
+def march_betas():
+    """The sample betas > 0 of trace_curve(cfg, -5, 40, 0.25), per case."""
+    return {case: [b for b in trace_curve(_cfg(*case), -5.0, 40.0, 0.25).betas.tolist() if b > 0.0]
+            for case in LANE_CASES}
+
+
+@pytest.mark.parametrize("case", LANE_CASES)
+def test_lanes_take_the_steps_of_scalar_solves(march_betas, case):
+    # every log-r phase of the march, shot in one batch, against `solve`
+    # from the same start: the same accepted and rejected steps but in at
+    # most LANE_CASES[case] lanes, the end states within 1e-13 relative to
+    # max(1, |.|)
+    cfg = _cfg(*case)
+    fun = radial_ode._rhs_ve_log(cfg)
+    starts = [log for b in march_betas[case] if (log := radial_ode._trace_head(cfg, b)[2])]
+    s0 = [s for s, _ in starts]
+    lanes = _stepper.solve_lanes(fun, s0, np.transpose([y for _, y in starts]), np.zeros(len(s0)),
+                                 cfg.rel_tol, cfg.abs_tol)
+    assert len(lanes) == len(starts) > 100
+    moved = []
+    for (s, y0), lane in zip(starts, lanes):
+        counted, attempts = _counted(fun)
+        _, xs, ys = _stepper.solve(counted, s, y0, [0.0], cfg.rel_tol, cfg.abs_tol, collect=True)
+        accepted, rejected = len(lane.xs) - 1, lane.attempts - len(lane.xs) + 1
+        if (accepted, rejected) != (len(xs) - 1, len(attempts) - len(xs) + 1):
+            moved.append((accepted - len(xs) + 1, lane.attempts - len(attempts)))
+        assert lane.xs[0] == s and lane.xs[-1] == 0.0
+        assert np.array_equal(lane.ys[0], y0)
+        end = np.array(ys[-1])
+        assert np.all(np.abs(lane.ys[-1] - end) <= 1e-13 * np.maximum(1.0, np.abs(end))), s
+    assert len(moved) <= LANE_CASES[case]
+    assert all(abs(a) <= 1 and abs(b) <= 2 for a, b in moved), moved
+
+
+@pytest.mark.parametrize("case", LANE_CASES)
+def test_a_lane_does_not_depend_on_its_batch(march_betas, case):
+    # a beta shot as a one-lane batch gives, with ==, what it gives inside
+    # the march's whole batch: every sixteenth beta and the last one
+    cfg = _cfg(*case)
+    fun = radial_ode._rhs_ve_log(cfg)
+    starts = [log for b in march_betas[case] if (log := radial_ode._trace_head(cfg, b)[2])]
+    s0, y0 = np.array([s for s, _ in starts]), np.transpose([y for _, y in starts])
+    batch = _stepper.solve_lanes(fun, s0, y0, np.zeros(len(s0)), cfg.rel_tol, cfg.abs_tol)
+    for i in [*range(0, len(s0), 16), len(s0) - 1]:
+        alone, = _stepper.solve_lanes(fun, s0[i:i + 1], y0[:, i:i + 1], [0.0],
+                                      cfg.rel_tol, cfg.abs_tol)
+        assert np.array_equal(alone.xs, batch[i].xs) and np.array_equal(alone.ys, batch[i].ys)
+        assert alone.attempts == batch[i].attempts
+
+
+def _growth():
+    """y' = c y^2 as a compiled right-hand side, raising ValueError where
+    y exceeds its cap: make(c, cap)."""
+    rhs = _stepper.Rhs("x", ("y",), ("c", "cap"),
+                       ("if y > cap:", "    raise ValueError(f'y={y} beyond the cap at x={x}')"),
+                       ("c * y * y",))
+    return _stepper.compile_rhs(rhs, {}, "growth")
+
+
+def _alone(fun, x0, y0, x1):
+    return _stepper.solve_lanes(fun, [x0], [[y0]], [x1], 1e-10, 1e-12)[0]
+
+
+def test_a_lane_that_raises_fails_alone():
+    # y = y0 / (1 - c y0 x): the lane from y0 = 0.75 passes the cap 1.5 at
+    # x = 2/3 and fails there with fun's own message; the lanes beside it
+    # go on and give what they give alone
+    fun = _growth()(1.0, 1.5)
+    x0, y0, x1 = [0.0, 0.0, 0.0], [0.1, 0.75, 0.2], [1.0, 1.0, 2.0]
+    lanes = _stepper.solve_lanes(fun, x0, [y0], x1, 1e-10, 1e-12)
+    failed = lanes[1]
+    assert isinstance(failed, IntegrationError)
+    assert str(failed).startswith("y=1.5") and "beyond the cap at x=0.66" in str(failed)
+    assert isinstance(failed.__cause__, ValueError)
+    with pytest.raises(IntegrationError, match="beyond the cap") as scalar:
+        _stepper.solve(fun, 0.0, [0.75], [1.0], 1e-10, 1e-12)
+    assert failed.reached == pytest.approx(scalar.value.reached, rel=1e-6)
+    assert failed.reached < 2.0 / 3.0
+    for i in (0, 2):
+        alone = _alone(fun, x0[i], y0[i], x1[i])
+        assert np.array_equal(lanes[i].xs, alone.xs) and np.array_equal(lanes[i].ys, alone.ys)
+        assert lanes[i].xs[-1] == x1[i]
+        assert lanes[i].ys[-1, 0] == pytest.approx(y0[i] / (1.0 - y0[i] * x1[i]), rel=1e-8)
+
+
+def test_a_lane_that_underflows_fails_alone():
+    # without a cap the lane from y0 = 1 blows up at x = 1: its steps
+    # shrink until x + h == x, as solve's do, at the same place to 1e-9
+    # (numpy's power rounds apart from Python's in the step controller)
+    fun = _growth()(1.0, np.inf)
+    lanes = _stepper.solve_lanes(fun, [0.0, 0.0], [[0.1, 1.0]], [2.0, 2.0], 1e-10, 1e-12)
+    with pytest.raises(IntegrationError, match="step size underflow") as scalar:
+        _stepper.solve(fun, 0.0, [1.0], [2.0], 1e-10, 1e-12)
+    assert isinstance(lanes[1], IntegrationError) and str(lanes[1]) == "step size underflow"
+    assert lanes[1].reached == pytest.approx(scalar.value.reached, rel=1e-9)
+    alone = _alone(fun, 0.0, 0.1, 2.0)
+    assert np.array_equal(lanes[0].ys, alone.ys) and lanes[0].xs[-1] == 2.0
+
+
+def test_a_lane_that_exhausts_its_budget_fails_alone(monkeypatch):
+    # the step budget counts each lane's own attempts: the short lane ends
+    # within it, the long one fails where solve fails, to 1e-6
+    fun = _growth()(1.0, np.inf)
+    short = _alone(fun, 0.0, 0.1, 0.01)
+    monkeypatch.setattr(_stepper, "_MAX_STEPS", short.attempts + 2)
+    lanes = _stepper.solve_lanes(fun, [0.0, 0.0], [[0.1, 0.9]], [0.01, 1.1], 1e-10, 1e-12)
+    with pytest.raises(IntegrationError, match="step budget exhausted") as scalar:
+        _stepper.solve(fun, 0.0, [0.9], [1.1], 1e-10, 1e-12)
+    assert isinstance(lanes[1], IntegrationError) and str(lanes[1]) == "step budget exhausted"
+    assert lanes[1].reached == pytest.approx(scalar.value.reached, rel=1e-6)
+    assert np.array_equal(lanes[0].ys, short.ys) and lanes[0].attempts == short.attempts
+
+
+def test_a_weight_that_turns_nonpositive_fails_only_the_lanes_that_reach_it():
+    # a = 1 - 1.2 r^2 is nonpositive from r = 0.913 on: the log-r lane that
+    # ends at r = 1 fails with the weight's message, the ones that end
+    # before go on. The last step it accepted ends within 1e-4 of solve's
+    cfg = ProblemConfig(dim=5, weight=Weight(spec="polyexp:-1.2;d=0", coeffs=(-1.2,), tilt=0.0))
+    fun = radial_ode._rhs_ve_log(cfg)
+    s0, y0 = radial_ode._trace_head(cfg, 6.0)[2]
+    ends = np.log([0.8, 1.0, 0.9])
+    lanes = _stepper.solve_lanes(fun, [s0] * 3, np.transpose([y0] * 3), ends,
+                                 cfg.rel_tol, cfg.abs_tol)
+    assert [isinstance(lane, IntegrationError) for lane in lanes] == [False, True, False]
+    assert str(lanes[1]).startswith("weight 'polyexp:-1.2;d=0' nonpositive at r=0.91")
+    with pytest.raises(IntegrationError, match="nonpositive") as scalar:
+        _stepper.solve(fun, s0, y0, [0.0], cfg.rel_tol, cfg.abs_tol)
+    assert lanes[1].reached == pytest.approx(scalar.value.reached, abs=1e-4)
+    assert lanes[1].reached < np.log(np.sqrt(1.0 / 1.2))
+    assert lanes[0].xs[-1] == ends[0] and lanes[2].xs[-1] == ends[2]
+
+
+def test_lanes_need_an_if_only_around_a_raise():
+    rhs = _stepper.Rhs("x", ("y",), ("c",), ("if y > c:", "    y = c"), ("y",))
+    fun = _stepper.compile_rhs(rhs, {}, "guarded")(0.0)
+    with pytest.raises(ValueError, match="only guard a raise"):
+        fun.lanes()
+
+
+# -------------------------------------------------------------- the march
+
+# The march over N=3, a_h at h=40, [-5, 40] by at most 0.25, recorded
+# before lanes: it halves to 0.125 from beta = -4.75 to -2.75 and its
+# folds are these
+FOLDS_N3_H40 = [(-3.424901156044752, "Max"), (1.8506733692003423, "Min"),
+                (6.637747369461793, "Max"), (11.320917729059293, "Min"),
+                (16.09156799003401, "Max"), (20.83484879497042, "Min"),
+                (25.586436400443258, "Max"), (30.335485024405653, "Min"),
+                (35.08530759798302, "Max")]
+
+
+def test_the_march_samples_the_recorded_betas():
+    curve = trace_curve(_cfg(3, "ah:h=40"), -5.0, 40.0, 0.25)
+    recorded = ([-5.0, -4.75] + [-4.75 + 0.125 * k for k in range(1, 17)]
+                + [-2.75 + 0.25 * k for k in range(1, 172)])
+    assert curve.betas.tolist() == recorded
+    assert [tp.kind for tp in curve.turning_points] == [kind for _, kind in FOLDS_N3_H40]
+    assert [tp.beta for tp in curve.turning_points] == pytest.approx(
+        [beta for beta, _ in FOLDS_N3_H40], abs=1e-9)
+
+
+@pytest.mark.parametrize("dim", [3, 6])
+def test_the_march_replays_rejected_candidates(monkeypatch, dim):
+    # at max_step 1 candidates at beta > 0 are rejected and the step
+    # halved, so the march speculates again; it samples the betas of the
+    # all-scalar march, and its folds are those to 1e-9
+    cfg = _cfg(dim, "ah:h=40")
+    batches = []
+    real = bif.trace_lanes
+    monkeypatch.setattr(bif, "trace_lanes", lambda cfg, betas: (batches.append(betas),
+                                                                real(cfg, betas)))
+    curve = trace_curve(cfg, -5.0, 40.0, 1.0)
+    scalar = _scalar_march(monkeypatch, cfg, -5.0, 40.0, 1.0)
+    assert len(batches) >= 3
+    assert curve.betas.tolist() == scalar.betas.tolist()
+    assert [tp.kind for tp in curve.turning_points] == [tp.kind for tp in scalar.turning_points]
+    assert [tp.beta for tp in curve.turning_points] == pytest.approx(
+        [tp.beta for tp in scalar.turning_points], abs=1e-9)
+    assert np.allclose(curve.lams, scalar.lams, rtol=1e-12, atol=0.0)
+
+
+def test_a_failed_lane_ends_the_march_at_its_beta(monkeypatch):
+    # with a step budget that the log-r phases beyond some beta exceed, the
+    # march ends at the first such candidate, keeps the samples before it
+    # and reports what the all-scalar march reports
+    monkeypatch.setattr(_stepper, "_MAX_STEPS", 80)
+    cfg = _cfg(10, "ah:h=40")
+    curve = trace_curve(cfg, -5.0, 40.0, 0.25)
+    scalar = _scalar_march(monkeypatch, cfg, -5.0, 40.0, 0.25)
+    assert not curve.complete and curve.diagnostic == scalar.diagnostic
+    assert curve.diagnostic.startswith("integration failed at beta=")
+    assert curve.diagnostic.endswith("step budget exhausted")
+    assert curve.betas.tolist() == scalar.betas.tolist()
+    assert 0.0 < curve.betas[-1] < 40.0
+    assert radial_ode._LANE_STEPS == {}
+
+
+def test_the_lane_memo_is_bounded_and_emptied(monkeypatch):
+    # it holds at most _LANE_KEEP shoots during the march and none after
+    # it, whether the march returns or raises
+    cfg = _cfg(9, "polyexp:0.7,-0.2;d=0.3")
+    sizes = []
+    real = bif.integrate_ivp
+
+    def shoot(cfg, beta, **kw):
+        sizes.append(len(radial_ode._LANE_STEPS))
+        if beta > 20.0 and fail:
+            raise RuntimeError("stop")
+        return real(cfg, beta, **kw)
+
+    monkeypatch.setattr(bif, "integrate_ivp", shoot)
+    fail = False
+    trace_curve(cfg, -1.0, 30.0, 0.25)
+    assert radial_ode._LANE_STEPS == {}
+    assert 100 < max(sizes) <= radial_ode._LANE_KEEP
+    fail = True
+    with pytest.raises(RuntimeError, match="stop"):
+        trace_curve(cfg, -1.0, 30.0, 0.25)
+    assert radial_ode._LANE_STEPS == {}
+
+
+# (v(1), dlambda/dbeta, sha256 of the rows (r, v, v', e, e'), rows) of
+# trace shoots recorded before the lane batch existed, with glibc's libm
+# on x86-64 (another libm may round exp apart): outside a march the
+# scalar path must not move by a bit
+SCALAR_SHOOTS = {
+    (10, "ah:h=40", 3.0): ("0x1.93e3c8ef9e4fap-1", "0x1.f18f09fed1759p-5",
+                           "65a116dbece073a273dcbabd4b74ef820f18a80c2bd8217814154ecc5b794ae9", 85),
+    (10, "ah:h=40", 40.0): ("0x1.8b90bfbe8e32cp-1", "0x1.933bea742579bp-102",
+                            "121456058db4e1c25e64cce07159f9b23203c6fd081a9e696a5c955515c49f48", 78),
+    (3, "ah:h=40", -2.0): ("-0x1.4ff712198822ap+2", "-0x1.1391299257130p-9",
+                           "756726f2d1896a44660eb82841a381037994a7d59213960de7a14b933d9c661a", 89),
+    (3, "ah:h=40", 17.3): ("-0x1.7de66ea016aaap+2", "-0x1.332b7beaaba35p-17",
+                           "7220ab839ba737524e65703ce557167f63a6b95ddc860b9236836ebb535715aa", 73),
+    (9, "polyexp:0.7,-0.2;d=0.3", 0.5): (
+        "0x1.8189c15728ff4p-2", "0x1.49311d5b885a0p+0",
+        "46846770d421eb8db71ea1467f89b7617527dd18c4a0057baad7209270eca6a3", 72),
+    (9, "polyexp:0.7,-0.2;d=0.3", 40.0): (
+        "0x1.2187fa6225a17p+1", "0x1.3eae1af5647c7p-94",
+        "3558fac40f234dee4018164e9f2825100f705ef9418723bc0899a28925c0a71f", 51),
+}
+
+
+@pytest.mark.parametrize("key", sorted(SCALAR_SHOOTS))
+def test_a_trace_shoot_outside_a_march_is_the_recorded_one(key):
+    dim, spec, beta = key
+    shot = integrate_ivp(_cfg(dim, spec), beta, trace=True)
+    rows = np.column_stack((shot.profile.radii, shot.profile.values, shot.profile.derivs,
+                            shot.variation_profile.values, shot.variation_profile.derivs))
+    assert (shot.v1.hex(), shot.dlambda_dbeta.hex(), hashlib.sha256(rows.tobytes()).hexdigest(),
+            len(rows)) == SCALAR_SHOOTS[key]
