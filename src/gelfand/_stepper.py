@@ -93,13 +93,13 @@ use, from the same `Rhs` lines, rewritten for arrays, with numpy's ufuncs
 in place of math's functions. An iteration costs about as much as 35
 scalar attempts whatever the number of lanes, so lanes pay only in bulk.
 They serve one caller: the log-r phases of a march's weighted shoots at
-beta > 0 (``radial_ode.trace_lanes``), shot together for every candidate
-ahead of the march. At N=10, a_h at h=40 on [-5, 40] by 0.25 that is 160
-lanes, 17 904 attempts in 162 iterations, and the 160 scalar solves take
-about three times as long (2.8 to 3.4 times over the three marches named
-below). Everything else stays on ``solve``: series heads,
-the r phase through the boundary layer, the const Emden reads, fold
-refinement, zero numbers and every other single shoot, grid shoots, the
+beta > 0 (``radial_ode.trace_lanes``), a batch for the march's grid and
+one for each round of the midpoints it bisects. At N=10, a_h at h=40 on
+[-5, 40] by 0.25 that is one batch of 160 lanes, 17 904 attempts in 162
+iterations, and the 160 scalar solves take about three times as long (2.8
+to 3.4 times over the three marches named below). Everything else stays
+on ``solve``: series heads, the r phase through the boundary layer, the
+const Emden reads, fold refinement, zero numbers and every other single shoot, grid shoots, the
 singular solution and the Pruefer phase. Lanes are not bit-identical to
 ``solve``, numpy's exp and power rounding apart from Python's: over the
 march lanes of N=10 and N=3 a_h at h=40 and N=9
@@ -475,6 +475,11 @@ def _unpack(names):
     return "".join(f"{name}, " for name in names)
 
 
+def _unpack_args(rhs: Rhs):
+    """The line that binds rhs.params to a stage's args, none without params."""
+    return [f"    {_unpack(rhs.params)}= args"] if rhs.params else []
+
+
 def _stage_function(n, rhs=None, namespace=None, name=None):
     """The stage function for states of size n: one step attempt of length
     h from (x, y) with k1 = fun(x, y), returning (y_new, k13, err) with
@@ -510,8 +515,7 @@ def _stage_function(n, rhs=None, namespace=None, name=None):
     if rhs is None:
         lines = ["def stage(fun, x, h, x_new, y, k1, rtol, atol):"]
     else:
-        lines = ["def stage(args, x, h, x_new, y, k1, rtol, atol):",
-                 f"    {_unpack(rhs.params)}= args"]
+        lines = ["def stage(args, x, h, x_new, y, k1, rtol, atol):", *_unpack_args(rhs)]
     lines += [f"    {_unpack(names('y'))}= y", f"    {_unpack(names('k1'))}= k1"]
     for s, row in _A.items():
         at = f"x + {_C[s]!r} * h"
@@ -600,7 +604,7 @@ def _lane_functions(rhs: Rhs, namespace: dict, name: str):
     """
     n = len(rhs.state)
     lines = ["def rhs(args, x_0, y_0):",
-             f"    {_unpack(rhs.params)}= args",
+             *_unpack_args(rhs),
              f"    {rhs.x} = x_0",
              f"    {_unpack(rhs.state)}= y_0",
              *(f"    {line}" for line in _lane_body(rhs)),

@@ -1,11 +1,11 @@
 """Bifurcation curve tracing, fold refinement, and diagram classification.
 
 The radial solution branch is the analytic curve beta -> (lambda(beta),
-alpha(beta)) with alpha = beta - log lambda. Tracing marches beta with an
-adaptive step (capped by the caller), halving whenever log lambda leaves
-its tangent prediction by more than 0.01; a sign flip of dlambda/dbeta
-between samples is only bracketed, and the fold is refined afterwards by
-Brent's method on the variational derivative. Classification into diagram
+alpha(beta)) with alpha = beta - log lambda. Tracing shoots beta on a
+grid of the caller's step, a batch at a time, and bisects every interval
+on which log lambda leaves its tangent prediction by more than 0.01; a
+sign flip of dlambda/dbeta between samples is only bracketed, and the fold
+is refined afterwards by Brent's method on the variational derivative. Classification into diagram
 types is a windowed decision rule, not a theorem: a window can only ever
 certify finitely many oscillations.
 """
@@ -25,9 +25,7 @@ from .radial_ode import (
     ProblemConfig,
     RadialProfile,
     ShootResult,
-    clear_trace_lanes,
     hermite_values,
-    in_lanes,
     integrate_ivp,
     trace_lanes,
 )
@@ -99,30 +97,19 @@ def trace_curve(cfg: ProblemConfig, beta_min: float, beta_max: float,
                 max_step: float = 0.25) -> BifurcationCurve:
     """March the solution curve over [beta_min, beta_max].
 
-    Step control: halve while log lambda at the candidate misses the
-    tangent prediction log lambda + delta beta * e(1) of the last sample by
-    more than 0.01 (lambda by about 1%), down to a floor of max_step / 2^12
-    (the floor step is accepted as-is); regrow by 2 after two clean
-    accepts. Where lambda ~ 2N e^beta the tangent is almost exact and the
-    march takes max_step. A sign flip of dlambda/dbeta does not shrink the
-    step: it records a bracket, and refine_fold narrows it by Brent's
-    method after the march.
-    An integrator failure truncates the curve and records a diagnostic.
-
-    The march speculates. At a weighted candidate beta > 0 (`in_lanes`)
-    that no batch holds, it lists the candidates the step rule takes from
-    there if it accepts every one (`_candidates`, at most 256) and shoots
-    their log-r phases as one batch of lanes (`trace_lanes`); each sample
-    still comes from one integrate_ivp(cfg, beta, trace=True) call, which
-    reads its shoot from the batch, and the acceptance logic above runs on
-    them unchanged. A rejected candidate halves the step onto betas that
-    no batch holds, and the march speculates again from there. A lane that
-    failed fails the integrate_ivp call of its beta. The batch is emptied
-    when the march ends, before the folds are refined; refine_fold and
-    every march shoot at beta <= 0 or with const (or a_0) run on
-    `_stepper.solve`. At N=10, a_h at h=40 on [-5, 40] by 0.25 the march
-    shoots one batch of 160 lanes. The samples' betas and the folds' kinds
-    are those of the all-scalar march, the folds within 1e-13.
+    The march shoots the grid beta_min + k max_step, its last point
+    clamped to beta_max, in chunks of at most `radial_ode._LANE_BATCH`
+    betas, and then bisects every interval on which log lambda misses the
+    tangent prediction log lambda + delta beta * e(1) of its left sample by
+    more than 0.01 (lambda by about 1%), down to a width of max_step / 2^12
+    (an interval that narrow is kept as-is); each round of midpoints is
+    shot as one batch (`_shoot`). Where lambda ~ 2N e^beta the tangent is
+    almost exact and the march keeps the grid. Every shot beta is a
+    sample. A sign flip of dlambda/dbeta between samples records a
+    bracket, and refine_fold narrows it by Brent's method after the march.
+    An integrator failure truncates the curve below the lowest beta that
+    failed and records a diagnostic. At N=10, a_h at h=40 on [-5, 40] by
+    0.25 the march shoots one batch of 160 lanes.
     """
     if not beta_min < beta_max:
         raise ValueError(f"need beta_min < beta_max, got [{beta_min}, {beta_max}]")
@@ -134,54 +121,48 @@ def trace_curve(cfg: ProblemConfig, beta_min: float, beta_max: float,
     if not 0.0 < max_step <= 1.0:
         raise ValueError(f"max_step must lie in (0, 1], got {max_step}")
 
-    first = integrate_ivp(cfg, beta_min, trace=True)
-    samples = [first]
-    brackets: list[tuple[ShootResult, ShootResult]] = []
-    complete = True
-    diagnostic = ""
-
-    floor = max_step / 2.0 ** STEP_HALVINGS
-    step = max_step
-    clean = 0
-    # last accepted sample whose derivative sign is outside the deadband;
-    # comparing against it keeps folds visible when a sample lands inside
-    # the band right at the fold
-    anchor = first
-    anchor_sign = _deadband_sign(first.dlambda_dbeta, first.lam, cfg.rel_tol)
-    speculated: set[float] = set()
-    try:
-        while samples[-1].beta < beta_max - 1e-12:
-            prev = samples[-1]
-            target = min(prev.beta + step, beta_max)
-            if target not in speculated and in_lanes(cfg, target):
-                # shoot the log-r phases of the candidates ahead as one batch
-                path = _candidates(prev.beta, step, clean, beta_max, max_step)
-                trace_lanes(cfg, path)
-                speculated = set(path)
-            try:
-                cand = integrate_ivp(cfg, target, trace=True)
-            except IntegrationError as exc:
-                complete = False
-                diagnostic = f"integration failed at beta={target:.6g}: {exc}"
-                break
+    grid = [beta_min + k * max_step for k in range(1, math.ceil((beta_max - beta_min) / max_step))]
+    grid = [beta for beta in grid if beta < beta_max - 1e-12] + [beta_max]
+    samples: list[ShootResult] = []
+    # the samples from the last one of the chunks before on, each with the
+    # halvings of the intervals beside it: those the chunk can bisect
+    live = [(integrate_ivp(cfg, beta_min, trace=True), 0)]
+    failed = None
+    for start in range(0, len(grid), _LANE_BATCH):
+        todo = [(beta, 0) for beta in grid[start:start + _LANE_BATCH]]
+        while todo:
+            for (beta, depth), shot in zip(todo, _shoot(cfg, [beta for beta, _ in todo])):
+                if not isinstance(shot, IntegrationError):
+                    live.append((shot, depth))
+                elif failed is None or beta < failed[0]:
+                    failed = beta, shot
+            live.sort(key=lambda sample: sample[0].beta)
+            if failed:
+                live = [sample for sample in live if sample[0].beta < failed[0]]
             # v1 = log lambda, and its slope in beta is e(1) = dlambda_dbeta / lam
-            miss = cand.v1 - prev.v1 - (cand.beta - prev.beta) * prev.dlambda_dbeta / prev.lam
-            if abs(miss) > 0.01 and step > floor:
-                step = max(0.5 * step, floor)
-                clean = 0
-                continue
-            samples.append(cand)
-            s_cand = _deadband_sign(cand.dlambda_dbeta, cand.lam, cfg.rel_tol)
-            if anchor_sign != 0 and s_cand != 0 and s_cand != anchor_sign:
-                brackets.append((anchor, cand))
-            if s_cand != 0:
-                anchor = cand
-                anchor_sign = s_cand
-            clean += 1
-            if clean >= 2:
-                step = min(2.0 * step, max_step)
-    finally:
-        clear_trace_lanes()
+            todo = [(0.5 * (lo.beta + hi.beta), max(dlo, dhi) + 1)
+                    for (lo, dlo), (hi, dhi) in zip(live, live[1:])
+                    if max(dlo, dhi) < STEP_HALVINGS
+                    and abs(hi.v1 - lo.v1 - (hi.beta - lo.beta) * lo.dlambda_dbeta / lo.lam) > 0.01]
+        samples += [shot for shot, _ in live[:-1]]
+        live = live[-1:]
+        if failed:
+            break
+    samples.append(live[0][0])
+
+    brackets: list[tuple[ShootResult, ShootResult]] = []
+    # last sample whose derivative sign is outside the deadband; comparing
+    # against it keeps folds visible when a sample lands inside the band
+    # right at the fold
+    anchor = samples[0]
+    anchor_sign = _deadband_sign(anchor.dlambda_dbeta, anchor.lam, cfg.rel_tol)
+    for cand in samples[1:]:
+        s_cand = _deadband_sign(cand.dlambda_dbeta, cand.lam, cfg.rel_tol)
+        if anchor_sign != 0 and s_cand != 0 and s_cand != anchor_sign:
+            brackets.append((anchor, cand))
+        if s_cand != 0:
+            anchor = cand
+            anchor_sign = s_cand
 
     tps = [refine_fold(cfg, lo, hi) for lo, hi in brackets]
     for a, b in zip(tps, tps[1:]):
@@ -193,24 +174,25 @@ def trace_curve(cfg: ProblemConfig, beta_min: float, beta_max: float,
         samples=tuple(samples),
         turning_points=tuple(tps),
         beta_range=(beta_min, beta_max),
-        complete=complete,
-        diagnostic=diagnostic,
+        complete=failed is None,
+        diagnostic=f"integration failed at beta={failed[0]:.6g}: {failed[1]}" if failed else "",
     )
 
 
-def _candidates(beta: float, step: float, clean: int, beta_max: float,
-                max_step: float) -> list[float]:
-    """The betas `trace_curve` shoots next from the sample at beta, with
-    its step and count of clean accepts, if it accepts every one: at most
-    `radial_ode._LANE_BATCH` of them."""
-    path = []
-    while beta < beta_max - 1e-12 and len(path) < _LANE_BATCH:
-        beta = min(beta + step, beta_max)
-        path.append(beta)
-        clean += 1
-        if clean >= 2:
-            step = min(2.0 * step, max_step)
-    return path
+def _shoot(cfg: ProblemConfig, betas) -> list:
+    """The march's trace shoots at `betas`, each a ShootResult or the
+    IntegrationError that ended it: the weighted ones at beta > 0 by
+    `trace_lanes`, their log-r phases as lanes, the rest by integrate_ivp."""
+    w = cfg.weight
+    lanes = [beta for beta in betas if beta > 0.0 and (w.coeffs or w.tilt)]
+    shots = dict(zip(lanes, trace_lanes(cfg, lanes)))
+    for beta in betas:
+        if beta not in shots:
+            try:
+                shots[beta] = integrate_ivp(cfg, beta, trace=True)
+            except IntegrationError as exc:
+                shots[beta] = exc
+    return [shots[beta] for beta in betas]
 
 
 def refine_fold(cfg: ProblemConfig, lo: ShootResult, hi: ShootResult) -> TurningPoint:

@@ -688,67 +688,38 @@ def _trace_join(cfg: ProblemConfig, radii, states, r=(), ws=()):
     return radii[first:], states[first:]
 
 
-# A march's weighted trace shoots at beta > 0 take their log-r phases from
-# lane batches (`trace_lanes`): (cfg, beta) -> the shoot's `_trace_steps`,
-# or the IntegrationError that ended its lane. trace_curve fills it, at most
-# _LANE_BATCH shoots a batch and _LANE_KEEP in all, and empties it when its
-# march ends.
-_LANE_STEPS: dict = {}
+# the most log-r phases `trace_lanes` shoots as one batch of lanes
 _LANE_BATCH = 256
-_LANE_KEEP = 2 * _LANE_BATCH
 
 
-def in_lanes(cfg: ProblemConfig, beta: float) -> bool:
-    """Whether a march shoot at beta takes its log-r phase from the lane
-    batch: weighted (not const or a_0) at beta > 0."""
-    w = cfg.weight
-    return beta > 0.0 and bool(w.coeffs or w.tilt)
-
-
-def trace_lanes(cfg: ProblemConfig, betas) -> None:
-    """Shoot the trace shoots at `betas` (1 to _LANE_BATCH of them) that
-    `in_lanes` names, their log-r phases as one batch of lanes
-    (`_stepper.solve_lanes`), for `integrate_ivp(cfg, beta, trace=True)` to
-    read (`_trace_steps`). betas must increase. Shoots of earlier batches
-    at betas[0] or beyond are kept and not shot again, up to _LANE_KEEP
-    shoots in all, the oldest dropped first: after a rejected candidate the
-    march's grid shifts by half a step and back, so that the next batches
-    meet the betas of the last ones. A shoot whose head (series and r
-    phase) fails is left to integrate_ivp, which fails the same way."""
-    if not 0 < len(betas) <= _LANE_BATCH:
-        raise ValueError(f"a lane batch takes 1 to {_LANE_BATCH} trace shoots, not {len(betas)}")
-    for key in [key for key in _LANE_STEPS if key[0] != cfg or key[1] < betas[0]]:
-        del _LANE_STEPS[key]
-    heads = {}
-    for beta in betas:
-        if (cfg, beta) in _LANE_STEPS or not in_lanes(cfg, beta):
-            continue
+def trace_lanes(cfg: ProblemConfig, betas) -> list:
+    """The trace shoots at `betas`, as `integrate_ivp(cfg, beta,
+    trace=True)` shoots them, each a ShootResult or the IntegrationError
+    that ended it; their log-r phases (`_trace_steps`) run as batches of
+    at most _LANE_BATCH lanes of `_stepper.solve_lanes`, the rest as in
+    `_trace_steps`. A lane's steps do not depend on its batch, but they
+    are not bit-identical to `solve`'s (`integrate_ivp`)."""
+    shots, heads = {}, []
+    for i, beta in enumerate(betas):
+        _check_beta(beta)
         try:
             radii, states, log = _trace_head(cfg, beta)
-        except _stepper.IntegrationError:
+        except _stepper.IntegrationError as exc:
+            shots[i] = exc
             continue
         if log is None:
-            _LANE_STEPS[cfg, beta] = _trace_join(cfg, radii, states)
+            shots[i] = _shoot_result(beta, *_trace_join(cfg, radii, states))
         else:
-            heads[beta] = radii, states, log
-    if not heads:
-        return
-    s0, y0 = zip(*(log for _, _, log in heads.values()))
-    lanes = _stepper.solve_lanes(_rhs_ve_log(cfg), s0, np.transpose(y0), np.zeros(len(s0)),
-                                 cfg.rel_tol, cfg.abs_tol)
-    for (beta, (radii, states, _)), lane in zip(heads.items(), lanes):
-        if isinstance(lane, _stepper.IntegrationError):
-            _LANE_STEPS[cfg, beta] = lane
-        else:
-            _LANE_STEPS[cfg, beta] = _trace_join(cfg, radii, states, np.exp(lane.xs[1:]),
-                                                 lane.ys[1:])
-    for key in list(_LANE_STEPS)[:-_LANE_KEEP]:
-        del _LANE_STEPS[key]
-
-
-def clear_trace_lanes() -> None:
-    """Drop every shoot of the lane batch (`trace_lanes`)."""
-    _LANE_STEPS.clear()
+            heads.append((i, beta, radii, states, log))
+    for k in range(0, len(heads), _LANE_BATCH):
+        batch = heads[k:k + _LANE_BATCH]
+        s0, y0 = zip(*(log for *_, log in batch))
+        lanes = _stepper.solve_lanes(_rhs_ve_log(cfg), s0, np.transpose(y0), np.zeros(len(s0)),
+                                     cfg.rel_tol, cfg.abs_tol)
+        for (i, beta, radii, states, _), lane in zip(batch, lanes):
+            shots[i] = lane if isinstance(lane, _stepper.IntegrationError) else _shoot_result(
+                beta, *_trace_join(cfg, radii, states, np.exp(lane.xs[1:]), lane.ys[1:]))
+    return [shots[i] for i in range(len(betas))]
 
 
 def _trace_steps(cfg: ProblemConfig, beta: float):
@@ -766,19 +737,9 @@ def _trace_steps(cfg: ProblemConfig, beta: float):
     past the boundary layer, and from there (or from r0, where that lies
     beyond r_sw) in s = log r, where the r steps would have to stay near
     0.04 r along the nearly linear -2 log r profile. Where r_sw >= 1 (beta
-    <= 0) it steps in r all the way.
-
-    During a march (`bifurcation.trace_curve`) a weighted shoot at beta > 0
-    is read from the lane batch (`trace_lanes`), which took its log-r phase
-    in a lane of `_stepper.solve_lanes` and the rest as here; its lane's
-    IntegrationError is raised here. Every other shoot runs as above, on
-    `solve`.
+    <= 0) it steps in r all the way. `trace_lanes` runs the same shoots
+    with the log-r phases in lanes.
     """
-    steps = _LANE_STEPS.get((cfg, beta))
-    if steps is not None:
-        if isinstance(steps, _stepper.IntegrationError):
-            raise steps
-        return steps
     radii, states, log = _trace_head(cfg, beta)
     if log is None:
         return _trace_join(cfg, radii, states)
@@ -903,13 +864,11 @@ def integrate_ivp(cfg: ProblemConfig, beta: float, radii=None, trace: bool = Fal
     a shoot in r alone at rtol 1e-13. With const, over beta in [-1, 60] by
     0.5 at the same N, they stay within 3.8e-13 and 2.9e-13 of a shoot at
     rtol 1e-13, where shooting each beta on its own was up to 9.7e-12 and
-    6.8e-13 off. Inside a march (`bifurcation.trace_curve`) a weighted
-    shoot at beta > 0 reads its steps from the march's lane batch
-    (`trace_lanes`), whose log-r phases ran in lanes of
-    `_stepper.solve_lanes`: its v(1) and e(1) are within 3.2e-14 relative
-    of this scalar shoot's (N=10 and N=3 a_h at h=40, N=9
-    polyexp:0.7,-0.2;d=0.3, every march beta > 0), not equal to them.
-    Outside a march every shoot runs on `_stepper.solve`.
+    6.8e-13 off. `trace_lanes` runs the log-r phases of many such shoots
+    as lanes of `_stepper.solve_lanes`, as a march does at beta > 0 with a
+    weight: their v(1) and e(1) are within 3.2e-14 relative of these
+    (N=10 and N=3 a_h at h=40, N=9 polyexp:0.7,-0.2;d=0.3, every march
+    beta > 0), not equal to them. Every shoot here runs on `_stepper.solve`.
     Otherwise it is sampled at `radii` (default: `default_grid`). The
     radii up to r0 take the series' states; beyond r0 the integrator lands
     only on a sparse subset of them, `_anchor_radii`, and the others are
@@ -932,19 +891,23 @@ def integrate_ivp(cfg: ProblemConfig, beta: float, radii=None, trace: bool = Fal
         radii_arr, nodes = _output_radii(cfg, radii)
         states = _grid_states(cfg, radii_arr, nodes, lambda anchors: _run(cfg, beta, anchors),
                               _series(cfg, beta))
+    return _shoot_result(beta, radii_arr, states)
+
+
+def _shoot_result(beta: float, radii: np.ndarray, states: np.ndarray) -> ShootResult:
+    """The ShootResult at beta of the states, rows (v, v', e, e'), at the
+    radii; lambda and dlambda/dbeta come from the last row."""
     v1 = float(states[-1, 0])
     e1 = float(states[-1, 2])
     lam = math.exp(v1)
-    profile = RadialProfile(radii_arr, states[:, 0], states[:, 1])
-    variation = RadialProfile(radii_arr, states[:, 2], states[:, 3])
     return ShootResult(
         beta=beta,
         lam=lam,
         alpha=beta - v1,
         v1=v1,
         dlambda_dbeta=lam * e1,
-        profile=profile,
-        variation_profile=variation,
+        profile=RadialProfile(radii, states[:, 0], states[:, 1]),
+        variation_profile=RadialProfile(radii, states[:, 2], states[:, 3]),
     )
 
 

@@ -1,14 +1,12 @@
-"""The lane driver ``_stepper.solve_lanes`` and the speculative march that
-uses it.
+"""The lane driver ``_stepper.solve_lanes`` and the march that uses it.
 
-A march over a weighted curve shoots the log-r phases of its candidates at
-beta > 0 as one batch of lanes (``radial_ode.trace_lanes``) and replays its
-acceptance logic on them. Lanes are not bit-identical to ``solve``
-(numpy's exp rounds apart from math.exp), so they are held to ``solve``'s
-step counts and to 1e-13 in the end states, and a lane must not depend on
-the batch it runs in. The march must sample the betas of the all-scalar
-march exactly, which is the march as it was before lanes: every shoot
-outside a lane batch runs the scalar path unchanged, bit for bit.
+A march over a weighted curve shoots its betas > 0 a batch at a time
+(``radial_ode.trace_lanes``), their log-r phases as lanes: first its grid,
+then each round of the midpoints it bisects. Lanes are not bit-identical
+to ``solve`` (numpy's exp rounds apart from math.exp), so they are held to
+``solve``'s step counts and to 1e-13 in the end states, and a lane must not
+depend on the batch it runs in. A trace shoot outside the lanes
+(``integrate_ivp``) runs the scalar path unchanged, bit for bit.
 """
 
 from __future__ import annotations
@@ -51,18 +49,35 @@ def _counted(fun):
     return counted, attempts
 
 
-def _scalar_march(monkeypatch, *args):
-    """trace_curve(*args) with every shoot on `solve`: no lane batch."""
-    with monkeypatch.context() as m:
-        m.setattr(bif, "trace_lanes", lambda cfg, betas: None)
-        return trace_curve(*args)
+def _scalar_lanes(cfg, betas):
+    """`trace_lanes` with every shoot on `solve`: integrate_ivp's shoots."""
+    shots = []
+    for beta in betas:
+        try:
+            shots.append(integrate_ivp(cfg, beta, trace=True))
+        except IntegrationError as exc:
+            shots.append(exc)
+    return shots
+
+
+def _batch_sizes(monkeypatch):
+    """The number of lanes of every `solve_lanes` call from here on."""
+    sizes, lanes = [], _stepper.solve_lanes
+    monkeypatch.setattr(_stepper, "solve_lanes", lambda fun, x0, *args: (sizes.append(len(x0)),
+                                                                         lanes(fun, x0, *args))[1])
+    return sizes
 
 
 @pytest.fixture(scope="module")
-def march_betas():
-    """The sample betas > 0 of trace_curve(cfg, -5, 40, 0.25), per case."""
-    return {case: [b for b in trace_curve(_cfg(*case), -5.0, 40.0, 0.25).betas.tolist() if b > 0.0]
-            for case in LANE_CASES}
+def marches():
+    """trace_curve(cfg, -5, 40, 0.25), per case."""
+    return {case: trace_curve(_cfg(*case), -5.0, 40.0, 0.25) for case in LANE_CASES}
+
+
+@pytest.fixture(scope="module")
+def march_betas(marches):
+    """The sample betas > 0 of the marches, per case."""
+    return {case: [b for b in curve.betas.tolist() if b > 0.0] for case, curve in marches.items()}
 
 
 @pytest.mark.parametrize("case", LANE_CASES)
@@ -191,6 +206,19 @@ def test_a_weight_that_turns_nonpositive_fails_only_the_lanes_that_reach_it():
     assert lanes[0].xs[-1] == ends[0] and lanes[2].xs[-1] == ends[2]
 
 
+def test_a_right_hand_side_without_params_compiles():
+    # y' = -y binds no parameter: solve (on its fused stage) and
+    # solve_lanes both give e^{-x}
+    fun = _stepper.compile_rhs(_stepper.Rhs("x", ("y",), (), (), ("-y",)), {}, "decay")()
+    assert fun.stage_args == ()
+    ends = [0.5, 1.0, 3.0]
+    states = _stepper.solve(fun, 0.0, [1.0], ends, 1e-10, 1e-12)
+    lanes = _stepper.solve_lanes(fun, [0.0] * 3, [[1.0] * 3], ends, 1e-10, 1e-12)
+    for x, state, lane in zip(ends, states, lanes):
+        assert state[0] == pytest.approx(np.exp(-x), rel=1e-9)
+        assert lane.xs[-1] == x and lane.ys[-1, 0] == pytest.approx(np.exp(-x), rel=1e-9)
+
+
 def test_lanes_need_an_if_only_around_a_raise():
     rhs = _stepper.Rhs("x", ("y",), ("c",), ("if y > c:", "    y = c"), ("y",))
     fun = _stepper.compile_rhs(rhs, {}, "guarded")(0.0)
@@ -210,8 +238,8 @@ FOLDS_N3_H40 = [(-3.424901156044752, "Max"), (1.8506733692003423, "Min"),
                 (35.08530759798302, "Max")]
 
 
-def test_the_march_samples_the_recorded_betas():
-    curve = trace_curve(_cfg(3, "ah:h=40"), -5.0, 40.0, 0.25)
+def test_the_march_samples_the_recorded_betas(marches):
+    curve = marches[3, "ah:h=40"]
     recorded = ([-5.0, -4.75] + [-4.75 + 0.125 * k for k in range(1, 17)]
                 + [-2.75 + 0.25 * k for k in range(1, 172)])
     assert curve.betas.tolist() == recorded
@@ -220,70 +248,87 @@ def test_the_march_samples_the_recorded_betas():
         [beta for beta, _ in FOLDS_N3_H40], abs=1e-9)
 
 
-@pytest.mark.parametrize("dim", [3, 6])
-def test_the_march_replays_rejected_candidates(monkeypatch, dim):
-    # at max_step 1 candidates at beta > 0 are rejected and the step
-    # halved, so the march speculates again; it samples the betas of the
-    # all-scalar march, and its folds are those to 1e-9
-    cfg = _cfg(dim, "ah:h=40")
-    batches = []
-    real = bif.trace_lanes
-    monkeypatch.setattr(bif, "trace_lanes", lambda cfg, betas: (batches.append(betas),
-                                                                real(cfg, betas)))
-    curve = trace_curve(cfg, -5.0, 40.0, 1.0)
-    scalar = _scalar_march(monkeypatch, cfg, -5.0, 40.0, 1.0)
-    assert len(batches) >= 3
-    assert curve.betas.tolist() == scalar.betas.tolist()
-    assert [tp.kind for tp in curve.turning_points] == [tp.kind for tp in scalar.turning_points]
+# (sha256 of the sample betas, folds) of the other two marches over
+# [-5, 40] by at most 0.25, recorded with the depth-first march that
+# halved its step at a rejected candidate: both keep the grid
+RECORDED_MARCHES = {
+    (10, "ah:h=40"): ("7a567a87e9f8194a3a34b040385b8852ea47776af143955860c863cb451426f6",
+                      [(3.4192156518161774, "Max"), (10.37940393613213, "Min")]),
+    (9, "polyexp:0.7,-0.2;d=0.3"): (
+        "7a567a87e9f8194a3a34b040385b8852ea47776af143955860c863cb451426f6",
+        [(6.5854997733892535, "Max"), (11.386765354824597, "Min")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORDED_MARCHES))
+def test_the_march_samples_the_recorded_betas_of_each_case(marches, case):
+    digest, folds = RECORDED_MARCHES[case]
+    curve = marches[case]
+    assert hashlib.sha256(curve.betas.tobytes()).hexdigest() == digest
+    assert [tp.kind for tp in curve.turning_points] == [kind for _, kind in folds]
     assert [tp.beta for tp in curve.turning_points] == pytest.approx(
-        [tp.beta for tp in scalar.turning_points], abs=1e-9)
-    assert np.allclose(curve.lams, scalar.lams, rtol=1e-12, atol=0.0)
+        [beta for beta, _ in folds], abs=1e-9)
+
+
+@pytest.mark.parametrize("dim", [3, 6])
+def test_a_coarse_march_samples_every_beta_it_shoots(monkeypatch, marches, dim):
+    # at max_step 1 intervals at beta > 0 miss the tangent and are
+    # bisected: every beta the march shoots is a sample, each round of
+    # midpoints runs as one lane batch, and the folds are those of the
+    # march by 0.25 to BETA_TOL
+    cfg = _cfg(dim, "ah:h=40")
+    fine = marches[3, "ah:h=40"] if dim == 3 else trace_curve(cfg, -5.0, 40.0, 0.25)
+    rounds, batches = [], _batch_sizes(monkeypatch)
+    shoot = bif._shoot
+    monkeypatch.setattr(bif, "_shoot", lambda cfg, betas: (rounds.append(betas),
+                                                           shoot(cfg, betas))[1])
+    curve = trace_curve(cfg, -5.0, 40.0, 1.0)
+    shot = [-5.0] + [beta for betas in rounds for beta in betas]
+    assert sorted(shot) == curve.betas.tolist()
+    assert len(rounds) >= 3 and any(beta > 0.0 for betas in rounds[1:] for beta in betas)
+    assert 2 <= len(batches) <= len(rounds)
+    assert [tp.kind for tp in curve.turning_points] == [tp.kind for tp in fine.turning_points]
+    assert [tp.beta for tp in curve.turning_points] == pytest.approx(
+        [tp.beta for tp in fine.turning_points], abs=bif.BETA_TOL)
+
+
+def test_a_long_window_runs_lane_batches_of_at_most_256(monkeypatch):
+    # 320 grid betas > 0, and --max-step is user input: the march, and
+    # trace_lanes for any caller (a round of midpoints can outgrow a chunk
+    # of the grid), split them into batches of at most _LANE_BATCH lanes,
+    # and a shoot does not depend on its batch
+    batches = _batch_sizes(monkeypatch)
+    cfg = _cfg(10, "ah:h=40")
+    curve = trace_curve(cfg, 20.0, 40.0, 0.0625)
+    assert curve.complete and len(curve.samples) == 321
+    assert radial_ode._LANE_BATCH == 256
+    assert len(batches) >= 2 and max(batches) <= 256 and sum(batches) == 320
+    batches.clear()
+    shots = radial_ode.trace_lanes(cfg, curve.betas[1:].tolist())
+    assert batches == [256, 64]
+    assert [shot.v1 for shot in shots] == [sample.v1 for sample in curve.samples[1:]]
 
 
 def test_a_failed_lane_ends_the_march_at_its_beta(monkeypatch):
     # with a step budget that the log-r phases beyond some beta exceed, the
-    # march ends at the first such candidate, keeps the samples before it
-    # and reports what the all-scalar march reports
+    # march ends below the lowest such beta, keeps the samples before it
+    # and reports what a march with every shoot on `solve` reports
     monkeypatch.setattr(_stepper, "_MAX_STEPS", 80)
     cfg = _cfg(10, "ah:h=40")
     curve = trace_curve(cfg, -5.0, 40.0, 0.25)
-    scalar = _scalar_march(monkeypatch, cfg, -5.0, 40.0, 0.25)
+    monkeypatch.setattr(bif, "trace_lanes", _scalar_lanes)
+    scalar = trace_curve(cfg, -5.0, 40.0, 0.25)
     assert not curve.complete and curve.diagnostic == scalar.diagnostic
     assert curve.diagnostic.startswith("integration failed at beta=")
     assert curve.diagnostic.endswith("step budget exhausted")
     assert curve.betas.tolist() == scalar.betas.tolist()
     assert 0.0 < curve.betas[-1] < 40.0
-    assert radial_ode._LANE_STEPS == {}
-
-
-def test_the_lane_memo_is_bounded_and_emptied(monkeypatch):
-    # it holds at most _LANE_KEEP shoots during the march and none after
-    # it, whether the march returns or raises
-    cfg = _cfg(9, "polyexp:0.7,-0.2;d=0.3")
-    sizes = []
-    real = bif.integrate_ivp
-
-    def shoot(cfg, beta, **kw):
-        sizes.append(len(radial_ode._LANE_STEPS))
-        if beta > 20.0 and fail:
-            raise RuntimeError("stop")
-        return real(cfg, beta, **kw)
-
-    monkeypatch.setattr(bif, "integrate_ivp", shoot)
-    fail = False
-    trace_curve(cfg, -1.0, 30.0, 0.25)
-    assert radial_ode._LANE_STEPS == {}
-    assert 100 < max(sizes) <= radial_ode._LANE_KEEP
-    fail = True
-    with pytest.raises(RuntimeError, match="stop"):
-        trace_curve(cfg, -1.0, 30.0, 0.25)
-    assert radial_ode._LANE_STEPS == {}
 
 
 # (v(1), dlambda/dbeta, sha256 of the rows (r, v, v', e, e'), rows) of
 # trace shoots recorded before the lane batch existed, with glibc's libm
-# on x86-64 (another libm may round exp apart): outside a march the
-# scalar path must not move by a bit
+# on x86-64 (another libm may round exp apart): integrate_ivp's scalar
+# path must not move by a bit
 SCALAR_SHOOTS = {
     (10, "ah:h=40", 3.0): ("0x1.93e3c8ef9e4fap-1", "0x1.f18f09fed1759p-5",
                            "65a116dbece073a273dcbabd4b74ef820f18a80c2bd8217814154ecc5b794ae9", 85),
