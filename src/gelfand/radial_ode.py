@@ -813,7 +813,7 @@ def _jets(cfg: ProblemConfig, x: np.ndarray, y: np.ndarray, weight):
 
 
 def _grid_states(cfg: ProblemConfig, radii: np.ndarray, nodes, shoot,
-                 series: _Series | _SingularSeries) -> np.ndarray:
+                 series: _Series | _SingularSeries, one: bool = False):
     """States (v, v') or (v, v', e, e') at `radii` (as floats, `nodes`):
     those at radii up to the radius r0 of the solution's Taylor `series`
     from the series, and the others from one shoot that lands on
@@ -824,22 +824,38 @@ def _grid_states(cfg: ProblemConfig, radii: np.ndarray, nodes, shoot,
     on the accepted step around them, each value from its first three
     derivatives, each first derivative from the next three, all from the
     ODE (`_jets`); a radius on an accepted step reads that step's state
-    exactly."""
+    exactly.
+
+    With one=True it returns (states, state at r = 1): the state of the
+    radius 1.0 where the radii hold it, else the series' state at r = 1
+    where r0 = 1, else the shoot's, which then lands on r = 1 as one more
+    anchor, in no output row.
+    """
     below = bisect_right(nodes, series.r0)
-    head = series.states(radii[:below])
-    if below == len(nodes):
-        return head
-    radii = radii[below:]
-    anchors = _anchor_radii(nodes[below:])
-    landed, xs, ys = shoot(anchors)
-    k = np.minimum(np.searchsorted(anchors, radii), len(anchors) - 1)
-    states = np.asarray(landed)[k]
-    rest = np.flatnonzero(np.asarray(anchors)[k] != radii)
-    if rest.size:
-        x, y = np.asarray(xs), np.asarray(ys)
-        jets = (y, *_jets(cfg, x, y, weight_arrays(cfg.weight, x)))
-        states[rest] = _hermite_read(x, jets, radii[rest])
-    return np.concatenate((head, states)) if below else states
+    anchors = _anchor_radii(nodes[below:]) if below < len(nodes) else []
+    extra = one and 1.0 not in nodes and series.r0 < 1.0
+    if extra:  # the shoot lands on r = 1 too, in order among the anchors
+        i = bisect_right(anchors, 1.0)
+        landed, xs, ys = shoot(anchors[:i] + [1.0] + anchors[i:])
+        at_one = landed.pop(i)
+    elif anchors:
+        landed, xs, ys = shoot(anchors)
+    states = series.states(radii[:below])
+    if anchors:
+        radii = radii[below:]
+        k = np.minimum(np.searchsorted(anchors, radii), len(anchors) - 1)
+        filled = np.asarray(landed)[k]
+        rest = np.flatnonzero(np.asarray(anchors)[k] != radii)
+        if rest.size:
+            x, y = np.asarray(xs), np.asarray(ys)
+            jets = (y, *_jets(cfg, x, y, weight_arrays(cfg.weight, x)))
+            filled[rest] = _hermite_read(x, jets, radii[rest])
+        states = np.concatenate((states, filled)) if below else filled
+    if not one:
+        return states
+    if not extra:
+        at_one = states[nodes.index(1.0)] if 1.0 in nodes else series.states([1.0])[0]
+    return states, np.asarray(at_one)
 
 
 def integrate_ivp(cfg: ProblemConfig, beta: float, radii=None, trace: bool = False) -> ShootResult:
@@ -869,7 +885,10 @@ def integrate_ivp(cfg: ProblemConfig, beta: float, radii=None, trace: bool = Fal
     weight: their v(1) and e(1) are within 3.2e-14 relative of these
     (N=10 and N=3 a_h at h=40, N=9 polyexp:0.7,-0.2;d=0.3, every march
     beta > 0), not equal to them. Every shoot here runs on `_stepper.solve`.
-    Otherwise it is sampled at `radii` (default: `default_grid`). The
+    Otherwise it is sampled at `radii` (default: `default_grid`), and
+    lambda, alpha and dlambda/dbeta are those at r = 1 whatever the radii:
+    where 1.0 is not among them, the shoot lands on r = 1 as one more
+    anchor, which the profile does not hold. The
     radii up to r0 take the series' states; beyond r0 the integrator lands
     only on a sparse subset of them, `_anchor_radii`, and the others are
     filled from its accepted steps by degree-7 Hermite (`_grid_states`, as
@@ -886,19 +905,19 @@ def integrate_ivp(cfg: ProblemConfig, beta: float, radii=None, trace: bool = Fal
     if trace and radii is not None:
         raise ValueError("output radii cannot be combined with trace=True")
     if trace:
-        radii_arr, states = _trace_steps(cfg, beta)
-    else:
-        radii_arr, nodes = _output_radii(cfg, radii)
-        states = _grid_states(cfg, radii_arr, nodes, lambda anchors: _run(cfg, beta, anchors),
-                              _series(cfg, beta))
-    return _shoot_result(beta, radii_arr, states)
+        return _shoot_result(beta, *_trace_steps(cfg, beta))
+    radii_arr, nodes = _output_radii(cfg, radii)
+    states, at_one = _grid_states(cfg, radii_arr, nodes, lambda anchors: _run(cfg, beta, anchors),
+                                  _series(cfg, beta), one=True)
+    return _shoot_result(beta, radii_arr, states, at_one)
 
 
-def _shoot_result(beta: float, radii: np.ndarray, states: np.ndarray) -> ShootResult:
+def _shoot_result(beta: float, radii: np.ndarray, states: np.ndarray,
+                  at_one=None) -> ShootResult:
     """The ShootResult at beta of the states, rows (v, v', e, e'), at the
-    radii; lambda and dlambda/dbeta come from the last row."""
-    v1 = float(states[-1, 0])
-    e1 = float(states[-1, 2])
+    radii; lambda and dlambda/dbeta come from the state at r = 1, `at_one`,
+    by default the last row (a trace shoot ends at r = 1.0)."""
+    v1, _, e1, _ = (float(x) for x in (states[-1] if at_one is None else at_one))
     lam = math.exp(v1)
     return ShootResult(
         beta=beta,
@@ -963,9 +982,11 @@ def singular_series_coefficient(cfg: ProblemConfig) -> float:
 def integrate_singular(cfg: ProblemConfig, radii=None):
     """The singular radial solution V at `radii` (default: `default_grid`).
 
-    Returns (lambda_star, profile). The radii up to the radius r0 of its
-    Taylor series in the Emden variable (`_SingularSeries`) take the
-    series' states; where r0 = 1 no `solve` call is made. Beyond r0 the
+    Returns (lambda_star, profile), lambda_star = e^{V(1)} read at r = 1
+    whatever the radii, as `integrate_ivp` reads lambda. The radii up to
+    the radius r0 of its Taylor series in the Emden variable
+    (`_SingularSeries`) take the series' states; where r0 = 1 no `solve`
+    call is made. Beyond r0 the
     integrator goes on from the series' state at r0, forward integration
     being stable: a perturbation of the -2 log r branch behaves like r^mu,
     mu^2 + (N-2) mu + 2(N-2) = 0, and Re mu < 0 for every N >= 3, so both
@@ -989,11 +1010,11 @@ def integrate_singular(cfg: ProblemConfig, radii=None):
     series = _singular_series(cfg)
     fun = _rhs_v(cfg)
     radii_arr, nodes = _output_radii(cfg, radii)
-    states = _grid_states(cfg, radii_arr, nodes,
-                          lambda anchors: _integrate(cfg, fun, series.r0, series.start, anchors,
-                                                     _SERIES_FIRST_STEP),
-                          series)
-    lam_star = math.exp(float(states[-1, 0]))
+    states, at_one = _grid_states(cfg, radii_arr, nodes,
+                                  lambda anchors: _integrate(cfg, fun, series.r0, series.start,
+                                                             anchors, _SERIES_FIRST_STEP),
+                                  series, one=True)
+    lam_star = math.exp(float(at_one[0]))
     return lam_star, RadialProfile(radii_arr, states[:, 0], states[:, 1])
 
 

@@ -375,11 +375,36 @@ def _prufer_inner_radius(k2: DiskPotential, cap: int) -> float:
     return 1e-6
 
 
+# The Pruefer right-hand side in tau = log r, as lines for `compile_rhs`:
+# theta' = cos^2 theta + [q + r^2 (s + mu)] sin^2 theta, s the smooth part
+_PRUFER = _stepper.Rhs(
+    "tau", ("theta",), ("q", "mu", "const", "smooth_at"),
+    ("r = exp(tau)",
+     "s = const if const is not None else smooth_at(r)",
+     "sin_t = sin(theta)",
+     "cos_t = cos(theta)"),
+    ("cos_t * cos_t + (q + r * r * (s + mu)) * sin_t * sin_t",))
+
+
+@lru_cache(maxsize=None)
+def _prufer_rhs():
+    """make(q, mu, const, smooth_at) -> the Pruefer right-hand side with its
+    fused DOP853 stage, compiled on first use (`_stepper.compile_rhs`)."""
+    return _stepper.compile_rhs(_PRUFER, {"exp": math.exp, "sin": math.sin, "cos": math.cos},
+                                "Pruefer phase")
+
+
 def _prufer_theta_end(k2: DiskPotential, mu: float, r_in: float) -> float:
     """Phase at r = 1 of the Pruefer angle in tau = log r.
 
     w = rho sin(theta), r w' = rho cos(theta);
     theta' = cos^2 theta + [inv_sq + r^2 (smooth + mu)] sin^2 theta.
+
+    The right-hand side is `_PRUFER`, bound to k2 and mu, so `solve` runs
+    it on its fused stage, which inlines the lines at each abscissa and
+    calls only `smooth_at` of a numeric potential. A callable without
+    that stage (a counting wrapper) runs on the generic stage of size 1,
+    with the same theta bit for bit.
     """
     q = k2.inv_sq
     tau0 = math.log(r_in)
@@ -394,16 +419,7 @@ def _prufer_theta_end(k2: DiskPotential, mu: float, r_in: float) -> float:
         c2 = -(k2.smooth0 + mu) / (4.0 * (m + 1.0))
         theta0 = math.atan2(1.0 + c2 * r2_0, m + (m + 2.0) * c2 * r2_0)
 
-    const = k2.const
-    smooth_at = k2.smooth_at
-
-    def rhs(tau, y):
-        r = math.exp(tau)
-        s = const if const is not None else smooth_at(r)
-        sin_t = math.sin(y[0])
-        cos_t = math.cos(y[0])
-        return [cos_t * cos_t + (q + r * r * (s + mu)) * sin_t * sin_t]
-
+    rhs = _prufer_rhs()(q, mu, k2.const, k2.smooth_at)
     out = _stepper.solve(rhs, tau0, [theta0], [0.0], 1e-10, 1e-10,
                          first_step=1e-3 * abs(tau0))
     return out[0][0]
@@ -436,7 +452,10 @@ def _fd_matrix(k2: DiskPotential, n: int, r_in: float):
 
 
 def _sturm_negative_count(diag: np.ndarray, off: np.ndarray) -> int:
-    """Negative inertia of a symmetric tridiagonal via LDL^T pivots."""
+    """Negative inertia of a symmetric tridiagonal via LDL^T pivots, on
+    Python floats: the same operations in the same order as on the arrays'
+    numpy scalars, and the same count, at about a third of the time."""
+    diag, off = diag.tolist(), off.tolist()
     count = 0
     d = diag[0]
     if d < 0.0:
@@ -454,8 +473,11 @@ def morse_index(k2: DiskPotential, cap: int = 16, n_fd: int = 4096) -> SpectralR
     """Count negative eigenvalues two independent ways; refuse to disagree.
 
     Route 1: Pruefer phase integration in log radius (zeros of the mu = 0
-    solution, eigenvalues by Brent's method on the phase). Route 2: inertia
-    of the finite-volume matrix (Sylvester), eigenvalues from LAPACK. Counts,
+    solution, eigenvalues by Brent's method on the phase), each solve on
+    the fused DOP853 stage of the compiled Pruefer right-hand side
+    (`_prufer_theta_end`). Route 2: inertia of the finite-volume matrix
+    (Sylvester) from its LDL^T pivots on Python floats
+    (`_sturm_negative_count`), eigenvalues from LAPACK. Counts,
     then numbers of eigenvalues, must match exactly or MethodDisagreement is
     raised; eigenvalues are reported with their cross-method gap. Counts
     reaching `cap` are capped (the N <= 9 tails have infinite index).

@@ -174,10 +174,11 @@ def test_one_node_grid_returns_the_start_state():
     assert list(sh.profile.radii) == [cfg.r_start]
     assert (sh.profile.values[0], sh.profile.derivs[0]) == (v0, dv0)
     assert (sh.variation_profile.values[0], sh.variation_profile.derivs[0]) == (e0, de0)
-    assert sh.lam == math.exp(v0)
+    # lambda is read at r = 1, not at the one radius (see the test below)
+    assert sh.lam == pytest.approx(integrate_ivp(cfg, 0.0).lam, rel=1e-10)
     lam_star, prof = integrate_singular(cfg, radii=[cfg.r_start])
     assert len(prof) == 1
-    assert lam_star == math.exp(prof.values[0])
+    assert lam_star == pytest.approx(integrate_singular(cfg)[0], rel=1e-10)
     assert prof.values[0] == pytest.approx(-2.0 * math.log(cfg.r_start) + math.log(6.0),
                                            rel=1e-12)
     # at large beta the series starts below r_start: the one node is reached
@@ -186,6 +187,31 @@ def test_one_node_grid_returns_the_start_state():
     full = integrate_ivp(cfg, 20.0)
     assert one.profile.values[0] == full.profile.values[0]
     assert one.variation_profile.values[0] == full.variation_profile.values[0]
+
+
+def test_lambda_is_read_at_r_one_whatever_the_radii():
+    # radii that end below r = 1, or pass it without holding 1.0: the shoot
+    # lands on r = 1 as one more anchor, and the profile keeps its radii
+    cfg = ProblemConfig(dim=3, weight=CONST)
+    sh = integrate_ivp(cfg, 1.0, radii=[0.1, 0.5])
+    assert list(sh.profile.radii) == [0.1, 0.5]
+    trace = integrate_ivp(cfg, 1.0, trace=True)
+    assert trace.lam == pytest.approx(1.8214, abs=5e-5)
+    assert sh.lam == pytest.approx(trace.lam, rel=1e-10)
+    assert sh.alpha == pytest.approx(trace.alpha, rel=1e-10)
+    assert sh.dlambda_dbeta == pytest.approx(trace.dlambda_dbeta, rel=1e-10)
+    # a weight whose series stops below r = 1, so that a shoot reaches it
+    cfg = ProblemConfig(dim=10, weight=parse_weight("polyexp:1.5;d=0.5", 10))
+    full = integrate_ivp(cfg, 2.0)
+    lam_star = integrate_singular(cfg)[0]
+    assert radial_ode._singular_series(cfg).r0 < 0.8
+    for radii in ([1e-4, 0.3, 0.8], [1e-4], [1e-4, 0.5, 1.2]):
+        assert integrate_ivp(cfg, 2.0, radii=radii).lam == pytest.approx(full.lam, rel=1e-10)
+        got, prof = integrate_singular(cfg, radii=radii)
+        assert list(prof.radii) == radii
+        assert got == pytest.approx(lam_star, rel=1e-10)
+    # the const singular series reaches r = 1: lambda* = 2(N-2) from it
+    assert integrate_singular(ProblemConfig(dim=3, weight=CONST), radii=[1e-4, 0.5])[0] == 2.0
 
 
 def test_decreasing_or_misplaced_radii_rejected():

@@ -536,3 +536,42 @@ def test_witness_rejections():
     for h, eps in ((math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan), (0.0, math.inf)):
         with pytest.raises(ValueError, match="finite"):
             instability_witness_leq9(9, h, eps, 1)
+
+
+def _sturm_reference(diag, off):
+    """The LDL^T pivot count on the arrays' numpy scalars."""
+    count = 0
+    d = diag[0]
+    if d < 0.0:
+        count += 1
+    for i in range(1, len(diag)):
+        if d == 0.0:
+            d = 1e-300
+        d = diag[i] - off[i - 1] * off[i - 1] / d
+        if d < 0.0:
+            count += 1
+    return count
+
+
+def test_sturm_count_matches_the_numpy_scalar_loop_and_the_eigenvalues():
+    rng = np.random.default_rng(3217)
+    cases = [(rng.normal(size=n) * rng.uniform(0.1, 10.0), rng.normal(size=n - 1))
+             for n in range(1, 65)]
+    # the second pivot is 1 - 1 * 1 / 1 = 0 exactly
+    cases.append((np.array([1.0, 1.0, -0.5, 2.0]), np.array([1.0, 0.5, 1.0])))
+    checked = 0
+    for diag, off in cases:
+        got = spectral._sturm_negative_count(diag, off)
+        assert type(got) is int
+        assert got == _sturm_reference(diag, off)
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        eig = np.linalg.eigvalsh(dense)
+        if np.all(np.abs(eig) > 1e-8):
+            assert got == np.count_nonzero(eig < 0.0)
+            checked += 1
+    assert checked >= 60
+    # the zero pivot case: the count is taken from its eigenvalues too
+    diag, off = cases[-1]
+    assert spectral._sturm_negative_count(diag, off) == 1
+    assert np.count_nonzero(np.linalg.eigvalsh(
+        np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)) < 0.0) == 1

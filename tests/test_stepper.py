@@ -12,8 +12,10 @@ loop bit for bit: the same node states, the same accepted steps and the
 same sequence of right-hand-side calls, compared with ``==``. The
 right-hand sides are the package's own, captured from real calls through
 ``_stepper.solve`` and wrapped so that they run on the generic stage. The
-fused stages, which inline a radial right-hand side's lines in place of
-the calls, must give the list-form attempt's results too. The package's
+fused stages, which inline a radial or the Pruefer right-hand side's
+lines in place of the calls, must give the list-form attempt's results
+too, and a whole Pruefer solve on its fused stage the phase of the same
+solve on the generic stage. The package's
 one root finder, ``zeroin``, is tested at the end on plain floats.
 """
 
@@ -33,9 +35,11 @@ from gelfand import (
     integrate_singular,
     make_ah,
     parse_weight,
+    potential_from_shoot,
+    potential_from_singular,
     reduce_to_disk,
 )
-from gelfand import _stepper, radial_ode
+from gelfand import _stepper, radial_ode, spectral
 from gelfand.spectral import _prufer_inner_radius, _prufer_theta_end
 
 
@@ -315,6 +319,77 @@ def test_fused_stage_matches_list_stage(kind, spec):
             expected = repr(_reference_stage(fun, *args))
             assert repr(_stepper._generic_stage(len(y0))(fun, *args)) == expected
             assert repr(fun.stage(fun.stage_args, *args)) == expected, (state, h)
+
+
+def _prufer_potentials():
+    """{name: disk potential} of an explicit potential, a numeric regular one
+    and a numeric singular one whose series stops below r = 1."""
+    cfg = ProblemConfig(dim=10, weight=AH40)
+    singular = ProblemConfig(dim=10, weight=SHORT_SINGULAR)
+    return {"explicit": reduce_to_disk(explicit_uh(10, 40.0)),
+            "regular": reduce_to_disk(potential_from_shoot(cfg, integrate_ivp(cfg, 2.0))),
+            "singular": reduce_to_disk(potential_from_singular(
+                singular, integrate_singular(singular)[1]))}
+
+
+PRUFER_POTENTIALS = _prufer_potentials()
+
+
+def _prufer_closure(q, mu, const, smooth_at):
+    """The Pruefer right-hand side written out as a plain function."""
+    def rhs(tau, y):
+        r = math.exp(tau)
+        s = const if const is not None else smooth_at(r)
+        sin_t = math.sin(y[0])
+        cos_t = math.cos(y[0])
+        return [cos_t * cos_t + (q + r * r * (s + mu)) * sin_t * sin_t]
+
+    return rhs
+
+
+@pytest.mark.parametrize("mu", [0.0, -20.0])
+@pytest.mark.parametrize("potential", sorted(PRUFER_POTENTIALS))
+def test_prufer_fused_stage_matches_list_stage(potential, mu):
+    # the Pruefer phase's own stage against the list-form attempt and the
+    # size-1 unrolled stage, both calling the plain callable, with the
+    # smooth part a constant and a numeric smooth_at
+    k2 = PRUFER_POTENTIALS[potential]
+    assert (k2.const is None) == (potential != "explicit")
+    args = (k2.inv_sq, mu, k2.const, k2.smooth_at)
+    fun = spectral._prufer_rhs()(*args)
+    assert fun.stage_args == args
+    x0 = -1.5
+    for state in FUSED_STATES:
+        y0 = state[:1]
+        k1 = fun(x0, y0)
+        assert repr(k1) == repr(_prufer_closure(*args)(x0, y0))
+        for h in (0.5, 1e-2, 1e-4):
+            attempt = (x0, h, x0 + h, list(y0), k1, 1e-10, 1e-10)
+            expected = repr(_reference_stage(fun, *attempt))
+            assert repr(_stepper._generic_stage(1)(fun, *attempt)) == expected
+            assert repr(fun.stage(fun.stage_args, *attempt)) == expected, (state, h)
+
+
+@pytest.mark.parametrize("potential", sorted(PRUFER_POTENTIALS))
+def test_prufer_phase_on_its_fused_stage_matches_the_generic_stage(monkeypatch, potential):
+    # the whole solve: theta_end on the fused stage equals, bit for bit,
+    # theta_end on the generic stage, from the compiled callable without its
+    # stage and from the right-hand side written out as a plain function
+    k2 = PRUFER_POTENTIALS[potential]
+    r_in = _prufer_inner_radius(k2, 16)
+    mus = (0.0, -20.0)
+    fused = [_prufer_theta_end(k2, mu, r_in) for mu in mus]
+    solve, generic = _stepper.solve, []
+
+    def on_generic(fun, *args, **kwargs):
+        out = solve(lambda x, y: fun(x, y), *args, **kwargs)
+        assert solve(_prufer_closure(*fun.stage_args), *args, **kwargs) == out
+        generic.append(out)
+        return out
+
+    monkeypatch.setattr(_stepper, "solve", on_generic)
+    assert [_prufer_theta_end(k2, mu, r_in) for mu in mus] == fused
+    assert len(generic) == len(mus)
 
 
 def test_solve_runs_a_callable_with_a_fused_stage_on_it():
