@@ -79,15 +79,18 @@ test's oracle, a counting wrapper such as a benchmark tracer's) runs on
 the generic stage of its size: the same unrolled loop, calling the
 right-hand side twelve times per attempt, generated from the tableau
 (``_stage_function``) when a state of that size first needs one
-(``_generic_stage``); the list form takes about twice as long. The 142
-Pruefer solves of one spectral benchmark pass (seed 3293) take 106 ms on
-their fused stage against 127 ms on the generic one (medians of 21
-alternating replays, 2-core Xeon). Every stage performs the loop's
+(``_generic_stage``); the list form takes about twice as long. The 93
+Pruefer solves of one spectral benchmark pass (seed 3293) take 95 ms on
+their fused stage against 120 ms on the generic one (medians of 21
+alternating replays, 2-core Xeon); before ``spectral.morse_index`` seeded
+its brackets from the finite-volume eigenvalues the pass made 142, which
+took 148 ms on the same host. Every stage performs the loop's
 floating-point operations expression for expression and in the same
 order, and a fused stage those of the right-hand side too, so states,
-accepted steps and right-hand-side values are bit-identical to the loop's; ``tests/test_stepper.py`` keeps
-that loop as the reference and checks every size and every fused stage,
-the Pruefer phase's included, against it with ``==``.
+accepted steps and right-hand-side values are bit-identical to the
+loop's; ``tests/test_stepper.py`` keeps that loop as the reference and
+checks every size and every fused stage, the Pruefer phase's included,
+against it with ``==``.
 
 ``solve_lanes`` drives a batch of problems of one right-hand side, one
 lane each, on numpy arrays: every lane keeps its own step size, PI
@@ -95,8 +98,11 @@ history and accept/reject decision under ``solve``'s controller and
 constants, and one iteration makes one attempt in every running lane.
 Its stage (``fun.lanes()``, ``_lane_functions``) is compiled, on first
 use, from the same `Rhs` lines, rewritten for arrays, with numpy's ufuncs
-in place of math's functions. An iteration costs about as much as 35
-scalar attempts whatever the number of lanes, so lanes pay only in bulk.
+in place of math's functions; ``fun.lanes()`` refuses, with a
+ValueError, a right-hand side that calls anything else, such as the
+Pruefer phase with its ``smooth_at``, ``sin`` and ``cos``. An iteration
+costs about as much as 35 scalar attempts whatever the number of lanes,
+so lanes pay only in bulk.
 They serve one caller: the log-r phases of a march's weighted shoots at
 beta > 0 (``radial_ode.trace_lanes``), a batch for the march's grid and
 one for each round of the midpoints it bisects. At N=10, a_h at h=40 on
@@ -595,6 +601,14 @@ def _lane_body(rhs: Rhs):
     return ast.unparse(ast.fix_missing_locations(Lanes().visit(tree))).splitlines()
 
 
+def _outside_raise(tree):
+    """The nodes of the syntax tree `tree` outside its raise statements."""
+    for child in ast.iter_child_nodes(tree):
+        if not isinstance(child, ast.Raise):
+            yield child
+            yield from _outside_raise(child)
+
+
 def _lane_functions(rhs: Rhs, namespace: dict, name: str):
     """(rhs, stage) of the right-hand side `rhs` for `solve_lanes`.
 
@@ -607,7 +621,23 @@ def _lane_functions(rhs: Rhs, namespace: dict, name: str):
     sums and products of `_stage_function` in the same order, on all the
     components of a stage at once. Besides the names of `namespace`, they
     read where, array, maximum, sqrt, flatnonzero and LaneFailure.
+
+    Raises ValueError, naming the right-hand side, where its lines call
+    anything but a function of `namespace` with a ufunc in `_UFUNCS` (a
+    param, such as a potential's smooth_at, or math.sin): both branches of
+    a conditional run in lanes, and a scalar function cannot take an
+    array. The exception built in a raise line is exempt.
     """
+    def ufunc(func):
+        return (isinstance(func, ast.Name) and func.id not in rhs.params
+                and namespace.get(func.id) in _UFUNCS)
+
+    tree = ast.parse("\n".join((*rhs.body, *rhs.out)))
+    calls = [ast.unparse(node) for node in _outside_raise(tree)
+             if isinstance(node, ast.Call) and not ufunc(node.func)]
+    if calls:
+        raise ValueError(f"the {name} right-hand side cannot run in lanes: it calls "
+                         f"{', '.join(calls)}, which have no numpy ufunc")
     n = len(rhs.state)
     lines = ["def rhs(args, x_0, y_0):",
              *_unpack_args(rhs),

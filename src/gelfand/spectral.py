@@ -469,6 +469,39 @@ def _sturm_negative_count(diag: np.ndarray, off: np.ndarray) -> int:
     return count
 
 
+# A Pruefer eigenvalue's bracket starts _SEED_WIDTH max(1, |mu_fd|) either
+# side of its finite-volume eigenvalue mu_fd, which lies 3e-9 to 3.3e-4
+# relative off on the benchmark's potentials, and grows by _SEED_GROWTH
+# until the phase changes sign across it. On the traced spectral benchmark
+# (seed 13) widths 1e-4, 1e-5 and 1e-6 take 97, 92 and 89 Pruefer solves,
+# growth 2 to 16 within one solve of each other; the wide window took 148.
+_SEED_WIDTH = 1e-5
+_SEED_GROWTH = 8.0
+
+
+def _seeded_bracket(evaluate, seed, lower, upper):
+    """A bracket (lower, upper) of points (mu, f, theta) around seed, with
+    f(lower) <= 0 <= f(upper), inside the given bracket (lower, upper).
+
+    Each side tries seed -/+ d, d = _SEED_WIDTH max(1, |seed|), and grows d
+    by _SEED_GROWTH while f there has the other side's sign; such a point
+    narrows the other end. A trial at or beyond an end keeps that end, so
+    the bracket is never wider than the given one, and as f increases with
+    mu it holds the given bracket's one root.
+    """
+    d0 = _SEED_WIDTH * max(1.0, abs(seed))
+    for side in (-1.0, 1.0):
+        d = d0
+        while lower[0] < seed + side * d < upper[0]:
+            p = evaluate(seed + side * d)
+            below = p[1] <= 0.0
+            lower, upper = (p, upper) if below else (lower, p)
+            if below == (side < 0.0):
+                break
+            d *= _SEED_GROWTH
+    return lower, upper
+
+
 def morse_index(k2: DiskPotential, cap: int = 16, n_fd: int = 4096) -> SpectralReport:
     """Count negative eigenvalues two independent ways; refuse to disagree.
 
@@ -479,8 +512,17 @@ def morse_index(k2: DiskPotential, cap: int = 16, n_fd: int = 4096) -> SpectralR
     (Sylvester) from its LDL^T pivots on Python floats
     (`_sturm_negative_count`), eigenvalues from LAPACK. Counts,
     then numbers of eigenvalues, must match exactly or MethodDisagreement is
-    raised; eigenvalues are reported with their cross-method gap. Counts
+    raised, the latter before any Pruefer eigenvalue is refined;
+    eigenvalues are reported with their cross-method gap. Counts
     reaching `cap` are capped (the N <= 9 tails have infinite index).
+
+    Eigenvalue k is the root of theta_end(mu) = k pi in [mu_{k-1}'s lower
+    end (or lo, where theta_end <= pi), 0]. Brent's method starts from a
+    bracket that the phase verifies around the finite-volume eigenvalue k
+    (`_seeded_bracket`): theta_end increases with mu, so it holds the
+    same root, and the seed changes only the number of solves. The
+    explicit family at h = 40, 80 and 150 takes 11, 14 and 20 solves
+    (one for the count, one for lo), 19, 26 and 35 from the whole window.
 
     For potentials carried by interpolated numeric profiles the count is
     certified only up to the profile's own accuracy: treat it as a
@@ -518,25 +560,30 @@ def morse_index(k2: DiskPotential, cap: int = 16, n_fd: int = 4096) -> SpectralR
             theta_lo = _prufer_theta_end(k2, lo, r_in)
         else:
             raise RuntimeError("failed to bracket Pruefer eigenvalue from below")
+        vals = eigvalsh_tridiagonal(diag, off, select="v",
+                                    select_range=(lo * 4.0 - 10.0, 0.0))
+        fd_eigen = tuple(float(v) for v in vals if v < 0.0)
+        if len(fd_eigen) != pc:
+            raise MethodDisagreement(f"{pc} Pruefer eigenvalues != {len(fd_eigen)} "
+                                     f"finite-volume eigenvalues (label {k2.label!r})")
         # eigenvalue k: theta_end(mu) = k pi on [end of bracket k - 1 where
-        # theta_end <= (k - 1) pi, or lo; 0] (theta_end increases in mu)
+        # theta_end <= (k - 1) pi, or lo; 0] (theta_end increases in mu),
+        # narrowed around the finite-volume eigenvalue k first
         below = (lo, theta_lo)
-        for k in range(1, pc + 1):
+        for k, seed in enumerate(fd_eigen, start=1):
             def point(mu, theta, target=k * math.pi):
                 return mu, theta - target, theta
+
+            def evaluate(mu):
+                return point(mu, _prufer_theta_end(k2, mu, r_in))
+
+            lower, upper = _seeded_bracket(evaluate, seed, point(*below), point(0.0, theta0))
             b, c = _stepper.zeroin(
-                lambda mu: point(mu, _prufer_theta_end(k2, mu, r_in)), point(*below),
-                point(0.0, theta0), lambda mu: 0.5e-10 * max(1.0, abs(mu)), lambda p: True,
+                evaluate, lower, upper, lambda mu: 0.5e-10 * max(1.0, abs(mu)), lambda p: True,
                 f"Pruefer eigenvalue {k} on [{{lo}}, {{hi}}] stopped at the bracket "
                 f"[{{left}}, {{right}}] with |theta_end - {k} pi| = {{f:.3g}} at mu={{x}}")
             eigen.append(b[0])
             below = (b[0], b[2]) if b[1] <= 0.0 else (c[0], c[2])
-        vals = eigvalsh_tridiagonal(diag, off, select="v",
-                                    select_range=(lo * 4.0 - 10.0, 0.0))
-        fd_eigen = tuple(float(v) for v in vals if v < 0.0)
-        if len(fd_eigen) != len(eigen):
-            raise MethodDisagreement(f"{len(eigen)} Pruefer eigenvalues != {len(fd_eigen)} "
-                                     f"finite-volume eigenvalues (label {k2.label!r})")
         gap = max(abs(a - b) for a, b in zip(eigen, fd_eigen))
     evidence = (
         f"pruefer={pc}{'+' if capped else ''}, fd={fc}{'+' if capped else ''}, "

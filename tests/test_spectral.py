@@ -189,11 +189,8 @@ def test_morse_consistent_with_zero_oracle(h):
     assert rep.morse_index == explicit_count(h)
 
 
-@pytest.mark.parametrize("h,budget", [(40.0, 26), (80.0, 38), (150.0, 50)])
-def test_morse_pruefer_solve_budget(monkeypatch, h, budget):
-    # Brent's method on the phase, with theta_end(0) from the count as the
-    # upper end of every bracket and one solve at the lower end: 19, 26 and
-    # 36 solves where bisection took 73, 110 and 146
+def _counted_solves(monkeypatch):
+    """The mu of every Pruefer solve from here on."""
     solves = []
     theta_end = spectral._prufer_theta_end
 
@@ -202,12 +199,83 @@ def test_morse_pruefer_solve_budget(monkeypatch, h, budget):
         return theta_end(*args)
 
     monkeypatch.setattr(spectral, "_prufer_theta_end", counted)
+    return solves
+
+
+@pytest.mark.parametrize("h,budget", [(40.0, 13), (80.0, 17), (150.0, 23)])
+def test_morse_pruefer_solve_budget(monkeypatch, h, budget):
+    # Brent's method on the phase from a bracket verified around each
+    # finite-volume eigenvalue, with one solve for the count and one at
+    # the lower end: 11, 14 and 20 solves, where Brent on the whole window
+    # [lo, 0] took 19, 26 and 35, and bisection 73, 110 and 146
+    solves = _counted_solves(monkeypatch)
     rep = morse_index(reduce_to_disk(explicit_uh(10, h)))
     assert len(solves) <= budget
     assert rep.morse_index == explicit_count(h)
     for i, ev in enumerate(rep.eigenvalues_below_zero, start=1):
         assert ev == pytest.approx(j0_zero(i) ** 2 - h, abs=1e-6)
     assert rep.method_gap <= 1e-3
+
+
+def _seed_cases():
+    cfg40 = ProblemConfig(dim=10, weight=make_ah(40.0, 10))
+    cfg3 = ProblemConfig(dim=3, weight=CONST)
+    return {
+        **{f"explicit h={h}": lambda h=h: reduce_to_disk(explicit_uh(10, h))
+           for h in (6.0, 31.0, 80.0, 150.0)},
+        "singular N=10 a_40": lambda: reduce_to_disk(
+            potential_from_singular(cfg40, integrate_singular(cfg40)[1])),
+        "regular N=10 a_40 beta=4.6": lambda: reduce_to_disk(
+            potential_from_shoot(cfg40, integrate_ivp(cfg40, 4.6))),
+        "regular N=3 const beta=3.5": lambda: reduce_to_disk(
+            potential_from_shoot(cfg3, integrate_ivp(cfg3, 3.5))),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_seed_cases()))
+def test_seeded_brackets_change_only_the_cost(monkeypatch, case):
+    # a bracket the phase verifies around the finite-volume eigenvalue
+    # holds the root of the whole window: the eigenvalues agree to Brent's
+    # tolerance, the counts and the finite-volume eigenvalues exactly, in
+    # fewer solves
+    k2 = _seed_cases()[case]()
+    solves = _counted_solves(monkeypatch)
+    seeded = morse_index(k2)
+    seeded_solves = len(solves)
+    solves.clear()
+    # unseeded: Brent on the whole window [lo, 0]
+    monkeypatch.setattr(spectral, "_seeded_bracket", lambda evaluate, seed, lower, upper:
+                        (lower, upper))
+    wide = morse_index(k2)
+    assert seeded.morse_index == wide.morse_index >= 1
+    assert seeded.fd_eigenvalues == wide.fd_eigenvalues
+    for mu, ref in zip(seeded.eigenvalues_below_zero, wide.eigenvalues_below_zero,
+                       strict=True):
+        assert abs(mu - ref) <= 0.5e-10 * max(1.0, abs(ref))
+    assert seeded_solves < len(solves)
+
+
+def test_seeded_bracket_grows_onto_the_root():
+    # f(mu) = mu + 3 from a seed at 0: the lower trial at -d is still
+    # above the root, and d grows until a trial lies below it, each trial
+    # above the root narrowing the upper end; the given bracket clips the
+    # growth
+    trials = []
+
+    def evaluate(mu):
+        trials.append(mu)
+        return mu, mu + 3.0, None
+
+    lower, upper = spectral._seeded_bracket(evaluate, 0.0, (-100.0, -97.0, None),
+                                            (0.0, 3.0, None))
+    d, growth = spectral._SEED_WIDTH, spectral._SEED_GROWTH
+    assert trials == [-d * growth ** i for i in range(len(trials))]
+    assert lower[0] == trials[-1] <= -3.0 < upper[0] == trials[-2]
+    trials.clear()
+    lower, upper = spectral._seeded_bracket(evaluate, 0.0, (-5.0, -2.0, None),
+                                            (0.0, 3.0, None))
+    assert trials and min(trials) > -5.0
+    assert (lower[0], upper[0]) == (-5.0, trials[-1])
 
 
 def test_morse_eigenvalue_numbers_must_agree(monkeypatch):
@@ -237,6 +305,31 @@ def test_morse_window_starts_at_the_doubled_lower_end(monkeypatch):
     rep = morse_index(reduce_to_disk(explicit_uh(10, 40.0)))
     assert windows == [(-164.0 * 4.0 - 10.0, 0.0)]
     assert rep.eigenvalues_below_zero == pytest.approx((-150.0, -50.0), abs=1e-8)
+
+
+def test_unresolved_finite_volume_eigenvalue_fails_before_any_brent_step(monkeypatch):
+    # a standing defect, pinned: at N=9 const, beta = 25 the finite-volume
+    # mesh does not resolve the boundary layer, and its lowest eigenvalue
+    # falls below the window (4 lo - 10, 0), so the eigenvalue numbers
+    # differ. The check runs before the eigenvalues are refined: the only
+    # solves are the count at mu = 0 and the lower end lo
+    cfg = ProblemConfig(dim=9, weight=CONST)
+    shoot = integrate_ivp(cfg, 25.0)
+    solves = _counted_solves(monkeypatch)
+    with pytest.raises(MethodDisagreement,
+                       match="4 Pruefer eigenvalues != 3 finite-volume eigenvalues"):
+        solution_stability(cfg, shoot)
+    assert len(solves) == 2 and solves[0] == 0.0 and solves[1] < 0.0
+
+
+def test_pruefer_rhs_cannot_run_in_lanes():
+    # both branches of `const if const is not None else smooth_at(r)` run
+    # in lanes, and smooth_at, sin and cos take floats: lanes() refuses at
+    # once, naming the right-hand side and the calls
+    fun = spectral._prufer_rhs()(0.0, 0.0, 40.0, None)
+    with pytest.raises(ValueError, match="Pruefer phase right-hand side cannot run in lanes") as err:
+        fun.lanes()
+    assert all(call in str(err.value) for call in ("smooth_at(r)", "sin(theta)", "cos(theta)"))
 
 
 def test_morse_cap_validation():
