@@ -342,7 +342,8 @@ def check_separation(cfg: ProblemConfig, h: float, beta: float, gamma: float):
     [v_H(., gamma) + log a_H] - [v(., beta) + log a] there (a_H the
     borderline member of the explicit family). Each of the three profiles
     comes from one shoot on the accepted steps, read on a 4097-point
-    geometric grid by `hermite_values`.
+    geometric grid by `hermite_values`; where the weight is a_H itself,
+    v_H(., gamma) is v(., gamma), and its shoot and read serve both.
 
     Hypotheses: gamma >= beta, and at dimension 10 a weight in the
     (a/a_h)' <= 0 class. Both are enforced: either failure raises
@@ -368,11 +369,13 @@ def check_separation(cfg: ProblemConfig, h: float, beta: float, gamma: float):
     v_gamma = _values(cfg, gamma)(grid)
     min_gap_v = float(np.min(v_gamma - v_beta))
 
-    ah_ref = make_ah(H, cfg.dim)
-    cfg_ref = replace(cfg, weight=ah_ref)
-    vh_gamma = _values(cfg_ref, gamma)(grid)
     log_a = np.log(weight_arrays(cfg.weight, grid)[0])
-    log_ah = np.log(weight_arrays(ah_ref, grid)[0])
+    cfg_ref = replace(cfg, weight=make_ah(H, cfg.dim))
+    if cfg_ref == cfg:  # the weight is a_H itself: v_H(., gamma) is v(., gamma)
+        vh_gamma, log_ah = v_gamma, log_a
+    else:
+        vh_gamma = _values(cfg_ref, gamma)(grid)
+        log_ah = np.log(weight_arrays(cfg_ref.weight, grid)[0])
     min_gap_weighted = float(np.min((vh_gamma + log_ah) - (v_beta + log_a)))
     return min_gap_v, min_gap_weighted, r_h
 

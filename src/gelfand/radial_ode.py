@@ -22,7 +22,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from numbers import Integral
-from operator import mul
+from operator import add, mul
 
 import numpy as np
 
@@ -271,6 +271,12 @@ class RadialProfile:
 
 @dataclass(frozen=True)
 class ShootResult:
+    """A shoot at beta: lambda, alpha, v(1) and dlambda/dbeta, and the
+    profiles of v and of its first variation e = dv/dbeta. A shoot of
+    `integrate_ivp` or `trace_lanes` holds its state at r = 1 from the
+    start and builds both profiles on the first read of either
+    (`_shoot_result`): a march reads neither, only v(1) and dlambda/dbeta."""
+
     beta: float
     lam: float
     alpha: float
@@ -278,6 +284,16 @@ class ShootResult:
     dlambda_dbeta: float
     profile: RadialProfile
     variation_profile: RadialProfile
+
+    def __getattr__(self, name):
+        # reached for the profiles only while they are unbuilt
+        if name not in ("profile", "variation_profile") or "_samples" not in vars(self):
+            raise AttributeError(f"'ShootResult' object has no attribute {name!r}")
+        radii, states = vars(self)["_samples"]()
+        vars(self).update(profile=RadialProfile(radii, states[:, 0], states[:, 1]),
+                          variation_profile=RadialProfile(radii, states[:, 2], states[:, 3]))
+        del vars(self)["_samples"]
+        return vars(self)[name]
 
 
 @functools.lru_cache(maxsize=64)
@@ -291,20 +307,27 @@ def _weight_series(w: Weight) -> tuple[float, ...]:
     return tuple(sum(map(mul, poly[:j + 1], tilt[j::-1])) for j in range(_SERIES_ORDER))
 
 
+def _dot(a, b):
+    """sum_k a_k b_k over the shorter of a and b, added left to right from
+    0.0: the same bits on floats and, entry by entry, on arrays. sum() adds
+    so only up to Python 3.11; from 3.12 on it compensates float sums."""
+    return functools.reduce(add, map(mul, a, b), 0.0)
+
+
 def _exp_step(kw, E) -> float:
     """The next term E_k, k = len(E), of the series E = e^w from E_0..E_{k-1}
     and kw = (1 w_1, 2 w_2, ...): (1/k) sum_j j w_j E_{k-j}, over the j that
     kw holds; with k - 1 of them, the part of E_k without w_k."""
-    return sum(map(mul, kw, reversed(E))) / len(E)
+    return _dot(kw, reversed(E)) / len(E)
 
 
-def _series_radius(rows, eps, shift) -> float:
-    """The largest tau at which the last two of the `rows` of tau^k terms,
-    k = 1..K, are each at most eps[c] tau^shift[c] in every column c, or inf
-    where all of them are 0."""
-    K = len(rows)
+def _series_radius(last, eps, shift) -> float:
+    """The largest tau at which the `last` two rows of tau^k terms, k = K - 1
+    and K = _SERIES_ORDER, are each at most eps[c] tau^shift[c] in every
+    column c, or inf where all of them are 0."""
     return min(((e / abs(t)) ** (1.0 / (k - sh))
-                for k in (K - 1, K) for e, sh, t in zip(eps, shift, rows[k - 1]) if t),
+                for k, row in zip((_SERIES_ORDER - 1, _SERIES_ORDER), last)
+                for e, sh, t in zip(eps, shift, row) if t),
                default=math.inf)
 
 
@@ -317,21 +340,48 @@ def _power_sums(tau, terms) -> np.ndarray:
     return np.einsum("nk,kc->nc", powers, terms)
 
 
-def _regular_terms(N: int, alpha, s: float):
+def _scaled_series(w: Weight, sigma):
+    """alpha_j / sigma^j of the weight series (`_weight_series`), underflowing
+    to 0, for a float sigma or an array of them."""
+    alpha, q = [], 1.0
+    for a in _weight_series(w):
+        alpha.append(a * q)
+        q /= sigma
+    return alpha
+
+
+def _regular_terms(N: int, alpha, s):
     """The rows k = 1..K of `_Series`' tau^k terms of v, r v' / 2, e and
-    r e' / 2, and its tau0, from the scaled weight series alpha and s."""
+    r e' / 2, and its tau0, from the scaled weight series alpha and s.
+
+    The lines run on floats, or on arrays of one entry per beta
+    (`_Series.lanes`): then s is an array, the terms come shaped (K, 4,
+    betas) and tau0 as a list. Entry by entry the arrays hold the floats'
+    bits, since every operation is elementwise and correctly rounded and
+    every sum adds left to right (`_dot`); tau0 is found on each beta's
+    floats, where the power is Python's, which numpy's rounds apart from.
+    """
     E, F, G, kb = [1.0], [], [1.0], []  # kb: k b_k
     for k in range(1, _SERIES_ORDER + 1):
-        F.append(sum(map(mul, alpha, reversed(E))))  # map stops at the shorter
+        F.append(_dot(alpha, reversed(E)))
         c = -s / (2.0 * k * (2.0 * k + N - 2.0))
         kb.append(k * c * F[-1])
-        G.append(c * sum(map(mul, F, reversed(G))))
+        G.append(c * _dot(F, reversed(G)))
         E.append(_exp_step(kb, E))
-    rows = [(kb_k / k, kb_k, g, k * g) for k, kb_k, g in zip(range(1, _SERIES_ORDER + 1), kb, G[1:])]
+    terms = np.array([(kb_k / k, kb_k, g, k * g)
+                      for k, kb_k, g in zip(range(1, _SERIES_ORDER + 1), kb, G[1:])])
     # v and e are near beta and 1, and r v' and r e' are held to their
     # first terms: the last two terms of each, at most _SERIES_EPS
-    eps = (_SERIES_EPS, _SERIES_EPS * abs(kb[0]), _SERIES_EPS, _SERIES_EPS * abs(G[1]))
-    return np.array(rows), _series_radius(rows, eps, (0, 1, 0, 1))
+    ends = terms[[0, -2, -1]].reshape(3, 4, -1).transpose(2, 0, 1).tolist()  # per beta
+    tau0 = [_series_radius(last, (_SERIES_EPS, _SERIES_EPS * abs(b1), _SERIES_EPS,
+                                  _SERIES_EPS * abs(g1)), (0, 1, 0, 1))
+            for (_, b1, g1, _), *last in ends]
+    return terms, tau0 if terms.ndim == 3 else tau0[0]
+
+
+def _is_flat(w: Weight, beta: float) -> bool:
+    """Whether the series at beta is `_flat_terms`'."""
+    return beta >= 0.0 and not w.coeffs and not w.tilt
 
 
 @functools.cache
@@ -357,7 +407,7 @@ def _emden_trajectory(N: int, rel_tol: float, abs_tol: float):
         z_tt = -(N-2) z_t - 2(N-2) expm1(z),
 
     and it starts from the flat series' state at rho0. A shoot at beta
-    reads it up to t = beta/2 (`_emden_steps`). z tends to 0 where v runs
+    reads it up to t = beta/2 (`_emden_shoot`). z tends to 0 where v runs
     up to beta, so the same tolerances hold it tighter than a shoot at beta.
     """
     terms, tau0 = _flat_terms(N)
@@ -372,24 +422,34 @@ def _emden_trajectory(N: int, rel_tol: float, abs_tol: float):
     return fun, t, zs
 
 
-def _emden_steps(cfg: ProblemConfig, beta: float):
-    """The radii and states, rows (v, v', e, e'), of a constant-weight trace
-    shoot beyond its series' radius r0 = rho0 e^{-beta/2}, read off
-    `_emden_trajectory`: its accepted steps in (t0, beta/2) at r = e^{t -
-    beta/2}, then r = 1.0 by one clamped solve from the last of them, its
-    first step the whole remaining span. With s = log r,
-
-        v = z - 2 s + log 2(N-2),  r v' = z_t - 2,  e = z_t / 2,  r e' = z_tt / 2.
-    """
-    N = cfg.dim
+def _emden_shoot(cfg: ProblemConfig, series) -> ShootResult:
+    """The trace shoot of a flat series (`_Series`) whose radius r0 lies
+    below 1: beyond r0 it reads `_emden_trajectory`'s accepted steps in
+    (t0, beta/2), at r = e^{t - beta/2}, and lands on r = 1.0 by one
+    clamped solve from the last of them, its first step the whole remaining
+    span. That solve's end gives v(1) = z + log 2(N-2) and e(1) = z_t / 2
+    at once, the steps' states (`_emden_steps`) the profile on first read."""
+    N, beta = cfg.dim, series.beta
     fun, t, zs = _emden_trajectory(N, cfg.rel_tol, cfg.abs_tol)
     t1 = 0.5 * beta
     k = max(int(np.searchsorted(t, t1)), 1)  # t[:k] < t1
     t_last = float(t[k - 1])
     end = _stepper.solve(fun, t_last, zs[k - 1].tolist(), [t1], cfg.rel_tol, cfg.abs_tol,
                          first_step=t1 - t_last)[0]
-    s = np.append(t[1:k] - t1, 0.0)
-    z, dz = np.vstack((zs[1:k], end)).T
+    return _shoot_result(beta, end[0] + math.log(2.0 * (N - 2.0)), 0.5 * end[1],
+                         lambda: _trace_profile(cfg, series,
+                                                *_emden_steps(N, t[1:k] - t1, zs[1:k], end)))
+
+
+def _emden_steps(N: int, s, zs, end):
+    """The radii and states, rows (v, v', e, e'), of `_emden_shoot`'s steps:
+    the trajectory's states zs, rows (z, z_t), at s = log r, and then `end`
+    at r = 1.0. With s = log r,
+
+        v = z - 2 s + log 2(N-2),  r v' = z_t - 2,  e = z_t / 2,  r e' = z_tt / 2.
+    """
+    s = np.append(s, 0.0)
+    z, dz = np.vstack((zs, end)).T
     r = np.exp(s)
     ddz = -(N - 2.0) * (dz + 2.0 * np.expm1(z))
     states = np.column_stack((z - 2.0 * s + math.log(2.0 * (N - 2.0)), (dz - 2.0) / r,
@@ -419,9 +479,16 @@ class _Series:
     r alone the factor e^{k beta} of tau^k overflows from beta ~ 30, and in
     e^beta r^2 alone alpha_j e^{-j beta} from beta ~ -31 down. With const
     (and a_0) at beta >= 0 the terms and tau0 do not depend on beta
-    (`_flat_terms`): a shoot then costs 16 us of series, not 84. `flat`
-    marks those shoots; beyond r0 a trace shoot among them reads the Emden
-    trajectory (`_emden_steps`).
+    (`_flat_terms`): a shoot then costs 16 us of series, not about 150
+    (a_40 at N=10). `flat` marks those shoots; beyond r0 a trace shoot among them
+    reads the Emden trajectory (`_emden_shoot`).
+
+    `lanes` builds the series of many betas at once, as a march's lane
+    batch needs them (`trace_lanes`): `_regular_terms` runs its lines once
+    on arrays of an entry per beta, and gives every beta's terms, tau0
+    and start bit for bit as one `_Series` does. For the 160 betas of
+    N=10, a_40 in (0, 40] that takes 5 ms, where one beta at a time takes
+    24 ms (medians, 2-core Xeon).
 
     The order: at 16, a_40's series at N=12 gives r0 = 0.50 for beta <~ -20,
     and beyond it a shoot's v' (about e^beta, far below abs_tol) is 0.6 %
@@ -431,19 +498,28 @@ class _Series:
     __slots__ = ("beta", "sigma", "flat", "terms", "r0", "start")
 
     def __init__(self, cfg: ProblemConfig, beta: float):
-        self.beta = beta
-        self.sigma = math.exp(max(beta, 0.0))
-        w = cfg.weight
-        self.flat = beta >= 0.0 and not w.coeffs and not w.tilt
-        if self.flat:
-            self.terms, tau0 = _flat_terms(cfg.dim)
-        else:
-            alpha, q = [], 1.0
-            for a in _weight_series(w):  # alpha_j / sigma^j, underflowing to 0
-                alpha.append(a * q)
-                q /= self.sigma
-            self.terms, tau0 = _regular_terms(cfg.dim, alpha, math.exp(min(beta, 0.0)))
-        self.r0 = min(1.0, math.sqrt(tau0 / self.sigma))
+        sigma = math.exp(max(beta, 0.0))
+        flat = _is_flat(cfg.weight, beta)
+        self._fill(beta, sigma, flat, *(_flat_terms(cfg.dim) if flat else _regular_terms(
+            cfg.dim, _scaled_series(cfg.weight, sigma), math.exp(min(beta, 0.0)))))
+
+    @classmethod
+    def lanes(cls, cfg: ProblemConfig, betas) -> list:
+        """`_Series(cfg, beta)` at each of `betas`, bit for bit; sigma and s
+        are each beta's floats, numpy's exp rounding apart from Python's."""
+        sigma = [math.exp(max(beta, 0.0)) for beta in betas]
+        s = np.array([math.exp(min(beta, 0.0)) for beta in betas])
+        terms, tau0 = _regular_terms(cfg.dim, _scaled_series(cfg.weight, np.array(sigma)), s)
+        out = [cls.__new__(cls) for _ in betas]
+        # each beta's terms contiguous, laid out as the floats' would be
+        for series, beta, sig, t, tau in zip(out, betas, sigma,
+                                             np.ascontiguousarray(terms.transpose(2, 0, 1)), tau0):
+            series._fill(beta, sig, _is_flat(cfg.weight, beta), t, tau)
+        return out
+
+    def _fill(self, beta, sigma, flat, terms, tau0):
+        self.beta, self.sigma, self.flat, self.terms = beta, sigma, flat, terms
+        self.r0 = min(1.0, math.sqrt(tau0 / sigma))
         self.start = self.states([self.r0])[0].tolist()
 
     def states(self, r) -> np.ndarray:
@@ -515,7 +591,7 @@ class _SingularSeries:
         rows = [(c, 2 * k * c, 2 * k * (2 * k - 1) * c, 4 * k * (2 * k - 1) * (k - 1) * c)
                 for k, c in enumerate(cs, start=1)]
         self.terms = np.array(rows)
-        tau0 = _series_radius(rows, (_SERIES_EPS, 2.0 * _SERIES_EPS), (0, 0))
+        tau0 = _series_radius(rows[-2:], (_SERIES_EPS, 2.0 * _SERIES_EPS), (0, 0))
         self.log2nm2 = math.log(2.0 * (N - 2.0))
         self.r0 = min(1.0, math.sqrt(tau0))
         self.start = self.states([self.r0])[0].tolist()
@@ -646,39 +722,43 @@ def _run(cfg: ProblemConfig, beta: float, nodes):
     return head + states, xs, ys
 
 
-def _trace_head(cfg: ProblemConfig, beta: float):
-    """A trace shoot up to its log-r phase (`_trace_steps`): its radii and
-    states, rows (v, v', e, e'), and that phase's start (s0, [v, r v', e,
-    r e']) at s0 = log r, or None where the radii already end at r = 1."""
-    series = _series(cfg, beta)
+def _trace_head(cfg: ProblemConfig, series):
+    """A trace shoot of a series (`_Series`), unless flat with r0 < 1
+    (`_emden_shoot`), up to its log-r phase: the radii and states, rows
+    (v, v', e, e'), of its r phase from r0 on (r0 and the series' start
+    alone where it makes none), and that phase's start (s0, [v, r v', e,
+    r e']) at s0 = log r, or None where they end at r = 1."""
     r0 = series.r0
-    n = math.ceil(math.log(r0 / cfg.r_start) / math.log(_SERIES_RATIO))
-    head = np.geomspace(cfg.r_start, r0, n + 1) if n > 0 else np.array([r0])
-    head_states = series.states(head)
-    if r0 == 1.0:
-        return head, head_states, None
-    if series.flat:
-        xs, ys = _emden_steps(cfg, beta)
-        return np.concatenate((head, xs)), np.concatenate((head_states, ys)), None
     xs, ys = [r0], [series.start]
-    s_sw = math.log(_SWITCH_RHO) - 0.5 * beta
+    if r0 == 1.0:
+        return xs, ys, None
+    s_sw = math.log(_SWITCH_RHO) - 0.5 * series.beta
     s0 = math.log(r0)
     if s0 < s_sw:
         _, xs, ys = _integrate(cfg, _rhs_ve(cfg), r0, series.start,
                                [min(1.0, math.exp(s_sw))], _SERIES_FIRST_STEP)
         s0 = s_sw
-    radii, states = np.concatenate((head[:-1], xs)), np.concatenate((head_states[:-1], ys))
     if s0 >= 0.0:
-        return radii, states, None
+        return xs, ys, None
     r = xs[-1]
     v, dv, e, de = ys[-1]
-    return radii, states, (s0, [v, r * dv, e, r * de])
+    return xs, ys, (s0, [v, r * dv, e, r * de])
 
 
-def _trace_join(cfg: ProblemConfig, radii, states, r=(), ws=()):
-    """The trace shoot of `_trace_head`'s radii and states, followed by its
-    log-r phase's steps at the radii r, rows ws = (v, r v', e, r e'), from
-    the last accepted step at or below r_start on."""
+def _trace_profile(cfg: ProblemConfig, series, xs=(), ys=(), r=(), ws=()):
+    """The radii and states, rows (v, v', e, e'), of a trace shoot of the
+    `series` (`_Series`), ending at r = 1.0: the series' states from r_start
+    up to its radius r0 at a ratio of at most _SERIES_RATIO, the states ys
+    of its steps beyond r0 at the radii xs (`_trace_head`, `_emden_steps`),
+    and those of its log-r phase at the radii r, rows ws = (v, r v', e,
+    r e'); where r0 lies below r_start, from the last radius at or below
+    r_start on."""
+    r0 = series.r0
+    n = math.ceil(math.log(r0 / cfg.r_start) / math.log(_SERIES_RATIO))
+    radii = np.geomspace(cfg.r_start, r0, n + 1) if n > 0 else np.array([r0])
+    states = series.states(radii)
+    if len(xs):
+        radii, states = np.concatenate((radii, xs)), np.concatenate((states, ys))
     if len(r):
         ws = np.asarray(ws)
         radii = np.concatenate((radii, r))
@@ -688,65 +768,87 @@ def _trace_join(cfg: ProblemConfig, radii, states, r=(), ws=()):
     return radii[first:], states[first:]
 
 
+def _trace_shoots(cfg: ProblemConfig, series, log_phases) -> list:
+    """The trace shoots of the `series` (`_Series`), each a ShootResult or
+    the IntegrationError that ended it, ending at r = 1.0 exactly. Where
+    r0 = 1 a shoot makes no `solve` call. With const (and a_0) at beta > 0
+    it reads its steps beyond r0 off the one Emden-Fowler trajectory of the
+    dimension, and its own `solve` call only lands on r = 1
+    (`_emden_shoot`). Any other steps in r up to r_sw = _SWITCH_RHO
+    e^{-beta/2}, past the boundary layer, and from there (or from r0, where
+    that lies beyond r_sw) in s = log r, where the r steps would have to
+    stay near 0.04 r along the nearly linear -2 log r profile
+    (`_trace_head`); where r_sw >= 1 (beta <= 0) it steps in r all the way.
+    The log-r phases run as log_phases(starts), which gives per start
+    (s0, y0) the radii and rows (v, r v', e, r e') of that phase's accepted
+    steps beyond s0, or an IntegrationError: on `solve` for `integrate_ivp`
+    (`_solve_phases`), in lanes for `trace_lanes` (`_lane_phases`).
+
+    Each shoot takes lambda, alpha and dlambda/dbeta from its state at
+    r = 1 at once, and keeps its series and steps for its profiles, which
+    it builds on first read (`_trace_profile`)."""
+    shots, logs = [], []
+    for ser in series:
+        try:
+            if ser.flat and ser.r0 < 1.0:
+                shots.append(_emden_shoot(cfg, ser))
+                continue
+            xs, ys, log = _trace_head(cfg, ser)
+        except _stepper.IntegrationError as exc:
+            shots.append(exc)
+            continue
+        if log is None:
+            shots.append(_shoot_result(ser.beta, ys[-1][0], ys[-1][2], functools.partial(
+                _trace_profile, cfg, ser, xs[1:], ys[1:])))
+        else:
+            logs.append((len(shots), ser, xs[1:], ys[1:], log))
+            shots.append(None)
+    for (i, ser, xs, ys, _), end in zip(logs, log_phases([log for *_, log in logs])):
+        shots[i] = end if isinstance(end, _stepper.IntegrationError) else _shoot_result(
+            ser.beta, end[1][-1][0], end[1][-1][2],
+            functools.partial(_trace_profile, cfg, ser, xs, ys, *end))
+    return shots
+
+
+def _solve_phases(cfg: ProblemConfig, starts) -> list:
+    """The log-r phases from `starts`, one `_stepper.solve` each."""
+    ends = []
+    for s0, y0 in starts:
+        _, ss, ws = _stepper.solve(_rhs_ve_log(cfg), s0, y0, [0.0], cfg.rel_tol, cfg.abs_tol,
+                                   collect=True)
+        ends.append((np.array([math.exp(s) for s in ss[1:]]), ws[1:]))
+    return ends
+
+
 # the most log-r phases `trace_lanes` shoots as one batch of lanes
 _LANE_BATCH = 256
+
+
+def _lane_phases(cfg: ProblemConfig, starts) -> list:
+    """The log-r phases from `starts` as batches of at most _LANE_BATCH
+    lanes of `_stepper.solve_lanes`."""
+    ends = []
+    for k in range(0, len(starts), _LANE_BATCH):
+        s0, y0 = zip(*starts[k:k + _LANE_BATCH])
+        ends += [lane if isinstance(lane, _stepper.IntegrationError) else
+                 (np.exp(lane.xs[1:]), lane.ys[1:])
+                 for lane in _stepper.solve_lanes(_rhs_ve_log(cfg), s0, np.transpose(y0),
+                                                  np.zeros(len(s0)), cfg.rel_tol, cfg.abs_tol)]
+    return ends
 
 
 def trace_lanes(cfg: ProblemConfig, betas) -> list:
     """The trace shoots at `betas`, as `integrate_ivp(cfg, beta,
     trace=True)` shoots them, each a ShootResult or the IntegrationError
-    that ended it; their log-r phases (`_trace_steps`) run as batches of
-    at most _LANE_BATCH lanes of `_stepper.solve_lanes`, the rest as in
-    `_trace_steps`. A lane's steps do not depend on its batch, but they
-    are not bit-identical to `solve`'s (`integrate_ivp`)."""
-    shots, heads = {}, []
-    for i, beta in enumerate(betas):
+    that ended it; their series come from one recurrence on arrays
+    (`_Series.lanes`), bit for bit those of the shoots one by one, and
+    their log-r phases run as batches of at most _LANE_BATCH lanes of
+    `_stepper.solve_lanes`, the rest as in `integrate_ivp`. A lane's steps
+    do not depend on its batch, but they are not bit-identical to
+    `solve`'s (`integrate_ivp`)."""
+    for beta in betas:
         _check_beta(beta)
-        try:
-            radii, states, log = _trace_head(cfg, beta)
-        except _stepper.IntegrationError as exc:
-            shots[i] = exc
-            continue
-        if log is None:
-            shots[i] = _shoot_result(beta, *_trace_join(cfg, radii, states))
-        else:
-            heads.append((i, beta, radii, states, log))
-    for k in range(0, len(heads), _LANE_BATCH):
-        batch = heads[k:k + _LANE_BATCH]
-        s0, y0 = zip(*(log for *_, log in batch))
-        lanes = _stepper.solve_lanes(_rhs_ve_log(cfg), s0, np.transpose(y0), np.zeros(len(s0)),
-                                     cfg.rel_tol, cfg.abs_tol)
-        for (i, beta, radii, states, _), lane in zip(batch, lanes):
-            shots[i] = lane if isinstance(lane, _stepper.IntegrationError) else _shoot_result(
-                beta, *_trace_join(cfg, radii, states, np.exp(lane.xs[1:]), lane.ys[1:]))
-    return [shots[i] for i in range(len(betas))]
-
-
-def _trace_steps(cfg: ProblemConfig, beta: float):
-    """The radii and states of a trace shoot, rows (v, v', e, e'), ending at
-    r = 1.0 exactly: from r_start up to the series' radius r0 (`_Series`)
-    the series' states at a ratio of at most _SERIES_RATIO, and from r0 on
-    the integrator's accepted steps; where r0 lies below r_start, the
-    accepted steps from the last one at or below r_start on. Where r0 = 1
-    it makes no `solve` call.
-
-    With const (and a_0) at beta > 0 the steps beyond r0 are those of the
-    one Emden-Fowler trajectory of the dimension (`_emden_steps`), and the
-    shoot's own `solve` call only lands on r = 1. Any other weight, and
-    const at beta <= 0, steps in r up to r_sw = _SWITCH_RHO e^{-beta/2},
-    past the boundary layer, and from there (or from r0, where that lies
-    beyond r_sw) in s = log r, where the r steps would have to stay near
-    0.04 r along the nearly linear -2 log r profile. Where r_sw >= 1 (beta
-    <= 0) it steps in r all the way. `trace_lanes` runs the same shoots
-    with the log-r phases in lanes.
-    """
-    radii, states, log = _trace_head(cfg, beta)
-    if log is None:
-        return _trace_join(cfg, radii, states)
-    s0, y0 = log
-    _, ss, ws = _stepper.solve(_rhs_ve_log(cfg), s0, y0, [0.0], cfg.rel_tol, cfg.abs_tol,
-                               collect=True)
-    return _trace_join(cfg, radii, states, np.array([math.exp(s) for s in ss[1:]]), ws[1:])
+    return _trace_shoots(cfg, _Series.lanes(cfg, betas), functools.partial(_lane_phases, cfg))
 
 
 def _output_radii(cfg: ProblemConfig, radii):
@@ -868,7 +970,7 @@ def integrate_ivp(cfg: ProblemConfig, beta: float, radii=None, trace: bool = Fal
     ratio of at most 1.15; beyond, it steps in r through the boundary
     layer, up to r = e^{-beta/2} (rho = 1 in `rescaled_profile`'s variable),
     and in s = log r from there, or from r0 where that lies beyond, to r = 1
-    (`_trace_steps`); at beta <= 0 it steps in r throughout. At N=10, a_h
+    (`_trace_shoots`); at beta <= 0 it steps in r throughout. At N=10, a_h
     at h=40, beta=40 that takes 1 945 right-hand-side calls, where stepping
     in r alone took 5 257. With const (and a_0) at beta > 0 the steps
     beyond r0 are read off one Emden-Fowler trajectory per dimension and
@@ -885,6 +987,13 @@ def integrate_ivp(cfg: ProblemConfig, beta: float, radii=None, trace: bool = Fal
     weight: their v(1) and e(1) are within 3.2e-14 relative of these
     (N=10 and N=3 a_h at h=40, N=9 polyexp:0.7,-0.2;d=0.3, every march
     beta > 0), not equal to them. Every shoot here runs on `_stepper.solve`.
+    A trace shoot computes its state at r = 1, and with it lambda, alpha
+    and dlambda/dbeta, at once; its profile and variation profile, the
+    series' states below r0 and those of the steps beyond, it builds on the
+    first read of either (`ShootResult`). The 181 shoots of N=3 const
+    over beta in [-5, 40] by 0.25 take 10 ms so, where building every
+    profile at once took 23 ms (medians, 2-core Xeon); reading every
+    profile afterwards costs about what building them did.
     Otherwise it is sampled at `radii` (default: `default_grid`), and
     lambda, alpha and dlambda/dbeta are those at r = 1 whatever the radii:
     where 1.0 is not among them, the shoot lands on r = 1 as one more
@@ -905,29 +1014,26 @@ def integrate_ivp(cfg: ProblemConfig, beta: float, radii=None, trace: bool = Fal
     if trace and radii is not None:
         raise ValueError("output radii cannot be combined with trace=True")
     if trace:
-        return _shoot_result(beta, *_trace_steps(cfg, beta))
+        shot, = _trace_shoots(cfg, [_series(cfg, beta)], functools.partial(_solve_phases, cfg))
+        if isinstance(shot, _stepper.IntegrationError):
+            raise shot
+        return shot
     radii_arr, nodes = _output_radii(cfg, radii)
     states, at_one = _grid_states(cfg, radii_arr, nodes, lambda anchors: _run(cfg, beta, anchors),
                                   _series(cfg, beta), one=True)
-    return _shoot_result(beta, radii_arr, states, at_one)
+    return _shoot_result(beta, at_one[0], at_one[2], lambda: (radii_arr, states))
 
 
-def _shoot_result(beta: float, radii: np.ndarray, states: np.ndarray,
-                  at_one=None) -> ShootResult:
-    """The ShootResult at beta of the states, rows (v, v', e, e'), at the
-    radii; lambda and dlambda/dbeta come from the state at r = 1, `at_one`,
-    by default the last row (a trace shoot ends at r = 1.0)."""
-    v1, _, e1, _ = (float(x) for x in (states[-1] if at_one is None else at_one))
+def _shoot_result(beta: float, v1: float, e1: float, samples) -> ShootResult:
+    """The ShootResult at beta with v(1) = v1 and e(1) = e1, whose profile
+    and variation profile are built on the first read of either from
+    samples() -> (radii, the states there, rows (v, v', e, e'))."""
+    v1, e1 = float(v1), float(e1)
     lam = math.exp(v1)
-    return ShootResult(
-        beta=beta,
-        lam=lam,
-        alpha=beta - v1,
-        v1=v1,
-        dlambda_dbeta=lam * e1,
-        profile=RadialProfile(radii, states[:, 0], states[:, 1]),
-        variation_profile=RadialProfile(radii, states[:, 2], states[:, 3]),
-    )
+    shot = ShootResult.__new__(ShootResult)
+    vars(shot).update(beta=beta, lam=lam, alpha=beta - v1, v1=v1, dlambda_dbeta=lam * e1,
+                      _samples=samples)
+    return shot
 
 
 def hermite_values(cfg: ProblemConfig, profile: RadialProfile, r) -> np.ndarray:
@@ -940,7 +1046,7 @@ def hermite_values(cfg: ProblemConfig, profile: RadialProfile, r) -> np.ndarray:
     its nodes, from v' and the ODE's v'', v''' and v'''' (`_jets`) by the chain
     rule: v_s = r v', v_ss = r v' + r^2 v'', v_sss = r v' + 3 r^2 v'' +
     r^3 v''' and v_ssss = r v' + 7 r^2 v'' + 6 r^3 v''' + r^4 v''''.
-    Past the boundary layer a trace shoot steps in log r (`_trace_steps`),
+    Past the boundary layer a trace shoot steps in log r (`_trace_shoots`),
     by up to 0.27 near r = 0.9 at N=3 with a polyexp weight, where degree-7
     Hermite is off by up to 9.5e-9 in r and 1.3e-10 in log r.
     On a trace=True shoot this agrees with a shoot that lands on r to

@@ -235,7 +235,8 @@ def ratio_derivative_sign(w: Weight, dim: int, reference: Weight | None = None) 
     The default reference is a_H (H the Hardy constant) in the given
     dimension, which requires dim == 10. Returns one of
     'NonPositiveEverywhere', 'PositiveEverywhere', 'Mixed'; values within
-    1e-12 of zero count as nonpositive.
+    1e-12 of zero count as nonpositive. A reference equal to w is
+    evaluated once.
     """
     if reference is None:
         if dim != 10:
@@ -245,7 +246,7 @@ def ratio_derivative_sign(w: Weight, dim: int, reference: Weight | None = None) 
         reference = make_ah(hardy_constant(), dim)
     r = np.arange(1, _RATIO_SAMPLES + 1) / _RATIO_SAMPLES
     a, da, _, _ = weight_arrays(w, r)
-    b, db, _, _ = weight_arrays(reference, r)
+    b, db = (a, da) if reference == w else weight_arrays(reference, r)[:2]
     for wt, values in ((w, a), (reference, b)):
         if np.any(values <= 0.0):
             raise ValueError(f"weight {wt.spec!r} nonpositive on (0, 1]")

@@ -537,6 +537,27 @@ def test_separation_shoots_each_profile_once(shoots):
     _one_trace_shoot_each(shoots, [(cfg, 2.0), (cfg, 5.0), (cfg_ref, 5.0)])
 
 
+def test_separation_at_a_H_shoots_gamma_once(shoots, monkeypatch):
+    # the weight a_H is its own reference: v_H(., gamma) is v(., gamma),
+    # so two trace shoots serve the three profiles, each read once, and
+    # the gaps are those of a reference shot on its own
+    cfg = ProblemConfig(dim=10, weight=parse_weight(f"ah:h={H!r}", 10))
+    assert cfg.weight == make_ah(H, 10)
+    reads = []
+    real = bif.hermite_values
+    monkeypatch.setattr(bif, "hermite_values", lambda *args: (reads.append(args[2].size),
+                                                              real(*args))[1])
+    gaps = check_separation(cfg, H, 2.0, 5.0)
+    _one_trace_shoot_each(shoots, [(cfg, 2.0), (cfg, 5.0)])
+    assert reads == [4097, 4097]
+    grid = np.geomspace(cfg.r_start, 1.0, 4097)
+    shots = [integrate_ivp(cfg, b, trace=True) for b in (2.0, 5.0)]
+    v_beta, v_gamma = (radial_ode.hermite_values(cfg, sh.profile, grid) for sh in shots)
+    log_a = np.log(radial_ode.weight_arrays(cfg.weight, grid)[0])
+    assert gaps == (float(np.min(v_gamma - v_beta)),
+                    float(np.min((v_gamma + log_a) - (v_beta + log_a))), 1.0)
+
+
 def test_separation_rejects_wrong_class():
     cfg = ProblemConfig(dim=10, weight=make_ah(40.0, 10))
     with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import gelfand.bifurcation as bif
+import gelfand.cli as cli
 from gelfand import IntegrationError, ProblemConfig, integrate_ivp, parse_weight, trace_curve
 from gelfand import _stepper, radial_ode
 from gelfand.weights import Weight
@@ -88,7 +89,8 @@ def test_lanes_take_the_steps_of_scalar_solves(march_betas, case):
     # max(1, |.|)
     cfg = _cfg(*case)
     fun = radial_ode._rhs_ve_log(cfg)
-    starts = [log for b in march_betas[case] if (log := radial_ode._trace_head(cfg, b)[2])]
+    starts = [log for b in march_betas[case]
+              if (log := radial_ode._trace_head(cfg, radial_ode._series(cfg, b))[2])]
     s0 = [s for s, _ in starts]
     lanes = _stepper.solve_lanes(fun, s0, np.transpose([y for _, y in starts]), np.zeros(len(s0)),
                                  cfg.rel_tol, cfg.abs_tol)
@@ -114,7 +116,8 @@ def test_a_lane_does_not_depend_on_its_batch(march_betas, case):
     # the march's whole batch: every sixteenth beta and the last one
     cfg = _cfg(*case)
     fun = radial_ode._rhs_ve_log(cfg)
-    starts = [log for b in march_betas[case] if (log := radial_ode._trace_head(cfg, b)[2])]
+    starts = [log for b in march_betas[case]
+              if (log := radial_ode._trace_head(cfg, radial_ode._series(cfg, b))[2])]
     s0, y0 = np.array([s for s, _ in starts]), np.transpose([y for _, y in starts])
     batch = _stepper.solve_lanes(fun, s0, y0, np.zeros(len(s0)), cfg.rel_tol, cfg.abs_tol)
     for i in [*range(0, len(s0), 16), len(s0) - 1]:
@@ -193,7 +196,7 @@ def test_a_weight_that_turns_nonpositive_fails_only_the_lanes_that_reach_it():
     # before go on. The last step it accepted ends within 1e-4 of solve's
     cfg = ProblemConfig(dim=5, weight=Weight(spec="polyexp:-1.2;d=0", coeffs=(-1.2,), tilt=0.0))
     fun = radial_ode._rhs_ve_log(cfg)
-    s0, y0 = radial_ode._trace_head(cfg, 6.0)[2]
+    s0, y0 = radial_ode._trace_head(cfg, radial_ode._series(cfg, 6.0))[2]
     ends = np.log([0.8, 1.0, 0.9])
     lanes = _stepper.solve_lanes(fun, [s0] * 3, np.transpose([y0] * 3), ends,
                                  cfg.rel_tol, cfg.abs_tol)
@@ -344,14 +347,93 @@ SCALAR_SHOOTS = {
     (9, "polyexp:0.7,-0.2;d=0.3", 40.0): (
         "0x1.2187fa6225a17p+1", "0x1.3eae1af5647c7p-94",
         "3558fac40f234dee4018164e9f2825100f705ef9418723bc0899a28925c0a71f", 51),
+    # recorded while every trace shoot built its profiles at once
+    (3, "const", 7.5): ("0x1.060e5f9155232p-1", "0x1.0c640180d6bd4p-5",
+                        "d0c853a96b71d3927095dad28cdeca879101e30b5be3e4f2c8d5741ef056b247", 73),
+    (10, "const", -3.0): ("-0x1.80517c941af15p+1", "0x1.95d4fdfde2d7dp-5",
+                          "705002f7c4c3657be3bd59289b188bc0cde86abe64e20bc2de0eeef502032d2b", 67),
 }
+
+
+def _recorded(shot):
+    rows = np.column_stack((shot.profile.radii, shot.profile.values, shot.profile.derivs,
+                            shot.variation_profile.values, shot.variation_profile.derivs))
+    return (shot.v1.hex(), shot.dlambda_dbeta.hex(), hashlib.sha256(rows.tobytes()).hexdigest(),
+            len(rows))
 
 
 @pytest.mark.parametrize("key", sorted(SCALAR_SHOOTS))
 def test_a_trace_shoot_outside_a_march_is_the_recorded_one(key):
     dim, spec, beta = key
-    shot = integrate_ivp(_cfg(dim, spec), beta, trace=True)
-    rows = np.column_stack((shot.profile.radii, shot.profile.values, shot.profile.derivs,
-                            shot.variation_profile.values, shot.variation_profile.derivs))
-    assert (shot.v1.hex(), shot.dlambda_dbeta.hex(), hashlib.sha256(rows.tobytes()).hexdigest(),
-            len(rows)) == SCALAR_SHOOTS[key]
+    assert _recorded(integrate_ivp(_cfg(dim, spec), beta, trace=True)) == SCALAR_SHOOTS[key]
+
+
+@pytest.mark.parametrize("key", [key for key in sorted(SCALAR_SHOOTS) if key[1] == "const"])
+def test_a_march_sample_builds_the_recorded_profiles_when_read(key):
+    # a march builds no profile of its samples; one read after the march
+    # is the profile that a shoot which built it at once recorded
+    dim, spec, beta = key
+    curve = trace_curve(_cfg(dim, spec), -5.0, 40.0, 0.25)
+    shot, = (sample for sample in curve.samples if sample.beta == beta)
+    assert "profile" not in vars(shot)
+    assert _recorded(shot) == SCALAR_SHOOTS[key]
+
+
+# sha256 of every sample's (beta, lambda, alpha, v(1), dlambda/dbeta) and
+# of every fold's (beta, lambda, alpha, kind), as float.hex(), one line
+# each, of three marches over [-5, 40] by at most 0.25, recorded while
+# every trace shoot built its series one beta at a time and its profiles
+# at once (glibc's libm on x86-64)
+PINNED_MARCHES = {
+    (3, "const"): ("33b76ea3bc05ebcc0c6b0b25661ee95a2a1434cd0cd8225de73c257520887817",
+                   "f280cbbb152cd18a60e00b81ee85d0eb90094407d4c9394e65573085f07becf5", 188, 8),
+    (10, "ah:h=0"): ("e0fb5b100687272fff5f3c32076ba27b2d802c5d5d6d5e8c63445f2cca9d313f",
+                     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 181, 0),
+    (10, "ah:h=40"): ("921044a3e1483cf112b4a005e9d12d4529eca471efc93c7693dd77e9077cdbb0",
+                      "a76eb18745077d1d442b1135ea549fde3f706202ab4a0d017e701e64eebaf118", 181, 2),
+}
+
+# sha256 of `gelfand trace --dim 10 --weight ah:h=40 --beta-min -5
+# --beta-max 40 --out curve.csv --svg curve.svg`'s two files, recorded so
+PINNED_TRACE_FILES = {
+    "curve.csv": "2f2eba451c42b4a6159cb8aa979e5447768671f7ee4c9e832a2e5a8498c0711e",
+    "curve.svg": "76992d3c9d6d86d906fcc17850cdf18bed333b77682f1f34aaabe1d525c3a4b0",
+}
+
+
+def _march_digests(curve):
+    samples, folds = hashlib.sha256(), hashlib.sha256()
+    for s in curve.samples:
+        samples.update(" ".join(x.hex() for x in (s.beta, s.lam, s.alpha, s.v1, s.dlambda_dbeta))
+                       .encode() + b"\n")
+    for tp in curve.turning_points:
+        folds.update(" ".join((tp.beta.hex(), tp.lam.hex(), tp.alpha.hex(), tp.kind)).encode()
+                     + b"\n")
+    return samples.hexdigest(), folds.hexdigest(), len(curve.samples), len(curve.turning_points)
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_MARCHES))
+def test_the_march_is_the_pinned_one(case):
+    curve = trace_curve(_cfg(*case), -5.0, 40.0, 0.25)
+    assert _march_digests(curve) == PINNED_MARCHES[case]
+
+
+def test_the_trace_files_are_the_pinned_ones(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["trace", "--dim", "10", "--weight", "ah:h=40", "--beta-min", "-5",
+                     "--beta-max", "40", "--out", "curve.csv", "--svg", "curve.svg"]) == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in PINNED_TRACE_FILES} == PINNED_TRACE_FILES
+
+
+@pytest.mark.parametrize("dim, spec", [(3, "const"), (3, "ah:h=40"), (10, "const"),
+                                       (10, "ah:h=40"), (9, "polyexp:0.7,-0.2;d=0.3")])
+def test_batched_series_are_the_scalar_ones(dim, spec):
+    # one recurrence on arrays, an entry per beta, gives each beta's terms,
+    # radius and start state bit for bit, the signs of zeros included
+    cfg = _cfg(dim, spec)
+    betas = [-40.0, -5.0, -0.25, 0.0, 0.25, 5.0, 20.0, 40.0]
+    for beta, lane in zip(betas, radial_ode._Series.lanes(cfg, betas)):
+        alone = radial_ode._Series(cfg, beta)
+        assert lane.terms.tobytes() == alone.terms.tobytes(), beta
+        assert (lane.r0, lane.start, lane.flat) == (alone.r0, alone.start, alone.flat), beta

@@ -296,3 +296,18 @@ def test_ratio_sign_requires_critical_dimension():
     negative = Weight(spec="polyexp:-3;d=0", coeffs=(-3.0,), tilt=0.0)
     with pytest.raises(ValueError, match="nonpositive"):
         ratio_derivative_sign(negative, 10)
+
+
+def test_ratio_sign_against_itself_reads_the_weight_once(monkeypatch):
+    # a weight that is its own reference is evaluated once, its ratio is
+    # constant, and a nonpositive one is still refused
+    import gelfand.weights as weights
+
+    w, reference = make_ah(H, 10), make_ah(H, 10)
+    calls, real = [], weights.weight_arrays
+    monkeypatch.setattr(weights, "weight_arrays", lambda w, r: (calls.append(w), real(w, r))[1])
+    assert ratio_derivative_sign(w, 10, reference=reference) == "NonPositiveEverywhere"
+    assert calls == [w]
+    negative = Weight(spec="polyexp:-3;d=0", coeffs=(-3.0,), tilt=0.0)
+    with pytest.raises(ValueError, match="'polyexp:-3;d=0' nonpositive"):
+        ratio_derivative_sign(negative, 10, reference=negative)
