@@ -39,24 +39,23 @@ N=10, a_h at h=40); polyexp:1.5;d=0.5 at N=10 stops at r0 = 0.70 and
 takes 373 calls on 16 nodes.
 Consumers that need only values (zero numbers, separation and envelope
 gaps) shoot on accepted steps (``integrate_ivp`` with ``trace=True``, as
-curve tracing does) and interpolate. With a weight, those shoots make up
-to two ``solve`` calls at beta > 0: one in r through the boundary layer,
-up to r = e^{-beta/2}, where r0 lies below it, and one in s = log r on to
-r = 1 (``radial_ode._trace_shoots``), where the steps in r would have to
-stay near 0.04 r along the nearly linear -2 log r profile. In a march
-(``bifurcation.trace_curve``) that log-r phase runs in a lane of
-``solve_lanes`` instead (below). With const (and a_0) they make one
-call: their steps beyond r0 are those of one Emden-Fowler trajectory per
-dimension and tolerances (``radial_ode._emden_trajectory``, built once),
-and the call lands on r = 1 from the last of them, as a rule in 13
+curve tracing does) and interpolate. With a weight, those shoots make one
+``solve`` call where r0 < 1, in s = log r from r0 to r = 1
+(``radial_ode._trace_shoots``): past the boundary layer the steps in r
+would have to stay near 0.04 r along the nearly linear -2 log r profile.
+At beta > 0 in a march (``bifurcation.trace_curve``) that call runs in
+a lane of ``solve_lanes`` instead (below). With const (and a_0) they make
+one call: their steps beyond r0 are those of one Emden-Fowler trajectory
+per dimension and tolerances (``radial_ode._emden_trajectory``, built
+once), and the call lands on r = 1 from the last of them, as a rule in 13
 right-hand-side calls. On the traced branch benchmark (seed 13) ``solve``
-makes 20 532 right-hand-side calls. Before the log-r phases of the
-N=10, a_h at h=40 march moved to lanes, where they take 17 904 step
-attempts, it made 236 687; shooting each constant-weight beta on its own
-made 509 975, the two-term series start at r0 = min(r_start, 0.05
-sqrt(2N) e^{-beta/2}) 965 538 and stepping in r alone from there
-1 654 105, the last two counting the singular solution's former start at
-r_start (about 18 000 calls).
+makes 20 671 right-hand-side calls in 391 calls. Before the log-r phases
+of the N=10, a_h at h=40 march moved to lanes, where they now take
+17 923 step attempts, it made 236 687; shooting each constant-weight
+beta on its own made 509 975, the two-term series start at r0 =
+min(r_start, 0.05 sqrt(2N) e^{-beta/2}) 965 538 and stepping in r alone
+from there 1 654 105, the last two counting the singular solution's
+former start at r_start (about 18 000 calls).
 
 The work is split in two. A driver owns the step controller (the node
 clamp, the step budget, the underflow check, accept/reject, the PI factor
@@ -106,7 +105,7 @@ so lanes pay only in bulk.
 Lanes serve one caller, ``radial_ode.trace_lanes``: the log-r phases of
 a march's weighted shoots at beta > 0, a batch for the march's grid and
 one for each round of the midpoints it bisects. At N=10, a_h at h=40 on
-[-5, 40] by 0.25 that is one batch of 160 lanes, 17 904 attempts in 162
+[-5, 40] by 0.25 that is one batch of 160 lanes, 17 923 attempts in 162
 iterations, and the 160 scalar solves take about three times as long (2.8
 to 3.4 times over the three marches named below). The Taylor series of
 such a batch come from one recurrence on numpy arrays, an entry per beta
@@ -114,12 +113,13 @@ such a batch come from one recurrence on numpy arrays, an entry per beta
 bit-identical to it only while each of its sums adds left to right, as
 ``functools.reduce(operator.add, ...)`` does on floats and arrays alike
 and ``sum()`` does on floats only up to Python 3.11 (from 3.12 on it
-compensates float sums). Everything else stays on ``solve``: the r phase
-through the boundary layer, the const Emden landings, fold refinement,
-zero numbers and every other single shoot, grid shoots, the singular
-solution and the Pruefer phase. Whether on ``solve`` or in lanes, a trace
-shoot computes its state at r = 1 at once and builds its profiles on
-first read only (``radial_ode.ShootResult``), which a march never does.
+compensates float sums). The weight series and the singular series
+add that way too (``radial_ode._dot``). Everything else stays on
+``solve``: the const Emden landings, fold refinement, zero numbers and
+every other single shoot, grid shoots, the singular solution and the
+Pruefer phase. Whether on ``solve`` or in lanes, a trace shoot computes
+its state at r = 1 at once and builds its profiles on first read only
+(``radial_ode.ShootResult``), which a march never does.
 The lanes' steps are not bit-identical to ``solve``'s, numpy's exp and
 power rounding apart from Python's: over the march lanes of N=10 and N=3
 a_h at h=40 and N=9 polyexp:0.7,-0.2;d=0.3 the end states agree within

@@ -182,7 +182,8 @@ def trace_curve(cfg: ProblemConfig, beta_min: float, beta_max: float,
 def _shoot(cfg: ProblemConfig, betas) -> list:
     """The march's trace shoots at `betas`, each a ShootResult or the
     IntegrationError that ended it: the weighted ones at beta > 0 by
-    `trace_lanes`, their log-r phases as lanes, the rest by integrate_ivp."""
+    `trace_lanes`, each wholly in its lane after its series, the rest by
+    integrate_ivp."""
     w = cfg.weight
     lanes = [beta for beta in betas if beta > 0.0 and (w.coeffs or w.tilt)]
     shots = dict(zip(lanes, trace_lanes(cfg, lanes)))

@@ -11,8 +11,9 @@ at r = 0 (`_Series`) as far as that series is exact to rounding, and
 integrates from there; so does the singular solution, from its Taylor
 series in the Emden variable W = V + 2 log r - log 2(N-2)
 (`_SingularSeries`), which for const and every a_h reaches r = 1. A
-constant-weight trace shoot reads its steps beyond the series off one
-Emden-Fowler trajectory per dimension (`_emden_trajectory`).
+trace shoot steps in s = log r beyond its series, or, with const, reads
+its steps off one Emden-Fowler trajectory per dimension
+(`_emden_trajectory`).
 """
 
 from __future__ import annotations
@@ -47,17 +48,12 @@ _ANCHORS = (0.02, 0.26)
 # a regular shoot starts from its Taylor series at r = 0 (`_Series`): of
 # this order in e^beta r^2, out to where its last terms fall below this
 # size; a trace shoot's profile holds series states from r_start up to the
-# series' radius at this ratio, and the integration from there takes a
-# first step of this fraction of the radius
+# series' radius at this ratio, and a shoot in r from there takes a first
+# step of this fraction of the radius
 _SERIES_ORDER = 24
 _SERIES_EPS = 2.0 ** -52
 _SERIES_RATIO = 1.15
 _SERIES_FIRST_STEP = 0.02
-
-# a weighted trace shoot integrates in r through the boundary layer, up to
-# rho = e^{beta/2} r = _SWITCH_RHO, and in s = log r from there to r = 1,
-# where v follows the singular profile -2 log r + log 2(N-2), linear in s
-_SWITCH_RHO = 1.0
 
 # 9-point Gauss-Legendre nodes and weights on [-1, 1], numpy's leggauss(9)
 # as literals: leggauss would start numpy's LAPACK, 0.8 MiB, for 18 numbers
@@ -304,7 +300,7 @@ def _weight_series(w: Weight) -> tuple[float, ...]:
     for j in range(1, _SERIES_ORDER):
         tilt.append(tilt[-1] * w.tilt / j)
     poly = (1.0, *w.coeffs)
-    return tuple(sum(map(mul, poly[:j + 1], tilt[j::-1])) for j in range(_SERIES_ORDER))
+    return tuple(_dot(poly[:j + 1], tilt[j::-1]) for j in range(_SERIES_ORDER))
 
 
 def _dot(a, b):
@@ -442,19 +438,17 @@ def _emden_shoot(cfg: ProblemConfig, series) -> ShootResult:
 
 
 def _emden_steps(N: int, s, zs, end):
-    """The radii and states, rows (v, v', e, e'), of `_emden_shoot`'s steps:
-    the trajectory's states zs, rows (z, z_t), at s = log r, and then `end`
-    at r = 1.0. With s = log r,
+    """The radii and rows (v, r v', e, r e') of `_emden_shoot`'s steps: the
+    trajectory's states zs, rows (z, z_t), at s = log r, and then `end` at
+    r = 1.0. With s = log r,
 
         v = z - 2 s + log 2(N-2),  r v' = z_t - 2,  e = z_t / 2,  r e' = z_tt / 2.
     """
     s = np.append(s, 0.0)
     z, dz = np.vstack((zs, end)).T
-    r = np.exp(s)
     ddz = -(N - 2.0) * (dz + 2.0 * np.expm1(z))
-    states = np.column_stack((z - 2.0 * s + math.log(2.0 * (N - 2.0)), (dz - 2.0) / r,
-                              0.5 * dz, 0.5 * ddz / r))
-    return r, states
+    return np.exp(s), np.column_stack((z - 2.0 * s + math.log(2.0 * (N - 2.0)), dz - 2.0,
+                                       0.5 * dz, 0.5 * ddz))
 
 
 class _Series:
@@ -582,7 +576,7 @@ class _SingularSeries:
         for k in range(1, _SERIES_ORDER + 1):
             low = _exp_step(ky, E)  # E_k without y_k
             tilt = w.tilt if k == 1 else 0.0
-            c = (-2.0 * (N - 2.0) * (sum(map(mul, poly[1:k + 1], reversed(E))) + low + tilt)
+            c = (-2.0 * (N - 2.0) * (_dot(poly[1:k + 1], reversed(E)) + low + tilt)
                  / (4.0 * k * k + 2.0 * (k + 1) * (N - 2.0)))
             cs.append(c)
             ky.append(k * (c + tilt))
@@ -684,9 +678,9 @@ def _rhs_v(cfg: ProblemConfig):
     return _rhs("v", cfg, float(cfg.dim - 1))
 
 
-def _integrate(cfg: ProblemConfig, fun, r0: float, y0, nodes, first: float = 0.2):
+def _integrate(cfg: ProblemConfig, fun, r0: float, y0, nodes):
     """Integrate from the start state y0 at r0 through `nodes`, with a
-    first step of `first` r0.
+    first step of _SERIES_FIRST_STEP r0.
 
     A first node at r0 (to 1e-12 relative) is the start state itself. A
     nonpositive weight, hit while extending beyond r = 1, ends in an
@@ -700,7 +694,7 @@ def _integrate(cfg: ProblemConfig, fun, r0: float, y0, nodes, first: float = 0.2
             return head, [r0], head
     states, xs, ys = _stepper.solve(
         fun, r0, y0, nodes, cfg.rel_tol, cfg.abs_tol,
-        first_step=first * r0, collect=True,
+        first_step=_SERIES_FIRST_STEP * r0, collect=True,
     )
     return head + states, xs, ys
 
@@ -717,48 +711,32 @@ def _run(cfg: ProblemConfig, beta: float, nodes):
     head = series.states(nodes[:k]).tolist() if k else []
     if k == len(nodes):
         return head, [], []
-    states, xs, ys = _integrate(cfg, _rhs_ve(cfg), series.r0, series.start, nodes[k:],
-                                _SERIES_FIRST_STEP)
+    states, xs, ys = _integrate(cfg, _rhs_ve(cfg), series.r0, series.start, nodes[k:])
     return head + states, xs, ys
 
 
-def _trace_head(cfg: ProblemConfig, series):
-    """A trace shoot of a series (`_Series`), unless flat with r0 < 1
-    (`_emden_shoot`), up to its log-r phase: the radii and states, rows
-    (v, v', e, e'), of its r phase from r0 on (r0 and the series' start
-    alone where it makes none), and that phase's start (s0, [v, r v', e,
-    r e']) at s0 = log r, or None where they end at r = 1."""
+def _log_start(series):
+    """The start (s0, [v, r v', e, r e']) at s0 = log r0 of a trace shoot's
+    log-r phase from the radius r0 of its `series` (`_Series`), or None
+    where r0 = 1."""
     r0 = series.r0
-    xs, ys = [r0], [series.start]
     if r0 == 1.0:
-        return xs, ys, None
-    s_sw = math.log(_SWITCH_RHO) - 0.5 * series.beta
-    s0 = math.log(r0)
-    if s0 < s_sw:
-        _, xs, ys = _integrate(cfg, _rhs_ve(cfg), r0, series.start,
-                               [min(1.0, math.exp(s_sw))], _SERIES_FIRST_STEP)
-        s0 = s_sw
-    if s0 >= 0.0:
-        return xs, ys, None
-    r = xs[-1]
-    v, dv, e, de = ys[-1]
-    return xs, ys, (s0, [v, r * dv, e, r * de])
+        return None
+    v, dv, e, de = series.start
+    return math.log(r0), [v, r0 * dv, e, r0 * de]
 
 
-def _trace_profile(cfg: ProblemConfig, series, xs=(), ys=(), r=(), ws=()):
+def _trace_profile(cfg: ProblemConfig, series, r=(), ws=()):
     """The radii and states, rows (v, v', e, e'), of a trace shoot of the
     `series` (`_Series`), ending at r = 1.0: the series' states from r_start
-    up to its radius r0 at a ratio of at most _SERIES_RATIO, the states ys
-    of its steps beyond r0 at the radii xs (`_trace_head`, `_emden_steps`),
-    and those of its log-r phase at the radii r, rows ws = (v, r v', e,
-    r e'); where r0 lies below r_start, from the last radius at or below
-    r_start on."""
+    up to its radius r0 at a ratio of at most _SERIES_RATIO, and those of
+    its steps beyond r0 at the radii r, rows ws = (v, r v', e, r e') (its
+    log-r phase, or `_emden_steps`); where r0 lies below r_start, from the
+    last radius at or below r_start on."""
     r0 = series.r0
     n = math.ceil(math.log(r0 / cfg.r_start) / math.log(_SERIES_RATIO))
     radii = np.geomspace(cfg.r_start, r0, n + 1) if n > 0 else np.array([r0])
     states = series.states(radii)
-    if len(xs):
-        radii, states = np.concatenate((radii, xs)), np.concatenate((states, ys))
     if len(r):
         ws = np.asarray(ws)
         radii = np.concatenate((radii, r))
@@ -774,39 +752,38 @@ def _trace_shoots(cfg: ProblemConfig, series, log_phases) -> list:
     r0 = 1 a shoot makes no `solve` call. With const (and a_0) at beta > 0
     it reads its steps beyond r0 off the one Emden-Fowler trajectory of the
     dimension, and its own `solve` call only lands on r = 1
-    (`_emden_shoot`). Any other steps in r up to r_sw = _SWITCH_RHO
-    e^{-beta/2}, past the boundary layer, and from there (or from r0, where
-    that lies beyond r_sw) in s = log r, where the r steps would have to
-    stay near 0.04 r along the nearly linear -2 log r profile
-    (`_trace_head`); where r_sw >= 1 (beta <= 0) it steps in r all the way.
-    The log-r phases run as log_phases(starts), which gives per start
-    (s0, y0) the radii and rows (v, r v', e, r e') of that phase's accepted
-    steps beyond s0, or an IntegrationError: on `solve` for `integrate_ivp`
-    (`_solve_phases`), in lanes for `trace_lanes` (`_lane_phases`).
+    (`_emden_shoot`). Any other shoot steps in s = log r from s0 = log r0
+    to 0 (`_log_start`): past the boundary layer v follows the nearly
+    linear -2 log r + log 2(N-2), where steps in r would have to stay near
+    0.04 r, and within the layer, from the series' radius on, steps in
+    log r cost as much as steps in r. The log-r phases run as
+    log_phases(starts), which gives per start (s0, y0) the radii and rows
+    (v, r v', e, r e') of that phase's accepted steps beyond s0, or an
+    IntegrationError: on `solve` for `integrate_ivp` (`_solve_phases`), in
+    lanes for `trace_lanes` (`_lane_phases`).
 
     Each shoot takes lambda, alpha and dlambda/dbeta from its state at
     r = 1 at once, and keeps its series and steps for its profiles, which
     it builds on first read (`_trace_profile`)."""
     shots, logs = [], []
     for ser in series:
-        try:
-            if ser.flat and ser.r0 < 1.0:
+        if ser.flat and ser.r0 < 1.0:
+            try:
                 shots.append(_emden_shoot(cfg, ser))
-                continue
-            xs, ys, log = _trace_head(cfg, ser)
-        except _stepper.IntegrationError as exc:
-            shots.append(exc)
+            except _stepper.IntegrationError as exc:
+                shots.append(exc)
             continue
+        log = _log_start(ser)
         if log is None:
-            shots.append(_shoot_result(ser.beta, ys[-1][0], ys[-1][2], functools.partial(
-                _trace_profile, cfg, ser, xs[1:], ys[1:])))
+            shots.append(_shoot_result(ser.beta, ser.start[0], ser.start[2],
+                                       functools.partial(_trace_profile, cfg, ser)))
         else:
-            logs.append((len(shots), ser, xs[1:], ys[1:], log))
+            logs.append((len(shots), ser, log))
             shots.append(None)
-    for (i, ser, xs, ys, _), end in zip(logs, log_phases([log for *_, log in logs])):
+    for (i, ser, _), end in zip(logs, log_phases([log for *_, log in logs])):
         shots[i] = end if isinstance(end, _stepper.IntegrationError) else _shoot_result(
             ser.beta, end[1][-1][0], end[1][-1][2],
-            functools.partial(_trace_profile, cfg, ser, xs, ys, *end))
+            functools.partial(_trace_profile, cfg, ser, *end))
     return shots
 
 
@@ -842,10 +819,11 @@ def trace_lanes(cfg: ProblemConfig, betas) -> list:
     trace=True)` shoots them, each a ShootResult or the IntegrationError
     that ended it; their series come from one recurrence on arrays
     (`_Series.lanes`), bit for bit those of the shoots one by one, and
-    their log-r phases run as batches of at most _LANE_BATCH lanes of
-    `_stepper.solve_lanes`, the rest as in `integrate_ivp`. A lane's steps
-    do not depend on its batch, but they are not bit-identical to
-    `solve`'s (`integrate_ivp`)."""
+    their log-r phases, from each series' radius r0 < 1 to r = 1, run as
+    batches of at most _LANE_BATCH lanes of `_stepper.solve_lanes`, the
+    rest as in `integrate_ivp`: a weighted shoot makes no `solve` call. A
+    lane's steps do not depend on its batch, but they are not bit-identical
+    to `solve`'s (`integrate_ivp`)."""
     for beta in betas:
         _check_beta(beta)
     return _trace_shoots(cfg, _Series.lanes(cfg, betas), functools.partial(_lane_phases, cfg))
@@ -967,26 +945,26 @@ def integrate_ivp(cfg: ProblemConfig, beta: float, radii=None, trace: bool = Fal
     steps, and `radii` must be None: the cheap path, for curve tracing and
     for `hermite_values`. Up to the radius r0 of its Taylor series
     (`_Series`) the profile holds the series' states from r_start on, at a
-    ratio of at most 1.15; beyond, it steps in r through the boundary
-    layer, up to r = e^{-beta/2} (rho = 1 in `rescaled_profile`'s variable),
-    and in s = log r from there, or from r0 where that lies beyond, to r = 1
-    (`_trace_shoots`); at beta <= 0 it steps in r throughout. At N=10, a_h
-    at h=40, beta=40 that takes 1 945 right-hand-side calls, where stepping
-    in r alone took 5 257. With const (and a_0) at beta > 0 the steps
+    ratio of at most 1.15; beyond, it steps in s = log r from r0 to r = 1
+    (`_trace_shoots`), whatever beta. At N=10, a_h at h=40, beta=40 that
+    takes 1 945 right-hand-side calls, where stepping in r alone took
+    5 257. With const (and a_0) at beta > 0 the steps
     beyond r0 are read off one Emden-Fowler trajectory per dimension and
     tolerances (`_emden_trajectory`, 1 093 to 1 561 calls once, N in
     3..12), and the shoot makes one short solve onto r = 1: 13 calls at
     N=3, beta=40, where shooting it on its own took 1 189. Over N in
-    {3, 6, 9, 10, 12}, const, a_h and polyexp weights and beta in {-5, 0.5,
-    0.7, 2, 10, 25, 40}, v(1) and e(1) stay within 8.0e-12 and 1.2e-12 of
-    a shoot in r alone at rtol 1e-13. With const, over beta in [-1, 60] by
-    0.5 at the same N, they stay within 3.8e-13 and 2.9e-13 of a shoot at
-    rtol 1e-13, where shooting each beta on its own was up to 9.7e-12 and
-    6.8e-13 off. `trace_lanes` runs the log-r phases of many such shoots
-    as lanes of `_stepper.solve_lanes`, as a march does at beta > 0 with a
-    weight: their v(1) and e(1) are within 3.2e-14 relative of these
-    (N=10 and N=3 a_h at h=40, N=9 polyexp:0.7,-0.2;d=0.3, every march
-    beta > 0), not equal to them. Every shoot here runs on `_stepper.solve`.
+    {3, 6, 9, 10, 12}, const, a_h and polyexp weights and beta in {-5, -2,
+    0.25, 0.5, 0.7, 1, 2, 10, 25, 40}, v(1) and e(1) stay within 8.0e-12
+    and 3.9e-12 of a shoot in r alone at rtol 1e-13. With const, over beta
+    in [-1, 60] by 0.5 at the same N, they stay within 3.8e-13 and 2.9e-13
+    of a shoot at rtol 1e-13, where shooting each beta on its own was up to
+    9.7e-12 and 6.8e-13 off. `trace_lanes` runs the log-r phases of many
+    such shoots as lanes of `_stepper.solve_lanes`, as a march does at
+    beta > 0 with a weight, so that such a shoot makes no `solve` call
+    after its series: their v(1) and e(1) are within 3.2e-14 relative of
+    these (N=10 and N=3 a_h at h=40, N=9 polyexp:0.7,-0.2;d=0.3, every
+    march beta > 0), not equal to them. Every shoot here runs on
+    `_stepper.solve`.
     A trace shoot computes its state at r = 1, and with it lambda, alpha
     and dlambda/dbeta, at once; its profile and variation profile, the
     series' states below r0 and those of the steps beyond, it builds on the
@@ -1046,11 +1024,12 @@ def hermite_values(cfg: ProblemConfig, profile: RadialProfile, r) -> np.ndarray:
     its nodes, from v' and the ODE's v'', v''' and v'''' (`_jets`) by the chain
     rule: v_s = r v', v_ss = r v' + r^2 v'', v_sss = r v' + 3 r^2 v'' +
     r^3 v''' and v_ssss = r v' + 7 r^2 v'' + 6 r^3 v''' + r^4 v''''.
-    Past the boundary layer a trace shoot steps in log r (`_trace_shoots`),
-    by up to 0.27 near r = 0.9 at N=3 with a polyexp weight, where degree-7
-    Hermite is off by up to 9.5e-9 in r and 1.3e-10 in log r.
+    Beyond its series' radius a trace shoot steps in log r
+    (`_trace_shoots`), by up to 0.27 near r = 0.9 at N=3 with a polyexp
+    weight, where degree-7 Hermite is off by up to 9.5e-9 in r and 1.3e-10
+    in log r.
     On a trace=True shoot this agrees with a shoot that lands on r to
-    within 1.8e-11 relative to max(1, |v|) (N in {3, 7, 10, 12}, const, a_h
+    within 1.81e-11 relative to max(1, |v|) (N in {3, 7, 10, 12}, const, a_h
     at h = 40 and 5.7832 and polyexp weights, 15 beta in [-2, 40], 300
     geometric radii each), which is the two shoots' own difference at the
     nodes (N=3, a_40, beta=40); on the const profiles read off the Emden
@@ -1118,8 +1097,7 @@ def integrate_singular(cfg: ProblemConfig, radii=None):
     radii_arr, nodes = _output_radii(cfg, radii)
     states, at_one = _grid_states(cfg, radii_arr, nodes,
                                   lambda anchors: _integrate(cfg, fun, series.r0, series.start,
-                                                             anchors, _SERIES_FIRST_STEP),
-                                  series, one=True)
+                                                             anchors), series, one=True)
     lam_star = math.exp(float(at_one[0]))
     return lam_star, RadialProfile(radii_arr, states[:, 0], states[:, 1])
 

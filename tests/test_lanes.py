@@ -90,7 +90,7 @@ def test_lanes_take_the_steps_of_scalar_solves(march_betas, case):
     cfg = _cfg(*case)
     fun = radial_ode._rhs_ve_log(cfg)
     starts = [log for b in march_betas[case]
-              if (log := radial_ode._trace_head(cfg, radial_ode._series(cfg, b))[2])]
+              if (log := radial_ode._log_start(radial_ode._series(cfg, b)))]
     s0 = [s for s, _ in starts]
     lanes = _stepper.solve_lanes(fun, s0, np.transpose([y for _, y in starts]), np.zeros(len(s0)),
                                  cfg.rel_tol, cfg.abs_tol)
@@ -117,7 +117,7 @@ def test_a_lane_does_not_depend_on_its_batch(march_betas, case):
     cfg = _cfg(*case)
     fun = radial_ode._rhs_ve_log(cfg)
     starts = [log for b in march_betas[case]
-              if (log := radial_ode._trace_head(cfg, radial_ode._series(cfg, b))[2])]
+              if (log := radial_ode._log_start(radial_ode._series(cfg, b)))]
     s0, y0 = np.array([s for s, _ in starts]), np.transpose([y for _, y in starts])
     batch = _stepper.solve_lanes(fun, s0, y0, np.zeros(len(s0)), cfg.rel_tol, cfg.abs_tol)
     for i in [*range(0, len(s0), 16), len(s0) - 1]:
@@ -125,6 +125,26 @@ def test_a_lane_does_not_depend_on_its_batch(march_betas, case):
                                       cfg.rel_tol, cfg.abs_tol)
         assert np.array_equal(alone.xs, batch[i].xs) and np.array_equal(alone.ys, batch[i].ys)
         assert alone.attempts == batch[i].attempts
+
+
+@pytest.mark.parametrize("case", [(10, "ah:h=40"), (3, "ah:h=40")])
+def test_a_weighted_shoot_at_positive_beta_runs_wholly_in_its_lane(monkeypatch, case):
+    # after its series, a weighted trace shoot at beta > 0 makes no `solve`
+    # call: over the grid betas > 0 of a march on [-5, 40] by 0.25 every
+    # one steps in log r from its series' radius in a lane
+    cfg = _cfg(*case)
+    betas = [0.25 * k for k in range(1, 161)]
+    calls, real = [], _stepper.solve
+
+    def counting(fun, x0, *args, **kw):
+        calls.append(x0)
+        return real(fun, x0, *args, **kw)
+
+    monkeypatch.setattr(_stepper, "solve", counting)
+    sizes = _batch_sizes(monkeypatch)
+    shots = radial_ode.trace_lanes(cfg, betas)
+    assert calls == [] and sizes == [160]
+    assert all(shot.profile.radii[-1] == 1.0 for shot in shots)
 
 
 def _growth():
@@ -196,7 +216,7 @@ def test_a_weight_that_turns_nonpositive_fails_only_the_lanes_that_reach_it():
     # before go on. The last step it accepted ends within 1e-4 of solve's
     cfg = ProblemConfig(dim=5, weight=Weight(spec="polyexp:-1.2;d=0", coeffs=(-1.2,), tilt=0.0))
     fun = radial_ode._rhs_ve_log(cfg)
-    s0, y0 = radial_ode._trace_head(cfg, radial_ode._series(cfg, 6.0))[2]
+    s0, y0 = radial_ode._log_start(radial_ode._series(cfg, 6.0))
     ends = np.log([0.8, 1.0, 0.9])
     lanes = _stepper.solve_lanes(fun, [s0] * 3, np.transpose([y0] * 3), ends,
                                  cfg.rel_tol, cfg.abs_tol)
@@ -337,8 +357,9 @@ SCALAR_SHOOTS = {
                            "65a116dbece073a273dcbabd4b74ef820f18a80c2bd8217814154ecc5b794ae9", 85),
     (10, "ah:h=40", 40.0): ("0x1.8b90bfbe8e32cp-1", "0x1.933bea742579bp-102",
                             "121456058db4e1c25e64cce07159f9b23203c6fd081a9e696a5c955515c49f48", 78),
-    (3, "ah:h=40", -2.0): ("-0x1.4ff712198822ap+2", "-0x1.1391299257130p-9",
-                           "756726f2d1896a44660eb82841a381037994a7d59213960de7a14b933d9c661a", 89),
+    # recorded once the shoot stepped in log r from its series' radius
+    (3, "ah:h=40", -2.0): ("-0x1.4ff712198881bp+2", "-0x1.13912992537acp-9",
+                           "3fa2824f5200f16856d0177f757326c4f27afab2219d9fb5e72a957e1cdc891f", 92),
     (3, "ah:h=40", 17.3): ("-0x1.7de66ea016aaap+2", "-0x1.332b7beaaba35p-17",
                            "7220ab839ba737524e65703ce557167f63a6b95ddc860b9236836ebb535715aa", 73),
     (9, "polyexp:0.7,-0.2;d=0.3", 0.5): (
@@ -389,14 +410,18 @@ PINNED_MARCHES = {
                    "f280cbbb152cd18a60e00b81ee85d0eb90094407d4c9394e65573085f07becf5", 188, 8),
     (10, "ah:h=0"): ("e0fb5b100687272fff5f3c32076ba27b2d802c5d5d6d5e8c63445f2cca9d313f",
                      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 181, 0),
-    (10, "ah:h=40"): ("921044a3e1483cf112b4a005e9d12d4529eca471efc93c7693dd77e9077cdbb0",
+    # samples recorded once every weighted trace shoot stepped in log r
+    # from its series' radius; the folds are those recorded before
+    (10, "ah:h=40"): ("2127a28724a77ed7ce2318d01bde741f0cc2c8277855efb185307e09dba3c0d4",
                       "a76eb18745077d1d442b1135ea549fde3f706202ab4a0d017e701e64eebaf118", 181, 2),
 }
 
 # sha256 of `gelfand trace --dim 10 --weight ah:h=40 --beta-min -5
 # --beta-max 40 --out curve.csv --svg curve.svg`'s two files, recorded so
+# (the CSV once every weighted trace shoot stepped in log r from its
+# series' radius)
 PINNED_TRACE_FILES = {
-    "curve.csv": "2f2eba451c42b4a6159cb8aa979e5447768671f7ee4c9e832a2e5a8498c0711e",
+    "curve.csv": "0dfc5aab5609f9807d79e065265535bc0eaa597d0db226484ad72ea57e9facf4",
     "curve.svg": "76992d3c9d6d86d906fcc17850cdf18bed333b77682f1f34aaabe1d525c3a4b0",
 }
 

@@ -1,3 +1,4 @@
+import builtins
 import math
 import random
 import warnings
@@ -246,16 +247,19 @@ SWITCH_CASES = [(dim, spec) for dim in (3, 6, 9, 10, 12)
 
 @pytest.mark.parametrize("dim, spec", SWITCH_CASES)
 def test_switched_trace_shoot_matches_a_tight_shoot_in_r(dim, spec):
-    # past rho = e^{beta/2} r = 1 a trace shoot steps in log r, and with
-    # const it reads the Emden trajectory; its v(1) and e(1) against a shoot
-    # in r alone at rtol 1e-13 from the same series start. At N=3, beta =
-    # 0.7 puts r = 1 just past rho0 = 1.34, and 60, the guard's end, is the
-    # trajectory's last step. A weighted shoot at 60 holds v, near 60 past
-    # the layer, only to 60 rtol: at N=3 its v(1) is 1.6e-11 off with
-    # polyexp, past this bound, and 9.7e-12 with a_40
+    # from its series' radius r0 on a trace shoot steps in log r, and with
+    # const at beta > 0 it reads the Emden trajectory; its v(1) and e(1)
+    # against a shoot in r alone at rtol 1e-13 from the same series start.
+    # At -2, 0.25 and 1 a weighted shoot's rho0 = e^{beta/2} r0 can lie
+    # below 1, within the layer.
+    # At N=3, beta = 0.7 puts r = 1 just past rho0 = 1.34, and 60, the
+    # guard's end, is the trajectory's last step. A weighted shoot at 60
+    # holds v, near 60 past the layer, only to 60 rtol: at N=3 its v(1) is
+    # 1.6e-11 off with polyexp, past this bound, and 9.7e-12 with a_40
     cfg = ProblemConfig(dim=dim, weight=parse_weight(spec, dim))
     tight = replace(cfg, rel_tol=1e-13, abs_tol=1e-13)
-    betas = (-5.0, 0.5, 0.7, 2.0, 10.0, 25.0, 40.0) + ((60.0,) if spec == "const" else ())
+    betas = ((-5.0, -2.0, 0.25, 0.5, 0.7, 1.0, 2.0, 10.0, 25.0, 40.0)
+             + ((60.0,) if spec == "const" else ()))
     for beta in betas:
         ref = _run(tight, beta, [1.0])[0][0]
         sh = integrate_ivp(cfg, beta, trace=True)
@@ -368,6 +372,29 @@ def test_flat_series_terms_are_built_once(dim):
             assert series.r0 == min(1.0, math.sqrt(tau0 / series.sigma))
 
 
+def _compensated_sum(iterable, start=0):
+    """sum() as Python 3.12 and later add floats: compensated (fsum)."""
+    return math.fsum((start, *iterable))
+
+
+@pytest.mark.parametrize("dim, spec", [(9, "polyexp:0.7,-0.2;d=0.3"),
+                                       (7, "polyexp:0.5,0.25,-0.1;d=0")])
+def test_series_keep_their_bits_under_a_compensated_sum(dim, spec, monkeypatch):
+    # the weight series and the singular series add their products left to
+    # right (`_dot`), not by sum(), which compensates float sums from
+    # Python 3.12 on: with such a sum() both keep every bit (the caches
+    # bypassed)
+    cfg = ProblemConfig(dim=dim, weight=parse_weight(spec, dim))
+
+    def bits():
+        alpha = radial_ode._weight_series.__wrapped__(cfg.weight)
+        return [a.hex() for a in alpha], radial_ode._SingularSeries(cfg).terms.tobytes()
+
+    plain = bits()
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    assert bits() == plain
+
+
 @pytest.mark.parametrize("dim", [3, 10])
 def test_emden_trajectory_is_built_once(dim):
     # const and a_0 trace shoots whose series stops short of r = 1 read one
@@ -401,19 +428,19 @@ def test_emden_trajectory_is_built_once(dim):
 
 
 # (beta, state sizes of its solve calls) of a trace shoot: none where the
-# series reaches r = 1; in r from r0 to r = 1 (beta <= 0), or to rho =
-# e^{beta/2} r = 1 and then in log r; in log r only where rho0 = e^{beta/2}
-# r0 lies beyond 1 (1.87 at N=10, a_40 and beta = 3). With const (rho0 =
-# 1.34 at N=3) it makes one solve of (z, z_t) off the Emden trajectory
-SWITCH_SOLVES = {(3, "const"): [(-5.0, []), (1.0, [2])],
-                 (10, "ah:h=40"): [(-1.0, [4]), (0.5, [4, 4]), (3.0, [4])]}
+# series reaches r = 1; with a weight, one in log r from its radius r0 to
+# r = 1, whether rho0 = e^{beta/2} r0 lies below 1 (beta = -1 and 0.5 at
+# N=10, a_40) or beyond it (1.87 at beta = 3). With const (rho0 = 1.34 at
+# N=3) it makes one solve of (z, z_t) off the Emden trajectory
+LOG_SOLVES = {(3, "const"): [(-5.0, []), (1.0, [2])],
+              (10, "ah:h=40"): [(-1.0, [4]), (0.5, [4]), (3.0, [4])]}
 
 
-@pytest.mark.parametrize("dim, spec", sorted(SWITCH_SOLVES))
-def test_trace_shoot_switches_to_log_r_only_for_positive_beta(dim, spec, monkeypatch):
+@pytest.mark.parametrize("dim, spec", sorted(LOG_SOLVES))
+def test_trace_shoot_steps_in_log_r_from_its_series_radius(dim, spec, monkeypatch):
     # a trace shoot's profile holds the series' own states from r_start up
-    # to its radius r0, at a ratio of at most 1.15, and the accepted steps
-    # of one solve in r up to rho = 1 and one in log r beyond
+    # to its radius r0, at a ratio of at most 1.15, and with a weight the
+    # accepted steps of one solve in log r from r0 to r = 1
     cfg = ProblemConfig(dim=dim, weight=parse_weight(spec, dim))
     radial_ode._emden_trajectory(dim, cfg.rel_tol, cfg.abs_tol)  # built once per dimension
     sizes, real = [], _stepper.solve
@@ -423,7 +450,7 @@ def test_trace_shoot_switches_to_log_r_only_for_positive_beta(dim, spec, monkeyp
         return real(fun, x0, y0, *args, **kw)
 
     monkeypatch.setattr(_stepper, "solve", counting)
-    for beta, solves in SWITCH_SOLVES[dim, spec]:
+    for beta, solves in LOG_SOLVES[dim, spec]:
         sizes.clear()
         sh = integrate_ivp(cfg, beta, trace=True)
         assert sizes == solves, beta
@@ -435,13 +462,16 @@ def test_trace_shoot_switches_to_log_r_only_for_positive_beta(dim, spec, monkeyp
         assert radii[0] == cfg.r_start and radii[head][-1] == series.r0
         assert np.all(radii[head][1:] <= 1.15 * (1.0 + 1e-12) * radii[head][:-1])
         assert np.array_equal(states[head], series.states(radii[head]))
-        if beta <= 0.0 and solves:
-            # one solve in r to r = 1: the steps of a shoot in r from r0
-            sizes.clear()
-            _, xs, ys = _run(cfg, beta, [1.0])
-            assert sizes == [4]
-            assert np.array_equal(radii[~head], xs[1:])
-            assert np.array_equal(states[~head], ys[1:])
+        if spec != "const":
+            # the steps of one solve in log r from the series' state at r0
+            s0, y0 = radial_ode._log_start(series)
+            assert s0 == math.log(series.r0)
+            _, ss, ws = real(radial_ode._rhs_ve_log(cfg), s0, y0, [0.0], cfg.rel_tol,
+                             cfg.abs_tol, collect=True)
+            r, ws = np.array([math.exp(s) for s in ss[1:]]), np.array(ws[1:])
+            assert np.array_equal(radii[~head], r) and radii[-1] == 1.0
+            assert np.array_equal(states[~head], np.column_stack(
+                (ws[:, 0], ws[:, 1] / r, ws[:, 2], ws[:, 3] / r)))
 
 
 HERMITE_CASES = [(3, "const"), (3, "polyexp:0.7,-0.2;d=0.3"), (7, "polyexp:0.7,-0.2;d=0.3"),
