@@ -99,15 +99,19 @@ Its stage (``fun.lanes()``, ``_lane_functions``) is compiled, on first
 use, from the same `Rhs` lines, rewritten for arrays, with numpy's ufuncs
 in place of math's functions; ``fun.lanes()`` refuses, with a
 ValueError, a right-hand side that calls anything else, such as the
-Pruefer phase with its ``smooth_at``, ``sin`` and ``cos``. An iteration
-costs about as much as 35 scalar attempts whatever the number of lanes,
-so lanes pay only in bulk.
+Pruefer phase with its ``smooth_at``, ``sin`` and ``cos``. What depends
+on the abscissa alone (with a weight: r, a(r) and its positivity check,
+and r^2 a) the stage evaluates once per attempt, on the twelve abscissae
+of its right-hand-side calls at once, and the other lines at each call;
+its results, and the lanes and messages of a failure, are bit-identical
+to those of evaluating every line at every call, which
+``tests/test_lanes.py`` keeps as the reference.
 Lanes serve one caller, ``radial_ode.trace_lanes``: the log-r phases of
 a march's weighted shoots at beta > 0, a batch for the march's grid and
 one for each round of the midpoints it bisects. At N=10, a_h at h=40 on
 [-5, 40] by 0.25 that is one batch of 160 lanes, 17 923 attempts in 162
-iterations, and the 160 scalar solves take about three times as long (2.8
-to 3.4 times over the three marches named below). The Taylor series of
+iterations, and the 160 scalar solves take about four times as long (3.6
+to 4.2 times over the three marches named below). The Taylor series of
 such a batch come from one recurrence on numpy arrays, an entry per beta
 (``radial_ode._Series.lanes``): the scalar recurrence's own lines, and
 bit-identical to it only while each of its sums adds left to right, as
@@ -137,6 +141,7 @@ places folds (``refine_fold``) and Pruefer eigenvalues (``morse_index``).
 from __future__ import annotations
 
 import ast
+import copy
 import math
 from functools import cache
 from math import copysign, sqrt
@@ -577,37 +582,56 @@ def _generic_stage(n):
 _UFUNCS = {math.exp: np.exp, math.expm1: np.expm1}
 
 
-def _lane_body(rhs: Rhs):
-    """rhs.body for lanes, where its names hold arrays: `a if c else b`
-    becomes where(c, a, b), and `if c: raise E(...)` raises _LaneFailure
-    for the lanes where c holds, each with the E(...) of its own values."""
-    tree = ast.parse("\n".join(rhs.body))
-    lanes = {rhs.x, *rhs.state, *(target.id for node in ast.walk(tree)
-                                   if isinstance(node, ast.Assign)
-                                   for target in node.targets if isinstance(target, ast.Name))}
+def _names(node):
+    """(the names that the syntax tree `node` reads, those that it assigns)."""
+    names = [n for n in ast.walk(node) if isinstance(n, ast.Name)]
+    return ({n.id for n in names if isinstance(n.ctx, ast.Load)},
+            {n.id for n in names if not isinstance(n.ctx, ast.Load)})
 
-    class OneLane(ast.NodeTransformer):
-        def visit_Name(self, node):  # the lane i_0's value
-            if node.id not in lanes:
-                return node
-            return ast.Subscript(node, ast.Name("i_0", ast.Load()), ast.Load())
 
-    class Lanes(ast.NodeTransformer):
-        def visit_IfExp(self, node):
-            self.generic_visit(node)
-            return ast.Call(ast.Name("where", ast.Load()), [node.test, node.body, node.orelse], [])
+class _ForLanes(ast.NodeTransformer):
+    """Statements for lanes, where the names in `lanes` hold arrays: `a if c
+    else b` becomes where(c, a, b), and `if c: raise E(...)` raises
+    _LaneFailure for the lanes where c holds, each with the E(...) of its
+    own values. With rows=True the names hold a row per abscissa of the
+    lane stage, and the raise only keeps, as row_0 and failure_0, the first
+    row where c holds in a lane and the _LaneFailure of that row, unless a
+    raise before it kept a row as early: the stage raises it there."""
 
-        def visit_If(self, node):
-            if node.orelse or len(node.body) != 1 or not isinstance(node.body[0], ast.Raise):
-                raise ValueError("in lanes, an if statement may only guard a raise")
-            self.generic_visit(node)
-            error = ast.unparse(OneLane().visit(node.body[0].exc))
-            return ast.parse(f"fail_0 = {ast.unparse(node.test)}\n"
-                             "if fail_0.any():\n"
-                             "    raise LaneFailure(fail_0,"
-                             f" [{error} for i_0 in flatnonzero(fail_0)])").body
+    def __init__(self, lanes, rows=False):
+        self.lanes, self.rows = lanes, rows
 
-    return ast.unparse(ast.fix_missing_locations(Lanes().visit(tree))).splitlines()
+    def visit_IfExp(self, node):
+        self.generic_visit(node)
+        return ast.Call(ast.Name("where", ast.Load()), [node.test, node.body, node.orelse], [])
+
+    def visit_If(self, node):
+        if node.orelse or len(node.body) != 1 or not isinstance(node.body[0], ast.Raise):
+            raise ValueError("in lanes, an if statement may only guard a raise")
+        self.generic_visit(node)
+        at = ast.parse("fail_1, i_0" if self.rows else "i_0", mode="eval").body
+        lanes = self.lanes
+
+        class OneLane(ast.NodeTransformer):
+            def visit_Name(self, name):  # the lane i_0's value (in the row fail_1)
+                return ast.Subscript(name, at, ast.Load()) if name.id in lanes else name
+
+        failure = (f"LaneFailure(fail_0, [{ast.unparse(OneLane().visit(node.body[0].exc))}"
+                   " for i_0 in flatnonzero(fail_0)])")
+        lines = [f"fail_0 = {ast.unparse(node.test)}", "if fail_0.any():"]
+        if self.rows:
+            lines += ["    fail_1 = fail_0.any(1).argmax()", "    if fail_1 < row_0:",
+                      "        fail_0 = fail_0[fail_1]",
+                      f"        row_0, failure_0 = fail_1, {failure}"]
+        else:
+            lines.append(f"    raise {failure}")
+        return ast.parse("\n".join(lines)).body
+
+
+def _lane_lines(statements, lanes, rows=False):
+    """The syntax trees `statements`, rewritten by `_ForLanes` on a copy, as lines."""
+    tree = _ForLanes(lanes, rows).visit(ast.Module(copy.deepcopy(statements), []))
+    return ast.unparse(ast.fix_missing_locations(tree)).splitlines()
 
 
 def _outside_raise(tree):
@@ -625,11 +649,27 @@ def _lane_functions(rhs: Rhs, namespace: dict, name: str):
     per state component, and returns the rows of the derivative;
     stage(args, x, h, x_new, y, k1, rtol, atol) is one DOP853 step attempt
     in every lane, returning (y_new, k13, err) with err an array. Both run
-    `rhs`'s own lines, rewritten for arrays by `_lane_body`, with numpy's
+    `rhs`'s own lines, rewritten for arrays by `_ForLanes`, with numpy's
     ufuncs in place of math's functions (`_UFUNCS`); the stage forms the
     sums and products of `_stage_function` in the same order, on all the
-    components of a stage at once. Besides the names of `namespace`, they
-    read where, array, maximum, sqrt, flatnonzero and LaneFailure.
+    components of a stage at once.
+
+    The stage evaluates what depends on the abscissa alone once per
+    attempt (`head`), on twelve rows of abscissae: x + c_s h for s = 2,
+    ..., 12, then x_new. That is the head of rhs.body, its longest prefix
+    of statements that read only rhs.x, rhs.params, the names of
+    `namespace` and what the head assigns before them and that assign no
+    state or param, and each maximal subexpression of the other lines and
+    of rhs.out that reads only such names, none of them assigned in those
+    lines and one at least depending on rhs.x (raise statements apart).
+    Each of the twelve right-hand-side calls (`tail`) reads its own row of
+    these and runs the other lines as rhs does. A raise of the head fires
+    at the first stage where it holds in some lane, for the lanes where it
+    holds there. Every element sees rhs's operations in rhs's order, so the
+    stage's results, and the lanes and messages of a failure, are
+    bit-identical to those of twelve calls of rhs. Besides the names of
+    `namespace`, the functions read where, array, maximum, sqrt,
+    concatenate, flatnonzero, LaneFailure, C_0 and head and tail.
 
     Raises ValueError, naming the right-hand side, where its lines call
     anything but a function of `namespace` with a ufunc in `_UFUNCS` (a
@@ -641,25 +681,88 @@ def _lane_functions(rhs: Rhs, namespace: dict, name: str):
         return (isinstance(func, ast.Name) and func.id not in rhs.params
                 and namespace.get(func.id) in _UFUNCS)
 
-    tree = ast.parse("\n".join((*rhs.body, *rhs.out)))
-    calls = [ast.unparse(node) for node in _outside_raise(tree)
+    body = ast.parse("\n".join(rhs.body)).body
+    out = [ast.parse(e, mode="eval").body for e in rhs.out]
+    calls = [ast.unparse(node) for tree in (*body, *out) for node in _outside_raise(tree)
              if isinstance(node, ast.Call) and not ufunc(node.func)]
     if calls:
         raise ValueError(f"the {name} right-hand side cannot run in lanes: it calls "
                          f"{', '.join(calls)}, which have no numpy ufunc")
+    # the head, as lines on rows: the names that it binds, those of them
+    # that hold a row per abscissa; any other name that a line reads and
+    # no line assigns is a param or a global
+    local = {*rhs.state, *_names(ast.Module(body, []))[1]}
+    head, count, bound, varying = [], 0, {rhs.x}, {rhs.x}
+    for statement in body:
+        reads, writes = _names(statement)
+        if reads & (local - bound) or writes & {*rhs.state, *rhs.params}:
+            break
+        head += _lane_lines([statement], varying, rows=True)
+        count += 1
+        bound |= writes
+        varying = varying - writes | (writes if reads & varying else set())
+    rest = copy.deepcopy(body[count:])
+    assigned = {*rhs.state, *_names(ast.Module(rest, []))[1]}
+    hoisted = {}  # the source of each subexpression hoisted into the head: its name
+
+    class Hoist(ast.NodeTransformer):
+        def visit_Raise(self, node):
+            return node
+
+        def visit(self, node):
+            reads = _names(node)[0]
+            if (isinstance(node, ast.expr) and not isinstance(node, ast.Name)
+                    and not reads & assigned and reads & varying):
+                fixed_name = hoisted.setdefault(ast.unparse(node), f"fixed{len(hoisted)}_0")
+                return ast.Name(fixed_name, ast.Load())
+            return super().visit(node)
+
+    rest = [Hoist().visit(statement) for statement in rest]
+    out = [Hoist().visit(e) for e in out]
+    for source, fixed_name in hoisted.items():
+        head += _lane_lines(ast.parse(f"{fixed_name} = {source}").body, varying, rows=True)
+    varying |= set(hoisted.values())
+    # what the other lines read of the head, in{j}_0 on the stage's side
+    inputs = sorted(set().union(*(_names(tree)[0] for tree in (*rest, *out)))
+                    & {*bound, *hoisted.values()})
+    ins = [f"in{j}_0" for j in range(len(inputs))]
+
+    def call(row, state):  # (the check, the call) of a stage's right-hand side at a row
+        values = [f"{i}[{row}]" if v in varying else i for i, v in zip(ins, inputs)]
+        return ([f"    if row_0 == {row}:", "        raise failure_0"],
+                f"tail(args, {_unpack(values)}{state})")
+
     n = len(rhs.state)
     lines = ["def rhs(args, x_0, y_0):",
              *_unpack_args(rhs),
              f"    {rhs.x} = x_0",
              f"    {_unpack(rhs.state)}= y_0",
-             *(f"    {line}" for line in _lane_body(rhs)),
+             *(f"    {line}" for line in _lane_lines(body, {rhs.x, *local})),
              f"    return array([{', '.join(rhs.out)}])",
              "",
-             "def stage(args, x, h, x_new, y, k1, rtol, atol):"]
-    lines += [f"    k{s} = rhs(args, x + {_C[s]!r} * h, y + h * ({_combo(row)}))"
-              for s, row in _A.items()]
+             "def head(args, x_0):",
+             *_unpack_args(rhs),
+             f"    {rhs.x} = x_0",
+             f"    row_0, failure_0 = {len(_C) + 1}, None",
+             *(f"    {line}" for line in head),
+             f"    return row_0, failure_0, {_unpack(inputs)}",
+             "",
+             f"def tail(args, {_unpack(inputs)}y_0):",
+             *_unpack_args(rhs),
+             f"    {_unpack(rhs.state)}= y_0",
+             *(f"    {line}" for line in _lane_lines(rest, assigned | varying & {*inputs})),
+             f"    return array([{', '.join(map(ast.unparse, out))}])",
+             "",
+             "def stage(args, x, h, x_new, y, k1, rtol, atol):",
+             f"    row_0, failure_0, {_unpack(ins)}= head(args, concatenate((x + C_0 * h,"
+             " x_new[None])))"]
+    for s, row in _A.items():
+        check, k = call(s - 2, f"y + h * ({_combo(row)})")
+        lines += [*check, f"    k{s} = {k}"]
+    check, k = call(len(_C), "y_new")
     lines += [f"    y_new = y + h * ({_combo(_B)})",
-              "    k13 = rhs(args, x_new, y_new)",
+              *check,
+              f"    k13 = {k}",
               "    s_0 = atol + rtol * maximum(abs(y), abs(y_new))",
               f"    e5 = ({_combo(_E5)}) / s_0",
               f"    e3 = ({_combo(_E3)}) / s_0",
@@ -673,6 +776,7 @@ def _lane_functions(rhs: Rhs, namespace: dict, name: str):
     ns = {name_: _UFUNCS.get(value, value) if callable(value) else value
           for name_, value in namespace.items()}
     ns.update(where=np.where, array=np.array, maximum=np.maximum, sqrt=np.sqrt,
-              flatnonzero=np.flatnonzero, LaneFailure=_LaneFailure)
+              concatenate=np.concatenate, flatnonzero=np.flatnonzero, LaneFailure=_LaneFailure,
+              C_0=np.array([[c] for c in _C.values()]))
     exec(compile("\n".join(lines), f"<DOP853 lanes, {name}>", "exec"), ns)
     return ns["rhs"], ns["stage"]

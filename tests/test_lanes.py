@@ -7,14 +7,24 @@ to ``solve`` (numpy's exp rounds apart from math.exp), so they are held to
 ``solve``'s step counts and to 1e-13 in the end states, and a lane must not
 depend on the batch it runs in. A trace shoot outside the lanes
 (``integrate_ivp``) runs the scalar path unchanged, bit for bit.
+
+``_reference_lane_stage`` below is the lane stage as a loop that calls the
+lane right-hand side once per stage at x + c h, over the nonzero
+coefficients of scipy's ``dop853_coefficients``. The compiled lane stage,
+which evaluates the abscissa's part of the right-hand side once per
+attempt, must give its results, NaNs and failures included, with ``==``;
+both run in one process, so this holds on any numpy build.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import operator
 
 import numpy as np
 import pytest
+from scipy.integrate._ivp import dop853_coefficients as dop
 
 import gelfand.bifurcation as bif
 import gelfand.cli as cli
@@ -232,7 +242,7 @@ def test_a_weight_that_turns_nonpositive_fails_only_the_lanes_that_reach_it():
 def test_a_right_hand_side_without_params_compiles():
     # y' = -y binds no parameter: solve (on its fused stage) and
     # solve_lanes both give e^{-x}
-    fun = _stepper.compile_rhs(_stepper.Rhs("x", ("y",), (), (), ("-y",)), {}, "decay")()
+    fun = _decay()()
     assert fun.stage_args == ()
     ends = [0.5, 1.0, 3.0]
     states = _stepper.solve(fun, 0.0, [1.0], ends, 1e-10, 1e-12)
@@ -247,6 +257,178 @@ def test_lanes_need_an_if_only_around_a_raise():
     fun = _stepper.compile_rhs(rhs, {}, "guarded")(0.0)
     with pytest.raises(ValueError, match="only guard a raise"):
         fun.lanes()
+
+
+# ------------------------------------------------------ the reference stage
+
+# 0-based as in scipy: stage s (k_s = ks[s]) runs at x + C[s] h on the
+# nonzero A[s, j]
+_ROWS = [(float(dop.C[s]), [(j, float(dop.A[s, j])) for j in range(s) if dop.A[s, j]])
+         for s in range(1, dop.N_STAGES)]
+_B, _E5, _E3 = ([(j, float(c)) for j, c in enumerate(coeffs[:dop.N_STAGES]) if c]
+                for coeffs in (dop.B, dop.E5, dop.E3))
+
+
+def _combo(coeffs, ks):
+    """sum of c ks[j] over the (j, c) of coeffs, from left to right."""
+    (j, c), *rest = coeffs
+    total = c * ks[j]
+    for j, c in rest:
+        total = total + c * ks[j]
+    return total
+
+
+def _reference_lane_stage(rhs, args, x, h, x_new, y, k1, rtol, atol):
+    """One step attempt in every lane, the lane right-hand side rhs called
+    at each stage's abscissa: (y_new, k13, err) as the lane stage returns."""
+    ks = [k1]
+    for c, row in _ROWS:
+        ks.append(rhs(args, x + c * h, y + h * _combo(row, ks)))
+    y_new = y + h * _combo(_B, ks)
+    k13 = rhs(args, x_new, y_new)
+    scale = atol + rtol * np.maximum(abs(y), abs(y_new))
+    e5, e3 = (_combo(coeffs, ks) / scale for coeffs in (_E5, _E3))
+    e5, e3 = e5 * e5, e3 * e3
+    e5, e3 = (functools.reduce(operator.add, e) for e in (e5, e3))
+    err = h * e5 / np.sqrt((e5 + 0.01 * e3) * len(y))
+    err[e5 == 0.0] = 0.0
+    return y_new, k13, err
+
+
+def _attempt(stage, *args):
+    """What a stage gives for one attempt: its results, or the lanes and
+    messages of the failure that it raises."""
+    with np.errstate(all="ignore"):
+        try:
+            return stage(*args)
+        except _stepper._LaneFailure as exc:
+            return exc.mask, [f"{type(e).__name__}: {e}" for e in exc.errors]
+
+
+def _same(a, b):
+    """== on the results of `_attempt`, NaN equal to NaN."""
+    return len(a) == len(b) and all(
+        x == y if isinstance(x, list) else np.array_equal(x, y, equal_nan=True)
+        for x, y in zip(a, b))
+
+
+def _decay():
+    """y' = -y as a compiled right-hand side of no params: make()."""
+    return _stepper.compile_rhs(_stepper.Rhs("x", ("y",), (), (), ("-y",)), {}, "decay")
+
+
+def _capped():
+    """y' = c y^2 raising ValueError where x exceeds its cap, a raise that
+    reads the abscissa alone, and then where y exceeds its own, one that
+    reads the state: make(c, xcap, ycap)."""
+    rhs = _stepper.Rhs("x", ("y",), ("c", "xcap", "ycap"),
+                       ("if x > xcap:", "    raise ValueError(f'x={x} beyond {xcap}')",
+                        "if y > ycap:", "    raise ValueError(f'y={y} beyond {ycap} at x={x}')"),
+                       ("c * y * y",))
+    return _stepper.compile_rhs(rhs, {}, "capped")
+
+
+# (right-hand side, number of weight coefficients, tilted) of the reference
+# checks; growth, capped and decay read no weight
+STAGE_CASES = [(kind, k, tilted) for kind in ("ve", "ve_log") for k in (0, 1, 2)
+               for tilted in (False, True)] + [(kind, 0, False)
+                                               for kind in ("growth", "capped", "decay")]
+
+
+def _random_rhs(kind, k, tilted, rng):
+    """(fun, the range of its abscissae) for a case of STAGE_CASES, its
+    params drawn from rng: weights that may turn nonpositive, caps that
+    may be infinite."""
+    if kind in ("ve", "ve_log"):
+        coeffs, tilt = rng.uniform(-1.0, 2.0, k), rng.uniform(-1.0, 2.0) if tilted else 0.0
+        fun = radial_ode._compiled_rhs(kind, k, tilted)(float(rng.integers(1, 11)), *coeffs,
+                                                        tilt, "random")
+        return fun, (1e-3, 1.5) if kind == "ve" else (-8.0, 1.0)
+    c, cap = rng.uniform(0.5, 2.0), rng.choice([rng.uniform(1.0, 50.0), np.inf])
+    if kind == "growth":
+        return _growth()(c, cap), (-1.0, 1.0)
+    if kind == "capped":
+        return _capped()(c, rng.uniform(1.0, 20.0), cap), (-1.0, 1.0)
+    return _decay()(), (-1.0, 1.0)
+
+
+@pytest.mark.parametrize("case", STAGE_CASES)
+def test_the_lane_stage_is_the_per_stage_reference(case):
+    # random lanes, a quarter of them with steps long enough to overflow
+    # their trial stages: the lane stage gives what calling the lane
+    # right-hand side at every stage gives, bit for bit, NaNs included.
+    # Where lanes fail (a weight turned nonpositive, y or x beyond its
+    # cap), both fail at the same stage with the same lanes and messages,
+    # and the other lanes retry the attempt, as in solve_lanes. capped's
+    # cap on y may fail a lane at a stage before its cap on x, which the
+    # lane stage checks once per attempt, fails another lane
+    kind, k, tilted = case
+    rng = np.random.default_rng(STAGE_CASES.index(case))
+    failures = overflows = 0
+    for _ in range(8):
+        fun, span = _random_rhs(kind, k, tilted, rng)
+        lane_rhs, stage = fun.lanes()
+        lanes, n = 64, 4 if kind in ("ve", "ve_log") else 1
+        x = rng.uniform(*span, lanes)
+        h = np.where(rng.random(lanes) < 0.25, rng.uniform(1.0, 60.0, lanes),
+                     rng.uniform(1e-4, 0.3, lanes))
+        y = rng.normal(0.0, 3.0, (n, lanes))
+        while True:
+            k1 = _attempt(lane_rhs, fun.stage_args, x, y)
+            if len(k1) == 2:  # the right-hand side fails at x itself
+                mask = k1[0]
+            else:
+                args = (fun.stage_args, x, h, x + h, y, k1, 1e-10, 1e-12)
+                got = _attempt(stage, *args)
+                assert _same(got, _attempt(_reference_lane_stage, lane_rhs, *args))
+                if len(got) == 3:
+                    break
+                mask, failures = got[0], failures + 1
+            x, h, y = x[~mask], h[~mask], y[:, ~mask]
+        assert len(x)
+        overflows += not all(np.isfinite(result).all() for result in got)
+    # every case overflows but decay (linear), every weight that can fails
+    assert (overflows > 0) == (kind != "decay")
+    assert (failures > 0) == (kind in ("growth", "capped") or k > 0 or tilted)
+
+
+def test_weights_that_turn_nonpositive_at_two_stages_fail_their_lanes_alone(monkeypatch):
+    # a = 1 - 1.2 r^2 turns nonpositive at s* = log sqrt(1/1.2). In one
+    # attempt of h = 0.1 the lane from s* - 0.02 passes s* at stage 5 (c =
+    # 0.28), the lane from s* - 0.05 at stage 9 (c = 0.65): the stage
+    # raises for the first lane alone, the retry for the second, each
+    # message with the r of its own stage, and the lanes that stay below
+    # s* go on. All of it as on the per-stage reference
+    cfg = ProblemConfig(dim=5, weight=Weight(spec="polyexp:-1.2;d=0", coeffs=(-1.2,), tilt=0.0))
+    fun = radial_ode._rhs_ve_log(cfg)
+    _, y0 = radial_ode._log_start(radial_ode._series(cfg, 6.0))
+    edge = np.log(np.sqrt(1.0 / 1.2))
+    x0 = np.array([edge - 0.02, edge - 0.05, -3.0, -2.0])
+    x1 = x0 + np.array([10.0, 10.0, 1.0, 1.0])
+    h = 1e-2 * (x1 - x0)
+    y = np.transpose([y0] * 4)
+    lane_rhs, stage = fun.lanes()
+    args = (fun.stage_args, x0, h, x0 + h, y, lane_rhs(fun.stage_args, x0, y),
+            cfg.rel_tol, cfg.abs_tol)
+    mask, messages = _attempt(stage, *args)
+    assert mask.tolist() == [True, False, False, False]
+    r = np.exp(x0[0] + _stepper._C[5] * h[0])
+    assert messages == [f"ValueError: weight 'polyexp:-1.2;d=0' nonpositive at r={r}"]
+    assert _same((mask, messages), _attempt(_reference_lane_stage, lane_rhs, *args))
+
+    lanes = _stepper.solve_lanes(fun, x0, y, x1, cfg.rel_tol, cfg.abs_tol)
+    monkeypatch.setattr(fun, "lanes", lambda: (lane_rhs, functools.partial(
+        _reference_lane_stage, lane_rhs)))
+    reference = _stepper.solve_lanes(fun, x0, y, x1, cfg.rel_tol, cfg.abs_tol)
+    for i, stage_c in ((0, _stepper._C[5]), (1, _stepper._C[9])):
+        assert isinstance(lanes[i], IntegrationError) and lanes[i].reached == x0[i]
+        r = np.exp(x0[i] + stage_c * h[i])
+        assert str(lanes[i]) == f"weight 'polyexp:-1.2;d=0' nonpositive at r={r}"
+        assert str(lanes[i]) == str(reference[i]) and lanes[i].reached == reference[i].reached
+    for i in (2, 3):
+        assert lanes[i].xs[-1] == x1[i] and lanes[i].attempts == reference[i].attempts
+        assert np.array_equal(lanes[i].xs, reference[i].xs)
+        assert np.array_equal(lanes[i].ys, reference[i].ys)
 
 
 # -------------------------------------------------------------- the march
