@@ -75,10 +75,11 @@ abs, max and sqrt) and, for the Pruefer phase of a numeric potential,
 its scalar interpolant ``smooth_at``. ``solve`` runs a callable on its
 own fused stage (``fun.stage``) when it has one. Any other callable (a
 test's oracle, a counting wrapper such as a benchmark tracer's) runs on
-the generic stage of its size: the same unrolled loop, calling the
-right-hand side twelve times per attempt, generated from the tableau
-(``_stage_function``) when a state of that size first needs one
-(``_generic_stage``); the list form takes about twice as long. The 93
+the generic stage of its size (``_generic_stage``), compiled when a state
+of that size first needs one: the fused stage of the `Rhs` whose one line
+calls that callable, so twelve calls per attempt. Stages come from one
+generator (``_stage_function``), and every name that they introduce ends
+in an underscore and a digit, which no `Rhs` may use. The 93
 Pruefer solves of one spectral benchmark pass (seed 3293) take 95 ms on
 their fused stage against 120 ms on the generic one (medians of 21
 alternating replays, 2-core Xeon); before ``spectral.morse_index`` seeded
@@ -99,12 +100,13 @@ Its stage (``fun.lanes()``, ``_lane_functions``) is compiled, on first
 use, from the same `Rhs` lines, rewritten for arrays, with numpy's ufuncs
 in place of math's functions; ``fun.lanes()`` refuses, with a
 ValueError, a right-hand side that calls anything else, such as the
-Pruefer phase with its ``smooth_at``, ``sin`` and ``cos``. What depends
-on the abscissa alone (with a weight: r, a(r) and its positivity check,
-and r^2 a) the stage evaluates once per attempt, on the twelve abscissae
-of its right-hand-side calls at once, and the other lines at each call;
-its results, and the lanes and messages of a failure, are bit-identical
-to those of evaluating every line at every call, which
+Pruefer phase with its ``smooth_at``, ``sin`` and ``cos``. The leading
+lines that depend on the abscissa alone (with a weight: r, a(r) and its
+positivity check, and r^2 a, each on a line of its own in
+``radial_ode``) the stage evaluates once per attempt, on the twelve
+abscissae of its right-hand-side calls at once, and the other lines at
+each call; its results, and the lanes and messages of a failure, are
+bit-identical to those of evaluating every line at every call, which
 ``tests/test_lanes.py`` keeps as the reference.
 Lanes serve one caller, ``radial_ode.trace_lanes``: the log-r phases of
 a march's weighted shoots at beta > 0, a batch for the march's grid and
@@ -230,7 +232,7 @@ def solve(fun, x0, y0, nodes, rtol, atol, first_step=None, collect=False):
     if stage is not None:
         head = fun.stage_args
     else:
-        stage, head = _generic_stage(len(y0)), fun
+        stage, head = _generic_stage(len(y0)), (fun,)
     x = x0
     y = list(y0)
     try:  # fun (here, and called or inlined in the stage) is the only source of ValueError
@@ -444,12 +446,11 @@ class Rhs(NamedTuple):
     `x` names the independent variable and `state` the components of y.
     `body` holds statements over them and over the names in `params`, which
     are bound per problem; `out` holds the derivative's components as
-    expressions over all of these. The lines must not assign the stage
-    function's own names: x, h, x_new, y, y_new, k13, e5, e3, args, rtol,
-    atol and names ending in an underscore and a digit, nor the names the
-    lane stage reads (`_lane_functions`). For lanes, an if statement may
-    only guard a raise, and its test and every component of `out` must
-    depend on the state or on x.
+    expressions over all of these. No name of it may end in an underscore
+    and a digit: every name that the functions compiled from it introduce,
+    locals and globals alike, ends so, and `compile_rhs` refuses the
+    others. For lanes, an if statement may only guard a raise, and its test
+    and every component of `out` must depend on the state or on x.
     """
 
     x: str
@@ -471,25 +472,35 @@ def compile_rhs(rhs: Rhs, namespace: dict, name: str):
     (`_lane_functions`). ``solve`` runs fun on fun.stage. The stage is
     compiled here, once for every `rhs`, and the lane functions on the
     first call of fun.lanes; make only binds the arguments.
+
+    Raises ValueError, naming them, where names of `rhs` (its abscissa,
+    state, params or any name that its lines read or assign) end in an
+    underscore and a digit.
     """
+    tree = ast.parse("\n".join((*rhs.body, *rhs.out)))  # out as expression statements
+    names = {rhs.x, *rhs.state, *rhs.params}.union(*_names(tree))
+    clash = sorted(n for n in names if n[-2:-1] == "_" and n[-1].isdigit())
+    if clash:
+        raise ValueError(f"the {name} right-hand side names {', '.join(clash)}: names that "
+                         "end in an underscore and a digit are its stage functions' own")
     ns = dict(namespace)
-    ns["stage"] = _stage_function(len(rhs.state), rhs, ns, name)
-    ns["lanes"] = cache(lambda: _lane_functions(rhs, namespace, name))
+    ns["stage_0"] = _stage_function(rhs, ns, name)
+    ns["lanes_0"] = cache(lambda: _lane_functions(rhs, namespace, name))
     params = _unpack(rhs.params)
-    lines = [f"def make({params}):",
-             f"    def fun({rhs.x}, y):",
-             f"        {_unpack(rhs.state)}= y",
+    lines = [f"def make_0({params}):",
+             f"    def fun_0({rhs.x}, y_0):",
+             f"        {_unpack(rhs.state)}= y_0",
              *(f"        {line}" for line in rhs.body),
              f"        return [{', '.join(rhs.out)}]",
-             "    fun.stage = stage",
-             f"    fun.stage_args = ({params})",
-             "    fun.lanes = lanes",
-             "    return fun"]
+             "    fun_0.stage = stage_0",
+             f"    fun_0.stage_args = ({params})",
+             "    fun_0.lanes = lanes_0",
+             "    return fun_0"]
     exec(compile("\n".join(lines), f"<{name} right-hand side>", "exec"), ns)
-    return ns["make"]
+    return ns["make_0"]
 
 
-def _combo(coeffs, suffix=""):
+def _combo(coeffs, suffix):
     """The sum of the stages k1, k2, ... weighed by the tableau's nonzero
     `coeffs`, from left to right: "c1 * k1{suffix} + c3 * k3{suffix} + ..."."""
     return " + ".join(f"{c!r} * k{j}{suffix}" for j, c in coeffs.items())
@@ -502,13 +513,15 @@ def _unpack(names):
 
 def _unpack_args(rhs: Rhs):
     """The line that binds rhs.params to a stage's args, none without params."""
-    return [f"    {_unpack(rhs.params)}= args"] if rhs.params else []
+    return [f"    {_unpack(rhs.params)}= args_0"] if rhs.params else []
 
 
-def _stage_function(n, rhs=None, namespace=None, name=None):
-    """The stage function for states of size n: one step attempt of length
-    h from (x, y) with k1 = fun(x, y), returning (y_new, k13, err) with
-    k13 = fun(x_new, y_new). It is the generic loop
+def _stage_function(rhs: Rhs, namespace: dict, name: str):
+    """The stage function stage(args, x, h, x_new, y, k1, rtol, atol) of the
+    right-hand side `rhs`, args the values of rhs.params: one step attempt
+    of length h from (x, y) with k1 = fun(x, y), returning (y_new, k13, err)
+    with k13 = fun(x_new, y_new), where fun is rhs's callable. It is the
+    generic loop, for n = len(rhs.state),
 
         k_s = fun(x + C_s h, [y[i] + h (A_s1 k_1[i] + ... ) for i in range(n)])
         y_new[i] = y[i] + h (B_1 k_1[i] + ... ),  s_i = atol + rtol max(|y[i]|, |y_new[i]|)
@@ -518,64 +531,60 @@ def _stage_function(n, rhs=None, namespace=None, name=None):
     with the sums over the nonzero coefficients from left to right, written
     out over stages and components into local scalars with the tableau's
     numbers as literals and compiled. The error sums drop the loop's
-    leading 0.0 +, which is exact because a square is never -0.0.
-
-    Without `rhs` it is stage(fun, x, h, x_new, y, k1, rtol, atol) and calls
-    fun. With an `Rhs` it is stage(args, x, h, x_new, y, k1, rtol, atol),
-    args the values of rhs.params, and each call is replaced by rhs's lines:
-    the abscissa and the trial state are assigned to rhs.x and rhs.state,
-    the body runs, and k_s takes rhs.out; its globals come from `namespace`.
-    Each line is the callable's own, so every result is bit-identical.
+    leading 0.0 +, which is exact because a square is never -0.0. Each call
+    of fun is replaced by rhs's lines: the abscissa and the trial state are
+    assigned to rhs.x and rhs.state, the body runs, and k_s takes rhs.out;
+    its globals come from `namespace`. Each line is the callable's own, so
+    every result is bit-identical. Every name that the stage introduces,
+    its own globals sqrt_0, abs_0 and max_0 too, ends in an underscore and
+    a digit, so that none is rhs's (`Rhs`).
     """
-    def names(base):
-        return [f"{base}_{i}" for i in range(n)]
+    n = len(rhs.state)
+
+    def names(base):  # the components of base_0
+        return [f"{base}_{i}" for i in range(1, n + 1)]
 
     def step(coeffs):
-        return [f"y_{i} + h * ({_combo(coeffs, f'_{i}')})" for i in range(n)]
+        return [f"y_{i} + h_0 * ({_combo(coeffs, f'_{i}')})" for i in range(1, n + 1)]
 
     def inlined(at, state):  # the body of rhs at the point (at, state)
         return [f"{rhs.x} = {at}", *(f"{v} = {e}" for v, e in zip(rhs.state, state)),
                 *rhs.body]
 
-    if rhs is None:
-        lines = ["def stage(fun, x, h, x_new, y, k1, rtol, atol):"]
-    else:
-        lines = ["def stage(args, x, h, x_new, y, k1, rtol, atol):", *_unpack_args(rhs)]
-    lines += [f"    {_unpack(names('y'))}= y", f"    {_unpack(names('k1'))}= k1"]
+    lines = ["def stage_0(args_0, x_0, h_0, x_1, y_0, k1_0, rtol_0, atol_0):",
+             *_unpack_args(rhs), f"    {_unpack(names('y'))}= y_0",
+             f"    {_unpack(names('k1'))}= k1_0"]
     for s, row in _A.items():
-        at = f"x + {_C[s]!r} * h"
-        if rhs is None:
-            lines.append(f"    {_unpack(names(f'k{s}'))}= fun({at}, [{', '.join(step(row))}])")
-        else:
-            lines += [f"    {line}" for line in inlined(at, step(row))]
-            lines += [f"    k{s}_{i} = {e}" for i, e in enumerate(rhs.out)]
-    lines += [f"    y_new = [{', '.join(step(_B))}]", f"    {_unpack(names('n'))}= y_new"]
-    if rhs is None:
-        lines.append("    k13 = fun(x_new, y_new)")
-    else:
-        lines += [f"    {line}" for line in inlined("x_new", names("n"))]
-        lines.append(f"    k13 = [{', '.join(rhs.out)}]")
-    for i in range(n):
-        lines += [f"    s_{i} = atol + rtol * max(abs(y_{i}), abs(n_{i}))",
+        lines += [f"    {line}" for line in inlined(f"x_0 + {_C[s]!r} * h_0", step(row))]
+        lines += [f"    {k} = {e}" for k, e in zip(names(f"k{s}"), rhs.out)]
+    lines += [f"    n_0 = [{', '.join(step(_B))}]", f"    {_unpack(names('n'))}= n_0",
+              *(f"    {line}" for line in inlined("x_1", names("n"))),
+              f"    k13_0 = [{', '.join(rhs.out)}]"]
+    for i in range(1, n + 1):
+        lines += [f"    s_{i} = atol_0 + rtol_0 * max_0(abs_0(y_{i}), abs_0(n_{i}))",
                   f"    e5_{i} = ({_combo(_E5, f'_{i}')}) / s_{i}",
                   f"    e3_{i} = ({_combo(_E3, f'_{i}')}) / s_{i}"]
     for e in ("e5", "e3"):
-        lines.append(f"    {e} = " + " + ".join(f"{e}_{i} * {e}_{i}" for i in range(n)))
-    lines.append(f"    return y_new, k13, h * e5 / sqrt((e5 + 0.01 * e3) * {n}) if e5 else 0.0")
-    namespace = {**(namespace or {}), "sqrt": sqrt}
-    label = f"size {n}" if rhs is None else name
-    exec(compile("\n".join(lines), f"<DOP853 stage, {label}>", "exec"), namespace)
-    return namespace["stage"]
+        lines.append(f"    {e}_0 = " + " + ".join(f"{e}_{i} * {e}_{i}" for i in range(1, n + 1)))
+    lines.append(f"    return n_0, k13_0, h_0 * e5_0 / sqrt_0((e5_0 + 0.01 * e3_0) * {n})"
+                 " if e5_0 else 0.0")
+    namespace = {**namespace, "sqrt_0": sqrt, "abs_0": abs, "max_0": max}
+    exec(compile("\n".join(lines), f"<DOP853 stage, {name}>", "exec"), namespace)
+    return namespace["stage_0"]
 
 
 @cache
 def _generic_stage(n):
     """The generic stage function for states of size n, compiled on first
-    use: an untraced shoot, radial or Pruefer, runs on its fused stage and
+    use: the stage of the `Rhs` whose one line calls its param fun, so
+    stage((fun,), x, h, x_new, y, k1, rtol, atol) calls fun twelve times.
+    An untraced shoot, radial or Pruefer, runs on its fused stage and
     needs none; counting wrappers and tests do."""
     if n not in (1, 2, 4):
         raise ValueError(f"no DOP853 stage function for a state of size {n}; sizes are 1, 2, 4")
-    return _stage_function(n)
+    state, k = (tuple(f"{v}{i}" for i in range(n)) for v in "qk")
+    rhs = Rhs("at", state, ("fun",), (f"{_unpack(k)}= fun(at, [{', '.join(state)}])",), k)
+    return _stage_function(rhs, {}, f"size {n}")
 
 
 # numpy's ufuncs in place of the math functions that right-hand sides read
@@ -591,7 +600,7 @@ def _names(node):
 
 class _ForLanes(ast.NodeTransformer):
     """Statements for lanes, where the names in `lanes` hold arrays: `a if c
-    else b` becomes where(c, a, b), and `if c: raise E(...)` raises
+    else b` becomes numpy's where(c, a, b), and `if c: raise E(...)` raises
     _LaneFailure for the lanes where c holds, each with the E(...) of its
     own values. With rows=True the names hold a row per abscissa of the
     lane stage, and the raise only keeps, as row_0 and failure_0, the first
@@ -603,7 +612,7 @@ class _ForLanes(ast.NodeTransformer):
 
     def visit_IfExp(self, node):
         self.generic_visit(node)
-        return ast.Call(ast.Name("where", ast.Load()), [node.test, node.body, node.orelse], [])
+        return ast.Call(ast.Name("where_0", ast.Load()), [node.test, node.body, node.orelse], [])
 
     def visit_If(self, node):
         if node.orelse or len(node.body) != 1 or not isinstance(node.body[0], ast.Raise):
@@ -616,8 +625,8 @@ class _ForLanes(ast.NodeTransformer):
             def visit_Name(self, name):  # the lane i_0's value (in the row fail_1)
                 return ast.Subscript(name, at, ast.Load()) if name.id in lanes else name
 
-        failure = (f"LaneFailure(fail_0, [{ast.unparse(OneLane().visit(node.body[0].exc))}"
-                   " for i_0 in flatnonzero(fail_0)])")
+        failure = (f"LaneFailure_0(fail_0, [{ast.unparse(OneLane().visit(node.body[0].exc))}"
+                   " for i_0 in flatnonzero_0(fail_0)])")
         lines = [f"fail_0 = {ast.unparse(node.test)}", "if fail_0.any():"]
         if self.rows:
             lines += ["    fail_1 = fail_0.any(1).argmax()", "    if fail_1 < row_0:",
@@ -654,22 +663,19 @@ def _lane_functions(rhs: Rhs, namespace: dict, name: str):
     sums and products of `_stage_function` in the same order, on all the
     components of a stage at once.
 
-    The stage evaluates what depends on the abscissa alone once per
-    attempt (`head`), on twelve rows of abscissae: x + c_s h for s = 2,
-    ..., 12, then x_new. That is the head of rhs.body, its longest prefix
-    of statements that read only rhs.x, rhs.params, the names of
-    `namespace` and what the head assigns before them and that assign no
-    state or param, and each maximal subexpression of the other lines and
-    of rhs.out that reads only such names, none of them assigned in those
-    lines and one at least depending on rhs.x (raise statements apart).
-    Each of the twelve right-hand-side calls (`tail`) reads its own row of
-    these and runs the other lines as rhs does. A raise of the head fires
+    The stage evaluates the head of rhs.body once per attempt (`head`), on
+    twelve rows of abscissae: x + c_s h for s = 2, ..., 12, then x_new.
+    The head is the longest prefix of statements that read only rhs.x,
+    rhs.params, the names of `namespace` and what the head assigns before
+    them and that assign no state or param. Each of the twelve
+    right-hand-side calls (`tail`) reads its own row of what the head
+    assigns and runs the other lines as rhs does. A raise of the head fires
     at the first stage where it holds in some lane, for the lanes where it
     holds there. Every element sees rhs's operations in rhs's order, so the
     stage's results, and the lanes and messages of a failure, are
-    bit-identical to those of twelve calls of rhs. Besides the names of
-    `namespace`, the functions read where, array, maximum, sqrt,
-    concatenate, flatnonzero, LaneFailure, C_0 and head and tail.
+    bit-identical to those of twelve calls of rhs. The names that the
+    functions introduce end in an underscore and a digit, as in
+    `_stage_function`.
 
     Raises ValueError, naming the right-hand side, where its lines call
     anything but a function of `namespace` with a ufunc in `_UFUNCS` (a
@@ -701,82 +707,56 @@ def _lane_functions(rhs: Rhs, namespace: dict, name: str):
         count += 1
         bound |= writes
         varying = varying - writes | (writes if reads & varying else set())
-    rest = copy.deepcopy(body[count:])
+    rest = body[count:]
     assigned = {*rhs.state, *_names(ast.Module(rest, []))[1]}
-    hoisted = {}  # the source of each subexpression hoisted into the head: its name
-
-    class Hoist(ast.NodeTransformer):
-        def visit_Raise(self, node):
-            return node
-
-        def visit(self, node):
-            reads = _names(node)[0]
-            if (isinstance(node, ast.expr) and not isinstance(node, ast.Name)
-                    and not reads & assigned and reads & varying):
-                fixed_name = hoisted.setdefault(ast.unparse(node), f"fixed{len(hoisted)}_0")
-                return ast.Name(fixed_name, ast.Load())
-            return super().visit(node)
-
-    rest = [Hoist().visit(statement) for statement in rest]
-    out = [Hoist().visit(e) for e in out]
-    for source, fixed_name in hoisted.items():
-        head += _lane_lines(ast.parse(f"{fixed_name} = {source}").body, varying, rows=True)
-    varying |= set(hoisted.values())
     # what the other lines read of the head, in{j}_0 on the stage's side
-    inputs = sorted(set().union(*(_names(tree)[0] for tree in (*rest, *out)))
-                    & {*bound, *hoisted.values()})
+    inputs = sorted(set().union(*(_names(tree)[0] for tree in (*rest, *out))) & bound)
     ins = [f"in{j}_0" for j in range(len(inputs))]
 
-    def call(row, state):  # (the check, the call) of a stage's right-hand side at a row
+    def call(k, row, state):  # the lines that set k to the right-hand side at a row
         values = [f"{i}[{row}]" if v in varying else i for i, v in zip(ins, inputs)]
-        return ([f"    if row_0 == {row}:", "        raise failure_0"],
-                f"tail(args, {_unpack(values)}{state})")
+        return [f"    if row_0 == {row}:", "        raise failure_0",
+                f"    {k} = tail_0(args_0, {_unpack(values)}{state})"]
 
     n = len(rhs.state)
-    lines = ["def rhs(args, x_0, y_0):",
+    lines = ["def rhs_0(args_0, x_0, y_0):",
              *_unpack_args(rhs),
              f"    {rhs.x} = x_0",
              f"    {_unpack(rhs.state)}= y_0",
              *(f"    {line}" for line in _lane_lines(body, {rhs.x, *local})),
-             f"    return array([{', '.join(rhs.out)}])",
+             f"    return array_0([{', '.join(rhs.out)}])",
              "",
-             "def head(args, x_0):",
+             "def head_0(args_0, x_0):",
              *_unpack_args(rhs),
              f"    {rhs.x} = x_0",
              f"    row_0, failure_0 = {len(_C) + 1}, None",
              *(f"    {line}" for line in head),
              f"    return row_0, failure_0, {_unpack(inputs)}",
              "",
-             f"def tail(args, {_unpack(inputs)}y_0):",
+             f"def tail_0(args_0, {_unpack(inputs)}y_0):",
              *_unpack_args(rhs),
              f"    {_unpack(rhs.state)}= y_0",
              *(f"    {line}" for line in _lane_lines(rest, assigned | varying & {*inputs})),
-             f"    return array([{', '.join(map(ast.unparse, out))}])",
+             f"    return array_0([{', '.join(rhs.out)}])",
              "",
-             "def stage(args, x, h, x_new, y, k1, rtol, atol):",
-             f"    row_0, failure_0, {_unpack(ins)}= head(args, concatenate((x + C_0 * h,"
-             " x_new[None])))"]
+             "def stage_0(args_0, x_0, h_0, x_1, y_0, k1_0, rtol_0, atol_0):",
+             f"    row_0, failure_0, {_unpack(ins)}= head_0(args_0, concatenate_0((x_0 + C_0 * h_0,"
+             " x_1[None])))"]
     for s, row in _A.items():
-        check, k = call(s - 2, f"y + h * ({_combo(row)})")
-        lines += [*check, f"    k{s} = {k}"]
-    check, k = call(len(_C), "y_new")
-    lines += [f"    y_new = y + h * ({_combo(_B)})",
-              *check,
-              f"    k13 = {k}",
-              "    s_0 = atol + rtol * maximum(abs(y), abs(y_new))",
-              f"    e5 = ({_combo(_E5)}) / s_0",
-              f"    e3 = ({_combo(_E3)}) / s_0",
-              "    e5 = e5 * e5",
-              "    e3 = e3 * e3",
-              "    e5 = " + " + ".join(f"e5[{i}]" for i in range(n)),
-              "    e3 = " + " + ".join(f"e3[{i}]" for i in range(n)),
-              f"    err = h * e5 / sqrt((e5 + 0.01 * e3) * {n})",
-              "    err[e5 == 0.0] = 0.0",
-              "    return y_new, k13, err"]
+        lines += call(f"k{s}_0", s - 2, f"y_0 + h_0 * ({_combo(row, '_0')})")
+    lines += [f"    n_0 = y_0 + h_0 * ({_combo(_B, '_0')})",
+              *call("k13_0", len(_C), "n_0"),
+              "    s_0 = atol_0 + rtol_0 * maximum_0(abs_0(y_0), abs_0(n_0))"]
+    for e, coeffs in (("e5", _E5), ("e3", _E3)):
+        lines += [f"    {e}_0 = ({_combo(coeffs, '_0')}) / s_0", f"    {e}_0 = {e}_0 * {e}_0",
+                  f"    {e}_0 = " + " + ".join(f"{e}_0[{i}]" for i in range(n))]
+    lines += [f"    err_0 = h_0 * e5_0 / sqrt_0((e5_0 + 0.01 * e3_0) * {n})",
+              "    err_0[e5_0 == 0.0] = 0.0",
+              "    return n_0, k13_0, err_0"]
     ns = {name_: _UFUNCS.get(value, value) if callable(value) else value
           for name_, value in namespace.items()}
-    ns.update(where=np.where, array=np.array, maximum=np.maximum, sqrt=np.sqrt,
-              concatenate=np.concatenate, flatnonzero=np.flatnonzero, LaneFailure=_LaneFailure,
-              C_0=np.array([[c] for c in _C.values()]))
+    ns.update(where_0=np.where, array_0=np.array, maximum_0=np.maximum, sqrt_0=np.sqrt,
+              abs_0=abs, concatenate_0=np.concatenate, flatnonzero_0=np.flatnonzero,
+              LaneFailure_0=_LaneFailure, C_0=np.array([[c] for c in _C.values()]))
     exec(compile("\n".join(lines), f"<DOP853 lanes, {name}>", "exec"), ns)
-    return ns["rhs"], ns["stage"]
+    return ns["rhs_0"], ns["stage_0"]

@@ -618,16 +618,17 @@ def _check_beta(beta: float) -> None:
 # state, its parameter N - 1 or N - 2, lines before and after those of
 # weights.weight_source, which set a = a(r), and the derivative).
 # `_compiled_rhs` builds from them the callable and the DOP853 stage that
-# inlines them.
+# inlines them. What reads the abscissa alone stands first, on lines of its
+# own, which the lane stage evaluates once per attempt.
 _RHS = {
     # y = (v, v', e, e')
     "ve": ("r", ("v", "dv", "e", "de"), "nm1", (),
-           ("g = a * exp(v if v < cap else cap)", "c = nm1 / r"),
+           ("c = nm1 / r", "g = a * exp(v if v < cap else cap)"),
            ("dv", "-c * dv - g", "de", "-c * de - g * e")),
     # y = (v, r v', e, r e') as functions of s = log r:
     # v_ss = -(N-2) v_s - r^2 a e^v, and e likewise
     "ve_log": ("s", ("v", "dv", "e", "de"), "nm2", ("r = exp(s)",),
-               ("g = r * r * a * exp(v if v < cap else cap)",),
+               ("ra = r * r * a", "g = ra * exp(v if v < cap else cap)"),
                ("dv", "-nm2 * dv - g", "de", "-nm2 * de - g * e")),
     # y = (v, v'): the singular solution carries no variation
     "v": ("r", ("v", "dv"), "nm1", (),

@@ -259,6 +259,24 @@ def test_lanes_need_an_if_only_around_a_raise():
         fun.lanes()
 
 
+def test_every_stage_raises_at_the_abscissa_of_its_failing_call():
+    # growth names its abscissa x, which must not stand for the abscissa of
+    # another stage. One attempt from x = 0.6 with h = 0.1 passes the cap
+    # 1.5 at stage 11 (c = 6/7): the fused, generic and lane stages all
+    # raise there, with its x
+    fun = _growth()(1.0, 1.5)
+    attempt = (0.6, 0.1, 0.7, [1.35], fun(0.6, [1.35]), 1e-10, 1e-12)
+    message = "y=1.5266557948224697 beyond the cap at x=0.6857142857142857"
+    for stage, args in ((fun.stage, fun.stage_args), (_stepper._generic_stage(1), (fun,))):
+        with pytest.raises(ValueError) as got:
+            stage(args, *attempt)
+        assert str(got.value) == message
+    lane_rhs, stage = fun.lanes()
+    x, h, y = np.array([0.6]), np.array([0.1]), np.array([[1.35]])
+    lanes = (fun.stage_args, x, h, x + h, y, lane_rhs(fun.stage_args, x, y), 1e-10, 1e-12)
+    assert _same(_attempt(stage, *lanes), ([True], [f"ValueError: {message}"]))
+
+
 # ------------------------------------------------------ the reference stage
 
 # 0-based as in scipy: stage s (k_s = ks[s]) runs at x + C[s] h on the

@@ -1047,7 +1047,7 @@ def test_fused_stage_raises_the_callables_error(monkeypatch):
         fun = make(ProblemConfig(dim=5, weight=weight))
         args = (0.5, 0.2, 0.7, y0, fun(0.5, y0), 1e-10, 1e-12)
         with pytest.raises(ValueError) as generic:
-            _stepper._generic_stage(len(y0))(fun, *args)
+            _stepper._generic_stage(len(y0))((fun,), *args)
         with pytest.raises(ValueError) as fused:
             fun.stage(fun.stage_args, *args)
         assert str(fused.value) == str(generic.value)

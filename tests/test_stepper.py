@@ -280,7 +280,8 @@ def test_list_stage_matches_unrolled_stage(monkeypatch, n):
     accepted = []
     while not accepted or not accepted[-1]:
         got = []
-        for stage in (_reference_stage, _stepper._generic_stage(n)):
+        generic = _stepper._generic_stage(n)
+        for stage in (_reference_stage, lambda fun, *attempt: generic((fun,), *attempt)):
             logged, log = _logged(fun)
             got.append((stage(logged, x0, h, x0 + h, list(y0), k1, rtol, atol), log))
         assert repr(got[0]) == repr(got[1])
@@ -317,7 +318,7 @@ def test_fused_stage_matches_list_stage(kind, spec):
         for h in (0.5, 1e-2, 1e-4):
             args = (x0, h, x0 + h, list(y0), k1, 1e-10, 1e-12)
             expected = repr(_reference_stage(fun, *args))
-            assert repr(_stepper._generic_stage(len(y0))(fun, *args)) == expected
+            assert repr(_stepper._generic_stage(len(y0))((fun,), *args)) == expected
             assert repr(fun.stage(fun.stage_args, *args)) == expected, (state, h)
 
 
@@ -366,7 +367,7 @@ def test_prufer_fused_stage_matches_list_stage(potential, mu):
         for h in (0.5, 1e-2, 1e-4):
             attempt = (x0, h, x0 + h, list(y0), k1, 1e-10, 1e-10)
             expected = repr(_reference_stage(fun, *attempt))
-            assert repr(_stepper._generic_stage(1)(fun, *attempt)) == expected
+            assert repr(_stepper._generic_stage(1)((fun,), *attempt)) == expected
             assert repr(fun.stage(fun.stage_args, *attempt)) == expected, (state, h)
 
 
@@ -408,6 +409,33 @@ def test_solve_runs_a_callable_with_a_fused_stage_on_it():
     assert len(fused_log) == 1
     attempts, rest = divmod(len(generic_log) - 1, STAGES_PER_ATTEMPT)
     assert rest == 0 and attempts >= len(got[1][1]) - 1 > 0
+
+
+# (right-hand side, the name of it that the stage functions could mistake
+# for one of their own): its abscissa, a state component, a param and a
+# name that its lines assign
+CLASHES = {"abscissa": (_stepper.Rhs("x_0", ("y",), (), (), ("-y",)), "x_0"),
+           "state": (_stepper.Rhs("x", ("y_1",), (), (), ("-y_1",)), "y_1"),
+           "param": (_stepper.Rhs("x", ("y",), ("h_0",), (), ("h_0 * y",)), "h_0"),
+           "assigned": (_stepper.Rhs("x", ("y",), (), ("k2_1 = -y",), ("k2_1",)), "k2_1")}
+
+
+@pytest.mark.parametrize("clash", sorted(CLASHES))
+def test_names_that_end_in_an_underscore_and_a_digit_are_refused(clash):
+    rhs, name = CLASHES[clash]
+    with pytest.raises(ValueError, match=f"the clash right-hand side names {name}: "):
+        _stepper.compile_rhs(rhs, {}, "clash")
+
+
+def test_a_right_hand_side_may_use_the_names_of_the_stage_arguments():
+    # x, y, h and args name the abscissa, the state and two params here,
+    # and the stage takes values of the same meaning: the param h must not
+    # stand for the step, nor x for the abscissa of another stage
+    rhs = _stepper.Rhs("x", ("y",), ("h", "args"), ("k13 = h * y + x * args",), ("k13",))
+    fun = _stepper.compile_rhs(rhs, {}, "stage names")(-0.75, 0.5)
+    y0 = [1.25]
+    attempt = (0.3, 0.2, 0.5, y0, fun(0.3, y0), 1e-10, 1e-12)
+    assert fun.stage(fun.stage_args, *attempt) == _reference_stage(fun, *attempt)
 
 
 @pytest.mark.parametrize("n", sorted(CASES))
