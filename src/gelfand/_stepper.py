@@ -39,23 +39,16 @@ N=10, a_h at h=40); polyexp:1.5;d=0.5 at N=10 stops at r0 = 0.70 and
 takes 373 calls on 16 nodes.
 Consumers that need only values (zero numbers, separation and envelope
 gaps) shoot on accepted steps (``integrate_ivp`` with ``trace=True``, as
-curve tracing does) and interpolate. With a weight, those shoots make one
-``solve`` call where r0 < 1, in s = log r from r0 to r = 1
+curve tracing does) and interpolate. With a weight, such a shoot makes
+one ``solve`` call where r0 < 1, in s = log r from r0 to r = 1
 (``radial_ode._trace_shoots``): past the boundary layer the steps in r
 would have to stay near 0.04 r along the nearly linear -2 log r profile.
-At beta > 0 in a march (``bifurcation.trace_curve``) that call runs in
-a lane of ``solve_lanes`` instead (below). With const (and a_0) they make
-one call: their steps beyond r0 are those of one Emden-Fowler trajectory
-per dimension and tolerances (``radial_ode._emden_trajectory``, built
-once), and the call lands on r = 1 from the last of them, as a rule in 13
-right-hand-side calls. On the traced branch benchmark (seed 13) ``solve``
-makes 20 671 right-hand-side calls in 391 calls. Before the log-r phases
-of the N=10, a_h at h=40 march moved to lanes, where they now take
-17 923 step attempts, it made 236 687; shooting each constant-weight
-beta on its own made 509 975, the two-term series start at r0 =
-min(r_start, 0.05 sqrt(2N) e^{-beta/2}) 965 538 and stepping in r alone
-from there 1 654 105, the last two counting the singular solution's
-former start at r_start (about 18 000 calls).
+In a march (``bifurcation.trace_curve``) that phase runs in a lane of
+``solve_lanes`` instead (below). With const (and a_0) a trace shoot, in
+a march too, makes one call: its steps beyond r0 are those of one
+Emden-Fowler trajectory per dimension and tolerances
+(``radial_ode._emden_trajectory``, built once), and the call lands on
+r = 1 from the last of them.
 
 The work is split in two. A driver owns the step controller (the node
 clamp, the step budget, the underflow check, accept/reject, the PI factor
@@ -108,30 +101,31 @@ abscissae of its right-hand-side calls at once, and the other lines at
 each call; its results, and the lanes and messages of a failure, are
 bit-identical to those of evaluating every line at every call, which
 ``tests/test_lanes.py`` keeps as the reference.
-Lanes serve one caller, ``radial_ode.trace_lanes``: the log-r phases of
-a march's weighted shoots at beta > 0, a batch for the march's grid and
-one for each round of the midpoints it bisects. At N=10, a_h at h=40 on
-[-5, 40] by 0.25 that is one batch of 160 lanes, 17 923 attempts in 162
-iterations, and the 160 scalar solves take about four times as long (3.6
-to 4.2 times over the three marches named below). The Taylor series of
-such a batch come from one recurrence on numpy arrays, an entry per beta
+Lanes serve one caller, ``radial_ode.trace_lanes``, the march's one
+entry point and the one place that decides how a march shoot runs: with
+a weight that has coefficients or a tilt, the log-r phases of all the
+betas of a call, whatever their sign, run as batches of at most 256
+lanes; the march makes one call for its grid and one for each round of
+the midpoints it bisects. With const (and a_0) each beta is shot on
+``integrate_ivp``. The Taylor series of a lane batch come from one
+recurrence on numpy arrays, an entry per beta
 (``radial_ode._Series.lanes``): the scalar recurrence's own lines, and
 bit-identical to it only while each of its sums adds left to right, as
 ``functools.reduce(operator.add, ...)`` does on floats and arrays alike
 and ``sum()`` does on floats only up to Python 3.11 (from 3.12 on it
-compensates float sums). The weight series and the singular series
-add that way too (``radial_ode._dot``). Everything else stays on
-``solve``: the const Emden landings, fold refinement, zero numbers and
-every other single shoot, grid shoots, the singular solution and the
-Pruefer phase. Whether on ``solve`` or in lanes, a trace shoot computes
-its state at r = 1 at once and builds its profiles on first read only
-(``radial_ode.ShootResult``), which a march never does.
-The lanes' steps are not bit-identical to ``solve``'s, numpy's exp and
-power rounding apart from Python's: over the march lanes of N=10 and N=3
-a_h at h=40 and N=9 polyexp:0.7,-0.2;d=0.3 the end states agree within
-3.2e-14 relative, and
-all but 2 of the 479 lanes take ``solve``'s numbers of accepted and
-rejected steps (``tests/test_lanes.py``). A lane's steps do not depend on
+compensates float sums). The weight series and the singular series add
+that way too (``radial_ode._dot``). Everything else stays on ``solve``:
+the const (and a_0) march shoots with their Emden landings, fold
+refinement, zero numbers and every other single shoot, grid shoots, the
+singular solution and the Pruefer phase. Whether on ``solve`` or in
+lanes, a trace shoot computes its state at r = 1 at once and builds its
+profiles on first read only (``radial_ode.ShootResult``), which a march
+never does. The lanes' steps are not bit-identical to ``solve``'s,
+numpy's exp and power rounding apart from Python's: over the march lanes
+of N=10 and N=3 a_h at h=40 and N=9 polyexp:0.7,-0.2;d=0.3 the end
+states agree within 3.2e-14 relative, and all but 2 of the 529 lanes
+take ``solve``'s numbers of accepted and rejected steps
+(``tests/test_lanes.py``). A lane's steps do not depend on
 the batch it runs in: every operation is element-wise.
 
 ``zeroin`` is the one root finder (R. P. Brent, Algorithms for Minimization

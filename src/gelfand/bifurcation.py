@@ -19,7 +19,6 @@ import numpy as np
 
 from ._stepper import IntegrationError, zeroin
 from .radial_ode import (
-    _LANE_BATCH,
     BETA_MAX_GUARD,
     BETA_MIN_GUARD,
     ProblemConfig,
@@ -98,18 +97,18 @@ def trace_curve(cfg: ProblemConfig, beta_min: float, beta_max: float,
     """March the solution curve over [beta_min, beta_max].
 
     The march shoots the grid beta_min + k max_step, its last point
-    clamped to beta_max, in chunks of at most `radial_ode._LANE_BATCH`
-    betas, and then bisects every interval on which log lambda misses the
-    tangent prediction log lambda + delta beta * e(1) of its left sample by
-    more than 0.01 (lambda by about 1%), down to a width of max_step / 2^12
-    (an interval that narrow is kept as-is); each round of midpoints is
-    shot as one batch (`_shoot`). Where lambda ~ 2N e^beta the tangent is
+    clamped to beta_max, and then bisects every interval on which log
+    lambda misses the tangent prediction log lambda + delta beta * e(1) of
+    its left sample by more than 0.01 (lambda by about 1%), down to a width
+    of max_step / 2^12 (an interval that narrow is kept as-is). The grid,
+    and then each round of midpoints, is one `trace_lanes` call, which
+    decides how its shoots run. Where lambda ~ 2N e^beta the tangent is
     almost exact and the march keeps the grid. Every shot beta is a
     sample. A sign flip of dlambda/dbeta between samples records a
     bracket, and refine_fold narrows it by Brent's method after the march.
     An integrator failure truncates the curve below the lowest beta that
-    failed and records a diagnostic. At N=10, a_h at h=40 on [-5, 40] by
-    0.25 the march shoots one batch of 160 lanes.
+    failed and records a diagnostic; a failure at beta_min raises its
+    IntegrationError.
     """
     if not beta_min < beta_max:
         raise ValueError(f"need beta_min < beta_max, got [{beta_min}, {beta_max}]")
@@ -122,33 +121,28 @@ def trace_curve(cfg: ProblemConfig, beta_min: float, beta_max: float,
         raise ValueError(f"max_step must lie in (0, 1], got {max_step}")
 
     grid = [beta_min + k * max_step for k in range(1, math.ceil((beta_max - beta_min) / max_step))]
-    grid = [beta for beta in grid if beta < beta_max - 1e-12] + [beta_max]
-    samples: list[ShootResult] = []
-    # the samples from the last one of the chunks before on, each with the
-    # halvings of the intervals beside it: those the chunk can bisect
-    live = [(integrate_ivp(cfg, beta_min, trace=True), 0)]
+    grid = [beta_min] + [beta for beta in grid if beta < beta_max - 1e-12] + [beta_max]
+    # the samples, each with the halvings of the intervals beside it
+    live: list[tuple[ShootResult, int]] = []
     failed = None
-    for start in range(0, len(grid), _LANE_BATCH):
-        todo = [(beta, 0) for beta in grid[start:start + _LANE_BATCH]]
-        while todo:
-            for (beta, depth), shot in zip(todo, _shoot(cfg, [beta for beta, _ in todo])):
-                if not isinstance(shot, IntegrationError):
-                    live.append((shot, depth))
-                elif failed is None or beta < failed[0]:
-                    failed = beta, shot
-            live.sort(key=lambda sample: sample[0].beta)
-            if failed:
-                live = [sample for sample in live if sample[0].beta < failed[0]]
-            # v1 = log lambda, and its slope in beta is e(1) = dlambda_dbeta / lam
-            todo = [(0.5 * (lo.beta + hi.beta), max(dlo, dhi) + 1)
-                    for (lo, dlo), (hi, dhi) in zip(live, live[1:])
-                    if max(dlo, dhi) < STEP_HALVINGS
-                    and abs(hi.v1 - lo.v1 - (hi.beta - lo.beta) * lo.dlambda_dbeta / lo.lam) > 0.01]
-        samples += [shot for shot, _ in live[:-1]]
-        live = live[-1:]
+    todo = [(beta, 0) for beta in grid]
+    while todo:
+        for (beta, depth), shot in zip(todo, trace_lanes(cfg, [beta for beta, _ in todo])):
+            if not isinstance(shot, IntegrationError):
+                live.append((shot, depth))
+            elif failed is None or beta < failed[0]:
+                failed = beta, shot
+        live.sort(key=lambda sample: sample[0].beta)
         if failed:
-            break
-    samples.append(live[0][0])
+            live = [sample for sample in live if sample[0].beta < failed[0]]
+        # v1 = log lambda, and its slope in beta is e(1) = dlambda_dbeta / lam
+        todo = [(0.5 * (lo.beta + hi.beta), max(dlo, dhi) + 1)
+                for (lo, dlo), (hi, dhi) in zip(live, live[1:])
+                if max(dlo, dhi) < STEP_HALVINGS
+                and abs(hi.v1 - lo.v1 - (hi.beta - lo.beta) * lo.dlambda_dbeta / lo.lam) > 0.01]
+    if not live:
+        raise failed[1]
+    samples = [shot for shot, _ in live]
 
     brackets: list[tuple[ShootResult, ShootResult]] = []
     # last sample whose derivative sign is outside the deadband; comparing
@@ -177,23 +171,6 @@ def trace_curve(cfg: ProblemConfig, beta_min: float, beta_max: float,
         complete=failed is None,
         diagnostic=f"integration failed at beta={failed[0]:.6g}: {failed[1]}" if failed else "",
     )
-
-
-def _shoot(cfg: ProblemConfig, betas) -> list:
-    """The march's trace shoots at `betas`, each a ShootResult or the
-    IntegrationError that ended it: the weighted ones at beta > 0 by
-    `trace_lanes`, each wholly in its lane after its series, the rest by
-    integrate_ivp."""
-    w = cfg.weight
-    lanes = [beta for beta in betas if beta > 0.0 and (w.coeffs or w.tilt)]
-    shots = dict(zip(lanes, trace_lanes(cfg, lanes)))
-    for beta in betas:
-        if beta not in shots:
-            try:
-                shots[beta] = integrate_ivp(cfg, beta, trace=True)
-            except IntegrationError as exc:
-                shots[beta] = exc
-    return [shots[beta] for beta in betas]
 
 
 def refine_fold(cfg: ProblemConfig, lo: ShootResult, hi: ShootResult) -> TurningPoint:

@@ -816,15 +816,26 @@ def _lane_phases(cfg: ProblemConfig, starts) -> list:
 
 
 def trace_lanes(cfg: ProblemConfig, betas) -> list:
-    """The trace shoots at `betas`, as `integrate_ivp(cfg, beta,
-    trace=True)` shoots them, each a ShootResult or the IntegrationError
-    that ended it; their series come from one recurrence on arrays
-    (`_Series.lanes`), bit for bit those of the shoots one by one, and
-    their log-r phases, from each series' radius r0 < 1 to r = 1, run as
-    batches of at most _LANE_BATCH lanes of `_stepper.solve_lanes`, the
-    rest as in `integrate_ivp`: a weighted shoot makes no `solve` call. A
-    lane's steps do not depend on its batch, but they are not bit-identical
-    to `solve`'s (`integrate_ivp`)."""
+    """The trace shoots at `betas`, each a ShootResult or the
+    IntegrationError that ended it: a march's shoots
+    (`bifurcation.trace_curve`). With a weight of no coefficients and no
+    tilt (const, a_0) each is `integrate_ivp(cfg, beta, trace=True)`,
+    which reads the Emden trajectory beyond its series' radius. With any
+    other weight, whatever the sign of beta, their series come from one
+    recurrence on arrays (`_Series.lanes`), bit for bit those of the
+    shoots one by one, and their log-r phases, from each series' radius
+    r0 < 1 to r = 1, run as batches of at most _LANE_BATCH lanes of
+    `_stepper.solve_lanes`: such a shoot makes no `solve` call. A lane's
+    steps do not depend on its batch, but they are not bit-identical to
+    `solve`'s (`integrate_ivp`)."""
+    if not (cfg.weight.coeffs or cfg.weight.tilt):
+        shots = []
+        for beta in betas:
+            try:
+                shots.append(integrate_ivp(cfg, beta, trace=True))
+            except _stepper.IntegrationError as exc:
+                shots.append(exc)
+        return shots
     for beta in betas:
         _check_beta(beta)
     return _trace_shoots(cfg, _Series.lanes(cfg, betas), functools.partial(_lane_phases, cfg))
@@ -947,32 +958,24 @@ def integrate_ivp(cfg: ProblemConfig, beta: float, radii=None, trace: bool = Fal
     for `hermite_values`. Up to the radius r0 of its Taylor series
     (`_Series`) the profile holds the series' states from r_start on, at a
     ratio of at most 1.15; beyond, it steps in s = log r from r0 to r = 1
-    (`_trace_shoots`), whatever beta. At N=10, a_h at h=40, beta=40 that
-    takes 1 945 right-hand-side calls, where stepping in r alone took
-    5 257. With const (and a_0) at beta > 0 the steps
-    beyond r0 are read off one Emden-Fowler trajectory per dimension and
-    tolerances (`_emden_trajectory`, 1 093 to 1 561 calls once, N in
-    3..12), and the shoot makes one short solve onto r = 1: 13 calls at
-    N=3, beta=40, where shooting it on its own took 1 189. Over N in
-    {3, 6, 9, 10, 12}, const, a_h and polyexp weights and beta in {-5, -2,
-    0.25, 0.5, 0.7, 1, 2, 10, 25, 40}, v(1) and e(1) stay within 8.0e-12
-    and 3.9e-12 of a shoot in r alone at rtol 1e-13. With const, over beta
-    in [-1, 60] by 0.5 at the same N, they stay within 3.8e-13 and 2.9e-13
-    of a shoot at rtol 1e-13, where shooting each beta on its own was up to
-    9.7e-12 and 6.8e-13 off. `trace_lanes` runs the log-r phases of many
-    such shoots as lanes of `_stepper.solve_lanes`, as a march does at
-    beta > 0 with a weight, so that such a shoot makes no `solve` call
-    after its series: their v(1) and e(1) are within 3.2e-14 relative of
-    these (N=10 and N=3 a_h at h=40, N=9 polyexp:0.7,-0.2;d=0.3, every
-    march beta > 0), not equal to them. Every shoot here runs on
-    `_stepper.solve`.
-    A trace shoot computes its state at r = 1, and with it lambda, alpha
-    and dlambda/dbeta, at once; its profile and variation profile, the
-    series' states below r0 and those of the steps beyond, it builds on the
-    first read of either (`ShootResult`). The 181 shoots of N=3 const
-    over beta in [-5, 40] by 0.25 take 10 ms so, where building every
-    profile at once took 23 ms (medians, 2-core Xeon); reading every
-    profile afterwards costs about what building them did.
+    (`_trace_shoots`), whatever beta. With const (and a_0) at beta > 0 the
+    steps beyond r0 are read off one Emden-Fowler trajectory per dimension
+    and tolerances (`_emden_trajectory`, built once), and the shoot makes
+    one short solve onto r = 1. Over N in {3, 6, 9, 10, 12}, const, a_h
+    and polyexp weights and beta in {-5, -2, 0.25, 0.5, 0.7, 1, 2, 10, 25,
+    40}, v(1) and e(1) stay within 8.0e-12 and 3.9e-12 of a shoot in r
+    alone at rtol 1e-13; with const, over beta in [-1, 60] by 0.5 at the
+    same N, within 3.8e-13 and 2.9e-13. A march shoots its betas through
+    `trace_lanes`: with const (and a_0) each is this shoot, and with any
+    other weight the log-r phases run as lanes of `_stepper.solve_lanes`,
+    whose v(1) and e(1) are within 7.5e-15 of these relative to
+    max(1, |.|) (N=10 and N=3 a_h at h=40, N=9 polyexp:0.7,-0.2;d=0.3,
+    every sample of a march on [-5, 40] by 0.25), not equal to them.
+    Every shoot here runs on `_stepper.solve`. A trace shoot computes its
+    state at r = 1, and with it lambda, alpha and dlambda/dbeta, at once;
+    its profile and variation profile, the series' states below r0 and
+    those of the steps beyond, it builds on the first read of either
+    (`ShootResult`).
     Otherwise it is sampled at `radii` (default: `default_grid`), and
     lambda, alpha and dlambda/dbeta are those at r = 1 whatever the radii:
     where 1.0 is not among them, the shoot lands on r = 1 as one more

@@ -92,15 +92,22 @@ def test_trace_rejects_bad_window(cfg3):
 
 @pytest.fixture
 def shoots(monkeypatch):
-    """(cfg, beta, keyword arguments) of every shoot the bifurcation module makes."""
+    """(cfg, beta, keyword arguments) of every shoot the bifurcation module
+    makes: its integrate_ivp calls, and each beta of its `trace_lanes`
+    calls (the march's trace shoots) as (cfg, beta, {"trace": True})."""
     calls = []
-    real = bif.integrate_ivp
+    real, lanes = bif.integrate_ivp, bif.trace_lanes
 
     def counting(cfg, beta, **kw):
         calls.append((cfg, beta, kw))
         return real(cfg, beta, **kw)
 
+    def counting_lanes(cfg, betas):
+        calls.extend((cfg, beta, {"trace": True}) for beta in betas)
+        return lanes(cfg, betas)
+
     monkeypatch.setattr(bif, "integrate_ivp", counting)
+    monkeypatch.setattr(bif, "trace_lanes", counting_lanes)
     return calls
 
 
@@ -112,19 +119,35 @@ def test_trace_rejects_window_past_guards_before_shooting(cfg3, shoots, window):
 
 
 def test_trace_truncates_on_integrator_failure(cfg3, monkeypatch):
-    real = bif.integrate_ivp
+    # the constant weight's march shoots on radial_ode.integrate_ivp
+    real = radial_ode.integrate_ivp
 
     def failing(cfg, beta, **kw):
         if beta > 1.0:
             raise IntegrationError("stalled", reached=0.5)
         return real(cfg, beta, **kw)
 
-    monkeypatch.setattr(bif, "integrate_ivp", failing)
+    monkeypatch.setattr(radial_ode, "integrate_ivp", failing)
     curve = trace_curve(cfg3, 0.0, 3.0, 0.25)
     assert not curve.complete
-    assert "beta" in curve.diagnostic
+    assert curve.diagnostic == "integration failed at beta=1.25: stalled"
     assert len(curve.samples) >= 1
     assert curve.betas[-1] <= 1.0
+
+
+def test_a_failure_at_beta_min_raises_it(cfg3, monkeypatch):
+    # a march with no sample to keep raises the IntegrationError of beta_min
+    real, error = radial_ode.integrate_ivp, IntegrationError("stalled", reached=0.5)
+
+    def failing(cfg, beta, **kw):
+        if beta == -1.0:
+            raise error
+        return real(cfg, beta, **kw)
+
+    monkeypatch.setattr(radial_ode, "integrate_ivp", failing)
+    with pytest.raises(IntegrationError) as got:
+        trace_curve(cfg3, -1.0, 1.0, 0.25)
+    assert got.value is error
 
 
 def test_consecutive_samples_meet_the_tangent_bound(curve3):
@@ -145,7 +168,7 @@ def test_march_below_zero_takes_the_step_cap(shoots, dim, weight):
     cfg = ProblemConfig(dim=dim, weight=parse_weight(weight, dim))
     curve = trace_curve(cfg, -5.0, 0.0, 0.25)
     assert curve.complete
-    assert len(shoots) <= 25
+    assert 21 <= len(shoots) <= 25
 
 
 # fold betas of trace_curve(cfg, -5, 40, 0.25) under the 1%-in-lambda step

@@ -1,8 +1,9 @@
 """The lane driver ``_stepper.solve_lanes`` and the march that uses it.
 
-A march over a weighted curve shoots its betas > 0 a batch at a time
-(``radial_ode.trace_lanes``), their log-r phases as lanes: first its grid,
-then each round of the midpoints it bisects. Lanes are not bit-identical
+A march (``trace_curve``) shoots through ``radial_ode.trace_lanes``: first
+its grid, then each round of the midpoints it bisects. Over a weighted
+curve every beta runs its log-r phase as a lane; the constant weight (and
+a_0) shoots each beta on ``integrate_ivp``. Lanes are not bit-identical
 to ``solve`` (numpy's exp rounds apart from math.exp), so they are held to
 ``solve``'s step counts and to 1e-13 in the end states, and a lane must not
 depend on the batch it runs in. A trace shoot outside the lanes
@@ -87,8 +88,8 @@ def marches():
 
 @pytest.fixture(scope="module")
 def march_betas(marches):
-    """The sample betas > 0 of the marches, per case."""
-    return {case: [b for b in curve.betas.tolist() if b > 0.0] for case, curve in marches.items()}
+    """The sample betas of the marches, per case."""
+    return {case: curve.betas.tolist() for case, curve in marches.items()}
 
 
 @pytest.mark.parametrize("case", LANE_CASES)
@@ -496,18 +497,18 @@ def test_the_march_samples_the_recorded_betas_of_each_case(marches, case):
 @pytest.mark.parametrize("dim", [3, 6])
 def test_a_coarse_march_samples_every_beta_it_shoots(monkeypatch, marches, dim):
     # at max_step 1 intervals at beta > 0 miss the tangent and are
-    # bisected: every beta the march shoots is a sample, each round of
-    # midpoints runs as one lane batch, and the folds are those of the
-    # march by 0.25 to BETA_TOL
+    # bisected: every beta the march shoots is a sample, the grid and each
+    # round of midpoints run as one trace_lanes call of lane batches, and
+    # the folds are those of the march by 0.25 to BETA_TOL
     cfg = _cfg(dim, "ah:h=40")
     fine = marches[3, "ah:h=40"] if dim == 3 else trace_curve(cfg, -5.0, 40.0, 0.25)
     rounds, batches = [], _batch_sizes(monkeypatch)
-    shoot = bif._shoot
-    monkeypatch.setattr(bif, "_shoot", lambda cfg, betas: (rounds.append(betas),
-                                                           shoot(cfg, betas))[1])
+    lanes = radial_ode.trace_lanes
+    monkeypatch.setattr(bif, "trace_lanes", lambda cfg, betas: (rounds.append(betas),
+                                                                lanes(cfg, betas))[1])
     curve = trace_curve(cfg, -5.0, 40.0, 1.0)
-    shot = [-5.0] + [beta for betas in rounds for beta in betas]
-    assert sorted(shot) == curve.betas.tolist()
+    shot = [beta for betas in rounds for beta in betas]
+    assert rounds[0][0] == -5.0 and sorted(shot) == curve.betas.tolist()
     assert len(rounds) >= 3 and any(beta > 0.0 for betas in rounds[1:] for beta in betas)
     assert 2 <= len(batches) <= len(rounds)
     assert [tp.kind for tp in curve.turning_points] == [tp.kind for tp in fine.turning_points]
@@ -516,36 +517,92 @@ def test_a_coarse_march_samples_every_beta_it_shoots(monkeypatch, marches, dim):
 
 
 def test_a_long_window_runs_lane_batches_of_at_most_256(monkeypatch):
-    # 320 grid betas > 0, and --max-step is user input: the march, and
-    # trace_lanes for any caller (a round of midpoints can outgrow a chunk
-    # of the grid), split them into batches of at most _LANE_BATCH lanes,
-    # and a shoot does not depend on its batch
+    # 321 grid betas, and --max-step is user input: trace_lanes splits the
+    # march's grid into batches of at most _LANE_BATCH lanes, and a shoot
+    # does not depend on its batch (here the grid without beta_min)
     batches = _batch_sizes(monkeypatch)
     cfg = _cfg(10, "ah:h=40")
     curve = trace_curve(cfg, 20.0, 40.0, 0.0625)
     assert curve.complete and len(curve.samples) == 321
     assert radial_ode._LANE_BATCH == 256
-    assert len(batches) >= 2 and max(batches) <= 256 and sum(batches) == 320
+    assert batches == [256, 65]
     batches.clear()
     shots = radial_ode.trace_lanes(cfg, curve.betas[1:].tolist())
     assert batches == [256, 64]
     assert [shot.v1 for shot in shots] == [sample.v1 for sample in curve.samples[1:]]
 
 
+def _failed_marches(monkeypatch, case, budget):
+    """The march of `case` on [-5, 40] by 0.25 under a step budget, in
+    lanes and with every shoot on `solve`."""
+    monkeypatch.setattr(_stepper, "_MAX_STEPS", budget)
+    cfg = _cfg(*case)
+    curve = trace_curve(cfg, -5.0, 40.0, 0.25)
+    monkeypatch.setattr(bif, "trace_lanes", _scalar_lanes)
+    return curve, trace_curve(cfg, -5.0, 40.0, 0.25)
+
+
 def test_a_failed_lane_ends_the_march_at_its_beta(monkeypatch):
     # with a step budget that the log-r phases beyond some beta exceed, the
     # march ends below the lowest such beta, keeps the samples before it
     # and reports what a march with every shoot on `solve` reports
-    monkeypatch.setattr(_stepper, "_MAX_STEPS", 80)
-    cfg = _cfg(10, "ah:h=40")
-    curve = trace_curve(cfg, -5.0, 40.0, 0.25)
-    monkeypatch.setattr(bif, "trace_lanes", _scalar_lanes)
-    scalar = trace_curve(cfg, -5.0, 40.0, 0.25)
+    curve, scalar = _failed_marches(monkeypatch, (10, "ah:h=40"), 80)
     assert not curve.complete and curve.diagnostic == scalar.diagnostic
     assert curve.diagnostic.startswith("integration failed at beta=")
     assert curve.diagnostic.endswith("step budget exhausted")
     assert curve.betas.tolist() == scalar.betas.tolist()
     assert 0.0 < curve.betas[-1] < 40.0
+
+
+def test_a_failed_lane_at_negative_beta_ends_the_march_there(monkeypatch):
+    # at N=3, a_40 the log-r phases take 29 attempts at beta = -5 and 33
+    # at beta = -1: a budget of 31 fails the lanes of 33, and the march
+    # ends below the lowest of them as one on `solve` does
+    curve, scalar = _failed_marches(monkeypatch, (3, "ah:h=40"), 31)
+    assert not curve.complete and curve.diagnostic == scalar.diagnostic
+    assert curve.diagnostic == "integration failed at beta=-1: step budget exhausted"
+    assert curve.betas.tolist() == scalar.betas.tolist() and curve.betas[-1] == -1.25
+
+
+def test_a_failed_lane_at_beta_min_raises_it(monkeypatch):
+    # a weighted march with no sample to keep raises the lane's own error
+    monkeypatch.setattr(_stepper, "_MAX_STEPS", 31)
+    cfg = _cfg(3, "ah:h=40")
+    alone, = radial_ode.trace_lanes(cfg, [-1.0])
+    assert isinstance(alone, IntegrationError)
+    with pytest.raises(IntegrationError, match="step budget exhausted") as got:
+        trace_curve(cfg, -1.0, 1.0, 0.25)
+    assert got.value.reached == alone.reached
+
+
+def _sample(shot):
+    return shot.beta, shot.lam, shot.alpha, shot.v1, shot.dlambda_dbeta
+
+
+@pytest.mark.parametrize("case", [*LANE_CASES, (3, "const"), (10, "ah:h=0")])
+def test_every_march_sample_is_the_shoot_of_its_beta(marches, case):
+    # in one process, so on any numpy build: a weighted march's samples
+    # are, bit for bit, trace_lanes' shoots of their betas in one batch,
+    # and a constant (or a_0) march's those of integrate_ivp one by one
+    cfg = _cfg(*case)
+    curve = marches[case] if case in marches else trace_curve(cfg, -5.0, 40.0, 0.25)
+    betas = curve.betas.tolist()
+    if case in LANE_CASES:
+        shots = radial_ode.trace_lanes(cfg, betas)
+    else:
+        shots = [integrate_ivp(cfg, beta, trace=True) for beta in betas]
+    assert [_sample(shot) for shot in shots] == [_sample(sample) for sample in curve.samples]
+
+
+@pytest.mark.parametrize("case", [(3, "const"), (10, "ah:h=0")])
+def test_a_constant_march_builds_no_lanes(monkeypatch, case):
+    # its shoots run on integrate_ivp: no batched series and no lane batch,
+    # not even an empty one
+    calls = []
+    monkeypatch.setattr(radial_ode._Series, "lanes", lambda *args: calls.append("series"))
+    monkeypatch.setattr(_stepper, "solve_lanes", lambda *args: calls.append("lanes"))
+    curve = trace_curve(_cfg(*case), -5.0, 40.0, 0.25)
+    assert curve.complete and calls == []
 
 
 # (v(1), dlambda/dbeta, sha256 of the rows (r, v, v', e, e'), rows) of
@@ -610,18 +667,20 @@ PINNED_MARCHES = {
                    "f280cbbb152cd18a60e00b81ee85d0eb90094407d4c9394e65573085f07becf5", 188, 8),
     (10, "ah:h=0"): ("e0fb5b100687272fff5f3c32076ba27b2d802c5d5d6d5e8c63445f2cca9d313f",
                      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 181, 0),
-    # samples recorded once every weighted trace shoot stepped in log r
-    # from its series' radius; the folds are those recorded before
-    (10, "ah:h=40"): ("2127a28724a77ed7ce2318d01bde741f0cc2c8277855efb185307e09dba3c0d4",
+    # samples recorded once the march shot every weighted beta in lanes,
+    # beta <= 0 too: of the 21 samples at beta <= 0, which were shot on
+    # `solve`, 16 moved in v(1), by at most 8.8e-16 relative, and 18 in
+    # dlambda/dbeta, by at most 2.1e-15; the folds are those recorded before
+    (10, "ah:h=40"): ("1aeb8426868faac0ace6ca2540ec926e0fb79278f50c5b87b10d0fb908813a09",
                       "a76eb18745077d1d442b1135ea549fde3f706202ab4a0d017e701e64eebaf118", 181, 2),
 }
 
 # sha256 of `gelfand trace --dim 10 --weight ah:h=40 --beta-min -5
 # --beta-max 40 --out curve.csv --svg curve.svg`'s two files, recorded so
-# (the CSV once every weighted trace shoot stepped in log r from its
-# series' radius)
+# (the CSV once the march shot every weighted beta in lanes, which moved
+# the rows at beta <= 0 in their last digits)
 PINNED_TRACE_FILES = {
-    "curve.csv": "0dfc5aab5609f9807d79e065265535bc0eaa597d0db226484ad72ea57e9facf4",
+    "curve.csv": "24227e74124d588cd8cb9e21c6425519294c25e59cf7621e7f7d4fdf326bf192",
     "curve.svg": "76992d3c9d6d86d906fcc17850cdf18bed333b77682f1f34aaabe1d525c3a4b0",
 }
 
