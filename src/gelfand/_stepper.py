@@ -107,9 +107,12 @@ a weight that has coefficients or a tilt, the log-r phases of all the
 betas of a call, whatever their sign, run as batches of at most 256
 lanes; the march makes one call for its grid and one for each round of
 the midpoints it bisects. With const (and a_0) each beta is shot on
-``integrate_ivp``. The Taylor series of a lane batch come from one
-recurrence on numpy arrays, an entry per beta
-(``radial_ode._Series.lanes``): the scalar recurrence's own lines, and
+``integrate_ivp``, from the one series of its dimension in
+rho = e^{beta/2} r (``radial_ode._flat_terms``), which needs no
+recurrence. The Taylor series of a lane batch come from one recurrence
+on numpy arrays, an entry per beta, and their start states from one
+evaluation of the power sums (``radial_ode._Series.lanes``): the scalar
+recurrence's own lines, and
 bit-identical to it only while each of its sums adds left to right, as
 ``functools.reduce(operator.add, ...)`` does on floats and arrays alike
 and ``sum()`` does on floats only up to Python 3.11 (from 3.12 on it
@@ -120,13 +123,16 @@ refinement, zero numbers and every other single shoot, grid shoots, the
 singular solution and the Pruefer phase. Whether on ``solve`` or in
 lanes, a trace shoot computes its state at r = 1 at once and builds its
 profiles on first read only (``radial_ode.ShootResult``), which a march
-never does. The lanes' steps are not bit-identical to ``solve``'s,
-numpy's exp and power rounding apart from Python's: over the march lanes
-of N=10 and N=3 a_h at h=40 and N=9 polyexp:0.7,-0.2;d=0.3 the end
-states agree within 3.2e-14 relative, and all but 2 of the 529 lanes
-take ``solve``'s numbers of accepted and rejected steps
-(``tests/test_lanes.py``). A lane's steps do not depend on
-the batch it runs in: every operation is element-wise.
+never does; a scalar series builds its start state on first read, which
+an Emden landing never does. The lanes' steps are not bit-identical to
+``solve``'s, numpy's exp and power rounding apart from Python's: over the
+march lanes of N=10 and N=3 a_h at h=40 and N=9 polyexp:0.7,-0.2;d=0.3
+the end states agree within 3.2e-14 relative, and all but 2 of the 529
+lanes take ``solve``'s numbers of accepted and rejected steps
+(``tests/test_lanes.py``). A lane's steps do not depend on the batch it
+runs in: every operation is element-wise, and an iteration
+in which every running lane accepts its step takes the new states as
+they are, where any other merges accepted and rejected lanes.
 
 ``zeroin`` is the one root finder (R. P. Brent, Algorithms for Minimization
 without Derivatives, 1973, ch. 4): inverse quadratic or secant steps where
@@ -302,8 +308,11 @@ def solve_lanes(fun, x0, y0, x1, rtol, atol):
     One iteration makes one step attempt in every running lane, on numpy
     arrays, by the lane stage of fun (`_lane_functions`). Element-wise
     operations only, so a lane's steps do not depend on the other lanes in
-    the batch. They differ from `solve`'s in the last bits, numpy's exp and
-    power rounding apart from Python's.
+    the batch. An iteration in which every running lane accepts takes the
+    attempt's states, points and step sizes as they are; any other selects
+    them lane by lane, which gives the same bits. They differ from
+    `solve`'s in the last bits, numpy's exp and power rounding apart from
+    Python's.
 
     Returns one entry per lane: its `Lane`, or the IntegrationError that
     ended it (step size underflow, step budget exhausted, or the ValueError
@@ -367,13 +376,19 @@ def solve_lanes(fun, x0, y0, x1, rtol, atol):
             grow = err ** (-_PI_ALPHA)
             fac = np.minimum(_MAX_FACTOR,
                              np.maximum(_MIN_FACTOR, _SAFETY * grow * err_prev ** _PI_BETA))
-            h = np.where(ok, np.where(clamped, np.maximum(h, h_try * fac), h_try * fac),
-                         h_try * np.fmax(_MIN_FACTOR, _SAFETY * grow))
-            err_prev = np.where(ok, np.maximum(err, 1e-10), err_prev)
-            x = np.where(ok, np.where(clamped, target, x_new), x)
-            y = np.where(ok, y_new, y)
-            k1 = np.where(ok, k13, k1)
-            taken.append((ids[ok], x[ok], y[:, ok]))
+            h_ok = np.where(clamped, np.maximum(h, h_try * fac), h_try * fac)
+            x_ok = np.where(clamped, target, x_new)
+            err_ok = np.maximum(err, 1e-10)
+            if ok.all():  # nothing to merge: the accepted steps are the new state
+                h, err_prev, x, y, k1 = h_ok, err_ok, x_ok, y_new, k13
+                taken.append((ids, x, y))
+            else:
+                h = np.where(ok, h_ok, h_try * np.fmax(_MIN_FACTOR, _SAFETY * grow))
+                err_prev = np.where(ok, err_ok, err_prev)
+                x = np.where(ok, x_ok, x)
+                y = np.where(ok, y_new, y)
+                k1 = np.where(ok, k13, k1)
+                taken.append((ids[ok], x[ok], y[:, ok]))
             done = x >= target
             if done.any():
                 drop(~done)

@@ -331,9 +331,10 @@ def _power_sums(tau, terms) -> np.ndarray:
     """sum_k terms[k - 1] tau^k for each tau: the powers by repeated
     products, summed with the terms row by row (einsum, not a BLAS
     product), so that a radius reads the same whichever radii come with
-    it."""
-    powers = np.cumprod(np.repeat(tau[:, None], len(terms), axis=1), axis=1)
-    return np.einsum("nk,kc->nc", powers, terms)
+    it. terms shaped (K, c) serve every tau; shaped (n, K, c), one (K, c)
+    block per tau, they give each tau the bits of its block alone."""
+    powers = np.cumprod(np.repeat(tau[:, None], terms.shape[-2], axis=1), axis=1)
+    return np.einsum("nk,kc->nc" if terms.ndim == 2 else "nk,nkc->nc", powers, terms)
 
 
 def _scaled_series(w: Weight, sigma):
@@ -375,16 +376,17 @@ def _regular_terms(N: int, alpha, s):
     return terms, tau0 if terms.ndim == 3 else tau0[0]
 
 
-def _is_flat(w: Weight, beta: float) -> bool:
-    """Whether the series at beta is `_flat_terms`'."""
-    return beta >= 0.0 and not w.coeffs and not w.tilt
+def _is_flat(w: Weight) -> bool:
+    """Whether w has no coefficients and no tilt (const, a_0): then the
+    series at every beta is `_flat_terms`'."""
+    return not w.coeffs and not w.tilt
 
 
 @functools.cache
 def _flat_terms(N: int):
-    """`_regular_terms` of the constant weight (and a_0) at beta >= 0, once
-    per dimension: there alpha_j / sigma^j = 0 for j >= 1 and s = 1, so
-    they are the same for every such beta."""
+    """`_regular_terms` of the constant weight (and a_0) with sigma = e^beta,
+    once per dimension: then alpha_j / sigma^j = 0 for j >= 1 and s = 1,
+    so they are the same for every beta."""
     return _regular_terms(N, _weight_series(Weight(spec="const", coeffs=(), tilt=0.0)), 1.0)
 
 
@@ -453,15 +455,17 @@ def _emden_steps(N: int, s, zs, end):
 
 class _Series:
     """The Taylor series at r = 0 of a regular shoot's v and e = dv/dbeta,
-    to order K = _SERIES_ORDER in tau = sigma r^2, sigma = e^{max(beta, 0)},
+    to order K = _SERIES_ORDER in tau = sigma r^2, sigma = e^{max(beta, 0)}
+    (e^beta for const and a_0, below),
 
         v = beta + sum_k b_k tau^k,   e = 1 + sum_k g_k tau^k,
 
     and its radius r0: the largest r <= 1 at which the last two terms of v
     and e are at most _SERIES_EPS = 2^-52, and those of r v' and r e' at
-    most 2^-52 times their first terms. With const, rho0 = e^{beta/2} r0 is
-    1.34 at N=3 and 2.13 at N=10 for beta >= 0, and r0 = 1 for beta <= 0;
-    a steep weight lowers it (a_40: 0.31 at N=3, 0.58 at N=10, beta = 0).
+    most 2^-52 times their first terms. With const, r0 = min(1, rho0
+    e^{-beta/2}), rho0 = 1.34 at N=3 and 2.13 at N=10, so r0 = 1 for beta
+    <= 0; a steep weight lowers it (a_40: 0.31 at N=3, 0.58 at N=10, beta
+    = 0).
 
     w = v - beta solves (r^{N-1} w')' = -r^{N-1} e^beta a e^w. With the
     weight's series a = sum_j alpha_j r^{2j}, read as alpha_j / sigma^j in
@@ -469,62 +473,86 @@ class _Series:
     2k(2k+N-2) b_k = -s F_{k-1} with s = e^beta / sigma, E_k = (1/k)
     sum_j j b_j E_{k-j} (the exp series), and e solves the linearized
     equation: 2k(2k+N-2) g_k = -s (F G)_{k-1}, G = e. Splitting e^beta
-    between sigma and s keeps every term finite over the guard range: in
-    r alone the factor e^{k beta} of tau^k overflows from beta ~ 30, and in
-    e^beta r^2 alone alpha_j e^{-j beta} from beta ~ -31 down. With const
-    (and a_0) at beta >= 0 the terms and tau0 do not depend on beta
-    (`_flat_terms`): a shoot then costs 16 us of series, not about 150
-    (a_40 at N=10). `flat` marks those shoots; beyond r0 a trace shoot among them
-    reads the Emden trajectory (`_emden_shoot`).
+    between sigma and s keeps the terms alpha_j / sigma^j, j >= 1, finite
+    over the guard range: in r alone the factor e^{k beta} of tau^k
+    overflows from beta ~ 30, and in e^beta r^2 alone alpha_j e^{-j beta}
+    from beta ~ -31 down. A weight with no such terms (const, a_0) takes
+    sigma = e^beta at every beta, so its terms and tau0 do not depend on
+    beta (`_flat_terms`, built once per dimension), and a shoot's series
+    costs no recurrence. `flat` marks those shoots; beyond r0 a trace shoot
+    among them reads the Emden trajectory (`_emden_shoot`).
 
-    `lanes` builds the series of many betas at once, as a march's lane
-    batch needs them (`trace_lanes`): `_regular_terms` runs its lines once
-    on arrays of an entry per beta, and gives every beta's terms, tau0
-    and start bit for bit as one `_Series` does. For the 160 betas of
-    N=10, a_40 in (0, 40] that takes 5 ms, where one beta at a time takes
-    24 ms (medians, 2-core Xeon).
+    The start state, the series' state at r0, is built on first read
+    (`start`). `lanes` builds the series of many betas at once, as a
+    march's lane batch needs them (`trace_lanes`): `_regular_terms` runs
+    its lines once on arrays of an entry per beta, and one evaluation of
+    the power sums gives every start; each beta's terms, tau0 and start
+    are bit for bit those of one `_Series`.
 
     The order: at 16, a_40's series at N=12 gives r0 = 0.50 for beta <~ -20,
     and beyond it a shoot's v' (about e^beta, far below abs_tol) is 0.6 %
     off at r = 1; at 24, r0 = 0.99 and v'(1) is exact to rounding.
     """
 
-    __slots__ = ("beta", "sigma", "flat", "terms", "r0", "start")
+    __slots__ = ("beta", "sigma", "flat", "terms", "r0", "_start")
 
     def __init__(self, cfg: ProblemConfig, beta: float):
-        sigma = math.exp(max(beta, 0.0))
-        flat = _is_flat(cfg.weight, beta)
+        flat = _is_flat(cfg.weight)
+        sigma = math.exp(beta if flat else max(beta, 0.0))
         self._fill(beta, sigma, flat, *(_flat_terms(cfg.dim) if flat else _regular_terms(
             cfg.dim, _scaled_series(cfg.weight, sigma), math.exp(min(beta, 0.0)))))
 
     @classmethod
     def lanes(cls, cfg: ProblemConfig, betas) -> list:
-        """`_Series(cfg, beta)` at each of `betas`, bit for bit; sigma and s
-        are each beta's floats, numpy's exp rounding apart from Python's."""
-        sigma = [math.exp(max(beta, 0.0)) for beta in betas]
-        s = np.array([math.exp(min(beta, 0.0)) for beta in betas])
-        terms, tau0 = _regular_terms(cfg.dim, _scaled_series(cfg.weight, np.array(sigma)), s)
+        """`_Series(cfg, beta)` at each of `betas`, starts included, bit for
+        bit; sigma and s are each beta's floats, numpy's exp rounding apart
+        from Python's."""
+        flat = _is_flat(cfg.weight)
+        sigma = np.array([math.exp(beta if flat else max(beta, 0.0)) for beta in betas])
+        if flat:
+            terms, tau0 = _flat_terms(cfg.dim)
+            terms, tau0 = np.broadcast_to(terms, (len(betas), *terms.shape)), [tau0] * len(betas)
+        else:
+            s = np.array([math.exp(min(beta, 0.0)) for beta in betas])
+            terms, tau0 = _regular_terms(cfg.dim, _scaled_series(cfg.weight, sigma), s)
+            # each beta's terms contiguous, laid out as the floats' would be
+            terms = np.ascontiguousarray(terms.transpose(2, 0, 1))
         out = [cls.__new__(cls) for _ in betas]
-        # each beta's terms contiguous, laid out as the floats' would be
-        for series, beta, sig, t, tau in zip(out, betas, sigma,
-                                             np.ascontiguousarray(terms.transpose(2, 0, 1)), tau0):
-            series._fill(beta, sig, _is_flat(cfg.weight, beta), t, tau)
+        for series, beta, sig, t, tau in zip(out, betas, sigma.tolist(), terms, tau0):
+            series._fill(beta, sig, flat, t, tau)
+        starts = _series_states(np.array(betas, dtype=float), sigma, terms,
+                                np.array([series.r0 for series in out]))
+        for series, start in zip(out, starts.tolist()):
+            series._start = start
         return out
 
     def _fill(self, beta, sigma, flat, terms, tau0):
         self.beta, self.sigma, self.flat, self.terms = beta, sigma, flat, terms
         self.r0 = min(1.0, math.sqrt(tau0 / sigma))
-        self.start = self.states([self.r0])[0].tolist()
+        self._start = None
+
+    @property
+    def start(self) -> list:
+        """[v, v', e, e'] at r0, built on first read."""
+        if self._start is None:
+            self._start = self.states([self.r0])[0].tolist()
+        return self._start
 
     def states(self, r) -> np.ndarray:
-        """Rows (v, v', e, e') at the radii r, at most r0 (`_power_sums`)."""
-        r = np.asarray(r, dtype=float)
-        s = _power_sums(self.sigma * r * r, self.terms)
-        s[:, 0] += self.beta
-        s[:, 1] *= 2.0 / r
-        s[:, 2] += 1.0
-        s[:, 3] *= 2.0 / r
-        return s
+        """Rows (v, v', e, e') at the radii r, at most r0."""
+        return _series_states(self.beta, self.sigma, self.terms, np.asarray(r, dtype=float))
+
+
+def _series_states(beta, sigma, terms, r) -> np.ndarray:
+    """Rows (v, v', e, e') of the series at beta, sigma and terms (`_Series`)
+    at the radii r (`_power_sums`); or, with an entry of beta, sigma and r
+    and a block of terms per row, each row's at its own radius."""
+    s = _power_sums(sigma * r * r, terms)
+    s[:, 0] += beta
+    s[:, 1] *= 2.0 / r
+    s[:, 2] += 1.0
+    s[:, 3] *= 2.0 / r
+    return s
 
 
 @functools.lru_cache(maxsize=8)
@@ -750,7 +778,7 @@ def _trace_profile(cfg: ProblemConfig, series, r=(), ws=()):
 def _trace_shoots(cfg: ProblemConfig, series, log_phases) -> list:
     """The trace shoots of the `series` (`_Series`), each a ShootResult or
     the IntegrationError that ended it, ending at r = 1.0 exactly. Where
-    r0 = 1 a shoot makes no `solve` call. With const (and a_0) at beta > 0
+    r0 = 1 a shoot makes no `solve` call. With const (and a_0) where r0 < 1
     it reads its steps beyond r0 off the one Emden-Fowler trajectory of the
     dimension, and its own `solve` call only lands on r = 1
     (`_emden_shoot`). Any other shoot steps in s = log r from s0 = log r0
@@ -822,13 +850,14 @@ def trace_lanes(cfg: ProblemConfig, betas) -> list:
     tilt (const, a_0) each is `integrate_ivp(cfg, beta, trace=True)`,
     which reads the Emden trajectory beyond its series' radius. With any
     other weight, whatever the sign of beta, their series come from one
-    recurrence on arrays (`_Series.lanes`), bit for bit those of the
-    shoots one by one, and their log-r phases, from each series' radius
+    recurrence on arrays and their start states from one evaluation
+    (`_Series.lanes`), bit for bit those of the shoots one by one, and
+    their log-r phases, from each series' radius
     r0 < 1 to r = 1, run as batches of at most _LANE_BATCH lanes of
     `_stepper.solve_lanes`: such a shoot makes no `solve` call. A lane's
     steps do not depend on its batch, but they are not bit-identical to
     `solve`'s (`integrate_ivp`)."""
-    if not (cfg.weight.coeffs or cfg.weight.tilt):
+    if _is_flat(cfg.weight):
         shots = []
         for beta in betas:
             try:

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import inspect
 import operator
+import sys
 
 import numpy as np
 import pytest
@@ -136,6 +138,49 @@ def test_a_lane_does_not_depend_on_its_batch(march_betas, case):
                                       cfg.rel_tol, cfg.abs_tol)
         assert np.array_equal(alone.xs, batch[i].xs) and np.array_equal(alone.ys, batch[i].ys)
         assert alone.attempts == batch[i].attempts
+
+
+def _merge_branches(run):
+    """run() and the lines of `solve_lanes` that record an iteration's
+    accepted steps which it ran: the all-accept one and the merging one."""
+    lines, first = inspect.getsourcelines(_stepper.solve_lanes)
+    branches = {n: text.strip() for n, text in enumerate(lines, first) if "taken.append(" in text}
+    code, ran = _stepper.solve_lanes.__code__, set()
+
+    def lines_of(frame, event, arg):
+        if event == "line" and frame.f_lineno in branches:
+            ran.add(branches[frame.f_lineno])
+        return lines_of
+
+    def calls(frame, event, arg):
+        return lines_of if frame.f_code is code else None
+
+    before = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        out = run()
+    finally:
+        sys.settrace(before)
+    return out, ran, set(branches.values())
+
+
+def test_a_mixed_batch_takes_each_lanes_own_steps(march_betas):
+    # in the N=3, a_40 march's batch some iterations accept in every lane,
+    # which skips the merges, and others reject in some: either way each
+    # lane takes, with ==, the steps it takes alone
+    cfg = _cfg(3, "ah:h=40")
+    fun = radial_ode._rhs_ve_log(cfg)
+    starts = [log for b in march_betas[3, "ah:h=40"]
+              if (log := radial_ode._log_start(radial_ode._series(cfg, b)))]
+    s0, y0 = np.array([s for s, _ in starts]), np.transpose([y for _, y in starts])
+    batch, ran, branches = _merge_branches(lambda: _stepper.solve_lanes(
+        fun, s0, y0, np.zeros(len(s0)), cfg.rel_tol, cfg.abs_tol))
+    assert len(branches) == 2 and ran == branches
+    for i, lane in enumerate(batch):
+        alone, = _stepper.solve_lanes(fun, s0[i:i + 1], y0[:, i:i + 1], [0.0],
+                                      cfg.rel_tol, cfg.abs_tol)
+        assert np.array_equal(alone.xs, lane.xs) and np.array_equal(alone.ys, lane.ys), i
+        assert alone.attempts == lane.attempts, i
 
 
 @pytest.mark.parametrize("case", [(10, "ah:h=40"), (3, "ah:h=40")])
@@ -628,8 +673,12 @@ SCALAR_SHOOTS = {
     # recorded while every trace shoot built its profiles at once
     (3, "const", 7.5): ("0x1.060e5f9155232p-1", "0x1.0c640180d6bd4p-5",
                         "d0c853a96b71d3927095dad28cdeca879101e30b5be3e4f2c8d5741ef056b247", 73),
+    # the rows re-recorded once const took the flat series (sigma = e^beta)
+    # at beta <= 0 too: v(1), dlambda/dbeta and the 67 radii kept their
+    # bits, and 46 of the 335 cells moved, in v' and e' only, by at most
+    # 3.7e-16 relative (`test_flat_series_at_negative_beta_are_the_recurrence`)
     (10, "const", -3.0): ("-0x1.80517c941af15p+1", "0x1.95d4fdfde2d7dp-5",
-                          "705002f7c4c3657be3bd59289b188bc0cde86abe64e20bc2de0eeef502032d2b", 67),
+                          "acf7ce34797512846b9182b5bd7de73f44bb118f45da23cdb127c69d8b8e14c6", 67),
 }
 
 
@@ -708,6 +757,24 @@ def test_the_trace_files_are_the_pinned_ones(tmp_path, monkeypatch):
                      "--beta-max", "40", "--out", "curve.csv", "--svg", "curve.svg"]) == 0
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in PINNED_TRACE_FILES} == PINNED_TRACE_FILES
+
+
+@pytest.mark.parametrize("dim, spec", [(3, "ah:h=40"), (10, "ah:h=40"), (12, "ah:h=40"),
+                                       (6, "polyexp:0.7,-0.2;d=0.3"),
+                                       (9, "polyexp:0.7,-0.2;d=0.3")])
+def test_a_lane_batch_builds_its_starts_in_one_evaluation(monkeypatch, dim, spec):
+    # one power sum over every lane gives each start state bit for bit as
+    # the series of its beta alone builds it on first read
+    cfg = _cfg(dim, spec)
+    betas = np.linspace(-40.0, 60.0, 401).tolist()
+    calls, sums = [], radial_ode._power_sums
+    monkeypatch.setattr(radial_ode, "_power_sums",
+                        lambda tau, terms: (calls.append(len(tau)), sums(tau, terms))[1])
+    lanes = radial_ode._Series.lanes(cfg, betas)
+    starts = [lane.start for lane in lanes]
+    assert calls == [len(betas)]
+    assert starts == [radial_ode._Series(cfg, beta).start for beta in betas]
+    assert calls == [len(betas)] + [1] * len(betas)
 
 
 @pytest.mark.parametrize("dim, spec", [(3, "const"), (3, "ah:h=40"), (10, "const"),

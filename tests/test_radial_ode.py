@@ -25,6 +25,7 @@ from gelfand import (
     potential_from_singular,
     rescaled_profile,
     residual_Uh,
+    trace_curve,
 )
 from gelfand import _stepper, radial_ode, weights
 from gelfand.radial_ode import (
@@ -370,6 +371,78 @@ def test_flat_series_terms_are_built_once(dim):
             terms, tau0 = radial_ode._regular_terms(dim, alpha, 1.0)
             assert np.array_equal(series.terms, terms)
             assert series.r0 == min(1.0, math.sqrt(tau0 / series.sigma))
+
+
+def _recurrence_series(cfg, beta):
+    """The series of const (or a_0) at beta <= 0 as the recurrence builds
+    it with sigma = 1 and s = e^beta."""
+    terms, tau0 = radial_ode._regular_terms(
+        cfg.dim, radial_ode._scaled_series(cfg.weight, 1.0), math.exp(beta))
+    series = radial_ode._Series.__new__(radial_ode._Series)
+    series._fill(beta, 1.0, False, terms, tau0)
+    return series
+
+
+def test_flat_series_at_negative_beta_are_the_recurrence(monkeypatch):
+    # const and a_0 take the flat series, sigma = e^beta, at beta <= 0 too,
+    # where the recurrence with sigma = 1 and s = e^beta gives the same
+    # series in other roundings: trace and grid shoots keep v(1) and
+    # dlambda/dbeta within 4.5e-16 relative (1 620 cases), and the grid
+    # shoots' flux residuals stay within 3e-15
+    def sample(shot):
+        return np.array([shot.v1, shot.dlambda_dbeta])
+
+    worst, flux = 0.0, 0.0
+    for dim in range(3, 13):
+        for w in (CONST, make_ah(0.0, dim)):
+            cfg = ProblemConfig(dim=dim, weight=w)
+            for beta in np.linspace(-40.0, 0.0, 81).tolist():
+                assert radial_ode._Series(cfg, beta).r0 == 1.0
+                new = [integrate_ivp(cfg, beta, trace=True), integrate_ivp(cfg, beta)]
+                flux = max(flux, flux_residual(cfg, new[1]))
+                with monkeypatch.context() as m:
+                    m.setattr(radial_ode, "_series", _recurrence_series)
+                    old = [integrate_ivp(cfg, beta, trace=True), integrate_ivp(cfg, beta)]
+                for a, b in zip(new, old):
+                    worst = max(worst, np.max(np.abs(sample(a) - sample(b)) / np.abs(sample(b))))
+    assert worst <= 4.5e-16 and flux <= 3e-15, (worst, flux)
+
+
+@pytest.mark.parametrize("dim", [3, 10])
+@pytest.mark.parametrize("spec", ["const", "ah:h=0"])
+def test_a_constant_march_runs_no_recurrence(monkeypatch, spec, dim):
+    # every series of a const (or a_0) march is the flat one, built once
+    # per dimension, whatever the sign of beta
+    radial_ode._flat_terms(dim)
+    calls, real = [], radial_ode._regular_terms
+    monkeypatch.setattr(radial_ode, "_regular_terms",
+                        lambda *args: (calls.append(args), real(*args))[1])
+    curve = trace_curve(ProblemConfig(dim=dim, weight=parse_weight(spec, dim)), -5.0, 40.0, 0.25)
+    assert curve.complete and calls == []
+
+
+@pytest.mark.parametrize("dim", [3, 10])
+def test_a_constant_march_builds_only_the_starts_it_reads(monkeypatch, dim):
+    # a shoot whose series reaches r = 1 reads its start as its state
+    # there and builds it once; an Emden shoot never reads it
+    shot, built, emden = [], [], []
+    shoots, states = radial_ode._trace_shoots, radial_ode._Series.states
+    emden_shoot = radial_ode._emden_shoot
+
+    def counted_states(series, r):
+        built.append(series.beta)
+        return states(series, r)
+
+    monkeypatch.setattr(radial_ode._Series, "states", counted_states)
+    monkeypatch.setattr(radial_ode, "_trace_shoots", lambda cfg, series, phases: (
+        shot.extend((ser.beta, ser.r0) for ser in series), shoots(cfg, series, phases))[1])
+    monkeypatch.setattr(radial_ode, "_emden_shoot", lambda cfg, series: (
+        emden.append(series.beta), emden_shoot(cfg, series))[1])
+    radial_ode._series.cache_clear()
+    curve = trace_curve(ProblemConfig(dim=dim, weight=CONST), -5.0, 40.0, 0.25)
+    assert curve.complete and len(shot) >= len(curve.betas)
+    assert built == [beta for beta, r0 in shot if r0 == 1.0] and built
+    assert emden == [beta for beta, r0 in shot if r0 < 1.0] and emden
 
 
 def _compensated_sum(iterable, start=0):
