@@ -27,16 +27,19 @@ that radius r0 from the series, and so does the singular solution, from
 its series in the Emden variable (``radial_ode._SingularSeries``), so
 ``solve`` never crawls up from r_start. Grid shoots
 (``radial_ode.integrate_ivp`` with radii, ``integrate_singular`` and
-``rescaled_profile``) give ``solve`` only a sparse subset of their radii
-beyond r0 as nodes, no farther apart than min(0.02, 0.26 r), and fill
-the other radii from the accepted steps by degree-7 Hermite
-(``radial_ode._grid_states``): 853 right-hand-side calls for N=10, a_h at
-h=40, beta=3 (31 nodes beyond r0 = 0.42), where landing on each of
-``radial_ode.default_grid``'s radii beyond r0 took 3 517. The singular
+``rescaled_profile``, all through ``radial_ode._integrate``) pass
+``bound``: no step from x is longer than min(0.02, 0.26 x). They land
+only on their last radius, on r = 1 and on any radius farther than that
+bound from the one before it, and fill the other radii from the accepted
+steps by degree-7 Hermite (``radial_ode._grid_states``). On
+``radial_ode.default_grid`` that is r = 1 alone: 397 right-hand-side
+calls for N=10, a_h at h=40, beta=3 (33 accepted steps beyond r0 =
+0.42), where landing on 31 of its radii beyond r0, no farther apart than
+the bound, took 853 and landing on each of them 3 517. The singular
 series of const and every a_h reaches r = 1, so their singular solution
 makes no ``solve`` call at all (it took 3 997 calls from r_start for
 N=10, a_h at h=40); polyexp:1.5;d=0.5 at N=10 stops at r0 = 0.70 and
-takes 373 calls on 16 nodes.
+takes 193 calls (373 on 16 landings).
 Consumers that need only values (zero numbers, separation and envelope
 gaps) shoot on accepted steps (``integrate_ivp`` with ``trace=True``, as
 curve tracing does) and interpolate. With a weight, such a shoot makes
@@ -211,7 +214,7 @@ _PI_BETA = 0.4 / 8.0
 _MAX_STEPS = 2_000_000
 
 
-def solve(fun, x0, y0, nodes, rtol, atol, first_step=None, collect=False):
+def solve(fun, x0, y0, nodes, rtol, atol, first_step=None, collect=False, bound=None):
     """Integrate y' = fun(x, y) from x0 through each node in `nodes`.
 
     y0 has 1, 2 or 4 components; fun(x, y) takes the state as a list
@@ -221,7 +224,8 @@ def solve(fun, x0, y0, nodes, rtol, atol, first_step=None, collect=False):
     fused stage; any other callable runs on the generic stage of its size,
     twelve calls per attempt, with bit-identical results. nodes must
     not decrease; a node at or below the point already reached (x0, or the
-    node before it) repeats the current state.
+    node before it) repeats the current state. bound=(cap, rel) limits
+    every step from x to min(cap, rel x) before the clamp onto a node.
     Returns the list of states at the nodes; with collect=True returns
     (node_states, xs, ys) where xs/ys are every accepted step point
     including x0 and all nodes. Raises IntegrationError on step size
@@ -233,6 +237,8 @@ def solve(fun, x0, y0, nodes, rtol, atol, first_step=None, collect=False):
         head = fun.stage_args
     else:
         stage, head = _generic_stage(len(y0)), (fun,)
+    if bound is not None:
+        cap, rel = bound
     x = x0
     y = list(y0)
     try:  # fun (here, and called or inlined in the stage) is the only source of ValueError
@@ -248,6 +254,8 @@ def solve(fun, x0, y0, nodes, rtol, atol, first_step=None, collect=False):
             while x < target:
                 if nsteps > _MAX_STEPS:
                     raise IntegrationError("step budget exhausted", x)
+                if bound is not None:
+                    h = min(h, cap, rel * x)
                 clamped = h >= target - x
                 h_try = target - x if clamped else h
                 x_new = x + h_try

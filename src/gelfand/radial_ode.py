@@ -40,10 +40,9 @@ _EXP_CAP = 500.0  # caps e^v: guards trial stages of rejected steps, not real st
 _GRID_RATIO = 1.08
 _GRID_H_UNIFORM = 2e-3
 
-# a grid shoot lands on anchor radii no farther apart than min(0.02, 0.26 r),
-# r the left one, and fills the radii between them from its accepted steps:
-# (gap, rel)
-_ANCHORS = (0.02, 0.26)
+# a grid shoot steps no farther than min(0.02, 0.26 r) from r and fills its
+# radii from its accepted steps: (cap, rel), `_stepper.solve`'s bound
+_GRID_STEP = (0.02, 0.26)
 
 # a regular shoot starts from its Taylor series at r = 0 (`_Series`): of
 # this order in e^beta r^2, out to where its last terms fall below this
@@ -149,14 +148,21 @@ def default_grid(cfg: ProblemConfig, R: float = 1.0) -> np.ndarray:
 
     The spacing serves the flux and Pohozaev quadratures, which read the
     samples. No shoot lands on every radius: a regular shoot and the
-    singular solution take the radii up to their series' radius from the
-    series (for the singular solution of const and a_h, all 561), land on
-    about every third radius of the geometric head and every tenth of the
-    uniform part beyond (`_anchor_radii`, 77 of the 561 over the whole
-    grid), and fill the rest from their accepted steps (`_grid_states`).
+    singular solution take the radii up to their series' radius r0 from
+    the series (for the singular solution of const and a_h, all 561),
+    step beyond r0 no farther than min(0.02, 0.26 r) from r, land on r = 1
+    only (and on r_start where r0 lies farther below it than that bound),
+    and fill the rest from their accepted steps (`_grid_states`). Grid
+    shoots without radii read this grid from `_default_radii`, built once
+    per r_start.
     """
-    pts = [cfg.r_start]
-    r = cfg.r_start
+    return _grid(cfg.r_start, R)
+
+
+def _grid(r_start: float, R: float) -> np.ndarray:
+    """`default_grid` from r_start to R."""
+    pts = [r_start]
+    r = r_start
     ratio, h_u = _GRID_RATIO, _GRID_H_UNIFORM
     while r * (ratio - 1.0) < h_u and r * ratio < R:
         r *= ratio
@@ -723,7 +729,7 @@ def _integrate(cfg: ProblemConfig, fun, r0: float, y0, nodes):
             return head, [r0], head
     states, xs, ys = _stepper.solve(
         fun, r0, y0, nodes, cfg.rel_tol, cfg.abs_tol,
-        first_step=_SERIES_FIRST_STEP * r0, collect=True,
+        first_step=_SERIES_FIRST_STEP * r0, collect=True, bound=_GRID_STEP,
     )
     return head + states, xs, ys
 
@@ -870,11 +876,23 @@ def trace_lanes(cfg: ProblemConfig, betas) -> list:
     return _trace_shoots(cfg, _Series.lanes(cfg, betas), functools.partial(_lane_phases, cfg))
 
 
+@functools.lru_cache(maxsize=8)
+def _default_radii(r_start: float):
+    """`default_grid` from r_start to 1 as a read-only array and as a list
+    of floats, built once per r_start: every grid shoot without radii
+    reads it."""
+    radii = _grid(r_start, 1.0)
+    radii.flags.writeable = False
+    return radii, radii.tolist()
+
+
 def _output_radii(cfg: ProblemConfig, radii):
-    """The output radii (default: `default_grid`) as an array and as a
-    list of floats; they must be finite, start at r_start or beyond and
-    never decrease."""
-    radii_arr = np.asarray(radii if radii is not None else default_grid(cfg))
+    """The output radii (default: `default_grid`, `_default_radii`) as an
+    array and as a list of floats; they must be finite, start at r_start
+    or beyond and never decrease."""
+    if radii is None:
+        return _default_radii(cfg.r_start)
+    radii_arr = np.asarray(radii)
     if radii_arr.ndim != 1 or len(radii_arr) == 0:
         raise ValueError("output radii must be a non-empty one-dimensional sequence")
     if not np.all(np.isfinite(radii_arr)):
@@ -884,29 +902,6 @@ def _output_radii(cfg: ProblemConfig, radii):
     if np.any(np.diff(radii_arr) < 0.0):
         raise ValueError("output radii must not decrease")
     return radii_arr, [float(x) for x in radii_arr]
-
-
-def _anchor_radii(nodes):
-    """The strictly increasing radii of `nodes` a grid shoot lands on: the
-    first and the last, and between them greedily the farthest radius within
-    min(gap, rel r) of the anchor r before it, (gap, rel) = _ANCHORS, or the
-    next radius where none is."""
-    top, rel = _ANCHORS
-    a = nodes[0]
-    anchors, gap = [a], min(top, rel * a)
-    for prev, r in zip(nodes, nodes[1:]):
-        if r - a > gap:
-            if prev > a:
-                a = prev
-                anchors.append(a)
-                gap = min(top, rel * a)
-            if r - a > gap:
-                a = r
-                anchors.append(a)
-                gap = min(top, rel * a)
-    if anchors[-1] < nodes[-1]:
-        anchors.append(nodes[-1])
-    return anchors
 
 
 def _jets(cfg: ProblemConfig, x: np.ndarray, y: np.ndarray, weight):
@@ -937,46 +932,49 @@ def _grid_states(cfg: ProblemConfig, radii: np.ndarray, nodes, shoot,
                  series: _Series | _SingularSeries, one: bool = False):
     """States (v, v') or (v, v', e, e') at `radii` (as floats, `nodes`):
     those at radii up to the radius r0 of the solution's Taylor `series`
-    from the series, and the others from one shoot that lands on
-    `_anchor_radii` of them only:
-    shoot(anchors) returns (states at the anchors, xs, ys) with the accepted
-    steps. A radius that is an anchor keeps the integrator's state; the
-    rest are filled by the shared degree-7 Hermite reader (`_hermite_read`)
-    on the accepted step around them, each value from its first three
-    derivatives, each first derivative from the next three, all from the
-    ODE (`_jets`); a radius on an accepted step reads that step's state
-    exactly.
+    from the series, and the others from one shoot whose steps are bounded
+    (`_GRID_STEP`, `_integrate`) and that lands on these of them only: the
+    last, and each that lies farther than the bound from the radius before
+    it (r0 before the first radius), so that a sparse grid is landed on
+    every radius. shoot(landings) returns (states at the landings, xs, ys)
+    with the accepted steps. A radius that is a landing keeps the
+    integrator's state; the rest are filled by the shared degree-7 Hermite
+    reader (`_hermite_read`) on the accepted step around them, each value
+    from its first three derivatives, each first derivative from the next
+    three, all from the ODE (`_jets`); a radius on an accepted step reads
+    that step's state exactly.
 
-    With one=True it returns (states, state at r = 1): the state of the
-    radius 1.0 where the radii hold it, else the series' state at r = 1
-    where r0 = 1, else the shoot's, which then lands on r = 1 as one more
-    anchor, in no output row.
+    With one=True it returns (states, state at r = 1): the series' state at
+    r = 1 where r0 = 1, else the shoot's, which then lands on r = 1 too,
+    whether or not the radii hold it.
     """
     below = bisect_right(nodes, series.r0)
-    anchors = _anchor_radii(nodes[below:]) if below < len(nodes) else []
-    extra = one and 1.0 not in nodes and series.r0 < 1.0
-    if extra:  # the shoot lands on r = 1 too, in order among the anchors
-        i = bisect_right(anchors, 1.0)
-        landed, xs, ys = shoot(anchors[:i] + [1.0] + anchors[i:])
-        at_one = landed.pop(i)
-    elif anchors:
-        landed, xs, ys = shoot(anchors)
     states = series.states(radii[:below])
-    if anchors:
-        radii = radii[below:]
-        k = np.minimum(np.searchsorted(anchors, radii), len(anchors) - 1)
+    beyond = radii[below:]
+    lands = set()
+    if len(beyond):
+        cap, rel = _GRID_STEP
+        before = np.concatenate((radii[below - 1:below] if below else [series.r0], beyond[:-1]))
+        lands.update(beyond[beyond - before > np.minimum(cap, rel * before)].tolist())
+        lands.add(nodes[-1])
+    if one and series.r0 < 1.0:
+        lands.add(1.0)
+    lands = sorted(lands)
+    if lands:
+        landed, xs, ys = shoot(lands)
+        k = np.minimum(np.searchsorted(lands, beyond), len(lands) - 1)
         filled = np.asarray(landed)[k]
-        rest = np.flatnonzero(np.asarray(anchors)[k] != radii)
+        rest = np.flatnonzero(np.asarray(lands)[k] != beyond)
         if rest.size:
             x, y = np.asarray(xs), np.asarray(ys)
             jets = (y, *_jets(cfg, x, y, weight_arrays(cfg.weight, x)))
-            filled[rest] = _hermite_read(x, jets, radii[rest])
+            filled[rest] = _hermite_read(x, jets, beyond[rest])
         states = np.concatenate((states, filled)) if below else filled
     if not one:
         return states
-    if not extra:
-        at_one = states[nodes.index(1.0)] if 1.0 in nodes else series.states([1.0])[0]
-    return states, np.asarray(at_one)
+    if series.r0 < 1.0:
+        return states, np.asarray(landed[lands.index(1.0)])
+    return states, states[nodes.index(1.0)] if 1.0 in nodes else series.states([1.0])[0]
 
 
 def integrate_ivp(cfg: ProblemConfig, beta: float, radii=None, trace: bool = False) -> ShootResult:
@@ -1007,19 +1005,21 @@ def integrate_ivp(cfg: ProblemConfig, beta: float, radii=None, trace: bool = Fal
     (`ShootResult`).
     Otherwise it is sampled at `radii` (default: `default_grid`), and
     lambda, alpha and dlambda/dbeta are those at r = 1 whatever the radii:
-    where 1.0 is not among them, the shoot lands on r = 1 as one more
-    anchor, which the profile does not hold. The
-    radii up to r0 take the series' states; beyond r0 the integrator lands
-    only on a sparse subset of them, `_anchor_radii`, and the others are
-    filled from its accepted steps by degree-7 Hermite (`_grid_states`, as
-    for `integrate_singular` and `rescaled_profile`). On `default_grid`
-    the filled states agree with a shoot that lands on every radius to
-    within 5.3e-14 (v), 1.5e-12 (v'), 3.1e-13 (e) and 5.9e-11 (e')
-    relative to max(1, |.|), over N in {3, 5, 7, 9, 10, 12}, const, a_h
-    and polyexp weights and beta in [-2, 40]. The anchors, no farther
-    apart than min(0.02, 0.26 r), keep them there: at N=3, a_h at h=40,
-    beta=-2 the steps grow to the gap, and with a gap of 0.04 v' was then
-    off by 1.8e-10.
+    where 1.0 is not among them, the shoot lands on r = 1 too, which the
+    profile does not hold. The radii up to r0 take the series' states;
+    beyond r0 no step from r is longer than min(0.02, 0.26 r)
+    (`_GRID_STEP`), the integrator lands only on the last radius, on r = 1
+    and on each radius farther than that bound from the one before it, and
+    the others are filled from its accepted steps by degree-7 Hermite
+    (`_grid_states`, as for `integrate_singular` and `rescaled_profile`).
+    On `default_grid` the states agree with a shoot at rtol/atol 1e-13 that
+    lands on every radius to within 7.2e-13 (v), 7.5e-12 (v'), 6.1e-12 (e)
+    and 8.8e-11 (e') relative to max(1, |.|), over N in {3, 5, 7, 9, 10,
+    12}, const, a_5, a_40, polyexp:0.7,-0.2;d=0.3 and polyexp:1.5;d=-0.8
+    and beta in {-2, 0.5, 3, 10, 25, 40}; landing on radii no farther apart
+    than the bound took about twice the steps for 7.1e-14, 1.5e-12, 2.2e-13
+    and 6.2e-11. The bound keeps them there: at N=3, a_h at h=40, beta=-2
+    the steps grow to it, and with a cap of 0.04 v' is 7.6e-11 off.
     """
     _check_beta(beta)
     if trace and radii is not None:
@@ -1030,7 +1030,7 @@ def integrate_ivp(cfg: ProblemConfig, beta: float, radii=None, trace: bool = Fal
             raise shot
         return shot
     radii_arr, nodes = _output_radii(cfg, radii)
-    states, at_one = _grid_states(cfg, radii_arr, nodes, lambda anchors: _run(cfg, beta, anchors),
+    states, at_one = _grid_states(cfg, radii_arr, nodes, lambda lands: _run(cfg, beta, lands),
                                   _series(cfg, beta), one=True)
     return _shoot_result(beta, at_one[0], at_one[2], lambda: (radii_arr, states))
 
@@ -1109,9 +1109,10 @@ def integrate_singular(cfg: ProblemConfig, radii=None):
     being stable: a perturbation of the -2 log r branch behaves like r^mu,
     mu^2 + (N-2) mu + 2(N-2) = 0, and Re mu < 0 for every N >= 3, so both
     linearized modes decay as r grows. Like a regular grid shoot
-    (`integrate_ivp`), it lands on `_anchor_radii` of the radii beyond r0
-    only and fills the others from its accepted steps by degree-7 Hermite
-    (`_grid_states`).
+    (`integrate_ivp`), it bounds its steps by min(0.02, 0.26 r), lands on
+    r = 1 and on the last radius (and on any radius farther than the bound
+    from the one before it) and fills the others from its accepted steps
+    by degree-7 Hermite (`_grid_states`).
 
     For const and every a_h the series reaches r = 1, so the profile is the
     series' own: at N=10, a_h at h=40 one call takes 0.3 ms (0.07 ms of
@@ -1119,18 +1120,18 @@ def integrate_singular(cfg: ProblemConfig, radii=None):
     from a two-term expansion took 3.6 ms and 3 997 right-hand-side calls.
     There V is within 3.6e-15 of U_h and lambda* within 5e-16 of its closed
     form 2(N-2) e^{-h/(2N)} over N in 3..12 and h in {-1, 0, 5.7832, 40}.
-    polyexp:1.5;d=0.5 at N=10 stops at r0 = 0.70 and takes 373 calls on 16
-    anchors. Over N in 3..12 and nine const, a_h and polyexp weights, at
+    polyexp:1.5;d=0.5 at N=10 stops at r0 = 0.70 and takes 193 calls
+    beyond. Over N in 3..12 and nine const, a_h and polyexp weights, at
     rtol 1e-10 and 1e-13, (V, V') agree with a shoot from r_start at
     rtol/atol 1e-13 that lands on every radius to within 5.2e-15 and
-    1.6e-14 relative to max(1, |.|).
+    2.5e-14 relative to max(1, |.|).
     """
     series = _singular_series(cfg)
     fun = _rhs_v(cfg)
     radii_arr, nodes = _output_radii(cfg, radii)
     states, at_one = _grid_states(cfg, radii_arr, nodes,
-                                  lambda anchors: _integrate(cfg, fun, series.r0, series.start,
-                                                             anchors), series, one=True)
+                                  lambda lands: _integrate(cfg, fun, series.r0, series.start,
+                                                           lands), series, one=True)
     lam_star = math.exp(float(at_one[0]))
     return lam_star, RadialProfile(radii_arr, states[:, 0], states[:, 1])
 
@@ -1307,16 +1308,22 @@ def rescaled_profile(cfg: ProblemConfig, beta: float, r_max: float = 3.0) -> Rad
     problem; beyond r = 1 the weight's natural formula is used, guarded
     for positivity. It is sampled on `default_grid` out to r_max (1561
     radii for r_max = 3). It takes those up to its series' radius from the
-    series, lands on anchors among the rest (177 over the whole grid) and
-    fills the others as `integrate_ivp` does, within 1.6e-14 (v-hat) and
-    7.6e-14 (its derivative) of a shoot that lands on every radius,
-    relative to max(1, |.|), over N in {3, 5, 7, 9, 10, 12}, const, a_h and
-    polyexp weights and beta in [0, 40].
+    series, and beyond it bounds its steps, lands on r_max only and fills
+    the others as `integrate_ivp` does, within 6.0e-13 (v-hat) and 2.6e-12
+    (its derivative) of a shoot from r_start at rtol/atol 1e-13 that lands
+    on every radius, relative to max(1, |.|), over N in {3, 5, 7, 9, 10,
+    12}, const, a_5, a_40 and polyexp:1.5;d=-0.8 and beta in {0, 5, 10, 25,
+    40}; the worst is N=3, a_40 at beta = 0, which takes 1 633
+    right-hand-side calls. Landing on 177 of the radii, no farther apart
+    than the bound, gave 1.6e-14 and 7.5e-14, for 3 253 calls there; where
+    the bound binds on nearly every step (N=3 const and N=10 a_40 at beta =
+    5, N=12 polyexp:1.5;d=-0.8 at beta = 10) it takes 1 201 calls against
+    1 213.
     """
     if beta < 0.0:
         raise ValueError("rescaling window is empty for beta < 0")
     cfg_hat = _rescaled_config(cfg, beta)
     radii = default_grid(cfg_hat, R=r_max)
     states = _grid_states(cfg_hat, radii, radii.tolist(),
-                          lambda anchors: _run(cfg_hat, 0.0, anchors), _series(cfg_hat, 0.0))
+                          lambda lands: _run(cfg_hat, 0.0, lands), _series(cfg_hat, 0.0))
     return RadialProfile(radii, states[:, 0], states[:, 1], R=r_max)

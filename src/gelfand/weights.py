@@ -110,8 +110,9 @@ def make_ah(h: float, dim: int) -> Weight:
         dim=dim,
     )
     # both factors of a_h are monotone in r with the sign of h, so a(r)
-    # is finite and positive on [0, 1] if it is at r = 0 and r = 1
-    _check_admissible(w, 1)
+    # is finite and positive on [0, 1] if it is at r = 0, where it is 1,
+    # and at r = 1
+    _check_at(w, weight_fn(w), 1.0)
     return w
 
 
@@ -218,15 +219,19 @@ def _check_admissible(w: Weight, samples: int) -> None:
         flagged = np.flatnonzero(~ok)
     a_of = weight_fn(w)
     for i in flagged.tolist():
-        r_i = i / samples
-        try:
-            finite = math.isfinite(a_of(r_i))
-        except OverflowError:
-            finite = False
-        except ValueError as exc:
-            raise WeightParseError(str(exc)) from None
-        if not finite:
-            raise WeightParseError(f"weight {w.spec!r} not finite at r={r_i}")
+        _check_at(w, a_of, i / samples)
+
+
+def _check_at(w: Weight, a_of, r: float) -> None:
+    """WeightParseError unless the scalar a_of(r) of w is finite and positive."""
+    try:
+        finite = math.isfinite(a_of(r))
+    except OverflowError:
+        finite = False
+    except ValueError as exc:
+        raise WeightParseError(str(exc)) from None
+    if not finite:
+        raise WeightParseError(f"weight {w.spec!r} not finite at r={r}")
 
 
 def ratio_derivative_sign(w: Weight, dim: int, reference: Weight | None = None) -> str:

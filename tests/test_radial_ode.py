@@ -193,7 +193,7 @@ def test_one_node_grid_returns_the_start_state():
 
 def test_lambda_is_read_at_r_one_whatever_the_radii():
     # radii that end below r = 1, or pass it without holding 1.0: the shoot
-    # lands on r = 1 as one more anchor, and the profile keeps its radii
+    # lands on r = 1 too, and the profile keeps its radii
     cfg = ProblemConfig(dim=3, weight=CONST)
     sh = integrate_ivp(cfg, 1.0, radii=[0.1, 0.5])
     assert list(sh.profile.radii) == [0.1, 0.5]
@@ -626,8 +626,9 @@ FILL_CASES = [(dim, spec) for dim in (3, 10, 12)
 
 @pytest.mark.parametrize("dim, spec", FILL_CASES)
 def test_grid_fill_matches_landing_on_every_radius(dim, spec):
-    # a grid shoot lands on sparse anchors and fills the other radii by
-    # degree-7 Hermite; compare (v, v', e, e') with a shoot landing on all
+    # a grid shoot bounds its steps, lands on r = 1 only and fills the other
+    # radii by degree-7 Hermite; compare (v, v', e, e') with a shoot
+    # landing on all
     cfg = ProblemConfig(dim=dim, weight=parse_weight(spec, dim))
     grid = default_grid(cfg)
     bounds = np.array([5e-12, 5e-11, 2e-11, 2e-10])
@@ -641,8 +642,38 @@ def test_grid_fill_matches_landing_on_every_radius(dim, spec):
         assert np.all(err <= bounds), (beta, err)
 
 
+@pytest.mark.parametrize("dim, spec", FILL_CASES)
+def test_grid_shoots_bound_their_steps_and_land_only_on_r_one(monkeypatch, dim, spec):
+    # on default_grid a regular or singular grid shoot lands on r = 1 only,
+    # and on r_start too where its series' radius r0 lies farther below it
+    # than the step bound (beta = 40 here); no accepted step from r is
+    # longer than min(0.02, 0.26 r)
+    solves, solve = [], _stepper.solve
+
+    def recording(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        solves.append((args[3], out[1], kwargs["bound"]))
+        return out
+
+    monkeypatch.setattr(_stepper, "solve", recording)
+    cfg = ProblemConfig(dim=dim, weight=parse_weight(spec, dim))
+    for beta in (-2.0, 3.0, 40.0):
+        integrate_ivp(cfg, beta)
+    integrate_singular(cfg)
+    assert len(solves) >= 2
+    for nodes, xs, bound in solves:
+        r0 = xs[0]
+        far = cfg.r_start - r0 > 0.26 * r0
+        assert nodes == ([cfg.r_start, 1.0] if far else [1.0]), (r0, nodes)
+        assert xs[-1] == 1.0 and bound == (0.02, 0.26)
+        xs = np.asarray(xs)
+        assert np.all(np.diff(xs) <= np.minimum(0.02, 0.26 * xs[:-1]) * (1.0 + 1e-12))
+
+
 def test_grid_shoot_rhs_calls_are_bounded(monkeypatch):
-    # landing on every one of default_grid's 561 radii took 8 581 calls here
+    # landing on every one of default_grid's 561 radii took 8 581 calls
+    # here, and on 31 anchors no farther apart than min(0.02, 0.26 r) 853;
+    # bounding the steps so and landing on r = 1 alone takes 397
     rhs_ve, calls = radial_ode._rhs_ve, []
 
     def counting(cfg):
@@ -656,7 +687,7 @@ def test_grid_shoot_rhs_calls_are_bounded(monkeypatch):
 
     monkeypatch.setattr(radial_ode, "_rhs_ve", counting)
     integrate_ivp(ProblemConfig(dim=10, weight=make_ah(40.0, 10)), 3.0)
-    assert 0 < len(calls) <= 3500
+    assert 0 < len(calls) <= 440
 
 
 def _landed(cfg, fun, y0, nodes):
@@ -689,8 +720,8 @@ SINGULAR_SPECS = ("const", "ah:h=-1", "ah:h=5", "ah:h=40", "polyexp:0.7;d=-0.2",
 @pytest.mark.parametrize("dim", range(3, 13))
 def test_singular_fill_matches_landing_on_every_radius(dim):
     # the singular solution takes the radii of default_grid up to its
-    # series' radius r0 from the series, lands on anchors beyond, no farther
-    # apart than min(0.02, 0.26 r), and fills the other radii
+    # series' radius r0 from the series, steps no farther than
+    # min(0.02, 0.26 r) beyond, lands on r = 1 and fills the other radii
     for spec in SINGULAR_SPECS:
         for rtol in (1e-10, 1e-13):
             cfg = ProblemConfig(dim=dim, weight=parse_weight(spec, dim), rel_tol=rtol)
@@ -710,7 +741,8 @@ def test_singular_fill_matches_landing_on_every_radius(dim):
 
 def test_singular_shoot_rhs_calls_are_bounded(monkeypatch):
     # the series stops at r0 = 0.70 here; landing on each of default_grid's
-    # 150 radii beyond r0 takes 1 801 calls, and on all 561 from r_start 9 013
+    # 150 radii beyond r0 takes 1 801 calls, on all 561 from r_start 9 013,
+    # on 16 anchors 373, and bounded steps that land on r = 1 alone 193
     rhs_v, calls = radial_ode._rhs_v, []
 
     def counting(cfg):
@@ -724,7 +756,7 @@ def test_singular_shoot_rhs_calls_are_bounded(monkeypatch):
 
     monkeypatch.setattr(radial_ode, "_rhs_v", counting)
     integrate_singular(ProblemConfig(dim=10, weight=parse_weight("polyexp:1.5;d=0.5")))
-    assert 0 < len(calls) <= 4500
+    assert 0 < len(calls) <= 215
 
 
 @pytest.mark.parametrize("dim", [3, 10, 12])
@@ -745,8 +777,9 @@ def test_rescaled_fill_matches_landing_on_every_radius(dim):
 @pytest.mark.parametrize("radii", [[1e-4], [1e-4, 1.0], [1e-4, 0.5, 1.0, 1.0]])
 @pytest.mark.parametrize("beta", [0.0, 20.0])
 def test_degenerate_grids_are_landed(radii, beta):
-    # every radius here is an anchor: the states are the integrator's own,
-    # and no interval is interpolated
+    # every radius here lies farther than the step bound from the one before
+    # it and is landed: the states are the integrator's own, and no
+    # interval is interpolated
     cfg = ProblemConfig(dim=5, weight=CONST)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -4,7 +4,8 @@ loop.
 ``_reference_solve`` below is the generic Dormand-Prince 8(5,3) step
 loop, over lists and over the nonzero coefficients of the tableau, that
 the stage functions in ``gelfand._stepper`` perform expression for
-expression, unrolled for sizes 1, 2 and 4. It reads its coefficients from
+expression, unrolled for sizes 1, 2 and 4; like ``solve`` it takes the
+grid shoots' step bound min(cap, rel x). It reads its coefficients from
 scipy's ``dop853_coefficients`` and keeps its own copy of the controller
 constants, so it shares no number with the package; a separate test checks
 that the package's tableau is scipy's. Every state size must reproduce the
@@ -92,12 +93,14 @@ def _reference_stage(fun, x, h, x_new, y, k1, rtol, atol):
     return ynew, knew, err
 
 
-def _reference_solve(fun, x0, y0, nodes, rtol, atol, first_step=None, collect=False):
+def _reference_solve(fun, x0, y0, nodes, rtol, atol, first_step=None, collect=False,
+                     bound=None):
     """Integrate y' = fun(x, y) from x0 through each node in `nodes`.
 
     nodes must be strictly increasing with nodes[0] > x0. Returns the list
     of states at the nodes; with collect=True returns (node_states, xs, ys)
     where xs/ys are every accepted step point including x0 and all nodes.
+    With bound=(cap, rel) no step from x is longer than min(cap, rel x).
     """
     x = x0
     y = list(y0)
@@ -119,6 +122,8 @@ def _reference_solve(fun, x0, y0, nodes, rtol, atol, first_step=None, collect=Fa
         while x < target:
             if nsteps > _MAX_STEPS:
                 raise IntegrationError("step budget exhausted", x)
+            if bound is not None:
+                h = min(h, bound[0], bound[1] * x)
             clamped = h >= target - x
             if clamped:
                 h_try = target - x
@@ -170,9 +175,9 @@ def _capture(monkeypatch, run):
     calls = []
     solve = _stepper.solve
 
-    def recording(fun, x0, y0, nodes, rtol, atol, first_step=None, collect=False):
-        calls.append((fun, x0, list(y0), list(nodes), rtol, atol, first_step, collect))
-        return solve(fun, x0, y0, nodes, rtol, atol, first_step, collect)
+    def recording(fun, x0, y0, nodes, rtol, atol, first_step=None, collect=False, bound=None):
+        calls.append((fun, x0, list(y0), list(nodes), rtol, atol, first_step, collect, bound))
+        return solve(fun, x0, y0, nodes, rtol, atol, first_step, collect, bound)
 
     monkeypatch.setattr(_stepper, "solve", recording)
     run()
@@ -192,13 +197,13 @@ def _logged(fun):
     return wrapped, log
 
 
-def _compare(fun, x0, y0, nodes, rtol, atol, first_step=None, collect=False):
+def _compare(fun, x0, y0, nodes, rtol, atol, first_step=None, collect=False, bound=None):
     """Run the kernel and the reference on one problem and assert that
     results and RHS calls are identical; returns (calls, attempts, result)."""
     ref_fun, ref_log = _logged(fun)
     new_fun, new_log = _logged(fun)
-    expected = _reference_solve(ref_fun, x0, y0, nodes, rtol, atol, first_step, collect)
-    got = _stepper.solve(new_fun, x0, y0, nodes, rtol, atol, first_step, collect)
+    expected = _reference_solve(ref_fun, x0, y0, nodes, rtol, atol, first_step, collect, bound)
+    got = _stepper.solve(new_fun, x0, y0, nodes, rtol, atol, first_step, collect, bound)
     assert got == expected
     # by repr: trial stages of a rejected step may hold nan, and nan != nan
     assert repr(new_log) == repr(ref_log)
@@ -234,22 +239,22 @@ def test_kernel_matches_reference_on_package_rhs(monkeypatch, n):
 
 @pytest.mark.parametrize("n", sorted(CASES))
 def test_kernel_matches_reference_dense_and_single_node(monkeypatch, n):
-    fun, x0, y0, nodes, rtol, atol, first_step, _ = _capture(monkeypatch, CASES[n])[0]
+    fun, x0, y0, nodes, rtol, atol, first_step, _, bound = _capture(monkeypatch, CASES[n])[0]
     end = nodes[-1]
     span = end - x0
     # dense: many more nodes than steps, so nearly every step is clamped
     dense = [x0 + span * k / 4000.0 for k in range(1, 4001)]
     dense[-1] = end
-    _, _, states = _compare(fun, x0, y0, dense, rtol, atol, first_step)
+    _, _, states = _compare(fun, x0, y0, dense, rtol, atol, first_step, bound=bound)
     assert len(states) == len(dense)
     # single node, with and without the caller's first step
-    _compare(fun, x0, y0, [end], rtol, atol, first_step)
+    _compare(fun, x0, y0, [end], rtol, atol, first_step, bound=bound)
     _compare(fun, x0, y0, [end], rtol, atol, None)
 
 
 @pytest.mark.parametrize("n", sorted(CASES))
 def test_kernel_matches_reference_collect_and_default_first_step(monkeypatch, n):
-    fun, x0, y0, nodes, rtol, atol, _, _ = _capture(monkeypatch, CASES[n])[0]
+    fun, x0, y0, nodes, rtol, atol, *_ = _capture(monkeypatch, CASES[n])[0]
     calls, attempts, (states, xs, ys) = _compare(fun, x0, y0, nodes, rtol, atol, None, True)
     assert xs[0] == x0 and ys[0] == list(y0)
     assert xs[-1] == nodes[-1] and ys[-1] == states[-1]
@@ -259,7 +264,7 @@ def test_kernel_matches_reference_collect_and_default_first_step(monkeypatch, n)
 
 @pytest.mark.parametrize("n", sorted(CASES))
 def test_kernel_matches_reference_with_rejected_steps(monkeypatch, n):
-    fun, x0, y0, nodes, rtol, atol, _, _ = _capture(monkeypatch, CASES[n])[0]
+    fun, x0, y0, nodes, rtol, atol, *_ = _capture(monkeypatch, CASES[n])[0]
     # a first step of the whole span is far too long: the controller must
     # reject and shrink before the first accepted step; one node, so that
     # no clamp to a nearer node shortens that step
@@ -270,11 +275,25 @@ def test_kernel_matches_reference_with_rejected_steps(monkeypatch, n):
     assert calls == 1 + STAGES_PER_ATTEMPT * attempts
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_kernel_matches_reference_with_a_step_bound(monkeypatch, n):
+    # grid shoots bound their steps by min(0.02, 0.26 x); here that bound,
+    # and one ten times tighter, which binds on more steps
+    fun, x0, y0, nodes, rtol, atol, first_step, _, bound = _capture(monkeypatch, CASES[n])[0]
+    assert bound == radial_ode._GRID_STEP
+    steps = []
+    for cap, rel in (bound, (0.1 * bound[0], 0.1 * bound[1])):
+        _, _, (_, xs, _) = _compare(fun, x0, y0, nodes, rtol, atol, first_step, True, (cap, rel))
+        assert all(b - a <= min(cap, rel * a) * (1.0 + 1e-12) for a, b in zip(xs, xs[1:]))
+        steps.append(len(xs) - 1)
+    assert steps[0] < steps[1]
+
+
 @pytest.mark.parametrize("n", sorted(CASES))
 def test_list_stage_matches_unrolled_stage(monkeypatch, n):
     # one step attempt alone: the compiled stage of size n must give what the
     # list-form attempt gives, rejected attempts included
-    fun, x0, y0, nodes, rtol, atol, _, _ = _capture(monkeypatch, CASES[n])[0]
+    fun, x0, y0, nodes, rtol, atol, *_ = _capture(monkeypatch, CASES[n])[0]
     k1 = fun(x0, list(y0))
     h = nodes[-1] - x0  # the whole span: far too long
     accepted = []
@@ -454,13 +473,13 @@ def test_step_size_underflow(n):
 
 @pytest.mark.parametrize("n", sorted(CASES))
 def test_step_budget_exhausted(monkeypatch, n):
-    fun, x0, y0, nodes, rtol, atol, first_step, _ = _capture(monkeypatch, CASES[n])[0]
+    fun, x0, y0, nodes, rtol, atol, first_step, _, bound = _capture(monkeypatch, CASES[n])[0]
     monkeypatch.setattr(_stepper, "_MAX_STEPS", 10)
     monkeypatch.setitem(globals(), "_MAX_STEPS", 10)
     with pytest.raises(IntegrationError, match="step budget exhausted") as got:
-        _stepper.solve(fun, x0, y0, nodes, rtol, atol, first_step)
+        _stepper.solve(fun, x0, y0, nodes, rtol, atol, first_step, bound=bound)
     with pytest.raises(IntegrationError, match="step budget exhausted") as expected:
-        _reference_solve(fun, x0, y0, nodes, rtol, atol, first_step)
+        _reference_solve(fun, x0, y0, nodes, rtol, atol, first_step, bound=bound)
     assert got.value.reached == expected.value.reached
     assert x0 < got.value.reached < nodes[-1]
 

@@ -223,6 +223,16 @@ def test_make_ah_range_validation():
         make_ah(1.0, 3.5)
 
 
+@pytest.mark.parametrize("h", [14100.0, 14200.0])
+def test_make_ah_refuses_a_weight_that_overflows_at_one(h):
+    # at N=10, a(1) = (1 + h/16) e^{h/20}: at h = 14 100 the product
+    # overflows to inf, at 14 200 the exponential itself; 14 000 is finite
+    with pytest.raises(WeightParseError) as got:
+        make_ah(h, 10)
+    assert str(got.value) == f"weight 'ah:h={h!r}' not finite at r=1.0"
+    assert math.isfinite(weight_fn(make_ah(14000.0, 10))(1.0))
+
+
 def test_normalization_at_origin():
     for spec in ("const", "ah:h=40", "polyexp:0.5;d=-0.3"):
         w = parse_weight(spec, dim=10)
